@@ -1,150 +1,148 @@
-module Json = Gridbw_obs.Json
-module Event = Gridbw_obs.Event
 module Ledger = Gridbw_alloc.Ledger
+module Binio = Gridbw_wire.Binio
+module Frame = Gridbw_wire.Frame
 
-type t = { cursor : int; events : Event.t list; ledger : Ledger.dump }
+(* Frame tag for snapshot images; events own 0x01, WAL records 0x02,
+   serve frames 0x03, spans 0x04. *)
+let frame_tag = 0x05
 
-let name cursor = Printf.sprintf "snap-%010d.json" cursor
+(* Snapshots kept on disk after each write: the newest may be unusable
+   (corrupt, or above a torn WAL tail), so one older image stays. *)
+let retained = 2
 
+let name cursor = Printf.sprintf "snap-%010d.bin" cursor
+
+(* Any [snap-<10 digits>.<suffix>] counts, so files of an older snapshot
+   format are still pruned (and fail to decode when loaded). *)
 let snap_cursor file =
-  if
-    String.length file = 20
-    && String.sub file 0 5 = "snap-"
-    && Filename.check_suffix file ".json"
-  then int_of_string_opt (String.sub file 5 10)
+  if String.length file > 16 && String.sub file 0 5 = "snap-" && file.[15] = '.' then
+    int_of_string_opt (String.sub file 5 10)
   else None
 
-(* --- ledger dump codec --- *)
+let is_temp file =
+  String.length file > 10
+  && String.sub file 0 6 = ".snap-"
+  && Filename.check_suffix file ".tmp"
 
-let segments_json segs =
-  Json.List
-    (List.map
-       (fun (s : Ledger.segment) ->
-         Json.List [ Json.Num s.seg_from; Json.Num s.seg_until; Json.Num s.seg_level ])
-       segs)
+(* --- binary image ---
 
-let ledger_json (d : Ledger.dump) =
-  Json.Obj
-    [
-      ("ledger", Json.Num 1.);
-      ("ingress", Json.List (Array.to_list (Array.map segments_json d.dump_ingress)));
-      ("egress", Json.List (Array.to_list (Array.map segments_json d.dump_egress)));
-    ]
+   The payload is the cursor (i64), then the ingress side and the egress
+   side.  A side is its port count (u32), then per port a segment count
+   (u32) and that many (from, until, level) f64 triples.  Floats are IEEE
+   bit patterns, so the restored ledger holds exactly the dumped levels. *)
 
-let ( let* ) = Option.bind
+let encode ~cursor (d : Ledger.dump) =
+  (* Sized up front: an image runs to megabytes, and growing the buffer
+     by doubling would copy it several times over. *)
+  let count ports = Array.fold_left (fun n segs -> n + 4 + (24 * List.length segs)) 4 ports in
+  let payload = Buffer.create (8 + count d.Ledger.dump_ingress + count d.Ledger.dump_egress) in
+  Binio.add_i64 payload cursor;
+  let side ports =
+    Binio.add_u32 payload (Array.length ports);
+    Array.iter
+      (fun segs ->
+        Binio.add_u32 payload (List.length segs);
+        List.iter
+          (fun (s : Ledger.segment) ->
+            Binio.add_f64 payload s.Ledger.seg_from;
+            Binio.add_f64 payload s.Ledger.seg_until;
+            Binio.add_f64 payload s.Ledger.seg_level)
+          segs)
+      ports
+  in
+  side d.Ledger.dump_ingress;
+  side d.Ledger.dump_egress;
+  let b = Buffer.create (Buffer.length payload + Frame.overhead) in
+  Frame.add b ~tag:frame_tag (Buffer.contents payload);
+  Buffer.contents b
 
-let segment_of_json = function
-  | Json.List [ a; b; c ] ->
-      let* seg_from = Json.to_float a in
-      let* seg_until = Json.to_float b in
-      let* seg_level = Json.to_float c in
-      Some { Ledger.seg_from; seg_until; seg_level }
+(* Total over any input: reads past the payload raise [Invalid_argument]
+   (caught below) after allocating at most in proportion to the bytes
+   read, and a port count is bounded by the payload before the array is
+   made. *)
+let decode s =
+  match Frame.decode s ~pos:0 with
+  | Gridbw_wire.Codec.Value ((tag, p), next) when tag = frame_tag && next = String.length s -> (
+      let pos = ref 0 in
+      let take n =
+        let at = !pos in
+        pos := at + n;
+        at
+      in
+      let u32 () = Binio.get_u32 p (take 4) in
+      let f64 () = Binio.get_f64 p (take 8) in
+      let segment _ =
+        let seg_from = f64 () in
+        let seg_until = f64 () in
+        let seg_level = f64 () in
+        { Ledger.seg_from; seg_until; seg_level }
+      in
+      let side () =
+        let n = u32 () in
+        if n > String.length p / 4 then invalid_arg "Snapshot.decode: port count";
+        Array.init n (fun _ -> List.init (u32 ()) segment)
+      in
+      try
+        let cursor = Binio.get_i64 p (take 8) in
+        let dump_ingress = side () in
+        let dump_egress = side () in
+        if !pos = String.length p then Some (cursor, { Ledger.dump_ingress; dump_egress })
+        else None
+      with Invalid_argument _ -> None)
   | _ -> None
 
-let side_of_json j =
-  match j with
-  | Json.List ports ->
-      let rec go acc = function
-        | [] -> Some (List.rev acc)
-        | Json.List segs :: rest ->
-            let* segs =
-              List.fold_left
-                (fun acc s ->
-                  let* acc = acc in
-                  let* s = segment_of_json s in
-                  Some (s :: acc))
-                (Some []) segs
-            in
-            go (List.rev segs :: acc) rest
-        | _ -> None
-      in
-      let* sides = go [] ports in
-      Some (Array.of_list sides)
-  | _ -> None
+(* --- files --- *)
 
-let ledger_of_json j =
-  let* _ = Json.member "ledger" j in
-  let* ing = Json.member "ingress" j in
-  let* egr = Json.member "egress" j in
-  let* dump_ingress = side_of_json ing in
-  let* dump_egress = side_of_json egr in
-  Some { Ledger.dump_ingress; dump_egress }
-
-(* --- write --- *)
-
-let write ~dir ~cursor ~events ~ledger =
-  let final = Filename.concat dir (name cursor) in
-  let tmp = Filename.concat dir ("." ^ name cursor ^ ".tmp") in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let meta =
-        Json.Obj
-          [
-            ("snap", Json.Num 1.);
-            ("cursor", Json.Num (float_of_int cursor));
-            ("events", Json.Num (float_of_int (List.length events)));
-          ]
-      in
-      output_string oc (Json.to_string meta ^ "\n");
-      List.iter (fun e -> output_string oc (Event.to_json e ^ "\n")) events;
-      output_string oc (Json.to_string (ledger_json ledger) ^ "\n");
-      flush oc;
-      Unix.fsync (Unix.descr_of_out_channel oc));
-  Sys.rename tmp final;
-  (* Persist the rename itself; not every filesystem allows fsync on a
+let fsync_dir dir =
+  (* Persist renames and unlinks; not every filesystem allows fsync on a
      directory fd, hence best-effort. *)
   try
     let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
     Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
   with Unix.Unix_error _ -> ()
 
-(* --- load --- *)
-
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
-
-let load path cursor =
-  match read_lines path with
-  | [] | [ _ ] -> None
-  | meta :: rest -> (
-      let* meta = Result.to_option (Json.parse meta) in
-      let* c = Option.bind (Json.member "cursor" meta) Json.to_int in
-      let* n = Option.bind (Json.member "events" meta) Json.to_int in
-      if c <> cursor || n <> List.length rest - 1 then None
-      else
-        let rec split acc = function
-          | [ last ] -> Some (List.rev acc, last)
-          | e :: rest -> split (e :: acc) rest
-          | [] -> None
-        in
-        let* event_lines, ledger_line = split [] rest in
-        let* events =
-          List.fold_left
-            (fun acc line ->
-              let* acc = acc in
-              let* e = Result.to_option (Event.of_line line) in
-              Some (e :: acc))
-            (Some []) event_lines
-        in
-        let* ledger = Option.bind (Result.to_option (Json.parse ledger_line)) ledger_of_json in
-        Some { cursor; events = List.rev events; ledger })
-
-let load_latest ~dir ~max_cursor =
+(* Snapshot files in [dir], newest first. *)
+let listing dir =
   Sys.readdir dir |> Array.to_list
-  |> List.filter_map (fun f ->
-         match snap_cursor f with
-         | Some c when c <= max_cursor -> Some (c, Filename.concat dir f)
-         | _ -> None)
+  |> List.filter_map (fun f -> Option.map (fun c -> (c, f)) (snap_cursor f))
   |> List.sort (fun a b -> compare b a)
-  |> List.find_map (fun (c, path) -> load path c)
+
+let remove dir f = try Sys.remove (Filename.concat dir f) with Sys_error _ -> ()
+
+let write ~dir ~cursor ledger =
+  let final = Filename.concat dir (name cursor) in
+  let tmp = Filename.concat dir ("." ^ name cursor ^ ".tmp") in
+  let image = encode ~cursor ledger in
+  let oc = open_out_bin tmp in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc image;
+      flush oc;
+      Unix.fsync (Unix.descr_of_out_channel oc));
+  Sys.rename tmp final;
+  fsync_dir dir;
+  List.iteri (fun i (_, f) -> if i >= retained then remove dir f) (listing dir)
+
+let tidy ~dir ~max_cursor =
+  let stale f =
+    is_temp f || match snap_cursor f with Some c -> c > max_cursor | None -> false
+  in
+  match List.filter stale (Array.to_list (Sys.readdir dir)) with
+  | [] -> ()
+  | files ->
+      List.iter (remove dir) files;
+      fsync_dir dir
+
+let read_file path =
+  try Some (In_channel.with_open_bin path In_channel.input_all) with Sys_error _ -> None
+
+let load_latest ~dir ~max_cursor fabric =
+  listing dir
+  |> List.find_map (fun (c, f) ->
+         if c > max_cursor then None
+         else
+           match Option.bind (read_file (Filename.concat dir f)) decode with
+           | Some (cursor, dump) when cursor = c -> (
+               try Some (c, Ledger.restore fabric dump) with Invalid_argument _ -> None)
+           | _ -> None)

@@ -1,27 +1,30 @@
-(** Atomic JSONL snapshots of the store's state.
+(** Atomic binary ledger snapshots.
 
-    A snapshot [snap-<cursor>.json] captures everything up to WAL record
-    [cursor]: a meta line, the event history (one JSONL event per line —
-    the same codec as the WAL payloads), and a final line with the
-    {!Gridbw_alloc.Ledger.dump} image.  It is written to a dot-prefixed
-    temp file, fsynced, then renamed into place, so a crash mid-write
-    leaves at worst an ignorable temp file.
+    A snapshot [snap-<cursor>.bin] holds the {!Gridbw_alloc.Ledger.dump}
+    image after WAL record [cursor] as one CRC-checked {!Gridbw_wire}
+    frame under its own tag, floats stored as IEEE bit patterns.  It
+    carries no event history: recovery parses every WAL record anyway,
+    so the history for [[0, cursor)] comes from the log and the snapshot
+    only spares re-booking it into the ledger.  A snapshot is written to
+    a dot-prefixed temp file, fsynced, renamed into place and the
+    directory fsynced; then every snapshot but the newest two is
+    deleted, so a corrupt newest image or a torn WAL tail below its
+    cursor still leaves an older one to start from.
 
-    Recovery loads the newest snapshot whose cursor does not exceed the
-    number of valid WAL records (the store syncs the WAL before
-    snapshotting, but a torn tail can still cut below a cursor); anything
-    unparseable or too new is skipped in favour of an older snapshot or a
-    full WAL replay. *)
+    Snapshot files are untrusted input: anything that does not decode,
+    names a different cursor, or does not restore against the fabric is
+    skipped in favour of an older snapshot or a full WAL replay. *)
 
-type t = {
-  cursor : int;  (** WAL records covered by this snapshot *)
-  events : Gridbw_obs.Event.t list;  (** event history, log order *)
-  ledger : Gridbw_alloc.Ledger.dump;
-}
+val write : dir:string -> cursor:int -> Gridbw_alloc.Ledger.dump -> unit
+(** Write the image for [cursor] and prune all but the newest two. *)
 
-val write :
-  dir:string -> cursor:int -> events:Gridbw_obs.Event.t list -> ledger:Gridbw_alloc.Ledger.dump ->
-  unit
+val load_latest :
+  dir:string -> max_cursor:int -> Gridbw_topology.Fabric.t -> (int * Gridbw_alloc.Ledger.t) option
+(** The newest usable snapshot with [cursor <= max_cursor], as its cursor
+    and the ledger restored against [fabric].  Never raises on file
+    contents. *)
 
-val load_latest : dir:string -> max_cursor:int -> t option
-(** Newest parseable snapshot with [cursor <= max_cursor]. *)
+val tidy : dir:string -> max_cursor:int -> unit
+(** Delete leftover [.snap-*.tmp] files from writes a crash cut short,
+    and snapshots beyond [max_cursor]: once the log is truncated below
+    them they describe records that will be written afresh. *)

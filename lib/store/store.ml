@@ -45,7 +45,6 @@ type t = {
   writer : Wal.writer;
   mutable fabric : Fabric.t;
   mutable mirror : Ledger.t;
-  mutable rev_events : Event.t list;
   accepted_tbl : (int, Allocation.t) Hashtbl.t;
   decided_tbl : (int, unit) Hashtbl.t;
   arrived_tbl : (int, unit) Hashtbl.t;
@@ -96,7 +95,6 @@ let reserve_profile t ~ingress ~egress p =
 (* [ledger_effects:false] replays history whose ledger image came from a
    snapshot: tables and fabric still update, reservations do not. *)
 let apply ?(ledger_effects = true) t ev =
-  t.rev_events <- ev :: t.rev_events;
   match ev with
   | Event.Arrival { id; _ } -> Hashtbl.replace t.arrived_tbl id ()
   | Event.Reject { id; _ } -> Hashtbl.replace t.decided_tbl id ()
@@ -165,8 +163,7 @@ let snapshot_now t =
      snapshot's cursor always points into durable log. *)
   Wal.sync t.writer;
   let cursor = t.writer.Wal.records in
-  Snapshot.write ~dir:t.dir ~cursor ~events:(List.rev t.rev_events)
-    ~ledger:(Ledger.dump t.mirror);
+  Snapshot.write ~dir:t.dir ~cursor (Ledger.dump t.mirror);
   t.last_snapshot_bytes <- t.writer.Wal.total_bytes;
   Obs.count t.obs "store_snapshots_total"
 
@@ -253,7 +250,6 @@ let fresh ~dir ~config ~obs ~fabric ~writer =
     writer;
     fabric;
     mirror = Ledger.create fabric;
-    rev_events = [];
     accepted_tbl = Hashtbl.create 64;
     decided_tbl = Hashtbl.create 64;
     arrived_tbl = Hashtbl.create 64;
@@ -356,60 +352,48 @@ let recover ?(config = default_config) ?obs ~dir () =
           (fun acc (r : Wal.record) -> if r.Wal.index < keep then acc + r.Wal.bytes else acc)
           0 s.Wal.records
       in
-      let snapshot = Snapshot.load_latest ~dir ~max_cursor:keep in
-      let base_events, tail_events, snapshot_cursor, snap_ledger =
-        match snapshot with
-        | Some snap when List.length snap.Snapshot.events = snap.Snapshot.cursor ->
-            ( snap.Snapshot.events,
-              List.filteri (fun i _ -> i >= snap.Snapshot.cursor) wal_events,
-              snap.Snapshot.cursor,
-              Some snap.Snapshot.ledger )
-        | _ -> ([], wal_events, 0, None)
-      in
-      let all_events = base_events @ tail_events in
-      match fabric_of_prefix ~n_in ~n_out all_events with
+      match fabric_of_prefix ~n_in ~n_out wal_events with
       | Error _ as e -> e
-      | Ok initial_fabric -> (
-          let restore_ledger () =
-            match snap_ledger with
-            | None -> Ok (Ledger.create initial_fabric)
-            | Some d -> (
-                try Ok (Ledger.restore initial_fabric d)
-                with Invalid_argument msg -> Error ("corrupt snapshot ledger: " ^ msg))
+      | Ok initial_fabric ->
+          (* The newest snapshot the surviving log reaches supplies the
+             ledger image for its cursor; the history before it still
+             comes from the WAL, which is parsed in full either way. *)
+          let snapshot_cursor, mirror =
+            match Snapshot.load_latest ~dir ~max_cursor:keep initial_fabric with
+            | Some (cursor, ledger) -> (cursor, ledger)
+            | None -> (0, Ledger.create initial_fabric)
           in
-          match restore_ledger () with
-          | Error _ as e -> e
-          | Ok mirror ->
-              (* Physically drop the torn tail before reopening for append. *)
-              Wal.truncate ~dir s ~keep;
-              let writer =
-                Wal.reopen ~config:config.wal ~format:config.codec
-                  ?kill_after:config.kill_after
-                  ~on_sync:(fun n ->
-                    Obs.count obs "store_fsync_total";
-                    Obs.observe obs "store_fsync_batch_size" (float_of_int n))
-                  ~dir ~records:keep ()
-              in
-              let t = fresh ~dir ~config ~obs ~fabric:initial_fabric ~writer in
-              t.mirror <- mirror;
-              t.last_snapshot_bytes <- writer.Wal.total_bytes;
-              (* Snapshot history carries no ledger effects (the dump is
-                 the ledger image); the WAL tail replays in full. *)
-              List.iter (fun e -> apply ~ledger_effects:false t e) base_events;
-              List.iter (fun e -> apply t e) tail_events;
-              Obs.count_n obs "store_recovery_records" (List.length tail_events);
-              Ok
-                {
-                  store = t;
-                  initial_fabric;
-                  events = List.rev t.rev_events;
-                  accepted = List.rev t.rev_accepted;
-                  decided = (fun id -> Hashtbl.mem t.decided_tbl id);
-                  arrived = (fun id -> Hashtbl.mem t.arrived_tbl id);
-                  snapshot_cursor;
-                  replayed = List.length tail_events;
-                  truncated_bytes = s.Wal.disk_bytes - kept_bytes;
-                }))
+          (* Physically drop the torn tail before reopening for append,
+             then the snapshots it outran and any half-written temps. *)
+          Wal.truncate ~dir s ~keep;
+          Snapshot.tidy ~dir ~max_cursor:keep;
+          let writer =
+            Wal.reopen ~config:config.wal ~format:config.codec ?kill_after:config.kill_after
+              ~on_sync:(fun n ->
+                Obs.count obs "store_fsync_total";
+                Obs.observe obs "store_fsync_batch_size" (float_of_int n))
+              ~dir ~records:keep ()
+          in
+          let t = fresh ~dir ~config ~obs ~fabric:initial_fabric ~writer in
+          t.mirror <- mirror;
+          t.last_snapshot_bytes <- writer.Wal.total_bytes;
+          (* History the snapshot covers carries no ledger effects (the
+             image is the ledger); the WAL tail replays in full. *)
+          List.iteri (fun i e -> apply ~ledger_effects:(i >= snapshot_cursor) t e) wal_events;
+          let replayed = keep - snapshot_cursor in
+          Obs.count_n obs "store_recovery_records" replayed;
+          Ok
+            {
+              store = t;
+              initial_fabric;
+              events = wal_events;
+              accepted = List.rev t.rev_accepted;
+              decided = (fun id -> Hashtbl.mem t.decided_tbl id);
+              arrived = (fun id -> Hashtbl.mem t.arrived_tbl id);
+              snapshot_cursor;
+              replayed;
+              truncated_bytes = s.Wal.disk_bytes - kept_bytes;
+            })
 
 (* Defined last so the stdlib's channel [flush] stays visible above. *)
 let flush = sync

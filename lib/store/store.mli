@@ -5,8 +5,9 @@
     (arrival/accept/reject/preempt/shed/capacity-revision — the
     {!Gridbw_obs.Event_codec} binary form by default, the JSONL form when
     [config.codec = Wal.Jsonl]; recovery sniffs the form per record, so
-    mixed journals replay fine), and atomic {!Snapshot}s triggered by
-    accumulated log size.
+    mixed journals replay fine), and atomic binary {!Snapshot}s of the
+    mirror ledger triggered by accumulated log size (the newest two are
+    kept).
 
     The store plugs into the telemetry plane: {!attach} wraps an
     {!Gridbw_obs.Obs.ctx} so every event the instrumented admission path
@@ -21,7 +22,8 @@
     processing order, so {e any} valid WAL prefix is the journal of the
     same run stopped after its first [k] records.  Recovery therefore
     truncates at the first torn/CRC-failing record, rebuilds state from
-    the newest usable snapshot plus the WAL tail, and a resumed run
+    the surviving WAL (taking the ledger image for the records before the
+    newest usable snapshot's cursor from that snapshot), and a resumed run
     ({!Gridbw_core.Flexible.greedy_resume}) re-decides the lost suffix
     bit-identically — the recovered-plus-resumed summary equals the
     uninterrupted run's, byte for byte. *)
@@ -77,10 +79,12 @@ val flush : t -> unit
     [--store-batch] setting. *)
 
 val snapshot_now : t -> unit
-(** Write a snapshot of the current state immediately (syncing the WAL
-    tail first), regardless of the [snapshot_bytes] cadence.  The daemon
-    snapshots on graceful shutdown so the next startup recovers without
-    a full WAL replay. *)
+(** Write a snapshot of the mirror ledger immediately (syncing the WAL
+    tail first), regardless of the [snapshot_bytes] cadence, and delete
+    all but the newest two snapshots.  The daemon snapshots on graceful
+    shutdown, so the next startup restores the ledger from the image
+    instead of re-booking every accept; it still parses the whole WAL
+    for the history. *)
 
 val close : t -> unit
 (** {!sync} and close the WAL. *)
@@ -107,16 +111,21 @@ type recovered = {
       (** surviving bookings with their decision times, decision order *)
   decided : int -> bool;  (** request id has a journaled decision *)
   arrived : int -> bool;  (** request id has a journaled arrival *)
-  snapshot_cursor : int;  (** records restored from a snapshot; 0 = full WAL replay *)
-  replayed : int;  (** WAL records replayed beyond the snapshot *)
+  snapshot_cursor : int;
+      (** records whose ledger effects came from a snapshot image; 0 = full
+          WAL replay *)
+  replayed : int;  (** WAL records replayed into the ledger beyond the snapshot *)
   truncated_bytes : int;  (** torn/corrupt tail bytes discarded *)
 }
 
 val recover :
   ?config:config -> ?obs:Gridbw_obs.Obs.ctx -> dir:string -> unit -> (recovered, string) result
-(** Open the latest usable snapshot, replay the WAL tail, truncate at the
-    first torn/CRC-failing record (later segments included), and reopen
-    the log for append.  [Error] when [dir] is not a store or the log is
+(** Scan the WAL, truncate at the first torn/CRC-failing record (later
+    segments included), restore the ledger from the newest usable
+    snapshot the surviving log reaches, replay the log (the tail beyond
+    the snapshot with its ledger effects), and reopen the log for
+    append.  Leftover snapshot temp files and snapshots beyond the
+    truncated log are deleted.  [Error] when [dir] is not a store or the log is
     cut inside the capacity prefix (no fabric to recover against).
     Callers are expected to audit [store]'s {!ledger} / [accepted]
     against {!Gridbw_check.Reference} before serving — [gridbw recover]

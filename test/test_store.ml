@@ -14,6 +14,8 @@ module Types = Gridbw_core.Types
 module Summary = Gridbw_metrics.Summary
 module Reference = Gridbw_check.Reference
 module Ledger = Gridbw_alloc.Ledger
+module Allocation = Gridbw_alloc.Allocation
+module Port = Gridbw_alloc.Port
 module Request = Gridbw_request.Request
 module Obs = Gridbw_obs.Obs
 module Metrics = Gridbw_obs.Metrics
@@ -217,6 +219,11 @@ let test_flipped_byte_truncates () =
       Torn.flip_byte ~dir:scratch (target + 3);
       resume_and_check ~label:"flipped byte" ~expected ~dir:scratch requests)
 
+let snap_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> String.starts_with ~prefix:"snap-" f)
+  |> List.sort compare
+
 let test_snapshot_recovery () =
   let requests = workload_of_seed ~n:30 17 in
   let expected = baseline requests in
@@ -225,10 +232,7 @@ let test_snapshot_recovery () =
       let scratch = Filename.concat tmp "carved" in
       (* Tiny snapshot threshold: several snapshots over the run. *)
       ignore (journal_run ~batch:4 ~snapshot_bytes:512 ~dir:src requests);
-      let snaps =
-        Sys.readdir src |> Array.to_list
-        |> List.filter (fun f -> Filename.check_suffix f ".json" && f <> "store.json")
-      in
+      let snaps = snap_files src in
       Alcotest.(check bool) "snapshots were written" true (List.length snaps >= 1);
       let _, total = Torn.record_boundaries ~dir:src in
       let dir = carve ~src ~scratch (total - 7) in
@@ -249,6 +253,241 @@ let test_snapshot_recovery () =
         close_out oc
       end;
       resume_and_check ~label:"corrupt snapshot skipped" ~expected ~dir requests)
+
+(* --- snapshot images ---
+
+   A snapshot holds only the ledger image at its cursor; the history
+   comes from the WAL either way.  Recovering with and without the
+   snapshot files must therefore give the same history and bookings bit
+   for bit, and ledgers that agree to rounding. *)
+
+let recover_exn ~label dir =
+  match Store.recover ~config:(store_config ()) ~dir () with
+  | Error msg -> Alcotest.failf "%s: recovery failed: %s" label msg
+  | Ok r ->
+      Store.close r.Store.store;
+      r
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The image restores the dumped levels exactly, but the tail booked on
+   top of it sums in a different order than a full replay does, so the
+   two ledgers agree to rounding, not bit for bit: compare the levels at
+   every breakpoint of either. *)
+let ledgers_agree ~label a b =
+  let da = Ledger.dump a and db = Ledger.dump b in
+  let side port segs_a segs_b =
+    Array.iteri
+      (fun i sa ->
+        List.iter
+          (fun (s : Ledger.segment) ->
+            List.iter
+              (fun t ->
+                let x = Ledger.usage_at a (port i) t and y = Ledger.usage_at b (port i) t in
+                if Float.abs (x -. y) > 1e-9 *. Float.max 1. (Float.abs x) then
+                  Alcotest.failf "%s: %a at %h holds %h vs %h" label Port.pp (port i) t x y)
+              [ s.Ledger.seg_from; s.Ledger.seg_until ])
+          (sa @ segs_b.(i)))
+      segs_a
+  in
+  side Port.ingress da.Ledger.dump_ingress db.Ledger.dump_ingress;
+  side Port.egress da.Ledger.dump_egress db.Ledger.dump_egress
+
+let check_same_recovery ~label ~ids (a : Store.recovered) (b : Store.recovered) =
+  if a.Store.events <> b.Store.events then Alcotest.failf "%s: event histories differ" label;
+  Alcotest.(check int) (label ^ ": accepted count") (List.length b.Store.accepted)
+    (List.length a.Store.accepted);
+  List.iter2
+    (fun (ta, (x : Allocation.t)) (tb, (y : Allocation.t)) ->
+      if
+        not
+          (same_float ta tb
+          && x.Allocation.request = y.Allocation.request
+          && same_float x.Allocation.bw y.Allocation.bw
+          && same_float x.Allocation.sigma y.Allocation.sigma
+          && same_float x.Allocation.tau y.Allocation.tau)
+      then
+        Alcotest.failf "%s: booking of request %d differs" label
+          x.Allocation.request.Request.id)
+    a.Store.accepted b.Store.accepted;
+  for id = 0 to ids - 1 do
+    if a.Store.decided id <> b.Store.decided id || a.Store.arrived id <> b.Store.arrived id then
+      Alcotest.failf "%s: decided/arrived differ on request %d" label id
+  done;
+  ledgers_agree ~label (Store.ledger a.Store.store) (Store.ledger b.Store.store);
+  List.iter
+    (fun (r : Store.recovered) ->
+      if not (Ledger.within_capacity (Store.ledger r.Store.store)) then
+        Alcotest.failf "%s: recovered mirror ledger exceeds capacity" label)
+    [ a; b ]
+
+let test_snapshot_matches_wal_only () =
+  List.iter
+    (fun seed ->
+      let requests = workload_of_seed ~n:30 seed in
+      with_tmpdir (fun tmp ->
+          let src = Filename.concat tmp "src" in
+          let bare = Filename.concat tmp "bare" in
+          ignore (journal_run ~batch:4 ~snapshot_bytes:256 ~dir:src requests);
+          Torn.copy_store ~src ~dst:bare;
+          List.iter (fun f -> Sys.remove (Filename.concat bare f)) (snap_files bare);
+          let label = Printf.sprintf "seed %d" seed in
+          let snaps = snap_files src in
+          Alcotest.(check bool) (label ^ ": snapshots written") true (snaps <> []);
+          Alcotest.(check bool) (label ^ ": at most two snapshots kept") true
+            (List.length snaps <= 2);
+          let with_snap = recover_exn ~label src in
+          let wal_only = recover_exn ~label:(label ^ ", WAL only") bare in
+          Alcotest.(check bool) (label ^ ": started from a snapshot") true
+            (with_snap.Store.snapshot_cursor > 0);
+          Alcotest.(check int) (label ^ ": WAL-only replays everything") 0
+            wal_only.Store.snapshot_cursor;
+          check_same_recovery ~label ~ids:(List.length requests) with_snap wal_only))
+    [ 3; 5; 17; 23 ]
+
+let test_stale_temp_removed () =
+  let requests = workload_of_seed ~n:30 17 in
+  with_tmpdir (fun tmp ->
+      let src = Filename.concat tmp "src" in
+      let planted = Filename.concat tmp "planted" in
+      ignore (journal_run ~batch:4 ~snapshot_bytes:256 ~dir:src requests);
+      Torn.copy_store ~src ~dst:planted;
+      (* what a crash between creating the temp file and the rename leaves *)
+      let temps = [ ".snap-0000000012.bin.tmp"; ".snap-0000000009.json.tmp" ] in
+      List.iter
+        (fun f ->
+          let oc = open_out_bin (Filename.concat planted f) in
+          output_string oc "half a snapshot";
+          close_out oc)
+        temps;
+      let clean = recover_exn ~label:"untouched" src in
+      let r = recover_exn ~label:"planted temps" planted in
+      List.iter
+        (fun f ->
+          Alcotest.(check bool) (f ^ " removed") false
+            (Sys.file_exists (Filename.concat planted f)))
+        temps;
+      Alcotest.(check (list string)) "snapshots untouched" (snap_files src) (snap_files planted);
+      Alcotest.(check int) "same snapshot cursor" clean.Store.snapshot_cursor
+        r.Store.snapshot_cursor;
+      check_same_recovery ~label:"planted temps" ~ids:(List.length requests) clean r)
+
+(* A log truncated below a snapshot's cursor is written afresh from
+   there, so that snapshot would describe a history that no longer
+   exists: recovery must drop it, not restore it later. *)
+let test_outran_snapshot_dropped () =
+  let requests = workload_of_seed ~n:30 17 in
+  with_tmpdir (fun tmp ->
+      let src = Filename.concat tmp "src" in
+      let dir = Filename.concat tmp "carved" in
+      let bare = Filename.concat tmp "bare" in
+      ignore (journal_run ~batch:4 ~snapshot_bytes:256 ~dir:src requests);
+      let newest = List.hd (List.rev (snap_files src)) in
+      let cursor = int_of_string (String.sub newest 5 10) in
+      let boundaries, _ = Torn.record_boundaries ~dir:src in
+      ignore (carve ~src ~scratch:dir (List.nth boundaries (cursor - 3)));
+      (match Store.recover ~config:(store_config ()) ~dir () with
+      | Error msg -> Alcotest.failf "carved: recovery failed: %s" msg
+      | Ok r ->
+          Alcotest.(check bool) "snapshot beyond the log deleted" false
+            (Sys.file_exists (Filename.concat dir newest));
+          (* a different history past the cut, running beyond the old cursor *)
+          for i = 0 to 5 do
+            Store.log r.Store.store
+              (Event.Accept
+                 { time = 1000. +. float_of_int i; id = 1000 + i; ingress = 0; egress = 1;
+                   volume = 100.; ts = 1000.; tf = 2000.; max_rate = 1.; bw = 1.;
+                   sigma = 1000.; shard = None })
+          done;
+          Store.close r.Store.store);
+      Torn.copy_store ~src:dir ~dst:bare;
+      List.iter (fun f -> Sys.remove (Filename.concat bare f)) (snap_files bare);
+      check_same_recovery ~label:"rewritten past a snapshot" ~ids:1006
+        (recover_exn ~label:"rewritten" dir)
+        (recover_exn ~label:"rewritten, WAL only" bare))
+
+(* Snapshot files are input from outside the program: every truncation
+   and every flipped byte of a snapshot, and a leftover snapshot of the
+   older JSONL format, must be skipped without raising. *)
+let test_snapshot_decoder_total () =
+  let requests = workload_of_seed ~n:30 17 in
+  with_tmpdir (fun tmp ->
+      let dir = Filename.concat tmp "src" in
+      ignore (journal_run ~batch:4 ~snapshot_bytes:256 ~dir requests);
+      let baseline = recover_exn ~label:"undamaged" dir in
+      let older, newest =
+        match List.rev (snap_files dir) with
+        | n :: o :: _ -> (o, n)
+        | _ -> Alcotest.fail "expected two snapshots"
+      in
+      let cursor_of f = int_of_string (String.sub f 5 10) in
+      Alcotest.(check int) "newest snapshot is used" (cursor_of newest)
+        baseline.Store.snapshot_cursor;
+      let read f = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+      let write f data =
+        Out_channel.with_open_bin (Filename.concat dir f) (fun oc -> output_string oc data)
+      in
+      let image = read newest and older_image = read older in
+      let expect ~label ~cursor =
+        let r =
+          match Store.recover ~config:(store_config ()) ~dir () with
+          | Ok r ->
+              Store.close r.Store.store;
+              r
+          | Error msg -> Alcotest.failf "%s: recovery failed: %s" label msg
+          | exception e -> Alcotest.failf "%s: recovery raised %s" label (Printexc.to_string e)
+        in
+        if r.Store.snapshot_cursor <> cursor then
+          Alcotest.failf "%s: started from cursor %d, expected %d" label r.Store.snapshot_cursor
+            cursor;
+        check_same_recovery ~label ~ids:(List.length requests) baseline r
+      in
+      (* truncations fall back to the older snapshot *)
+      for n = 0 to String.length image - 1 do
+        write newest (String.sub image 0 n);
+        expect ~label:(Printf.sprintf "truncated to %d bytes" n) ~cursor:(cursor_of older)
+      done;
+      (* flips, with the older snapshot gone, fall back to full WAL replay *)
+      Sys.remove (Filename.concat dir older);
+      for i = 0 to String.length image - 1 do
+        let b = Bytes.of_string image in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
+        write newest (Bytes.to_string b);
+        expect ~label:(Printf.sprintf "byte %d flipped" i) ~cursor:0
+      done;
+      (* CRC-valid frames around a damaged payload reach the payload
+         decoder: every strict prefix, and port/segment counts far beyond
+         the bytes present *)
+      let tag = Char.code image.[1] in
+      let payload = String.sub image 6 (String.length image - 10) in
+      let reframe p =
+        let b = Buffer.create 64 in
+        Gridbw_wire.Frame.add b ~tag p;
+        write newest (Buffer.contents b)
+      in
+      for n = 0 to String.length payload - 1 do
+        reframe (String.sub payload 0 n);
+        expect ~label:(Printf.sprintf "payload cut to %d bytes" n) ~cursor:0
+      done;
+      List.iter
+        (fun at ->
+          let b = Bytes.of_string payload in
+          Bytes.set_int32_le b at 0xFFFFFFFFl;
+          reframe (Bytes.to_string b);
+          expect ~label:(Printf.sprintf "count at %d blown up" at) ~cursor:0)
+        [ 8; 12 ];
+      (* a leftover JSONL snapshot (the older format) newer than every
+         binary image is skipped too *)
+      write newest image;
+      write older older_image;
+      let events = baseline.Store.events in
+      let cursor = List.length events in
+      write (Printf.sprintf "snap-%010d.json" cursor)
+        (String.concat "\n"
+           ((Printf.sprintf {|{"snap":1,"cursor":%d,"events":%d}|} cursor cursor
+            :: List.map Event.to_json events)
+           @ [ {|{"ledger":1,"ingress":[[],[]],"egress":[[],[]]}|}; "" ]));
+      expect ~label:"leftover JSONL snapshot" ~cursor:(cursor_of newest))
 
 let test_double_crash () =
   let requests = workload_of_seed ~n:30 3 in
@@ -285,7 +524,6 @@ let test_double_crash () =
 
 module Shard_engine = Gridbw_shard.Engine
 module Scenario = Gridbw_check.Scenario
-module Allocation = Gridbw_alloc.Allocation
 
 let sharded_workload () =
   let module Rng = Gridbw_prng.Rng in
@@ -743,6 +981,11 @@ let suites =
         case "crash matrix: jsonl-codec journal (seed 3)" (crash_matrix ~codec:Wal.Jsonl 3);
         case "crash: flipped byte truncates at the CRC" test_flipped_byte_truncates;
         case "crash: snapshot + WAL tail recovery" test_snapshot_recovery;
+        case "snapshot: recovery equals WAL-only recovery" test_snapshot_matches_wal_only;
+        case "snapshot: stale temp files removed on recovery" test_stale_temp_removed;
+        case "snapshot: one the truncated log no longer reaches is dropped"
+          test_outran_snapshot_dropped;
+        case "snapshot: damaged or old-format images are skipped" test_snapshot_decoder_total;
         case "crash: double crash, recover twice" test_double_crash;
         case "crash matrix: sharded journal, cross-shard admissions both-booked-or-neither"
           test_sharded_crash_matrix;
