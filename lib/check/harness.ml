@@ -34,7 +34,7 @@ let signature (r : Types.result) =
     List.sort compare
       (List.map
          (fun ((req : Request.t), reason) ->
-           (req.Request.id, Format.asprintf "%a" Types.pp_reason reason))
+           (req.Request.id, Types.reason_name reason))
          r.Types.rejected) )
 
 let is_faulty name = String.starts_with ~prefix:"faulty-" name

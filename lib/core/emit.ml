@@ -9,8 +9,6 @@ module Port = Gridbw_alloc.Port
 module Obs = Gridbw_obs.Obs
 module Event = Gridbw_obs.Event
 
-let reason_name reason = Format.asprintf "%a" Types.pp_reason reason
-
 (* Input-list position of every request, recorded on Arrival events so a
    trace replay can restore the original list order (summary float sums
    are order-sensitive). *)
@@ -69,7 +67,7 @@ let emit_decision obs ~time ?blocked ?shard (r : Request.t) d =
               | Some (p, h) -> (Some p, Some h)
               | None -> (None, None)
             in
-            Event.Reject { time; id = r.id; reason = reason_name reason; port; headroom; shard })
+            Event.Reject { time; id = r.id; reason = Types.reason_name reason; port; headroom; shard })
   end
 
 (* The tighter port over the allocation's own transmission interval —

@@ -39,10 +39,12 @@ let is_consistent r =
   && Iset.is_empty (Iset.inter acc rej)
   && Iset.equal (Iset.union acc rej) all
 
-let pp_reason ppf = function
-  | Port_saturated -> Format.pp_print_string ppf "port-saturated"
-  | Deadline_unreachable -> Format.pp_print_string ppf "deadline-unreachable"
-  | Revoked -> Format.pp_print_string ppf "revoked"
+let reason_name = function
+  | Port_saturated -> "port-saturated"
+  | Deadline_unreachable -> "deadline-unreachable"
+  | Revoked -> "revoked"
+
+let pp_reason ppf r = Format.pp_print_string ppf (reason_name r)
 
 let pp ppf r =
   Format.fprintf ppf "@[<v>%d requests, %d accepted, %d rejected@]" (List.length r.all)

@@ -29,5 +29,8 @@ val decision_of : result -> int -> decision option
 val is_consistent : result -> bool
 (** Every request appears in exactly one of [accepted] / [rejected]. *)
 
+val reason_name : reason -> string
+(** The wire and trace spelling, e.g. ["port-saturated"]. *)
+
 val pp_reason : Format.formatter -> reason -> unit
 val pp : Format.formatter -> result -> unit

@@ -32,8 +32,6 @@ type t = {
   mutable rejected : int;
 }
 
-let reason_name r = Format.asprintf "%a" Types.pp_reason r
-
 let make ?obs ?store ~policy ctl =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let obs = match store with Some s -> Store.attach s obs | None -> obs in
@@ -114,7 +112,7 @@ let admit ?span t ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate =
                   Protocol.Admitted
                     { id; bw = a.Allocation.bw; sigma = a.Allocation.sigma; tau = a.Allocation.tau }
               | Types.Rejected reason ->
-                  let reason = reason_name reason in
+                  let reason = Types.reason_name reason in
                   Hashtbl.replace t.entries id (Refused reason);
                   t.rejected <- t.rejected + 1;
                   Protocol.Rejected { id; reason }

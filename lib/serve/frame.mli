@@ -49,6 +49,9 @@ val encode_binary : string -> string
 
 val encode_as : format -> string -> string
 
+val add_as : format -> Buffer.t -> string -> unit
+(** Append the framed bytes {!encode_as} would return. *)
+
 (** {2 Incremental decoding} *)
 
 type decoder

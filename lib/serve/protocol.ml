@@ -122,7 +122,17 @@ let field name conv j what =
   | Some v -> Ok v
   | None -> Result.Error (Bad_request_e (Printf.sprintf "missing or ill-typed %S field" what))
 
-let int_field name j = field name Json.to_int j name
+(* Beyond 2^53 doubles skip integers, so distinct literals would decode
+   to the same [int] ({"id":1e30} and 1e31 both to 0); such a field is
+   ill-typed.  The bound sits here, where outside input arrives: journal
+   and trace decoders keep reading every integral value older stores
+   wrote. *)
+let exact_int j =
+  match Json.to_float j with
+  | Some f when Float.abs f < 0x1p53 -> Json.to_int j
+  | _ -> None
+
+let int_field name j = field name exact_int j name
 let float_field name j = field name Json.to_float j name
 let str_field name j = field name Json.to_str j name
 
@@ -134,7 +144,7 @@ let with_versioned payload k =
   | Ok j -> (
       match j with
       | Json.Obj _ -> (
-          match Option.bind (Json.member "v" j) Json.to_int with
+          match Option.bind (Json.member "v" j) exact_int with
           | None -> Result.Error (Bad_request_e "missing or ill-typed \"v\" field")
           | Some v when v <> version -> Result.Error (Bad_version_e v)
           | Some _ -> k j)

@@ -53,7 +53,9 @@ type response =
 type decode_error =
   | Bad_json_e of string  (** the payload is not a JSON object *)
   | Bad_version_e of int  (** a version this implementation does not speak *)
-  | Bad_request_e of string  (** unknown verb, missing or ill-typed field *)
+  | Bad_request_e of string
+      (** unknown verb, missing or ill-typed field; an integer field
+          beyond 2^53 in magnitude is ill-typed *)
 
 val describe_decode_error : decode_error -> string
 val error_of_decode : decode_error -> response

@@ -7,7 +7,9 @@ type t = {
   peer : string;
   decoder : Frame.decoder;
   timed : bool;
-  mutable out : string;  (* encoded bytes not yet on the wire *)
+  (* Encoded replies; the first [written] bytes are already on the wire. *)
+  out : Buffer.t;
+  mutable written : int;
   mutable closing : bool;
   mutable frames_in : int;
   mutable responses_out : int;
@@ -24,7 +26,8 @@ let create ?max_frame ?(timed = false) ~id ~peer () =
     peer;
     decoder = Frame.decoder ?max_frame ();
     timed;
-    out = "";
+    out = Buffer.create 4096;
+    written = 0;
     closing = false;
     frames_in = 0;
     responses_out = 0;
@@ -71,14 +74,30 @@ let queue t resp =
   t.responses_out <- t.responses_out + 1;
   (* Reply in the form the client last spoke: sending one binary frame
      switches the response stream to binary, no handshake needed. *)
-  t.out <- t.out ^ Frame.encode_as (Frame.last_format t.decoder) (Protocol.encode_response resp)
+  Frame.add_as (Frame.last_format t.decoder) t.out (Protocol.encode_response resp)
 
-let pending t = String.length t.out > 0
-let out_chunk t = t.out
+let unwritten t = Buffer.length t.out - t.written
+let pending t = unwritten t > 0
 
+let out_chunk t = Buffer.sub t.out t.written (unwritten t)
+
+(* A buffer that held more than this when it compacts goes back to its
+   first 4 KiB, as {!Frame}'s decoder does; a smaller one keeps its
+   storage, so steady rounds do not regrow it. *)
+let keep_capacity = 256 * 1024
+
+(* Drop the written prefix once it is at least half the buffer (always
+   when everything went out), so a connection that never fully drains
+   does not keep its history. *)
 let wrote t n =
-  if n < 0 || n > String.length t.out then invalid_arg "Session.wrote";
-  t.out <- String.sub t.out n (String.length t.out - n)
+  if n < 0 || n > unwritten t then invalid_arg "Session.wrote";
+  t.written <- t.written + n;
+  if 2 * t.written >= Buffer.length t.out then begin
+    let rest = Buffer.sub t.out t.written (unwritten t) in
+    if Buffer.length t.out > keep_capacity then Buffer.reset t.out else Buffer.clear t.out;
+    Buffer.add_string t.out rest;
+    t.written <- 0
+  end
 
 let stage_ns t = (t.decode_ns, t.parse_ns)
 let want_close t = t.closing

@@ -106,8 +106,6 @@ let settle t id entry ~accepted ~rejected =
   Condition.broadcast t.settled;
   Mutex.unlock t.m
 
-let reason_name r = Format.asprintf "%a" Types.pp_reason r
-
 let admit ?(obs = Obs.disabled) t ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate =
   match claim t id with
   | `Prior resp -> resp
@@ -137,7 +135,7 @@ let admit ?(obs = Obs.disabled) t ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate
                   Protocol.Admitted
                     { id; bw = a.Allocation.bw; sigma = a.Allocation.sigma; tau = a.Allocation.tau }
               | Types.Rejected reason ->
-                  let reason = reason_name reason in
+                  let reason = Types.reason_name reason in
                   settle t id (Some (Refused reason)) ~accepted:false ~rejected:true;
                   Protocol.Rejected { id; reason }
             end)

@@ -29,8 +29,6 @@ type t = {
   mutable stopped : bool;
 }
 
-let reason_name r = Format.asprintf "%a" Types.pp_reason r
-
 let create ?journal ?(record = false) ?(spawn = true) ~shards policy fabric =
   Policy.validate policy;
   let part = Partition.make ~shards in
@@ -195,7 +193,7 @@ let decision_event ~at ~shard ?blocked (r : Request.t) = function
         match blocked with Some (p, h) -> (Some p, Some h) | None -> (None, None)
       in
       Event.Reject
-        { time = at; id = r.Request.id; reason = reason_name reason; port; headroom; shard = Some shard }
+        { time = at; id = r.Request.id; reason = Types.reason_name reason; port; headroom; shard = Some shard }
 
 let try_admit ?(obs = Obs.disabled) t (r : Request.t) =
   let s1, s2 = Partition.involved t.part ~ingress:r.Request.ingress ~egress:r.Request.egress in

@@ -87,7 +87,8 @@ let reason_printing () =
   List.iter
     (fun (reason, expected) ->
       Alcotest.(check string) "reason text" expected
-        (Format.asprintf "%a" Types.pp_reason reason))
+        (Format.asprintf "%a" Types.pp_reason reason);
+      Alcotest.(check string) "reason name" expected (Types.reason_name reason))
     [
       (Types.Port_saturated, "port-saturated");
       (Types.Deadline_unreachable, "deadline-unreachable");

@@ -442,6 +442,107 @@ let json_standard_escapes_parse () =
       ({|"é"|}, "\xc3\xa9") (* é as UTF-8 *);
     ]
 
+(* --- json numbers and error messages: the codec's output is pinned --- *)
+
+(* The rule the codec has always printed numbers by. *)
+let printf_number f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.17g" f
+
+let check_number f =
+  if Float.is_finite f then
+    Alcotest.(check string) (Printf.sprintf "%h" f) (printf_number f) (Json.to_string (Json.Num f))
+
+let json_numbers_print_as_printf () =
+  List.iter check_number
+    [ 0.; -0.; 1.; -1.; 1e15 -. 1.; -.(1e15 -. 1.); 1e15; -1e15; 5e-324; -5e-324; max_float;
+      -.max_float; min_float; 0.5; -0.5; 0.1; 1e300; 0x1p53; 0x1p53 +. 2.; -0x1p62; 0x1p63 ]
+
+(* Random bit patterns cover every exponent; the integral draws cover
+   the [string_of_int] branch. *)
+let prop_json_numbers =
+  qcase ~count:2000 "json: numbers print as %.0f / %.17g did"
+    QCheck2.Gen.(pair int64 (float_range (-1e15) 1e15))
+    (fun (bits, x) ->
+      List.iter check_number [ Int64.float_of_bits bits; Float.round x; x ];
+      true)
+
+let check_literal lit =
+  match Json.parse lit with
+  | Ok (Json.Num f) ->
+      Alcotest.(check int64) lit (Int64.bits_of_float (float_of_string lit)) (Int64.bits_of_float f)
+  | Ok _ -> Alcotest.failf "%s: parsed to a non-number" lit
+  | Error msg -> Alcotest.failf "%s: %s" lit msg
+
+let json_integer_literals_exact () =
+  List.iter check_literal
+    [ "0"; "-0"; "007"; "-007"; "000000000000000"; "999999999999999"; "-999999999999999";
+      "1000000000000000"; "9007199254740993"; "-9007199254740993"; "12345678901234567890" ]
+
+let prop_json_integer_literals =
+  qcase ~count:2000 "json: integer literals parse as float_of_string does"
+    QCheck2.Gen.(pair bool (string_size ~gen:(char_range '0' '9') (int_range 1 17)))
+    (fun (neg, digits) ->
+      check_literal (if neg then "-" ^ digits else digits);
+      true)
+
+(* Parse errors reach serve clients verbatim inside bad-json replies. *)
+let json_error_messages_stable () =
+  List.iter
+    (fun (input, expected) ->
+      match Json.parse input with
+      | Ok _ -> Alcotest.failf "%S: parsed" input
+      | Error msg -> Alcotest.(check string) (Printf.sprintf "%S" input) expected msg)
+    [
+      ("", "unexpected end of input at 0");
+      ("   ", "unexpected end of input at 3");
+      ("{", {|expected '"' at 1|});
+      ("}", "expected number at 0");
+      ("[1,", "unexpected end of input at 3");
+      ("[1 2]", "expected ',' or ']' at 3");
+      ({|{"a" 1}|}, "expected ':' at 5");
+      ({|{"a":1,}|}, {|expected '"' at 7|});
+      ({|{"a":1 "b":2}|}, "expected ',' or '}' at 7");
+      ({|"abc|}, "unterminated string at 4");
+      ({|"a\|}, "bad escape at 3");
+      ({|"a\x"|}, "bad escape at 3");
+      ({|"\u12"|}, {|bad \u escape at 3|});
+      ({|"\uzzzz"|}, "int_of_string");
+      ("tru", "expected true at 0");
+      ("nulL", "expected null at 0");
+      ("trueX", "trailing garbage at 4");
+      ("-", "malformed number at 1");
+      ("1e", "malformed number at 2");
+      ("1.2.3", "malformed number at 5");
+      ("--1", "malformed number at 3");
+      ("0x10", "trailing garbage at 1");
+      ("e5", "malformed number at 2");
+      ("[1e5e5]", "malformed number at 6");
+      ("123abc", "trailing garbage at 3");
+      ("inf", "expected number at 0");
+      ("nan", "expected null at 0");
+      ({|{"v":}|}, "expected number at 5");
+      ("[1,]", "expected number at 3");
+      ("\000", "expected number at 0");
+      ("[1\000", "expected ',' or ']' at 2");
+      ({|"\u0041"x|}, "trailing garbage at 8");
+    ]
+
+(* Journals and traces written before ids were bounded may hold integral
+   values past 2^53; [to_int] must keep reading them back (the protocol
+   bounds ids on its own). *)
+let json_large_ints_read_back () =
+  let int_of lit = Option.bind (Result.to_option (Json.parse lit)) Json.to_int in
+  List.iter
+    (fun (lit, want) -> Alcotest.(check (option int)) lit (Some want) (int_of lit))
+    [
+      ("9007199254740991", 9007199254740991);
+      ("9007199254740992", 9007199254740992);
+      ("-9007199254740994", -9007199254740994);
+      ("1e16", 10_000_000_000_000_000);
+    ];
+  Alcotest.(check (option int)) "1.5" None (int_of "1.5")
+
 (* --- span codecs --- *)
 
 module Span = Gridbw_obs.Span
@@ -536,6 +637,12 @@ let suites =
         json_obj_key_round_trip;
         case "control characters render as escapes" json_escapes_are_ascii;
         case "foreign escape forms parse" json_standard_escapes_parse;
+        case "numbers print as %.0f / %.17g did" json_numbers_print_as_printf;
+        prop_json_numbers;
+        case "integer literals parse bit for bit" json_integer_literals_exact;
+        prop_json_integer_literals;
+        case "parse error messages are stable" json_error_messages_stable;
+        case "integers beyond 2^53 still read back" json_large_ints_read_back;
       ] );
     ( "obs.ctx",
       [

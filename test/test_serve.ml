@@ -131,6 +131,43 @@ let frame_blocking_io () =
           Alcotest.(check bool) "second frame" true (Frame.input ic = Ok "");
           Alcotest.(check bool) "eof" true (Frame.input ic = Error `Eof)))
 
+(* Bytes allocated by [f ()]. *)
+let allocated f =
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  let v = f () in
+  (v, Gc.allocated_bytes () -. before)
+
+(* A client that sends one large frame a byte at a time must cost the
+   decoder O(frame) bytes, not a copy of the backlog per byte. *)
+let frame_drip_fed_is_linear () =
+  let payload = String.init (256 * 1024) (fun i -> Char.chr (32 + (i mod 90))) in
+  let singles = Array.init 256 (fun c -> String.make 1 (Char.chr c)) in
+  List.iter
+    (fun fmt ->
+      let wire = Frame.encode_as fmt payload in
+      let d = Frame.decoder () in
+      let decoded, bytes =
+        allocated (fun () ->
+            let got = ref None in
+            String.iter
+              (fun c ->
+                Frame.feed d singles.(Char.code c);
+                match Frame.next d with
+                | Ok None -> ()
+                | Ok (Some p) -> got := Some p
+                | Error e -> Alcotest.failf "frame error: %s" (Frame.describe e))
+              wire;
+            !got)
+      in
+      let name = Frame.format_name fmt in
+      Alcotest.(check bool) (name ^ ": frame decodes") true (decoded = Some payload);
+      Alcotest.(check int) (name ^ ": nothing left") 0 (Frame.buffered d);
+      if bytes > 8. *. float_of_int (String.length wire) then
+        Alcotest.failf "%s: dripping a %d-byte frame allocated %.0f bytes" name
+          (String.length wire) bytes)
+    [ Frame.Text; Frame.Binary ]
+
 (* --- protocol codec --- *)
 
 let fin = QCheck2.Gen.float_range (-1e12) 1e12
@@ -249,6 +286,57 @@ let session_output_is_framed () =
   Session.wrote s (String.length (Session.out_chunk s));
   Alcotest.(check bool) "drained" false (Session.pending s)
 
+(* The daemon writes whatever the socket takes: interleave queueing with
+   partial writes and check the bytes that left are exactly the framed
+   replies, in order. *)
+let prop_session_partial_writes =
+  qcase ~count:300 "session: partial writes deliver the framed replies in order"
+    QCheck2.Gen.(
+      list_size (int_range 1 40)
+        (pair response_gen (pair (int_range 0 3) (float_bound_inclusive 1.))))
+    (fun steps ->
+      let s = Session.create ~id:3 ~peer:"test" () in
+      let sent = Buffer.create 256 and expected = Buffer.create 256 in
+      let write frac =
+        let chunk = Session.out_chunk s in
+        let n = int_of_float (frac *. float_of_int (String.length chunk)) in
+        Buffer.add_string sent (String.sub chunk 0 n);
+        Session.wrote s n
+      in
+      List.iter
+        (fun (resp, (writes, frac)) ->
+          Session.queue s resp;
+          Buffer.add_string expected (Frame.encode (Protocol.encode_response resp));
+          for _ = 1 to writes do
+            write frac
+          done)
+        steps;
+      let past = String.length (Session.out_chunk s) + 1 in
+      (match Session.wrote s past with
+      | () -> Alcotest.fail "wrote past the pending bytes"
+      | exception Invalid_argument _ -> ());
+      while Session.pending s do
+        write 1.
+      done;
+      Buffer.contents sent = Buffer.contents expected)
+
+(* A peer that pipelines requests and never reads: queueing must append,
+   not re-copy everything still pending. *)
+let session_queue_is_linear () =
+  let replies = List.init 10_000 (fun id -> Protocol.Rejected { id; reason = "port-saturated" }) in
+  let framed, encode_bytes =
+    allocated (fun () ->
+        List.fold_left
+          (fun n r -> n + String.length (Frame.encode (Protocol.encode_response r)))
+          0 replies)
+  in
+  let s = Session.create ~id:4 ~peer:"test" () in
+  let (), queue_bytes = allocated (fun () -> List.iter (Session.queue s) replies) in
+  Alcotest.(check int) "all replies pending" framed (String.length (Session.out_chunk s));
+  if queue_bytes > encode_bytes +. (4. *. float_of_int framed) then
+    Alcotest.failf "queueing %d framed bytes allocated %.0f bytes (encoding alone: %.0f)" framed
+      queue_bytes encode_bytes
+
 (* --- admission semantics --- *)
 
 let policy = Policy.Fraction_of_max 0.8
@@ -316,6 +404,73 @@ let admission_query_and_cancel () =
   match Admission.handle t Protocol.Shutdown with
   | Protocol.Goodbye { records = 0 } -> ()
   | r -> Alcotest.failf "expected goodbye with 0 records (no store), got %a" Protocol.pp_response r
+
+(* Ids beyond 2^53 used to round onto other ids ({"id":1e30} decoded
+   as 0), so a retry check answered them with id 0's decision. *)
+let admission_refuses_out_of_range_ids () =
+  let t = Admission.create ~policy (fabric2 ()) in
+  let s = Session.create ~id:5 ~peer:"test" () in
+  let serve payload =
+    Session.feed s (Frame.encode payload);
+    match Session.next s with
+    | Some (Session.Request r) -> Admission.handle t r
+    | Some (Session.Undecodable resp) -> resp
+    | Some (Session.Broken _) | None -> Alcotest.fail "expected one complete frame"
+  in
+  (match serve (Protocol.encode_request (admit ~id:0 ())) with
+  | Protocol.Admitted { id = 0; _ } -> ()
+  | r -> Alcotest.failf "expected id 0 admitted, got %a" Protocol.pp_response r);
+  List.iter
+    (fun id ->
+      List.iter
+        (fun payload ->
+          match serve payload with
+          | Protocol.Error { code = Protocol.Bad_request; _ } -> ()
+          | r -> Alcotest.failf "%s: expected bad-request, got %a" payload Protocol.pp_response r)
+        [
+          Printf.sprintf {|{"v":1,"op":"query","id":%s}|} id;
+          Printf.sprintf
+            {|{"v":1,"op":"admit","id":%s,"in":0,"out":0,"vol":100,"ts":0,"tf":10,"max":50}|} id;
+        ])
+    [ "1e30"; "9007199254740992"; "9007199254740993" ];
+  Alcotest.(check int) "only id 0 booked" 1 (Admission.accepted_count t);
+  match serve {|{"v":1,"op":"query","id":9007199254740991}|} with
+  | Protocol.Status { id = 9007199254740991; disposition = Protocol.Unknown } -> ()
+  | r -> Alcotest.failf "expected 2^53 - 1 to be a valid id, got %a" Protocol.pp_response r
+
+(* The protocol bound must not reach the journal: a store that booked an
+   id past 2^53 before ids were bounded still recovers it, and nothing
+   after it is cut. *)
+let recovery_reads_ids_beyond_2p53 () =
+  List.iter
+    (fun codec ->
+      with_tmpdir (fun dir ->
+          let config = { (store_config ()) with Store.codec } in
+          let fabric = fabric2 () in
+          let store = Store.create ~config ~dir fabric in
+          let t = Admission.create ~store ~policy fabric in
+          let big = (1 lsl 53) + 2 in
+          let reqs = [ admit ~id:big (); admit ~id:2 ~ts:20. ~tf:30. () ] in
+          let responses = List.map (Admission.handle t) reqs in
+          Admission.flush t;
+          Admission.close t;
+          match Store.recover ~config ~dir () with
+          | Error e -> Alcotest.fail e
+          | Ok r -> (
+              match Admission.of_recovered ~policy r with
+              | Error e -> Alcotest.fail e
+              | Ok t2 ->
+                  Alcotest.(check int)
+                    (Wal.format_name codec ^ ": both bookings recovered")
+                    2 (Admission.accepted_count t2);
+                  List.iter2
+                    (fun req resp ->
+                      if Admission.handle t2 req <> resp then
+                        Alcotest.failf "%s: recovered decision differs for %a"
+                          (Wal.format_name codec) Protocol.pp_request req)
+                    reqs responses;
+                  Admission.close t2)))
+    [ Wal.Binary; Wal.Jsonl ]
 
 (* Journal a mixed decision history through a store, recover it, and
    demand the resumed admission state answers every retry and query with
@@ -602,6 +757,7 @@ let suites =
         case "truncated prefixes wait for bytes" frame_truncated_prefix_waits;
         case "malformed frames: typed, sticky errors" frame_errors_are_typed_and_sticky;
         case "blocking channel helpers" frame_blocking_io;
+        case "a byte-at-a-time frame costs linear memory" frame_drip_fed_is_linear;
       ] );
     ( "serve.protocol",
       [
@@ -614,12 +770,16 @@ let suites =
         case "payload errors keep the connection" session_keeps_going_after_bad_payload;
         case "framing errors close the connection" session_closes_on_broken_framing;
         case "responses leave framed" session_output_is_framed;
+        prop_session_partial_writes;
+        case "queueing without draining costs linear memory" session_queue_is_linear;
       ] );
     ( "serve.admission",
       [
         case "decide, reject, validate, idempotent retries" admission_decides_and_is_idempotent;
         case "query and cancel lifecycle" admission_query_and_cancel;
+        case "ids beyond 2^53 are bad requests" admission_refuses_out_of_range_ids;
         case "journal, recover, bit-identical decisions" admission_recovery_round_trip;
+        case "journaled ids beyond 2^53 recover" recovery_reads_ids_beyond_2p53;
         case "engine-driven journals refused" of_recovered_refuses_engine_journals;
       ] );
     ( "serve.flight",
