@@ -46,6 +46,8 @@ let default_config ?(policy = Policy.Fraction_of_max 0.8)
     shards;
   }
 
+(* [eof]: the peer finished sending.  The socket leaves the read set,
+   but replies still pending drain to a half-closed peer. *)
 type conn = { fd : Unix.file_descr; session : Session.t; mutable eof : bool }
 
 (* One /metrics scrape connection: read until the request line is
@@ -78,6 +80,11 @@ type t = {
   span_oc : out_channel option;
   flight : Flight.t option;
   log : string -> unit;
+  (* Socket I/O buffers, one pair per daemon: reads land in [rbuf] and
+     feed the session from there; pending replies go out through [wbuf]
+     in slices of at most its size. *)
+  rbuf : Bytes.t;
+  wbuf : Bytes.t;
   mutable conns : conn list;
   mutable mconns : mconn list;
   mutable next_conn : int;
@@ -248,6 +255,8 @@ let close_backend = function
       Pool.stop pool;
       Option.iter Store.close pstore
 
+let io_buffer_bytes = 65536
+
 let create ?obs ?(log = fun _ -> ()) cfg =
   Policy.validate cfg.policy;
   let obs = match obs with Some o -> o | None -> Obs.create () in
@@ -304,6 +313,8 @@ let create ?obs ?(log = fun _ -> ()) cfg =
                   span_oc;
                   flight;
                   log;
+                  rbuf = Bytes.create io_buffer_bytes;
+                  wbuf = Bytes.create io_buffer_bytes;
                   conns = [];
                   mconns = [];
                   next_conn = 0;
@@ -336,31 +347,34 @@ let close_conn t c =
   (try Unix.close c.fd with Unix.Unix_error _ -> ());
   t.conns <- List.filter (fun c' -> c' != c) t.conns
 
-let scratch = Bytes.create 65536
-
 (* Read everything currently available on [c]; feed it to the session. *)
-let rec read_conn c =
-  match Unix.read c.fd scratch 0 (Bytes.length scratch) with
+let rec read_conn t c =
+  match Unix.read c.fd t.rbuf 0 (Bytes.length t.rbuf) with
   | 0 -> c.eof <- true
   | n ->
-      Session.feed c.session (Bytes.sub_string scratch 0 n);
-      if n = Bytes.length scratch then read_conn c
+      Session.feed_sub c.session t.rbuf 0 n;
+      if n = Bytes.length t.rbuf then read_conn t c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_conn c
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_conn t c
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _)
     ->
       c.eof <- true
 
-let write_conn c =
+(* Write pending replies until the socket would block or nothing is
+   left.  A peer that is gone cannot take them: the connection closes
+   and its pending output is dropped. *)
+let rec write_conn t c =
   if Session.pending c.session then
-    let chunk = Session.out_chunk c.session in
-    match Unix.write_substring c.fd chunk 0 (String.length chunk) with
-    | n -> Session.wrote c.session n
+    let n = Session.blit_out c.session t.wbuf in
+    match Unix.write c.fd t.wbuf 0 n with
+    | k ->
+        Session.wrote c.session k;
+        write_conn t c
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_conn t c
     | exception
         Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
-      c.eof <- true
+      close_conn t c
 
 (* --- the /metrics scrape endpoint ---
 
@@ -391,11 +405,11 @@ let rec accept_metrics t l =
       accept_metrics t l
 
 let rec read_mconn t m =
-  match Unix.read m.mfd scratch 0 (Bytes.length scratch) with
+  match Unix.read m.mfd t.rbuf 0 (Bytes.length t.rbuf) with
   | 0 -> m.meof <- true
   | n ->
       if not m.mdone then begin
-        m.minbuf <- m.minbuf ^ Bytes.sub_string scratch 0 n;
+        m.minbuf <- m.minbuf ^ Bytes.sub_string t.rbuf 0 n;
         if String.contains m.minbuf '\n' then begin
           let line = List.hd (String.split_on_char '\n' m.minbuf) in
           m.mout <- metrics_reply t line;
@@ -403,7 +417,7 @@ let rec read_mconn t m =
         end
         else if String.length m.minbuf > 4096 then m.meof <- true
       end;
-      if n = Bytes.length scratch then read_mconn t m
+      if n = Bytes.length t.rbuf then read_mconn t m
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_mconn t m
   | exception Unix.Unix_error _ -> m.meof <- true
@@ -594,7 +608,7 @@ let run t =
     let read_fds =
       (t.listener :: Option.to_list t.metrics_listener)
       @ List.map (fun m -> m.mfd) t.mconns
-      @ List.map (fun c -> c.fd) t.conns
+      @ List.filter_map (fun c -> if c.eof then None else Some c.fd) t.conns
     in
     let write_fds =
       List.filter_map
@@ -617,10 +631,10 @@ let run t =
         let readable =
           List.filter (fun c -> List.mem c.fd ready_r) t.conns
         in
-        List.iter read_conn readable;
+        List.iter (read_conn t) readable;
         round t ~readable;
         List.iter
-          (fun c -> if List.mem c.fd ready_w || Session.pending c.session then write_conn c)
+          (fun c -> if List.mem c.fd ready_w || Session.pending c.session then write_conn t c)
           t.conns;
         List.iter
           (fun m -> if List.mem m.mfd ready_w || String.length m.mout > 0 then write_mconn m)
@@ -651,9 +665,8 @@ let run t =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | _, ready_w, _ ->
           List.iter
-            (fun c -> if List.mem c.fd ready_w then write_conn c)
+            (fun c -> if List.mem c.fd ready_w then write_conn t c)
             pending);
-      List.iter (fun c -> if c.eof then close_conn t c) pending;
       drain ()
     end
   in

@@ -68,8 +68,7 @@ let keep_capacity = 256 * 1024
 let decoder ?(max_frame = max_frame_default) () =
   { max_frame; buf = Bytes.create initial_capacity; start = 0; stop = 0; err = None; last = Text }
 
-let feed d s =
-  let len = String.length s in
+let feed_sub d src off len =
   if len > 0 then begin
     let cap = Bytes.length d.buf and live = d.stop - d.start in
     if d.stop + len > cap then begin
@@ -81,9 +80,12 @@ let feed d s =
       d.start <- 0;
       d.stop <- live
     end;
-    Bytes.blit_string s 0 d.buf d.stop len;
+    Bytes.blit src off d.buf d.stop len;
     d.stop <- d.stop + len
   end
+
+(* [feed_sub] only reads its source, so the string is never mutated. *)
+let feed d s = feed_sub d (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let buffered d = d.stop - d.start
 let last_format d = d.last

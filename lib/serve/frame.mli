@@ -61,6 +61,11 @@ val decoder : ?max_frame:int -> unit -> decoder
 val feed : decoder -> string -> unit
 (** Append raw bytes from the wire. *)
 
+val feed_sub : decoder -> Bytes.t -> int -> int -> unit
+(** [feed_sub d buf off len] appends [buf.[off, off+len)] — what {!feed}
+    does for a string, without the caller first copying a read buffer
+    into one.  The decoder keeps no reference to [buf]. *)
+
 val next : decoder -> (string option, error) result
 (** [Ok (Some payload)] — one complete frame consumed (either form);
     [Ok None] — more bytes needed; [Error _] — the stream is broken (the

@@ -39,6 +39,7 @@ let create ?max_frame ?(timed = false) ~id ~peer () =
 let id t = t.id
 let peer t = t.peer
 let feed t s = Frame.feed t.decoder s
+let feed_sub t buf off len = Frame.feed_sub t.decoder buf off len
 
 type incoming =
   | Request of Protocol.request
@@ -80,6 +81,11 @@ let unwritten t = Buffer.length t.out - t.written
 let pending t = unwritten t > 0
 
 let out_chunk t = Buffer.sub t.out t.written (unwritten t)
+
+let blit_out t dst =
+  let n = Int.min (Bytes.length dst) (unwritten t) in
+  Buffer.blit t.out t.written dst 0 n;
+  n
 
 (* A buffer that held more than this when it compacts goes back to its
    first 4 KiB, as {!Frame}'s decoder does; a smaller one keeps its

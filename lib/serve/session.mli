@@ -23,6 +23,10 @@ val peer : t -> string
 val feed : t -> string -> unit
 (** Raw bytes read from the wire. *)
 
+val feed_sub : t -> Bytes.t -> int -> int -> unit
+(** [feed_sub t buf off len]: {!feed} from a slice of a read buffer,
+    without copying it into a string first. *)
+
 type incoming =
   | Request of Protocol.request
   | Undecodable of Protocol.response
@@ -51,8 +55,15 @@ val pending : t -> bool
 val out_chunk : t -> string
 (** Bytes waiting to be written (empty when none). *)
 
+val blit_out : t -> Bytes.t -> int
+(** Copy the first pending bytes, as many as fit, to the start of [dst];
+    return how many.  Allocates nothing, so a backlog costs at most
+    [Bytes.length dst] bytes of copying per write, however long it is.
+    The bytes stay pending until {!wrote} says they went out. *)
+
 val wrote : t -> int -> unit
-(** Note that the first [n] bytes of {!out_chunk} reached the wire. *)
+(** Note that the first [n] pending bytes (of {!out_chunk} or
+    {!blit_out}) reached the wire. *)
 
 val want_close : t -> bool
 (** Close once the pending output has drained. *)

@@ -23,16 +23,9 @@ let default_config =
     codec = Wal.Binary;
   }
 
-(* WAL record payloads: JSONL journals carry the JSON text line, binary
-   journals carry the bare binary event body (the WAL frame supplies
-   length and CRC).  Reading back is keyed by the per-record format the
-   scanner sniffed, never by the store's own codec, so mixed-format
-   journals recover cleanly. *)
-let payload_of_event codec ev =
-  match codec with
-  | Wal.Jsonl -> Event.to_json ev
-  | Wal.Binary -> Gridbw_obs.Event_codec.Binary.body_of ev
-
+(* Reading back is keyed by the per-record format the scanner sniffed,
+   never by the store's own codec, so mixed-format journals recover
+   cleanly. *)
 let event_of_record (r : Wal.record) =
   match r.Wal.format with
   | Wal.Jsonl -> Event.of_line r.Wal.payload
@@ -45,10 +38,13 @@ type t = {
   writer : Wal.writer;
   mutable fabric : Fabric.t;
   mutable mirror : Ledger.t;
+  (* Live bookings by request id: [Preempt] and [Reshape] records look
+     up what they release.  The history views of {!recovered} are built
+     by {!recover} alone; the live path keeps nothing it does not read. *)
   accepted_tbl : (int, Allocation.t) Hashtbl.t;
-  decided_tbl : (int, unit) Hashtbl.t;
-  arrived_tbl : (int, unit) Hashtbl.t;
-  mutable rev_accepted : (float * Allocation.t) list;
+  (* Reused for every binary record body; a store is journaled from one
+     domain at a time (the sharded engine holds its journal lock). *)
+  body : Buffer.t;
   mutable last_snapshot_bytes : int;
 }
 
@@ -92,18 +88,17 @@ let reserve_profile t ~ingress ~egress p =
         ~until:s.until)
     (Rate_profile.segments p)
 
-(* [ledger_effects:false] replays history whose ledger image came from a
-   snapshot: tables and fabric still update, reservations do not. *)
+(* The ledger effects of one event: mirror reservations, the booking
+   table and the fabric.  [ledger_effects:false] replays history whose
+   ledger image came from a snapshot: the table and fabric still update,
+   reservations do not. *)
 let apply ?(ledger_effects = true) t ev =
   match ev with
-  | Event.Arrival { id; _ } -> Hashtbl.replace t.arrived_tbl id ()
-  | Event.Reject { id; _ } -> Hashtbl.replace t.decided_tbl id ()
-  | Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; _ } ->
+  | Event.Arrival _ | Event.Reject _ | Event.Shed _ | Event.Dispatch _ -> ()
+  | Event.Accept { id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; _ } ->
       let request = request_of ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate in
       let a = Allocation.make ~request ~bw ~sigma in
-      Hashtbl.replace t.decided_tbl id ();
       Hashtbl.replace t.accepted_tbl id a;
-      t.rev_accepted <- (time, a) :: t.rev_accepted;
       if ledger_effects then
         Ledger.reserve_interval t.mirror ~ingress ~egress ~bw ~from_:sigma
           ~until:a.Allocation.tau
@@ -111,8 +106,7 @@ let apply ?(ledger_effects = true) t ev =
       match Hashtbl.find_opt t.accepted_tbl id with
       | Some a when ledger_effects -> release_allocation t ~clip:time a
       | _ -> ())
-  | Event.Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised; _ }
-    ->
+  | Event.Reshape { id; ingress; egress; volume; ts; tf; max_rate; profile; revised; _ } ->
       (* One journal record = one atomic transaction: every pending
          revision plus the new admit land together or (if the record was
          torn) not at all. *)
@@ -130,21 +124,12 @@ let apply ?(ledger_effects = true) t ev =
                 reserve_profile t ~ingress:old.Allocation.request.Request.ingress
                   ~egress:old.Allocation.request.Request.egress p
               end;
-              Hashtbl.replace t.accepted_tbl rid a;
-              t.rev_accepted <-
-                List.map
-                  (fun (tm, b) ->
-                    if b.Allocation.request.Request.id = rid then (tm, a) else (tm, b))
-                  t.rev_accepted)
+              Hashtbl.replace t.accepted_tbl rid a)
         revised;
       let request = request_of ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate in
       let p = Rate_profile.of_triples profile in
-      let a = Allocation.of_profile ~request p in
-      Hashtbl.replace t.decided_tbl id ();
-      Hashtbl.replace t.accepted_tbl id a;
-      t.rev_accepted <- (time, a) :: t.rev_accepted;
+      Hashtbl.replace t.accepted_tbl id (Allocation.of_profile ~request p);
       if ledger_effects then reserve_profile t ~ingress ~egress p
-  | Event.Shed _ -> ()
   | Event.Capacity { side; port; capacity; _ } ->
       let fabric =
         match side with
@@ -153,7 +138,6 @@ let apply ?(ledger_effects = true) t ev =
       in
       t.fabric <- fabric;
       Ledger.set_fabric t.mirror fabric
-  | Event.Dispatch _ -> ()
 
 (* --- live journaling --- *)
 
@@ -173,10 +157,21 @@ let maybe_snapshot t =
 
 let relevant = function Event.Dispatch _ -> false | _ -> true
 
+(* WAL record payloads: JSONL journals carry the JSON text line, binary
+   journals the bare binary event body (the WAL frame supplies length
+   and CRC), encoded into the store's reusable buffer. *)
+let append t ev =
+  match t.config.codec with
+  | Wal.Jsonl -> Wal.append t.writer (Event.to_json ev)
+  | Wal.Binary ->
+      Buffer.clear t.body;
+      Gridbw_obs.Event_codec.Binary.encode_body t.body ev;
+      Wal.append t.writer (Buffer.contents t.body)
+
 let log t ev =
   if relevant ev then begin
     apply t ev;
-    Wal.append t.writer (payload_of_event t.config.codec ev);
+    append t ev;
     Obs.count t.obs "store_wal_records_total";
     maybe_snapshot t
   end
@@ -251,9 +246,7 @@ let fresh ~dir ~config ~obs ~fabric ~writer =
     fabric;
     mirror = Ledger.create fabric;
     accepted_tbl = Hashtbl.create 64;
-    decided_tbl = Hashtbl.create 64;
-    arrived_tbl = Hashtbl.create 64;
-    rev_accepted = [];
+    body = Buffer.create 128;
     last_snapshot_bytes = 0;
   }
 
@@ -330,6 +323,49 @@ let fabric_of_prefix ~n_in ~n_out events =
       | Some msg, _ | None, Some msg -> Error msg
       | None, None -> Ok (Fabric.make ~ingress ~egress))
 
+(* The history views of {!recovered}, built while recovery replays and
+   never kept by the live store.  Each booking sits in a cell, so a
+   [Reshape] revision can rewrite every booking of the revised id. *)
+type index = {
+  decided : (int, unit) Hashtbl.t;
+  arrived : (int, unit) Hashtbl.t;
+  mutable rev_booked : (float * Allocation.t ref) list;
+  cells : (int, Allocation.t ref) Hashtbl.t;  (* every booking of an id *)
+}
+
+let index () =
+  {
+    decided = Hashtbl.create 1024;
+    arrived = Hashtbl.create 1024;
+    rev_booked = [];
+    cells = Hashtbl.create 1024;
+  }
+
+(* Called after [apply] has booked [ev], so [t.accepted_tbl] already
+   holds its allocations. *)
+let note idx t ev =
+  let book time id =
+    let cell = ref (Hashtbl.find t.accepted_tbl id) in
+    Hashtbl.replace idx.decided id ();
+    Hashtbl.add idx.cells id cell;
+    idx.rev_booked <- (time, cell) :: idx.rev_booked
+  in
+  match ev with
+  | Event.Arrival { id; _ } -> Hashtbl.replace idx.arrived id ()
+  | Event.Reject { id; _ } -> Hashtbl.replace idx.decided id ()
+  | Event.Accept { time; id; _ } -> book time id
+  | Event.Reshape { time; id; revised; _ } ->
+      Array.iter
+        (fun (rid, _) ->
+          List.iter
+            (fun cell -> cell := Hashtbl.find t.accepted_tbl rid)
+            (Hashtbl.find_all idx.cells rid))
+        revised;
+      book time id
+  | Event.Preempt _ | Event.Shed _ | Event.Capacity _ | Event.Dispatch _ -> ()
+
+let accepted_of idx = List.rev_map (fun (time, cell) -> (time, !cell)) idx.rev_booked
+
 let recover ?(config = default_config) ?obs ~dir () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   match read_header ~dir with
@@ -379,7 +415,12 @@ let recover ?(config = default_config) ?obs ~dir () =
           t.last_snapshot_bytes <- writer.Wal.total_bytes;
           (* History the snapshot covers carries no ledger effects (the
              image is the ledger); the WAL tail replays in full. *)
-          List.iteri (fun i e -> apply ~ledger_effects:(i >= snapshot_cursor) t e) wal_events;
+          let idx = index () in
+          List.iteri
+            (fun i e ->
+              apply ~ledger_effects:(i >= snapshot_cursor) t e;
+              note idx t e)
+            wal_events;
           let replayed = keep - snapshot_cursor in
           Obs.count_n obs "store_recovery_records" replayed;
           Ok
@@ -387,9 +428,9 @@ let recover ?(config = default_config) ?obs ~dir () =
               store = t;
               initial_fabric;
               events = wal_events;
-              accepted = List.rev t.rev_accepted;
-              decided = (fun id -> Hashtbl.mem t.decided_tbl id);
-              arrived = (fun id -> Hashtbl.mem t.arrived_tbl id);
+              accepted = accepted_of idx;
+              decided = Hashtbl.mem idx.decided;
+              arrived = Hashtbl.mem idx.arrived;
               snapshot_cursor;
               replayed;
               truncated_bytes = s.Wal.disk_bytes - kept_bytes;

@@ -63,8 +63,12 @@ val attach : t -> Gridbw_obs.Obs.ctx -> Gridbw_obs.Obs.ctx
     Flushing the returned context {!sync}s the store. *)
 
 val log : t -> Gridbw_obs.Event.t -> unit
-(** Apply and append one event directly (what {!attach}'s sink does).
-    [Dispatch] events are not admission state and are skipped. *)
+(** Journal one event directly (what {!attach}'s sink does), in two
+    steps: its ledger effects (the mirror ledger and the booking table
+    that later [Preempt]/[Reshape] records and {!snapshot_now} read),
+    then the WAL append.  Nothing else is kept per event: the history
+    views of {!recovered} are built by {!recover} alone.  [Dispatch]
+    events are not admission state and are skipped. *)
 
 val sync : t -> unit
 (** Force the group commit: flush and fsync the WAL tail now. *)
@@ -108,9 +112,13 @@ type recovered = {
   initial_fabric : Gridbw_topology.Fabric.t;  (** from the capacity prefix *)
   events : Gridbw_obs.Event.t list;  (** surviving event history, log order *)
   accepted : (float * Gridbw_alloc.Allocation.t) list;
-      (** surviving bookings with their decision times, decision order *)
-  decided : int -> bool;  (** request id has a journaled decision *)
-  arrived : int -> bool;  (** request id has a journaled arrival *)
+      (** surviving bookings with their decision times, decision order;
+          a booking a later [Reshape] revised reads as its revision *)
+  decided : int -> bool;
+      (** request id has a decision in the journal {e as recovered};
+          records [store] appends afterwards do not show here *)
+  arrived : int -> bool;
+      (** request id has an arrival in the journal as recovered *)
   snapshot_cursor : int;
       (** records whose ledger effects came from a snapshot image; 0 = full
           WAL replay *)

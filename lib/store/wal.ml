@@ -52,6 +52,7 @@ type writer = {
   mutable appended : int;
   mutable unsynced : int;
   mutable oldest_unsynced : float;
+  frame : Buffer.t;  (* the record being appended, reused *)
 }
 
 let seg_name idx = Printf.sprintf "wal-%010d.log" idx
@@ -91,6 +92,7 @@ let make_writer ?(config = default_config) ?(format = Binary) ?kill_after
     appended = 0;
     unsynced = 0;
     oldest_unsynced = 0.;
+    frame = Buffer.create 256;
   }
 
 let create ?config ?format ?kill_after ?on_sync ~dir () =
@@ -128,24 +130,26 @@ let rotate w =
   w.seg_bytes <- 0
 
 let append w payload =
-  let b = Buffer.create (String.length payload + 24) in
+  let b = w.frame in
+  Buffer.clear b;
   (match w.format with
   | Jsonl -> Frame.Hexline.encode b payload
   | Binary -> Frame.add b ~tag:record_tag payload);
-  let framed = Buffer.contents b in
+  let len = Buffer.length b in
   (match w.kill_after with
   | Some n when w.appended + 1 >= n ->
       (* Crash drill: leave a genuinely torn record on disk and die the
          way a SIGKILLed writer does — no flush, no close. *)
-      output_string w.oc (String.sub framed 0 (String.length framed / 2));
+      Buffer.truncate b (len / 2);
+      Buffer.output_buffer w.oc b;
       flush w.oc;
       Unix.kill (Unix.getpid ()) Sys.sigkill
   | _ -> ());
-  output_string w.oc framed;
+  Buffer.output_buffer w.oc b;
   w.records <- w.records + 1;
   w.appended <- w.appended + 1;
-  w.seg_bytes <- w.seg_bytes + String.length framed;
-  w.total_bytes <- w.total_bytes + String.length framed;
+  w.seg_bytes <- w.seg_bytes + len;
+  w.total_bytes <- w.total_bytes + len;
   w.unsynced <- w.unsynced + 1;
   if w.unsynced = 1 then w.oldest_unsynced <- Unix.gettimeofday ();
   if w.unsynced >= w.config.batch || Unix.gettimeofday () -. w.oldest_unsynced >= w.config.delay

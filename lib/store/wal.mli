@@ -37,6 +37,10 @@ type config = {
 val default_config : config
 (** [{ batch = 64; delay = 0.05; segment_bytes = 4 MiB }] *)
 
+val record_tag : int
+(** Frame tag of a [Binary] record: a record is
+    [Gridbw_wire.Frame.add ~tag:record_tag payload]. *)
+
 val crc32 : string -> int32
 (** IEEE 802.3 CRC32 — alias of {!Gridbw_wire.Crc32.digest}. *)
 
@@ -62,6 +66,9 @@ type writer = {
   mutable appended : int;  (** records appended since this writer was opened *)
   mutable unsynced : int;
   mutable oldest_unsynced : float;
+  frame : Buffer.t;
+      (** the record being appended, framed in place and reused by every
+          append of this writer *)
 }
 
 val create :
@@ -75,7 +82,8 @@ val create :
     tail for recovery drills. *)
 
 val append : writer -> string -> unit
-(** Frame and buffer one payload, then group-commit per the config.
+(** Frame one payload into the writer's reusable {!writer.frame} buffer,
+    hand it to the segment channel, then group-commit per the config.
     [Jsonl] payloads must not contain a newline; [Binary] payloads are
     arbitrary bytes. *)
 

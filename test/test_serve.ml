@@ -52,29 +52,46 @@ let byte_string_gen =
 
 let prop_frame_chunked_roundtrip =
   qcase ~count:300 "frame: payload lists survive chunked decoding"
-    QCheck2.Gen.(pair (list_size (int_range 0 8) byte_string_gen) (int_range 1 7))
-    (fun (payloads, chunk) ->
+    QCheck2.Gen.(
+      triple (list_size (int_range 0 8) byte_string_gen) (int_range 1 7) (int_range 0 1_000_000))
+    (fun (payloads, chunk, seed) ->
       let wire = String.concat "" (List.map Frame.encode payloads) in
-      let d = Frame.decoder () in
-      let out = ref [] in
-      let rec drain () =
-        match Frame.next d with
-        | Ok (Some p) ->
-            out := p :: !out;
-            drain ()
-        | Ok None -> ()
-        | Error e -> Alcotest.failf "unexpected frame error: %s" (Frame.describe e)
-      in
-      let i = ref 0 in
       let n = String.length wire in
-      while !i < n do
-        let len = Int.min chunk (n - !i) in
-        Frame.feed d (String.sub wire !i len);
-        i := !i + len;
-        drain ()
-      done;
-      drain ();
-      List.rev !out = payloads && Frame.buffered d = 0)
+      let decode feed =
+        let d = Frame.decoder () in
+        let out = ref [] in
+        let rec drain () =
+          match Frame.next d with
+          | Ok (Some p) ->
+              out := p :: !out;
+              drain ()
+          | Ok None -> ()
+          | Error e -> Alcotest.failf "unexpected frame error: %s" (Frame.describe e)
+        in
+        let i = ref 0 in
+        while !i < n do
+          let len = feed d !i in
+          i := !i + len;
+          drain ()
+        done;
+        drain ();
+        List.rev !out = payloads && Frame.buffered d = 0
+      in
+      (* the same wire, read the way the daemon reads it: random-length
+         slices of a larger buffer, at random offsets, with bytes that
+         are not part of the slice on either side *)
+      let st = Random.State.make [| seed |] in
+      let buf = Bytes.make (n + 64) '\xB1' in
+      decode (fun d i ->
+          let len = Int.min chunk (n - i) in
+          Frame.feed d (String.sub wire i len);
+          len)
+      && decode (fun d i ->
+             let len = 1 + Random.State.int st (Int.min 32 (n - i)) in
+             let off = Random.State.int st (Bytes.length buf - len + 1) in
+             Bytes.blit_string wire i buf off len;
+             Frame.feed_sub d buf off len;
+             len))
 
 let frame_truncated_prefix_waits () =
   let d = Frame.decoder () in
@@ -292,33 +309,42 @@ let session_output_is_framed () =
 let prop_session_partial_writes =
   qcase ~count:300 "session: partial writes deliver the framed replies in order"
     QCheck2.Gen.(
-      list_size (int_range 1 40)
-        (pair response_gen (pair (int_range 0 3) (float_bound_inclusive 1.))))
-    (fun steps ->
-      let s = Session.create ~id:3 ~peer:"test" () in
-      let sent = Buffer.create 256 and expected = Buffer.create 256 in
-      let write frac =
-        let chunk = Session.out_chunk s in
-        let n = int_of_float (frac *. float_of_int (String.length chunk)) in
-        Buffer.add_string sent (String.sub chunk 0 n);
-        Session.wrote s n
+      pair
+        (list_size (int_range 1 40)
+           (pair response_gen (pair (int_range 0 3) (float_bound_inclusive 1.))))
+        (int_range 1 64))
+    (fun (steps, window) ->
+      (* Drain through [out_chunk], or through [blit_out] into a buffer
+         of [window] bytes as the daemon does. *)
+      let deliver ~chunk =
+        let s = Session.create ~id:3 ~peer:"test" () in
+        let sent = Buffer.create 256 and expected = Buffer.create 256 in
+        let write frac =
+          let c = chunk s in
+          let n = int_of_float (frac *. float_of_int (String.length c)) in
+          Buffer.add_string sent (String.sub c 0 n);
+          Session.wrote s n
+        in
+        List.iter
+          (fun (resp, (writes, frac)) ->
+            Session.queue s resp;
+            Buffer.add_string expected (Frame.encode (Protocol.encode_response resp));
+            for _ = 1 to writes do
+              write frac
+            done)
+          steps;
+        let past = String.length (Session.out_chunk s) + 1 in
+        (match Session.wrote s past with
+        | () -> Alcotest.fail "wrote past the pending bytes"
+        | exception Invalid_argument _ -> ());
+        while Session.pending s do
+          write 1.
+        done;
+        Buffer.contents sent = Buffer.contents expected
       in
-      List.iter
-        (fun (resp, (writes, frac)) ->
-          Session.queue s resp;
-          Buffer.add_string expected (Frame.encode (Protocol.encode_response resp));
-          for _ = 1 to writes do
-            write frac
-          done)
-        steps;
-      let past = String.length (Session.out_chunk s) + 1 in
-      (match Session.wrote s past with
-      | () -> Alcotest.fail "wrote past the pending bytes"
-      | exception Invalid_argument _ -> ());
-      while Session.pending s do
-        write 1.
-      done;
-      Buffer.contents sent = Buffer.contents expected)
+      let dst = Bytes.create window in
+      deliver ~chunk:Session.out_chunk
+      && deliver ~chunk:(fun s -> Bytes.sub_string dst 0 (Session.blit_out s dst)))
 
 (* A peer that pipelines requests and never reads: queueing must append,
    not re-copy everything still pending. *)
@@ -336,6 +362,41 @@ let session_queue_is_linear () =
   if queue_bytes > encode_bytes +. (4. *. float_of_int framed) then
     Alcotest.failf "queueing %d framed bytes allocated %.0f bytes (encoding alone: %.0f)" framed
       queue_bytes encode_bytes
+
+(* Words allocated by [f ()], minor and major, less what measuring
+   costs (the same probe around an empty function). *)
+let words_allocated f =
+  let probe f =
+    Gc.full_major ();
+    let minor0, promoted0, major0 = Gc.counters () in
+    let v = f () in
+    let minor1, promoted1, major1 = Gc.counters () in
+    (v, minor1 +. major1 -. promoted1 -. (minor0 +. major0 -. promoted0))
+  in
+  let _, overhead = probe (fun () -> 0) in
+  let v, words = probe f in
+  (v, words -. overhead)
+
+(* A stalled reader's backlog goes out through the daemon's write
+   buffer: each write copies at most one buffer's worth and allocates
+   nothing, however long the backlog. *)
+let session_blit_out_is_bounded () =
+  let s = Session.create ~id:5 ~peer:"test" () in
+  let i = ref 0 in
+  while String.length (Session.out_chunk s) < 1 lsl 20 do
+    for _ = 1 to 1000 do
+      Session.queue s (Protocol.Rejected { id = !i; reason = "port-saturated" });
+      incr i
+    done
+  done;
+  let backlog = Session.out_chunk s in
+  let dst = Bytes.create 65536 in
+  let n, words = words_allocated (fun () -> Session.blit_out s dst) in
+  Alcotest.(check int) "one buffer's worth copied" 65536 n;
+  Alcotest.(check (float 0.)) "no words allocated" 0. words;
+  Alcotest.(check string) "the first pending bytes" (String.sub backlog 0 n) (Bytes.to_string dst);
+  Alcotest.(check bool) "still pending until written" true
+    (String.length (Session.out_chunk s) = String.length backlog)
 
 (* --- admission semantics --- *)
 
@@ -745,6 +806,35 @@ let daemon_survives_malformed_clients () =
               | _ -> Alcotest.fail "expected stats after the payload error")
           | Error _ -> Alcotest.fail "connection should have survived the payload error");
           Unix.close fd;
+          (* a client that pipelines admits and vanishes without reading
+             a reply: its connection must close, not stay open with the
+             replies pending while select wakes on it every round *)
+          let settle n =
+            let deadline = Unix.gettimeofday () +. 10. in
+            while Daemon.connections d <> n && Unix.gettimeofday () < deadline do
+              Thread.delay 0.01
+            done;
+            Daemon.connections d
+          in
+          Alcotest.(check int) "earlier clients are gone" 0 (settle 0);
+          let fd = connect () in
+          let burst = Buffer.create (2000 * 128) in
+          for id = 0 to 1999 do
+            Frame.add_as Frame.Text burst
+              (Protocol.encode_request
+                 (Protocol.Admit
+                    { id; ingress = id mod 2; egress = id / 2 mod 2; volume = 10.; ts = 0.;
+                      tf = 100.; max_rate = 1. }))
+          done;
+          let wire = Buffer.contents burst in
+          let rec send off =
+            if off < String.length wire then
+              send (off + Unix.write_substring fd wire off (String.length wire - off))
+          in
+          send 0;
+          Alcotest.(check int) "the pipelining client is connected" 1 (settle 1);
+          Unix.close fd;
+          Alcotest.(check int) "a vanished client's connection is closed" 0 (settle 0);
           Daemon.stop d;
           Thread.join th)
 
@@ -772,6 +862,7 @@ let suites =
         case "responses leave framed" session_output_is_framed;
         prop_session_partial_writes;
         case "queueing without draining costs linear memory" session_queue_is_linear;
+        case "blit_out copies one buffer's worth, allocating nothing" session_blit_out_is_bounded;
       ] );
     ( "serve.admission",
       [

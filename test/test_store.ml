@@ -687,13 +687,15 @@ let test_sharded_crash_matrix () =
 module Malleable = Gridbw_malleable.Malleable
 module Rate_profile = Gridbw_alloc.Rate_profile
 
-let malleable_journal_run ~dir requests =
+let malleable_journal_run ?obs ?snapshot_bytes ~dir requests =
   let t0 = List.fold_left (fun t (r : Request.t) -> Float.min t r.Request.ts) 0.0 requests in
-  let store = Store.create ~config:(store_config ~batch:4 ()) ~time:t0 ~dir (fabric2 ()) in
+  let store =
+    Store.create ~config:(store_config ~batch:4 ?snapshot_bytes ()) ~time:t0 ~dir (fabric2 ())
+  in
   let result =
     Malleable.run
       { Malleable.default with Malleable.book_ahead = 10. }
-      ~ctx:(Gridbw_core.Runtime.make ~store ())
+      ~ctx:(Gridbw_core.Runtime.make ?obs ~store ())
       (fabric2 ()) requests
   in
   Store.close store;
@@ -806,6 +808,176 @@ let test_malleable_crash_matrix () =
           | _ -> ())
         events;
       Alcotest.(check bool) "workload produced revising reshapes" true (!checked > 0))
+
+(* --- the live journal keeps only what live code reads ---
+
+   [Store.log] books an event's ledger effects and appends its record;
+   the history views of [Store.recovered] are built by recovery alone.
+   Two journals pin that down: GREEDY decisions served through
+   [Admission] with cancels (Preempt records), and a malleable run whose
+   Reshape records revise pending bookings. *)
+
+module Admission = Gridbw_serve.Admission
+module Protocol = Gridbw_serve.Protocol
+
+(* An obs ctx whose trace sink records every event it is handed. *)
+let recording () =
+  let seen = ref [] in
+  let sink = { Gridbw_obs.Sink.emit = (fun e -> seen := e :: !seen); flush = ignore } in
+  (Obs.create ~sink (), fun () -> List.rev !seen)
+
+let greedy_with_cancels_run ~obs ~snapshot_bytes ~dir =
+  let fabric = fabric2 () in
+  let store = Store.create ~config:(store_config ~batch:4 ~snapshot_bytes ()) ~dir fabric in
+  let t = Admission.create ~obs ~store ~policy fabric in
+  (* requests 0, 3, 6, ... are cancelled right after they are admitted,
+     so Preempt records sit between later decisions *)
+  let cancelled = ref 0 in
+  List.iteri
+    (fun i (r : Request.t) ->
+      match
+        Admission.handle t
+          (Protocol.Admit
+             { id = r.Request.id; ingress = r.Request.ingress; egress = r.Request.egress;
+               volume = r.Request.volume; ts = Float.max 0. r.Request.ts; tf = r.Request.tf;
+               max_rate = r.Request.max_rate })
+      with
+      | Protocol.Admitted { id; _ } when i mod 3 = 0 -> (
+          match Admission.handle t (Protocol.Cancel { id }) with
+          | Protocol.Cancel_ok _ -> incr cancelled
+          | r -> Alcotest.failf "cancel %d failed: %a" id Protocol.pp_response r)
+      | _ -> ())
+    (workload_of_seed ~n:80 3);
+  Alcotest.(check bool) "workload admits and cancels" true (!cancelled >= 3);
+  Admission.close t
+
+let malleable_reshape_run ~obs ~snapshot_bytes ~dir =
+  ignore (malleable_journal_run ~obs ~snapshot_bytes ~dir (workload_of_seed ~n:30 5))
+
+(* Run [journal] into [dir] and return the events [Store.log] was given:
+   the capacity prefix [Store.create] logs itself, then every emitted
+   event that is admission state. *)
+let journaled_events ~journal ~dir =
+  let obs, seen = recording () in
+  journal ~obs ~snapshot_bytes:512 ~dir;
+  let prefix =
+    List.filteri (fun i _ -> i < n_prefix) (recover_exn ~label:"journal" dir).Store.events
+  in
+  List.iter
+    (function Event.Capacity _ -> () | _ -> Alcotest.fail "prefix holds a non-capacity event")
+    prefix;
+  prefix @ List.filter (function Event.Dispatch _ -> false | _ -> true) (seen ())
+
+let journals =
+  [ ("greedy with cancels", greedy_with_cancels_run); ("malleable reshapes", malleable_reshape_run) ]
+
+let wal_image dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> String.starts_with ~prefix:"wal-" f)
+  |> List.sort compare
+  |> List.map (fun f ->
+         let ic = open_in_bin (Filename.concat dir f) in
+         Fun.protect
+           ~finally:(fun () -> close_in ic)
+           (fun () -> really_input_string ic (in_channel_length ic)))
+  |> String.concat ""
+
+let test_wal_is_framed_bodies () =
+  List.iter
+    (fun (label, journal) ->
+      with_tmpdir (fun dir ->
+          let events = journaled_events ~journal ~dir in
+          let expected = Buffer.create 4096 in
+          List.iter
+            (fun ev ->
+              Gridbw_wire.Frame.add expected ~tag:Wal.record_tag
+                (Gridbw_obs.Event_codec.Binary.body_of ev))
+            events;
+          Alcotest.(check bool) (label ^ ": journal has Preempt or Reshape records") true
+            (List.exists (function Event.Preempt _ | Event.Reshape _ -> true | _ -> false) events);
+          Alcotest.(check int) (label ^ ": one record per event") (List.length events)
+            (Wal.scan ~dir).Wal.valid;
+          if wal_image dir <> Buffer.contents expected then
+            Alcotest.failf "%s: the WAL is not the framed event bodies, byte for byte" label))
+    journals
+
+(* The views straight from the event list, the way the store kept them
+   live before: a Reshape revision rewrites every booking of its id. *)
+let views_of_events events =
+  let decided = Hashtbl.create 64 and arrived = Hashtbl.create 64 in
+  let booked = ref [] in
+  let id_of (a : Allocation.t) = a.Allocation.request.Request.id in
+  List.iter
+    (function
+      | Event.Arrival { id; _ } -> Hashtbl.replace arrived id ()
+      | Event.Reject { id; _ } -> Hashtbl.replace decided id ()
+      | Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; _ } ->
+          Hashtbl.replace decided id ();
+          let request = Request.make ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate in
+          booked := (time, Allocation.make ~request ~bw ~sigma) :: !booked
+      | Event.Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised; _ }
+        ->
+          Array.iter
+            (fun (rid, segs) ->
+              match List.find_opt (fun (_, a) -> id_of a = rid) !booked with
+              | None -> ()
+              | Some (_, old) ->
+                  let a =
+                    Allocation.of_profile ~request:old.Allocation.request
+                      (Rate_profile.of_triples segs)
+                  in
+                  booked := List.map (fun (tm, b) -> if id_of b = rid then (tm, a) else (tm, b)) !booked)
+            revised;
+          Hashtbl.replace decided id ();
+          let request = Request.make ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate in
+          booked :=
+            (time, Allocation.of_profile ~request (Rate_profile.of_triples profile)) :: !booked
+      | _ -> ())
+    events;
+  (List.rev !booked, Hashtbl.mem decided, Hashtbl.mem arrived)
+
+let booking_row (time, (a : Allocation.t)) =
+  let bits = Int64.bits_of_float in
+  ( bits time,
+    a.Allocation.request,
+    (bits a.Allocation.bw, bits a.Allocation.sigma, bits a.Allocation.tau),
+    Option.map Rate_profile.to_triples a.Allocation.profile )
+
+let test_recovered_views_match_events () =
+  List.iter
+    (fun (label, journal) ->
+      with_tmpdir (fun tmp ->
+          let src = Filename.concat tmp "src" in
+          let obs, _ = recording () in
+          journal ~obs ~snapshot_bytes:512 ~dir:src;
+          Alcotest.(check bool) (label ^ ": snapshots were written") true (snap_files src <> []);
+          let bare = Filename.concat tmp "bare" in
+          Torn.copy_store ~src ~dst:bare;
+          List.iter (fun f -> Sys.remove (Filename.concat bare f)) (snap_files bare);
+          List.iter
+            (fun (how, dir, from_snapshot) ->
+              let label = label ^ ", " ^ how in
+              let r = recover_exn ~label dir in
+              Alcotest.(check bool) (label ^ ": recovery used a snapshot") from_snapshot
+                (r.Store.snapshot_cursor > 0);
+              let accepted, decided, arrived = views_of_events r.Store.events in
+              if List.map booking_row r.Store.accepted <> List.map booking_row accepted then
+                Alcotest.failf "%s: recovered bookings differ from the event history" label;
+              let ids =
+                List.filter_map
+                  (function
+                    | Event.Arrival { id; _ } | Event.Reject { id; _ } | Event.Accept { id; _ }
+                    | Event.Reshape { id; _ } -> Some id
+                    | _ -> None)
+                  r.Store.events
+              in
+              let top = List.fold_left Int.max 0 ids + 3 in
+              for id = -1 to top do
+                if r.Store.decided id <> decided id || r.Store.arrived id <> arrived id then
+                  Alcotest.failf "%s: decided/arrived differ on request %d" label id
+              done)
+            [ ("with snapshots", src, true); ("without snapshots", bare, false) ]))
+    journals
 
 let test_store_metrics () =
   let requests = workload_of_seed ~n:30 17 in
@@ -991,6 +1163,9 @@ let suites =
           test_sharded_crash_matrix;
         case "crash matrix: malleable journal, reshape+admit both-or-neither"
           test_malleable_crash_matrix;
+        case "journal: the WAL is the framed event bodies" test_wal_is_framed_bodies;
+        case "recovery: bookings, decided, arrived match the event history"
+          test_recovered_views_match_events;
         case "metrics: store counters land in the registry" test_store_metrics;
         case "ctx: Runtime.ctx journals identically to ?store" test_ctx_journal_matches_legacy;
         case "ctx: observed tees the store sink" test_observed_tees_store;
