@@ -31,7 +31,7 @@ module Npc = Gridbw_core.Npc
 module Unit_exact = Gridbw_core.Unit_exact
 module Maxmin = Gridbw_baseline.Maxmin
 module Fluid = Gridbw_baseline.Fluid
-module Profile = Gridbw_alloc.Profile
+module Profile_ref = Gridbw_alloc.Profile_ref
 module Timeline = Gridbw_alloc.Timeline
 module Rng = Gridbw_prng.Rng
 module Runner = Gridbw_experiments.Runner
@@ -385,11 +385,11 @@ let admission_tests =
       (Staged.stage (fun () ->
            let p =
              List.fold_left
-               (fun p (f, u, bw) -> Profile.add p ~from_:f ~until:u bw)
-               Profile.empty maxover_ops
+               (fun p (f, u, bw) -> Profile_ref.add p ~from_:f ~until:u bw)
+               Profile_ref.empty maxover_ops
            in
            List.fold_left
-             (fun acc (f, u, _) -> acc +. Profile.max_over p ~from_:f ~until:u)
+             (fun acc (f, u, _) -> acc +. Profile_ref.max_over p ~from_:f ~until:u)
              0. maxover_ops));
     Test.make ~name:"admission:timeline-maxover"
       (Staged.stage (fun () ->
@@ -436,12 +436,12 @@ let base_tests =
         (Staged.stage (fun () -> Maxmin.rates ~caps_in:caps ~caps_out:caps maxmin_flows));
       Test.make ~name:"alloc:profile-100-reservations"
         (Staged.stage (fun () ->
-             let p = ref Profile.empty in
+             let p = ref Profile_ref.empty in
              for i = 0 to 99 do
                let t = float_of_int (i mod 17) in
-               p := Profile.add !p ~from_:t ~until:(t +. 5.) 10.
+               p := Profile_ref.add !p ~from_:t ~until:(t +. 5.) 10.
              done;
-             Profile.peak !p));
+             Profile_ref.peak !p));
       Test.make ~name:"sim:event-queue-1k"
         (Staged.stage (fun () ->
              let q = Gridbw_sim.Event_queue.create () in

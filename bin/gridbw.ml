@@ -364,7 +364,9 @@ let run_cmd =
   in
   let store_batch_t =
     Arg.(value & opt int Wal.default_config.Wal.batch
-         & info [ "store-batch" ] ~docv:"N" ~doc:"Group commit: fsync the WAL every $(docv) records.")
+         & info [ "store-batch" ] ~docv:"N"
+             ~doc:"Group commit: fsync the WAL every $(docv) records.  A record is usually one \
+                   decision: an admit's arrival and its outcome share one record.")
   in
   let store_kill_t =
     Arg.(value & opt (some int) None
@@ -950,7 +952,9 @@ let serve_cmd =
   in
   let store_batch_t =
     Arg.(value & opt int Wal.default_config.Wal.batch
-         & info [ "store-batch" ] ~docv:"N" ~doc:"Group commit: fsync the WAL every $(docv) records.")
+         & info [ "store-batch" ] ~docv:"N"
+             ~doc:"Group commit: fsync the WAL every $(docv) records.  A record is usually one \
+                   decision: an admit's arrival and its outcome share one record.")
   in
   let store_kill_t =
     Arg.(value & opt (some int) None

@@ -6,7 +6,7 @@
     may change only at segment boundaries, which the MALLEABLE engine
     places on ledger breakpoints.
 
-    Unlike {!Profile}, which accumulates the usage of *many* requests on
+    Unlike {!Profile_ref}, which accumulates the usage of *many* requests on
     one port, a [Rate_profile.t] describes the schedule of *one* request:
     it is attached to an {!Allocation.t} and its Kahan-summed {!integral}
     is required to equal the request volume bit-for-bit. *)

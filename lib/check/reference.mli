@@ -3,7 +3,7 @@
     Theorem 1 makes MAX-REQUESTS NP-complete, so every engine in the repo
     is a heuristic; the only mechanical correctness anchor is the paper's
     feasibility constraint set (1).  {!Gridbw_metrics.Validate} already
-    explains violations, but it shares the {!Gridbw_alloc.Profile}
+    explains violations, but it shares the {!Gridbw_alloc.Profile_ref}
     machinery with the production ledger.  This module re-states
     Definition 1 from scratch — per-request window containment, rate caps,
     route validity, and a brute-force per-port capacity sweep over

@@ -1,9 +1,9 @@
 (* Crash-site carving over a durable store directory.  A crash can cut
    the byte stream anywhere; the carving itself is pure byte surgery.
    Finding record boundaries needs just enough framing knowledge to walk
-   records — a 0xB1 first byte opens a binary frame (u32 LE payload
-   length at offset 2, 10 bytes of framing overhead), anything else is a
-   newline-terminated text line.  That parsing is re-derived here at the
+   records — a record is a binary frame opening with 0xB1 (u32 LE payload
+   length at offset 2, 10 bytes of framing overhead); any other byte ends
+   the walk.  That parsing is re-derived here at the
    byte level (rather than calling into Gridbw_store) to keep the test
    harness independent of the code under test. *)
 
@@ -58,22 +58,16 @@ let record_boundaries ~dir =
       (try
          while !pos < len do
            bounds := (!off + !pos) :: !bounds;
-           if data.[!pos] = '\xB1' then begin
-             if !pos + 6 > len then raise Exit;
-             let plen =
-               Char.code data.[!pos + 2]
-               lor (Char.code data.[!pos + 3] lsl 8)
-               lor (Char.code data.[!pos + 4] lsl 16)
-               lor (Char.code data.[!pos + 5] lsl 24)
-             in
-             let next = !pos + 10 + plen in
-             if next > len then raise Exit;
-             pos := next
-           end
-           else
-             match String.index_from_opt data !pos '\n' with
-             | None -> raise Exit
-             | Some nl -> pos := nl + 1
+           if data.[!pos] <> '\xB1' || !pos + 6 > len then raise Exit;
+           let plen =
+             Char.code data.[!pos + 2]
+             lor (Char.code data.[!pos + 3] lsl 8)
+             lor (Char.code data.[!pos + 4] lsl 16)
+             lor (Char.code data.[!pos + 5] lsl 24)
+           in
+           let next = !pos + 10 + plen in
+           if next > len then raise Exit;
+           pos := next
          done
        with Exit -> ());
       off := !off + len)

@@ -5,7 +5,7 @@
     copies of a journaled run at chosen byte offsets — every record
     boundary, mid-record, a flipped byte — so recovery can be exercised
     against the full crash matrix.  They work on raw bytes (a WAL segment
-    is a sequence of newline-terminated lines) and deliberately do not
+    is a sequence of length-prefixed binary frames) and deliberately do not
     depend on [gridbw_store], keeping the harness independent of the code
     under test.
 

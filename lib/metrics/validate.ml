@@ -1,7 +1,7 @@
 module Fabric = Gridbw_topology.Fabric
 module Request = Gridbw_request.Request
 module Allocation = Gridbw_alloc.Allocation
-module Profile = Gridbw_alloc.Profile
+module Profile_ref = Gridbw_alloc.Profile_ref
 module Rate_profile = Gridbw_alloc.Rate_profile
 
 type violation =
@@ -27,20 +27,20 @@ let worst_excess profile capacity =
   let level = ref 0.0 in
   List.iter
     (fun bp ->
-      level := Profile.usage_at profile bp;
+      level := Profile_ref.usage_at profile bp;
       if not (le_cap !level capacity) then
         match !best with
         | Some (_, u) when u >= !level -> ()
         | _ -> best := Some (bp, !level))
-    (Profile.breakpoints profile);
+    (Profile_ref.breakpoints profile);
   !best
 
 let check fabric allocations =
   let violations = ref [] in
   let add v = violations := v :: !violations in
   let seen = Hashtbl.create 64 in
-  let in_profiles = Array.make (Fabric.ingress_count fabric) Profile.empty in
-  let out_profiles = Array.make (Fabric.egress_count fabric) Profile.empty in
+  let in_profiles = Array.make (Fabric.ingress_count fabric) Profile_ref.empty in
+  let out_profiles = Array.make (Fabric.egress_count fabric) Profile_ref.empty in
   List.iter
     (fun (a : Allocation.t) ->
       let r = a.Allocation.request in
@@ -63,9 +63,9 @@ let check fabric allocations =
         List.iter
           (fun (from_, until, rate) ->
             in_profiles.(r.Request.ingress) <-
-              Profile.add in_profiles.(r.Request.ingress) ~from_ ~until rate;
+              Profile_ref.add in_profiles.(r.Request.ingress) ~from_ ~until rate;
             out_profiles.(r.Request.egress) <-
-              Profile.add out_profiles.(r.Request.egress) ~from_ ~until rate)
+              Profile_ref.add out_profiles.(r.Request.egress) ~from_ ~until rate)
           segments
       end;
       if not (Allocation.meets_deadline a) then

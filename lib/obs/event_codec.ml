@@ -48,19 +48,59 @@ module Binary = struct
         Binio.add_u8 b 1;
         Binio.add_i64 b s
 
+  (* The fields an arrival and its pair records share, after the code. *)
+  let add_arrival b ~time ~seq ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate =
+    Binio.add_f64 b time;
+    Binio.add_i64 b seq;
+    Binio.add_i64 b id;
+    Binio.add_i64 b ingress;
+    Binio.add_i64 b egress;
+    Binio.add_f64 b volume;
+    Binio.add_f64 b ts;
+    Binio.add_f64 b tf;
+    Binio.add_f64 b max_rate
+
+  (* What a Reject adds after its time and id. *)
+  let add_refusal b ~reason ~port ~headroom ~shard =
+    Binio.add_str b reason;
+    (match port with
+    | None -> Binio.add_u8 b 0
+    | Some (side, p) ->
+        Binio.add_u8 b 1;
+        add_side b side;
+        Binio.add_i64 b p);
+    (match headroom with
+    | None -> Binio.add_u8 b 0
+    | Some h ->
+        Binio.add_u8 b 1;
+        Binio.add_f64 b h);
+    add_shard b shard
+
+  (* What a Reshape adds after its request fields. *)
+  let add_reshaping b ~profile ~revised ~shard =
+    let triples segs =
+      Binio.add_i64 b (Array.length segs);
+      Array.iter
+        (fun (from_, until, rate) ->
+          Binio.add_f64 b from_;
+          Binio.add_f64 b until;
+          Binio.add_f64 b rate)
+        segs
+    in
+    triples profile;
+    Binio.add_i64 b (Array.length revised);
+    Array.iter
+      (fun (rid, segs) ->
+        Binio.add_i64 b rid;
+        triples segs)
+      revised;
+    add_shard b shard
+
   let encode_body b (ev : Event.t) =
     match ev with
     | Arrival { time; seq; id; ingress; egress; volume; ts; tf; max_rate } ->
         Binio.add_u8 b 1;
-        Binio.add_f64 b time;
-        Binio.add_i64 b seq;
-        Binio.add_i64 b id;
-        Binio.add_i64 b ingress;
-        Binio.add_i64 b egress;
-        Binio.add_f64 b volume;
-        Binio.add_f64 b ts;
-        Binio.add_f64 b tf;
-        Binio.add_f64 b max_rate
+        add_arrival b ~time ~seq ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate
     | Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard } ->
         Binio.add_u8 b 2;
         Binio.add_f64 b time;
@@ -78,19 +118,7 @@ module Binary = struct
         Binio.add_u8 b 3;
         Binio.add_f64 b time;
         Binio.add_i64 b id;
-        Binio.add_str b reason;
-        (match port with
-        | None -> Binio.add_u8 b 0
-        | Some (side, p) ->
-            Binio.add_u8 b 1;
-            add_side b side;
-            Binio.add_i64 b p);
-        (match headroom with
-        | None -> Binio.add_u8 b 0
-        | Some h ->
-            Binio.add_u8 b 1;
-            Binio.add_f64 b h);
-        add_shard b shard
+        add_refusal b ~reason ~port ~headroom ~shard
     | Preempt { time; id; bw; shard } ->
         Binio.add_u8 b 4;
         Binio.add_f64 b time;
@@ -108,26 +136,7 @@ module Binary = struct
         Binio.add_f64 b ts;
         Binio.add_f64 b tf;
         Binio.add_f64 b max_rate;
-        Binio.add_i64 b (Array.length profile);
-        Array.iter
-          (fun (from_, until, rate) ->
-            Binio.add_f64 b from_;
-            Binio.add_f64 b until;
-            Binio.add_f64 b rate)
-          profile;
-        Binio.add_i64 b (Array.length revised);
-        Array.iter
-          (fun (rid, segs) ->
-            Binio.add_i64 b rid;
-            Binio.add_i64 b (Array.length segs);
-            Array.iter
-              (fun (from_, until, rate) ->
-                Binio.add_f64 b from_;
-                Binio.add_f64 b until;
-                Binio.add_f64 b rate)
-              segs)
-          revised;
-        add_shard b shard
+        add_reshaping b ~profile ~revised ~shard
     | Shed { time; side; port; excess; victims } ->
         Binio.add_u8 b 5;
         Binio.add_f64 b time;
@@ -146,12 +155,61 @@ module Binary = struct
         Binio.add_f64 b time;
         Binio.add_i64 b pending
 
+  (* --- pair records ---
+
+     One WAL record may hold an arrival and the decision that follows it.
+     The arrival's fields are stored once, then what the decision adds:
+     code 9 (admitted) [bw], [sigma] and the shard trailer; code 10
+     (refused) [reason], [port], [headroom] and the shard trailer; code 11
+     (reshaped) [profile], [revised] and the shard trailer.  Decoding
+     expands the record back into both events, so the decision must carry
+     the arrival's time and id, and an Accept or Reshape its request
+     fields, all bit for bit.  Trace sinks never write these codes. *)
+
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+  let encode_pair b ~arrival (decision : Event.t) =
+    match arrival with
+    | Event.Arrival a -> (
+        let add_arrival () =
+          add_arrival b ~time:a.time ~seq:a.seq ~id:a.id ~ingress:a.ingress ~egress:a.egress
+            ~volume:a.volume ~ts:a.ts ~tf:a.tf ~max_rate:a.max_rate
+        in
+        let request ~time ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate =
+          same time a.time && id = a.id && ingress = a.ingress && egress = a.egress
+          && same volume a.volume && same ts a.ts && same tf a.tf && same max_rate a.max_rate
+        in
+        match decision with
+        | Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard }
+          when request ~time ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate ->
+            Binio.add_u8 b 9;
+            add_arrival ();
+            Binio.add_f64 b bw;
+            Binio.add_f64 b sigma;
+            add_shard b shard;
+            true
+        | Reject { time; id; reason; port; headroom; shard } when same time a.time && id = a.id
+          ->
+            Binio.add_u8 b 10;
+            add_arrival ();
+            add_refusal b ~reason ~port ~headroom ~shard;
+            true
+        | Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised; shard }
+          when request ~time ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate ->
+            Binio.add_u8 b 11;
+            add_arrival ();
+            add_reshaping b ~profile ~revised ~shard;
+            true
+        | _ -> false)
+    | _ -> false
+
   (* Cursor-style reader over a body payload; any out-of-bounds read is
      reported as corruption (the frame CRC already vouched for the bytes,
      so a short body is a layout error, not a torn record). *)
   exception Short
 
-  let decode_body s =
+  (* A body holds one event, or two for a pair code. *)
+  let decode_events s =
     let pos = ref 0 in
     let len = String.length s in
     let need n = if !pos + n > len then raise Short in
@@ -196,107 +254,137 @@ module Binary = struct
         | 1 -> Some (i64 ())
         | n -> failwith (Printf.sprintf "unknown shard tag %d" n)
     in
-    try
-      let ev =
+    let refusal ~time ~id =
+      let reason = str () in
+      let port =
         match u8 () with
-        | 1 ->
-            let time = f64 () in
-            let seq = i64 () in
-            let id = i64 () in
-            let ingress = i64 () in
-            let egress = i64 () in
-            let volume = f64 () in
-            let ts = f64 () in
-            let tf = f64 () in
-            let max_rate = f64 () in
-            Event.Arrival { time; seq; id; ingress; egress; volume; ts; tf; max_rate }
-        | 2 ->
-            let time = f64 () in
-            let id = i64 () in
-            let ingress = i64 () in
-            let egress = i64 () in
-            let volume = f64 () in
-            let ts = f64 () in
-            let tf = f64 () in
-            let max_rate = f64 () in
-            let bw = f64 () in
-            let sigma = f64 () in
-            let shard = shard () in
-            Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard }
-        | 3 ->
-            let time = f64 () in
-            let id = i64 () in
-            let reason = str () in
-            let port =
-              match u8 () with
-              | 0 -> None
-              | _ ->
-                  let s = side () in
-                  let p = i64 () in
-                  Some (s, p)
-            in
-            let headroom = match u8 () with 0 -> None | _ -> Some (f64 ()) in
-            let shard = shard () in
-            Event.Reject { time; id; reason; port; headroom; shard }
-        | 4 ->
-            let time = f64 () in
-            let id = i64 () in
-            let bw = f64 () in
-            let shard = shard () in
-            Event.Preempt { time; id; bw; shard }
-        | 8 ->
-            let time = f64 () in
-            let id = i64 () in
-            let ingress = i64 () in
-            let egress = i64 () in
-            let volume = f64 () in
-            let ts = f64 () in
-            let tf = f64 () in
-            let max_rate = f64 () in
-            let triples () =
-              let n = i64 () in
-              if n < 0 then failwith "negative profile length";
-              Array.init n (fun _ ->
-                  let from_ = f64 () in
-                  let until = f64 () in
-                  let rate = f64 () in
-                  (from_, until, rate))
-            in
-            let profile = triples () in
-            let nrev = i64 () in
-            if nrev < 0 then failwith "negative revision count";
-            let revised =
-              Array.init nrev (fun _ ->
-                  let rid = i64 () in
-                  let segs = triples () in
-                  (rid, segs))
-            in
-            let shard = shard () in
-            Event.Reshape
-              { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised; shard }
-        | 5 ->
-            let time = f64 () in
-            let side = side () in
-            let port = i64 () in
-            let excess = f64 () in
-            let victims = i64 () in
-            Event.Shed { time; side; port; excess; victims }
-        | 6 ->
-            let time = f64 () in
-            let side = side () in
-            let port = i64 () in
-            let capacity = f64 () in
-            Event.Capacity { time; side; port; capacity }
-        | 7 ->
-            let time = f64 () in
-            let pending = i64 () in
-            Event.Dispatch { time; pending }
-        | n -> failwith (Printf.sprintf "unknown event code %d" n)
+        | 0 -> None
+        | _ ->
+            let s = side () in
+            let p = i64 () in
+            Some (s, p)
       in
-      if !pos <> len then Error "trailing bytes in event body" else Ok ev
-    with
-    | Short -> Error "event body too short"
-    | Failure msg -> Error msg
+      let headroom = match u8 () with 0 -> None | _ -> Some (f64 ()) in
+      let shard = shard () in
+      Event.Reject { time; id; reason; port; headroom; shard }
+    in
+    let reshaping ~time ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate =
+      let triples () =
+        let n = i64 () in
+        if n < 0 then failwith "negative profile length";
+        Array.init n (fun _ ->
+            let from_ = f64 () in
+            let until = f64 () in
+            let rate = f64 () in
+            (from_, until, rate))
+      in
+      let profile = triples () in
+      let nrev = i64 () in
+      if nrev < 0 then failwith "negative revision count";
+      let revised =
+        Array.init nrev (fun _ ->
+            let rid = i64 () in
+            let segs = triples () in
+            (rid, segs))
+      in
+      let shard = shard () in
+      Event.Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised; shard }
+    in
+    let evs =
+      match u8 () with
+      | (1 | 9 | 10 | 11) as code -> (
+          let time = f64 () in
+          let seq = i64 () in
+          let id = i64 () in
+          let ingress = i64 () in
+          let egress = i64 () in
+          let volume = f64 () in
+          let ts = f64 () in
+          let tf = f64 () in
+          let max_rate = f64 () in
+          let arrival = Event.Arrival { time; seq; id; ingress; egress; volume; ts; tf; max_rate } in
+          match code with
+          | 1 -> (arrival, None)
+          | 9 ->
+              let bw = f64 () in
+              let sigma = f64 () in
+              let shard = shard () in
+              ( arrival,
+                Some
+                  (Event.Accept
+                     { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard }) )
+          | 10 -> (arrival, Some (refusal ~time ~id))
+          | _ ->
+              (arrival, Some (reshaping ~time ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate)))
+      | 2 ->
+          let time = f64 () in
+          let id = i64 () in
+          let ingress = i64 () in
+          let egress = i64 () in
+          let volume = f64 () in
+          let ts = f64 () in
+          let tf = f64 () in
+          let max_rate = f64 () in
+          let bw = f64 () in
+          let sigma = f64 () in
+          let shard = shard () in
+          (Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard }, None)
+      | 3 ->
+          let time = f64 () in
+          let id = i64 () in
+          (refusal ~time ~id, None)
+      | 4 ->
+          let time = f64 () in
+          let id = i64 () in
+          let bw = f64 () in
+          let shard = shard () in
+          (Event.Preempt { time; id; bw; shard }, None)
+      | 8 ->
+          let time = f64 () in
+          let id = i64 () in
+          let ingress = i64 () in
+          let egress = i64 () in
+          let volume = f64 () in
+          let ts = f64 () in
+          let tf = f64 () in
+          let max_rate = f64 () in
+          (reshaping ~time ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate, None)
+      | 5 ->
+          let time = f64 () in
+          let side = side () in
+          let port = i64 () in
+          let excess = f64 () in
+          let victims = i64 () in
+          (Event.Shed { time; side; port; excess; victims }, None)
+      | 6 ->
+          let time = f64 () in
+          let side = side () in
+          let port = i64 () in
+          let capacity = f64 () in
+          (Event.Capacity { time; side; port; capacity }, None)
+      | 7 ->
+          let time = f64 () in
+          let pending = i64 () in
+          (Event.Dispatch { time; pending }, None)
+      | n -> failwith (Printf.sprintf "unknown event code %d" n)
+    in
+    if !pos <> len then failwith "trailing bytes in event body";
+    evs
+
+  let decode_with f s =
+    match decode_events s with
+    | evs -> f evs
+    | exception Short -> Error "event body too short"
+    | exception Failure msg -> Error msg
+
+  let decode_body =
+    decode_with (function
+      | ev, None -> Ok ev
+      | _, Some _ -> Error "pair record where one event was expected")
+
+  (* A WAL record body: one event, or an arrival and its decision. *)
+  let of_record =
+    decode_with (function ev, None -> Ok [ ev ] | ev, Some d -> Ok [ ev; d ])
 
   (* Bare body bytes, no frame — for embedding in an outer frame that
      supplies its own length and CRC (the WAL does this). *)
@@ -322,8 +410,8 @@ module Binary = struct
 end
 
 (* Per-record format sniff: a 0xB1 first byte opens a binary frame,
-   anything else is a JSONL line.  Readers use this so traces and
-   journals may mix both forms freely. *)
+   anything else is a JSONL line.  Trace readers use this so a trace may
+   mix both forms freely; the WAL has one form and does not sniff. *)
 let sniff_decode s ~pos : Event.t Codec.decoded =
   if pos < String.length s && Frame.is_binary s.[pos] then Binary.decode s ~pos
   else Jsonl.decode s ~pos

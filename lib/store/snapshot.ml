@@ -32,29 +32,37 @@ let is_temp file =
    bit patterns, so the restored ledger holds exactly the dumped levels. *)
 
 let encode ~cursor (d : Ledger.dump) =
-  (* Sized up front: an image runs to megabytes, and growing the buffer
-     by doubling would copy it several times over. *)
+  (* Sized up front and written in place: an image runs to megabytes,
+     and each copy of it would raise the writer's peak memory. *)
   let count ports = Array.fold_left (fun n segs -> n + 4 + (24 * List.length segs)) 4 ports in
-  let payload = Buffer.create (8 + count d.Ledger.dump_ingress + count d.Ledger.dump_egress) in
-  Binio.add_i64 payload cursor;
-  let side ports =
-    Binio.add_u32 payload (Array.length ports);
-    Array.iter
-      (fun segs ->
-        Binio.add_u32 payload (List.length segs);
-        List.iter
-          (fun (s : Ledger.segment) ->
-            Binio.add_f64 payload s.Ledger.seg_from;
-            Binio.add_f64 payload s.Ledger.seg_until;
-            Binio.add_f64 payload s.Ledger.seg_level)
-          segs)
-      ports
-  in
-  side d.Ledger.dump_ingress;
-  side d.Ledger.dump_egress;
-  let b = Buffer.create (Buffer.length payload + Frame.overhead) in
-  Frame.add b ~tag:frame_tag (Buffer.contents payload);
-  Buffer.contents b
+  let len = 8 + count d.Ledger.dump_ingress + count d.Ledger.dump_egress in
+  Frame.make ~tag:frame_tag ~len (fun b start ->
+      let pos = ref start in
+      let u32 v =
+        Bytes.set_int32_le b !pos (Int32.of_int v);
+        pos := !pos + 4
+      in
+      let i64 v =
+        Bytes.set_int64_le b !pos v;
+        pos := !pos + 8
+      in
+      let f64 v = i64 (Int64.bits_of_float v) in
+      let side ports =
+        u32 (Array.length ports);
+        Array.iter
+          (fun segs ->
+            u32 (List.length segs);
+            List.iter
+              (fun (s : Ledger.segment) ->
+                f64 s.Ledger.seg_from;
+                f64 s.Ledger.seg_until;
+                f64 s.Ledger.seg_level)
+              segs)
+          ports
+      in
+      i64 (Int64.of_int cursor);
+      side d.Ledger.dump_ingress;
+      side d.Ledger.dump_egress)
 
 (* Total over any input: reads past the payload raise [Invalid_argument]
    (caught below) after allocating at most in proportion to the bytes
@@ -93,14 +101,6 @@ let decode s =
 
 (* --- files --- *)
 
-let fsync_dir dir =
-  (* Persist renames and unlinks; not every filesystem allows fsync on a
-     directory fd, hence best-effort. *)
-  try
-    let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
-    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
-  with Unix.Unix_error _ -> ()
-
 (* Snapshot files in [dir], newest first. *)
 let listing dir =
   Sys.readdir dir |> Array.to_list
@@ -117,11 +117,11 @@ let write ~dir ~cursor ledger =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc image;
+      output_bytes oc image;
       flush oc;
       Unix.fsync (Unix.descr_of_out_channel oc));
   Sys.rename tmp final;
-  fsync_dir dir;
+  Wal.fsync_dir dir;
   List.iteri (fun i (_, f) -> if i >= retained then remove dir f) (listing dir)
 
 let tidy ~dir ~max_cursor =
@@ -132,7 +132,7 @@ let tidy ~dir ~max_cursor =
   | [] -> ()
   | files ->
       List.iter (remove dir) files;
-      fsync_dir dir
+      Wal.fsync_dir dir
 
 let read_file path =
   try Some (In_channel.with_open_bin path In_channel.input_all) with Sys_error _ -> None

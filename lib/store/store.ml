@@ -7,29 +7,16 @@ module Request = Gridbw_request.Request
 module Allocation = Gridbw_alloc.Allocation
 module Rate_profile = Gridbw_alloc.Rate_profile
 module Ledger = Gridbw_alloc.Ledger
+module Binary = Gridbw_obs.Event_codec.Binary
 
 type config = {
   wal : Wal.config;
   snapshot_bytes : int;
   kill_after : int option;
-  codec : Wal.format;  (* framing + payload form for new WAL appends *)
 }
 
 let default_config =
-  {
-    wal = Wal.default_config;
-    snapshot_bytes = 4 * 1024 * 1024;
-    kill_after = None;
-    codec = Wal.Binary;
-  }
-
-(* Reading back is keyed by the per-record format the scanner sniffed,
-   never by the store's own codec, so mixed-format journals recover
-   cleanly. *)
-let event_of_record (r : Wal.record) =
-  match r.Wal.format with
-  | Wal.Jsonl -> Event.of_line r.Wal.payload
-  | Wal.Binary -> Gridbw_obs.Event_codec.Binary.of_body r.Wal.payload
+  { wal = Wal.default_config; snapshot_bytes = 4 * 1024 * 1024; kill_after = None }
 
 type t = {
   dir : string;
@@ -42,9 +29,12 @@ type t = {
      up what they release.  The history views of {!recovered} are built
      by {!recover} alone; the live path keeps nothing it does not read. *)
   accepted_tbl : (int, Allocation.t) Hashtbl.t;
-  (* Reused for every binary record body; a store is journaled from one
-     domain at a time (the sharded engine holds its journal lock). *)
+  (* Reused for every record body; a store is journaled from one domain
+     at a time (the sharded engine holds its journal lock). *)
   body : Buffer.t;
+  (* The latest arrival, not yet written: the decision that follows it
+     usually shares its record. *)
+  mutable held : Event.t option;
   mutable last_snapshot_bytes : int;
 }
 
@@ -141,10 +131,29 @@ let apply ?(ledger_effects = true) t ev =
 
 (* --- live journaling --- *)
 
+(* One record holding [t.body]. *)
+let write t =
+  Wal.append t.writer (Buffer.contents t.body);
+  Obs.count t.obs "store_wal_records_total"
+
+let write_event t ev =
+  Buffer.clear t.body;
+  Binary.encode_body t.body ev;
+  write t
+
+(* The held arrival becomes a record of its own. *)
+let release t =
+  match t.held with
+  | None -> ()
+  | Some arrival ->
+      t.held <- None;
+      write_event t arrival
+
 let snapshot_now t =
   (* The snapshot must never reference records that could be lost from
      an unsynced WAL tail: commit the tail first, so a surviving
      snapshot's cursor always points into durable log. *)
+  release t;
   Wal.sync t.writer;
   let cursor = t.writer.Wal.records in
   Snapshot.write ~dir:t.dir ~cursor (Ledger.dump t.mirror);
@@ -155,29 +164,37 @@ let maybe_snapshot t =
   if t.writer.Wal.total_bytes - t.last_snapshot_bytes >= t.config.snapshot_bytes then
     snapshot_now t
 
-let relevant = function Event.Dispatch _ -> false | _ -> true
-
-(* WAL record payloads: JSONL journals carry the JSON text line, binary
-   journals the bare binary event body (the WAL frame supplies length
-   and CRC), encoded into the store's reusable buffer. *)
-let append t ev =
-  match t.config.codec with
-  | Wal.Jsonl -> Wal.append t.writer (Event.to_json ev)
-  | Wal.Binary ->
-      Buffer.clear t.body;
-      Gridbw_obs.Event_codec.Binary.encode_body t.body ev;
-      Wal.append t.writer (Buffer.contents t.body)
-
+(* The pair rule: an arrival waits in [t.held]; the decision right after
+   it, with the same id and time (and request fields, for an Accept or
+   Reshape), shares its record.  Anything else writes the arrival alone
+   first, so records keep the order the events came in. *)
 let log t ev =
-  if relevant ev then begin
-    apply t ev;
-    append t ev;
-    Obs.count t.obs "store_wal_records_total";
-    maybe_snapshot t
-  end
+  match ev with
+  | Event.Dispatch _ -> ()
+  | Event.Arrival _ ->
+      release t;
+      t.held <- Some ev
+  | _ ->
+      apply t ev;
+      (match t.held with
+      | None -> write_event t ev
+      | Some arrival ->
+          t.held <- None;
+          Buffer.clear t.body;
+          if Binary.encode_pair t.body ~arrival ev then write t
+          else begin
+            write_event t arrival;
+            write_event t ev
+          end);
+      maybe_snapshot t
 
-let sync t = Wal.sync t.writer
-let close t = Wal.close t.writer
+let sync t =
+  release t;
+  Wal.sync t.writer
+
+let close t =
+  release t;
+  Wal.close t.writer
 
 let attach t obs =
   let sink = { Sink.emit = (fun e -> log t e); flush = (fun () -> sync t) } in
@@ -187,14 +204,18 @@ let attach t obs =
 
 (* --- creation --- *)
 
+(* The parents of the directories it created, whose new entries the
+   log's first sync makes durable. *)
 let mkdir_p dir =
-  let rec go d =
-    if not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
+  let rec go d acc =
+    if Sys.file_exists d then acc
+    else begin
+      let acc = go (Filename.dirname d) acc in
+      (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+      Filename.dirname d :: acc
     end
   in
-  go dir
+  go dir []
 
 let write_header ~dir fabric =
   let path = header_file dir in
@@ -247,16 +268,19 @@ let fresh ~dir ~config ~obs ~fabric ~writer =
     mirror = Ledger.create fabric;
     accepted_tbl = Hashtbl.create 64;
     body = Buffer.create 128;
+    held = None;
     last_snapshot_bytes = 0;
   }
 
 let create ?(config = default_config) ?obs ?(time = 0.) ~dir fabric =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   if exists ~dir then invalid_arg ("Store.create: " ^ dir ^ " is already a store");
-  mkdir_p dir;
+  let parents = mkdir_p dir in
   write_header ~dir fabric;
+  (* The log's first sync fsyncs [dir] for its new segment, which makes
+     the header's name durable too. *)
   let writer =
-    Wal.create ~config:config.wal ~format:config.codec ?kill_after:config.kill_after
+    Wal.create ~config:config.wal ?kill_after:config.kill_after ~parents
       ~on_sync:(fun n ->
         Obs.count obs "store_fsync_total";
         Obs.observe obs "store_fsync_batch_size" (float_of_int n))
@@ -373,15 +397,17 @@ let recover ?(config = default_config) ?obs ~dir () =
   | Ok (n_in, n_out) -> (
       let s = Wal.scan ~dir in
       (* A CRC-valid record that fails event parsing cuts the log exactly
-         like a CRC failure would. *)
+         like a CRC failure would.  A record holds one event, or an
+         arrival and its decision. *)
       let rec parse acc = function
         | [] -> (List.rev acc, None)
         | (r : Wal.record) :: rest -> (
-            match event_of_record r with
-            | Ok e -> parse (e :: acc) rest
+            match Binary.of_record r.Wal.payload with
+            | Ok evs -> parse ((r.Wal.index, evs) :: acc) rest
             | Error _ -> (List.rev acc, Some r.Wal.index))
       in
-      let wal_events, parse_cut = parse [] s.Wal.records in
+      let records, parse_cut = parse [] s.Wal.records in
+      let wal_events = List.concat_map snd records in
       let keep = match parse_cut with Some k -> k | None -> s.Wal.valid in
       let kept_bytes =
         List.fold_left
@@ -404,7 +430,7 @@ let recover ?(config = default_config) ?obs ~dir () =
           Wal.truncate ~dir s ~keep;
           Snapshot.tidy ~dir ~max_cursor:keep;
           let writer =
-            Wal.reopen ~config:config.wal ~format:config.codec ?kill_after:config.kill_after
+            Wal.reopen ~config:config.wal ?kill_after:config.kill_after
               ~on_sync:(fun n ->
                 Obs.count obs "store_fsync_total";
                 Obs.observe obs "store_fsync_batch_size" (float_of_int n))
@@ -414,13 +440,17 @@ let recover ?(config = default_config) ?obs ~dir () =
           t.mirror <- mirror;
           t.last_snapshot_bytes <- writer.Wal.total_bytes;
           (* History the snapshot covers carries no ledger effects (the
-             image is the ledger); the WAL tail replays in full. *)
+             image is the ledger); the WAL tail replays in full.  The
+             cursor counts records, and a record may hold two events. *)
           let idx = index () in
-          List.iteri
-            (fun i e ->
-              apply ~ledger_effects:(i >= snapshot_cursor) t e;
-              note idx t e)
-            wal_events;
+          List.iter
+            (fun (i, evs) ->
+              List.iter
+                (fun e ->
+                  apply ~ledger_effects:(i >= snapshot_cursor) t e;
+                  note idx t e)
+                evs)
+            records;
           let replayed = keep - snapshot_cursor in
           Obs.count_n obs "store_recovery_records" replayed;
           Ok

@@ -1,13 +1,19 @@
 (** Durable admission journal with crash recovery.
 
     A store directory holds a header ([store.json], written and fsynced at
-    creation), a CRC-framed {!Wal} of admission-relevant events
-    (arrival/accept/reject/preempt/shed/capacity-revision — the
-    {!Gridbw_obs.Event_codec} binary form by default, the JSONL form when
-    [config.codec = Wal.Jsonl]; recovery sniffs the form per record, so
-    mixed journals replay fine), and atomic binary {!Snapshot}s of the
-    mirror ledger triggered by accumulated log size (the newest two are
-    kept).
+    creation), a CRC-framed binary {!Wal} of admission-relevant events
+    (arrival/accept/reject/reshape/preempt/shed/capacity-revision, in the
+    {!Gridbw_obs.Event_codec.Binary} body form), and atomic binary
+    {!Snapshot}s of the mirror ledger triggered by accumulated log size
+    (the newest two are kept).
+
+    One record usually holds one decision: an arrival is held back, and
+    the decision right after it with the same id and time (and, for an
+    [Accept] or [Reshape], bit-equal request fields) is written together
+    with it as one pair record.  Any other event, and {!sync},
+    {!snapshot_now} and {!close}, first writes the held arrival as a
+    record of its own, so records keep the order of the events.
+    Recovery expands each pair back into its two events.
 
     The store plugs into the telemetry plane: {!attach} wraps an
     {!Gridbw_obs.Obs.ctx} so every event the instrumented admission path
@@ -32,10 +38,6 @@ type config = {
   wal : Wal.config;
   snapshot_bytes : int;  (** write a snapshot after this many WAL bytes since the last one *)
   kill_after : int option;  (** crash-drill hook, see {!Wal.create} *)
-  codec : Wal.format;
-      (** framing and payload form for new WAL appends; [Binary] by
-          default.  Reading back is always per-record, independent of
-          this setting. *)
 }
 
 val default_config : config
@@ -66,12 +68,14 @@ val log : t -> Gridbw_obs.Event.t -> unit
 (** Journal one event directly (what {!attach}'s sink does), in two
     steps: its ledger effects (the mirror ledger and the booking table
     that later [Preempt]/[Reshape] records and {!snapshot_now} read),
-    then the WAL append.  Nothing else is kept per event: the history
+    then the WAL append, under the pair rule above: an [Arrival] is only
+    held until the next event.  Nothing else is kept per event: the history
     views of {!recovered} are built by {!recover} alone.  [Dispatch]
     events are not admission state and are skipped. *)
 
 val sync : t -> unit
-(** Force the group commit: flush and fsync the WAL tail now. *)
+(** Force the group commit: write any held arrival, then flush and fsync
+    the WAL tail now.  Everything logged so far is durable after it. *)
 
 val flush : t -> unit
 (** Alias of {!sync}, under the name the serving layer uses: records
@@ -96,7 +100,8 @@ val close : t -> unit
 val dir : t -> string
 
 val records : t -> int
-(** WAL records appended so far (global index). *)
+(** WAL records appended so far (global index).  A held arrival is not
+    a record yet; a pair record counts once. *)
 
 val fabric : t -> Gridbw_topology.Fabric.t
 (** Current fabric, after any journaled capacity revisions. *)
@@ -120,8 +125,8 @@ type recovered = {
   arrived : int -> bool;
       (** request id has an arrival in the journal as recovered *)
   snapshot_cursor : int;
-      (** records whose ledger effects came from a snapshot image; 0 = full
-          WAL replay *)
+      (** WAL records (not events) whose ledger effects came from a
+          snapshot image; 0 = full WAL replay *)
   replayed : int;  (** WAL records replayed into the ledger beyond the snapshot *)
   truncated_bytes : int;  (** torn/corrupt tail bytes discarded *)
 }

@@ -1,32 +1,23 @@
-(* Write-ahead log with group commit and segment rotation.  Record
-   framing is delegated to lib/wire: the historical CRC32-hex JSONL line
-   ({!Gridbw_wire.Frame.Hexline}) and the length-prefixed binary frame
-   (tag {!record_tag}), selected per writer via [format].  Readers sniff
-   the format per record — the binary magic byte 0xB1 is not printable
-   ASCII — so one segment may mix both forms (a journal created under
-   one format and reopened under the other keeps replaying cleanly). *)
+(* Write-ahead log with group commit and segment rotation.  Every record
+   is one binary frame from lib/wire (magic 0xB1, tag {!record_tag},
+   length, payload, CRC32); a record that does not open with the magic
+   byte is corruption like any other, and the scan cuts the log there. *)
 
 module Codec = Gridbw_wire.Codec
-module Crc32 = Gridbw_wire.Crc32
 module Frame = Gridbw_wire.Frame
-
-type format = Jsonl | Binary
-
-let format_name = function Jsonl -> "jsonl" | Binary -> "binary"
 
 (* Frame tag for WAL records; the event codec owns 0x01. *)
 let record_tag = 0x02
 
-(* Compatibility wrappers over the shared implementations; the WAL was
-   the original home of this CRC/framing code. *)
-let crc32 = Crc32.digest
-
-let frame payload =
-  let b = Buffer.create (String.length payload + 16) in
-  Frame.Hexline.encode b payload;
-  Buffer.contents b
-
-let parse_frame = Frame.Hexline.parse_frame
+(* Persist the directory entries of files created, renamed, removed or
+   truncated in [dir]: fsyncing a file does not make its name durable.
+   Not every filesystem allows fsync on a directory fd, hence
+   best-effort. *)
+let fsync_dir dir =
+  try
+    let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
+  with Unix.Unix_error _ -> ()
 
 type config = { batch : int; delay : float; segment_bytes : int }
 
@@ -41,7 +32,6 @@ let validate_config c =
 type writer = {
   dir : string;
   config : config;
-  format : format;
   on_sync : int -> unit;
   kill_after : int option;
   mutable oc : out_channel;
@@ -52,6 +42,7 @@ type writer = {
   mutable appended : int;
   mutable unsynced : int;
   mutable oldest_unsynced : float;
+  mutable dirs : string list;  (* directories to fsync at the next sync *)
   frame : Buffer.t;  (* the record being appended, reused *)
 }
 
@@ -75,13 +66,15 @@ let segments dir =
 let open_segment path =
   open_out_gen [ Open_wronly; Open_creat; Open_append; Open_binary ] 0o644 path
 
-let make_writer ?(config = default_config) ?(format = Binary) ?kill_after
-    ?(on_sync = fun _ -> ()) ~dir ~records ~total_bytes ~seg_path ~seg_bytes () =
+(* A segment that does not exist yet is created, and its name made
+   durable by the next sync: before any record in it is acked. *)
+let make_writer ?(config = default_config) ?kill_after
+    ?(on_sync = fun _ -> ()) ?(parents = []) ~dir ~records ~total_bytes ~seg_path ~seg_bytes () =
   validate_config config;
+  let dirs = if Sys.file_exists seg_path then parents else dir :: parents in
   {
     dir;
     config;
-    format;
     on_sync;
     kill_after;
     oc = open_segment seg_path;
@@ -92,15 +85,16 @@ let make_writer ?(config = default_config) ?(format = Binary) ?kill_after
     appended = 0;
     unsynced = 0;
     oldest_unsynced = 0.;
+    dirs;
     frame = Buffer.create 256;
   }
 
-let create ?config ?format ?kill_after ?on_sync ~dir () =
+let create ?config ?kill_after ?on_sync ?parents ~dir () =
   let seg_path = Filename.concat dir (seg_name 0) in
-  make_writer ?config ?format ?kill_after ?on_sync ~dir ~records:0 ~total_bytes:0 ~seg_path
+  make_writer ?config ?kill_after ?on_sync ?parents ~dir ~records:0 ~total_bytes:0 ~seg_path
     ~seg_bytes:0 ()
 
-let reopen ?config ?format ?kill_after ?on_sync ~dir ~records () =
+let reopen ?config ?kill_after ?on_sync ~dir ~records () =
   let segs = segments dir in
   let total_bytes =
     List.fold_left (fun acc (_, p) -> acc + (Unix.stat p).Unix.st_size) 0 segs
@@ -110,8 +104,7 @@ let reopen ?config ?format ?kill_after ?on_sync ~dir ~records () =
     | (_, p) :: _ -> (p, (Unix.stat p).Unix.st_size)
     | [] -> (Filename.concat dir (seg_name records), 0)
   in
-  make_writer ?config ?format ?kill_after ?on_sync ~dir ~records ~total_bytes ~seg_path
-    ~seg_bytes ()
+  make_writer ?config ?kill_after ?on_sync ~dir ~records ~total_bytes ~seg_path ~seg_bytes ()
 
 let sync w =
   if w.unsynced > 0 then begin
@@ -119,6 +112,10 @@ let sync w =
     Unix.fsync (Unix.descr_of_out_channel w.oc);
     w.on_sync w.unsynced;
     w.unsynced <- 0
+  end;
+  if w.dirs <> [] then begin
+    List.iter fsync_dir w.dirs;
+    w.dirs <- []
   end
 
 let rotate w =
@@ -126,15 +123,14 @@ let rotate w =
   close_out w.oc;
   let path = Filename.concat w.dir (seg_name w.records) in
   w.oc <- open_segment path;
+  w.dirs <- [ w.dir ];
   w.seg_path <- path;
   w.seg_bytes <- 0
 
 let append w payload =
   let b = w.frame in
   Buffer.clear b;
-  (match w.format with
-  | Jsonl -> Frame.Hexline.encode b payload
-  | Binary -> Frame.add b ~tag:record_tag payload);
+  Frame.add b ~tag:record_tag payload;
   let len = Buffer.length b in
   (match w.kill_after with
   | Some n when w.appended + 1 >= n ->
@@ -167,7 +163,6 @@ type record = {
   seg : string;
   off : int;
   bytes : int;
-  format : format;
   payload : string;
 }
 
@@ -185,21 +180,13 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Decode one record at [pos], sniffing its format from the first byte. *)
-let decode_record content ~pos : (format * string) Codec.decoded =
-  if Frame.is_binary content.[pos] then
-    match Frame.decode content ~pos with
-    | Codec.Value ((tag, payload), next) ->
-        if tag <> record_tag then
-          Corrupt (Printf.sprintf "unexpected frame tag %d in WAL" tag)
-        else Value ((Binary, payload), next)
-    | Incomplete -> Incomplete
-    | Corrupt msg -> Corrupt msg
-  else
-    match Frame.Hexline.decode content ~pos with
-    | Codec.Value (payload, next) -> Value ((Jsonl, payload), next)
-    | Incomplete -> Incomplete
-    | Corrupt msg -> Corrupt msg
+let decode_record content ~pos : string Codec.decoded =
+  match Frame.decode content ~pos with
+  | Codec.Value ((tag, payload), next) ->
+      if tag <> record_tag then Corrupt (Printf.sprintf "unexpected frame tag %d in WAL" tag)
+      else Value (payload, next)
+  | Incomplete -> Incomplete
+  | Corrupt msg -> Corrupt msg
 
 let scan ~dir =
   let segs = segments dir in
@@ -226,17 +213,9 @@ let scan ~dir =
          let pos = ref 0 in
          while !pos < len do
            match decode_record content ~pos:!pos with
-           | Codec.Value ((format, payload), next) ->
+           | Codec.Value (payload, next) ->
                records :=
-                 {
-                   index = !index;
-                   seg;
-                   off = !pos;
-                   bytes = next - !pos;
-                   format;
-                   payload;
-                 }
-                 :: !records;
+                 { index = !index; seg; off = !pos; bytes = next - !pos; payload } :: !records;
                incr index;
                pos := next
            | Incomplete ->
@@ -250,9 +229,19 @@ let scan ~dir =
    with Exit -> ());
   { records = List.rev !records; valid = !index; cut = !cut; disk_bytes; torn = !torn }
 
+(* A shorter segment must stay short after power loss: the new size is
+   fsynced, and the directory after every removal. *)
 let truncate_file path size =
   if (Unix.stat path).Unix.st_size <> size then
-    if size = 0 then Sys.remove path else Unix.truncate path size
+    if size = 0 then Sys.remove path
+    else begin
+      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.ftruncate fd size;
+          Unix.fsync fd)
+    end
 
 let truncate ~dir s ~keep =
   if keep > s.valid then invalid_arg "Wal.truncate: keep exceeds valid records";
@@ -267,4 +256,5 @@ let truncate ~dir s ~keep =
       List.iter
         (fun (_, path) ->
           if path > seg then Sys.remove path else if path = seg then truncate_file path off)
-        (segments dir)
+        (segments dir);
+      fsync_dir dir

@@ -1,32 +1,20 @@
 (** Write-ahead log with group commit and segment rotation.
 
-    Record framing comes from {!Gridbw_wire.Frame} and is selected per
-    writer:
-
-    - [Jsonl]: the historical text line ["%08x %d %s\n"] — CRC32 of the
-      payload in hex, payload byte length, payload (a single-line JSON
-      event; this form never carries raw newlines).
-    - [Binary] (the default): a length-prefixed binary frame — 0xB1
-      magic, tag byte, little-endian length, payload, CRC32 trailer.
-
-    Either way the framing makes every torn or corrupted tail
-    detectable, and because the binary magic byte is not printable
-    ASCII, readers sniff the format {e per record}: segments may mix
-    both forms, so reopening an old JSONL journal with a binary writer
-    (or vice versa) keeps the log replayable.
+    Every record is one binary frame from {!Gridbw_wire.Frame}: 0xB1
+    magic, tag {!record_tag}, little-endian length, payload, CRC32
+    trailer.  The framing makes every torn or corrupted tail detectable;
+    a record that does not start with the magic byte is corrupt too.
 
     Segments are files [wal-<index>.log] named by the global index of
     their first record, so the directory listing alone orders the log and
-    no manifest is needed.
+    no manifest is needed.  Creating, removing or truncating a segment
+    also fsyncs the directory (a created one at the next {!sync}), so
+    the listing survives power loss.
 
     Durability is batched (group commit): records accumulate in the
     channel buffer and the writer [fsync]s once per [batch] records, or
     sooner when the oldest unsynced record is older than [delay] seconds
     (checked on the next append), or on {!sync}/{!close}. *)
-
-type format = Jsonl | Binary
-
-val format_name : format -> string
 
 type config = {
   batch : int;  (** records per fsync group; 1 = fsync every record *)
@@ -38,24 +26,17 @@ val default_config : config
 (** [{ batch = 64; delay = 0.05; segment_bytes = 4 MiB }] *)
 
 val record_tag : int
-(** Frame tag of a [Binary] record: a record is
+(** Frame tag of a record: a record is
     [Gridbw_wire.Frame.add ~tag:record_tag payload]. *)
 
-val crc32 : string -> int32
-(** IEEE 802.3 CRC32 — alias of {!Gridbw_wire.Crc32.digest}. *)
-
-val frame : string -> string
-(** One [Jsonl]-framed record, newline included.  Raises
-    [Invalid_argument] when the payload contains a newline. *)
-
-val parse_frame : string -> (string, string) result
-(** Validate one [Jsonl] record line (without its newline) back to its
-    payload; [Error] names what broke. *)
+val fsync_dir : string -> unit
+(** fsync a directory, making the names created, renamed or removed in
+    it durable.  Best-effort: a filesystem that refuses fsync on a
+    directory is ignored. *)
 
 type writer = {
   dir : string;
   config : config;
-  format : format;  (** framing used for new appends *)
   on_sync : int -> unit;
   kill_after : int option;
   mutable oc : out_channel;
@@ -66,17 +47,22 @@ type writer = {
   mutable appended : int;  (** records appended since this writer was opened *)
   mutable unsynced : int;
   mutable oldest_unsynced : float;
+  mutable dirs : string list;
+      (** directories whose entries changed since the last sync (a new
+          segment's, say); the next {!sync} fsyncs them *)
   frame : Buffer.t;
       (** the record being appended, framed in place and reused by every
           append of this writer *)
 }
 
 val create :
-  ?config:config -> ?format:format -> ?kill_after:int -> ?on_sync:(int -> unit) ->
+  ?config:config -> ?kill_after:int -> ?on_sync:(int -> unit) -> ?parents:string list ->
   dir:string -> unit -> writer
 (** Open a fresh log in [dir] (first segment [wal-0000000000.log]).
-    [format] defaults to [Binary].  [on_sync n] is called after every
-    fsync with the number of records in the synced group.  [kill_after n]
+    [on_sync n] is called after every
+    fsync with the number of records in the synced group.  [parents]
+    (default none) are more directories for the first {!sync} to fsync:
+    the parents of directories just created to hold the log.  [kill_after n]
     is a crash-injection hook: the [n]th append writes only half of its
     frame, flushes, and SIGKILLs the process — a deterministically torn
     tail for recovery drills. *)
@@ -84,11 +70,13 @@ val create :
 val append : writer -> string -> unit
 (** Frame one payload into the writer's reusable {!writer.frame} buffer,
     hand it to the segment channel, then group-commit per the config.
-    [Jsonl] payloads must not contain a newline; [Binary] payloads are
-    arbitrary bytes. *)
+    Payloads are arbitrary bytes. *)
 
 val sync : writer -> unit
-(** Flush and fsync any unsynced records now. *)
+(** Flush and fsync any unsynced records now, then any directory in
+    {!writer.dirs}.  A segment created by {!create}, {!reopen} or a
+    rotation therefore has a durable name before any record in it is
+    acknowledged, without a directory fsync on the append path. *)
 
 val close : writer -> unit
 (** {!sync} then close the open segment. *)
@@ -100,7 +88,6 @@ type record = {
   seg : string;  (** segment path *)
   off : int;  (** byte offset of the record inside its segment *)
   bytes : int;  (** framed size on disk *)
-  format : format;  (** framing this record was found in *)
   payload : string;
 }
 
@@ -115,22 +102,19 @@ type scan = {
 }
 
 val scan : dir:string -> scan
-(** Read every segment in index order, sniff each record's format, and
-    validate its frame.  Scanning stops at the first invalid record
-    (torn frame, malformed field, length or CRC mismatch, segment-index
-    gap); everything after it — including later segments — is reported
+(** Read every segment in index order and validate each record's frame.
+    Scanning stops at the first invalid record (torn frame, bad magic or
+    tag byte, CRC mismatch, segment-index gap); everything after it — including later segments — is reported
     beyond the cut. *)
 
 val truncate : dir:string -> scan -> keep:int -> unit
 (** Physically truncate the log so exactly the first [keep] valid records
     remain: later segments are deleted and the cut segment is truncated in
-    place.  [keep] may be less than [scan.valid] (the store cuts earlier
+    place, the new size fsynced, then the directory, at once.  [keep] may be less than [scan.valid] (the store cuts earlier
     when a CRC-valid record fails event parsing). *)
 
 val reopen :
-  ?config:config -> ?format:format -> ?kill_after:int -> ?on_sync:(int -> unit) ->
-  dir:string -> records:int -> unit -> writer
+  ?config:config -> ?kill_after:int -> ?on_sync:(int -> unit) -> dir:string -> records:int ->
+  unit -> writer
 (** Open the (already truncated) log for append: the last remaining
-    segment is continued, [records] restates the global record count.
-    [format] (default [Binary]) governs new appends only — existing
-    records keep whatever framing they were written with. *)
+    segment is continued, [records] restates the global record count. *)

@@ -1,16 +1,15 @@
-(* Record framing, three ways:
+(* Record framing, two ways:
 
    - binary: 0xB1 magic, version/kind tag byte, u32 LE payload length,
      payload bytes, u32 LE CRC32 of the payload.  Self-delimiting,
-     newline-safe, torn-tail detectable.
+     newline-safe, torn-tail detectable.  WAL records, binary traces and
+     binary serve frames all use it.
    - [Line]: the serve plane's "%d %s\n" length-prefixed text frame.
-   - [Hexline]: the JSONL WAL's "%08x %d %s\n" CRC-framed line.
 
-   The magic byte 0xB1 is not printable ASCII, so the first byte of any
-   record distinguishes the three: '{' or a decimal digit or a hex digit
-   opens one of the text forms, 0xB1 opens a binary frame.  That is the
-   whole format-negotiation story — journals, traces, and serve streams
-   may mix records freely and every reader sniffs per record. *)
+   The magic byte 0xB1 is not printable ASCII, so a record's first byte
+   tells binary from text: serve streams sniff it against [Line] frames,
+   traces against JSONL lines.  The WAL is binary only and treats any
+   other first byte as corruption. *)
 
 let magic = '\xB1'
 let is_binary c = Char.equal c magic
@@ -27,6 +26,20 @@ let add b ~tag payload =
   Binio.add_u32 b (String.length payload);
   Buffer.add_string b payload;
   Buffer.add_int32_le b (Crc32.digest payload)
+
+(* One frame of a [len]-byte payload that [fill b pos] writes in place
+   at [b.[pos]], so a payload of megabytes is never copied. *)
+let make ~tag ~len fill =
+  if tag < 0 || tag > 0xff then invalid_arg "Frame.make: tag must fit one byte";
+  let b = Bytes.create (header_bytes + len + trailer_bytes) in
+  Bytes.set b 0 magic;
+  Bytes.set_uint8 b 1 tag;
+  Bytes.set_int32_le b 2 (Int32.of_int len);
+  fill b header_bytes;
+  (* read-only view: the CRC is computed before the trailer is written *)
+  let crc = Crc32.sub (Bytes.unsafe_to_string b) ~pos:header_bytes ~len in
+  Bytes.set_int32_le b (header_bytes + len) crc;
+  b
 
 (* Decode one binary frame at [pos] into (tag, payload).  [max] bounds
    the accepted payload length so a corrupted length field on a live
@@ -89,54 +102,4 @@ module Line = struct
             if start + plen + 1 > len then Incomplete
             else if s.[start + plen] <> '\n' then Corrupt "missing frame terminator"
             else Value (String.sub s start plen, start + plen + 1))
-end
-
-(* "%08x %d %s\n": CRC32 in hex, payload length, payload, newline.  The
-   JSONL WAL's historical frame, kept byte-identical so existing
-   journals replay unchanged. *)
-module Hexline = struct
-  type t = string
-
-  let name = "hexline"
-
-  let encode b payload =
-    if String.contains payload '\n' then invalid_arg "Hexline.encode: payload contains a newline";
-    let hex = "0123456789abcdef" in
-    let crc = Int32.to_int (Crc32.digest payload) land 0xFFFFFFFF in
-    for i = 7 downto 0 do
-      Buffer.add_char b hex.[(crc lsr (4 * i)) land 0xf]
-    done;
-    Buffer.add_char b ' ';
-    Buffer.add_string b (string_of_int (String.length payload));
-    Buffer.add_char b ' ';
-    Buffer.add_string b payload;
-    Buffer.add_char b '\n'
-
-  (* [line] is one record without its trailing newline. *)
-  let parse_frame line =
-    match String.index_opt line ' ' with
-    | None -> Error "missing crc field"
-    | Some i -> (
-        match String.index_from_opt line (i + 1) ' ' with
-        | None -> Error "missing length field"
-        | Some j -> (
-            let crc_hex = String.sub line 0 i in
-            let len_s = String.sub line (i + 1) (j - i - 1) in
-            match (Int32.of_string_opt ("0x" ^ crc_hex), int_of_string_opt len_s) with
-            | None, _ -> Error "malformed crc"
-            | _, None -> Error "malformed length"
-            | Some crc, Some len ->
-                let start = j + 1 in
-                if String.length line - start <> len then Error "length mismatch"
-                else
-                  let payload = String.sub line start len in
-                  if Crc32.digest payload <> crc then Error "crc mismatch" else Ok payload))
-
-  let decode s ~pos : t Codec.decoded =
-    match String.index_from_opt s pos '\n' with
-    | None -> Incomplete
-    | Some nl -> (
-        match parse_frame (String.sub s pos (nl - pos)) with
-        | Ok payload -> Value (payload, nl + 1)
-        | Error msg -> Corrupt msg)
 end

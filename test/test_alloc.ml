@@ -1,5 +1,5 @@
 open Helpers
-module Profile = Gridbw_alloc.Profile
+module Profile_ref = Gridbw_alloc.Profile_ref
 module Port = Gridbw_alloc.Port
 module Ledger = Gridbw_alloc.Ledger
 module Live = Gridbw_alloc.Live
@@ -10,69 +10,69 @@ module Rng = Gridbw_prng.Rng
 (* --- Profile --- *)
 
 let empty_profile () =
-  check_approx "usage" 0.0 (Profile.usage_at Profile.empty 3.0);
-  check_approx "max" 0.0 (Profile.max_over Profile.empty ~from_:0. ~until:10.);
-  Alcotest.(check bool) "is_empty" true (Profile.is_empty Profile.empty)
+  check_approx "usage" 0.0 (Profile_ref.usage_at Profile_ref.empty 3.0);
+  check_approx "max" 0.0 (Profile_ref.max_over Profile_ref.empty ~from_:0. ~until:10.);
+  Alcotest.(check bool) "is_empty" true (Profile_ref.is_empty Profile_ref.empty)
 
 let single_interval () =
-  let p = Profile.add Profile.empty ~from_:2. ~until:5. 10. in
-  check_approx "before" 0.0 (Profile.usage_at p 1.9);
-  check_approx "at start (closed left)" 10.0 (Profile.usage_at p 2.0);
-  check_approx "inside" 10.0 (Profile.usage_at p 4.0);
-  check_approx "at end (open right)" 0.0 (Profile.usage_at p 5.0);
-  check_approx "peak" 10.0 (Profile.peak p)
+  let p = Profile_ref.add Profile_ref.empty ~from_:2. ~until:5. 10. in
+  check_approx "before" 0.0 (Profile_ref.usage_at p 1.9);
+  check_approx "at start (closed left)" 10.0 (Profile_ref.usage_at p 2.0);
+  check_approx "inside" 10.0 (Profile_ref.usage_at p 4.0);
+  check_approx "at end (open right)" 0.0 (Profile_ref.usage_at p 5.0);
+  check_approx "peak" 10.0 (Profile_ref.peak p)
 
 let overlapping_adds_sum () =
   let p =
-    Profile.empty
-    |> fun p -> Profile.add p ~from_:0. ~until:10. 5.
-    |> fun p -> Profile.add p ~from_:5. ~until:15. 7.
+    Profile_ref.empty
+    |> fun p -> Profile_ref.add p ~from_:0. ~until:10. 5.
+    |> fun p -> Profile_ref.add p ~from_:5. ~until:15. 7.
   in
-  check_approx "first only" 5.0 (Profile.usage_at p 2.);
-  check_approx "overlap" 12.0 (Profile.usage_at p 7.);
-  check_approx "second only" 7.0 (Profile.usage_at p 12.);
-  check_approx "max over overlap" 12.0 (Profile.max_over p ~from_:0. ~until:15.);
-  check_approx "max over prefix" 12.0 (Profile.max_over p ~from_:0. ~until:6.);
-  check_approx "max over disjoint prefix" 5.0 (Profile.max_over p ~from_:0. ~until:5.)
+  check_approx "first only" 5.0 (Profile_ref.usage_at p 2.);
+  check_approx "overlap" 12.0 (Profile_ref.usage_at p 7.);
+  check_approx "second only" 7.0 (Profile_ref.usage_at p 12.);
+  check_approx "max over overlap" 12.0 (Profile_ref.max_over p ~from_:0. ~until:15.);
+  check_approx "max over prefix" 12.0 (Profile_ref.max_over p ~from_:0. ~until:6.);
+  check_approx "max over disjoint prefix" 5.0 (Profile_ref.max_over p ~from_:0. ~until:5.)
 
 let max_over_sees_interior_spike () =
-  let p = Profile.add Profile.empty ~from_:4. ~until:6. 42. in
-  check_approx "spike inside query" 42.0 (Profile.max_over p ~from_:0. ~until:10.)
+  let p = Profile_ref.add Profile_ref.empty ~from_:4. ~until:6. 42. in
+  check_approx "spike inside query" 42.0 (Profile_ref.max_over p ~from_:0. ~until:10.)
 
 let add_remove_identity () =
   let p =
-    Profile.empty
-    |> fun p -> Profile.add p ~from_:1. ~until:4. 3.
-    |> fun p -> Profile.add p ~from_:2. ~until:6. 2.
-    |> fun p -> Profile.remove p ~from_:1. ~until:4. 3.
-    |> fun p -> Profile.remove p ~from_:2. ~until:6. 2.
+    Profile_ref.empty
+    |> fun p -> Profile_ref.add p ~from_:1. ~until:4. 3.
+    |> fun p -> Profile_ref.add p ~from_:2. ~until:6. 2.
+    |> fun p -> Profile_ref.remove p ~from_:1. ~until:4. 3.
+    |> fun p -> Profile_ref.remove p ~from_:2. ~until:6. 2.
   in
-  Alcotest.(check bool) "back to empty" true (Profile.is_empty p)
+  Alcotest.(check bool) "back to empty" true (Profile_ref.is_empty p)
 
 let integral_value () =
   let p =
-    Profile.empty
-    |> fun p -> Profile.add p ~from_:0. ~until:10. 5.
-    |> fun p -> Profile.add p ~from_:5. ~until:10. 5.
+    Profile_ref.empty
+    |> fun p -> Profile_ref.add p ~from_:0. ~until:10. 5.
+    |> fun p -> Profile_ref.add p ~from_:5. ~until:10. 5.
   in
-  check_approx "50 + 25" 75.0 (Profile.integral p)
+  check_approx "50 + 25" 75.0 (Profile_ref.integral p)
 
 let breakpoints_sorted () =
   let p =
-    Profile.empty
-    |> fun p -> Profile.add p ~from_:5. ~until:9. 1.
-    |> fun p -> Profile.add p ~from_:1. ~until:3. 1.
+    Profile_ref.empty
+    |> fun p -> Profile_ref.add p ~from_:5. ~until:9. 1.
+    |> fun p -> Profile_ref.add p ~from_:1. ~until:3. 1.
   in
-  Alcotest.(check (list (float 0.))) "sorted" [ 1.; 3.; 5.; 9. ] (Profile.breakpoints p)
+  Alcotest.(check (list (float 0.))) "sorted" [ 1.; 3.; 5.; 9. ] (Profile_ref.breakpoints p)
 
 let fold_segments_levels () =
   let p =
-    Profile.empty
-    |> fun p -> Profile.add p ~from_:0. ~until:4. 2.
-    |> fun p -> Profile.add p ~from_:2. ~until:6. 3.
+    Profile_ref.empty
+    |> fun p -> Profile_ref.add p ~from_:0. ~until:4. 2.
+    |> fun p -> Profile_ref.add p ~from_:2. ~until:6. 3.
   in
   let segs =
-    Profile.fold_segments p ~init:[] ~f:(fun acc ~from_ ~until level ->
+    Profile_ref.fold_segments p ~init:[] ~f:(fun acc ~from_ ~until level ->
         (from_, until, level) :: acc)
     |> List.rev
   in
@@ -85,10 +85,10 @@ let fold_segments_levels () =
   check_approx "seg2 level" 3. l2
 
 let rejects_bad_interval () =
-  (match Profile.add Profile.empty ~from_:3. ~until:3. 1. with
+  (match Profile_ref.add Profile_ref.empty ~from_:3. ~until:3. 1. with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty interval accepted");
-  match Profile.add Profile.empty ~from_:0. ~until:infinity 1. with
+  match Profile_ref.add Profile_ref.empty ~from_:0. ~until:infinity 1. with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "infinite interval accepted"
 
@@ -100,13 +100,13 @@ let prop_add_remove_cancels =
         List.map (fun (s, d, bw) -> (float_of_int s, float_of_int (s + d), float_of_int bw)) ops
       in
       let p =
-        List.fold_left (fun p (f, u, bw) -> Profile.add p ~from_:f ~until:u bw) Profile.empty
+        List.fold_left (fun p (f, u, bw) -> Profile_ref.add p ~from_:f ~until:u bw) Profile_ref.empty
           intervals
       in
       let p =
-        List.fold_left (fun p (f, u, bw) -> Profile.remove p ~from_:f ~until:u bw) p intervals
+        List.fold_left (fun p (f, u, bw) -> Profile_ref.remove p ~from_:f ~until:u bw) p intervals
       in
-      Profile.is_empty p)
+      Profile_ref.is_empty p)
 
 (* --- Allocation --- *)
 

@@ -5,7 +5,7 @@ open Helpers
 module Fabric = Gridbw_topology.Fabric
 module Request = Gridbw_request.Request
 module Allocation = Gridbw_alloc.Allocation
-module Profile = Gridbw_alloc.Profile
+module Profile_ref = Gridbw_alloc.Profile_ref
 module Trace = Gridbw_workload.Trace
 module Spec = Gridbw_workload.Spec
 module Gen = Gridbw_workload.Gen
@@ -39,12 +39,12 @@ let prop_profile_max_dominates_point =
         List.fold_left
           (fun p _ ->
             let from_ = Rng.float_in rng 0. 50. in
-            Profile.add p ~from_ ~until:(from_ +. Rng.float_in rng 0.5 10.) (Rng.float_in rng 1. 20.))
-          Profile.empty (List.init n Fun.id)
+            Profile_ref.add p ~from_ ~until:(from_ +. Rng.float_in rng 0.5 10.) (Rng.float_in rng 1. 20.))
+          Profile_ref.empty (List.init n Fun.id)
       in
       let probe = Rng.float_in rng 0. 60. in
-      Profile.max_over p ~from_:probe ~until:(probe +. 5.)
-      >= Profile.usage_at p probe -. 1e-9)
+      Profile_ref.max_over p ~from_:probe ~until:(probe +. 5.)
+      >= Profile_ref.usage_at p probe -. 1e-9)
 
 let prop_scaled_utilization_dominates_raw =
   qcase ~count:30 "summary: B_scaled utilization >= raw utilization" seed_gen (fun seed ->

@@ -39,28 +39,27 @@ let with_tmpdir f =
 let wal_config ?(batch = 4) ?(segment_bytes = Wal.default_config.Wal.segment_bytes) () =
   { Wal.batch; delay = 3600.; segment_bytes }
 
-let store_config ?batch ?segment_bytes ?(snapshot_bytes = max_int) ?codec () =
-  { Store.default_config with
-    wal = wal_config ?batch ?segment_bytes ();
-    snapshot_bytes;
-    codec = Option.value codec ~default:Store.default_config.Store.codec }
+let store_config ?batch ?segment_bytes ?(snapshot_bytes = max_int) () =
+  { Store.default_config with wal = wal_config ?batch ?segment_bytes (); snapshot_bytes }
 
 (* --- WAL unit tests --- *)
 
 let test_frame_roundtrip () =
-  let payload = {|{"ev":"accept","id":7}|} in
-  let framed = Wal.frame payload in
-  Alcotest.(check bool) "newline-terminated" true (framed.[String.length framed - 1] = '\n');
-  (match Wal.parse_frame (String.sub framed 0 (String.length framed - 1)) with
-  | Ok p -> Alcotest.(check string) "payload survives" payload p
-  | Error e -> Alcotest.failf "frame does not parse: %s" e);
-  (* Any single corrupted payload byte breaks the CRC. *)
-  let corrupt = Bytes.of_string framed in
-  Bytes.set corrupt (String.length framed - 3)
-    (Char.chr (Char.code (Bytes.get corrupt (String.length framed - 3)) lxor 1));
-  match Wal.parse_frame (Bytes.sub_string corrupt 0 (Bytes.length corrupt - 1)) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "corrupted frame accepted"
+  with_tmpdir (fun dir ->
+      let payloads = [ ""; "\n"; "\xB1"; String.make 300 'z' ] in
+      let w = Wal.create ~config:(wal_config ~batch:1 ()) ~dir () in
+      List.iter (Wal.append w) payloads;
+      Wal.close w;
+      let s = Wal.scan ~dir in
+      Alcotest.(check (list string)) "payloads survive" payloads
+        (List.map (fun (r : Wal.record) -> r.Wal.payload) s.Wal.records);
+      (* Any single corrupted payload byte breaks the CRC: the log is cut
+         before that record. *)
+      let last = List.nth s.Wal.records 3 in
+      Torn.flip_byte ~dir (last.Wal.off + Gridbw_wire.Frame.header_bytes + 7);
+      let s = Wal.scan ~dir in
+      Alcotest.(check int) "records before the flip survive" 3 s.Wal.valid;
+      Alcotest.(check bool) "corruption detected" true (s.Wal.torn <> None))
 
 let test_group_commit () =
   with_tmpdir (fun dir ->
@@ -132,10 +131,10 @@ let baseline requests =
   let result = Flexible.greedy (fabric2 ()) policy requests in
   Summary.compute (fabric2 ()) ~all:requests ~accepted:result.Types.accepted
 
-let journal_run ?batch ?segment_bytes ?snapshot_bytes ?codec ~dir requests =
+let journal_run ?batch ?segment_bytes ?snapshot_bytes ~dir requests =
   let t0 = List.fold_left (fun t (r : Request.t) -> Float.min t r.Request.ts) 0.0 requests in
   let store =
-    Store.create ~config:(store_config ?batch ?segment_bytes ?snapshot_bytes ?codec ())
+    Store.create ~config:(store_config ?batch ?segment_bytes ?snapshot_bytes ())
       ~time:t0 ~dir (fabric2 ())
   in
   let result = Flexible.greedy ~ctx:(Gridbw_core.Runtime.make ~store ()) (fabric2 ()) policy requests in
@@ -175,13 +174,13 @@ let carve ~src ~scratch n =
   Torn.truncate_at ~dir:scratch n;
   scratch
 
-let crash_matrix ?codec seed () =
+let crash_matrix seed () =
   let requests = workload_of_seed ~n:30 seed in
   let expected = baseline requests in
   with_tmpdir (fun tmp ->
       let src = Filename.concat tmp "src" in
       let scratch = Filename.concat tmp "carved" in
-      ignore (journal_run ~batch:4 ?codec ~dir:src requests);
+      ignore (journal_run ~batch:4 ~dir:src requests);
       let boundaries, total = Torn.record_boundaries ~dir:src in
       Alcotest.(check bool) "journal is non-trivial" true (List.length boundaries > n_prefix);
       List.iteri
@@ -481,7 +480,7 @@ let test_snapshot_decoder_total () =
       write newest image;
       write older older_image;
       let events = baseline.Store.events in
-      let cursor = List.length events in
+      let cursor = Store.records baseline.Store.store in
       write (Printf.sprintf "snap-%010d.json" cursor)
         (String.concat "\n"
            ((Printf.sprintf {|{"snap":1,"cursor":%d,"events":%d}|} cursor cursor
@@ -687,6 +686,16 @@ let test_sharded_crash_matrix () =
 module Malleable = Gridbw_malleable.Malleable
 module Rate_profile = Gridbw_alloc.Rate_profile
 
+(* The events of each WAL record in log order: one, or an arrival and
+   its decision. *)
+let record_events dir =
+  List.map
+    (fun (r : Wal.record) ->
+      match Gridbw_obs.Event_codec.Binary.of_record r.Wal.payload with
+      | Ok evs -> evs
+      | Error e -> Alcotest.failf "record %d does not decode: %s" r.Wal.index e)
+    (Wal.scan ~dir).Wal.records
+
 let malleable_journal_run ?obs ?snapshot_bytes ~dir requests =
   let t0 = List.fold_left (fun t (r : Request.t) -> Float.min t r.Request.ts) 0.0 requests in
   let store =
@@ -743,9 +752,13 @@ let test_malleable_crash_matrix () =
             r.Store.events
       in
       let boundaries, total = Torn.record_boundaries ~dir:src in
-      (* one WAL record per event (the capacity prefix is events too):
-         the event index IS the record index the carves are keyed by *)
-      Alcotest.(check int) "records = events" (List.length events) (List.length boundaries);
+      (* carves are keyed by record; a record holds one event, or an
+         arrival and its decision *)
+      let records = record_events src in
+      Alcotest.(check int) "one boundary per record" (List.length records)
+        (List.length boundaries);
+      if List.concat records <> events then
+        Alcotest.fail "the records do not expand to the recovered events";
       let boundary_of record =
         match List.nth_opt boundaries record with Some b -> b | None -> total
       in
@@ -770,55 +783,192 @@ let test_malleable_crash_matrix () =
          and the post state holds the admit AND every revision *)
       let checked = ref 0 in
       List.iteri
-        (fun i ev ->
-          match ev with
-          | Event.Reshape { id; profile; revised; _ } when Array.length revised > 0 ->
-              incr checked;
-              let record = i in
-              let before_b = boundary_of record and after_b = boundary_of (record + 1) in
-              let label = Printf.sprintf "reshape record %d (admit %d)" record id in
-              let pre =
-                malleable_recovered_state ~label:(label ^ ", pre")
-                  ~dir:(carve ~src ~scratch before_b)
-              in
-              let mid =
-                malleable_recovered_state ~label:(label ^ ", torn")
-                  ~dir:(carve ~src ~scratch (before_b + ((after_b - before_b) / 2)))
-              in
-              if mid <> pre then
-                Alcotest.failf "%s: torn reshape left a partial state behind" label;
-              let post =
-                malleable_recovered_state ~label:(label ^ ", post")
-                  ~dir:(carve ~src ~scratch after_b)
-              in
-              (match List.assoc_opt id post with
-              | Some got when got = profile -> ()
-              | Some _ -> Alcotest.failf "%s: admitted profile differs from the record" label
-              | None -> Alcotest.failf "%s: admit missing after a committed reshape" label);
-              Array.iter
-                (fun (rid, triples) ->
-                  if not (List.mem_assoc rid pre) then
-                    Alcotest.failf "%s: revision targets %d, which was never admitted" label rid;
-                  match List.assoc_opt rid post with
-                  | Some got when got = triples -> ()
-                  | Some _ ->
-                      Alcotest.failf "%s: revision of %d not applied by the replay" label rid
-                  | None -> Alcotest.failf "%s: revised transfer %d vanished" label rid)
-                revised
-          | _ -> ())
-        events;
+        (fun record evs ->
+          List.iter
+            (function
+              | Event.Reshape { id; profile; revised; _ } when Array.length revised > 0 ->
+                  incr checked;
+                  let before_b = boundary_of record and after_b = boundary_of (record + 1) in
+                  let label = Printf.sprintf "reshape record %d (admit %d)" record id in
+                  let pre =
+                    malleable_recovered_state ~label:(label ^ ", pre")
+                      ~dir:(carve ~src ~scratch before_b)
+                  in
+                  let mid =
+                    malleable_recovered_state ~label:(label ^ ", torn")
+                      ~dir:(carve ~src ~scratch (before_b + ((after_b - before_b) / 2)))
+                  in
+                  if mid <> pre then
+                    Alcotest.failf "%s: torn reshape left a partial state behind" label;
+                  let post =
+                    malleable_recovered_state ~label:(label ^ ", post")
+                      ~dir:(carve ~src ~scratch after_b)
+                  in
+                  (match List.assoc_opt id post with
+                  | Some got when got = profile -> ()
+                  | Some _ -> Alcotest.failf "%s: admitted profile differs from the record" label
+                  | None -> Alcotest.failf "%s: admit missing after a committed reshape" label);
+                  Array.iter
+                    (fun (rid, triples) ->
+                      if not (List.mem_assoc rid pre) then
+                        Alcotest.failf "%s: revision targets %d, which was never admitted" label rid;
+                      match List.assoc_opt rid post with
+                      | Some got when got = triples -> ()
+                      | Some _ ->
+                          Alcotest.failf "%s: revision of %d not applied by the replay" label rid
+                      | None -> Alcotest.failf "%s: revised transfer %d vanished" label rid)
+                    revised
+              | _ -> ())
+            evs)
+        records;
       Alcotest.(check bool) "workload produced revising reshapes" true (!checked > 0))
 
-(* --- the live journal keeps only what live code reads ---
+(* --- pair records under the crash matrix ---
+
+   A pair record is the arrival and the decision together: a crash at any
+   byte inside it loses both, so recovery sees exactly the records before
+   it, and the resumed run re-emits the arrival and re-decides. *)
+
+let test_pair_record_every_byte () =
+  let requests = workload_of_seed ~n:30 3 in
+  let expected = baseline requests in
+  with_tmpdir (fun tmp ->
+      let src = Filename.concat tmp "src" in
+      let scratch = Filename.concat tmp "carved" in
+      ignore (journal_run ~batch:4 ~dir:src requests);
+      let boundaries, total = Torn.record_boundaries ~dir:src in
+      let bound k = match List.nth_opt boundaries k with Some b -> b | None -> total in
+      let records = record_events src in
+      let first pred =
+        let rec go k = function
+          | [] -> Alcotest.fail "journal holds no such pair"
+          | evs :: rest -> if pred evs then k else go (k + 1) rest
+        in
+        go 0 records
+      in
+      let admitted = first (function [ Event.Arrival _; Event.Accept _ ] -> true | _ -> false) in
+      let refused = first (function [ Event.Arrival _; Event.Reject _ ] -> true | _ -> false) in
+      List.iter
+        (fun k ->
+          let before = List.concat (List.filteri (fun i _ -> i < k) records) in
+          for cut = bound k to bound (k + 1) - 1 do
+            let label = Printf.sprintf "pair record %d cut at byte %d" k (cut - bound k) in
+            let dir = carve ~src ~scratch cut in
+            let r = recover_exn ~label dir in
+            if r.Store.events <> before then
+              Alcotest.failf "%s: recovered more or less than the records before it" label;
+            resume_and_check ~label ~expected ~dir requests
+          done)
+        [ admitted; refused ])
+
+(* The same for a malleable pair whose Reshape revises pending
+   bookings: every cut inside it recovers the state before it. *)
+let test_reshape_pair_every_byte () =
+  let requests = workload_of_seed ~n:30 5 in
+  with_tmpdir (fun tmp ->
+      let src = Filename.concat tmp "src" in
+      let scratch = Filename.concat tmp "carved" in
+      ignore (malleable_journal_run ~dir:src requests);
+      let boundaries, total = Torn.record_boundaries ~dir:src in
+      let bound k = match List.nth_opt boundaries k with Some b -> b | None -> total in
+      let rec find k = function
+        | [] -> Alcotest.fail "journal holds no revising reshape pair"
+        | [ Event.Arrival _; Event.Reshape { revised; _ } ] :: _ when Array.length revised > 0 -> k
+        | _ :: rest -> find (k + 1) rest
+      in
+      let k = find 0 (record_events src) in
+      let pre =
+        malleable_recovered_state ~label:"before the pair" ~dir:(carve ~src ~scratch (bound k))
+      in
+      for cut = bound k + 1 to bound (k + 1) - 1 do
+        let label = Printf.sprintf "reshape pair %d cut at byte %d" k (cut - bound k) in
+        if malleable_recovered_state ~label ~dir:(carve ~src ~scratch cut) <> pre then
+          Alcotest.failf "%s: a torn pair left a partial state behind" label
+      done;
+      let post =
+        malleable_recovered_state ~label:"after the pair" ~dir:(carve ~src ~scratch (bound (k + 1)))
+      in
+      Alcotest.(check bool) "the whole pair books" true (post <> pre))
+
+(* --- the pair rule at the store ---
+
+   An arrival pairs only with the decision right after it that repeats
+   its id and time (and request fields, for an Accept); anything else,
+   and a sync, writes it alone.  Either way recovery gives back the
+   events in the order they were logged. *)
+
+let test_pair_rule_fallback () =
+  with_tmpdir (fun dir ->
+      let store = Store.create ~config:(store_config ~batch:1000 ()) ~dir (fabric2 ()) in
+      let arrival id time =
+        Event.Arrival
+          { time; seq = id; id; ingress = 0; egress = 1; volume = 10.; ts = time;
+            tf = time +. 10.; max_rate = 5. }
+      in
+      let accept ?(volume = 10.) id time =
+        Event.Accept
+          { time; id; ingress = 0; egress = 1; volume; ts = time; tf = time +. 10.; max_rate = 5.;
+            bw = 1.; sigma = time; shard = None }
+      in
+      let reject id time =
+        Event.Reject { time; id; reason = "port-saturated"; port = None; headroom = None; shard = None }
+      in
+      let records () = Store.records store in
+      let case label events ~records:n =
+        let before = records () in
+        List.iter (Store.log store) events;
+        Store.sync store;
+        Alcotest.(check int) label n (records () - before)
+      in
+      case "same id and time: one record" [ arrival 1 1.; accept 1 1. ] ~records:1;
+      case "refusal, same id and time: one record" [ arrival 2 2.; reject 2 2. ] ~records:1;
+      case "time differs: two records" [ arrival 3 3.; accept 3 3.5 ] ~records:2;
+      case "id differs: two records" [ arrival 4 4.; reject 40 4. ] ~records:2;
+      case "request field differs: two records" [ arrival 5 5.; accept ~volume:11. 5 5. ]
+        ~records:2;
+      case "arrival after arrival: the first alone" [ arrival 6 6.; arrival 7 6.; accept 7 6. ]
+        ~records:2;
+      case "a preempt between: three records"
+        [ arrival 8 8.; Event.Preempt { time = 8.; id = 1; bw = 1.; shard = None }; reject 8 8. ]
+        ~records:3;
+      (* a sync writes the held arrival, durably *)
+      Store.log store (arrival 9 9.);
+      let held = records () in
+      Store.sync store;
+      Alcotest.(check int) "sync writes the held arrival" (held + 1) (records ());
+      Alcotest.(check int) "and it is on disk" (records ()) (Wal.scan ~dir).Wal.valid;
+      Store.log store (reject 9 9.);
+      Store.log store (arrival 10 10.);
+      Store.close store;
+      let r = recover_exn ~label:"fallback journal" dir in
+      let logged = List.filteri (fun i _ -> i >= n_prefix) r.Store.events in
+      let expected =
+        [ arrival 1 1.; accept 1 1.; arrival 2 2.; reject 2 2.; arrival 3 3.; accept 3 3.5;
+          arrival 4 4.; reject 40 4.; arrival 5 5.; accept ~volume:11. 5 5.; arrival 6 6.;
+          arrival 7 6.; accept 7 6.; arrival 8 8.;
+          Event.Preempt { time = 8.; id = 1; bw = 1.; shard = None }; reject 8 8.;
+          arrival 9 9.; reject 9 9.; arrival 10 10. ]
+      in
+      if logged <> expected then Alcotest.fail "recovered events differ from the logged ones";
+      Alcotest.(check int) "close writes the last held arrival" 16
+        (Store.records r.Store.store - n_prefix))
+
+(* --- the pair journal ---
 
    [Store.log] books an event's ledger effects and appends its record;
-   the history views of [Store.recovered] are built by recovery alone.
-   Two journals pin that down: GREEDY decisions served through
-   [Admission] with cancels (Preempt records), and a malleable run whose
-   Reshape records revise pending bookings. *)
+   an arrival waits for the decision after it and shares its record.
+   Five journals pin that down, each returning the events it gave
+   [Store.log] after the capacity prefix:
+   - GREEDY on an [Online] controller, with cancels (Preempt records);
+   - the daemon's admission kernel, with cancels;
+   - WINDOW, whose batched arrivals stay records of their own;
+   - a malleable run whose Reshape records revise pending bookings;
+   - the sharded engine, which logs straight into the store. *)
 
 module Admission = Gridbw_serve.Admission
 module Protocol = Gridbw_serve.Protocol
+module Online = Gridbw_core.Online
+module Runtime = Gridbw_core.Runtime
 
 (* An obs ctx whose trace sink records every event it is handed. *)
 let recording () =
@@ -826,9 +976,39 @@ let recording () =
   let sink = { Gridbw_obs.Sink.emit = (fun e -> seen := e :: !seen); flush = ignore } in
   (Obs.create ~sink (), fun () -> List.rev !seen)
 
-let greedy_with_cancels_run ~obs ~snapshot_bytes ~dir =
+let journal_store ~snapshot_bytes ~dir =
+  Store.create ~config:(store_config ~batch:4 ~snapshot_bytes ()) ~dir (fabric2 ())
+
+let arrival_of ~time ~seq (r : Request.t) =
+  Event.Arrival
+    { time; seq; id = r.Request.id; ingress = r.Request.ingress; egress = r.Request.egress;
+      volume = r.Request.volume; ts = r.Request.ts; tf = r.Request.tf;
+      max_rate = r.Request.max_rate }
+
+(* every third admit is cancelled right after it is granted *)
+let greedy_cancels_run ~snapshot_bytes ~dir =
+  let store = journal_store ~snapshot_bytes ~dir in
+  let obs, seen = recording () in
+  let ctx = Runtime.make ~obs ~store () in
+  let ctl = Online.create (fabric2 ()) in
+  let requests =
+    List.filter (fun (r : Request.t) -> r.Request.ts >= 0.) (workload_of_seed ~n:60 7)
+  in
+  List.iteri
+    (fun seq (r : Request.t) ->
+      Obs.event (Runtime.observed ctx) (fun () -> arrival_of ~time:r.Request.ts ~seq r);
+      match Online.try_admit ~ctx ctl policy r ~at:r.Request.ts with
+      | Types.Accepted a when seq mod 3 = 0 ->
+          if not (Online.preempt ~ctx ctl a) then Alcotest.fail "cancel of a fresh grant failed"
+      | _ -> ())
+    (Flexible.arrival_order requests);
+  Store.close store;
+  seen ()
+
+let daemon_cancels_run ~snapshot_bytes ~dir =
   let fabric = fabric2 () in
-  let store = Store.create ~config:(store_config ~batch:4 ~snapshot_bytes ()) ~dir fabric in
+  let store = journal_store ~snapshot_bytes ~dir in
+  let obs, seen = recording () in
   let t = Admission.create ~obs ~store ~policy fabric in
   (* requests 0, 3, 6, ... are cancelled right after they are admitted,
      so Preempt records sit between later decisions *)
@@ -849,27 +1029,79 @@ let greedy_with_cancels_run ~obs ~snapshot_bytes ~dir =
       | _ -> ())
     (workload_of_seed ~n:80 3);
   Alcotest.(check bool) "workload admits and cancels" true (!cancelled >= 3);
-  Admission.close t
+  Admission.close t;
+  seen ()
 
-let malleable_reshape_run ~obs ~snapshot_bytes ~dir =
-  ignore (malleable_journal_run ~obs ~snapshot_bytes ~dir (workload_of_seed ~n:30 5))
+let window_run ~snapshot_bytes ~dir =
+  let store = journal_store ~snapshot_bytes ~dir in
+  let obs, seen = recording () in
+  ignore
+    (Flexible.window ~ctx:(Runtime.make ~obs ~store ()) (fabric2 ()) policy ~step:10.
+       (workload_of_seed ~n:60 11));
+  Store.close store;
+  seen ()
+
+let malleable_reshape_run ~snapshot_bytes ~dir =
+  let obs, seen = recording () in
+  ignore (malleable_journal_run ~obs ~snapshot_bytes ~dir (workload_of_seed ~n:30 5));
+  seen ()
+
+(* The sharded engine logs straight into the store; what it logs is
+   rebuilt from its decisions: the Arrival it stamps with the decision's
+   time and its own sequence number, the decision itself, and a Preempt
+   per successful cancel, at the engine clock and on the deciding shard
+   of the booking. *)
+let sharded_run ~snapshot_bytes ~dir =
+  let store = journal_store ~snapshot_bytes ~dir in
+  let engine = Shard_engine.create ~journal:store ~spawn:false ~shards:2 policy (fabric2 ()) in
+  let obs, decisions = recording () in
+  let logged = ref [] and booked = ref [] and seq = ref 0 in
+  List.iteri
+    (fun i (r : Request.t) ->
+      let decision = Shard_engine.try_admit ~obs engine r in
+      let ev = List.hd (List.rev (decisions ())) in
+      logged := ev :: arrival_of ~time:(Event.time ev) ~seq:!seq r :: !logged;
+      incr seq;
+      (match (decision, ev) with
+      | Types.Accepted a, Event.Accept { shard; _ } -> booked := (a, shard) :: !booked
+      | _ -> ());
+      if i mod 5 = 2 then
+        match !booked with
+        | (a, shard) :: rest ->
+            if Shard_engine.cancel engine a then
+              logged :=
+                Event.Preempt
+                  { time = Shard_engine.now engine; id = a.Allocation.request.Request.id;
+                    bw = a.Allocation.bw; shard }
+                :: !logged;
+            booked := rest
+        | [] -> ())
+    (sharded_workload ());
+  Shard_engine.flush engine;
+  Store.close store;
+  List.rev !logged
+
+let journals =
+  [
+    ("greedy with cancels", greedy_cancels_run);
+    ("daemon with cancels", daemon_cancels_run);
+    ("window", window_run);
+    ("malleable reshapes", malleable_reshape_run);
+    ("sharded engine", sharded_run);
+  ]
 
 (* Run [journal] into [dir] and return the events [Store.log] was given:
-   the capacity prefix [Store.create] logs itself, then every emitted
-   event that is admission state. *)
+   the capacity prefix [Store.create] logs itself, then every event the
+   journal logged that is admission state. *)
 let journaled_events ~journal ~dir =
-  let obs, seen = recording () in
-  journal ~obs ~snapshot_bytes:512 ~dir;
+  let given = journal ~snapshot_bytes:512 ~dir in
   let prefix =
     List.filteri (fun i _ -> i < n_prefix) (recover_exn ~label:"journal" dir).Store.events
   in
   List.iter
     (function Event.Capacity _ -> () | _ -> Alcotest.fail "prefix holds a non-capacity event")
     prefix;
-  prefix @ List.filter (function Event.Dispatch _ -> false | _ -> true) (seen ())
-
-let journals =
-  [ ("greedy with cancels", greedy_with_cancels_run); ("malleable reshapes", malleable_reshape_run) ]
+  prefix @ List.filter (function Event.Dispatch _ -> false | _ -> true) given
 
 let wal_image dir =
   Sys.readdir dir |> Array.to_list
@@ -882,23 +1114,96 @@ let wal_image dir =
            (fun () -> really_input_string ic (in_channel_length ic)))
   |> String.concat ""
 
-let test_wal_is_framed_bodies () =
+(* The record stream the pair rule makes of [events], framed: an arrival
+   and the decision after it share a record when they pair; every other
+   event is a record of its own.  Returns the stream and its pair count. *)
+let pair_rule_image events =
+  let b = Buffer.create 4096 and body = Buffer.create 256 in
+  let frame () = Gridbw_wire.Frame.add b ~tag:Wal.record_tag (Buffer.contents body) in
+  let single ev =
+    Buffer.clear body;
+    Gridbw_obs.Event_codec.Binary.encode_body body ev;
+    frame ()
+  in
+  let rec go pairs = function
+    | (Event.Arrival _ as arrival) :: ev :: rest ->
+        Buffer.clear body;
+        if Gridbw_obs.Event_codec.Binary.encode_pair body ~arrival ev then begin
+          frame ();
+          go (pairs + 1) rest
+        end
+        else begin
+          single arrival;
+          go pairs (ev :: rest)
+        end
+    | ev :: rest ->
+        single ev;
+        go pairs rest
+    | [] -> pairs
+  in
+  let pairs = go 0 events in
+  (Buffer.contents b, pairs)
+
+let decisions_of events =
+  List.length
+    (List.filter
+       (function Event.Accept _ | Event.Reject _ | Event.Reshape _ -> true | _ -> false)
+       events)
+
+let test_wal_is_pair_records () =
   List.iter
     (fun (label, journal) ->
       with_tmpdir (fun dir ->
           let events = journaled_events ~journal ~dir in
-          let expected = Buffer.create 4096 in
+          let expected, pairs = pair_rule_image events in
+          let records = (Wal.scan ~dir).Wal.valid in
+          Alcotest.(check int) (label ^ ": a pair record per pair") (List.length events - pairs)
+            records;
+          (* WINDOW decides a batch after all of its arrivals; every other
+             journal decides each request right after its arrival *)
+          if label = "window" then
+            Alcotest.(check bool) (label ^ ": standalone arrivals remain") true
+              (pairs < decisions_of events)
+          else Alcotest.(check int) (label ^ ": every decision pairs") (decisions_of events) pairs;
+          if wal_image dir <> expected then
+            Alcotest.failf "%s: the WAL is not the pair-rule records, byte for byte" label))
+    journals
+
+(* Recovery expands every pair back: the history equals what the journal
+   gave [Store.log], from a snapshot in the middle of the log and from
+   the WAL alone. *)
+let test_recovered_events_are_logged_events () =
+  List.iter
+    (fun (label, journal) ->
+      with_tmpdir (fun tmp ->
+          let src = Filename.concat tmp "src" in
+          let events = journaled_events ~journal ~dir:src in
+          let bare = Filename.concat tmp "bare" in
+          Torn.copy_store ~src ~dst:bare;
+          List.iter (fun f -> Sys.remove (Filename.concat bare f)) (snap_files bare);
+          let with_snap = recover_exn ~label src in
+          let wal_only = recover_exn ~label:(label ^ ", WAL only") bare in
+          Alcotest.(check bool) (label ^ ": started from a snapshot") true
+            (with_snap.Store.snapshot_cursor > 0);
           List.iter
-            (fun ev ->
-              Gridbw_wire.Frame.add expected ~tag:Wal.record_tag
-                (Gridbw_obs.Event_codec.Binary.body_of ev))
-            events;
-          Alcotest.(check bool) (label ^ ": journal has Preempt or Reshape records") true
-            (List.exists (function Event.Preempt _ | Event.Reshape _ -> true | _ -> false) events);
-          Alcotest.(check int) (label ^ ": one record per event") (List.length events)
-            (Wal.scan ~dir).Wal.valid;
-          if wal_image dir <> Buffer.contents expected then
-            Alcotest.failf "%s: the WAL is not the framed event bodies, byte for byte" label))
+            (fun (how, (r : Store.recovered)) ->
+              if r.Store.events <> events then
+                Alcotest.failf "%s, %s: recovered events differ from the logged ones" label how;
+              Alcotest.(check int) (label ^ ", " ^ how ^ ": replayed records")
+                (Store.records r.Store.store - r.Store.snapshot_cursor)
+                r.Store.replayed)
+            [ ("from a snapshot", with_snap); ("WAL only", wal_only) ];
+          let ids =
+            List.fold_left
+              (fun m ev ->
+                match ev with
+                | Event.Arrival { id; _ } | Event.Accept { id; _ } | Event.Reject { id; _ }
+                | Event.Reshape { id; _ } ->
+                    Int.max m (id + 1)
+                | _ -> m)
+              0 events
+          in
+          check_same_recovery ~label ~ids with_snap wal_only))
     journals
 
 (* The views straight from the event list, the way the store kept them
@@ -948,8 +1253,7 @@ let test_recovered_views_match_events () =
     (fun (label, journal) ->
       with_tmpdir (fun tmp ->
           let src = Filename.concat tmp "src" in
-          let obs, _ = recording () in
-          journal ~obs ~snapshot_bytes:512 ~dir:src;
+          ignore (journal ~snapshot_bytes:512 ~dir:src);
           Alcotest.(check bool) (label ^ ": snapshots were written") true (snap_files src <> []);
           let bare = Filename.concat tmp "bare" in
           Torn.copy_store ~src ~dst:bare;
@@ -1150,7 +1454,6 @@ let suites =
         case "store: create refuses an existing store" test_create_refuses_existing;
         case "crash matrix: every boundary and torn record (seed 3)" (crash_matrix 3);
         case "crash matrix: every boundary and torn record (seed 17)" (crash_matrix 17);
-        case "crash matrix: jsonl-codec journal (seed 3)" (crash_matrix ~codec:Wal.Jsonl 3);
         case "crash: flipped byte truncates at the CRC" test_flipped_byte_truncates;
         case "crash: snapshot + WAL tail recovery" test_snapshot_recovery;
         case "snapshot: recovery equals WAL-only recovery" test_snapshot_matches_wal_only;
@@ -1163,7 +1466,13 @@ let suites =
           test_sharded_crash_matrix;
         case "crash matrix: malleable journal, reshape+admit both-or-neither"
           test_malleable_crash_matrix;
-        case "journal: the WAL is the framed event bodies" test_wal_is_framed_bodies;
+        case "crash matrix: a pair record cut at every byte" test_pair_record_every_byte;
+        case "crash matrix: a revising reshape pair cut at every byte"
+          test_reshape_pair_every_byte;
+        case "journal: the pair rule falls back to single records" test_pair_rule_fallback;
+        case "journal: the WAL is the pair-rule records, byte for byte" test_wal_is_pair_records;
+        case "journal: recovered events are the logged events, with or without a snapshot"
+          test_recovered_events_are_logged_events;
         case "recovery: bookings, decided, arrived match the event history"
           test_recovered_views_match_events;
         case "metrics: store counters land in the registry" test_store_metrics;

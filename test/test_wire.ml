@@ -1,8 +1,8 @@
 (* lib/wire: the two wire forms of every event constructor must agree —
    encode with either codec, decode, and land on the same event — plus
-   frame-level corruption detection, truncation handling, and
-   mixed-format streams (trace files and WAL segments may interleave
-   JSONL lines and binary frames freely). *)
+   frame-level corruption detection, truncation handling, mixed-format
+   trace streams (JSONL lines and binary frames interleaved), and the
+   WAL's pair records (an arrival and its decision in one body). *)
 
 open Helpers
 module Codec = Gridbw_wire.Codec
@@ -185,26 +185,177 @@ let test_frame_tag_validation () =
   | Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "wrong-tag frame accepted as an event"
 
-let test_line_hexline_roundtrip () =
+let test_line_roundtrip () =
   List.iter
     (fun payload ->
       let b = Buffer.create 32 in
       Frame.Line.encode b payload;
-      (match Frame.Line.decode (Buffer.contents b) ~pos:0 with
+      match Frame.Line.decode (Buffer.contents b) ~pos:0 with
       | Codec.Value (p, _) -> Alcotest.(check string) "line payload" payload p
-      | _ -> Alcotest.fail "line frame does not decode");
-      let b = Buffer.create 32 in
-      Frame.Hexline.encode b payload;
-      match Frame.Hexline.decode (Buffer.contents b) ~pos:0 with
-      | Codec.Value (p, _) -> Alcotest.(check string) "hexline payload" payload p
-      | _ -> Alcotest.fail "hexline frame does not decode")
+      | _ -> Alcotest.fail "line frame does not decode")
     [ ""; "x"; {|{"ev":"accept","id":7}|}; String.make 300 'z' ]
 
-(* --- WAL: mixed-format segments --- *)
+(* --- WAL pair records --- *)
 
-(* A journal written under one format and continued under the other must
-   stay fully replayable: the scanner sniffs per record. *)
-let test_wal_mixed_segment () =
+module Binary = Event_codec.Binary
+
+(* Bodies store floats as IEEE bit patterns, so equal bodies mean
+   bit-equal events (-0. and 0. included). *)
+let body = Binary.body_of
+
+let gen_triples =
+  QCheck2.Gen.(array_size (int_range 0 4) (triple gen_float gen_float gen_float))
+
+(* An arrival and a decision that pairs with it: same time and id, and
+   for an Accept or Reshape the same request fields. *)
+let gen_pair =
+  let open QCheck2.Gen in
+  let* time = gen_float and* seq = gen_id and* id = gen_id in
+  let* ingress = gen_id and* egress = gen_id in
+  let* volume = gen_float and* ts = gen_float and* tf = gen_float in
+  let* max_rate = gen_float and* shard = option gen_id in
+  let arrival = Event.Arrival { time; seq; id; ingress; egress; volume; ts; tf; max_rate } in
+  let* decision =
+    oneof
+      [
+        (let* bw = gen_float and* sigma = gen_float in
+         return
+           (Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard }));
+        (let* reason = gen_reason and* port = option (pair gen_side gen_id) in
+         let* headroom = option gen_float in
+         return (Event.Reject { time; id; reason; port; headroom; shard }));
+        (let* profile = gen_triples
+         and* revised = array_size (int_range 0 3) (pair gen_id gen_triples) in
+         return
+           (Event.Reshape
+              { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised; shard }));
+      ]
+  in
+  return (arrival, decision)
+
+let pair_body ~arrival decision =
+  let b = Buffer.create 128 in
+  if Binary.encode_pair b ~arrival decision then Some (Buffer.contents b)
+  else if Buffer.length b > 0 then Alcotest.fail "a refused pair wrote bytes"
+  else None
+
+let prop_pair_roundtrip =
+  qcase ~count:500 "wal pair: arrival + decision round-trip bit-exactly" gen_pair
+    (fun (arrival, decision) ->
+      match pair_body ~arrival decision with
+      | None -> false
+      | Some s -> (
+          (match Binary.of_body s with
+          | Ok _ -> Alcotest.fail "of_body accepted a pair record"
+          | Error _ -> ());
+          match Binary.of_record s with
+          | Ok [ a; d ] -> body a = body arrival && body d = body decision
+          | Ok _ | Error _ -> false))
+
+(* The next float up, bit-wise: never bit-equal to [x]. *)
+let nudge x = Int64.float_of_bits (Int64.succ (Int64.bits_of_float x))
+
+(* Differ in the time, the id or one request field: no pair. *)
+let prop_pair_refused =
+  qcase ~count:500 "wal pair: a differing id, time or request field is refused"
+    QCheck2.Gen.(pair gen_pair (int_range 0 7))
+    (fun ((arrival, decision), field) ->
+      let decision =
+        match decision with
+        | Event.Accept d -> (
+            match field with
+            | 0 -> Event.Accept { d with time = nudge d.time }
+            | 1 -> Event.Accept { d with id = d.id + 1 }
+            | 2 -> Event.Accept { d with ingress = d.ingress + 1 }
+            | 3 -> Event.Accept { d with egress = d.egress + 1 }
+            | 4 -> Event.Accept { d with volume = nudge d.volume }
+            | 5 -> Event.Accept { d with ts = nudge d.ts }
+            | 6 -> Event.Accept { d with tf = nudge d.tf }
+            | _ -> Event.Accept { d with max_rate = nudge d.max_rate })
+        | Event.Reshape d -> (
+            match field with
+            | 0 -> Event.Reshape { d with time = nudge d.time }
+            | 1 -> Event.Reshape { d with id = d.id + 1 }
+            | 2 -> Event.Reshape { d with ingress = d.ingress + 1 }
+            | 3 -> Event.Reshape { d with egress = d.egress + 1 }
+            | 4 -> Event.Reshape { d with volume = nudge d.volume }
+            | 5 -> Event.Reshape { d with ts = nudge d.ts }
+            | 6 -> Event.Reshape { d with tf = nudge d.tf }
+            | _ -> Event.Reshape { d with max_rate = nudge d.max_rate })
+        | Event.Reject d ->
+            if field mod 2 = 0 then Event.Reject { d with time = nudge d.time }
+            else Event.Reject { d with id = d.id + 1 }
+        | ev -> ev
+      in
+      pair_body ~arrival decision = None
+      (* and nothing but an Arrival opens a pair *)
+      && pair_body ~arrival:decision decision = None)
+
+(* The pair layouts, byte for byte, built field by field: the arrival's
+   body after the pair code, then what the decision adds. *)
+let test_pair_layout () =
+  let arrival =
+    Event.Arrival
+      { time = 2.; seq = 3; id = 7; ingress = 1; egress = 0; volume = 100.; ts = 2.; tf = 12.;
+        max_rate = 25. }
+  in
+  let arrival_fields = String.sub (body arrival) 1 72 in
+  let layout code tail =
+    let b = Buffer.create 128 in
+    Gridbw_wire.Binio.add_u8 b code;
+    Buffer.add_string b arrival_fields;
+    tail b;
+    Buffer.contents b
+  in
+  let f64 = Gridbw_wire.Binio.add_f64 and i64 = Gridbw_wire.Binio.add_i64 in
+  let u8 = Gridbw_wire.Binio.add_u8 in
+  let check label decision expected framed =
+    match pair_body ~arrival decision with
+    | None -> Alcotest.failf "%s: not paired" label
+    | Some got ->
+        Alcotest.(check string) (label ^ ": layout") expected got;
+        Alcotest.(check int) (label ^ ": framed size") framed (String.length got + Frame.overhead)
+  in
+  check "admitted"
+    (Event.Accept
+       { time = 2.; id = 7; ingress = 1; egress = 0; volume = 100.; ts = 2.; tf = 12.;
+         max_rate = 25.; bw = 20.; sigma = 2.; shard = None })
+    (layout 9 (fun b ->
+         f64 b 20.;
+         f64 b 2.))
+    99;
+  check "refused"
+    (Event.Reject
+       { time = 2.; id = 7; reason = "port-saturated"; port = Some (Event.Egress, 0);
+         headroom = Some 5.; shard = Some 1 })
+    (layout 10 (fun b ->
+         Gridbw_wire.Binio.add_str b "port-saturated";
+         u8 b 1;
+         u8 b 1;
+         i64 b 0;
+         u8 b 1;
+         f64 b 5.;
+         u8 b 1;
+         i64 b 1))
+    129;
+  check "reshaped"
+    (Event.Reshape
+       { time = 2.; id = 7; ingress = 1; egress = 0; volume = 100.; ts = 2.; tf = 12.;
+         max_rate = 25.; profile = [| (2., 6., 25.) |]; revised = [| (4, [||]) |];
+         shard = None })
+    (layout 11 (fun b ->
+         i64 b 1;
+         f64 b 2.;
+         f64 b 6.;
+         f64 b 25.;
+         i64 b 1;
+         i64 b 4;
+         i64 b 0))
+    139
+
+(* The WAL has one format: a record that does not open with the binary
+   magic byte cuts the log like any other corruption. *)
+let test_wal_non_magic_cuts () =
   let dir = Filename.temp_file "gridbw-wire-wal" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
@@ -216,30 +367,20 @@ let test_wal_mixed_segment () =
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let cfg = { Wal.default_config with Wal.batch = 1 } in
-      let w = Wal.create ~config:cfg ~format:Wal.Jsonl ~dir () in
+      let w = Wal.create ~config:cfg ~dir () in
       for i = 0 to 4 do
-        Wal.append w (Printf.sprintf "jsonl-record-%d" i)
+        Wal.append w (Printf.sprintf "record-%d" i)
       done;
       Wal.close w;
-      let w2 = Wal.reopen ~config:cfg ~format:Wal.Binary ~dir ~records:5 () in
-      for i = 5 to 9 do
-        Wal.append w2 (Printf.sprintf "binary-record-%d" i)
-      done;
-      Wal.close w2;
+      let seg = Filename.concat dir "wal-0000000000.log" in
+      Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644 seg (fun oc ->
+          output_string oc "00000000 2 {}\n");
       let s = Wal.scan ~dir in
-      Alcotest.(check int) "all records valid" 10 s.Wal.valid;
-      Alcotest.(check bool) "clean tail" true (s.Wal.torn = None);
-      let formats = List.map (fun (r : Wal.record) -> r.Wal.format) s.Wal.records in
-      Alcotest.(check bool) "first half jsonl, second half binary" true
-        (formats
-        = [ Wal.Jsonl; Wal.Jsonl; Wal.Jsonl; Wal.Jsonl; Wal.Jsonl;
-            Wal.Binary; Wal.Binary; Wal.Binary; Wal.Binary; Wal.Binary ]);
+      Alcotest.(check int) "the framed records survive" 5 s.Wal.valid;
+      Alcotest.(check bool) "the text line cuts the log" true (s.Wal.torn <> None);
       List.iteri
         (fun i (r : Wal.record) ->
-          let prefix = if i < 5 then "jsonl" else "binary" in
-          Alcotest.(check string) "payload survives"
-            (Printf.sprintf "%s-record-%d" prefix i)
-            r.Wal.payload)
+          Alcotest.(check string) "payload survives" (Printf.sprintf "record-%d" i) r.Wal.payload)
         s.Wal.records)
 
 let suites =
@@ -252,7 +393,10 @@ let suites =
         prop_bitflip_never_passes;
         prop_truncation_is_incomplete;
         case "frame: tag byte validated by record codecs" test_frame_tag_validation;
-        case "frame: Line and Hexline round-trip" test_line_hexline_roundtrip;
-        case "wal: mixed jsonl/binary segment replays" test_wal_mixed_segment;
+        case "frame: Line round-trip" test_line_roundtrip;
+        prop_pair_roundtrip;
+        prop_pair_refused;
+        case "wal pair: the three layouts, byte for byte" test_pair_layout;
+        case "wal: a record without the magic byte cuts the log" test_wal_non_magic_cuts;
       ] );
   ]
