@@ -997,18 +997,8 @@ let serve_cmd =
     Arg.(value & opt int Flight.default_size
          & info [ "flight-size" ] ~docv:"BYTES" ~doc:"Flight-recorder ring size.")
   in
-  let shards_t =
-    Arg.(value & opt (some int) None
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"Partition the fabric's ports across $(docv) shards, each on its own \
-                   OCaml domain, and decide admissions through a worker pool with \
-                   two-phase cross-shard reserve/commit.  Decisions are journaled with \
-                   their shard id; recovery re-partitions onto the configured count and \
-                   audits every shard against the reference model.  Omit for the \
-                   single-threaded engine.")
-  in
   let run socket tcp policy store_dir store_batch store_kill max_frame metrics_port span_out
-      span_format flight_recorder flight_size shards =
+      span_format flight_recorder flight_size =
     let transport = transport_of "serve" socket tcp in
     let store_config =
       { Store.default_config with
@@ -1017,7 +1007,7 @@ let serve_cmd =
     in
     let cfg =
       { (Daemon.default_config ~policy ?store_dir ?metrics_port ?span_out
-           ~span_binary:(span_format = `Binary) ?flight_recorder ~flight_size ?shards
+           ~span_binary:(span_format = `Binary) ?flight_recorder ~flight_size
            transport)
         with
         Daemon.store_config; max_frame }
@@ -1036,7 +1026,7 @@ let serve_cmd =
              the versioned JSONL protocol over a Unix or TCP socket.")
     Term.(const run $ socket_t $ tcp_t $ policy_t $ store_dir_t $ store_batch_t
           $ store_kill_t $ max_frame_t $ metrics_port_t $ span_out_t $ span_format_t
-          $ flight_t $ flight_size_t $ shards_t)
+          $ flight_t $ flight_size_t)
 
 let loadgen_cmd =
   let conns_t =

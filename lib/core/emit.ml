@@ -38,7 +38,7 @@ let emit_arrivals obs seqs batch =
 (* Counters plus the Accept/Reject trace record for one decision.
    [blocked] is the saturated port and its headroom at decision time,
    when the caller identified one. *)
-let emit_decision obs ~time ?blocked ?shard (r : Request.t) d =
+let emit_decision obs ~time ?blocked (r : Request.t) d =
   if obs.Obs.enabled then begin
     Obs.count obs "admit_requests_total";
     match d with
@@ -57,7 +57,7 @@ let emit_decision obs ~time ?blocked ?shard (r : Request.t) d =
                 max_rate = r.max_rate;
                 bw = a.Allocation.bw;
                 sigma = a.Allocation.sigma;
-                shard;
+                shard = None;
               })
     | Types.Rejected reason ->
         Obs.count obs "admit_rejected_total";
@@ -67,7 +67,8 @@ let emit_decision obs ~time ?blocked ?shard (r : Request.t) d =
               | Some (p, h) -> (Some p, Some h)
               | None -> (None, None)
             in
-            Event.Reject { time; id = r.id; reason = Types.reason_name reason; port; headroom; shard })
+            Event.Reject
+              { time; id = r.id; reason = Types.reason_name reason; port; headroom; shard = None })
   end
 
 (* The tighter port over the allocation's own transmission interval —

@@ -87,14 +87,13 @@ let try_admit ?(ctx = Runtime.default) t policy (r : Request.t) ~at =
     let t0 = match span with Some _ -> Span.now_ns () | None -> 0. in
     let p0 = match span with Some _ -> Live.probe_count t.live | None -> 0 in
     let decision = Obs.span obs "admit" decide in
-    let shard = ctx.Runtime.shard in
     (match span with
-    | None -> Emit.emit_decision obs ~time:at ?blocked:!blocked ?shard r decision
+    | None -> Emit.emit_decision obs ~time:at ?blocked:!blocked r decision
     | Some sp ->
         Span.record sp Span.Admit_search (Span.now_ns () -. t0);
         Span.add_probes sp (Live.probe_count t.live - p0);
         Span.timed span Span.Wal_append (fun () ->
-            Emit.emit_decision obs ~time:at ?blocked:!blocked ?shard r decision));
+            Emit.emit_decision obs ~time:at ?blocked:!blocked r decision));
     decision
   end
 
@@ -140,7 +139,7 @@ let preempt ?(ctx = Runtime.default) t (a : Allocation.t) =
               time = t.clock;
               id = a.Allocation.request.Request.id;
               bw = a.Allocation.bw;
-              shard = ctx.Runtime.shard;
+              shard = None;
             })
     end;
     true

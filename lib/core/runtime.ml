@@ -6,11 +6,10 @@ type ctx = {
   obs : Obs.ctx;
   store : Store.t option;
   span : Span.t option;
-  shard : int option;
 }
 
-let default = { obs = Obs.disabled; store = None; span = None; shard = None }
-let make ?(obs = Obs.disabled) ?store ?span ?shard () = { obs; store; span; shard }
+let default = { obs = Obs.disabled; store = None; span = None }
+let make ?(obs = Obs.disabled) ?store ?span () = { obs; store; span }
 let with_obs c obs = { c with obs }
 let with_store c store = { c with store = Some store }
 let with_span c span = { c with span = Some span }

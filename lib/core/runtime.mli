@@ -5,8 +5,7 @@
     new cross-cutting concern would have added a third.  [ctx] packs
     them into one record, so engine signatures stay fixed as the runtime
     grows: the [span] slot carries the current request's trace through
-    the serve path, and [shard] is reserved for the planned multi-fabric
-    partitioning.
+    the serve path.
 
     The deprecated [?obs]/[?store] arguments (and the [resolve] shim
     that merged them) are gone — every entry point takes [?ctx] only. *)
@@ -17,20 +16,16 @@ type ctx = {
   span : Gridbw_obs.Span.t option;
       (** the in-flight request's trace span: engines accumulate stage
           durations onto it (admit-search, WAL-append) when present *)
-  shard : int option;
-      (** reserved: fabric shard this engine instance owns (multi-fabric
-          partitioning; no engine consults it yet) *)
 }
 
 val default : ctx
-(** Disabled telemetry, no store, no span, no shard — the zero-cost
+(** Disabled telemetry, no store, no span — the zero-cost
     context. *)
 
 val make :
   ?obs:Gridbw_obs.Obs.ctx ->
   ?store:Gridbw_store.Store.t ->
   ?span:Gridbw_obs.Span.t ->
-  ?shard:int ->
   unit ->
   ctx
 

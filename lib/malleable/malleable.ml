@@ -319,7 +319,7 @@ let try_reshape ~kappa ledger admitted rev_order (r : Request.t) ~now =
 (* The profiled twin of {!Emit.emit_decision}'s accept arm: same
    counters, but the trace record is a Reshape carrying the step
    schedule (and any pending-profile revisions) instead of an Accept. *)
-let emit_reshape obs ~time ?shard (r : Request.t) profile revised =
+let emit_reshape obs ~time (r : Request.t) profile revised =
   if obs.Obs.enabled then begin
     Obs.count obs "admit_requests_total";
     Obs.count obs "admit_accepted_total";
@@ -337,7 +337,7 @@ let emit_reshape obs ~time ?shard (r : Request.t) profile revised =
             max_rate = r.max_rate;
             profile = Rate_profile.to_triples profile;
             revised = Array.map (fun (id, p) -> (id, Rate_profile.to_triples p)) revised;
-            shard;
+            shard = None;
           })
   end
 
@@ -399,7 +399,7 @@ let run config ?(ctx = Runtime.default) fabric requests =
         revised;
       Hashtbl.replace admitted r.id (Allocation.of_profile ~request:r profile);
       rev_order := r.id :: !rev_order;
-      emit_reshape obs ~time:now ?shard:ctx.Runtime.shard r profile revised
+      emit_reshape obs ~time:now r profile revised
     in
     let decide now (r : Request.t) =
       let start = Float.max now r.ts in
@@ -418,7 +418,7 @@ let run config ?(ctx = Runtime.default) fabric requests =
           | None ->
               let blocked = blocked_port obs !ledger r ~start in
               rev_rejected := (r, Types.Port_saturated) :: !rev_rejected;
-              Emit.emit_decision obs ~time:now ?blocked ?shard:ctx.Runtime.shard r
+              Emit.emit_decision obs ~time:now ?blocked r
                 (Types.Rejected Types.Port_saturated))
     in
     List.iter

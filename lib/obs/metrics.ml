@@ -90,9 +90,9 @@ let bound i = Float.ldexp 1.0 i  (* 2^i *)
    sample (the qcheck oracle in test_obs checks precisely this). *)
 (* Nearest rank k = ⌈q·n⌉, computed robustly: the float product q·n can
    land an ulp above the exact integer (0.3 · 10 = 3.0000000000000004),
-   and ceil would then overshoot by a whole rank — for large merged
-   histograms that crosses bucket boundaries.  Shaving a relative
-   epsilon before the ceil keeps exact-integer products exact. *)
+   and ceil would then overshoot by a whole rank, which can cross a
+   bucket boundary.  Shaving a relative epsilon before the ceil keeps
+   exact-integer products exact. *)
 let rank_of ~total q =
   let kf = q *. float_of_int total in
   let k = int_of_float (Float.ceil (kf -. (1e-9 *. Float.max kf 1.0))) in
@@ -122,29 +122,6 @@ let hist_buckets h =
     if h.buckets.(i) > 0 then acc := (bound i, h.buckets.(i)) :: !acc
   done;
   !acc
-
-(* --- merging (per-domain registries -> one exposition) --- *)
-
-let merge_hist_into dst src =
-  Array.iteri (fun i n -> if n > 0 then dst.buckets.(i) <- dst.buckets.(i) + n) src.buckets;
-  dst.total <- dst.total + src.total;
-  dst.sum <- dst.sum +. src.sum
-
-let merge_into ~into src =
-  Hashtbl.iter
-    (fun name inst ->
-      match inst with
-      | Counter c -> add (counter into name) c.count
-      | Gauge g ->
-          let dst = gauge into name in
-          dst.level <- dst.level +. g.level
-      | Histogram h -> merge_hist_into (histogram into name) h)
-    src.instruments
-
-let merged ts =
-  let into = create () in
-  List.iter (fun t -> merge_into ~into t) ts;
-  into
 
 let sorted t =
   Hashtbl.fold (fun name inst acc -> (name, inst) :: acc) t.instruments []

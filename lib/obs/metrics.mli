@@ -54,19 +54,6 @@ val percentile : histogram -> float -> float
     < 2×).  [nan] on an empty histogram; raises [Invalid_argument] when
     [q] is outside [\[0,1\]]. *)
 
-(** {2 Merging}
-
-    Sharded runs keep one registry per domain (the registry is not
-    thread-safe); the exposition endpoint folds them into one. *)
-
-val merge_into : into:t -> t -> unit
-(** Fold [src] into [into]: counters and histogram buckets add, gauges
-    sum.  Raises [Invalid_argument] if a name is registered with
-    different instrument kinds in the two registries. *)
-
-val merged : t list -> t
-(** Fresh registry holding the element-wise merge, left to right. *)
-
 (** {2 Dumps}
 
     Both renderings list instruments in name order, so output is

@@ -23,13 +23,12 @@ type config = {
   span_binary : bool;
   flight_recorder : string option;
   flight_size : int;
-  shards : int option;
 }
 
 let default_config ?(policy = Policy.Fraction_of_max 0.8)
     ?(fabric = Fabric.paper_default ()) ?store_dir ?metrics_port ?span_out
     ?(span_binary = true) ?flight_recorder ?(flight_size = Flight.default_size)
-    ?shards transport =
+    transport =
   {
     transport;
     policy;
@@ -43,7 +42,6 @@ let default_config ?(policy = Policy.Fraction_of_max 0.8)
     span_binary;
     flight_recorder;
     flight_size;
-    shards;
   }
 
 (* [eof]: the peer finished sending.  The socket leaves the read set,
@@ -60,21 +58,11 @@ type mconn = {
   mutable meof : bool;
 }
 
-(* [Direct] is the original single-threaded path; [Pooled] routes
-   decisions through a worker pool onto the sharded engine
-   ([--shards N]).  The sharded store is owned here (the engine journals
-   into it but does not close it), with a dedicated metrics registry:
-   workers bump it under the engine's journal lock, and the select loop
-   only reads it between rounds, when every worker is idle. *)
-type backend =
-  | Direct of Admission.t
-  | Pooled of { pool : Pool.t; pstore : Store.t option; store_obs : Obs.ctx }
-
 type t = {
   cfg : config;
   listener : Unix.file_descr;
   metrics_listener : Unix.file_descr option;
-  backend : backend;
+  adm : Admission.t;
   obs : Obs.ctx;
   tracing : bool;
   span_oc : out_channel option;
@@ -91,44 +79,9 @@ type t = {
   mutable stopping : bool;
 }
 
-let admission t =
-  match t.backend with
-  | Direct adm -> adm
-  | Pooled _ -> invalid_arg "Daemon.admission: sharded daemon has no direct Admission.t"
-
+let admission t = t.adm
 let connections t = List.length t.conns
 let stop t = t.stopping <- true
-
-let backend_dirty = function
-  | Direct adm -> Admission.dirty adm
-  | Pooled { pool; _ } -> Shard_admission.dirty (Pool.admission pool)
-
-let backend_flush = function
-  | Direct adm -> Admission.flush adm
-  | Pooled { pool; _ } -> Shard_admission.flush (Pool.admission pool)
-
-let backend_records = function
-  | Direct adm -> Admission.records adm
-  | Pooled { pstore; _ } -> ( match pstore with Some s -> Store.records s | None -> 0)
-
-let backend_accepted = function
-  | Direct adm -> Admission.accepted_count adm
-  | Pooled { pool; _ } -> Shard_admission.accepted_count (Pool.admission pool)
-
-let backend_rejected = function
-  | Direct adm -> Admission.rejected_count adm
-  | Pooled { pool; _ } -> Shard_admission.rejected_count (Pool.admission pool)
-
-(* Registries to merge for /metrics and the [stats] verb.  Only called
-   from the select loop between rounds (workers idle), so the
-   cross-domain reads cannot race worker writes. *)
-let metrics_text t =
-  match t.backend with
-  | Direct _ -> Metrics.to_prometheus (Obs.metrics t.obs)
-  | Pooled { pool; store_obs; _ } ->
-      Metrics.to_prometheus
-        (Metrics.merged
-           ((Obs.metrics t.obs :: Pool.registries pool) @ [ Obs.metrics store_obs ]))
 
 let install_signal_handlers t =
   let h = Sys.Signal_handle (fun _ -> stop t) in
@@ -200,78 +153,23 @@ let make_admission ~obs ~log cfg =
                    (Admission.active_count adm));
               Ok adm))
 
-let make_sharded ~log cfg shards =
-  if shards < 1 then Error "shards must be >= 1"
-  else begin
-    let store_obs = Obs.create () in
-    let built =
-      match cfg.store_dir with
-      | None ->
-          log "serving without a store (decisions are not durable)";
-          Ok (Shard_admission.create ~shards ~policy:cfg.policy cfg.fabric, None)
-      | Some dir when not (Store.exists ~dir) ->
-          let store =
-            Store.create ~config:cfg.store_config ~obs:store_obs ~time:0. ~dir cfg.fabric
-          in
-          log (Printf.sprintf "initialized store %s" dir);
-          Ok
-            ( Shard_admission.create ~journal:store ~shards ~policy:cfg.policy cfg.fabric,
-              Some store )
-      | Some dir -> (
-          match Store.recover ~config:cfg.store_config ~obs:store_obs ~dir () with
-          | Error e -> Error (Printf.sprintf "cannot recover store %s: %s" dir e)
-          | Ok r -> (
-              log
-                (Printf.sprintf
-                   "recovered store %s: %d records (%d from snapshot, %d replayed, %d torn bytes dropped)"
-                   dir (Store.records r.Store.store) r.Store.snapshot_cursor
-                   r.Store.replayed r.Store.truncated_bytes);
-              match Shard_admission.of_recovered ~shards ~policy:cfg.policy r with
-              | Error e -> Error e
-              | Ok adm ->
-                  log
-                    (Printf.sprintf
-                       "per-shard audit clean; resuming with %d active transfers on %d shards"
-                       (Shard_admission.active_count adm) shards);
-                  Ok (adm, Some r.Store.store)))
-    in
-    match built with
-    | Error e -> Error e
-    | Ok (adm, pstore) ->
-        let pool = Pool.create adm in
-        log
-          (Printf.sprintf "sharded engine: %d shards, %d workers" shards (Pool.workers pool));
-        Ok (Pooled { pool; pstore; store_obs })
-  end
-
-let make_backend ~obs ~log cfg =
-  match cfg.shards with
-  | None -> Result.map (fun adm -> Direct adm) (make_admission ~obs ~log cfg)
-  | Some n -> make_sharded ~log cfg n
-
-let close_backend = function
-  | Direct adm -> Admission.close adm
-  | Pooled { pool; pstore; _ } ->
-      Pool.stop pool;
-      Option.iter Store.close pstore
-
 let io_buffer_bytes = 65536
 
 let create ?obs ?(log = fun _ -> ()) cfg =
   Policy.validate cfg.policy;
   let obs = match obs with Some o -> o | None -> Obs.create () in
-  match make_backend ~obs ~log cfg with
+  match make_admission ~obs ~log cfg with
   | Error e -> Error e
-  | Ok backend -> (
+  | Ok adm -> (
       match bind_listener cfg.transport with
       | exception Unix.Unix_error (err, _, _) ->
-          close_backend backend;
+          Admission.close adm;
           Error
             (Printf.sprintf "cannot bind %s: %s"
                (transport_name cfg.transport)
                (Unix.error_message err))
       | exception Failure e ->
-          close_backend backend;
+          Admission.close adm;
           Error (Printf.sprintf "cannot bind %s: %s" (transport_name cfg.transport) e)
       | listener -> (
           Unix.set_nonblock listener;
@@ -285,7 +183,7 @@ let create ?obs ?(log = fun _ -> ()) cfg =
               cfg.metrics_port
           with
           | exception Unix.Unix_error (err, _, _) ->
-              close_backend backend;
+              Admission.close adm;
               (try Unix.close listener with Unix.Unix_error _ -> ());
               Error
                 (Printf.sprintf "cannot bind metrics port: %s" (Unix.error_message err))
@@ -307,7 +205,7 @@ let create ?obs ?(log = fun _ -> ()) cfg =
                   cfg;
                   listener;
                   metrics_listener;
-                  backend;
+                  adm;
                   obs;
                   tracing = span_oc <> None || flight <> None;
                   span_oc;
@@ -392,7 +290,7 @@ let metrics_reply t line =
   match String.split_on_char ' ' (String.trim line) with
   | "GET" :: path :: _ when path = "/metrics" || path = "/metrics/" ->
       Obs.count t.obs "serve_metrics_scrapes_total";
-      http_response ~status:"200 OK" ~body:(metrics_text t)
+      http_response ~status:"200 OK" ~body:(Metrics.to_prometheus (Obs.metrics t.obs))
   | _ -> http_response ~status:"404 Not Found" ~body:"only GET /metrics is served\n"
 
 let rec accept_metrics t l =
@@ -482,7 +380,7 @@ let emit_span t sp =
 (* Drain one connection's decoded messages into the round's response list.
    Responses are not queued on the session yet: the whole round is held
    back until the store flush below (ack-after-fsync). *)
-let handle_ready t adm c acc =
+let handle_ready t c acc =
   let rec loop acc =
     match Session.next c.session with
     | None -> acc
@@ -492,13 +390,13 @@ let handle_ready t adm c acc =
           | Session.Request Protocol.Shutdown ->
               t.stopping <- true;
               Obs.count t.obs "serve_requests_total";
-              (None, Admission.handle adm Protocol.Shutdown)
+              (None, Admission.handle t.adm Protocol.Shutdown)
           | Session.Request req ->
               Obs.count t.obs "serve_requests_total";
               let span = open_span t c in
               ( span,
                 Obs.span t.obs "serve_handle" (fun () ->
-                    Admission.handle ?span adm req) )
+                    Admission.handle ?span t.adm req) )
           | Session.Undecodable resp | Session.Broken resp ->
               Obs.count t.obs "serve_protocol_errors_total";
               (None, resp)
@@ -508,14 +406,14 @@ let handle_ready t adm c acc =
   in
   loop acc
 
-let round_direct t adm ~readable =
+let round t ~readable =
   (* 1. decode + decide, collecting responses in arrival order *)
   let responses =
-    List.rev (List.fold_left (fun acc c -> handle_ready t adm c acc) [] readable)
+    List.rev (List.fold_left (fun acc c -> handle_ready t c acc) [] readable)
   in
   (* 2. make the round's decisions durable before anyone hears about them *)
-  if Admission.dirty adm then begin
-    Obs.span t.obs "serve_flush" (fun () -> Admission.flush adm);
+  if Admission.dirty t.adm then begin
+    Obs.span t.obs "serve_flush" (fun () -> Admission.flush t.adm);
     Obs.count t.obs "serve_flushes_total";
     if t.tracing then begin
       (* Group-commit wait: from this request's decision until the
@@ -538,61 +436,6 @@ let round_direct t adm ~readable =
       Span.timed span Span.Reply_write (fun () -> Session.queue c.session resp);
       Option.iter (emit_span t) span)
     responses
-
-(* The sharded round is bulk-synchronous: submit every decoded request
-   to its connection's worker (phase 1), await all of them — admissions
-   on disjoint shards run in parallel on the worker domains (phase 2),
-   answer the verbs the select loop owns while the workers are provably
-   idle (phase 3), flush the engine's journal once, and only then
-   release the acks in arrival order (ack-after-fsync, unchanged). *)
-let round_pooled t pool ~readable =
-  let jobs =
-    List.rev
-      (List.fold_left
-         (fun acc c ->
-           let rec loop acc =
-             match Session.next c.session with
-             | None -> acc
-             | Some msg ->
-                 let item =
-                   match msg with
-                   | Session.Request ((Protocol.Shutdown | Protocol.Stats) as req) ->
-                       Obs.count t.obs "serve_requests_total";
-                       if req = Protocol.Shutdown then t.stopping <- true;
-                       `Local (c, req)
-                   | Session.Request req ->
-                       `Slot (c, Pool.submit pool ~conn:(Session.id c.session) req)
-                   | Session.Undecodable resp | Session.Broken resp ->
-                       Obs.count t.obs "serve_protocol_errors_total";
-                       `Ready (c, resp)
-                 in
-                 loop (item :: acc)
-           in
-           loop acc)
-         [] readable)
-  in
-  let responses =
-    List.map
-      (function
-        | `Slot (c, slot) -> (c, Pool.await slot)
-        | `Ready (c, resp) -> (c, resp)
-        | `Local (c, Protocol.Stats) ->
-            (* deferred to after the awaits above: workers are idle, so
-               merging their registries is race-free *)
-            (c, Protocol.Stats_text (metrics_text t))
-        | `Local (c, _) -> (c, Protocol.Goodbye { records = backend_records t.backend }))
-      jobs
-  in
-  if backend_dirty t.backend then begin
-    Obs.span t.obs "serve_flush" (fun () -> backend_flush t.backend);
-    Obs.count t.obs "serve_flushes_total"
-  end;
-  List.iter (fun (c, resp) -> Session.queue c.session resp) responses
-
-let round t ~readable =
-  match t.backend with
-  | Direct adm -> round_direct t adm ~readable
-  | Pooled { pool; _ } -> round_pooled t pool ~readable
 
 let sweep_closed t =
   let snapshot = t.conns in
@@ -675,18 +518,12 @@ let run t =
   (match t.cfg.transport with
   | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Tcp _ -> ());
-  (match t.backend with
-  | Direct adm ->
-      Admission.flush adm;
-      Admission.snapshot adm
-  | Pooled { pool; _ } ->
-      let adm = Pool.admission pool in
-      Shard_admission.flush adm;
-      Shard_admission.snapshot adm);
-  let records = backend_records t.backend
-  and accepted = backend_accepted t.backend
-  and rejected = backend_rejected t.backend in
-  close_backend t.backend;
+  Admission.flush t.adm;
+  Admission.snapshot t.adm;
+  let records = Admission.records t.adm
+  and accepted = Admission.accepted_count t.adm
+  and rejected = Admission.rejected_count t.adm in
+  Admission.close t.adm;
   Option.iter close_out t.span_oc;
   Option.iter Flight.close t.flight;
   t.log

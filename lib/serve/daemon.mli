@@ -39,15 +39,6 @@ type config = {
       (** crash-surviving span ring file ({!Gridbw_obs.Flight});
           enables tracing *)
   flight_size : int;  (** flight-recorder file size, bytes *)
-  shards : int option;
-      (** [Some n]: run the sharded multicore engine
-          ({!Gridbw_shard.Engine}) behind a {!Pool} of worker domains
-          instead of the single-threaded {!Admission} path.  Decisions
-          are journaled with their deciding shard id; recovery
-          re-partitions onto the configured count and audits each shard
-          against the reference model.  Request spans are not traced on
-          this path (workers observe the admit-search latency directly
-          as [serve_stage_admit_search_ns]). *)
 }
 
 val default_config :
@@ -59,7 +50,6 @@ val default_config :
   ?span_binary:bool ->
   ?flight_recorder:string ->
   ?flight_size:int ->
-  ?shards:int ->
   transport ->
   config
 (** Paper fabric, [Fraction_of_max 0.8] policy, default store config,
@@ -79,8 +69,7 @@ val create : ?obs:Gridbw_obs.Obs.ctx -> ?log:(string -> unit) -> config -> (t, s
     recovered, or the recovered journal fails its audit. *)
 
 val admission : t -> Admission.t
-(** The single-threaded admission state (tests poke it directly).
-    Raises [Invalid_argument] on a sharded ([shards = Some _]) daemon. *)
+(** The daemon's admission state (tests poke it directly). *)
 
 val run : t -> unit
 (** Serve until {!stop}; then drain, flush, snapshot, close.  Ignores

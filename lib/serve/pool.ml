@@ -1,8 +1,6 @@
-(* Worker pool bridging the daemon's select loop to the sharded
-   admission engine.  See pool.mli. *)
+(* Worker pool over the sharded admission engine.  See pool.mli. *)
 
 module Obs = Gridbw_obs.Obs
-module Metrics = Gridbw_obs.Metrics
 module Mailbox = Gridbw_shard.Mailbox
 
 type slot = {
@@ -17,7 +15,6 @@ type t = {
   adm : Shard_admission.t;
   boxes : job Mailbox.t array;
   mutable domains : unit Domain.t list;
-  worker_obs : Obs.ctx array;  (** per-worker registries; Hashtbl is not thread-safe *)
   mutable stopped : bool;
 }
 
@@ -32,14 +29,16 @@ let handle_one adm obs = function
       Obs.count obs "serve_requests_total";
       Shard_admission.cancel ~obs adm id
   | Protocol.Stats | Protocol.Shutdown ->
-      (* the select loop answers these itself; a worker never sees them *)
       Protocol.Error { code = Protocol.Bad_request; message = "not routed to workers" }
 
-let create ?(workers = 0) adm =
-  let workers = if workers > 0 then workers else Shard_admission.shards adm in
+let create adm =
+  let workers = Shard_admission.shards adm in
   let boxes = Array.init workers (fun _ -> Mailbox.create ()) in
+  (* One registry per worker (a registry is not thread-safe).  Nothing
+     reads them; they keep the metric updates a serving worker made on
+     the path perfbench's pool.op layer times. *)
   let worker_obs = Array.init workers (fun _ -> Obs.create ()) in
-  let t = { adm; boxes; domains = []; worker_obs; stopped = false } in
+  let t = { adm; boxes; domains = []; stopped = false } in
   t.domains <-
     Array.to_list
       (Array.mapi
@@ -61,9 +60,6 @@ let create ?(workers = 0) adm =
          boxes);
   t
 
-let admission t = t.adm
-let workers t = Array.length t.boxes
-
 (* Sticky dispatch by connection: one connection's requests land on one
    worker in order, preserving the protocol's answer-in-request-order
    guarantee even with pipelined clients. *)
@@ -80,9 +76,6 @@ let await slot =
   let v = Option.get slot.sv in
   Mutex.unlock slot.sm;
   v
-
-let registries t =
-  Array.to_list (Array.map (fun o -> Obs.metrics o) t.worker_obs)
 
 let stop t =
   if not t.stopped then begin

@@ -1,38 +1,23 @@
-(** Worker pool for the sharded daemon path ([gridbw serve --shards N]).
+(** Worker pool over {!Shard_admission}: one worker domain per shard.
+    The daemon does not serve through it; it survives as the subject of
+    perfbench's [pool.op] layer.
 
-    The select loop stays single-threaded and owns all sockets; what it
-    hands off is decision work.  Each round it {!submit}s every decoded
-    request to a worker domain (sticky by connection, so one
-    connection's requests are answered in order) and then {!await}s the
-    round's slots — a bulk-synchronous round.  Workers run concurrently,
-    so admissions touching different shards proceed in parallel through
-    {!Shard_admission} while the loop's ack-after-fsync discipline is
-    unchanged: the round's responses are all collected, the engine's
-    journal is flushed once, and only then are acks queued.
-
-    Each worker carries its own metrics registry (a metrics registry is
-    not thread-safe); {!registries} exposes them for the daemon to merge
-    into the /metrics and [stats] views with
-    {!Gridbw_obs.Metrics.merged}. *)
+    A caller {!submit}s a batch of requests (sticky by connection, so
+    one connection's requests are answered in order) and then {!await}s
+    their slots.  Workers run concurrently, so admissions touching
+    different shards proceed in parallel. *)
 
 type t
 type slot
 
-val create : ?workers:int -> Shard_admission.t -> t
-(** Spawn the worker domains ([workers] defaults to the engine's shard
-    count). *)
-
-val admission : t -> Shard_admission.t
-val workers : t -> int
+val create : Shard_admission.t -> t
+(** Spawn one worker domain per shard of the engine. *)
 
 val submit : t -> conn:int -> Protocol.request -> slot
 (** Enqueue one request on connection [conn]'s worker; never blocks. *)
 
 val await : slot -> Protocol.response
 (** Block until the worker has decided. *)
-
-val registries : t -> Gridbw_obs.Metrics.t list
-(** The per-worker metrics registries (merge with the daemon's own). *)
 
 val stop : t -> unit
 (** Drain and join the workers, then the engine's shard domains

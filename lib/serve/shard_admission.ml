@@ -26,45 +26,14 @@ type t = {
   entries : (int, entry) Hashtbl.t;
   m : Mutex.t;
   settled : Condition.t;
-  mutable accepted : int;
-  mutable rejected : int;
 }
 
 let make engine =
-  {
-    engine;
-    entries = Hashtbl.create 256;
-    m = Mutex.create ();
-    settled = Condition.create ();
-    accepted = 0;
-    rejected = 0;
-  }
+  { engine; entries = Hashtbl.create 256; m = Mutex.create (); settled = Condition.create () }
 
-let create ?journal ~shards ~policy fabric =
-  make (Engine.create ?journal ~shards policy fabric)
-
-let engine t = t.engine
+let create ~shards ~policy fabric = make (Engine.create ~shards policy fabric)
 let shards t = Engine.shards t.engine
-let dirty t = Engine.dirty t.engine
-let flush t = Engine.flush t.engine
-let snapshot t = Engine.snapshot_now t.engine
 let stop t = Engine.stop t.engine
-
-let accepted_count t =
-  Mutex.lock t.m;
-  let n = t.accepted in
-  Mutex.unlock t.m;
-  n
-
-let rejected_count t =
-  Mutex.lock t.m;
-  let n = t.rejected in
-  Mutex.unlock t.m;
-  n
-
-let active_count t =
-  Engine.settle t.engine;
-  Engine.active_count t.engine
 
 (* --- request handling (thread-safe: workers call these concurrently) --- *)
 
@@ -96,13 +65,11 @@ let claim t id =
   in
   go ()
 
-let settle t id entry ~accepted ~rejected =
+let settle t id entry =
   Mutex.lock t.m;
   (match entry with
   | None -> Hashtbl.remove t.entries id
   | Some e -> Hashtbl.replace t.entries id e);
-  if accepted then t.accepted <- t.accepted + 1;
-  if rejected then t.rejected <- t.rejected + 1;
   Condition.broadcast t.settled;
   Mutex.unlock t.m
 
@@ -111,7 +78,7 @@ let admit ?(obs = Obs.disabled) t ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate
   | `Prior resp -> resp
   | `Claimed -> (
       let invalid msg =
-        settle t id None ~accepted:false ~rejected:false;
+        settle t id None;
         bad_request msg
       in
       if ts < 0. then invalid "ts must be >= 0"
@@ -131,12 +98,12 @@ let admit ?(obs = Obs.disabled) t ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate
               Obs.observe obs "serve_stage_admit_search_ns" (Span.now_ns () -. t0);
               match decision with
               | Types.Accepted a ->
-                  settle t id (Some (Booked a)) ~accepted:true ~rejected:false;
+                  settle t id (Some (Booked a));
                   Protocol.Admitted
                     { id; bw = a.Allocation.bw; sigma = a.Allocation.sigma; tau = a.Allocation.tau }
               | Types.Rejected reason ->
                   let reason = Types.reason_name reason in
-                  settle t id (Some (Refused reason)) ~accepted:false ~rejected:true;
+                  settle t id (Some (Refused reason));
                   Protocol.Rejected { id; reason }
             end)
 
@@ -189,11 +156,11 @@ let cancel ?(obs = Obs.disabled) t id =
       Hashtbl.replace t.entries id In_flight;
       Mutex.unlock t.m;
       if Engine.cancel ~obs t.engine a then begin
-        settle t id (Some (Cancelled a)) ~accepted:false ~rejected:false;
+        settle t id (Some (Cancelled a));
         Protocol.Cancel_ok { id }
       end
       else begin
-        settle t id (Some (Booked a)) ~accepted:false ~rejected:false;
+        settle t id (Some (Booked a));
         Protocol.Cancel_failed { id; reason = "transfer already finished" }
       end
   | Some In_flight -> assert false
@@ -267,11 +234,9 @@ let of_recovered ~shards ~policy (r : Store.recovered) =
               (fun ev ->
                 match ev with
                 | Event.Accept { id; _ } ->
-                    Hashtbl.replace t.entries id (Booked (Hashtbl.find by_id id));
-                    t.accepted <- t.accepted + 1
+                    Hashtbl.replace t.entries id (Booked (Hashtbl.find by_id id))
                 | Event.Reject { id; reason; _ } ->
-                    Hashtbl.replace t.entries id (Refused reason);
-                    t.rejected <- t.rejected + 1
+                    Hashtbl.replace t.entries id (Refused reason)
                 | Event.Preempt { id; _ } -> (
                     match Hashtbl.find_opt t.entries id with
                     | Some (Booked a) -> Hashtbl.replace t.entries id (Cancelled a)

@@ -1,9 +1,11 @@
-(** The daemon's admission state machine over the sharded multicore
-    engine ({!Gridbw_shard.Engine}) — the [--shards N] counterpart of
-    {!Admission}.
+(** An admission state machine over the sharded multicore engine
+    ({!Gridbw_shard.Engine}), the multi-domain counterpart of
+    {!Admission}.  The daemon does not serve through it: it survives as
+    the subject of perfbench's [shard_admission.recover] and [pool.op]
+    layers.
 
     Unlike {!Admission}, every operation here is thread-safe: the
-    daemon's worker pool calls {!admit}/{!query}/{!cancel} from several
+    {!Pool} workers call {!admit}/{!query}/{!cancel} from several
     domains at once, and the engine's two-phase protocol serializes only
     the operations that actually share a shard.  Idempotency is kept
     under concurrency: a duplicate admit (at-least-once retries) waits
@@ -18,7 +20,8 @@ module Engine = Gridbw_shard.Engine
 
 type t
 
-val create : ?journal:Store.t -> shards:int -> policy:Policy.t -> Fabric.t -> t
+val create : shards:int -> policy:Policy.t -> Fabric.t -> t
+(** A fresh engine without a journal. *)
 
 val of_recovered : shards:int -> policy:Policy.t -> Store.recovered -> (t, string) result
 (** Audit the recovered journal globally and per shard: the surviving
@@ -30,7 +33,6 @@ val of_recovered : shards:int -> policy:Policy.t -> Store.recovered -> (t, strin
     been written under a different shard count; the per-port replay
     re-partitions exactly. *)
 
-val engine : t -> Engine.t
 val shards : t -> int
 
 val admit :
@@ -52,13 +54,6 @@ val admit :
 val query : t -> int -> Protocol.response
 val cancel : ?obs:Obs.ctx -> t -> int -> Protocol.response
 
-val dirty : t -> bool
-val flush : t -> unit
-val snapshot : t -> unit
 val stop : t -> unit
 (** Join the engine's shard domains.  The journal is closed by the
-    store's owner (the daemon). *)
-
-val accepted_count : t -> int
-val rejected_count : t -> int
-val active_count : t -> int
+    store's owner. *)

@@ -23,7 +23,6 @@ type t = {
   journal : Store.t option;
   jlock : Mutex.t;
   mutable jseq : int;
-  mutable jdirty : bool;
   next_op : int Atomic.t;
   hist : (hist_entry list ref * Mutex.t) option;
   mutable stopped : bool;
@@ -46,7 +45,6 @@ let create ?journal ?(record = false) ?(spawn = true) ~shards policy fabric =
       journal;
       jlock = Mutex.create ();
       jseq = 0;
-      jdirty = false;
       next_op = Atomic.make 0;
       hist = (if record then Some (ref [], Mutex.create ()) else None);
       stopped = false;
@@ -80,7 +78,6 @@ let active_count t = Array.fold_left (fun acc c -> acc + Core.active_ingress_cou
 let probe_count t = Array.fold_left (fun acc c -> acc + Core.probe_count c) 0 t.cores
 let ingress_used t i = Core.ingress_used t.cores.(Partition.of_ingress t.part i) i
 let egress_used t e = Core.egress_used t.cores.(Partition.of_egress t.part e) e
-let dirty t = t.jdirty
 
 let post t s msg =
   match t.boxes with
@@ -138,16 +135,13 @@ let journal_arrival_and t ~at (r : Request.t) ev =
                  max_rate = r.Request.max_rate;
                });
           t.jseq <- t.jseq + 1;
-          Store.log st ev;
-          t.jdirty <- true)
+          Store.log st ev)
 
 let journal_event t ev =
   match t.journal with
   | None -> ()
   | Some st ->
-      with_jlock t (fun () ->
-          Store.log st ev;
-          t.jdirty <- true)
+      with_jlock t (fun () -> Store.log st ev)
 
 let record t entry =
   match t.hist with
@@ -311,12 +305,7 @@ let flush t =
   match t.journal with
   | None -> ()
   | Some st ->
-      with_jlock t (fun () ->
-          Store.flush st;
-          t.jdirty <- false)
-
-let snapshot_now t =
-  match t.journal with None -> () | Some st -> with_jlock t (fun () -> Store.snapshot_now st)
+      with_jlock t (fun () -> Store.flush st)
 
 let stop t =
   if not t.stopped then begin

@@ -77,9 +77,7 @@ val settle : t -> unit
     {!active_count} reflect global time — the daemon's stats path and
     the linearizability check call this at read points. *)
 
-val dirty : t -> bool
 val flush : t -> unit
-val snapshot_now : t -> unit
 val stop : t -> unit
 (** Drain and join the shard domains (idempotent).  The journal is not
     closed — the owner does that. *)

@@ -24,14 +24,6 @@ committed one:
              re-solve path on its fixed 100-request storm.
   serve      loadgen throughput, normalized by the greedy-x100 speed
              factor between the two machines.
-  shard      1 -> N domain scaling of `serve --shards`
-             (scripts/bench_shard.sh).  The ">= 2x at 4 domains" target
-             is only measurable on a machine with >= 4 cores, so each
-             BENCH_shard.json records an honest `cores` field and the
-             gate skips below that — on any machine the runs must at
-             least exist, parse, and keep 4-domain throughput within
-             tolerance of 1-domain (oversubscribed domains on a small
-             host may not scale, but they must not collapse).
 
 Exit 0 when every gate passes, 1 otherwise, with one line per check.
 """
@@ -56,52 +48,6 @@ STORE_AMORTIZATION_TARGET = 0.10  # batch=64 overhead < 10% of batch=1's
 # Below this overhead1/wal-off multiple, fsync is effectively free on the
 # fresh machine and the store amortization quotient is meaningless.
 MIN_FSYNC_SIGNAL = 20.0
-
-# Shard-scaling targets: at >= 4 real cores, 4 domains must deliver at
-# least this multiple of 1-domain throughput; below 4 cores the scaling
-# gate is unmeasurable and only the no-collapse floor applies.
-SHARD_SCALING_TARGET = 2.0
-SHARD_SCALING_CORES = 4
-
-
-def shard_runs(path):
-    with open(path) as f:
-        data = json.load(f)
-    runs = {run["shards"]: run for run in data.get("runs", [])}
-    if 1 not in runs:
-        sys.exit(f"bench-delta: {path} has no shards=1 run")
-    if not any(n >= SHARD_SCALING_CORES for n in runs):
-        sys.exit(f"bench-delta: {path} has no >= {SHARD_SCALING_CORES}-shard run")
-    return data.get("cores"), runs
-
-
-def check_shard(g, label, path, tol):
-    cores, runs = shard_runs(path)
-    rps1 = runs[1]["throughput_rps"]
-    wide = max(n for n in runs if n >= SHARD_SCALING_CORES)
-    rpsn = runs[wide]["throughput_rps"]
-    speedup = rpsn / rps1
-    if cores is not None and cores >= SHARD_SCALING_CORES:
-        g.check(
-            speedup >= SHARD_SCALING_TARGET,
-            f"{label} shard scaling",
-            f"{wide} domains = {speedup:.2f}x of 1 domain on {cores} cores "
-            f"(target >= {SHARD_SCALING_TARGET:.1f}x)",
-        )
-    else:
-        g.note(
-            f"{label} shard scaling",
-            f"{wide} domains = {speedup:.2f}x of 1 domain, but the file records "
-            f"cores={cores}: >= {SHARD_SCALING_CORES} cores needed to measure the "
-            f">= {SHARD_SCALING_TARGET:.1f}x target",
-        )
-    # Even oversubscribed, the sharded path must not collapse vs 1 domain.
-    g.check(
-        speedup >= 1 - tol,
-        f"{label} shard no-collapse",
-        f"{wide}-domain throughput {rpsn:.0f} req/s is {speedup:.2f}x of "
-        f"1-domain {rps1:.0f} (allowed >= {1 - tol:.2f}x)",
-    )
 
 
 def timings(path):
@@ -140,8 +86,6 @@ def main():
     ap.add_argument("--fresh-malleable")
     ap.add_argument("--baseline-serve")
     ap.add_argument("--fresh-serve")
-    ap.add_argument("--baseline-shard")
-    ap.add_argument("--fresh-shard")
     ap.add_argument("--tolerance", type=float, default=0.25)
     args = ap.parse_args()
     tol = args.tolerance
@@ -244,11 +188,6 @@ def main():
             f"fresh {fresh_rps:.0f} req/s (normalized {normalized:.0f}) vs "
             f"committed {base_rps:.0f} (allowed >= {base_rps * (1 - tol):.0f})",
         )
-
-    if args.baseline_shard:
-        check_shard(g, "committed", args.baseline_shard, tol)
-    if args.fresh_shard:
-        check_shard(g, "fresh", args.fresh_shard, tol)
 
     sys.exit(1 if g.failed else 0)
 

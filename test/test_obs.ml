@@ -317,87 +317,32 @@ let prop_percentile_oracle =
       let hi = Float.ldexp 1.0 i in
       lo <= est && est <= hi)
 
-(* --- merged multi-shard histograms --- *)
-
-(* One registry per "domain", as a sharded daemon keeps them, each
-   observing its own serve_stage_* samples; the exposition path merges
-   them.  The per-domain split of the samples must be invisible: the
-   merge must behave exactly like one registry that saw every sample. *)
-let observe_all m name samples =
-  let h = Metrics.histogram m name in
-  List.iter (Metrics.observe h) samples;
-  m
-
-let merged_equals_unsharded =
-  qcase ~count:200 "metrics: merged per-domain histograms == single registry"
-    QCheck2.Gen.(
-      pair
-        (list_size (int_range 1 4)
-           (list_size (int_range 0 60) (float_range 0. 1e7)))
-        (float_range 0. 1.))
-    (fun (per_domain, q) ->
-      let shards =
-        List.map (fun s -> observe_all (Metrics.create ()) "serve_stage_admit_search_ns" s)
-          per_domain
-      in
-      let merged = Metrics.merged shards in
-      let union = observe_all (Metrics.create ()) "serve_stage_admit_search_ns"
-          (List.concat per_domain)
-      in
-      let hm = Metrics.histogram merged "serve_stage_admit_search_ns" in
-      let hu = Metrics.histogram union "serve_stage_admit_search_ns" in
-      Metrics.hist_count hm = Metrics.hist_count hu
-      && Metrics.hist_buckets hm = Metrics.hist_buckets hu
-      && (Metrics.hist_count hm = 0
-          || Metrics.percentile hm q = Metrics.percentile hu q))
-
-(* The rank bug the merged path exposed: q·n computed in floats rounds
-   an ulp high (0.95 · 20 = 19.000000000000004), so ceil overshot by a
-   whole rank.  20 merged samples put rank 19 and rank 20 in different
-   power-of-two buckets; the estimate must land in rank 19's bucket. *)
-let merged_percentile_rank () =
-  let mk samples = observe_all (Metrics.create ()) "serve_stage_admit_search_ns" samples in
-  let shards =
-    [ mk [ 100.; 100.; 100.; 100.; 100. ];
-      mk [ 100.; 100.; 100.; 100.; 100. ];
-      mk [ 100.; 100.; 100.; 100.; 100. ];
-      mk [ 100.; 100.; 100.; 300.; 600. ] ]
+(* The q·n rank bug: q·n computed in floats rounds an ulp high
+   (0.95 · 20 = 19.000000000000004), so ceil overshot by a whole rank.
+   These 20 samples put rank 19 and rank 20 in different power-of-two
+   buckets; the estimate must land in rank 19's bucket. *)
+let percentile_rank () =
+  let mk samples =
+    let m = Metrics.create () in
+    let h = Metrics.histogram m "serve_stage_admit_search_ns" in
+    List.iter (Metrics.observe h) samples;
+    h
   in
-  let merged = Metrics.merged shards in
-  let h = Metrics.histogram merged "serve_stage_admit_search_ns" in
-  Alcotest.(check int) "20 samples merged" 20 (Metrics.hist_count h);
+  let h = mk (List.init 18 (fun _ -> 100.) @ [ 300.; 600. ]) in
+  Alcotest.(check int) "20 samples" 20 (Metrics.hist_count h);
   (* exact rank of p95 over n=20 is 19 -> the 300 sample, bucket (256,512] *)
   let p95 = Metrics.percentile h 0.95 in
   Alcotest.(check bool)
     (Printf.sprintf "p95 lands in rank 19's bucket (got %g)" p95)
     true
     (256. <= p95 && p95 <= 512.);
-  (* same shape on a single registry: q=0.3, n=10 has exact rank 3 *)
-  let m = mk [ 3.; 5.; 12.; 24.; 48.; 96.; 192.; 384.; 768.; 1536. ] in
-  let h = Metrics.histogram m "serve_stage_admit_search_ns" in
+  (* same shape again: q=0.3, n=10 has exact rank 3 *)
+  let h = mk [ 3.; 5.; 12.; 24.; 48.; 96.; 192.; 384.; 768.; 1536. ] in
   let p30 = Metrics.percentile h 0.3 in
   Alcotest.(check bool)
     (Printf.sprintf "p30 lands in rank 3's bucket (got %g)" p30)
     true
     (8. <= p30 && p30 <= 16.)
-
-let merged_counters_and_gauges () =
-  let a = Metrics.create () and b = Metrics.create () in
-  Metrics.add (Metrics.counter a "reqs") 3;
-  Metrics.add (Metrics.counter b "reqs") 4;
-  Metrics.set (Metrics.gauge a "conns") 2.;
-  Metrics.set (Metrics.gauge b "conns") 5.;
-  Metrics.add (Metrics.counter b "only_b") 1;
-  let m = Metrics.merged [ a; b ] in
-  Alcotest.(check int) "counters add" 7 (Metrics.value (Metrics.counter m "reqs"));
-  Alcotest.(check int) "one-sided counter kept" 1 (Metrics.value (Metrics.counter m "only_b"));
-  Alcotest.(check (float 0.)) "gauges sum" 7. (Metrics.gauge_value (Metrics.gauge m "conns"));
-  Alcotest.check_raises "kind mismatch across registries raises"
-    (Invalid_argument "Metrics: \"reqs\" already registered as a counter")
-    (fun () ->
-      let c = Metrics.create () in
-      Metrics.set (Metrics.gauge c "reqs") 1.;
-      Metrics.merge_into ~into:m c)
 
 (* --- json string escaping --- *)
 
@@ -613,9 +558,7 @@ let suites =
         case "prometheus dump" prometheus_dump;
         case "percentile edges and monotonicity" percentile_edges;
         prop_percentile_oracle;
-        merged_equals_unsharded;
-        case "merged multi-shard percentile rank" merged_percentile_rank;
-        case "merged counters and gauges" merged_counters_and_gauges;
+        case "percentile rank (q*n)" percentile_rank;
       ] );
     ( "obs.sink",
       [

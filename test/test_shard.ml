@@ -16,7 +16,7 @@
      fresh single-shard [Online] ledger and demands bit-identical
      decisions and port counters;
 
-   - seeded section-5.3 workloads pin [--shards 1] to the unsharded
+   - seeded section-5.3 workloads pin a 1-shard engine to the unsharded
      engine decision-for-decision, and a journal written by a sharded
      run recovers onto a different shard count ([of_events]
      re-partitioning) with identical state and identical future

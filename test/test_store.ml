@@ -508,10 +508,10 @@ let test_double_crash () =
 
 (* --- the sharded crash leg ---
 
-   [gridbw serve --shards N] journals through the sharded engine: the
-   reserve phase of a cross-shard admission writes nothing, and the
-   single Accept record appended inside the freeze window is the commit
-   point for BOTH ports at once.  A SIGKILL between reserve and commit
+   In a journal written through the sharded engine, the reserve phase
+   of a cross-shard admission writes nothing, and the single Accept
+   record appended inside the freeze window is the commit point for
+   BOTH ports at once.  A SIGKILL between reserve and commit
    therefore leaves either a fully-booked admission or no trace — never
    one port booked and the other not.  This matrix carves a sharded
    journal at every record boundary and mid-record (the same cuts a kill
