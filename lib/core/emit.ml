@@ -8,6 +8,11 @@ module Ledger = Gridbw_alloc.Ledger
 module Port = Gridbw_alloc.Port
 module Obs = Gridbw_obs.Obs
 module Event = Gridbw_obs.Event
+module Metrics = Gridbw_obs.Metrics
+
+let requests_total = Metrics.counter_key "admit_requests_total"
+let accepted_total = Metrics.counter_key "admit_accepted_total"
+let rejected_total = Metrics.counter_key "admit_rejected_total"
 
 (* Input-list position of every request, recorded on Arrival events so a
    trace replay can restore the original list order (summary float sums
@@ -40,10 +45,10 @@ let emit_arrivals obs seqs batch =
    when the caller identified one. *)
 let emit_decision obs ~time ?blocked (r : Request.t) d =
   if obs.Obs.enabled then begin
-    Obs.count obs "admit_requests_total";
+    Obs.incr obs requests_total;
     match d with
     | Types.Accepted a ->
-        Obs.count obs "admit_accepted_total";
+        Obs.incr obs accepted_total;
         Obs.event obs (fun () ->
             Event.Accept
               {
@@ -60,7 +65,7 @@ let emit_decision obs ~time ?blocked (r : Request.t) d =
                 shard = None;
               })
     | Types.Rejected reason ->
-        Obs.count obs "admit_rejected_total";
+        Obs.incr obs rejected_total;
         Obs.event obs (fun () ->
             let port, headroom =
               match blocked with

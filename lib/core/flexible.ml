@@ -6,6 +6,8 @@ module Port = Gridbw_alloc.Port
 module Obs = Gridbw_obs.Obs
 module Event = Gridbw_obs.Event
 
+let pack_span = Obs.span_key "pack_batch"
+
 let check_routing fabric requests =
   List.iter
     (fun (r : Request.t) ->
@@ -140,7 +142,7 @@ let pack_batch ?(obs = Obs.disabled) ?now policy ledger ~decide batch =
     Emit.emit_decision obs ~time:now ?blocked r d;
     decide r d
   in
-  Obs.span obs "pack_batch" @@ fun () ->
+  Obs.span obs pack_span @@ fun () ->
   match batch with
   | [] -> ()
   | first :: _ ->

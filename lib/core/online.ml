@@ -7,6 +7,8 @@ module Obs = Gridbw_obs.Obs
 module Event = Gridbw_obs.Event
 module Span = Gridbw_obs.Span
 
+let admit_span = Obs.span_key "admit"
+
 type t = {
   live : Live.t;
   releases : Allocation.t Event_queue.t;
@@ -86,7 +88,7 @@ let try_admit ?(ctx = Runtime.default) t policy (r : Request.t) ~at =
     let span = ctx.Runtime.span in
     let t0 = match span with Some _ -> Span.now_ns () | None -> 0. in
     let p0 = match span with Some _ -> Live.probe_count t.live | None -> 0 in
-    let decision = Obs.span obs "admit" decide in
+    let decision = Obs.span obs admit_span decide in
     (match span with
     | None -> Emit.emit_decision obs ~time:at ?blocked:!blocked r decision
     | Some sp ->

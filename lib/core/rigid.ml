@@ -6,6 +6,8 @@ module Port = Gridbw_alloc.Port
 module Live = Gridbw_alloc.Live
 module Obs = Gridbw_obs.Obs
 
+let sweep_span = Obs.span_key "rigid_sweep"
+
 type cost_kind = Cumulated | Min_bw | Min_vol
 
 let cost_name = function
@@ -121,7 +123,7 @@ let slots ?(ctx = Runtime.default) ~cost fabric requests =
         sweep rest
     | [ _ ] | [] -> ()
   in
-  Obs.span obs "rigid_sweep" (fun () -> sweep breakpoints);
+  Obs.span obs sweep_span (fun () -> sweep breakpoints);
   (* Outcomes are only final once the whole sweep has run, so decisions
      are stamped at the last slice boundary, after the batch arrivals. *)
   (if Obs.tracing obs then begin

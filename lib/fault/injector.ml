@@ -14,6 +14,8 @@ module Obs = Gridbw_obs.Obs
 module Event = Gridbw_obs.Event
 module Emit = Gridbw_core.Emit
 
+let shed_span = Obs.span_key "shed"
+
 type admission = Greedy | Window of float
 type recovery = No_recovery | Resubmit
 
@@ -321,7 +323,7 @@ let run_greedy ?(obs = Obs.disabled) fabric cfg events requests =
       | Resubmit -> sched (now +. reneg) (attempt_readmit lg)
     end
   and shed engine side port =
-    Obs.span obs "shed" @@ fun () ->
+    Obs.span obs shed_span @@ fun () ->
     let now = Engine.now engine in
     Online.advance_to ctl now;
     let cap = current_capacity caps side port in
@@ -550,7 +552,7 @@ let run_window ?(obs = Obs.disabled) fabric cfg ~step events requests =
     Ledger.argmax_over ledger (port_of side port) ~from_ ~until
   in
   let shed engine side port ~until =
-    Obs.span obs "shed" @@ fun () ->
+    Obs.span obs shed_span @@ fun () ->
     let now = Engine.now engine in
     let cap = current_capacity caps side port in
     let shed_victims = ref 0 in

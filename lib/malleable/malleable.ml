@@ -16,6 +16,8 @@ module Emit = Gridbw_core.Emit
 module Flexible = Gridbw_core.Flexible
 module Scheduler = Gridbw_core.Scheduler
 
+let admit_span = Obs.span_key "admit"
+
 type config = {
   book_ahead : float;  (** announce (and decide) each request this long before its [ts] *)
   reshape : bool;  (** re-solve pending profiles when an admit would otherwise fail *)
@@ -427,7 +429,7 @@ let run config ?(ctx = Runtime.default) fabric requests =
         let span = ctx.Runtime.span in
         let t0 = match span with Some _ -> Span.now_ns () | None -> 0. in
         let p0 = match span with Some _ -> Ledger.probe_count !ledger | None -> 0 in
-        Obs.span obs "admit" (fun () -> decide now r);
+        Obs.span obs admit_span (fun () -> decide now r);
         match span with
         | None -> ()
         | Some sp ->

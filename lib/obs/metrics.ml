@@ -17,9 +17,21 @@ type instrument =
   | Gauge of gauge
   | Histogram of histogram
 
-type t = { instruments : (string, instrument) Hashtbl.t }
+(* Keys resolved in this registry, by slot: one array per instrument
+   kind, a sentinel where a key has not been resolved yet. *)
+type t = {
+  instruments : (string, instrument) Hashtbl.t;
+  mutable counters : counter array;
+  mutable gauges : gauge array;
+  mutable histograms : histogram array;
+}
 
-let create () = { instruments = Hashtbl.create 32 }
+let no_counter = { count = 0 }
+let no_gauge = { level = 0.0 }
+let no_histogram = { buckets = [||]; total = 0; sum = 0.0 }
+
+let create () =
+  { instruments = Hashtbl.create 32; counters = [||]; gauges = [||]; histograms = [||] }
 
 let kind_name = function
   | Counter _ -> "counter"
@@ -60,6 +72,61 @@ let histogram t name =
   find_or_create t name
     (fun () -> Histogram { buckets = Array.make nbuckets 0; total = 0; sum = 0.0 })
     (function Histogram h -> Some h | _ -> None)
+
+(* --- keys --- *)
+
+(* Slots are numbered per kind across the process: a key is declared
+   once, at module level, and owns its slot in every registry. *)
+type 'a key = { name : string; slot : int }
+
+let next_counter = Atomic.make 0
+let next_gauge = Atomic.make 0
+let next_histogram = Atomic.make 0
+let counter_key name = { name; slot = Atomic.fetch_and_add next_counter 1 }
+let gauge_key name = { name; slot = Atomic.fetch_and_add next_gauge 1 }
+let histogram_key name = { name; slot = Atomic.fetch_and_add next_histogram 1 }
+
+(* [slots] with [v] in [slot], grown (filled with [none]) if too short. *)
+let store_slot slots none slot v =
+  let slots =
+    if slot < Array.length slots then slots
+    else begin
+      let a = Array.make (Int.max (slot + 1) (2 * Array.length slots)) none in
+      Array.blit slots 0 a 0 (Array.length slots);
+      a
+    end
+  in
+  slots.(slot) <- v;
+  slots
+
+(* The first use of a key in a registry finds or creates its instrument
+   by name, as the name-based accessors do; later uses read the slot. *)
+let counter_of t k =
+  if k.slot < Array.length t.counters && Array.unsafe_get t.counters k.slot != no_counter then
+    Array.unsafe_get t.counters k.slot
+  else begin
+    let c = counter t k.name in
+    t.counters <- store_slot t.counters no_counter k.slot c;
+    c
+  end
+
+let gauge_of t k =
+  if k.slot < Array.length t.gauges && Array.unsafe_get t.gauges k.slot != no_gauge then
+    Array.unsafe_get t.gauges k.slot
+  else begin
+    let g = gauge t k.name in
+    t.gauges <- store_slot t.gauges no_gauge k.slot g;
+    g
+  end
+
+let histogram_of t k =
+  if k.slot < Array.length t.histograms && Array.unsafe_get t.histograms k.slot != no_histogram
+  then Array.unsafe_get t.histograms k.slot
+  else begin
+    let h = histogram t k.name in
+    t.histograms <- store_slot t.histograms no_histogram k.slot h;
+    h
+  end
 
 let bucket_of v =
   if not (Float.is_finite v) || v <= 1.0 then 0

@@ -54,6 +54,25 @@ val percentile : histogram -> float -> float
     < 2×).  [nan] on an empty histogram; raises [Invalid_argument] when
     [q] is outside [\[0,1\]]. *)
 
+(** {2 Keys}
+
+    A key names one instrument and is declared once, at module level.
+    Its first use in a registry finds or creates the instrument by name,
+    exactly as the accessors above do, and caches it in the key's slot;
+    every later use is one array read.  Nothing is registered before
+    that first use, so a dump lists the same series whether call sites
+    use keys or names.  Two keys with the same name reach the same
+    instrument. *)
+
+type 'a key
+
+val counter_key : string -> counter key
+val gauge_key : string -> gauge key
+val histogram_key : string -> histogram key
+val counter_of : t -> counter key -> counter
+val gauge_of : t -> gauge key -> gauge
+val histogram_of : t -> histogram key -> histogram
+
 (** {2 Dumps}
 
     Both renderings list instruments in name order, so output is

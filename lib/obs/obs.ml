@@ -35,12 +35,27 @@ let set_gauge ctx name v =
 let observe ctx name v =
   if ctx.enabled then Metrics.observe (Metrics.histogram ctx.metrics name) v
 
-let span ctx name f =
+let incr ctx k = if ctx.enabled then Metrics.incr (Metrics.counter_of ctx.metrics k)
+let set ctx k v = if ctx.enabled then Metrics.set (Metrics.gauge_of ctx.metrics k) v
+
+type span_key = Metrics.histogram Metrics.key
+
+let span_key name = Metrics.histogram_key ("span_" ^ name ^ "_ns")
+
+let observe_since h t0 =
+  Metrics.observe h (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0))
+
+let span ctx k f =
   if not ctx.enabled then f ()
   else begin
-    let h = Metrics.histogram ctx.metrics ("span_" ^ name ^ "_ns") in
-    let t0 = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () -> Metrics.observe h ((Unix.gettimeofday () -. t0) *. 1e9))
-      f
+    let h = Metrics.histogram_of ctx.metrics k in
+    let t0 = Monotonic_clock.now () in
+    match f () with
+    | v ->
+        observe_since h t0;
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        observe_since h t0;
+        Printexc.raise_with_backtrace e bt
   end

@@ -38,17 +38,30 @@ val flush : ctx -> unit
 
 (** {2 Metrics shorthands}
 
-    Name-based, guarded by [enabled]; the registry lookup is a hashtable
-    probe, fine at decision granularity. *)
+    Guarded by [enabled].  The name-based forms find the instrument by
+    name on every call, a string hash: use them on cold paths.  Hot
+    paths declare a {!Metrics.key} once, at module level, and use the
+    keyed forms, which cost one array read after the key's first use in
+    a registry (see {!Metrics.counter_of}). *)
 
 val count : ctx -> string -> unit
 val count_n : ctx -> string -> int -> unit
 val set_gauge : ctx -> string -> float -> unit
 val observe : ctx -> string -> float -> unit
 
+val incr : ctx -> Metrics.counter Metrics.key -> unit
+val set : ctx -> Metrics.gauge Metrics.key -> float -> unit
+
 (** {2 Profiling spans} *)
 
-val span : ctx -> string -> (unit -> 'a) -> 'a
-(** [span ctx name f] runs [f ()] and records its wall-clock duration in
-    nanoseconds in histogram [span_<name>_ns].  With [ctx] disabled it is
-    a direct call — no clock read. *)
+type span_key = Metrics.histogram Metrics.key
+
+val span_key : string -> span_key
+(** The key of histogram [span_<name>_ns], named once. *)
+
+val span : ctx -> span_key -> (unit -> 'a) -> 'a
+(** [span ctx k f] runs [f ()] and records its duration in nanoseconds,
+    read from the monotonic clock, in [k]'s histogram.  The histogram is
+    registered before [f] runs; when [f] raises, the duration is still
+    recorded and the exception re-raised.  With [ctx] disabled it is a
+    direct call — no clock read. *)

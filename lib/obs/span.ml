@@ -5,9 +5,12 @@
    the flight-recorder scan trivial.
 
    Timestamps come from {!now_ns}: [Unix.gettimeofday] clamped
-   non-decreasing (no monotonic-clock binding in the toolchain; the
-   clamp protects durations against small NTP steps, a leap backwards
-   larger than a span simply truncates that span to zero). *)
+   non-decreasing.  A span's [time] is a wall-clock instant and its stage
+   durations share that base, so spans stay on the wall clock; the
+   monotonic clock ([bechamel.monotonic_clock]) times [Obs.span]
+   histograms, which carry no instant.  The clamp protects durations
+   against small NTP steps; a leap backwards larger than a span simply
+   truncates that span to zero. *)
 
 module Codec = Gridbw_wire.Codec
 module Frame = Gridbw_wire.Frame

@@ -6,10 +6,11 @@
     than a tree: the serve path has exactly one pipeline, and the flat
     layout keeps the binary form fixed-size for the flight recorder.
 
-    Clock: {!now_ns} is [Unix.gettimeofday] clamped non-decreasing —
-    the toolchain ships no monotonic-clock binding, so durations are
-    wall-clock and can only be truncated (never negative) by backwards
-    clock steps. *)
+    Clock: {!now_ns} is [Unix.gettimeofday] clamped non-decreasing.  A
+    span's [time] is a wall-clock instant and its durations share that
+    base, so they are wall-clock and can only be truncated (never
+    negative) by backwards clock steps.  ({!Obs.span} histograms carry
+    no instant and read the monotonic clock instead.) *)
 
 type stage =
   | Frame_decode  (** length-prefix / binary frame decoding *)

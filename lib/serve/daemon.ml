@@ -8,6 +8,13 @@ module Store = Gridbw_store.Store
 module Policy = Gridbw_core.Policy
 module Fabric = Gridbw_topology.Fabric
 
+(* The per-request and per-round metrics, keyed once. *)
+let requests_total = Metrics.counter_key "serve_requests_total"
+let flushes_total = Metrics.counter_key "serve_flushes_total"
+let connections_active = Metrics.gauge_key "serve_connections_active"
+let handle_span = Obs.span_key "serve_handle"
+let flush_span = Obs.span_key "serve_flush"
+
 type transport = Unix_socket of string | Tcp of string * int
 
 type config = {
@@ -389,13 +396,13 @@ let handle_ready t c acc =
           match msg with
           | Session.Request Protocol.Shutdown ->
               t.stopping <- true;
-              Obs.count t.obs "serve_requests_total";
+              Obs.incr t.obs requests_total;
               (None, Admission.handle t.adm Protocol.Shutdown)
           | Session.Request req ->
-              Obs.count t.obs "serve_requests_total";
+              Obs.incr t.obs requests_total;
               let span = open_span t c in
               ( span,
-                Obs.span t.obs "serve_handle" (fun () ->
+                Obs.span t.obs handle_span (fun () ->
                     Admission.handle ?span t.adm req) )
           | Session.Undecodable resp | Session.Broken resp ->
               Obs.count t.obs "serve_protocol_errors_total";
@@ -413,8 +420,8 @@ let round t ~readable =
   in
   (* 2. make the round's decisions durable before anyone hears about them *)
   if Admission.dirty t.adm then begin
-    Obs.span t.obs "serve_flush" (fun () -> Admission.flush t.adm);
-    Obs.count t.obs "serve_flushes_total";
+    Obs.span t.obs flush_span (fun () -> Admission.flush t.adm);
+    Obs.incr t.obs flushes_total;
     if t.tracing then begin
       (* Group-commit wait: from this request's decision until the
          round's fsync completed.  A request decided early in the round
@@ -484,8 +491,7 @@ let run t =
           t.mconns;
         sweep_closed t;
         sweep_mconns t;
-        Obs.set_gauge t.obs "serve_connections_active"
-          (float_of_int (List.length t.conns))
+        Obs.set t.obs connections_active (float_of_int (List.length t.conns))
   done;
   (* Graceful shutdown: stop accepting, drain pending output briefly,
      then flush + snapshot + close the store. *)

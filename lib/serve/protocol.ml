@@ -73,7 +73,6 @@ let num f = Json.Num f
 let int i = Json.Num (float_of_int i)
 let str s = Json.Str s
 
-let obj re fields = Json.to_string (Json.Obj (("v", int version) :: ("re", str re) :: fields))
 let req_obj op fields = Json.to_string (Json.Obj (("v", int version) :: ("op", str op) :: fields))
 
 let encode_request = function
@@ -93,27 +92,82 @@ let encode_request = function
   | Stats -> req_obj "stats" []
   | Shutdown -> req_obj "shutdown" []
 
-let window fields = function
-  | bw, sigma, tau -> fields @ [ ("bw", num bw); ("sigma", num sigma); ("tau", num tau) ]
+(* Replies are written straight into one buffer, key by key, in the
+   order the JSON object form lists them; numbers and strings go through
+   [Json]'s own printers, so the bytes are the ones [Json.to_string]
+   would write for that object.  Each reply kind's fixed head,
+   {"v":1,"re":"<kind>", is built once. *)
+let head re = Printf.sprintf "{\"v\":%s,\"re\":\"%s\"" (Json.num_to_string (float_of_int version)) re
 
-let encode_response = function
-  | Admitted { id; bw; sigma; tau } -> obj "admitted" (window [ ("id", int id) ] (bw, sigma, tau))
-  | Rejected { id; reason } -> obj "rejected" [ ("id", int id); ("reason", str reason) ]
-  | Status { id; disposition } ->
-      let fields =
-        match disposition with
-        | Unknown -> [ ("state", str "unknown") ]
-        | Active { bw; sigma; tau } -> window [ ("state", str "active") ] (bw, sigma, tau)
-        | Done { bw; sigma; tau } -> window [ ("state", str "done") ] (bw, sigma, tau)
-        | Refused { reason } -> [ ("state", str "rejected"); ("reason", str reason) ]
-        | Cancelled -> [ ("state", str "cancelled") ]
-      in
-      obj "status" (("id", int id) :: fields)
-  | Cancel_ok { id } -> obj "cancelled" [ ("id", int id) ]
-  | Cancel_failed { id; reason } -> obj "cancel-failed" [ ("id", int id); ("reason", str reason) ]
-  | Stats_text text -> obj "stats" [ ("prometheus", str text) ]
-  | Goodbye { records } -> obj "goodbye" [ ("records", int records) ]
-  | Error { code; message } -> obj "error" [ ("code", str (code_name code)); ("message", str message) ]
+let h_admitted = head "admitted"
+let h_rejected = head "rejected"
+let h_status = head "status"
+let h_cancelled = head "cancelled"
+let h_cancel_failed = head "cancel-failed"
+let h_stats = head "stats"
+let h_goodbye = head "goodbye"
+let h_error = head "error"
+
+let add_num b key f =
+  Buffer.add_string b key;
+  Buffer.add_string b (Json.num_to_string f)
+
+let add_int b key i = add_num b key (float_of_int i)
+
+let add_str b key s =
+  Buffer.add_string b key;
+  Json.escape b s
+
+let add_window b bw sigma tau =
+  add_num b ",\"bw\":" bw;
+  add_num b ",\"sigma\":" sigma;
+  add_num b ",\"tau\":" tau
+
+let encode_response r =
+  let b = Buffer.create 128 in
+  (match r with
+  | Admitted { id; bw; sigma; tau } ->
+      Buffer.add_string b h_admitted;
+      add_int b ",\"id\":" id;
+      add_window b bw sigma tau
+  | Rejected { id; reason } ->
+      Buffer.add_string b h_rejected;
+      add_int b ",\"id\":" id;
+      add_str b ",\"reason\":" reason
+  | Status { id; disposition } -> (
+      Buffer.add_string b h_status;
+      add_int b ",\"id\":" id;
+      match disposition with
+      | Unknown -> Buffer.add_string b ",\"state\":\"unknown\""
+      | Active { bw; sigma; tau } ->
+          Buffer.add_string b ",\"state\":\"active\"";
+          add_window b bw sigma tau
+      | Done { bw; sigma; tau } ->
+          Buffer.add_string b ",\"state\":\"done\"";
+          add_window b bw sigma tau
+      | Refused { reason } ->
+          Buffer.add_string b ",\"state\":\"rejected\"";
+          add_str b ",\"reason\":" reason
+      | Cancelled -> Buffer.add_string b ",\"state\":\"cancelled\"")
+  | Cancel_ok { id } ->
+      Buffer.add_string b h_cancelled;
+      add_int b ",\"id\":" id
+  | Cancel_failed { id; reason } ->
+      Buffer.add_string b h_cancel_failed;
+      add_int b ",\"id\":" id;
+      add_str b ",\"reason\":" reason
+  | Stats_text text ->
+      Buffer.add_string b h_stats;
+      add_str b ",\"prometheus\":" text
+  | Goodbye { records } ->
+      Buffer.add_string b h_goodbye;
+      add_int b ",\"records\":" records
+  | Error { code; message } ->
+      Buffer.add_string b h_error;
+      add_str b ",\"code\":" (code_name code);
+      add_str b ",\"message\":" message);
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 (* --- decoding --- *)
 
@@ -150,7 +204,7 @@ let with_versioned payload k =
           | Some _ -> k j)
       | _ -> Result.Error (Bad_json_e "payload is not a JSON object"))
 
-let decode_request payload =
+let decode_request_tree payload =
   with_versioned payload (fun j ->
       let* op = str_field "op" j in
       match op with
@@ -172,6 +226,141 @@ let decode_request payload =
       | "stats" -> Ok Stats
       | "shutdown" -> Ok Shutdown
       | other -> Result.Error (Bad_request_e (Printf.sprintf "unknown verb %S" other)))
+
+(* The admit scan: one pass over the payload that reads the nine admit
+   keys, in any order, straight into fields — no tree, no key strings.
+   It accepts exactly one flat object holding each admit key once, with
+   "op" spelled "admit" without escapes, "v" = 1, integral ids below
+   2^53 and numbers where numbers belong.  Anything else (another verb,
+   an unknown or repeated key, a string for a number, an escape in a
+   key, trailing bytes, any error) is [None]: the tree decoder then
+   answers, so every error reply comes from one place.  Numbers go
+   through [Json.parse_number], the tree parser's own scanner, so both
+   paths read the same doubles. *)
+
+(* Bit of each admit key in the [seen] mask, -1 for any other key:
+   v op id in out vol ts tf max. *)
+let key_bit s i len =
+  let c0 = String.unsafe_get s i in
+  match len with
+  | 1 -> if c0 = 'v' then 0 else -1
+  | 2 -> (
+      match (c0, String.unsafe_get s (i + 1)) with
+      | 'o', 'p' -> 1
+      | 'i', 'd' -> 2
+      | 'i', 'n' -> 3
+      | 't', 's' -> 6
+      | 't', 'f' -> 7
+      | _ -> -1)
+  | 3 -> (
+      match (c0, String.unsafe_get s (i + 1), String.unsafe_get s (i + 2)) with
+      | 'o', 'u', 't' -> 4
+      | 'v', 'o', 'l' -> 5
+      | 'm', 'a', 'x' -> 8
+      | _ -> -1)
+  | _ -> -1
+
+let all_keys = (1 lsl 9) - 1
+
+(* The byte under the cursor, '\000' at the end of input (as in [Json]). *)
+let cur (c : Json.cursor) = if c.pos < c.n then String.unsafe_get c.s c.pos else '\000'
+
+(* Step over the literal [word] if the input holds it at the cursor. *)
+let skip_word (c : Json.cursor) word =
+  let m = String.length word in
+  let rec same k = k = m || (String.unsafe_get c.s (c.pos + k) = String.unsafe_get word k && same (k + 1)) in
+  if c.pos + m <= c.n && same 0 then begin
+    c.pos <- c.pos + m;
+    true
+  end
+  else false
+
+let scan_admit payload =
+  let c = { Json.s = payload; n = String.length payload; pos = 0 } in
+  let ok = ref true and closed = ref false and seen = ref 0 in
+  let id = ref 0 and ingress = ref 0 and egress = ref 0 in
+  let volume = ref 0. and ts = ref 0. and tf = ref 0. and max_rate = ref 0. in
+  Json.skip_ws c;
+  if cur c = '{' then c.pos <- c.pos + 1 else ok := false;
+  while !ok && not !closed do
+    Json.skip_ws c;
+    (* the key: a plain quoted string naming an admit key not yet seen *)
+    let bit =
+      if cur c <> '"' then -1
+      else begin
+        let start = c.pos + 1 in
+        let i = ref start in
+        while !i < c.n && String.unsafe_get payload !i <> '"' && String.unsafe_get payload !i <> '\\' do
+          incr i
+        done;
+        if !i >= c.n || String.unsafe_get payload !i <> '"' then -1
+        else begin
+          c.pos <- !i + 1;
+          key_bit payload start (!i - start)
+        end
+      end
+    in
+    if bit < 0 || !seen land (1 lsl bit) <> 0 then ok := false
+    else begin
+      seen := !seen lor (1 lsl bit);
+      Json.skip_ws c;
+      if cur c <> ':' then ok := false
+      else begin
+        c.pos <- c.pos + 1;
+        Json.skip_ws c;
+        if bit = 1 then (if not (skip_word c "\"admit\"") then ok := false)
+        else
+          match cur c with
+          | '{' | '[' | '"' | 't' | 'f' | 'n' -> ok := false
+          | _ when c.pos >= c.n -> ok := false
+          | _ -> (
+              match Json.parse_number c with
+              | exception Json.Bad _ -> ok := false
+              | f ->
+                  if bit = 0 || bit = 2 || bit = 3 || bit = 4 then begin
+                    (* an exact integer: the tree decoder's [exact_int] *)
+                    if not (Float.abs f < 0x1p53 && Float.is_integer f) then ok := false
+                    else
+                      let k = int_of_float f in
+                      if bit = 0 then (if k <> version then ok := false)
+                      else if bit = 2 then id := k
+                      else if bit = 3 then ingress := k
+                      else egress := k
+                  end
+                  else if bit = 5 then volume := f
+                  else if bit = 6 then ts := f
+                  else if bit = 7 then tf := f
+                  else max_rate := f)
+      end;
+      Json.skip_ws c;
+      match cur c with
+      | ',' -> c.pos <- c.pos + 1
+      | '}' ->
+          c.pos <- c.pos + 1;
+          closed := true
+      | _ -> ok := false
+    end
+  done;
+  if !ok && !seen = all_keys then begin
+    Json.skip_ws c;
+    if c.pos = c.n then
+      Some
+        (Admit
+           {
+             id = !id;
+             ingress = !ingress;
+             egress = !egress;
+             volume = !volume;
+             ts = !ts;
+             tf = !tf;
+             max_rate = !max_rate;
+           })
+    else None
+  end
+  else None
+
+let decode_request payload =
+  match scan_admit payload with Some r -> Ok r | None -> decode_request_tree payload
 
 let decode_window j =
   let* bw = float_field "bw" j in

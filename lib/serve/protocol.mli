@@ -67,8 +67,22 @@ val encode_request : request -> string
 (** The JSON payload (frame it with {!Frame.encode} to put on the wire). *)
 
 val decode_request : string -> (request, decode_error) result
+(** An admit is read in one scan of the payload, straight into its
+    fields.  Any payload the scan does not accept whole (another verb,
+    an unknown or repeated key, an ill-typed value, an escape in a key,
+    trailing bytes) goes to {!decode_request_tree}, so the two agree on
+    every input, error messages included. *)
+
+val decode_request_tree : string -> (request, decode_error) result
+(** The generic decoder: parse a [Json.t] tree, then read its fields.
+    {!decode_request}'s fallback, and the reference it is tested
+    against. *)
 
 val encode_response : response -> string
+(** Written field by field in one buffer; the bytes are [Json.to_string]
+    of the response's object form (keys ["v"], ["re"], then the fields
+    in constructor order). *)
+
 val decode_response : string -> (response, decode_error) result
 
 val pp_request : Format.formatter -> request -> unit

@@ -2,6 +2,7 @@ module Json = Gridbw_obs.Json
 module Event = Gridbw_obs.Event
 module Obs = Gridbw_obs.Obs
 module Sink = Gridbw_obs.Sink
+module Metrics = Gridbw_obs.Metrics
 module Fabric = Gridbw_topology.Fabric
 module Request = Gridbw_request.Request
 module Allocation = Gridbw_alloc.Allocation
@@ -131,10 +132,12 @@ let apply ?(ledger_effects = true) t ev =
 
 (* --- live journaling --- *)
 
+let wal_records_total = Metrics.counter_key "store_wal_records_total"
+
 (* One record holding [t.body]. *)
 let write t =
   Wal.append t.writer (Buffer.contents t.body);
-  Obs.count t.obs "store_wal_records_total"
+  Obs.incr t.obs wal_records_total
 
 let write_event t ev =
   Buffer.clear t.body;

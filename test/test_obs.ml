@@ -158,15 +158,65 @@ let disabled_is_inert () =
   let dump = Metrics.to_prometheus (Obs.metrics Obs.disabled) in
   Alcotest.(check bool) "registry untouched" false (contains ~affix:"inert" dump)
 
+let unit_test_span = Obs.span_key "unit_test"
+
 let span_records_and_returns () =
   let obs = Obs.create () in
-  Alcotest.(check int) "span returns f's value" 42 (Obs.span obs "unit_test" (fun () -> 42));
+  Alcotest.(check int) "span returns f's value" 42 (Obs.span obs unit_test_span (fun () -> 42));
   let h = Metrics.histogram (Obs.metrics obs) "span_unit_test_ns" in
   Alcotest.(check int) "one observation" 1 (Metrics.hist_count h);
-  (match Obs.span obs "unit_test" (fun () -> failwith "boom") with
+  (match Obs.span obs unit_test_span (fun () -> failwith "boom") with
   | _ -> Alcotest.fail "exception must propagate"
   | exception Failure _ -> ());
   Alcotest.(check int) "failed span still observed" 2 (Metrics.hist_count h)
+
+(* A microsecond clock reads 0 ns for most sub-microsecond bodies, and
+   every such sample lands in the le="1" bucket.  The body takes about
+   150 ns on a 2-vCPU x86-64 host; with gettimeofday, 80% of its spans
+   read 0 there. *)
+let span_clock_resolves_nanoseconds () =
+  let obs = Obs.create () in
+  let k = Obs.span_key "clock_test" in
+  let body () =
+    let acc = ref 0 in
+    for i = 1 to 200 do
+      acc := !acc + Sys.opaque_identity i
+    done;
+    ignore (Sys.opaque_identity !acc)
+  in
+  for _ = 1 to 10_000 do
+    Obs.span obs k body
+  done;
+  let h = Metrics.histogram (Obs.metrics obs) "span_clock_test_ns" in
+  let zero = Option.value ~default:0 (List.assoc_opt 1.0 (Metrics.hist_buckets h)) in
+  Alcotest.(check int) "every span observed" 10_000 (Metrics.hist_count h);
+  if 2 * zero >= Metrics.hist_count h then
+    Alcotest.failf "%d of 10000 spans of a >=100 ns body read <= 1 ns" zero
+
+let keys_resolve_lazily_per_registry () =
+  let k = Metrics.counter_key "keyed_total" and g = Metrics.gauge_key "keyed_level" in
+  let a = Obs.create () and b = Obs.create () in
+  Alcotest.(check bool) "nothing registered before first use" false
+    (contains ~affix:"keyed" (Metrics.to_prometheus (Obs.metrics a)));
+  Obs.incr a k;
+  Obs.incr a k;
+  Obs.count a "keyed_total";
+  Obs.set a g 2.5;
+  Alcotest.(check int) "key and name reach one counter" 3
+    (Metrics.value (Metrics.counter (Obs.metrics a) "keyed_total"));
+  check_approx "gauge set through its key" 2.5
+    (Metrics.gauge_value (Metrics.gauge (Obs.metrics a) "keyed_level"));
+  Alcotest.(check bool) "another registry is untouched" false
+    (contains ~affix:"keyed" (Metrics.to_prometheus (Obs.metrics b)));
+  Obs.incr b k;
+  Alcotest.(check int) "each registry resolves its own instrument" 1
+    (Metrics.value (Metrics.counter_of (Obs.metrics b) k));
+  Obs.incr Obs.disabled k;
+  Alcotest.(check bool) "disabled ctx registers nothing" false
+    (contains ~affix:"keyed" (Metrics.to_prometheus (Obs.metrics Obs.disabled)));
+  match Metrics.histogram_of (Obs.metrics a) (Metrics.histogram_key "keyed_total") with
+  | _ -> Alcotest.fail "a key of the wrong kind must raise"
+  | exception Invalid_argument _ -> ()
 
 let decision_signature (r : Types.result) =
   List.map
@@ -401,15 +451,46 @@ let check_number f =
 let json_numbers_print_as_printf () =
   List.iter check_number
     [ 0.; -0.; 1.; -1.; 1e15 -. 1.; -.(1e15 -. 1.); 1e15; -1e15; 5e-324; -5e-324; max_float;
-      -.max_float; min_float; 0.5; -0.5; 0.1; 1e300; 0x1p53; 0x1p53 +. 2.; -0x1p62; 0x1p63 ]
+      -.max_float; min_float; 0.5; -0.5; 0.1; 1e300; 0x1p53; 0x1p53 +. 2.; -0x1p62; 0x1p63;
+      1e-6; 1.5e-5; -2.5e-6; 0.00012; 99999999999999984.; 99999999999999.995 ];
+  (* each power of ten from 1e-8 to 1e18 and its neighbours: the edges of
+     the decimal exponent, and of the range printed without printf *)
+  for k = -8 to 18 do
+    let x = ref (float_of_string ("1e" ^ string_of_int k)) in
+    for _ = 1 to 4 do
+      x := Float.pred !x
+    done;
+    for _ = 1 to 9 do
+      check_number !x;
+      check_number (-. !x);
+      x := Float.succ !x
+    done
+  done
+
+(* c / 2^(k+1) with c odd is a double whose 17-digit rounding is an exact
+   tie: its decimal expansion ends in a 5 in the 18th digit. *)
+let tie_gen =
+  QCheck2.Gen.(
+    let* k = int_range 1 22 in
+    let p5 = Float.pow 5. (float_of_int k) in
+    let lo = Float.ceil (2e16 /. p5) and hi = Float.min (Float.floor (2e17 /. p5)) 0x1p53 in
+    let* c = float_range lo (hi -. 2.) in
+    let c = Float.round c in
+    let c = if Float.rem c 2. = 0. then c +. 1. else c in
+    return (Float.ldexp c (-(k + 1))))
 
 (* Random bit patterns cover every exponent; the integral draws cover
-   the [string_of_int] branch. *)
+   the [string_of_int] branch; log-uniform draws and exact ties cover
+   the digits computed without printf. *)
 let prop_json_numbers =
   qcase ~count:2000 "json: numbers print as %.0f / %.17g did"
-    QCheck2.Gen.(pair int64 (float_range (-1e15) 1e15))
-    (fun (bits, x) ->
-      List.iter check_number [ Int64.float_of_bits bits; Float.round x; x ];
+    QCheck2.Gen.(
+      quad int64 (float_range (-1e15) 1e15)
+        (pair (float_range 1. 2.) (int_range (-22) 58))
+        tie_gen)
+    (fun (bits, x, (m, e), tie) ->
+      List.iter check_number
+        [ Int64.float_of_bits bits; Float.round x; x; Float.ldexp m e; -.Float.ldexp m e; tie ];
       true)
 
 let check_literal lit =
@@ -591,6 +672,8 @@ let suites =
       [
         case "disabled ctx is inert" disabled_is_inert;
         case "span records and returns" span_records_and_returns;
+        case "span clock resolves below a microsecond" span_clock_resolves_nanoseconds;
+        case "metric keys resolve lazily, once per registry" keys_resolve_lazily_per_registry;
         case "tracing does not change decisions" tracing_does_not_change_decisions;
       ] );
     ( "obs.replay",

@@ -13,6 +13,8 @@ module Loadgen = Gridbw_serve.Loadgen
 module Store = Gridbw_store.Store
 module Wal = Gridbw_store.Wal
 module Obs = Gridbw_obs.Obs
+module Json = Gridbw_obs.Json
+module Metrics = Gridbw_obs.Metrics
 module Policy = Gridbw_core.Policy
 module Request = Gridbw_request.Request
 
@@ -207,42 +209,225 @@ let prop_request_roundtrip =
   qcase ~count:400 "protocol: every request constructor round-trips" request_gen
     (fun r -> Protocol.decode_request (Protocol.encode_request r) = Ok r)
 
-let response_gen =
+(* Floats whose printing takes every branch of [Json.num_to_string]:
+   -0, subnormals, integral values either side of 1e15 and 2^53, and
+   plain fractions. *)
+let wide_float =
   QCheck2.Gen.(
-    let window = triple fin fin fin in
     oneof
       [
-        (let* id = nat and* bw, sigma, tau = window in
+        fin;
+        oneofl
+          [ 0.; -0.; 5e-324; -2.2250738585072009e-308; 1e15; -1e15; 999999999999999.;
+            0x1p53; 0x1p53 -. 1.; 1e21; 1.7976931348623157e308; 0.1 ];
+        map (fun m -> Float.ldexp (float_of_int m) (-1074)) (int_range 1 ((1 lsl 52) - 1));
+        map (fun k -> float_of_int k *. 1e15) (int_range (-1_000_000) 1_000_000);
+      ])
+
+let wide_id =
+  QCheck2.Gen.(
+    oneof [ nat; int_range 0 ((1 lsl 53) - 1); oneofl [ 0; (1 lsl 53) - 1; 999_999_999_999_999 ] ])
+
+(* Strings heavy in the bytes JSON must escape. *)
+let text_gen =
+  QCheck2.Gen.(
+    string_size
+      ~gen:
+        (oneof
+           [
+             oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127'; '/'; 'a' ];
+             map Char.chr (int_range 0 255);
+           ])
+      (int_range 0 30))
+
+let response_gen =
+  QCheck2.Gen.(
+    let window = triple wide_float wide_float wide_float in
+    oneof
+      [
+        (let* id = wide_id and* bw, sigma, tau = window in
          return (Protocol.Admitted { id; bw; sigma; tau }));
-        (let* id = nat and* reason = byte_string_gen in
+        (let* id = wide_id and* reason = text_gen in
          return (Protocol.Rejected { id; reason }));
-        (let* id = nat in
+        (let* id = wide_id in
          let* disposition =
            oneof
              [
                return Protocol.Unknown;
                map (fun (bw, sigma, tau) -> Protocol.Active { bw; sigma; tau }) window;
                map (fun (bw, sigma, tau) -> Protocol.Done { bw; sigma; tau }) window;
-               map (fun reason -> Protocol.Refused { reason }) byte_string_gen;
+               map (fun reason -> Protocol.Refused { reason }) text_gen;
                return Protocol.Cancelled;
              ]
          in
          return (Protocol.Status { id; disposition }));
-        map (fun id -> Protocol.Cancel_ok { id }) nat;
-        (let* id = nat and* reason = byte_string_gen in
+        map (fun id -> Protocol.Cancel_ok { id }) wide_id;
+        (let* id = wide_id and* reason = text_gen in
          return (Protocol.Cancel_failed { id; reason }));
         (* stats payloads embed raw Prometheus text, newlines included *)
-        map (fun text -> Protocol.Stats_text text) byte_string_gen;
-        map (fun records -> Protocol.Goodbye { records }) nat;
+        map (fun text -> Protocol.Stats_text text) text_gen;
+        map (fun records -> Protocol.Goodbye { records }) wide_id;
         (let* code =
            oneofl [ Protocol.Bad_frame; Protocol.Bad_json; Protocol.Bad_version; Protocol.Bad_request ]
-         and* message = byte_string_gen in
+         and* message = text_gen in
          return (Protocol.Error { code; message }));
       ])
 
 let prop_response_roundtrip =
   qcase ~count:400 "protocol: every response constructor round-trips" response_gen
     (fun r -> Protocol.decode_response (Protocol.encode_response r) = Ok r)
+
+(* The reply's object form, as the daemon built it before replies were
+   rendered directly: the oracle for the renderer's bytes. *)
+let response_tree =
+  let num f = Json.Num f and int i = Json.Num (float_of_int i) and str s = Json.Str s in
+  let obj re fields = Json.Obj (("v", int Protocol.version) :: ("re", str re) :: fields) in
+  let window fields (bw, sigma, tau) =
+    fields @ [ ("bw", num bw); ("sigma", num sigma); ("tau", num tau) ]
+  in
+  function
+  | Protocol.Admitted { id; bw; sigma; tau } -> obj "admitted" (window [ ("id", int id) ] (bw, sigma, tau))
+  | Protocol.Rejected { id; reason } -> obj "rejected" [ ("id", int id); ("reason", str reason) ]
+  | Protocol.Status { id; disposition } ->
+      let fields =
+        match disposition with
+        | Protocol.Unknown -> [ ("state", str "unknown") ]
+        | Protocol.Active { bw; sigma; tau } -> window [ ("state", str "active") ] (bw, sigma, tau)
+        | Protocol.Done { bw; sigma; tau } -> window [ ("state", str "done") ] (bw, sigma, tau)
+        | Protocol.Refused { reason } -> [ ("state", str "rejected"); ("reason", str reason) ]
+        | Protocol.Cancelled -> [ ("state", str "cancelled") ]
+      in
+      obj "status" (("id", int id) :: fields)
+  | Protocol.Cancel_ok { id } -> obj "cancelled" [ ("id", int id) ]
+  | Protocol.Cancel_failed { id; reason } ->
+      obj "cancel-failed" [ ("id", int id); ("reason", str reason) ]
+  | Protocol.Stats_text text -> obj "stats" [ ("prometheus", str text) ]
+  | Protocol.Goodbye { records } -> obj "goodbye" [ ("records", int records) ]
+  | Protocol.Error { code; message } ->
+      obj "error" [ ("code", str (Protocol.code_name code)); ("message", str message) ]
+
+let prop_response_bytes_pinned =
+  qcase ~count:2000 "protocol: replies are the bytes of their JSON object form" response_gen
+    (fun r -> Protocol.encode_response r = Json.to_string (response_tree r))
+
+let response_bytes_literal () =
+  Alcotest.(check string) "admitted"
+    {|{"v":1,"re":"admitted","id":7,"bw":0.10000000000000001,"sigma":-0,"tau":1000000000000000}|}
+    (Protocol.encode_response (Protocol.Admitted { id = 7; bw = 0.1; sigma = -0.; tau = 1e15 }));
+  Alcotest.(check string) "rejected"
+    {|{"v":1,"re":"rejected","id":9007199254740991,"reason":"port \"0\"\\\n\u0001"}|}
+    (Protocol.encode_response
+       (Protocol.Rejected { id = (1 lsl 53) - 1; reason = "port \"0\"\\\n\001" }))
+
+(* --- admit decode: the scan against the tree decoder --- *)
+
+let id_literal =
+  QCheck2.Gen.(
+    oneof
+      [
+        map string_of_int nat;
+        map string_of_int (int_range (-(1 lsl 53)) (1 lsl 53));
+        oneofl
+          [ "9007199254740991"; "9007199254740992"; "-9007199254740991"; "-9007199254740992";
+            "9007199254740993"; "1e3"; "1E+2"; "1.5"; "-0"; "0.0"; "1e30"; "\"7\""; "null";
+            "true"; "[1]"; "{}"; "+4"; ".5"; "0x10"; "1_0"; "-"; "" ];
+      ])
+
+let float_literal =
+  QCheck2.Gen.(
+    oneof
+      [
+        map Json.num_to_string wide_float;
+        map (fun f -> Printf.sprintf "%.3e" f) fin;
+        map (fun f -> Printf.sprintf "%.17G" f) wide_float;
+        oneofl
+          [ "1e5"; "-2.5E-3"; "1e999"; "-1e999"; "+1"; ".5"; "5."; "1e"; "--1"; "0x1p3"; "1e-400";
+            "4.9e-324"; "1.7976931348623157e308"; "123456789012345678901234"; "\"1\""; "null";
+            "[1]"; "false" ];
+      ])
+
+let ws_gen = QCheck2.Gen.oneofl [ ""; ""; ""; " "; "\n\t "; "\r" ]
+
+(* An admit's fields as (raw key, raw value) pairs, then one of the
+   mutations the scan must hand to the tree decoder. *)
+let admit_payload_gen =
+  QCheck2.Gen.(
+    let* id = id_literal
+    and* ingress = id_literal
+    and* egress = id_literal
+    and* vol = float_literal
+    and* ts = float_literal
+    and* tf = float_literal
+    and* mx = float_literal in
+    let fields =
+      [ ("v", "1"); ("op", {|"admit"|}); ("id", id); ("in", ingress); ("out", egress);
+        ("vol", vol); ("ts", ts); ("tf", tf); ("max", mx) ]
+    in
+    let* mutation = int_range 0 9 in
+    let* fields =
+      match mutation with
+      | 0 -> return fields
+      | 1 -> shuffle_l fields
+      | 2 ->
+          (* a repeated key *)
+          let* i = int_range 0 8 and* v = float_literal in
+          return (fields @ [ (fst (List.nth fields i), v) ])
+      | 3 ->
+          (* an unknown key *)
+          let* k = oneofl [ "zz"; "ops"; "vv"; "i"; "maxx"; ""; "extra" ] in
+          let* v = oneofl [ "1"; {|"x"|}; {|{"a":[1,2]}|}; "null" ] in
+          return (fields @ [ (k, v) ])
+      | 4 ->
+          (* another version, or a version of another type *)
+          let* v = oneofl [ "2"; "0"; "1.0"; "1.5"; "1e0"; {|"1"|}; "-1"; "null"; "9007199254740993" ] in
+          return (List.map (fun (k, x) -> if k = "v" then (k, v) else (k, x)) fields)
+      | 5 ->
+          (* another verb, or "admit" spelled with an escape *)
+          let* op =
+            oneofl
+              [ {|"query"|}; {|"admi"|}; {|"admitt"|}; {|"\u0061dmit"|}; "5"; {|"ADMIT"|}; {|"stats"|} ]
+          in
+          return (List.map (fun (k, x) -> if k = "op" then (k, op) else (k, x)) fields)
+      | 6 ->
+          (* a key with its first letter escaped *)
+          let* i = int_range 0 8 in
+          let escaped k = Printf.sprintf "\\u%04x%s" (Char.code k.[0]) (String.sub k 1 (String.length k - 1)) in
+          return (List.mapi (fun j (k, x) -> if j = i then (escaped k, x) else (k, x)) fields)
+      | 7 ->
+          (* a key dropped *)
+          let* i = int_range 0 8 in
+          return (List.filteri (fun j _ -> j <> i) fields)
+      | _ -> return fields (* 8 adds trailing bytes below *)
+    in
+    let* sep = ws_gen and* colon = ws_gen and* lead = ws_gen and* trail = ws_gen in
+    let* tail = if mutation = 8 then oneofl [ " x"; "}"; ","; "\000"; " {}" ] else return "" in
+    let body =
+      String.concat ("," ^ sep)
+        (List.map (fun (k, v) -> Printf.sprintf "%s\"%s\"%s:%s%s" sep k colon colon v) fields)
+    in
+    return (Printf.sprintf "%s{%s%s}%s%s" lead body trail trail tail))
+
+let agrees p = Protocol.decode_request p = Protocol.decode_request_tree p
+
+let prop_admit_decode_differential =
+  qcase ~count:3000 "protocol: admit scan decodes as the tree decoder does" admit_payload_gen agrees
+
+let admit_decode_cut_at_every_byte () =
+  let p =
+    Protocol.encode_request
+      (Protocol.Admit
+         { id = (1 lsl 53) - 1; ingress = 3; egress = 0; volume = 1e-7; ts = 0.25; tf = 1.5e300;
+           max_rate = 123456789.123 })
+  in
+  Alcotest.(check bool) "whole payload" true (agrees p);
+  for n = 0 to String.length p do
+    let cut = String.sub p 0 n in
+    if not (agrees cut) then Alcotest.failf "decoders differ on the prefix %S" cut;
+    if n < String.length p then begin
+      let gap = String.sub p 0 n ^ String.sub p (n + 1) (String.length p - n - 1) in
+      if not (agrees gap) then Alcotest.failf "decoders differ with byte %d removed: %S" n gap
+    end
+  done
 
 let protocol_rejects_bad_payloads () =
   let is_bad_json = function Result.Error (Protocol.Bad_json_e _) -> true | _ -> false in
@@ -405,6 +590,15 @@ let policy = Policy.Fraction_of_max 0.8
 let admit ?(id = 1) ?(ingress = 0) ?(egress = 0) ?(volume = 100.) ?(ts = 0.) ?(tf = 10.)
     ?(max_rate = 50.) () =
   Protocol.Admit { id; ingress; egress; volume; ts; tf; max_rate }
+
+(* The scan is the path a well-formed admit takes: it builds no tree, so
+   it allocates a fraction of what the tree decoder does. *)
+let admit_decode_takes_the_scan () =
+  let p = Protocol.encode_request (admit ~id:12 ~volume:1234.5 ~ts:0.75 ~tf:99.125 ()) in
+  let _, scan = words_allocated (fun () -> Protocol.decode_request p) in
+  let _, tree = words_allocated (fun () -> Protocol.decode_request_tree p) in
+  if not (scan *. 3. < tree) then
+    Alcotest.failf "scan allocated %.0f words, tree decoder %.0f" scan tree
 
 let admission_decides_and_is_idempotent () =
   let t = Admission.create ~policy (fabric2 ()) in
@@ -594,6 +788,69 @@ let admission_recovery_round_trip () =
                 to_cancel;
               Admission.close t2))
 
+(* --- metric series --- *)
+
+(* [# TYPE] lines of a Prometheus dump, as "name kind". *)
+let series text =
+  List.filter_map
+    (fun l ->
+      match String.split_on_char ' ' l with
+      | [ "#"; "TYPE"; name; kind ] -> Some (name ^ " " ^ kind)
+      | _ -> None)
+    (String.split_on_char '\n' text)
+
+let counter obs name = Metrics.value (Metrics.counter (Obs.metrics obs) name)
+let hist_count obs name = Metrics.hist_count (Metrics.histogram (Obs.metrics obs) name)
+
+(* The series a journaled admission run registers, pinned by name:
+   metric keys resolve on first use, so no series appears early and none
+   is renamed.  Counters agree with the run. *)
+let admission_metric_series () =
+  with_tmpdir (fun dir ->
+      let fabric = fabric2 () in
+      let obs = Obs.create () in
+      let store = Store.create ~config:(store_config ()) ~obs ~dir fabric in
+      let t = Admission.create ~obs ~store ~policy fabric in
+      let admitted = ref [] and cancels = ref 0 in
+      List.iteri
+        (fun i (r : Request.t) ->
+          (match
+             Admission.handle t
+               (admit ~id:r.Request.id ~ingress:r.Request.ingress ~egress:r.Request.egress
+                  ~volume:r.Request.volume ~ts:(Float.max 0. r.Request.ts) ~tf:r.Request.tf
+                  ~max_rate:r.Request.max_rate ())
+           with
+          | Protocol.Admitted { id; _ } -> admitted := id :: !admitted
+          | _ -> ());
+          (if i mod 7 = 6 then
+             match !admitted with
+             | id :: rest -> (
+                 admitted := rest;
+                 match Admission.handle t (Protocol.Cancel { id }) with
+                 | Protocol.Cancel_ok _ -> incr cancels
+                 | _ -> ())
+             | [] -> ());
+          if i mod 16 = 15 then Admission.flush t)
+        (random_requests ~seed:19L ~n:120 fabric);
+      Admission.flush t;
+      Alcotest.(check (list string)) "series"
+        [ "admit_accepted_total counter"; "admit_rejected_total counter";
+          "admit_requests_total counter"; "preempted_total counter"; "span_admit_ns histogram";
+          "store_fsync_batch_size histogram"; "store_fsync_total counter";
+          "store_wal_records_total counter" ]
+        (series (Metrics.to_prometheus (Obs.metrics obs)));
+      let accepted = Admission.accepted_count t and rejected = Admission.rejected_count t in
+      Alcotest.(check bool) "the run cancels" true (!cancels > 0 && accepted > 0);
+      Alcotest.(check int) "admits" 120 (counter obs "admit_requests_total");
+      Alcotest.(check int) "accepts" accepted (counter obs "admit_accepted_total");
+      Alcotest.(check int) "rejects" rejected (counter obs "admit_rejected_total");
+      Alcotest.(check int) "accepts + rejects" 120 (accepted + rejected);
+      Alcotest.(check int) "cancels" !cancels (counter obs "preempted_total");
+      Alcotest.(check int) "one admit span per decision" 120 (hist_count obs "span_admit_ns");
+      Alcotest.(check int) "WAL records" (Admission.records t)
+        (counter obs "store_wal_records_total");
+      Admission.close t)
+
 let of_recovered_refuses_engine_journals () =
   with_tmpdir (fun dir ->
       let fabric = fabric2 () in
@@ -679,6 +936,62 @@ let end_to_end_live_daemon () =
                   Daemon.stop d2;
                   let th2 = Thread.create Daemon.run d2 in
                   Thread.join th2)))
+
+(* The daemon's per-request and per-round series, keyed: each request
+   counts once and runs one [serve_handle] span (the shutdown verb
+   counts without one), and each flush runs one [serve_flush] span. *)
+let daemon_metric_series () =
+  with_tmpdir (fun dir ->
+      let sock = Filename.concat dir "d.sock" in
+      let fabric = Gridbw_topology.Fabric.paper_default () in
+      let cfg =
+        { (daemon_config ~sock ~store_dir:(Filename.concat dir "store")) with Daemon.fabric }
+      in
+      let obs = Obs.create () in
+      match Daemon.create ~obs cfg with
+      | Error e -> Alcotest.fail e
+      | Ok d -> (
+          let th = Thread.create Daemon.run d in
+          let lg =
+            Loadgen.default_config ~connections:1 ~requests:60 ~seed:5L ~cancel_every:4
+              ~mean_interarrival:200. ~fabric (Daemon.Unix_socket sock)
+          in
+          match Loadgen.run lg with
+          | Error e ->
+              Daemon.stop d;
+              Thread.join th;
+              Alcotest.fail e
+          | Ok report ->
+              let records =
+                match Loadgen.shutdown (Daemon.Unix_socket sock) with
+                | Ok n -> n
+                | Error e -> Alcotest.fail ("shutdown: " ^ e)
+              in
+              Thread.join th;
+              Alcotest.(check (list string)) "series"
+                [ "admit_accepted_total counter"; "admit_rejected_total counter";
+                  "admit_requests_total counter"; "preempted_total counter";
+                  "serve_connections_active gauge"; "serve_connections_total counter";
+                  "serve_flushes_total counter"; "serve_requests_total counter";
+                  "span_admit_ns histogram"; "span_serve_flush_ns histogram";
+                  "span_serve_handle_ns histogram"; "store_fsync_batch_size histogram";
+                  "store_fsync_total counter"; "store_snapshots_total counter";
+                  "store_wal_records_total counter" ]
+                (series (Metrics.to_prometheus (Obs.metrics obs)));
+              let requests = 60 + report.Loadgen.cancelled in
+              Alcotest.(check bool) "the run cancels" true (report.Loadgen.cancelled > 0);
+              Alcotest.(check int) "requests, shutdown included" (requests + 1)
+                (counter obs "serve_requests_total");
+              Alcotest.(check int) "one handle span per request" requests
+                (hist_count obs "span_serve_handle_ns");
+              Alcotest.(check int) "one flush span per flush" (counter obs "serve_flushes_total")
+                (hist_count obs "span_serve_flush_ns");
+              Alcotest.(check int) "accepts" report.Loadgen.admitted
+                (counter obs "admit_accepted_total");
+              Alcotest.(check int) "rejects" report.Loadgen.rejected
+                (counter obs "admit_rejected_total");
+              Alcotest.(check int) "cancels" report.Loadgen.cancelled (counter obs "preempted_total");
+              Alcotest.(check int) "WAL records" records (counter obs "store_wal_records_total")))
 
 (* --- flight recorder --- *)
 
@@ -847,6 +1160,11 @@ let suites =
       [
         prop_request_roundtrip;
         prop_response_roundtrip;
+        prop_response_bytes_pinned;
+        case "reply bytes, pinned literally" response_bytes_literal;
+        prop_admit_decode_differential;
+        case "admit decode agrees on every cut" admit_decode_cut_at_every_byte;
+        case "a well-formed admit takes the scan" admit_decode_takes_the_scan;
         case "malformed payloads: typed decode errors" protocol_rejects_bad_payloads;
       ] );
     ( "serve.session",
@@ -866,6 +1184,7 @@ let suites =
         case "journal, recover, bit-identical decisions" admission_recovery_round_trip;
         case "journaled ids beyond 2^53 recover" recovery_reads_ids_beyond_2p53;
         case "engine-driven journals refused" of_recovered_refuses_engine_journals;
+        case "metric series of a journaled run, pinned" admission_metric_series;
       ] );
     ( "serve.flight",
       [
@@ -876,5 +1195,6 @@ let suites =
       [
         slow_case "end to end: loadgen, shutdown, restart" end_to_end_live_daemon;
         case "malformed clients get typed errors" daemon_survives_malformed_clients;
+        case "per-request series count once per request" daemon_metric_series;
       ] );
   ]
