@@ -202,7 +202,7 @@ let maxover_ops =
 
    The same GREEDY admission kernel under the three telemetry states:
    disabled ctx (the ?obs default everywhere), metrics-only ctx (counters +
-   spans, no event sink), and a JSONL sink writing every event to a buffer.
+   spans, no event sink), and a binary sink writing every event to a buffer.
    BENCH_obs.json records these; the disabled column must stay within noise
    of the plain fig5 kernel. *)
 
@@ -217,28 +217,28 @@ let obs_tests =
            Flexible.greedy
              ~ctx:(Runtime.make ~obs:(Obs.create ()) ())
              fabric policy flexible_workload));
-    Test.make ~name:"obs:greedy-jsonl-buffer"
+    Test.make ~name:"obs:greedy-binary-buffer"
       (Staged.stage (fun () ->
            Buffer.clear buf;
            Flexible.greedy
-             ~ctx:(Runtime.make ~obs:(Obs.create ~sink:(Sink.jsonl_buffer buf) ()) ())
+             ~ctx:(Runtime.make ~obs:(Obs.create ~sink:(Sink.binary_buffer buf) ()) ())
              fabric policy flexible_workload));
     Test.make ~name:"obs:window-disabled"
       (Staged.stage (fun () ->
            Flexible.window fabric policy ~step:400. flexible_workload));
-    Test.make ~name:"obs:window-jsonl-buffer"
+    Test.make ~name:"obs:window-binary-buffer"
       (Staged.stage (fun () ->
            Buffer.clear buf;
            Flexible.window
-             ~ctx:(Runtime.make ~obs:(Obs.create ~sink:(Sink.jsonl_buffer buf) ()) ())
+             ~ctx:(Runtime.make ~obs:(Obs.create ~sink:(Sink.binary_buffer buf) ()) ())
              fabric policy ~step:400. flexible_workload));
   ]
 
 (* --- span tracing overhead benchmarks ---
 
    The per-request cost of the serve path's trace spans, isolated from
-   the serve loop: open/record/finish one span, encode it in each wire
-   form, and persist it to the flight-recorder ring.  BENCH_obs.json
+   the serve loop: open/record/finish one span, encode it as a binary
+   frame, and persist it to the flight-recorder ring.  BENCH_obs.json
    records these; the lifecycle cost bounds what `--span-out` can add
    per request. *)
 
@@ -267,8 +267,6 @@ let span_tests =
            Buffer.clear buf;
            Span.Binary.encode buf finished;
            Buffer.length buf));
-    Test.make ~name:"span:jsonl-encode"
-      (Staged.stage (fun () -> String.length (Span.to_json finished)));
     Test.make ~name:"span:flight-append"
       (Staged.stage (fun () -> Flight.append (Lazy.force flight) finished));
   ]

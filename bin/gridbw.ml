@@ -339,16 +339,8 @@ let run_cmd =
   let trace_out_t =
     Arg.(value & opt (some string) None
          & info [ "trace-out" ] ~docv:"FILE"
-             ~doc:"Write an event trace of every arrival and decision to $(docv) \
-                   (binary frames by default; see --trace-format).")
-  in
-  let trace_format_t =
-    let fmt = Arg.enum [ ("binary", `Binary); ("jsonl", `Jsonl) ] in
-    Arg.(value & opt fmt `Binary
-         & info [ "trace-format" ] ~docv:"F"
-             ~doc:"Trace encoding: 'binary' (length-prefixed frames, the default) or 'jsonl' \
-                   (one JSON object per line).  replay-trace reads either, sniffing the \
-                   format from the first byte.")
+             ~doc:"Write an event trace of every arrival and decision to $(docv), as \
+                   length-prefixed binary frames.  replay-trace rebuilds the summary from it.")
   in
   let metrics_out_t =
     Arg.(value & opt (some string) None
@@ -374,7 +366,7 @@ let run_cmd =
              ~doc:"Crash drill: SIGKILL the process mid-append of WAL record $(docv), leaving a \
                    torn record on disk (testing aid).")
   in
-  let run trace heuristic policy step book_ahead no_reshape trace_out trace_format metrics_out
+  let run trace heuristic policy step book_ahead no_reshape trace_out metrics_out
       store_dir store_batch store_kill =
     let reshape = not no_reshape in
     let requests = Trace.of_file trace in
@@ -382,11 +374,10 @@ let run_cmd =
     let sched = scheduler_of ~book_ahead ~reshape heuristic policy ~step in
     Provenance.print ~cmd:"run" (replay_fields ~book_ahead ~reshape trace heuristic policy step);
     let trace_oc = Option.map open_out_bin trace_out in
-    let trace_sink = match trace_format with `Binary -> Sink.binary | `Jsonl -> Sink.jsonl in
     let obs =
       match (trace_oc, metrics_out, store_dir) with
       | None, None, None -> None
-      | _ -> Some (Obs.create ?sink:(Option.map trace_sink trace_oc) ())
+      | _ -> Some (Obs.create ?sink:(Option.map Sink.binary trace_oc) ())
     in
     let store_config =
       { Store.default_config with
@@ -469,8 +460,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run one heuristic on a workload trace and print its summary.")
     Term.(
       const run $ trace_t $ heuristic_t $ policy_t $ step_t $ book_ahead_t $ no_reshape_t
-      $ trace_out_t $ trace_format_t $ metrics_out_t $ store_dir_t $ store_batch_t
-      $ store_kill_t)
+      $ trace_out_t $ metrics_out_t $ store_dir_t $ store_batch_t $ store_kill_t)
 
 (* --- replay-trace command --- *)
 
@@ -478,8 +468,8 @@ let replay_trace_cmd =
   let trace_t =
     Arg.(required & pos 0 (some file) None
          & info [] ~docv:"TRACE"
-             ~doc:"Event trace written by run --trace-out (binary or JSONL; the format is \
-                   sniffed from the first byte).")
+             ~doc:"Event trace written by run --trace-out (binary frames; span frames \
+                   of a serve trace are skipped).")
   in
   let run trace =
     match Replay.of_file trace with
@@ -505,7 +495,7 @@ let replay_trace_cmd =
   in
   Cmd.v
     (Cmd.info "replay-trace"
-       ~doc:"Rebuild a run's summary from its event trace alone (binary or JSONL).")
+       ~doc:"Rebuild a run's summary from its binary event trace alone.")
     Term.(const run $ trace_t)
 
 (* --- trace-report command --- *)
@@ -514,8 +504,8 @@ let trace_report_cmd =
   let trace_t =
     Arg.(required & pos 0 (some file) None
          & info [] ~docv:"TRACE"
-             ~doc:"Any trace holding span records: a serve --span-out file (binary or \
-                   JSONL), or a mixed trace — non-span records are skipped.")
+             ~doc:"Any binary trace holding span records: a serve --span-out file, or a \
+                   mixed trace — non-span records are skipped.")
   in
   let top_t =
     Arg.(value & opt int 10
@@ -976,15 +966,8 @@ let serve_cmd =
     Arg.(value & opt (some string) None
          & info [ "span-out" ] ~docv:"FILE"
              ~doc:"Trace every request as a span record (per-stage latencies, ledger \
-                   probes) into $(docv).  Binary frames by default; see --span-format. \
-                   trace-report aggregates the file offline.")
-  in
-  let span_format_t =
-    let fmt = Arg.enum [ ("binary", `Binary); ("jsonl", `Jsonl) ] in
-    Arg.(value & opt fmt `Binary
-         & info [ "span-format" ] ~docv:"F"
-             ~doc:"Span sink encoding: 'binary' (length-prefixed frames, the default) or \
-                   'jsonl'.  trace-report reads either, sniffing record by record.")
+                   probes) into $(docv), as length-prefixed binary frames.  trace-report \
+                   aggregates the file offline.")
   in
   let flight_t =
     Arg.(value & opt (some string) None
@@ -998,7 +981,7 @@ let serve_cmd =
          & info [ "flight-size" ] ~docv:"BYTES" ~doc:"Flight-recorder ring size.")
   in
   let run socket tcp policy store_dir store_batch store_kill max_frame metrics_port span_out
-      span_format flight_recorder flight_size =
+      flight_recorder flight_size =
     let transport = transport_of "serve" socket tcp in
     let store_config =
       { Store.default_config with
@@ -1006,9 +989,8 @@ let serve_cmd =
         kill_after = store_kill }
     in
     let cfg =
-      { (Daemon.default_config ~policy ?store_dir ?metrics_port ?span_out
-           ~span_binary:(span_format = `Binary) ?flight_recorder ~flight_size
-           transport)
+      { (Daemon.default_config ~policy ?store_dir ?metrics_port ?span_out ?flight_recorder
+           ~flight_size transport)
         with
         Daemon.store_config; max_frame }
     in
@@ -1025,8 +1007,7 @@ let serve_cmd =
        ~doc:"Run the admission daemon: a durable, auditable admission service speaking \
              the versioned JSONL protocol over a Unix or TCP socket.")
     Term.(const run $ socket_t $ tcp_t $ policy_t $ store_dir_t $ store_batch_t
-          $ store_kill_t $ max_frame_t $ metrics_port_t $ span_out_t $ span_format_t
-          $ flight_t $ flight_size_t)
+          $ store_kill_t $ max_frame_t $ metrics_port_t $ span_out_t $ flight_t $ flight_size_t)
 
 let loadgen_cmd =
   let conns_t =

@@ -111,15 +111,15 @@ let replay_hint name =
             | None, None -> None))
   | _ -> None
 
-(* The bundle's JSONL opens with one Capacity event per port: the trace
+(* The bundle's trace opens with one Capacity event per port: the trace
    then carries its own fabric and [gridbw replay-trace] rebuilds the
    exact summary without assuming the paper topology. *)
 let write_events path (sc : Scenario.t) sched =
-  let oc = open_out path in
+  let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      let obs = Obs.create ~sink:(Sink.jsonl oc) () in
+      let obs = Obs.create ~sink:(Sink.binary oc) () in
       let t0 =
         List.fold_left (fun acc (r : Request.t) -> Float.min acc r.Request.ts) 0.0
           sc.Scenario.requests
@@ -158,13 +158,13 @@ let write_bundle ?engines ~dir ~index failure =
     &&
     match Scheduler.find pool engine_name with
     | Some sched ->
-        write_events (Filename.concat case "events.jsonl") sc sched;
+        write_events (Filename.concat case "events.bin") sc sched;
         true
     | None -> false
   in
   let caps count cap = Json.List (List.init count (fun i -> Json.Num (cap i))) in
   let replay =
-    (if traced then [ ("replay_trace", Json.Str "gridbw replay-trace events.jsonl") ] else [])
+    (if traced then [ ("replay_trace", Json.Str "gridbw replay-trace events.bin") ] else [])
     @
     match replay_hint engine_name with
     | Some cmd -> [ ("run", Json.Str (cmd ^ "  # note: run uses the paper fabric, not meta.fabric") ) ]

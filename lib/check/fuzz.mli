@@ -9,10 +9,10 @@
 
     - [workload.csv] — the minimized request trace
       ({!Gridbw_workload.Trace} format, replayable with [gridbw run]);
-    - [events.jsonl] — the failing engine's decision trace, prefixed with
-      [Capacity] events describing the scenario fabric so
-      [gridbw replay-trace] rebuilds the exact summary without guessing
-      the topology (static engines only);
+    - [events.bin] — the failing engine's decision trace in binary
+      frames, prefixed with [Capacity] events describing the scenario
+      fabric so [gridbw replay-trace] rebuilds the exact summary without
+      guessing the topology (static engines only);
     - [meta.json] — family / seed / size, the findings, the fault script
       and the suggested replay commands. *)
 
@@ -46,7 +46,7 @@ val write_bundle :
   ?engines:Gridbw_core.Scheduler.t list -> dir:string -> index:int -> failure -> string
 (** Write the bundle under [dir/case-<index>/] (directories created as
     needed) and return that path.  [engines] extends the engine pool used
-    to re-run the failing engine for [events.jsonl] (needed when the
+    to re-run the failing engine for [events.bin] (needed when the
     failure came from a caller-supplied engine such as a test mutant). *)
 
 val replay_hint : string -> string option

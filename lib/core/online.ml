@@ -33,8 +33,19 @@ let clamp_past t time =
   else if t.clock -. time <= 1e-9 *. Float.max 1.0 (Float.abs t.clock) then t.clock
   else invalid_arg "Online.advance_to: time moves backwards"
 
-let remove_active t a = t.active <- List.filter (fun b -> b != a) t.active
-let is_active t a = List.memq a t.active
+(* Drop the first cell physically equal to [a] in one walk, sharing the
+   tail after it so the list keeps its order; [false] when [a] is not
+   held.  The fault injector picks victims by that order. *)
+let take_active t a =
+  let rec drop = function
+    | [] -> raise_notrace Not_found
+    | b :: rest -> if b == a then rest else b :: drop rest
+  in
+  match drop t.active with
+  | rest ->
+      t.active <- rest;
+      true
+  | exception Not_found -> false
 
 let advance_to t time =
   let time = clamp_past t time in
@@ -43,11 +54,9 @@ let advance_to t time =
     match Event_queue.peek t.releases with
     | Some (tau, a) when tau <= time ->
         ignore (Event_queue.pop t.releases);
-        if is_active t a then begin
+        if take_active t a then
           Live.release t.live ~ingress:a.Allocation.request.Request.ingress
             ~egress:a.Allocation.request.Request.egress ~bw:a.Allocation.bw;
-          remove_active t a
-        end;
         drain ()
     | _ -> ()
   in
@@ -129,10 +138,9 @@ let restore t (a : Allocation.t) ~at =
 
 let preempt ?(ctx = Runtime.default) t (a : Allocation.t) =
   let obs = Runtime.observed ctx in
-  if is_active t a then begin
+  if take_active t a then begin
     Live.release t.live ~ingress:a.Allocation.request.Request.ingress
       ~egress:a.Allocation.request.Request.egress ~bw:a.Allocation.bw;
-    remove_active t a;
     if obs.Obs.enabled then begin
       Obs.count obs "preempted_total";
       Obs.event obs (fun () ->

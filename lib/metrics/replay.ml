@@ -73,56 +73,35 @@ let of_events events =
     Ok { events; requests; accepted }
   with Invalid_argument msg -> Error ("invalid event fields: " ^ msg)
 
-let of_lines lines =
-  let rec parse n acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-        if String.trim line = "" then parse (n + 1) acc rest
-        else if Gridbw_obs.Span.looks_like_json_span line then
-          (* serve traces interleave request spans with events; replay
-             only consumes the events *)
-          parse (n + 1) acc rest
-        else begin
-          match Event.of_line line with
-          | Ok e -> parse (n + 1) (e :: acc) rest
-          | Error msg -> Error (Printf.sprintf "line %d: %s" n msg)
-        end
-  in
-  match parse 1 [] lines with Ok events -> of_events events | Error _ as e -> e
-
-(* Binary (or mixed-format) traces: decode record by record, sniffing
-   each one's form from its first byte. *)
-let of_binary content =
+(* Decode record by record: event frames are kept, span frames (serve
+   traces interleave them) are skipped by their tag. *)
+let of_string content =
   let module Codec = Gridbw_wire.Codec in
+  let module Event_codec = Gridbw_obs.Event_codec in
   let len = String.length content in
   let rec go n acc pos =
     if pos >= len then of_events (List.rev acc)
     else
-      match Gridbw_obs.Event_codec.sniff_decode content ~pos with
-      | Codec.Value (e, next) -> go (n + 1) (e :: acc) next
-      | Codec.Incomplete -> Error (Printf.sprintf "record %d: truncated trace" n)
-      | Codec.Corrupt msg -> (
-          (* Not an event: serve traces interleave span records (their
-             own frame tag / JSON shape) — skip anything that decodes
-             as a span, keep the error otherwise. *)
-          match Gridbw_obs.Span.sniff_decode content ~pos with
-          | Codec.Value (_, next) -> go (n + 1) acc next
-          | _ -> Error (Printf.sprintf "record %d: %s" n msg))
+      let fail msg = Error (Printf.sprintf "record %d: %s" n msg) in
+      match Gridbw_wire.Frame.decode content ~pos with
+      | Codec.Incomplete -> fail "truncated trace"
+      | Codec.Corrupt msg -> fail msg
+      | Codec.Value ((tag, body), next) -> (
+          if tag = Gridbw_obs.Span.frame_tag then go (n + 1) acc next
+          else if tag <> Event_codec.frame_tag then
+            fail (Printf.sprintf "unexpected frame tag %d" tag)
+          else
+            match Event_codec.Binary.of_body body with
+            | Ok e -> go (n + 1) (e :: acc) next
+            | Error msg -> fail msg)
   in
   go 1 [] 0
 
 let of_file path =
   let ic = open_in_bin path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  (* The binary magic byte is not printable ASCII: a trace opening with
-     it is binary (possibly mixed), anything else is plain JSONL. *)
-  if String.length content > 0 && Gridbw_wire.Frame.is_binary content.[0] then
-    of_binary content
-  else of_lines (String.split_on_char '\n' content)
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
 
 let fabric t =
   let rec leading acc = function

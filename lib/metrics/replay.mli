@@ -1,6 +1,6 @@
-(** Rebuild a run summary from a JSONL event trace.
+(** Rebuild a run summary from an event trace.
 
-    A plain run traced with a JSONL sink ([gridbw run --trace-out]) is
+    A plain run's trace ([gridbw run --trace-out], binary frames) is
     self-contained: [Arrival] events embed the full request and their
     input-list position, [Accept] events embed the request plus the granted
     [bw]/[sigma].  This module parses such a trace back into the original
@@ -21,12 +21,13 @@ type t = {
       (** accepts in decision (stream) order *)
 }
 
-val of_lines : string list -> (t, string) result
-(** Parse trace lines (blank lines skipped).  [Error] names the first
-    offending line (1-based) or the invalid event field. *)
+val of_string : string -> (t, string) result
+(** Decode a trace of binary frames ({!Gridbw_obs.Event_codec.Binary});
+    span frames ({!Gridbw_obs.Span.frame_tag}) are skipped.  [Error]
+    names the first bad record (1-based) or the invalid event field. *)
 
 val of_file : string -> (t, string) result
-(** {!of_lines} over a JSONL file. *)
+(** {!of_string} over a whole file. *)
 
 val of_events : Gridbw_obs.Event.t list -> (t, string) result
 

@@ -11,36 +11,22 @@ let spans t = t.spans
 let skipped t = t.skipped
 
 (* Mixed traces interleave span records with event records (a serve
-   trace, a WAL segment fed directly); anything that is not a span is
-   counted and skipped.  Binary records are sniffed frame by frame,
-   text lines by shape. *)
+   trace, a WAL segment fed directly); any frame that is not a span is
+   counted and skipped. *)
 let of_string content =
   let len = String.length content in
   let rec go acc skipped pos =
     if pos >= len then Ok { spans = List.rev acc; skipped }
-    else if Frame.is_binary content.[pos] then
+    else
       match Frame.decode content ~pos with
       | Codec.Incomplete -> Error "truncated binary record at end of trace"
       | Codec.Corrupt msg -> Error ("corrupt binary record: " ^ msg)
-      | Codec.Value ((tag, body), next) ->
+      | Codec.Value ((tag, body), next) -> (
           if tag <> Span.frame_tag then go acc (skipped + 1) next
-          else (
+          else
             match Span.Binary.of_body body with
             | Ok sp -> go (sp :: acc) skipped next
             | Error msg -> Error ("corrupt span record: " ^ msg))
-    else
-      let nl = match String.index_from_opt content pos '\n' with
-        | Some nl -> nl
-        | None -> len
-      in
-      let line = String.sub content pos (nl - pos) in
-      let next = nl + 1 in
-      if String.trim line = "" then go acc skipped next
-      else if Span.looks_like_json_span line then
-        match Result.bind (Gridbw_obs.Json.parse line) Span.of_json with
-        | Ok sp -> go (sp :: acc) skipped next
-        | Error msg -> Error ("corrupt span line: " ^ msg)
-      else go acc (skipped + 1) next
   in
   go [] 0 0
 

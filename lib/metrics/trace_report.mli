@@ -1,7 +1,7 @@
 (** Offline aggregation of request trace spans ([gridbw trace-report]).
 
-    Reads any trace file — binary frames, JSONL, or a mix — keeps the
-    span records and skips everything else (events, WAL records), then
+    Reads any trace of binary frames, keeps the span records and skips
+    everything else (events, WAL records), then
     renders a per-stage latency breakdown (p50/p95/p99 through
     {!Gridbw_obs.Metrics.percentile}'s log₂-bucket estimate) and the
     top-K slowest requests. *)

@@ -7,7 +7,7 @@
     only, so this library depends on nothing above the stdlib.
 
     [Arrival] and [Accept] embed the full request (and allocation) fields:
-    a JSONL trace of a plain run is self-contained, and
+    the trace of a plain run is self-contained, and
     [gridbw replay-trace] can rebuild the exact summary from the trace
     alone.  [Arrival.seq] is the request's position in the caller's input
     list, so the replay can restore the original list order (float
@@ -89,12 +89,5 @@ val kind : t -> string
 
 val side_name : side -> string
 
-val to_json : t -> string
-(** One compact JSON object, no trailing newline — one trace line. *)
-
-val of_json : Json.t -> (t, string) result
-val of_line : string -> (t, string) result
-(** Parse one trace line back into an event. *)
-
 val pp : Format.formatter -> t -> unit
-(** Human-readable one-line rendering (the pretty sink). *)
+(** Human-readable one-line rendering. *)

@@ -1,10 +1,8 @@
-(* The two wire forms of {!Event.t} behind one {!Gridbw_wire.Codec.S}
-   interface: [Jsonl] is the debug/interop form (one JSON object per
-   line, the historical trace format), [Binary] is the length-prefixed
-   binary frame used by default on hot paths.  Both round-trip every
-   constructor bit-exactly — floats as IEEE bit patterns on the binary
-   side, %.17g on the JSON side — and the qcheck suite in test_wire.ml
-   pins them equal. *)
+(* The wire form of {!Event.t} behind the {!Gridbw_wire.Codec.S}
+   interface: a length-prefixed binary frame, the one on-disk form of
+   decision traces and the body layout of WAL records.  Every
+   constructor round-trips bit-exactly (floats as IEEE bit patterns);
+   the qcheck suite in test_wire.ml pins it. *)
 
 module Codec = Gridbw_wire.Codec
 module Frame = Gridbw_wire.Frame
@@ -12,24 +10,6 @@ module Binio = Gridbw_wire.Binio
 
 (* Frame tag for event records; bump on incompatible layout changes. *)
 let frame_tag = 0x01
-
-module Jsonl = struct
-  type t = Event.t
-
-  let name = "event-jsonl"
-
-  let encode b ev =
-    Buffer.add_string b (Event.to_json ev);
-    Buffer.add_char b '\n'
-
-  let decode s ~pos : t Codec.decoded =
-    match String.index_from_opt s pos '\n' with
-    | None -> Incomplete
-    | Some nl -> (
-        match Event.of_line (String.sub s pos (nl - pos)) with
-        | Ok ev -> Value (ev, nl + 1)
-        | Error msg -> Corrupt msg)
-end
 
 module Binary = struct
   type t = Event.t
@@ -408,10 +388,3 @@ module Binary = struct
         if tag <> frame_tag then Corrupt (Printf.sprintf "unexpected frame tag %d" tag)
         else ( match decode_body body with Ok ev -> Value (ev, next) | Error msg -> Corrupt msg)
 end
-
-(* Per-record format sniff: a 0xB1 first byte opens a binary frame,
-   anything else is a JSONL line.  Trace readers use this so a trace may
-   mix both forms freely; the WAL has one form and does not sniff. *)
-let sniff_decode s ~pos : Event.t Codec.decoded =
-  if pos < String.length s && Frame.is_binary s.[pos] then Binary.decode s ~pos
-  else Jsonl.decode s ~pos

@@ -9,37 +9,12 @@ type t = { emit : Event.t -> unit; flush : unit -> unit }
 val noop : t
 (** Drops every event.  [flush] does nothing. *)
 
-val jsonl : out_channel -> t
-(** One compact JSON object per line ({!Event.to_json}).  [flush] flushes
-    the channel (the caller closes it). *)
-
-val jsonl_buffer : Buffer.t -> t
-(** Same format, appended to a buffer — for tests and benchmarks. *)
-
 val binary : out_channel -> t
-(** Length-prefixed binary frames ({!Event_codec.Binary}); the default
-    trace form on hot paths.  [flush] flushes the channel. *)
+(** Length-prefixed binary frames ({!Event_codec.Binary}), the one trace
+    form.  [flush] flushes the channel (the caller closes it). *)
 
 val binary_buffer : Buffer.t -> t
-(** Same binary frames, appended to a buffer. *)
-
-val pretty : out_channel -> t
-(** Human-readable lines ({!Event.pp}). *)
+(** Same binary frames, appended to a buffer — for tests and benchmarks. *)
 
 val tee : t -> t -> t
 (** Send every event to both sinks. *)
-
-(** {2 Ring buffer} *)
-
-type ring
-(** Bounded in-memory sink keeping the most recent events. *)
-
-val ring : capacity:int -> ring
-(** [capacity > 0] most recent events are retained. *)
-
-val ring_sink : ring -> t
-val ring_events : ring -> Event.t list
-(** Retained events, oldest first. *)
-
-val ring_dropped : ring -> int
-(** Events evicted since creation. *)

@@ -45,15 +45,6 @@ let stage_name = function
   | Commit_fsync -> "commit_fsync"
   | Reply_write -> "reply_write"
 
-let stage_of_name = function
-  | "frame_decode" -> Some Frame_decode
-  | "protocol_parse" -> Some Protocol_parse
-  | "admit_search" -> Some Admit_search
-  | "wal_append" -> Some Wal_append
-  | "commit_fsync" -> Some Commit_fsync
-  | "reply_write" -> Some Reply_write
-  | _ -> None
-
 type t = {
   id : int;
   conn : int;
@@ -131,85 +122,13 @@ let pp ppf t =
       if d > 0. then Format.fprintf ppf " %s=%.0fns" (stage_name s) d)
     all_stages
 
-(* --- wire forms ---
+(* --- wire form ---
 
-   Same shape as Event_codec: a JSONL object ("ev":"span") for debug
-   traces, and a fixed-layout binary frame under its own tag so
-   [replay-trace] and the WAL scanner keep auto-detecting records they
-   should skip. *)
+   A fixed-layout binary frame under its own tag, so readers of mixed
+   traces ([replay-trace], [trace-report]) tell span records from event
+   records by the frame tag alone. *)
 
 let frame_tag = 0x04
-
-let to_json t =
-  let open Json in
-  let fields =
-    [ ("ev", Str "span"); ("id", Num (float_of_int t.id)); ("conn", Num (float_of_int t.conn)) ]
-    @ (match t.req with Some r -> [ ("req", Num (float_of_int r)) ] | None -> [])
-    @ [
-        ("t", Num t.time); ("total_ns", Num t.total_ns);
-        ("probes", Num (float_of_int t.probes));
-      ]
-    @ List.map (fun s -> (stage_name s ^ "_ns", Num (duration t s))) all_stages
-  in
-  Json.to_string (Obj fields)
-
-let ( let* ) r f = Result.bind r f
-
-let field name conv json =
-  match Option.bind (Json.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or malformed field %S" name)
-
-let of_json json =
-  let* ev = field "ev" Json.to_str json in
-  if ev <> "span" then Error ("not a span: ev=" ^ ev)
-  else
-    let* id = field "id" Json.to_int json in
-    let* conn = field "conn" Json.to_int json in
-    let req = Option.bind (Json.member "req" json) Json.to_int in
-    let* time = field "t" Json.to_float json in
-    let* total_ns = field "total_ns" Json.to_float json in
-    let* probes = field "probes" Json.to_int json in
-    let durs = Array.make stage_count 0. in
-    let* () =
-      List.fold_left
-        (fun acc s ->
-          let* () = acc in
-          let* d = field (stage_name s ^ "_ns") Json.to_float json in
-          durs.(stage_index s) <- d;
-          Ok ())
-        (Ok ()) all_stages
-    in
-    Ok (make ~id ~conn ~req ~time ~total_ns ~probes ~durs)
-
-(* A cheap pre-parse test so trace readers can skip span lines without
-   a full JSON parse on every event line. *)
-let looks_like_json_span line =
-  let n = String.length line in
-  let rec find i =
-    if i + 11 > n then false
-    else if String.sub line i 11 = {|"ev":"span"|} then true
-    else find (i + 1)
-  in
-  find 0
-
-module Jsonl = struct
-  type nonrec t = t
-
-  let name = "span-jsonl"
-
-  let encode b t =
-    Buffer.add_string b (to_json t);
-    Buffer.add_char b '\n'
-
-  let decode s ~pos : t Codec.decoded =
-    match String.index_from_opt s pos '\n' with
-    | None -> Incomplete
-    | Some nl -> (
-        match Result.bind (Json.parse (String.sub s pos (nl - pos))) of_json with
-        | Ok sp -> Value (sp, nl + 1)
-        | Error msg -> Corrupt msg)
-end
 
 module Binary = struct
   type nonrec t = t
@@ -285,7 +204,3 @@ module Binary = struct
         if tag <> frame_tag then Corrupt (Printf.sprintf "unexpected frame tag %d" tag)
         else (match decode_body body with Ok sp -> Value (sp, next) | Error msg -> Corrupt msg)
 end
-
-let sniff_decode s ~pos : t Codec.decoded =
-  if pos < String.length s && Frame.is_binary s.[pos] then Binary.decode s ~pos
-  else Jsonl.decode s ~pos

@@ -24,7 +24,6 @@ type stage =
 
 val all_stages : stage list
 val stage_name : stage -> string
-val stage_of_name : string -> stage option
 
 type t
 
@@ -75,30 +74,17 @@ val duration : t -> stage -> float
 val stage_sum : t -> float
 val pp : Format.formatter -> t -> unit
 
-(** {2 Wire forms}
+(** {2 Wire form}
 
-    Same split as [Event_codec]: a JSONL object ([{"ev":"span",...}])
-    and a fixed-layout binary frame under {!frame_tag}, so readers of
-    mixed traces can skip span records by tag (binary) or by
-    {!looks_like_json_span} (text). *)
+    A fixed-layout binary frame under {!frame_tag}, so readers of mixed
+    traces skip span records by tag. *)
 
 val frame_tag : int
 (** 0x04 — the shared-frame tag for binary span records. *)
 
-val to_json : t -> string
-val of_json : Json.t -> (t, string) result
-
-val looks_like_json_span : string -> bool
-(** Cheap substring test for [{"ev":"span"}] lines, so event-trace
-    readers can skip spans without a full parse. *)
-
-module Jsonl : Gridbw_wire.Codec.S with type t = t
 module Binary : sig
   include Gridbw_wire.Codec.S with type t = t
 
   val body_of : t -> string
   val of_body : string -> (t, string) result
 end
-
-val sniff_decode : string -> pos:int -> t Gridbw_wire.Codec.decoded
-(** Binary if the first byte is the frame magic, JSONL otherwise. *)

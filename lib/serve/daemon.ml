@@ -27,15 +27,13 @@ type config = {
   tick : float;
   metrics_port : int option;
   span_out : string option;
-  span_binary : bool;
   flight_recorder : string option;
   flight_size : int;
 }
 
 let default_config ?(policy = Policy.Fraction_of_max 0.8)
-    ?(fabric = Fabric.paper_default ()) ?store_dir ?metrics_port ?span_out
-    ?(span_binary = true) ?flight_recorder ?(flight_size = Flight.default_size)
-    transport =
+    ?(fabric = Fabric.paper_default ()) ?store_dir ?metrics_port ?span_out ?flight_recorder
+    ?(flight_size = Flight.default_size) transport =
   {
     transport;
     policy;
@@ -46,7 +44,6 @@ let default_config ?(policy = Policy.Fraction_of_max 0.8)
     tick = 0.1;
     metrics_port;
     span_out;
-    span_binary;
     flight_recorder;
     flight_size;
   }
@@ -374,15 +371,9 @@ let emit_span t sp =
   match t.span_oc with
   | None -> ()
   | Some oc ->
-      if t.cfg.span_binary then begin
-        let b = Buffer.create 128 in
-        Span.Binary.encode b sp;
-        Buffer.output_buffer oc b
-      end
-      else begin
-        output_string oc (Span.to_json sp);
-        output_char oc '\n'
-      end
+      let b = Buffer.create 128 in
+      Span.Binary.encode b sp;
+      Buffer.output_buffer oc b
 
 (* Drain one connection's decoded messages into the round's response list.
    Responses are not queued on the session yet: the whole round is held

@@ -33,8 +33,7 @@ type config = {
   metrics_port : int option;
       (** loopback HTTP/1.0 [GET /metrics] Prometheus scrape endpoint,
           served from the same select loop *)
-  span_out : string option;  (** trace-span sink file; enables tracing *)
-  span_binary : bool;  (** span sink format: binary frames (default) or JSONL *)
+  span_out : string option;  (** trace-span sink file, binary frames; enables tracing *)
   flight_recorder : string option;
       (** crash-surviving span ring file ({!Gridbw_obs.Flight});
           enables tracing *)
@@ -47,7 +46,6 @@ val default_config :
   ?store_dir:string ->
   ?metrics_port:int ->
   ?span_out:string ->
-  ?span_binary:bool ->
   ?flight_recorder:string ->
   ?flight_size:int ->
   transport ->

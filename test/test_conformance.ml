@@ -207,9 +207,19 @@ let test_mutant_bundle_replays () =
             (fun file ->
               Alcotest.(check bool) (file ^ " written") true
                 (Sys.file_exists (Filename.concat case file)))
-            [ "workload.csv"; "events.jsonl"; "meta.json" ];
+            [ "workload.csv"; "events.bin"; "meta.json" ];
+          let meta =
+            In_channel.with_open_bin (Filename.concat case "meta.json") In_channel.input_all
+          in
+          (match Gridbw_obs.Json.(Result.to_option (parse meta)) with
+          | Some json ->
+              Alcotest.(check (option string)) "meta.json replay hint"
+                (Some "gridbw replay-trace events.bin")
+                Gridbw_obs.Json.(
+                  Option.bind (Option.bind (member "replay" json) (member "replay_trace")) to_str)
+          | None -> Alcotest.fail "meta.json does not parse");
           let sc = f.Fuzz.scenario in
-          match Replay.of_file (Filename.concat case "events.jsonl") with
+          match Replay.of_file (Filename.concat case "events.bin") with
           | Error msg -> Alcotest.failf "bundle trace does not parse: %s" msg
           | Ok r ->
               (* The leading Capacity events carry the scenario fabric. *)

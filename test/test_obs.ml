@@ -2,6 +2,8 @@ open Helpers
 module Obs = Gridbw_obs.Obs
 module Event = Gridbw_obs.Event
 module Sink = Gridbw_obs.Sink
+module Event_codec = Gridbw_obs.Event_codec
+module Codec = Gridbw_wire.Codec
 module Metrics = Gridbw_obs.Metrics
 module Replay = Gridbw_metrics.Replay
 module Summary = Gridbw_metrics.Summary
@@ -64,44 +66,17 @@ let prometheus_dump () =
 (* --- sinks --- *)
 
 let mark i = Event.Dispatch { time = float_of_int i; pending = i }
+let event_frame ev = Codec.to_string (module Event_codec.Binary) ev
 
-let ring_eviction () =
-  let r = Sink.ring ~capacity:3 in
-  let s = Sink.ring_sink r in
-  List.iter (fun i -> s.Sink.emit (mark i)) [ 0; 1; 2; 3; 4 ];
-  Alcotest.(check int) "dropped" 2 (Sink.ring_dropped r);
-  Alcotest.(check (list int)) "keeps most recent, oldest first" [ 2; 3; 4 ]
-    (List.map (function Event.Dispatch d -> d.pending | _ -> -1) (Sink.ring_events r))
-
-(* Property: after any number of emits, the ring holds exactly the
-   newest [capacity] events in emit order, and [ring_dropped] counts
-   every eviction — including across multiple full wraps. *)
-let ring_wrap_gen = QCheck2.Gen.(pair (int_range 1 12) (int_range 0 100))
-
-let prop_ring_wrap =
-  qcase ~count:300 "sink: ring wrap keeps newest capacity events, counts drops"
-    ring_wrap_gen
-    (fun (capacity, n) ->
-      let r = Sink.ring ~capacity in
-      let s = Sink.ring_sink r in
-      for i = 0 to n - 1 do
-        s.Sink.emit (mark i)
-      done;
-      let kept =
-        List.map (function Event.Dispatch d -> d.pending | _ -> -1) (Sink.ring_events r)
-      in
-      let k = Int.min capacity n in
-      kept = List.init k (fun j -> n - k + j)
-      && Sink.ring_dropped r = Int.max 0 (n - capacity))
-
+(* Two buffers fed by one tee hold the same frames. *)
 let tee_duplicates () =
-  let a = Sink.ring ~capacity:8 and b = Sink.ring ~capacity:8 in
-  let t = Sink.tee (Sink.ring_sink a) (Sink.ring_sink b) in
+  let a = Buffer.create 64 and b = Buffer.create 64 in
+  let t = Sink.tee (Sink.binary_buffer a) (Sink.binary_buffer b) in
   t.Sink.emit (mark 1);
-  Alcotest.(check int) "left got it" 1 (List.length (Sink.ring_events a));
-  Alcotest.(check int) "right got it" 1 (List.length (Sink.ring_events b))
+  Alcotest.(check string) "left got it" (event_frame (mark 1)) (Buffer.contents a);
+  Alcotest.(check string) "right got the same bytes" (Buffer.contents a) (Buffer.contents b)
 
-(* --- event JSONL round-trip --- *)
+(* --- event binary round-trip --- *)
 
 let sample_events =
   [
@@ -121,15 +96,21 @@ let sample_events =
       { time = 3.5; id = 9; reason = "deadline-unreachable"; port = None; headroom = None;
         shard = None };
     Event.Preempt { time = 4.0; id = 7; bw = 12.5; shard = Some 1 };
+    Event.Reshape
+      { time = 4.5; id = 11; ingress = 1; egress = 2; volume = 40.0; ts = 4.5; tf = 60.0;
+        max_rate = 20.0; profile = [| (4.5, 6.5, 20.0) |];
+        revised = [| (7, [| (2.0, 9.0, 10.0) |]) |]; shard = None };
     Event.Shed { time = 5.0; side = Event.Egress; port = 2; excess = 7.5; victims = 3 };
     Event.Capacity { time = 6.0; side = Event.Ingress; port = 0; capacity = 50.0 };
     Event.Dispatch { time = 7.0; pending = 4 };
   ]
 
+let binary_round_trip e = Codec.of_string (module Event_codec.Binary) (event_frame e)
+
 let event_round_trip () =
   List.iter
     (fun e ->
-      match Event.of_line (Event.to_json e) with
+      match binary_round_trip e with
       | Ok e' ->
           Alcotest.(check bool) ("round-trip " ^ Event.kind e) true (e = e')
       | Error msg -> Alcotest.failf "%s failed to parse back: %s" (Event.kind e) msg)
@@ -138,7 +119,7 @@ let event_round_trip () =
 let finite f = if Float.is_finite f then f else 1.5
 
 let float_fields_round_trip =
-  qcase ~count:200 "arbitrary float fields survive the JSONL round-trip"
+  qcase ~count:200 "arbitrary float fields survive the binary round-trip"
     QCheck2.Gen.(triple float float float)
     (fun (a, b, c) ->
       let volume = Float.abs (finite a) +. 1e-9 and ts = finite b and bw = Float.abs (finite c) +. 1e-9 in
@@ -147,7 +128,7 @@ let float_fields_round_trip =
           { time = ts; id = 0; ingress = 0; egress = 0; volume; ts; tf = ts +. 1.0;
             max_rate = bw; bw; sigma = ts; shard = None }
       in
-      Event.of_line (Event.to_json e) = Ok e)
+      binary_round_trip e = Ok e)
 
 (* --- ctx behaviour --- *)
 
@@ -230,7 +211,7 @@ let tracing_does_not_change_decisions () =
   let reqs = random_requests ~seed:5L ~n:60 f in
   let plain = Flexible.run `Greedy f (Policy.Fraction_of_max 0.8) reqs in
   let buf = Buffer.create 1024 in
-  let obs = Obs.create ~sink:(Sink.jsonl_buffer buf) () in
+  let obs = Obs.create ~sink:(Sink.binary_buffer buf) () in
   let traced =
     Flexible.run ~ctx:(Gridbw_core.Runtime.make ~obs ()) `Greedy f
       (Policy.Fraction_of_max 0.8) reqs
@@ -238,7 +219,13 @@ let tracing_does_not_change_decisions () =
   Alcotest.(check bool) "identical accept stream" true
     (decision_signature plain = decision_signature traced);
   Alcotest.(check int) "identical reject count" (List.length plain.Types.rejected)
-    (List.length traced.Types.rejected)
+    (List.length traced.Types.rejected);
+  match Replay.of_string (Buffer.contents buf) with
+  | Error msg -> Alcotest.failf "trace did not decode: %s" msg
+  | Ok r ->
+      Alcotest.(check bool) "timestamps monotone" true (Replay.monotone r.Replay.events);
+      Alcotest.(check int) "every accept traced" (List.length plain.Types.accepted)
+        (List.length r.Replay.accepted)
 
 (* --- trace replay --- *)
 
@@ -257,15 +244,15 @@ let check_summary_exact (live : Summary.t) (replayed : Summary.t) =
   exact "mean_start_delay" live.Summary.mean_start_delay replayed.Summary.mean_start_delay;
   exact "span" live.Summary.span replayed.Summary.span
 
-(* Live summary vs the summary rebuilt from the JSONL trace alone must be
+(* Live summary vs the summary rebuilt from the binary trace alone must be
    bit-identical (the summary's float folds are order-sensitive, so this
    also pins arrival/decision ordering in the trace). *)
 let replay_trace run_traced requests fabric =
   let buf = Buffer.create 4096 in
-  let obs = Obs.create ~sink:(Sink.jsonl_buffer buf) () in
+  let obs = Obs.create ~sink:(Sink.binary_buffer buf) () in
   let result = run_traced obs in
   let live = Summary.compute fabric ~all:requests ~accepted:result.Types.accepted in
-  match Replay.of_lines (String.split_on_char '\n' (Buffer.contents buf)) with
+  match Replay.of_string (Buffer.contents buf) with
   | Error msg -> Alcotest.failf "trace did not parse: %s" msg
   | Ok r ->
       Alcotest.(check bool) "timestamps monotone" true (Replay.monotone r.Replay.events);
@@ -572,6 +559,7 @@ let json_large_ints_read_back () =
 (* --- span codecs --- *)
 
 module Span = Gridbw_obs.Span
+module Trace_report = Gridbw_metrics.Trace_report
 
 let sample_span ?(id = 7) ?(req = Some 41) () =
   Span.make ~id ~conn:3 ~req ~time:1722.5 ~total_ns:261_000. ~probes:2
@@ -591,43 +579,64 @@ let span_eq a b =
 let span_codec_round_trip () =
   List.iter
     (fun sp ->
-      (match Gridbw_wire.Codec.of_string (module Span.Binary) (Gridbw_wire.Codec.to_string (module Span.Binary) sp) with
+      match Codec.of_string (module Span.Binary) (Codec.to_string (module Span.Binary) sp) with
       | Ok sp' -> Alcotest.(check bool) "binary round-trips" true (span_eq sp sp')
-      | Error msg -> Alcotest.fail ("binary: " ^ msg));
-      match Gridbw_wire.Codec.of_string (module Span.Jsonl) (Gridbw_wire.Codec.to_string (module Span.Jsonl) sp) with
-      | Ok sp' -> Alcotest.(check bool) "jsonl round-trips" true (span_eq sp sp')
-      | Error msg -> Alcotest.fail ("jsonl: " ^ msg))
+      | Error msg -> Alcotest.fail ("binary: " ^ msg))
     [ sample_span (); sample_span ~id:9 ~req:None () ]
 
-let span_sniff_autodetects () =
-  let sp = sample_span () in
-  List.iter
-    (fun (label, encoded) ->
-      match Span.sniff_decode encoded ~pos:0 with
-      | Gridbw_wire.Codec.Value (sp', n) ->
-          Alcotest.(check int) (label ^ " consumed") (String.length encoded) n;
-          Alcotest.(check bool) (label ^ " fields") true (span_eq sp sp')
-      | _ -> Alcotest.fail (label ^ ": sniff_decode failed"))
-    [
-      ("binary", Gridbw_wire.Codec.to_string (module Span.Binary) sp);
-      ("jsonl", Gridbw_wire.Codec.to_string (module Span.Jsonl) sp);
-    ];
-  Alcotest.(check bool) "json line is recognized" true
-    (Span.looks_like_json_span (Span.to_json sp));
-  Alcotest.(check bool) "event line is not" false
-    (Span.looks_like_json_span (Event.to_json (mark 1)))
+let span_frame sp = Codec.to_string (module Span.Binary) sp
 
-let replay_skips_span_lines () =
-  let sp = sample_span () in
-  let lines = [ Event.to_json (mark 0); Span.to_json sp; Event.to_json (mark 1) ] in
-  match Replay.of_lines lines with
-  | Error msg -> Alcotest.failf "mixed trace did not parse: %s" msg
+let replay_skips_span_frames () =
+  let trace =
+    String.concat "" [ event_frame (mark 0); span_frame (sample_span ()); event_frame (mark 1) ]
+  in
+  match Replay.of_string trace with
+  | Error msg -> Alcotest.failf "mixed trace did not decode: %s" msg
   | Ok r -> Alcotest.(check int) "spans skipped, events kept" 2 (List.length r.Replay.events)
 
-let replay_reports_bad_line () =
-  match Replay.of_lines [ Event.to_json (mark 0); "{not json" ] with
-  | Error msg -> Alcotest.(check bool) "names line 2" true (contains ~affix:"line 2" msg)
-  | Ok _ -> Alcotest.fail "expected a parse error"
+(* A flipped byte fails the frame CRC; a cut frame is truncated.
+   Either way the error names the record, counting from 1. *)
+let replay_reports_bad_record () =
+  let second = event_frame (mark 1) in
+  let flipped = Bytes.of_string second in
+  let i = Bytes.length flipped - 1 in
+  Bytes.set flipped i (Char.chr (Char.code (Bytes.get flipped i) lxor 0x01));
+  List.iter
+    (fun (label, bad) ->
+      match Replay.of_string (event_frame (mark 0) ^ bad) with
+      | Error msg ->
+          Alcotest.(check bool) (label ^ " names record 2") true (contains ~affix:"record 2" msg)
+      | Ok _ -> Alcotest.failf "%s: expected a decode error" label)
+    [
+      ("corrupt", Bytes.to_string flipped);
+      ("cut", String.sub second 0 (String.length second - 3));
+    ]
+
+(* trace-report keeps the span frames of a mixed trace in file order and
+   counts every other frame as skipped; a trace cut mid-frame is an
+   error, not a shorter report. *)
+let trace_report_of_mixed_trace () =
+  let trace =
+    String.concat ""
+      [
+        span_frame (sample_span ~id:1 ());
+        event_frame (mark 0);
+        event_frame (mark 1);
+        span_frame (sample_span ~id:2 ~req:None ());
+        event_frame (mark 2);
+      ]
+  in
+  (match Trace_report.of_string trace with
+  | Error msg -> Alcotest.failf "mixed trace did not decode: %s" msg
+  | Ok t ->
+      Alcotest.(check (list int)) "spans in file order" [ 1; 2 ]
+        (List.map Span.id (Trace_report.spans t));
+      Alcotest.(check bool) "span fields survive" true
+        (span_eq (sample_span ~id:2 ~req:None ()) (List.nth (Trace_report.spans t) 1));
+      Alcotest.(check int) "events skipped" 3 (Trace_report.skipped t));
+  match Trace_report.of_string (String.sub trace 0 (String.length trace - 5)) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a trace cut mid-frame must not decode"
 
 let suites =
   [
@@ -643,15 +652,13 @@ let suites =
       ] );
     ( "obs.sink",
       [
-        case "ring keeps most recent" ring_eviction;
-        prop_ring_wrap;
         case "tee duplicates" tee_duplicates;
       ] );
     ( "obs.span",
       [
-        case "binary and jsonl codecs round-trip" span_codec_round_trip;
-        case "sniff_decode autodetects either form" span_sniff_autodetects;
-        case "replay skips span lines in mixed traces" replay_skips_span_lines;
+        case "binary codec round-trips" span_codec_round_trip;
+        case "replay skips span frames in mixed traces" replay_skips_span_frames;
+        case "trace-report keeps spans, skips events" trace_report_of_mixed_trace;
       ] );
     ( "obs.event",
       [ case "every variant round-trips" event_round_trip; float_fields_round_trip ] );
@@ -683,6 +690,6 @@ let suites =
         case "window trace replays bit-identically (seed 11)" (flexible_replay (`Window 400.) 11L);
         case "window trace replays bit-identically (seed 23)" (flexible_replay (`Window 400.) 23L);
         case "slots trace replays bit-identically" (rigid_replay 5L);
-        case "parse errors name the line" replay_reports_bad_line;
+        case "decode errors name the record" replay_reports_bad_record;
       ] );
   ]

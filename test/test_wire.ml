@@ -1,8 +1,7 @@
-(* lib/wire: the two wire forms of every event constructor must agree —
-   encode with either codec, decode, and land on the same event — plus
-   frame-level corruption detection, truncation handling, mixed-format
-   trace streams (JSONL lines and binary frames interleaved), and the
-   WAL's pair records (an arrival and its decision in one body). *)
+(* lib/wire: the binary form of every event constructor round-trips
+   bit-exactly, plus frame-level corruption detection, truncation
+   handling, and the WAL's pair records (an arrival and its decision in
+   one body). *)
 
 open Helpers
 module Codec = Gridbw_wire.Codec
@@ -10,16 +9,14 @@ module Frame = Gridbw_wire.Frame
 module Crc32 = Gridbw_wire.Crc32
 module Event = Gridbw_obs.Event
 module Event_codec = Gridbw_obs.Event_codec
+module Binary = Event_codec.Binary
 module Wal = Gridbw_store.Wal
 
-(* %.17g is injective on finite floats (17 significant digits
-   round-trip), so JSON text equality is event equality — and it is the
-   very representation the JSONL codec ships, so comparing through it
-   checks exactly what the wire preserves. *)
-let event_eq a b = Event.to_json a = Event.to_json b
-
-let pp_event fmt e = Format.pp_print_string fmt (Event.to_json e)
-let event_testable = Alcotest.testable pp_event event_eq
+(* Bodies store floats as IEEE bit patterns, so equal bodies mean
+   bit-equal events (-0. and 0. included). *)
+let body = Binary.body_of
+let event_eq a b = body a = body b
+let event_testable = Alcotest.testable Event.pp event_eq
 
 (* --- generators --- *)
 
@@ -101,50 +98,21 @@ let exemplars =
     Event.Dispatch { time = 6.; pending = 11 };
   ]
 
-(* --- codec round-trips and cross-format equality --- *)
+(* --- codec round-trips --- *)
 
-let roundtrip (module C : Codec.S with type t = Event.t) ev =
-  match Codec.of_string (module C) (Codec.to_string (module C) ev) with
+let roundtrip ev =
+  match Codec.of_string (module Binary) (Codec.to_string (module Binary) ev) with
   | Ok ev' -> ev'
-  | Error msg -> Alcotest.failf "%s: %s" C.name msg
+  | Error msg -> Alcotest.failf "%s: %s" Binary.name msg
 
 let test_exemplar_roundtrips () =
   List.iter
-    (fun ev ->
-      Alcotest.check event_testable "binary round-trip" ev
-        (roundtrip (module Event_codec.Binary) ev);
-      Alcotest.check event_testable "jsonl round-trip" ev
-        (roundtrip (module Event_codec.Jsonl) ev))
+    (fun ev -> Alcotest.check event_testable "binary round-trip" ev (roundtrip ev))
     exemplars
 
-let prop_codecs_agree =
-  qcase ~count:500 "wire: binary and jsonl decode to the same event" gen_event (fun ev ->
-      let b = roundtrip (module Event_codec.Binary) ev in
-      let j = roundtrip (module Event_codec.Jsonl) ev in
-      event_eq b ev && event_eq j ev && event_eq b j)
-
-let prop_mixed_stream =
-  (* Interleave the two forms in one byte stream; the sniffing reader
-     must recover the exact event sequence. *)
-  qcase ~count:100 "wire: mixed binary/jsonl streams sniff per record"
-    QCheck2.Gen.(list_size (int_range 1 20) (pair gen_event bool))
-    (fun entries ->
-      let buf = Buffer.create 1024 in
-      List.iter
-        (fun (ev, binary) ->
-          if binary then Event_codec.Binary.encode buf ev
-          else Event_codec.Jsonl.encode buf ev)
-        entries;
-      let s = Buffer.contents buf in
-      let rec decode acc pos =
-        if pos >= String.length s then List.rev acc
-        else
-          match Event_codec.sniff_decode s ~pos with
-          | Codec.Value (ev, next) -> decode (ev :: acc) next
-          | Codec.Incomplete -> Alcotest.fail "mixed stream: truncated"
-          | Codec.Corrupt msg -> Alcotest.failf "mixed stream: %s" msg
-      in
-      List.for_all2 (fun (ev, _) got -> event_eq ev got) entries (decode [] 0))
+let prop_roundtrip =
+  qcase ~count:500 "wire: any event round-trips bit-exactly" gen_event (fun ev ->
+      event_eq (roundtrip ev) ev)
 
 (* --- frame-level corruption and truncation --- *)
 
@@ -152,11 +120,11 @@ let prop_bitflip_never_passes =
   qcase ~count:300 "wire: a flipped byte never decodes back to the event"
     QCheck2.Gen.(pair gen_event (int_range 0 10_000))
     (fun (ev, raw) ->
-      let s = Codec.to_string (module Event_codec.Binary) ev in
+      let s = Codec.to_string (module Binary) ev in
       let i = raw mod String.length s in
       let b = Bytes.of_string s in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
-      match Event_codec.Binary.decode (Bytes.to_string b) ~pos:0 with
+      match Binary.decode (Bytes.to_string b) ~pos:0 with
       | Codec.Value (ev', _) -> not (event_eq ev' ev)
       | Codec.Incomplete | Codec.Corrupt _ -> true)
 
@@ -164,9 +132,9 @@ let prop_truncation_is_incomplete =
   qcase ~count:300 "wire: every strict prefix of a binary frame is Incomplete"
     QCheck2.Gen.(pair gen_event (int_range 0 10_000))
     (fun (ev, raw) ->
-      let s = Codec.to_string (module Event_codec.Binary) ev in
+      let s = Codec.to_string (module Binary) ev in
       let n = raw mod String.length s in
-      match Event_codec.Binary.decode (String.sub s 0 n) ~pos:0 with
+      match Binary.decode (String.sub s 0 n) ~pos:0 with
       | Codec.Incomplete -> true
       | Codec.Value _ | Codec.Corrupt _ -> false)
 
@@ -181,7 +149,7 @@ let test_frame_tag_validation () =
       Alcotest.(check int) "frame size" (String.length s) next
   | _ -> Alcotest.fail "frame does not decode");
   (* An event decoder must refuse a frame with someone else's tag. *)
-  match Event_codec.Binary.decode s ~pos:0 with
+  match Binary.decode s ~pos:0 with
   | Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "wrong-tag frame accepted as an event"
 
@@ -196,12 +164,6 @@ let test_line_roundtrip () =
     [ ""; "x"; {|{"ev":"accept","id":7}|}; String.make 300 'z' ]
 
 (* --- WAL pair records --- *)
-
-module Binary = Event_codec.Binary
-
-(* Bodies store floats as IEEE bit patterns, so equal bodies mean
-   bit-equal events (-0. and 0. included). *)
-let body = Binary.body_of
 
 let gen_triples =
   QCheck2.Gen.(array_size (int_range 0 4) (triple gen_float gen_float gen_float))
@@ -387,9 +349,8 @@ let suites =
   [
     ( "wire",
       [
-        case "every constructor round-trips through both codecs" test_exemplar_roundtrips;
-        prop_codecs_agree;
-        prop_mixed_stream;
+        case "every constructor round-trips through the binary codec" test_exemplar_roundtrips;
+        prop_roundtrip;
         prop_bitflip_never_passes;
         prop_truncation_is_incomplete;
         case "frame: tag byte validated by record codecs" test_frame_tag_validation;
