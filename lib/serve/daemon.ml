@@ -15,6 +15,15 @@ let connections_active = Metrics.gauge_key "serve_connections_active"
 let handle_span = Obs.span_key "serve_handle"
 let flush_span = Obs.span_key "serve_flush"
 
+(* The traced path's histograms, keyed once: one per span stage, the
+   whole span, and the ledger probes of an admit. *)
+let stage_hists =
+  List.map (fun st -> (st, Metrics.histogram_key ("serve_stage_" ^ Span.stage_name st ^ "_ns")))
+    Span.all_stages
+
+let span_total_hist = Metrics.histogram_key "serve_span_total_ns"
+let span_probes_hist = Metrics.histogram_key "serve_span_probes"
+
 type transport = Unix_socket of string | Tcp of string * int
 
 type config = {
@@ -48,24 +57,24 @@ let default_config ?(policy = Policy.Fraction_of_max 0.8)
     flight_size;
   }
 
-(* [eof]: the peer finished sending.  The socket leaves the read set,
-   but replies still pending drain to a half-closed peer. *)
-type conn = { fd : Unix.file_descr; session : Session.t; mutable eof : bool }
+(* Every socket the loop serves, listeners included, is one [conn] in
+   one table keyed by descriptor.  [eof]: nothing more to read (the peer
+   finished sending, or a scrape's request line is complete), so the
+   socket leaves the read set while its pending output still drains, to
+   a half-closed peer too.  [dead]: an I/O error; the sweep closes it
+   and drops whatever it had pending. *)
+type conn = { fd : Unix.file_descr; role : role; mutable eof : bool; mutable dead : bool }
 
-(* One /metrics scrape connection: read until the request line is
-   complete, send the response, close. *)
-type mconn = {
-  mfd : Unix.file_descr;
-  mutable minbuf : string;
-  mutable mout : string;
-  mutable mdone : bool;  (* response generated *)
-  mutable meof : bool;
-}
+and role =
+  | Listener of { scrape : bool }  (* accepts protocol clients, or /metrics scrapes *)
+  | Client of Session.t
+  | Scrape of scrape
+
+(* One /metrics scrape: collect the request line, send the reply, close. *)
+and scrape = { mutable request : string; mutable reply : string; mutable sent : int }
 
 type t = {
   cfg : config;
-  listener : Unix.file_descr;
-  metrics_listener : Unix.file_descr option;
   adm : Admission.t;
   obs : Obs.ctx;
   tracing : bool;
@@ -73,18 +82,18 @@ type t = {
   flight : Flight.t option;
   log : string -> unit;
   (* Socket I/O buffers, one pair per daemon: reads land in [rbuf] and
-     feed the session from there; pending replies go out through [wbuf]
-     in slices of at most its size. *)
+     feed the connection from there; pending output goes out through
+     [wbuf] in slices of at most its size. *)
   rbuf : Bytes.t;
   wbuf : Bytes.t;
-  mutable conns : conn list;
-  mutable mconns : mconn list;
+  conns : (Unix.file_descr, conn) Hashtbl.t;
+  mutable clients : int;
   mutable next_conn : int;
   mutable stopping : bool;
 }
 
 let admission t = t.adm
-let connections t = List.length t.conns
+let connections t = t.clients
 let stop t = t.stopping <- true
 
 let install_signal_handlers t =
@@ -126,7 +135,6 @@ let bind_metrics port =
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   Unix.listen fd 16;
-  Unix.set_nonblock fd;
   fd
 
 let make_admission ~obs ~log cfg =
@@ -159,69 +167,73 @@ let make_admission ~obs ~log cfg =
 
 let io_buffer_bytes = 65536
 
+let add_conn conns fd role = Hashtbl.replace conns fd { fd; role; eof = false; dead = false }
+
+(* Bind a listener and enter it in [conns]; [name] names it in the error. *)
+let listen conns ~scrape ~name bind =
+  match bind () with
+  | fd ->
+      Unix.set_nonblock fd;
+      add_conn conns fd (Listener { scrape });
+      Ok ()
+  | exception Unix.Unix_error (err, _, _) ->
+      Error (Printf.sprintf "cannot bind %s: %s" name (Unix.error_message err))
+  | exception Failure e -> Error (Printf.sprintf "cannot bind %s: %s" name e)
+
 let create ?obs ?(log = fun _ -> ()) cfg =
   Policy.validate cfg.policy;
   let obs = match obs with Some o -> o | None -> Obs.create () in
   match make_admission ~obs ~log cfg with
   | Error e -> Error e
   | Ok adm -> (
-      match bind_listener cfg.transport with
-      | exception Unix.Unix_error (err, _, _) ->
+      let conns = Hashtbl.create 16 in
+      let name = transport_name cfg.transport in
+      let bound =
+        Result.bind
+          (listen conns ~scrape:false ~name (fun () -> bind_listener cfg.transport))
+          (fun () ->
+            log (Printf.sprintf "listening on %s" name);
+            match cfg.metrics_port with
+            | None -> Ok ()
+            | Some port ->
+                Result.map
+                  (fun () -> log (Printf.sprintf "metrics on http://127.0.0.1:%d/metrics" port))
+                  (listen conns ~scrape:true ~name:"metrics port" (fun () -> bind_metrics port)))
+      in
+      match bound with
+      | Error e ->
           Admission.close adm;
-          Error
-            (Printf.sprintf "cannot bind %s: %s"
-               (transport_name cfg.transport)
-               (Unix.error_message err))
-      | exception Failure e ->
-          Admission.close adm;
-          Error (Printf.sprintf "cannot bind %s: %s" (transport_name cfg.transport) e)
-      | listener -> (
-          Unix.set_nonblock listener;
-          log (Printf.sprintf "listening on %s" (transport_name cfg.transport));
-          match
+          Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) conns;
+          Error e
+      | Ok () ->
+          let span_oc = Option.map open_out_bin cfg.span_out in
+          Option.iter
+            (fun p -> log (Printf.sprintf "tracing spans to %s" p))
+            cfg.span_out;
+          let flight =
             Option.map
-              (fun port ->
-                let fd = bind_metrics port in
-                log (Printf.sprintf "metrics on http://127.0.0.1:%d/metrics" port);
-                fd)
-              cfg.metrics_port
-          with
-          | exception Unix.Unix_error (err, _, _) ->
-              Admission.close adm;
-              (try Unix.close listener with Unix.Unix_error _ -> ());
-              Error
-                (Printf.sprintf "cannot bind metrics port: %s" (Unix.error_message err))
-          | metrics_listener ->
-              let span_oc = Option.map open_out_bin cfg.span_out in
-              Option.iter
-                (fun p -> log (Printf.sprintf "tracing spans to %s" p))
-                cfg.span_out;
-              let flight =
-                Option.map
-                  (fun path ->
-                    let f = Flight.create ~size:cfg.flight_size path in
-                    log (Printf.sprintf "flight recorder: %s (%d bytes)" path cfg.flight_size);
-                    f)
-                  cfg.flight_recorder
-              in
-              Ok
-                {
-                  cfg;
-                  listener;
-                  metrics_listener;
-                  adm;
-                  obs;
-                  tracing = span_oc <> None || flight <> None;
-                  span_oc;
-                  flight;
-                  log;
-                  rbuf = Bytes.create io_buffer_bytes;
-                  wbuf = Bytes.create io_buffer_bytes;
-                  conns = [];
-                  mconns = [];
-                  next_conn = 0;
-                  stopping = false;
-                }))
+              (fun path ->
+                let f = Flight.create ~size:cfg.flight_size path in
+                log (Printf.sprintf "flight recorder: %s (%d bytes)" path cfg.flight_size);
+                f)
+              cfg.flight_recorder
+          in
+          Ok
+            {
+              cfg;
+              adm;
+              obs;
+              tracing = span_oc <> None || flight <> None;
+              span_oc;
+              flight;
+              log;
+              rbuf = Bytes.create io_buffer_bytes;
+              wbuf = Bytes.create io_buffer_bytes;
+              conns;
+              clients = 0;
+              next_conn = 0;
+              stopping = false;
+            })
 
 (* --- the event loop --- *)
 
@@ -229,54 +241,35 @@ let peer_name = function
   | Unix.ADDR_UNIX _ -> "unix"
   | Unix.ADDR_INET (a, p) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
 
-let rec accept_all t =
-  match Unix.accept ~cloexec:true t.listener with
+(* Close every connection [p] holds for.  They are collected first: the
+   table must not change while it is walked. *)
+let close_where t p =
+  Hashtbl.fold (fun _ c acc -> if p c then c :: acc else acc) t.conns []
+  |> List.iter (fun c ->
+         (try Unix.close c.fd with Unix.Unix_error _ -> ());
+         Hashtbl.remove t.conns c.fd;
+         match c.role with Client _ -> t.clients <- t.clients - 1 | Listener _ | Scrape _ -> ())
+
+let rec accept_all t l ~scrape =
+  match Unix.accept ~cloexec:true l with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_all t
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_all t l ~scrape
   | fd, addr ->
       Unix.set_nonblock fd;
-      let id = t.next_conn in
-      t.next_conn <- id + 1;
-      let session =
-        Session.create ~max_frame:t.cfg.max_frame ~timed:t.tracing ~id
-          ~peer:(peer_name addr) ()
+      let role =
+        if scrape then Scrape { request = ""; reply = ""; sent = 0 }
+        else begin
+          let id = t.next_conn in
+          t.next_conn <- id + 1;
+          t.clients <- t.clients + 1;
+          Obs.count t.obs "serve_connections_total";
+          Client
+            (Session.create ~max_frame:t.cfg.max_frame ~timed:t.tracing ~id
+               ~peer:(peer_name addr) ())
+        end
       in
-      Obs.count t.obs "serve_connections_total";
-      t.conns <- t.conns @ [ { fd; session; eof = false } ];
-      accept_all t
-
-let close_conn t c =
-  (try Unix.close c.fd with Unix.Unix_error _ -> ());
-  t.conns <- List.filter (fun c' -> c' != c) t.conns
-
-(* Read everything currently available on [c]; feed it to the session. *)
-let rec read_conn t c =
-  match Unix.read c.fd t.rbuf 0 (Bytes.length t.rbuf) with
-  | 0 -> c.eof <- true
-  | n ->
-      Session.feed_sub c.session t.rbuf 0 n;
-      if n = Bytes.length t.rbuf then read_conn t c
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_conn t c
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _)
-    ->
-      c.eof <- true
-
-(* Write pending replies until the socket would block or nothing is
-   left.  A peer that is gone cannot take them: the connection closes
-   and its pending output is dropped. *)
-let rec write_conn t c =
-  if Session.pending c.session then
-    let n = Session.blit_out c.session t.wbuf in
-    match Unix.write c.fd t.wbuf 0 n with
-    | k ->
-        Session.wrote c.session k;
-        write_conn t c
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_conn t c
-    | exception
-        Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
-      close_conn t c
+      add_conn t.conns fd role;
+      accept_all t l ~scrape
 
 (* --- the /metrics scrape endpoint ---
 
@@ -297,62 +290,93 @@ let metrics_reply t line =
       http_response ~status:"200 OK" ~body:(Metrics.to_prometheus (Obs.metrics t.obs))
   | _ -> http_response ~status:"404 Not Found" ~body:"only GET /metrics is served\n"
 
-let rec accept_metrics t l =
-  match Unix.accept ~cloexec:true l with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_metrics t l
-  | fd, _ ->
-      Unix.set_nonblock fd;
-      t.mconns <- { mfd = fd; minbuf = ""; mout = ""; mdone = false; meof = false } :: t.mconns;
-      accept_metrics t l
+(* The first [n] bytes of [rbuf] arrived on scrape [c].  A complete
+   request line renders the reply and ends reading; a line past 4 KiB
+   closes the connection unanswered. *)
+let scrape_input t c s n =
+  s.request <- s.request ^ Bytes.sub_string t.rbuf 0 n;
+  match String.index_opt s.request '\n' with
+  | Some i ->
+      s.reply <- metrics_reply t (String.sub s.request 0 i);
+      c.eof <- true
+  | None -> if String.length s.request > 4096 then c.dead <- true
 
-let rec read_mconn t m =
-  match Unix.read m.mfd t.rbuf 0 (Bytes.length t.rbuf) with
-  | 0 -> m.meof <- true
+(* --- connection I/O ---
+
+   One error policy for every connection: EAGAIN/EWOULDBLOCK ends the
+   attempt, EINTR retries it, and any other error marks the connection
+   dead, for the sweep to close.  The loop and the other connections go
+   on. *)
+
+let pending c =
+  (not c.dead)
+  &&
+  match c.role with
+  | Client s -> Session.pending s
+  | Scrape s -> s.sent < String.length s.reply
+  | Listener _ -> false
+
+(* Read everything currently available on [c]; [feed n] takes each
+   read's [n] bytes from the start of [rbuf]. *)
+let rec read_conn t c feed =
+  match Unix.read c.fd t.rbuf 0 (Bytes.length t.rbuf) with
+  | 0 -> c.eof <- true
   | n ->
-      if not m.mdone then begin
-        m.minbuf <- m.minbuf ^ Bytes.sub_string t.rbuf 0 n;
-        if String.contains m.minbuf '\n' then begin
-          let line = List.hd (String.split_on_char '\n' m.minbuf) in
-          m.mout <- metrics_reply t line;
-          m.mdone <- true
-        end
-        else if String.length m.minbuf > 4096 then m.meof <- true
-      end;
-      if n = Bytes.length t.rbuf then read_mconn t m
+      feed n;
+      if n = Bytes.length t.rbuf && not (c.eof || c.dead) then read_conn t c feed
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_mconn t m
-  | exception Unix.Unix_error _ -> m.meof <- true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_conn t c feed
+  | exception Unix.Unix_error _ -> c.dead <- true
 
-let write_mconn m =
-  if String.length m.mout > 0 then
-    match Unix.write_substring m.mfd m.mout 0 (String.length m.mout) with
-    | n -> m.mout <- String.sub m.mout n (String.length m.mout - n)
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-    | exception Unix.Unix_error _ -> m.meof <- true
+(* Copy the next slice of [c]'s pending output to [wbuf]; its length. *)
+let blit_out t c =
+  match c.role with
+  | Client s -> Session.blit_out s t.wbuf
+  | Scrape s ->
+      let n = Int.min (Bytes.length t.wbuf) (String.length s.reply - s.sent) in
+      Bytes.blit_string s.reply s.sent t.wbuf 0 n;
+      n
+  | Listener _ -> 0
 
-let sweep_mconns t =
-  List.iter
-    (fun m ->
-      if m.meof || (m.mdone && String.length m.mout = 0) then begin
-        (try Unix.close m.mfd with Unix.Unix_error _ -> ());
-        t.mconns <- List.filter (fun m' -> m' != m) t.mconns
-      end)
-    t.mconns
+let wrote c k =
+  match c.role with
+  | Client s -> Session.wrote s k
+  | Scrape s -> s.sent <- s.sent + k
+  | Listener _ -> ()
 
-(* Open a span for a request just decoded on [c], folding the session's
+(* Write pending output until the socket would block or nothing is left. *)
+let rec write_conn t c =
+  if pending c then
+    match Unix.write c.fd t.wbuf 0 (blit_out t c) with
+    | k ->
+        wrote c k;
+        write_conn t c
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_conn t c
+    | exception Unix.Unix_error _ -> c.dead <- true
+
+(* Dead, or nothing left to send and nothing more to come. *)
+let finished c =
+  c.dead
+  || (not (pending c))
+     && (c.eof || match c.role with Client s -> Session.want_close s | _ -> false)
+
+(* Open a span for a request just decoded on [s], folding the session's
    measured decode/parse time into it (that work predates the span
    object, so the open instant is backdated to cover it). *)
-let open_span t c =
+let open_span t s =
   if not t.tracing then None
   else begin
-    let sp = Span.start ~conn:(Session.id c.session) () in
-    let decode_ns, parse_ns = Session.stage_ns c.session in
+    let sp = Span.start ~conn:(Session.id s) () in
+    let decode_ns, parse_ns = Session.stage_ns s in
     Span.record sp Span.Frame_decode decode_ns;
     Span.record sp Span.Protocol_parse parse_ns;
     Span.backdate sp (decode_ns +. parse_ns);
     Some sp
   end
+
+let observe t k v =
+  if Obs.enabled t.obs then Metrics.observe (Metrics.histogram_of (Obs.metrics t.obs) k) v
 
 (* A finished span lands in three places: the per-stage latency
    histograms (the /metrics view), the span sink file, and the flight
@@ -360,13 +384,12 @@ let open_span t c =
 let emit_span t sp =
   Span.finish sp;
   List.iter
-    (fun st ->
+    (fun (st, k) ->
       let d = Span.duration sp st in
-      if d > 0. then Obs.observe t.obs ("serve_stage_" ^ Span.stage_name st ^ "_ns") d)
-    Span.all_stages;
-  Obs.observe t.obs "serve_span_total_ns" (Span.total_ns sp);
-  if Span.probes sp > 0 then
-    Obs.observe t.obs "serve_span_probes" (float_of_int (Span.probes sp));
+      if d > 0. then observe t k d)
+    stage_hists;
+  observe t span_total_hist (Span.total_ns sp);
+  if Span.probes sp > 0 then observe t span_probes_hist (float_of_int (Span.probes sp));
   Option.iter (fun f -> Flight.append f sp) t.flight;
   match t.span_oc with
   | None -> ()
@@ -375,12 +398,12 @@ let emit_span t sp =
       Span.Binary.encode b sp;
       Buffer.output_buffer oc b
 
-(* Drain one connection's decoded messages into the round's response list.
+(* Drain one session's decoded messages into the round's response list.
    Responses are not queued on the session yet: the whole round is held
    back until the store flush below (ack-after-fsync). *)
-let handle_ready t c acc =
+let handle_ready t s acc =
   let rec loop acc =
-    match Session.next c.session with
+    match Session.next s with
     | None -> acc
     | Some msg ->
         let span, resp =
@@ -391,7 +414,7 @@ let handle_ready t c acc =
               (None, Admission.handle t.adm Protocol.Shutdown)
           | Session.Request req ->
               Obs.incr t.obs requests_total;
-              let span = open_span t c in
+              let span = open_span t s in
               ( span,
                 Obs.span t.obs handle_span (fun () ->
                     Admission.handle ?span t.adm req) )
@@ -400,7 +423,7 @@ let handle_ready t c acc =
               (None, resp)
         in
         let handled = match span with Some _ -> Span.now_ns () | None -> 0. in
-        loop ((c, span, handled, resp) :: acc)
+        loop ((s, span, handled, resp) :: acc)
   in
   loop acc
 
@@ -430,88 +453,68 @@ let round t ~readable =
   end;
   (* 3. release the acks *)
   List.iter
-    (fun (c, span, _, resp) ->
-      Span.timed span Span.Reply_write (fun () -> Session.queue c.session resp);
+    (fun (s, span, _, resp) ->
+      Span.timed span Span.Reply_write (fun () -> Session.queue s resp);
       Option.iter (emit_span t) span)
     responses
 
-let sweep_closed t =
-  let snapshot = t.conns in
-  List.iter
-    (fun c ->
-      if (c.eof || Session.want_close c.session) && not (Session.pending c.session)
-      then close_conn t c)
-    snapshot
+(* Serve what [select] found readable: accept on ready listeners, feed
+   ready clients' bytes to their sessions and scrapes' to their request
+   lines, and decide the clients' requests in accept order, whatever
+   order [select] reported them in. *)
+let serve_ready t ready =
+  let readable =
+    List.fold_left
+      (fun acc fd ->
+        match Hashtbl.find_opt t.conns fd with
+        | Some { role = Listener { scrape }; _ } ->
+            accept_all t fd ~scrape;
+            acc
+        | Some ({ role = Client s; _ } as c) ->
+            read_conn t c (Session.feed_sub s t.rbuf 0);
+            s :: acc
+        | Some ({ role = Scrape s; _ } as c) ->
+            read_conn t c (scrape_input t c s);
+            acc
+        | None -> acc)
+      [] ready
+  in
+  round t
+    ~readable:(List.sort (fun a b -> Int.compare (Session.id a) (Session.id b)) readable)
 
+(* Serve until [stop]; then the same loop drains: the listeners close,
+   reads stop, and rounds go on while output is pending, for at most
+   2 s.  Then flush + snapshot + close the store. *)
 let run t =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  while not t.stopping do
-    let read_fds =
-      (t.listener :: Option.to_list t.metrics_listener)
-      @ List.map (fun m -> m.mfd) t.mconns
-      @ List.filter_map (fun c -> if c.eof then None else Some c.fd) t.conns
+  let rec loop deadline =
+    let deadline =
+      if t.stopping && deadline = Float.infinity then begin
+        t.log "shutting down: draining connections";
+        close_where t (fun c -> match c.role with Listener _ -> true | _ -> false);
+        Unix.gettimeofday () +. 2.0
+      end
+      else deadline
     in
-    let write_fds =
-      List.filter_map
-        (fun m -> if String.length m.mout > 0 then Some m.mfd else None)
-        t.mconns
-      @ List.filter_map
-          (fun c -> if Session.pending c.session then Some c.fd else None)
-          t.conns
+    let read_fds, write_fds =
+      Hashtbl.fold
+        (fun fd c (r, w) ->
+          ((if t.stopping || c.eof then r else fd :: r), if pending c then fd :: w else w))
+        t.conns ([], [])
     in
-    match Unix.select read_fds write_fds [] t.cfg.tick with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | ready_r, ready_w, _ ->
-        if List.mem t.listener ready_r then accept_all t;
-        Option.iter
-          (fun l -> if List.mem l ready_r then accept_metrics t l)
-          t.metrics_listener;
-        List.iter
-          (fun m -> if List.mem m.mfd ready_r then read_mconn t m)
-          t.mconns;
-        let readable =
-          List.filter (fun c -> List.mem c.fd ready_r) t.conns
-        in
-        List.iter (read_conn t) readable;
-        round t ~readable;
-        List.iter
-          (fun c -> if List.mem c.fd ready_w || Session.pending c.session then write_conn t c)
-          t.conns;
-        List.iter
-          (fun m -> if List.mem m.mfd ready_w || String.length m.mout > 0 then write_mconn m)
-          t.mconns;
-        sweep_closed t;
-        sweep_mconns t;
-        Obs.set t.obs connections_active (float_of_int (List.length t.conns))
-  done;
-  (* Graceful shutdown: stop accepting, drain pending output briefly,
-     then flush + snapshot + close the store. *)
-  t.log "shutting down: draining connections";
-  (try Unix.close t.listener with Unix.Unix_error _ -> ());
-  Option.iter
-    (fun l -> try Unix.close l with Unix.Unix_error _ -> ())
-    t.metrics_listener;
-  List.iter
-    (fun m -> try Unix.close m.mfd with Unix.Unix_error _ -> ())
-    t.mconns;
-  t.mconns <- [];
-  let deadline = Unix.gettimeofday () +. 2.0 in
-  let rec drain () =
-    let pending = List.filter (fun c -> Session.pending c.session) t.conns in
-    if pending <> [] && Unix.gettimeofday () < deadline then begin
-      (match
-         Unix.select [] (List.map (fun c -> c.fd) pending) [] 0.05
-       with
+    if not (t.stopping && (write_fds = [] || Unix.gettimeofday () >= deadline)) then begin
+      (match Unix.select read_fds write_fds [] t.cfg.tick with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | _, ready_w, _ ->
-          List.iter
-            (fun c -> if List.mem c.fd ready_w then write_conn t c)
-            pending);
-      drain ()
+      | ready, _, _ ->
+          serve_ready t ready;
+          Hashtbl.iter (fun _ c -> write_conn t c) t.conns;
+          close_where t finished;
+          Obs.set t.obs connections_active (float_of_int t.clients));
+      loop deadline
     end
   in
-  drain ();
-  List.iter (fun c -> close_conn t c) t.conns;
+  loop Float.infinity;
+  close_where t (fun _ -> true);
   (match t.cfg.transport with
   | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Tcp _ -> ());

@@ -2,21 +2,25 @@
     event-loop server for the admission {!Protocol} over a Unix or TCP
     socket.
 
-    One [select] round accepts new connections, reads every readable
-    connection, decodes complete frames, and handles each request through
-    {!Admission}.  Responses of the round are {e held back} until the
-    store's group commit is forced ({!Gridbw_store.Store.flush}), so an
-    acknowledged admit/cancel is on disk before the client can observe it
-    (write-ack-after-fsync); one fsync covers every decision of the round.
-    Responses on a connection are queued in request order, so clients may
-    pipeline.
+    One [select] call site serves one table of sockets: the protocol
+    and [/metrics] listeners, clients and scrapes.  A round accepts new
+    connections, reads every readable one, decodes complete frames, and
+    handles each request through {!Admission}, clients in accept order.
+    Responses of the round are {e held back} until the store's group
+    commit is forced ({!Gridbw_store.Store.flush}), so an acknowledged
+    admit/cancel is on disk before the client can observe it
+    (write-ack-after-fsync); one fsync covers every decision of the
+    round.  Responses on a connection are queued in request order, so
+    clients may pipeline.  An I/O error other than EAGAIN or EINTR
+    closes that connection only.
 
     Startup with an existing [--store-dir] recovers via the
     {!Gridbw_store.Store.recover} path, audits against the reference
     model, re-books the surviving admissions bit-identically and resumes
     serving.  {!stop} (wired to SIGTERM/SIGINT by
     {!install_signal_handlers}, and to the protocol's [shutdown] verb)
-    drains pending output, flushes the WAL, writes a final snapshot and
+    drains pending output (the same loop, listeners closed and reads
+    off, for at most 2 s), flushes the WAL, writes a final snapshot and
     closes the store. *)
 
 type transport = Unix_socket of string | Tcp of string * int
@@ -81,3 +85,4 @@ val install_signal_handlers : t -> unit
 (** SIGTERM and SIGINT invoke {!stop}. *)
 
 val connections : t -> int
+(** Open protocol client connections; [/metrics] scrapes do not count. *)

@@ -12,8 +12,6 @@ type t = {
   mutable written : int;
   mutable closing : bool;
   mutable frames_in : int;
-  mutable responses_out : int;
-  mutable errors : int;
   (* Stage durations of the most recent completed message (valid right
      after [next] returns [Some _] with [timed]). *)
   mutable decode_ns : float;
@@ -30,8 +28,6 @@ let create ?max_frame ?(timed = false) ~id ~peer () =
     written = 0;
     closing = false;
     frames_in = 0;
-    responses_out = 0;
-    errors = 0;
     decode_ns = 0.;
     parse_ns = 0.;
   }
@@ -62,17 +58,14 @@ let next t =
             Some (Request r)
         | Error e ->
             if t.timed then t.parse_ns <- Span.now_ns () -. t1;
-            t.errors <- t.errors + 1;
             Some (Undecodable (Protocol.error_of_decode e)))
     | Error e ->
         t.closing <- true;
-        t.errors <- t.errors + 1;
         Some
           (Broken
              (Protocol.Error { code = Protocol.Bad_frame; message = Frame.describe e }))
 
 let queue t resp =
-  t.responses_out <- t.responses_out + 1;
   (* Reply in the form the client last spoke: sending one binary frame
      switches the response stream to binary, no handshake needed. *)
   Frame.add_as (Frame.last_format t.decoder) t.out (Protocol.encode_response resp)
@@ -108,5 +101,3 @@ let wrote t n =
 let stage_ns t = (t.decode_ns, t.parse_ns)
 let want_close t = t.closing
 let frames_in t = t.frames_in
-let responses_out t = t.responses_out
-let errors t = t.errors

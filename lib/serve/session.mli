@@ -71,6 +71,4 @@ val want_close : t -> bool
 (** {2 Accounting} *)
 
 val frames_in : t -> int
-val responses_out : t -> int
-val errors : t -> int
-(** Frame- plus payload-level errors on this connection. *)
+(** Complete frames decoded on this connection. *)

@@ -1145,6 +1145,173 @@ let daemon_survives_malformed_clients () =
           Daemon.stop d;
           Thread.join th)
 
+(* --- the /metrics scrape endpoint --- *)
+
+let free_loopback_port () =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      match Unix.getsockname fd with
+      | Unix.ADDR_INET (_, port) -> port
+      | Unix.ADDR_UNIX _ -> Alcotest.fail "a TCP socket has an inet address")
+
+let rec send_all fd s off =
+  if off < String.length s then
+    send_all fd s (off + Unix.write_substring fd s off (String.length s - off))
+
+(* Everything the daemon sends until it closes.  A reset counts as a
+   close: a daemon that hangs up on unread input resets the stream. *)
+let read_to_close fd =
+  let b = Buffer.create 4096 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes b chunk 0 n;
+        go ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Alcotest.fail "the daemon did not close the scrape connection"
+  in
+  go ();
+  Buffer.contents b
+
+let scrape_connect port =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let scrape port request =
+  let fd = scrape_connect port in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      (try send_all fd request 0
+       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+      read_to_close fd)
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+(* The scrape endpoint answers GET /metrics, refuses other paths, drops
+   an over-long request line unanswered, and its connections never
+   count as protocol clients. *)
+let daemon_serves_metrics () =
+  with_tmpdir (fun dir ->
+      let sock = Filename.concat dir "d.sock" in
+      let port = free_loopback_port () in
+      let cfg =
+        { (Daemon.default_config ~policy ~fabric:(fabric2 ()) ~metrics_port:port
+             (Daemon.Unix_socket sock))
+          with
+          Daemon.tick = 0.02 }
+      in
+      match Daemon.create cfg with
+      | Error e -> Alcotest.fail e
+      | Ok d ->
+          let th = Thread.create Daemon.run d in
+          Fun.protect
+            ~finally:(fun () ->
+              Daemon.stop d;
+              Thread.join th)
+            (fun () ->
+              (* one protocol client, connected throughout; its request
+                 registers the per-request series *)
+              let client = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+              Unix.connect client (Unix.ADDR_UNIX sock);
+              let ic = Unix.in_channel_of_descr client in
+              let oc = Unix.out_channel_of_descr client in
+              Frame.output oc (Protocol.encode_request Protocol.Stats);
+              (match Frame.input ic with
+              | Ok _ -> ()
+              | Error _ -> Alcotest.fail "expected a stats reply");
+              Alcotest.(check int) "one protocol client" 1 (Daemon.connections d);
+              (* a scrape connection that sits on half a request line for
+                 many ticks is accepted, yet is not a protocol client *)
+              let fd = scrape_connect port in
+              send_all fd "GET /met" 0;
+              Thread.delay 0.3;
+              Alcotest.(check int) "an open scrape is not a connection" 1
+                (Daemon.connections d);
+              send_all fd "rics HTTP/1.0\r\nHost: localhost\r\n\r\n" 0;
+              let reply = read_to_close fd in
+              Unix.close fd;
+              Alcotest.(check bool) "GET /metrics answers 200" true
+                (starts_with ~prefix:"HTTP/1.0 200 OK\r\n" reply);
+              Alcotest.(check bool) "the body carries the serve series" true
+                (contains ~affix:"serve_requests_total" reply);
+              Alcotest.(check bool) "the gauge counts the protocol client only" true
+                (contains ~affix:"\nserve_connections_active 1\n" reply);
+              let other = scrape port "GET /other HTTP/1.0\r\n\r\n" in
+              Alcotest.(check bool) "another path answers 404" true
+                (starts_with ~prefix:"HTTP/1.0 404 Not Found\r\n" other);
+              Alcotest.(check bool) "the 404 names the one served path" true
+                (contains ~affix:"only GET /metrics is served" other);
+              Alcotest.(check string) "an over-long request line is closed unanswered" ""
+                (scrape port (String.make 5000 'x'));
+              Alcotest.(check bool) "a later scrape is still served" true
+                (starts_with ~prefix:"HTTP/1.0 200 OK\r\n"
+                   (scrape port "GET /metrics HTTP/1.0\r\n\r\n"));
+              Alcotest.(check int) "still one protocol client" 1 (Daemon.connections d);
+              Unix.close client))
+
+(* Replies still pending at shutdown drain to their client, every one
+   and in request order: a client pipelines more admits than its socket
+   buffer holds replies for and reads only after another connection
+   asked the daemon to stop. *)
+let daemon_drains_replies_on_shutdown () =
+  with_tmpdir (fun dir ->
+      let sock = Filename.concat dir "d.sock" in
+      let cfg =
+        { (Daemon.default_config ~policy ~fabric:(fabric2 ()) (Daemon.Unix_socket sock)) with
+          Daemon.tick = 0.02 }
+      in
+      match Daemon.create cfg with
+      | Error e -> Alcotest.fail e
+      | Ok d ->
+          let th = Thread.create Daemon.run d in
+          let n = 20_000 in
+          let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX sock);
+          let burst = Buffer.create (n * 128) in
+          for id = 0 to n - 1 do
+            Frame.add_as Frame.Text burst
+              (Protocol.encode_request
+                 (Protocol.Admit
+                    { id; ingress = id mod 2; egress = id / 2 mod 2; volume = 10.; ts = 0.;
+                      tf = 100.; max_rate = 1. }))
+          done;
+          send_all fd (Buffer.contents burst) 0;
+          let adm = Daemon.admission d in
+          let decided () = Admission.accepted_count adm + Admission.rejected_count adm in
+          let deadline = Unix.gettimeofday () +. 30. in
+          while decided () < n && Unix.gettimeofday () < deadline do
+            Thread.delay 0.01
+          done;
+          Alcotest.(check int) "every admit decided before shutdown" n (decided ());
+          (match Loadgen.shutdown (Daemon.Unix_socket sock) with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail ("shutdown: " ^ e));
+          let ic = Unix.in_channel_of_descr fd in
+          let reply_id () =
+            match Frame.input ic with
+            | Error _ -> None
+            | Ok payload -> (
+                match Protocol.decode_response payload with
+                | Ok (Protocol.Admitted { id; _ } | Protocol.Rejected { id; _ }) -> Some id
+                | _ -> Alcotest.fail "expected an admit reply")
+          in
+          let ids = List.init n (fun _ -> reply_id ()) in
+          Alcotest.(check (list (option int))) "every reply, in request order"
+            (List.init n Option.some) ids;
+          Alcotest.(check bool) "then the daemon closes" true (Frame.input ic = Error `Eof);
+          Unix.close fd;
+          Thread.join th)
+
 let suites =
   [
     ( "serve.frame",
@@ -1196,5 +1363,7 @@ let suites =
         slow_case "end to end: loadgen, shutdown, restart" end_to_end_live_daemon;
         case "malformed clients get typed errors" daemon_survives_malformed_clients;
         case "per-request series count once per request" daemon_metric_series;
+        case "/metrics: 200, 404, over-long lines, never a connection" daemon_serves_metrics;
+        case "shutdown drains every pending reply in order" daemon_drains_replies_on_shutdown;
       ] );
   ]
