@@ -531,6 +531,8 @@ let trace_report_cmd =
 
 (* --- recover command --- *)
 
+module Reference = Gridbw_check.Reference
+
 let recover_cmd =
   let dir_t =
     Arg.(required & pos 0 (some string) None
@@ -566,171 +568,125 @@ let recover_cmd =
         exit 1
     | Ok spans -> (List.length spans, Flight.last last spans)
   in
-  (* The machine-readable path the serve-smoke drill consumes: recover,
-     audit, and dump every surviving accepted allocation with bit-exact
-     floats so acked responses can be compared field by field. *)
-  let run_json dir flight flight_last =
-    let obs = Obs.create () in
-    match Store.recover ~obs ~dir () with
+  (* The text form: the journaled run's summary on stdout, the audit and
+     the flight tail on stderr. *)
+  let render_text dir (r : Store.recovered) verdict flight =
+    Provenance.print ~cmd:"recover" [ ("dir", dir) ];
+    Printf.eprintf
+      "recovered %d records (%d from snapshot, %d replayed), %d torn bytes discarded\n%!"
+      (Store.records r.Store.store) r.Store.snapshot_cursor r.Store.replayed
+      r.Store.truncated_bytes;
+    (* The surviving journal is a self-contained trace: its leading
+       Capacity prefix names the fabric, so the journaled run's summary
+       is rebuilt from the log alone. *)
+    (match Replay.of_events r.Store.events with
     | Error msg ->
-        print_endline
-          (Json.to_string (Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str msg) ]));
+        Printf.eprintf "recover: surviving history does not replay: %s\n" msg;
         exit 1
-    | Ok r ->
-        let rec split_prefix = function
-          | Event.Capacity _ :: rest -> split_prefix rest
-          | rest -> rest
-        in
-        let body = split_prefix r.Store.events in
-        let engine_driven =
-          List.exists
-            (function Event.Capacity _ | Event.Preempt _ | Event.Shed _ -> true | _ -> false)
-            body
-        in
-        let ledger_ok = Gridbw_alloc.Ledger.within_capacity (Store.ledger r.Store.store) in
-        let violations =
-          if engine_driven then []
-          else
-            List.map Gridbw_check.Reference.describe
-              (Gridbw_check.Reference.audit_allocations r.Store.initial_fabric
-                 (List.map snd r.Store.accepted))
-        in
-        let violations =
-          if ledger_ok then violations else violations @ [ "recovered ledger exceeds capacity" ]
-        in
-        let audit =
-          if violations <> [] then "failed" else if engine_driven then "skipped" else "clean"
-        in
-        let accepted =
-          List.map
-            (fun (time, a) ->
-              let open Gridbw_alloc.Allocation in
-              Json.Obj
-                [
-                  ("id", Json.Num (float_of_int a.request.Gridbw_request.Request.id));
-                  ("bw", Json.Num a.bw);
-                  ("sigma", Json.Num a.sigma);
-                  ("tau", Json.Num a.tau);
-                  ("decided_at", Json.Num time);
-                ])
-            r.Store.accepted
-        in
-        let flight_fields =
-          match flight with
-          | None -> []
-          | Some path ->
-              let total, spans = flight_spans path flight_last in
-              [
-                ("flight_total", Json.Num (float_of_int total));
-                ("flight_last",
-                 Json.List
-                   (List.map
-                      (fun sp ->
-                        Json.Obj
-                          (("span", Json.Num (float_of_int (Span.id sp)))
-                           :: (match Span.req sp with
-                              | Some r -> [ ("req", Json.Num (float_of_int r)) ]
-                              | None -> [])
-                          @ [
-                              ("conn", Json.Num (float_of_int (Span.conn sp)));
-                              ("total_ns", Json.Num (Span.total_ns sp));
-                              ("probes", Json.Num (float_of_int (Span.probes sp)));
-                            ]))
-                      spans));
-              ]
-        in
-        print_endline
-          (Json.to_string
-             (Json.Obj
-                ([
-                  ("ok", Json.Bool (audit <> "failed"));
-                  ("records", Json.Num (float_of_int (Store.records r.Store.store)));
-                  ("snapshot_cursor", Json.Num (float_of_int r.Store.snapshot_cursor));
-                  ("replayed", Json.Num (float_of_int r.Store.replayed));
-                  ("truncated_bytes", Json.Num (float_of_int r.Store.truncated_bytes));
-                  ("audit", Json.Str audit);
-                  ("violations", Json.List (List.map (fun v -> Json.Str v) violations));
-                  ("accepted", Json.List accepted);
-                  ("cancelled",
-                   Json.List
-                     (List.filter_map
-                        (function
-                          | Event.Preempt { id; _ } -> Some (Json.Num (float_of_int id))
-                          | _ -> None)
-                        r.Store.events));
-                ]
-                @ flight_fields)));
-        Store.close r.Store.store;
-        if audit = "failed" then exit 1
-  in
-  let run dir json metrics_out flight flight_last =
-    if json then run_json dir flight flight_last
-    else
-    let obs = Obs.create () in
-    match Store.recover ~obs ~dir () with
-    | Error msg ->
-        Printf.eprintf "recover: %s\n" msg;
-        exit 1
-    | Ok r ->
-        Provenance.print ~cmd:"recover" [ ("dir", dir) ];
-        Printf.eprintf
-          "recovered %d records (%d from snapshot, %d replayed), %d torn bytes discarded\n%!"
-          (Store.records r.Store.store) r.Store.snapshot_cursor r.Store.replayed
-          r.Store.truncated_bytes;
-        (* The surviving journal is a self-contained trace: its leading
-           Capacity prefix names the fabric, so the journaled run's summary
-           is rebuilt from the log alone. *)
-        (match Replay.of_events r.Store.events with
-        | Error msg ->
-            Printf.eprintf "recover: surviving history does not replay: %s\n" msg;
+    | Ok t -> (
+        match Replay.fabric t with
+        | Error (`No_prefix | `Invalid _) ->
+            (* unreachable: recover already validated the prefix *)
+            prerr_endline "recover: recovered journal lost its capacity prefix";
             exit 1
-        | Ok t -> (
-            match Replay.fabric t with
-            | Error (`No_prefix | `Invalid _) ->
-                (* unreachable: recover already validated the prefix *)
-                prerr_endline "recover: recovered journal lost its capacity prefix";
-                exit 1
-            | Ok fabric -> Format.printf "%a@." Summary.pp (Replay.summary fabric t)));
-        (* Audit the recovered state before anyone serves from it.  An
-           engine-driven journal (faults: capacity revisions past the
-           prefix, preemptions, sheds) books and releases over time, so the
-           whole-interval reference audit does not apply. *)
-        let rec split_prefix = function
-          | Event.Capacity _ :: rest -> split_prefix rest
-          | rest -> rest
-        in
-        let engine_driven =
-          List.exists
-            (function Event.Capacity _ | Event.Preempt _ | Event.Shed _ -> true | _ -> false)
-            (split_prefix r.Store.events)
-        in
-        if engine_driven then
-          prerr_endline "note: engine-driven journal (faults); reference audit skipped"
-        else begin
-          let allocs = List.map snd r.Store.accepted in
-          let violations =
-            Gridbw_check.Reference.audit_allocations r.Store.initial_fabric allocs
-          in
-          let ledger_ok = Gridbw_alloc.Ledger.within_capacity (Store.ledger r.Store.store) in
-          match (violations, ledger_ok) with
-          | [], true ->
-              Printf.eprintf "audit clean: %d recovered allocations within capacity\n%!"
-                (List.length allocs)
-          | vs, ok ->
-              List.iter
-                (fun v -> Printf.eprintf "audit: %s\n" (Gridbw_check.Reference.describe v))
-                vs;
-              if not ok then prerr_endline "audit: recovered ledger exceeds capacity";
-              exit 1
-        end;
+        | Ok fabric -> Format.printf "%a@." Summary.pp (Replay.summary fabric t)));
+    (match verdict with
+    | Reference.Clean n ->
+        Printf.eprintf "audit clean: %d surviving allocations within capacity\n%!" n
+    | Reference.Skipped why -> Printf.eprintf "note: audit skipped: %s\n%!" why
+    | Reference.Failed failures -> List.iter (Printf.eprintf "audit: %s\n%!") failures);
+    Option.iter
+      (fun (total, spans) ->
+        Printf.eprintf "flight recorder: %d spans recovered; newest %d:\n%!" total
+          (List.length spans);
+        List.iter (fun sp -> Format.eprintf "  %a@." Span.pp sp) spans)
+      flight
+  in
+  (* The machine-readable form the serve-smoke drill consumes: every
+     surviving accepted allocation with bit-exact floats, so acked
+     responses can be compared field by field. *)
+  let render_json (r : Store.recovered) verdict flight =
+    let audit, violations =
+      match verdict with
+      | Reference.Clean _ -> ("clean", [])
+      | Reference.Skipped _ -> ("skipped", [])
+      | Reference.Failed failures -> ("failed", failures)
+    in
+    let accepted =
+      List.map
+        (fun (time, a) ->
+          let open Gridbw_alloc.Allocation in
+          Json.Obj
+            [
+              ("id", Json.Num (float_of_int a.request.Gridbw_request.Request.id));
+              ("bw", Json.Num a.bw);
+              ("sigma", Json.Num a.sigma);
+              ("tau", Json.Num a.tau);
+              ("decided_at", Json.Num time);
+            ])
+        r.Store.accepted
+    in
+    let flight_fields =
+      match flight with
+      | None -> []
+      | Some (total, spans) ->
+          [
+            ("flight_total", Json.Num (float_of_int total));
+            ("flight_last",
+             Json.List
+               (List.map
+                  (fun sp ->
+                    Json.Obj
+                      (("span", Json.Num (float_of_int (Span.id sp)))
+                       :: (match Span.req sp with
+                          | Some r -> [ ("req", Json.Num (float_of_int r)) ]
+                          | None -> [])
+                      @ [
+                          ("conn", Json.Num (float_of_int (Span.conn sp)));
+                          ("total_ns", Json.Num (Span.total_ns sp));
+                          ("probes", Json.Num (float_of_int (Span.probes sp)));
+                        ]))
+                  spans));
+          ]
+    in
+    print_endline
+      (Json.to_string
+         (Json.Obj
+            ([
+              ("ok", Json.Bool (violations = []));
+              ("records", Json.Num (float_of_int (Store.records r.Store.store)));
+              ("snapshot_cursor", Json.Num (float_of_int r.Store.snapshot_cursor));
+              ("replayed", Json.Num (float_of_int r.Store.replayed));
+              ("truncated_bytes", Json.Num (float_of_int r.Store.truncated_bytes));
+              ("audit", Json.Str audit);
+              ("violations", Json.List (List.map (fun v -> Json.Str v) violations));
+              ("accepted", Json.List accepted);
+              ("cancelled",
+               Json.List
+                 (List.filter_map
+                    (function
+                      | Event.Preempt { id; _ } -> Some (Json.Num (float_of_int id))
+                      | _ -> None)
+                    r.Store.events));
+            ]
+            @ flight_fields)))
+  in
+  (* One recover-and-audit path; the two forms only render its verdict.
+     Exit status 1 when recovery or the audit fails. *)
+  let run dir json metrics_out flight flight_last =
+    let obs = Obs.create () in
+    match Store.recover ~obs ~dir () with
+    | Error msg ->
+        if json then
+          print_endline
+            (Json.to_string (Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str msg) ]))
+        else Printf.eprintf "recover: %s\n" msg;
+        exit 1
+    | Ok r ->
+        let verdict = Reference.audit_recovered r in
+        let flight = Option.map (fun path -> flight_spans path flight_last) flight in
+        if json then render_json r verdict flight else render_text dir r verdict flight;
         Store.close r.Store.store;
-        Option.iter
-          (fun path ->
-            let total, spans = flight_spans path flight_last in
-            Printf.eprintf "flight recorder: %d spans recovered; newest %d:\n%!" total
-              (List.length spans);
-            List.iter (fun sp -> Format.eprintf "  %a@." Span.pp sp) spans)
-          flight;
         Option.iter
           (fun path ->
             let oc = open_out path in
@@ -738,7 +694,8 @@ let recover_cmd =
               ~finally:(fun () -> close_out oc)
               (fun () -> output_string oc (Gridbw_obs.Metrics.to_prometheus (Obs.metrics obs)));
             Printf.eprintf "wrote %s\n%!" path)
-          metrics_out
+          metrics_out;
+        match verdict with Reference.Failed _ -> exit 1 | _ -> ()
   in
   Cmd.v
     (Cmd.info "recover"

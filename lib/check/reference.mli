@@ -8,13 +8,17 @@
     Definition 1 from scratch — per-request window containment, rate caps,
     route validity, and a brute-force per-port capacity sweep over
     elementary intervals — so a schedule is judged by two {e independent}
-    formulations.  Nothing here touches the ledger, the profile trees or
-    the timeline; everything is O(n²) list walking on purpose.
+    formulations.  The audits never read the ledger, the profile trees or
+    the timeline; everything is O(n²) list walking on purpose.  Only
+    {!audit_recovered} also runs the recovered ledger's own capacity
+    check, as a second opinion.
 
-    Two entry points: {!audit} scores a [(trace, decisions)] pair against
+    Three entry points: {!audit} scores a [(trace, decisions)] pair against
     a static fabric (the plain engines), {!audit_services} scores the
     fault injector's delivered service intervals against the
-    {e time-varying} capacities induced by a fault script. *)
+    {e time-varying} capacities induced by a fault script, and
+    {!audit_recovered} decides whether a recovered journal may be served
+    from. *)
 
 type side = Gridbw_metrics.Hotspot.side
 
@@ -91,3 +95,26 @@ val agrees : Gridbw_metrics.Validate.violation list -> violation list -> bool
 
 val pp_violation : Format.formatter -> violation -> unit
 val describe : violation -> string
+
+(** {2 Recovered journals} *)
+
+type verdict =
+  | Clean of int  (** the audit ran and passed; the number of surviving bookings *)
+  | Skipped of string  (** the journal is not one the audit applies to; why *)
+  | Failed of string list  (** one line per violation *)
+
+val survivors : Gridbw_store.Store.recovered -> Gridbw_alloc.Allocation.t list
+(** The recovered bookings no [Preempt] cancelled: [accepted] minus every
+    id a [Preempt] in [events] names, in decision order. *)
+
+val audit_recovered : Gridbw_store.Store.recovered -> verdict
+(** The one audit a recovered journal passes before anything serves from
+    it: [Skipped] for a fault-injector journal ([Capacity] or [Shed]
+    events past the capacity prefix); otherwise {!audit_allocations} on
+    the {!survivors} against the initial fabric, and
+    {!Gridbw_alloc.Ledger.within_capacity} on the recovered mirror
+    ledger.  DESIGN §9 item 3 gives the rule and why it is sound. *)
+
+val refusal : verdict -> string option
+(** Why a server must not resume from a journal with this verdict: [None]
+    for [Clean] only.  A [Skipped] journal is refused too. *)

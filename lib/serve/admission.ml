@@ -12,7 +12,6 @@ module Types = Gridbw_core.Types
 module Fabric = Gridbw_topology.Fabric
 module Request = Gridbw_request.Request
 module Allocation = Gridbw_alloc.Allocation
-module Ledger = Gridbw_alloc.Ledger
 module Reference = Gridbw_check.Reference
 
 type entry =
@@ -158,69 +157,43 @@ let handle ?span t = function
 
 (* --- recovery --- *)
 
-(* Events past the leading capacity prefix. *)
-let rec past_prefix = function
-  | Event.Capacity _ :: rest -> past_prefix rest
-  | rest -> rest
-
 let of_recovered ?obs ~policy (r : Store.recovered) =
   Policy.validate policy;
-  let body = past_prefix r.Store.events in
-  if
-    List.exists (function Event.Capacity _ | Event.Shed _ -> true | _ -> false) body
-  then
-    Error
-      "store journal carries capacity revisions (fault-injector run); not a daemon journal"
-  else begin
-    let has_preempt = List.exists (function Event.Preempt _ -> true | _ -> false) body in
-    let allocs = List.map snd r.Store.accepted in
-    let audit_errors =
-      (* Cancels release capacity early, so the whole-window reference
-         audit over-counts; the ledger capacity check below still holds
-         (the mirror ledger replayed the releases). *)
-      if has_preempt then []
-      else Reference.audit_allocations r.Store.initial_fabric allocs
-    in
-    match audit_errors with
-    | v :: _ -> Error ("recovered journal fails the reference audit: " ^ Reference.describe v)
-    | [] ->
-        if not (Ledger.within_capacity (Store.ledger r.Store.store)) then
-          Error "recovered ledger exceeds capacity"
-        else begin
-          let t =
-            make ?obs ~store:r.Store.store ~policy (Online.create r.Store.initial_fabric)
-          in
-          let by_id = Hashtbl.create 256 in
-          List.iter
-            (fun (_, a) -> Hashtbl.replace by_id a.Allocation.request.Request.id a)
-            r.Store.accepted;
-          (* Replay the journal through the controller in event order —
-             the same grab/release sequence the live daemon performed, so
-             the float accumulators come back bit-identical.  No [~obs]
-             here: replay must not re-journal. *)
-          List.iter
-            (fun ev ->
-              match ev with
-              | Event.Arrival _ -> t.seq <- t.seq + 1
-              | Event.Accept { time; id; _ } ->
-                  let a = Hashtbl.find by_id id in
-                  Online.restore t.ctl a ~at:time;
-                  Hashtbl.replace t.entries id (Booked a);
-                  t.accepted <- t.accepted + 1
-              | Event.Reject { id; reason; _ } ->
-                  Hashtbl.replace t.entries id (Refused reason);
-                  t.rejected <- t.rejected + 1
-              | Event.Preempt { time; id; _ } -> (
-                  Online.advance_to t.ctl time;
-                  match Hashtbl.find_opt t.entries id with
-                  | Some (Booked a) ->
-                      ignore (Online.preempt t.ctl a);
-                      Hashtbl.replace t.entries id (Cancelled a)
-                  | _ -> ())
-              (* the serving plane journals constant-rate admissions
-                 only, so a malleable Reshape never appears here *)
-              | Event.Reshape _ | Event.Capacity _ | Event.Shed _ | Event.Dispatch _ -> ())
-            r.Store.events;
-          Ok t
-        end
-  end
+  match Reference.refusal (Reference.audit_recovered r) with
+  | Some why -> Error why
+  | None ->
+      let t =
+        make ?obs ~store:r.Store.store ~policy (Online.create r.Store.initial_fabric)
+      in
+      let by_id = Hashtbl.create 256 in
+      List.iter
+        (fun (_, a) -> Hashtbl.replace by_id a.Allocation.request.Request.id a)
+        r.Store.accepted;
+      (* Replay the journal through the controller in event order —
+         the same grab/release sequence the live daemon performed, so
+         the float accumulators come back bit-identical.  No [~obs]
+         here: replay must not re-journal. *)
+      List.iter
+        (fun ev ->
+          match ev with
+          | Event.Arrival _ -> t.seq <- t.seq + 1
+          | Event.Accept { time; id; _ } ->
+              let a = Hashtbl.find by_id id in
+              Online.restore t.ctl a ~at:time;
+              Hashtbl.replace t.entries id (Booked a);
+              t.accepted <- t.accepted + 1
+          | Event.Reject { id; reason; _ } ->
+              Hashtbl.replace t.entries id (Refused reason);
+              t.rejected <- t.rejected + 1
+          | Event.Preempt { time; id; _ } -> (
+              Online.advance_to t.ctl time;
+              match Hashtbl.find_opt t.entries id with
+              | Some (Booked a) ->
+                  ignore (Online.preempt t.ctl a);
+                  Hashtbl.replace t.entries id (Cancelled a)
+              | _ -> ())
+          (* the serving plane journals constant-rate admissions
+             only, so a malleable Reshape never appears here *)
+          | Event.Reshape _ | Event.Capacity _ | Event.Shed _ | Event.Dispatch _ -> ())
+        r.Store.events;
+      Ok t

@@ -35,13 +35,13 @@ val of_recovered :
   policy:Gridbw_core.Policy.t ->
   Gridbw_store.Store.recovered ->
   (t, string) result
-(** Resume from a recovered store: re-book every surviving admission in
-    decision order (bit-identical controller state), rebuild the decision
-    table (accepted / rejected / cancelled) for [query], and audit the
-    recovered ledger against {!Gridbw_check.Reference} before serving —
-    [Error] describes the first violation if the journal is unsound.
-    Journals with preemptions (cancels) skip the whole-window reference
-    audit, like [gridbw recover] does, but still check ledger capacity. *)
+(** Resume from a recovered store: audit it with
+    {!Gridbw_check.Reference.audit_recovered}, then re-book every
+    surviving admission in decision order (bit-identical controller
+    state) and rebuild the decision table (accepted / rejected /
+    cancelled) for [query].  [Error] names every violation when the
+    audit fails, and refuses a journal the audit skips (a fault-injector
+    run). *)
 
 val handle : ?span:Gridbw_obs.Span.t -> t -> Protocol.request -> Protocol.response
 (** Decide one request.  Total: validation failures come back as typed

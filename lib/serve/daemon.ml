@@ -90,6 +90,9 @@ type t = {
   mutable clients : int;
   mutable next_conn : int;
   mutable stopping : bool;
+  (* Until this instant the listeners stay out of the read set: an
+     accept failed for want of descriptors.  0 when accepting. *)
+  mutable accept_paused_until : float;
 }
 
 let admission t = t.adm
@@ -233,6 +236,7 @@ let create ?obs ?(log = fun _ -> ()) cfg =
               clients = 0;
               next_conn = 0;
               stopping = false;
+              accept_paused_until = 0.;
             })
 
 (* --- the event loop --- *)
@@ -250,10 +254,18 @@ let close_where t p =
          Hashtbl.remove t.conns c.fd;
          match c.role with Client _ -> t.clients <- t.clients - 1 | Listener _ | Scrape _ -> ())
 
+(* Accept what is pending on listener [l].  EAGAIN ends the attempt;
+   EINTR retries; ECONNABORTED (the peer left while queued) skips that
+   connection.  Any other error (EMFILE or ENFILE: no descriptor left)
+   ends this round's accepts and keeps the listeners out of the read set
+   for one tick, so the loop waits instead of spinning on a listener it
+   cannot serve; the queued peers wait in the backlog. *)
 let rec accept_all t l ~scrape =
   match Unix.accept ~cloexec:true l with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_all t l ~scrape
+  | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
+      accept_all t l ~scrape
+  | exception Unix.Unix_error _ -> t.accept_paused_until <- Unix.gettimeofday () +. t.cfg.tick
   | fd, addr ->
       Unix.set_nonblock fd;
       let role =
@@ -496,10 +508,16 @@ let run t =
       end
       else deadline
     in
+    if t.accept_paused_until > 0. && Unix.gettimeofday () >= t.accept_paused_until then
+      t.accept_paused_until <- 0.;
+    let paused = t.accept_paused_until > 0. in
     let read_fds, write_fds =
       Hashtbl.fold
         (fun fd c (r, w) ->
-          ((if t.stopping || c.eof then r else fd :: r), if pending c then fd :: w else w))
+          let off =
+            t.stopping || c.eof || (paused && match c.role with Listener _ -> true | _ -> false)
+          in
+          ((if off then r else fd :: r), if pending c then fd :: w else w))
         t.conns ([], [])
     in
     if not (t.stopping && (write_fds = [] || Unix.gettimeofday () >= deadline)) then begin

@@ -14,11 +14,19 @@
     clients may pipeline.  An I/O error other than EAGAIN or EINTR
     closes that connection only.
 
+    Accept errors never end the loop.  ECONNABORTED (the peer left while
+    queued) skips that connection.  Any other error, EMFILE or ENFILE
+    when the descriptor table is full, ends the round's accepts and
+    takes the listeners out of the read set for one [tick]: queued peers
+    wait in the listen backlog until a connection closes, and the loop
+    does not spin.
+
     Startup with an existing [--store-dir] recovers via the
-    {!Gridbw_store.Store.recover} path, audits against the reference
-    model, re-books the surviving admissions bit-identically and resumes
-    serving.  {!stop} (wired to SIGTERM/SIGINT by
-    {!install_signal_handlers}, and to the protocol's [shutdown] verb)
+    {!Gridbw_store.Store.recover} path, serves it only if
+    {!Gridbw_check.Reference.audit_recovered} finds it clean, re-books
+    the surviving admissions bit-identically and resumes serving.
+    {!stop} (wired to SIGTERM/SIGINT by {!install_signal_handlers}, and
+    to the protocol's [shutdown] verb)
     drains pending output (the same loop, listeners closed and reads
     off, for at most 2 s), flushes the WAL, writes a final snapshot and
     closes the store. *)

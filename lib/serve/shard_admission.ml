@@ -10,9 +10,7 @@ module Types = Gridbw_core.Types
 module Fabric = Gridbw_topology.Fabric
 module Request = Gridbw_request.Request
 module Allocation = Gridbw_alloc.Allocation
-module Ledger = Gridbw_alloc.Ledger
 module Reference = Gridbw_check.Reference
-module Partition = Gridbw_shard.Partition
 module Engine = Gridbw_shard.Engine
 
 type entry =
@@ -169,80 +167,33 @@ let cancel ?(obs = Obs.disabled) t id =
 
 let of_recovered ~shards ~policy (r : Store.recovered) =
   Policy.validate policy;
-  (* Audit the SURVIVING bookings — Accepts never preempted.  A preempted
-     booking's remaining window was released live, so the whole-window
-     audit would over-count it; the survivors, by contrast, all coexisted
-     in the live counters (each overlap was admitted under capacity with
-     the later-cancelled load still on top), so their static audit is
-     sound for any cancel history. *)
-  let allocs =
-    let tbl = Hashtbl.create 256 in
-    List.iter
-      (fun (_, (a : Allocation.t)) -> Hashtbl.replace tbl a.Allocation.request.Request.id a)
-      r.Store.accepted;
-    List.iter
-      (function Event.Preempt { id; _ } -> Hashtbl.remove tbl id | _ -> ())
-      r.Store.events;
-    Hashtbl.fold (fun _ a acc -> a :: acc) tbl []
-  in
-  let audit_errors =
-    match Reference.audit_allocations r.Store.initial_fabric allocs with
-    | v :: _ -> [ "recovered journal fails the reference audit: " ^ Reference.describe v ]
-    | [] ->
-        (* per-shard audit: partition the surviving bookings by their
-           owning shard under the *new* count and audit each shard's
-           slice, so a corrupt journal names the shard it lands on *)
-        let part = Partition.make ~shards in
-        let by_shard = Array.make shards [] in
-        List.iter
-          (fun (a : Allocation.t) ->
-            let s = Partition.of_ingress part a.Allocation.request.Request.ingress in
-            by_shard.(s) <- a :: by_shard.(s))
-          allocs;
-        let errs = ref [] in
-        Array.iteri
-          (fun s slice ->
-            match Reference.audit_allocations r.Store.initial_fabric slice with
-            | [] -> ()
-            | v :: _ ->
-                errs :=
-                  Printf.sprintf "shard %d fails the reference audit: %s" s
-                    (Reference.describe v)
-                  :: !errs)
-          by_shard;
-        List.rev !errs
-  in
-  match audit_errors with
-  | e :: _ -> Error e
-  | [] ->
-      if not (Ledger.within_capacity (Store.ledger r.Store.store)) then
-        Error "recovered ledger exceeds capacity"
-      else begin
-        match
-          Engine.of_events ~journal:r.Store.store ~shards ~policy
-            ~fabric:r.Store.initial_fabric r.Store.events
-        with
-        | Error e -> Error e
-        | Ok engine ->
-            let t = make engine in
-            let by_id = Hashtbl.create 256 in
-            List.iter
-              (fun (_, (a : Allocation.t)) ->
-                Hashtbl.replace by_id a.Allocation.request.Request.id a)
-              r.Store.accepted;
-            List.iter
-              (fun ev ->
-                match ev with
-                | Event.Accept { id; _ } ->
-                    Hashtbl.replace t.entries id (Booked (Hashtbl.find by_id id))
-                | Event.Reject { id; reason; _ } ->
-                    Hashtbl.replace t.entries id (Refused reason)
-                | Event.Preempt { id; _ } -> (
-                    match Hashtbl.find_opt t.entries id with
-                    | Some (Booked a) -> Hashtbl.replace t.entries id (Cancelled a)
-                    | _ -> ())
-                | Event.Arrival _ | Event.Reshape _ | Event.Capacity _ | Event.Shed _
-                | Event.Dispatch _ -> ())
-              r.Store.events;
-            Ok t
-      end
+  match Reference.refusal (Reference.audit_recovered r) with
+  | Some why -> Error why
+  | None -> (
+      match
+        Engine.of_events ~journal:r.Store.store ~shards ~policy
+          ~fabric:r.Store.initial_fabric r.Store.events
+      with
+      | Error e -> Error e
+      | Ok engine ->
+          let t = make engine in
+          let by_id = Hashtbl.create 256 in
+          List.iter
+            (fun (_, (a : Allocation.t)) ->
+              Hashtbl.replace by_id a.Allocation.request.Request.id a)
+            r.Store.accepted;
+          List.iter
+            (fun ev ->
+              match ev with
+              | Event.Accept { id; _ } ->
+                  Hashtbl.replace t.entries id (Booked (Hashtbl.find by_id id))
+              | Event.Reject { id; reason; _ } ->
+                  Hashtbl.replace t.entries id (Refused reason)
+              | Event.Preempt { id; _ } -> (
+                  match Hashtbl.find_opt t.entries id with
+                  | Some (Booked a) -> Hashtbl.replace t.entries id (Cancelled a)
+                  | _ -> ())
+              | Event.Arrival _ | Event.Reshape _ | Event.Capacity _ | Event.Shed _
+              | Event.Dispatch _ -> ())
+            r.Store.events;
+          Ok t)

@@ -24,14 +24,12 @@ val create : shards:int -> policy:Policy.t -> Fabric.t -> t
 (** A fresh engine without a journal. *)
 
 val of_recovered : shards:int -> policy:Policy.t -> Store.recovered -> (t, string) result
-(** Audit the recovered journal globally and per shard: the surviving
-    bookings (Accepts never preempted — survivors all coexisted in the
-    live counters, so their static audit is sound under any cancel
-    history) are checked whole and as each shard's slice against
-    {!Gridbw_check.Reference.audit_allocations}, then the engine is
-    rebuilt with {!Gridbw_shard.Engine.of_events} — the journal may have
-    been written under a different shard count; the per-port replay
-    re-partitions exactly. *)
+(** Audit the recovered journal with
+    {!Gridbw_check.Reference.audit_recovered} (refused unless [Clean], as
+    {!Admission.of_recovered}), then rebuild the engine with
+    {!Gridbw_shard.Engine.of_events} — the journal may have been written
+    under a different shard count; the per-port replay re-partitions
+    exactly. *)
 
 val shards : t -> int
 

@@ -140,6 +140,6 @@ val recover :
     append.  Leftover snapshot temp files and snapshots beyond the
     truncated log are deleted.  [Error] when [dir] is not a store or the log is
     cut inside the capacity prefix (no fabric to recover against).
-    Callers are expected to audit [store]'s {!ledger} / [accepted]
-    against {!Gridbw_check.Reference} before serving — [gridbw recover]
-    does. *)
+    Nothing is audited here: {!Gridbw_check.Reference.audit_recovered}
+    decides whether the result may be served from, and every server and
+    both forms of [gridbw recover] call it. *)

@@ -14,11 +14,6 @@ module Types = Gridbw_core.Types
 module Spec = Gridbw_workload.Spec
 module Gen = Gridbw_workload.Gen
 
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-  n = 0 || go 0
-
 (* --- metrics registry --- *)
 
 let counters_and_gauges () =

@@ -25,11 +25,6 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-  n = 0 || go 0
-
 let with_tmpdir f =
   let dir = Filename.temp_file "gridbw-serve" "" in
   Sys.remove dir;

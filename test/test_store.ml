@@ -141,6 +141,14 @@ let journal_run ?batch ?segment_bytes ?snapshot_bytes ~dir requests =
   Store.close store;
   result
 
+(* The recovered journal passes the one recovery audit. *)
+let expect_clean ~label r =
+  match Reference.audit_recovered r with
+  | Reference.Clean _ -> ()
+  | Reference.Skipped why -> Alcotest.failf "%s: recovery audit skipped: %s" label why
+  | Reference.Failed failures ->
+      Alcotest.failf "%s: recovery audit failed: %s" label (String.concat "; " failures)
+
 let resume_and_check ~label ~expected ~dir requests =
   match Store.recover ~config:(store_config ()) ~dir () with
   | Error msg -> Alcotest.failf "%s: recovery failed: %s" label msg
@@ -157,11 +165,7 @@ let resume_and_check ~label ~expected ~dir requests =
         Alcotest.failf "%s: resumed summary differs:@.baseline %a@.resumed %a" label Summary.pp
           expected Summary.pp got;
       (* The recovered bookings themselves must be a feasible schedule. *)
-      (match Reference.audit_allocations (fabric2 ()) (List.map snd r.Store.accepted) with
-      | [] -> ()
-      | vs -> Alcotest.failf "%s: %d audit violations on recovered state" label (List.length vs));
-      if not (Ledger.within_capacity (Store.ledger r.Store.store)) then
-        Alcotest.failf "%s: recovered mirror ledger exceeds capacity" label
+      expect_clean ~label r
 
 let expect_prefix_error ~label ~dir =
   match Store.recover ~config:(store_config ()) ~dir () with
@@ -314,11 +318,7 @@ let check_same_recovery ~label ~ids (a : Store.recovered) (b : Store.recovered) 
       Alcotest.failf "%s: decided/arrived differ on request %d" label id
   done;
   ledgers_agree ~label (Store.ledger a.Store.store) (Store.ledger b.Store.store);
-  List.iter
-    (fun (r : Store.recovered) ->
-      if not (Ledger.within_capacity (Store.ledger r.Store.store)) then
-        Alcotest.failf "%s: recovered mirror ledger exceeds capacity" label)
-    [ a; b ]
+  List.iter (expect_clean ~label) [ a; b ]
 
 let test_snapshot_matches_wal_only () =
   List.iter
@@ -565,35 +565,16 @@ let sharded_journal_run ~dir requests =
   Store.close store;
   Alcotest.(check bool) "workload exercises cross-shard admissions" true (!cross > 0)
 
-(* The Accepts that were never preempted: [Store.recover]'s [accepted]
-   keeps preempted bookings (the Preempt releases the mirror-ledger
-   interval but the decision stands in history), so the set of bookings
-   the engine must still hold is re-derived from the event stream. *)
-let surviving_allocations events =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (function
-      | Event.Accept { id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; _ } ->
-          let request = Request.make ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate in
-          Hashtbl.replace tbl id (Allocation.make ~request ~bw ~sigma)
-      | Event.Preempt { id; _ } -> Hashtbl.remove tbl id
-      | _ -> ())
-    events;
-  Hashtbl.fold (fun _ a acc -> a :: acc) tbl []
-
 let check_sharded_recovery ~label ~dir =
   match Store.recover ~config:(store_config ()) ~dir () with
   | Error msg -> Alcotest.failf "%s: recovery failed: %s" label msg
   | Ok r ->
       Fun.protect ~finally:(fun () -> Store.close r.Store.store) @@ fun () ->
-      let allocs = surviving_allocations r.Store.events in
-      (match Reference.audit_allocations (fabric2 ()) allocs with
-      | [] -> ()
-      | vs ->
-          Alcotest.failf "%s: %d audit violation(s) on the surviving bookings" label
-            (List.length vs));
-      if not (Ledger.within_capacity (Store.ledger r.Store.store)) then
-        Alcotest.failf "%s: recovered mirror ledger exceeds capacity" label;
+      expect_clean ~label r;
+      (* [accepted] keeps preempted bookings (the Preempt releases the
+         mirror-ledger interval but the decision stands in history); the
+         engine must still hold the survivors only *)
+      let allocs = Reference.survivors r in
       let rebuild shards =
         match
           Shard_engine.of_events ~spawn:false ~shards ~policy ~fabric:r.Store.initial_fabric
@@ -720,12 +701,8 @@ let malleable_recovered_state ~label ~dir =
   | Error msg -> Alcotest.failf "%s: recovery failed: %s" label msg
   | Ok r ->
       Fun.protect ~finally:(fun () -> Store.close r.Store.store) @@ fun () ->
+      expect_clean ~label r;
       let allocs = List.map snd r.Store.accepted in
-      (match Reference.audit_allocations (fabric2 ()) allocs with
-      | [] -> ()
-      | vs -> Alcotest.failf "%s: %d audit violations on recovered state" label (List.length vs));
-      if not (Ledger.within_capacity (Store.ledger r.Store.store)) then
-        Alcotest.failf "%s: recovered mirror ledger exceeds capacity" label;
       List.map
         (fun (a : Allocation.t) ->
           match a.Allocation.profile with
@@ -1285,6 +1262,103 @@ let test_recovered_views_match_events () =
             [ ("with snapshots", src, true); ("without snapshots", bare, false) ]))
     journals
 
+(* --- the recovery audit ---
+
+   [Reference.audit_recovered] decides whether a recovered journal may be
+   served from.  The hand-built journals below are logged event by event
+   through [Store.log], the way the daemon journals. *)
+
+(* An admit of [bw] on [ingress] -> [egress] at [time], over 100 MB. *)
+let log_admit store ~seq ~id ?(ingress = 0) ?(egress = 0) ~time ~bw ~max_rate () =
+  let volume = 100. and ts = time and tf = time +. 100. in
+  Store.log store (Event.Arrival { time; seq; id; ingress; egress; volume; ts; tf; max_rate });
+  Store.log store
+    (Event.Accept
+       { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma = time; shard = None })
+
+let log_cancel store ~time ~id ~bw =
+  Store.log store (Event.Preempt { time; id; bw; shard = None })
+
+(* Journal [log] into a fresh store on [fabric2] and recover it. *)
+let recover_journal log =
+  with_tmpdir (fun dir ->
+      let store = Store.create ~config:(store_config ()) ~dir (fabric2 ()) in
+      log store;
+      Store.close store;
+      recover_exn ~label:"hand-built journal" dir)
+
+let expect_failed ~label ~affixes = function
+  | Reference.Failed failures ->
+      List.iter
+        (fun affix ->
+          if not (List.exists (contains ~affix) failures) then
+            Alcotest.failf "%s: no failure mentions %S in [%s]" label affix
+              (String.concat "; " failures))
+        affixes
+  | Reference.Clean n -> Alcotest.failf "%s: audit passed %d bookings" label n
+  | Reference.Skipped why -> Alcotest.failf "%s: audit skipped: %s" label why
+
+(* A cancel does not switch the reference audit off: request 0 is granted
+   twice its rate cap, and request 1 is cancelled. *)
+let test_audit_cancel_keeps_rate_check () =
+  let r =
+    recover_journal (fun store ->
+        log_admit store ~seq:0 ~id:0 ~time:1. ~bw:10. ~max_rate:5. ();
+        log_admit store ~seq:1 ~id:1 ~ingress:1 ~egress:1 ~time:2. ~bw:5. ~max_rate:5. ();
+        log_cancel store ~time:3. ~id:1 ~bw:5.)
+  in
+  expect_failed ~label:"rate above cap" ~affixes:[ "request 0 granted" ]
+    (Reference.audit_recovered r);
+  match Admission.of_recovered ~policy r with
+  | Error msg ->
+      if not (contains ~affix:"request 0 granted" msg) then
+        Alcotest.failf "refusal does not name the violation: %s" msg
+  | Ok _ -> Alcotest.fail "a journal granting above the rate cap must be refused"
+
+(* Two survivors overload ingress 0 (60 + 60 > 100) next to a cancel. *)
+let test_audit_cancel_keeps_port_check () =
+  let r =
+    recover_journal (fun store ->
+        log_admit store ~seq:0 ~id:0 ~egress:0 ~time:1. ~bw:60. ~max_rate:100. ();
+        log_admit store ~seq:1 ~id:1 ~ingress:1 ~egress:1 ~time:1. ~bw:10. ~max_rate:100. ();
+        log_cancel store ~time:1.5 ~id:1 ~bw:10.;
+        log_admit store ~seq:2 ~id:2 ~egress:1 ~time:2. ~bw:60. ~max_rate:100. ())
+  in
+  expect_failed ~label:"port overload" ~affixes:[ "ingress port 0 overloaded"; "ledger" ]
+    (Reference.audit_recovered r)
+
+(* The daemon's own journals with cancels pass, and the cancelled
+   bookings are left out of the survivors the audit counts. *)
+let test_audit_daemon_cancels_clean () =
+  with_tmpdir (fun dir ->
+      ignore (daemon_cancels_run ~snapshot_bytes:512 ~dir);
+      let r = recover_exn ~label:"daemon with cancels" dir in
+      let survivors = List.length (Reference.survivors r) in
+      Alcotest.(check bool) "cancels leave fewer survivors than accepts" true
+        (survivors < List.length r.Store.accepted);
+      match Reference.audit_recovered r with
+      | Reference.Clean n -> Alcotest.(check int) "every survivor audited" survivors n
+      | Reference.Skipped why -> Alcotest.failf "daemon journal skipped: %s" why
+      | Reference.Failed failures ->
+          Alcotest.failf "daemon journal failed: %s" (String.concat "; " failures))
+
+(* A capacity revision past the prefix marks a fault-injector run: the
+   audit is skipped, ledger check included.  The journal below is sound
+   (request 0 ran at 80 of 100 and ended at t = 2.25, before ingress 0
+   dropped to 50 at t = 5), yet the ledger check fails on it, because it
+   compares the all-time peak with the revised capacity. *)
+let test_audit_capacity_revision_skipped () =
+  let r =
+    recover_journal (fun store ->
+        log_admit store ~seq:0 ~id:0 ~time:1. ~bw:80. ~max_rate:100. ();
+        Store.log store (Event.Capacity { time = 5.; side = Event.Ingress; port = 0; capacity = 50. }))
+  in
+  Alcotest.(check bool) "the ledger check misreads the revised journal" false
+    (Ledger.within_capacity (Store.ledger r.Store.store));
+  match Reference.audit_recovered r with
+  | Reference.Skipped _ -> ()
+  | Reference.Clean _ | Reference.Failed _ -> Alcotest.fail "capacity revision must be skipped"
+
 let test_store_metrics () =
   let requests = workload_of_seed ~n:30 17 in
   with_tmpdir (fun tmp ->
@@ -1477,6 +1551,13 @@ let suites =
           test_recovered_events_are_logged_events;
         case "recovery: bookings, decided, arrived match the event history"
           test_recovered_views_match_events;
+        case "recovery audit: a cancel keeps the rate check, and serving refuses"
+          test_audit_cancel_keeps_rate_check;
+        case "recovery audit: a cancel keeps the port check" test_audit_cancel_keeps_port_check;
+        case "recovery audit: a daemon journal with cancels is clean"
+          test_audit_daemon_cancels_clean;
+        case "recovery audit: a capacity-revision journal is skipped"
+          test_audit_capacity_revision_skipped;
         case "metrics: store counters land in the registry" test_store_metrics;
         case "ctx: Runtime.ctx journals identically to ?store" test_ctx_journal_matches_legacy;
         case "ctx: observed tees the store sink" test_observed_tees_store;

@@ -21,6 +21,12 @@ let check_approx ?(eps = 1e-9) msg expected actual =
 
 let rng ?(seed = 42L) () = Rng.create ~seed ()
 
+(* [affix] occurs somewhere in [s]. *)
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  n = 0 || go 0
+
 (* A small 2-ingress / 2-egress fabric with 100 MB/s ports. *)
 let fabric2 () = Fabric.uniform ~ingress_count:2 ~egress_count:2 ~capacity:100.0
 
