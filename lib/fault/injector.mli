@@ -13,8 +13,9 @@
     (volume = remaining MB, same deadline and rate cap) after the control
     plane's renegotiation delay; if the renegotiation is rejected (the
     port is still degraded), the client re-signals when a degraded port
-    is next restored.  All time spent waiting accrues as
-    guarantee-violation time. *)
+    is next restored.  Time from the preemption to the re-admission, or
+    to the deadline when the residual gives up, accrues as
+    guarantee-violation time; an aborted host accrues none. *)
 
 type admission = Greedy | Window of float  (** WINDOW with its batching step *)
 
@@ -64,19 +65,25 @@ val run :
     requests against the fabric, then simulates.  Deterministic: same
     inputs give the same report.
 
-    With [obs]: admissions trace as under the fault-free heuristics,
-    engine pops emit [Dispatch] events, capacity revisions emit
-    [Capacity] events, each effective shed round emits a [Shed] event
-    (and runs under the ["shed"] profiling span), and preemptions emit
-    [Preempt] events.  Residual re-admissions re-use the original
-    request id, so a fault-run trace can contain several Accept records
-    for one id — [gridbw replay-trace] therefore targets plain-run
-    traces only.
+    Both admission modes run one replay: the same per-request logs,
+    preemption, service accounting and fault-script handling.  A mode
+    supplies only its booking substrate (the {!Gridbw_core.Online}
+    counters or a {!Gridbw_alloc.Ledger}), its arrival schedule, its shed
+    round (the port's instantaneous excess, or the ledger's peak over the
+    outage) and how a residual is re-admitted (after the renegotiation
+    delay, or at the next batch boundary after it).
 
-    With [store], the same event stream is journaled durably.  Recovery
-    of an engine-driven journal restores its bookings and mirror ledger,
-    but resuming mid-run is only supported for plain GREEDY journals
-    ({!Gridbw_core.Flexible.greedy_resume}). *)
+    With [ctx]: admissions trace and count as under the fault-free
+    heuristics, engine pops emit [Dispatch] events, capacity revisions
+    emit [Capacity] events, each effective shed round emits a [Shed]
+    event (and runs under the ["shed"] profiling span), and preemptions
+    emit [Preempt] events stamped at the fault's time.  Residual
+    re-admissions re-use the original request id, so a fault-run trace
+    can contain several Accept records for one id — [gridbw replay-trace]
+    therefore targets plain-run traces only.  A store in [ctx] journals
+    the same event stream; {!Gridbw_check.Reference.audit_recovered}
+    skips such journals, since their capacity revisions leave no single
+    fabric to audit against. *)
 
 val scheduler : config -> Fault.event list -> Gridbw_core.Scheduler.t
 (** The injector as a first-class scheduler: runs the full fault
