@@ -5,7 +5,16 @@ module Ledger = Gridbw_alloc.Ledger
 
 type solution = { count : int; accepted_ids : int list; optimal : bool; nodes : int }
 
-let max_requests ?(node_budget = 5_000_000) fabric requests =
+(* Depth-first branch and bound over accept/reject decisions, requests
+   in arrival order.  [branch chosen r descend] is the only thing a
+   solver supplies: it calls [descend ()] once for each way it can
+   accept [r] next to the accepted requests [chosen], and undoes
+   whatever that way booked once [descend] returns.  The accept branches
+   go first, so the dive reaches a good incumbent early; the reject
+   branch follows, pruned with the [accepted + remaining <= best] bound.
+   Past [node_budget] explored nodes the incumbent is returned with
+   [optimal = false]. *)
+let search ~node_budget fabric requests branch =
   List.iter
     (fun (r : Request.t) ->
       if not (Request.routed_on r fabric) then
@@ -19,7 +28,6 @@ let max_requests ?(node_budget = 5_000_000) fabric requests =
          requests)
   in
   let n = Array.length arr in
-  let ledger = Ledger.create fabric in
   let best = ref 0 and best_set = ref [] and nodes = ref 0 and exhausted = ref false in
   let chosen = ref [] in
   let rec explore i accepted =
@@ -28,21 +36,18 @@ let max_requests ?(node_budget = 5_000_000) fabric requests =
     else if i = n then begin
       if accepted > !best then begin
         best := accepted;
-        best_set := !chosen
+        best_set := List.map (fun (r : Request.t) -> r.Request.id) !chosen
       end
     end
     else if accepted + (n - i) <= !best then () (* bound: cannot beat incumbent *)
     else begin
       let r = arr.(i) in
-      let a = Allocation.make ~request:r ~bw:(Request.min_rate r) ~sigma:r.Request.ts in
-      (* Accept branch first: depth-first dives to a good incumbent early. *)
-      if Ledger.fits ledger a then begin
-        Ledger.reserve ledger a;
-        chosen := r.Request.id :: !chosen;
-        explore (i + 1) (accepted + 1);
-        chosen := List.tl !chosen;
-        Ledger.release ledger a
-      end;
+      branch !chosen r (fun () ->
+          if not !exhausted then begin
+            chosen := r :: !chosen;
+            explore (i + 1) (accepted + 1);
+            chosen := List.tl !chosen
+          end);
       if not !exhausted then explore (i + 1) accepted
     end
   in
@@ -50,68 +55,38 @@ let max_requests ?(node_budget = 5_000_000) fabric requests =
   { count = !best; accepted_ids = List.sort Int.compare !best_set; optimal = not !exhausted;
     nodes = !nodes }
 
+(* Accept [r] at each of [rates] in turn, from [sigma = ts], wherever the
+   allocation meets the deadline and fits the ledger. *)
+let at_rates ledger (r : Request.t) rates descend =
+  List.iter
+    (fun bw ->
+      let a = Allocation.make ~request:r ~bw ~sigma:r.Request.ts in
+      if Allocation.meets_deadline a && Ledger.fits ledger a then begin
+        Ledger.reserve ledger a;
+        descend ();
+        Ledger.release ledger a
+      end)
+    rates
+
+let max_requests ?(node_budget = 5_000_000) fabric requests =
+  let ledger = Ledger.create fabric in
+  search ~node_budget fabric requests (fun _ r ->
+      at_rates ledger r [ Request.min_rate r ])
+
 let max_requests_flexible ?(node_budget = 5_000_000) ?(levels = [ 0.0; 0.5; 1.0 ]) fabric
     requests =
-  List.iter
-    (fun (r : Request.t) ->
-      if not (Request.routed_on r fabric) then
-        invalid_arg (Printf.sprintf "Exact: request %d routed on unknown port" r.id))
-    requests;
   List.iter
     (fun l ->
       if l < 0. || l > 1. then invalid_arg "Exact.max_requests_flexible: levels must be in [0,1]")
     levels;
-  let arr =
-    Array.of_list
-      (List.sort
-         (fun (a : Request.t) (b : Request.t) ->
-           match Float.compare a.ts b.ts with 0 -> Int.compare a.id b.id | c -> c)
-         requests)
-  in
-  let n = Array.length arr in
-  (* Distinct admissible rates per request, cheapest first: dominated
-     duplicates (levels clamped to MinRate) are merged. *)
-  let options =
-    Array.map
-      (fun (r : Request.t) ->
-        List.map (fun l -> Float.max (Request.min_rate r) (l *. r.Request.max_rate)) levels
-        |> List.sort_uniq Float.compare)
-      arr
-  in
   let ledger = Ledger.create fabric in
-  let best = ref 0 and best_set = ref [] and nodes = ref 0 and exhausted = ref false in
-  let chosen = ref [] in
-  let rec explore i accepted =
-    incr nodes;
-    if !nodes > node_budget then exhausted := true
-    else if i = n then begin
-      if accepted > !best then begin
-        best := accepted;
-        best_set := !chosen
-      end
-    end
-    else if accepted + (n - i) <= !best then ()
-    else begin
-      let r = arr.(i) in
-      List.iter
-        (fun bw ->
-          if not !exhausted then begin
-            let a = Allocation.make ~request:r ~bw ~sigma:r.Request.ts in
-            if Allocation.meets_deadline a && Ledger.fits ledger a then begin
-              Ledger.reserve ledger a;
-              chosen := r.Request.id :: !chosen;
-              explore (i + 1) (accepted + 1);
-              chosen := List.tl !chosen;
-              Ledger.release ledger a
-            end
-          end)
-        options.(i);
-      if not !exhausted then explore (i + 1) accepted
-    end
+  (* Distinct admissible rates, cheapest first: dominated duplicates
+     (levels clamped to MinRate) are merged. *)
+  let rates (r : Request.t) =
+    List.map (fun l -> Float.max (Request.min_rate r) (l *. r.Request.max_rate)) levels
+    |> List.sort_uniq Float.compare
   in
-  explore 0 0;
-  { count = !best; accepted_ids = List.sort Int.compare !best_set; optimal = not !exhausted;
-    nodes = !nodes }
+  search ~node_budget fabric requests (fun _ r -> at_rates ledger r (rates r))
 
 (* --- malleable feasibility: bipartite max flow per port --- *)
 
@@ -191,19 +166,6 @@ let port_feasible cap (reqs : Request.t array) =
   end
 
 let max_requests_malleable ?(node_budget = 100_000) fabric requests =
-  List.iter
-    (fun (r : Request.t) ->
-      if not (Request.routed_on r fabric) then
-        invalid_arg (Printf.sprintf "Exact: request %d routed on unknown port" r.id))
-    requests;
-  let arr =
-    Array.of_list
-      (List.sort
-         (fun (a : Request.t) (b : Request.t) ->
-           match Float.compare a.ts b.ts with 0 -> Int.compare a.id b.id | c -> c)
-         requests)
-  in
-  let n = Array.length arr in
   let feasible chosen =
     let through side port =
       Array.of_list (List.filter (fun (r : Request.t) -> side r = port) chosen)
@@ -223,33 +185,10 @@ let max_requests_malleable ?(node_budget = 100_000) fabric requests =
     done;
     !ok
   in
-  let best = ref 0 and best_set = ref [] and nodes = ref 0 and exhausted = ref false in
-  let chosen = ref [] in
-  let rec explore i accepted =
-    incr nodes;
-    if !nodes > node_budget then exhausted := true
-    else if i = n then begin
-      if accepted > !best then begin
-        best := accepted;
-        best_set := List.map (fun (r : Request.t) -> r.Request.id) !chosen
-      end
-    end
-    else if accepted + (n - i) <= !best then ()
-    else begin
-      let r = arr.(i) in
-      (* Feasibility is downward closed (shrink any volume to zero), so
-         pruning an infeasible prefix is sound. *)
-      if feasible (r :: !chosen) then begin
-        chosen := r :: !chosen;
-        explore (i + 1) (accepted + 1);
-        chosen := List.tl !chosen
-      end;
-      if not !exhausted then explore (i + 1) accepted
-    end
-  in
-  explore 0 0;
-  { count = !best; accepted_ids = List.sort Int.compare !best_set; optimal = not !exhausted;
-    nodes = !nodes }
+  (* Feasibility is downward closed (shrink any volume to zero), so
+     pruning an infeasible prefix is sound. *)
+  search ~node_budget fabric requests (fun chosen r descend ->
+      if feasible (r :: chosen) then descend ())
 
 let result_of fabric requests solution =
   let module Iset = Set.Make (Int) in

@@ -3,7 +3,9 @@
     MAX-REQUESTS is NP-complete (Theorem 1), so this solver is exponential
     and only intended for small instances — it gives the optimum the
     polynomial heuristics of section 4 are measured against (experiment E6
-    of DESIGN.md). *)
+    of DESIGN.md).  The rigid, flexible and malleable solvers run one
+    depth-first search; they differ only in how a request may be
+    accepted. *)
 
 type solution = {
   count : int;  (** number of accepted requests *)
