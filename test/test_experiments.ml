@@ -146,6 +146,23 @@ let core_stress_rows () =
   Alcotest.(check bool) "core-aware accepts no more than edge-only" true
     (tight.core_aware_accept <= tight.edge_accept +. 1e-9)
 
+let faults_rows () =
+  let module F = Gridbw_experiments.Fault_exp in
+  Alcotest.(check (pair bool bool)) "fault-free parity" (true, true) (F.parity tiny);
+  let rows = F.run tiny and ablation = F.run_ablation tiny in
+  Alcotest.(check int) "three variants x three fault specs" 9 (List.length rows);
+  Alcotest.(check int) "one row per victim policy" 3 (List.length ablation);
+  let unit name x =
+    if not (x >= 0. && x <= 1.) then Alcotest.failf "%s = %g outside [0, 1]" name x
+  in
+  List.iter
+    (fun (r : F.row) ->
+      unit "accept" r.F.accept;
+      unit "kept" r.F.kept;
+      unit "recovered" r.F.recovered;
+      if not (r.F.violation_min >= 0.) then Alcotest.failf "violation %g < 0" r.F.violation_min)
+    (rows @ List.map snd ablation)
+
 let tables_render () =
   (* Every to_table renders without raising. *)
   let open Gridbw_experiments in
@@ -183,6 +200,7 @@ let suites =
         case "distributed rows" distributed_rows;
         case "bookahead rows" bookahead_rows;
         case "core stress rows" core_stress_rows;
+        case "faults rows" faults_rows;
         slow_case "tables render" tables_render;
       ] );
   ]
