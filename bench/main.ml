@@ -308,12 +308,13 @@ let store_tests =
           snapshot_bytes = max_int }
       ~dir:(Filename.concat root name) fabric
   in
+  let journal s = Runtime.make ~obs:(Store.attach s Obs.disabled) () in
   let seq = ref 0 in
   let journaled_run ~batch () =
     incr seq;
     let name = Printf.sprintf "wal%d-%d" batch !seq in
     let s = store_at ~batch name in
-    let r = Flexible.greedy ~ctx:(Runtime.make ~store:s ()) fabric policy flexible_workload in
+    let r = Flexible.greedy ~ctx:(journal s) fabric policy flexible_workload in
     Store.close s;
     rm_rf (Filename.concat root name);
     r
@@ -322,7 +323,7 @@ let store_tests =
   let seeded =
     lazy
       (let s = store_at ~batch:64 "recover" in
-       ignore (Flexible.greedy ~ctx:(Runtime.make ~store:s ()) fabric policy flexible_workload);
+       ignore (Flexible.greedy ~ctx:(journal s) fabric policy flexible_workload);
        Store.close s)
   in
   [

@@ -30,6 +30,7 @@ module Json = Gridbw_obs.Json
 module Daemon = Gridbw_serve.Daemon
 module Loadgen = Gridbw_serve.Loadgen
 module Malleable = Gridbw_malleable.Malleable
+module Reference = Gridbw_check.Reference
 
 (* --- shared options --- *)
 
@@ -308,6 +309,13 @@ let scheduler_of ?(book_ahead = 0.) ?(reshape = true) heuristic policy ~step =
   | `Window_deferred -> Scheduler.of_flexible (`Window_deferred step) policy
   | `Malleable -> Malleable.scheduler { Malleable.default with Malleable.book_ahead; reshape }
 
+(* The audit verdict of a recovered journal, on stderr. *)
+let print_audit = function
+  | Reference.Clean n ->
+      Printf.eprintf "audit clean: %d surviving allocations within capacity\n%!" n
+  | Reference.Skipped why -> Printf.eprintf "note: audit skipped: %s\n%!" why
+  | Reference.Failed failures -> List.iter (Printf.eprintf "audit: %s\n%!") failures
+
 let run_cmd =
   let trace_t =
     Arg.(required & opt (some file) None & info [ "trace" ] ~docv:"FILE" ~doc:"Workload CSV.")
@@ -379,6 +387,10 @@ let run_cmd =
       | None, None, None -> None
       | _ -> Some (Obs.create ?sink:(Option.map Sink.binary trace_oc) ())
     in
+    (* The journal is one more sink, attached once to the run's context. *)
+    let journaled store =
+      Runtime.make ~obs:(Store.attach store (Option.value obs ~default:Obs.disabled)) ()
+    in
     let store_config =
       { Store.default_config with
         wal = { Wal.default_config with Wal.batch = store_batch };
@@ -400,8 +412,7 @@ let run_cmd =
           in
           let store = Store.create ~config:store_config ?obs ~time:t0 ~dir fabric in
           let result =
-            Scheduler.run ~ctx:(Runtime.make ?obs ~store ()) sched (Spec.for_replay fabric)
-              requests
+            Scheduler.run ~ctx:(journaled store) sched (Spec.for_replay fabric) requests
           in
           Store.close store;
           Printf.eprintf "journaled %d records to %s\n%!" (Store.records store) dir;
@@ -423,11 +434,18 @@ let run_cmd =
                  %!"
                 dir (Store.records r.Store.store) r.Store.snapshot_cursor r.Store.replayed
                 r.Store.truncated_bytes;
+              (* Resume only from a journal the audit passes, as every
+                 other recovery path does. *)
+              let verdict = Reference.audit_recovered r in
+              print_audit verdict;
+              Option.iter
+                (fun why ->
+                  Printf.eprintf "error: cannot resume %s: %s\n" dir why;
+                  exit 1)
+                (Reference.refusal verdict);
               let result =
-                Gridbw_core.Flexible.greedy_resume
-                  ~ctx:(Runtime.make ?obs ~store:r.Store.store ())
-                  r.Store.initial_fabric policy ~restored:r.Store.accepted
-                  ~decided:r.Store.decided ~arrived:r.Store.arrived requests
+                Gridbw_core.Flexible.greedy ~ctx:(journaled r.Store.store)
+                  ~journal:r.Store.events r.Store.initial_fabric policy requests
               in
               Store.close r.Store.store;
               Printf.eprintf "journaled %d records to %s\n%!" (Store.records r.Store.store) dir;
@@ -531,8 +549,6 @@ let trace_report_cmd =
 
 (* --- recover command --- *)
 
-module Reference = Gridbw_check.Reference
-
 let recover_cmd =
   let dir_t =
     Arg.(required & pos 0 (some string) None
@@ -590,11 +606,7 @@ let recover_cmd =
             prerr_endline "recover: recovered journal lost its capacity prefix";
             exit 1
         | Ok fabric -> Format.printf "%a@." Summary.pp (Replay.summary fabric t)));
-    (match verdict with
-    | Reference.Clean n ->
-        Printf.eprintf "audit clean: %d surviving allocations within capacity\n%!" n
-    | Reference.Skipped why -> Printf.eprintf "note: audit skipped: %s\n%!" why
-    | Reference.Failed failures -> List.iter (Printf.eprintf "audit: %s\n%!") failures);
+    print_audit verdict;
     Option.iter
       (fun (total, spans) ->
         Printf.eprintf "flight recorder: %d spans recovered; newest %d:\n%!" total

@@ -35,57 +35,51 @@ let collect all decisions =
     decisions;
   { Types.all; accepted = List.rev !accepted; rejected = List.rev !rejected }
 
-let greedy ?(ctx = Runtime.default) fabric policy requests =
-  let obs = Runtime.observed ctx in
-  let ictx = Runtime.make ~obs () in
+(* GREEDY, fresh or resumed.  A [journal] is the surviving event history
+   of an interrupted run of the same workload: it is replayed into the
+   controller ({!Online.replay}), then the requests it holds no decision
+   for are processed exactly as the uninterrupted run would have.
+   Because GREEDY journals decisions in its processing order, a journal
+   prefix is "the same run stopped after k decisions", so the resumed
+   decisions are bit-identical.  The result's [accepted] is the full run
+   (journaled ++ resumed, decision order); [rejected] only covers the
+   resumed decisions.  A request whose arrival was journaled but whose
+   decision was lost must not arrive twice in the journal. *)
+let greedy ?(ctx = Runtime.default) ?journal fabric policy requests =
+  let obs = ctx.Runtime.obs in
   check_routing fabric requests;
   Policy.validate policy;
   let ctl = Online.create fabric in
   let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
-  let decisions =
-    List.map
-      (fun (r : Request.t) ->
-        if Obs.tracing obs then Emit.emit_arrival obs seqs r;
-        (r, Online.try_admit ~ctx:ictx ctl policy r ~at:r.ts))
-      (arrival_order requests)
+  let decide ~arrive (r : Request.t) =
+    if arrive && Obs.tracing obs then Emit.emit_arrival obs seqs r;
+    (r, Online.try_admit ~ctx ctl policy r ~at:r.ts)
   in
-  collect requests decisions
-
-(* Continue a GREEDY run recovered from a durable store.  [restored] are
-   the journaled accepted allocations with their decision times, in
-   decision order; [decided]/[arrived] answer whether a request id already
-   has a journaled decision/arrival.  Because GREEDY journals decisions in
-   its processing order, a recovered journal prefix is exactly "the same
-   run stopped after k decisions": re-booking [restored] in order rebuilds
-   the controller's float state bit-for-bit, and the remaining requests
-   re-decide identically to the uninterrupted run.
-
-   The result's [accepted] is the full run (restored ++ resumed, decision
-   order); [rejected] only covers post-crash decisions — journaled
-   rejections carry no state and are not reconstructed into reasons. *)
-let greedy_resume ?(ctx = Runtime.default) fabric policy ~restored ~decided
-    ?(arrived = fun _ -> false) requests =
-  let obs = Runtime.observed ctx in
-  let ictx = Runtime.make ~obs () in
-  check_routing fabric requests;
-  Policy.validate policy;
-  let ctl = Online.create fabric in
-  List.iter (fun (at, a) -> Online.restore ctl a ~at) restored;
-  let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
-  let decisions =
-    List.filter_map
-      (fun (r : Request.t) ->
-        if decided r.id then None
-        else begin
-          (* A request whose arrival was journaled but whose decision was
-             lost must not arrive twice in the journal. *)
-          if Obs.tracing obs && not (arrived r.id) then Emit.emit_arrival obs seqs r;
-          Some (r, Online.try_admit ~ctx:ictx ctl policy r ~at:r.ts)
-        end)
-      (arrival_order requests)
-  in
-  let res = collect requests decisions in
-  { res with Types.accepted = List.map snd restored @ res.Types.accepted }
+  match journal with
+  | None -> collect requests (List.map (decide ~arrive:true) (arrival_order requests))
+  | Some events ->
+      (* [true]: decided; [false]: arrived only. *)
+      let seen = Hashtbl.create 1024 in
+      let booked =
+        List.filter_map
+          (fun ev ->
+            (match ev with
+            | Event.Arrival { id; _ } -> Hashtbl.replace seen id false
+            | Event.Accept { id; _ } | Event.Reject { id; _ } -> Hashtbl.replace seen id true
+            | _ -> ());
+            Online.replay ctl ev)
+          events
+      in
+      let decisions =
+        List.filter_map
+          (fun (r : Request.t) ->
+            match Hashtbl.find_opt seen r.id with
+            | Some true -> None
+            | arrived -> Some (decide ~arrive:(arrived = None) r))
+          (arrival_order requests)
+      in
+      let res = collect requests decisions in
+      { res with Types.accepted = booked @ res.Types.accepted }
 
 (* Group requests by the [step]-interval their arrival falls into, in
    interval order, each batch in arrival order.  One array sort and a
@@ -345,7 +339,7 @@ let pack_batch ?(obs = Obs.disabled) ?now policy ledger ~decide batch =
   done
 
 let window ?(ctx = Runtime.default) fabric policy ~step requests =
-  let obs = Runtime.observed ctx in
+  let obs = ctx.Runtime.obs in
   if step <= 0. || not (Float.is_finite step) then
     invalid_arg "Flexible.window: step must be positive and finite";
   check_routing fabric requests;
@@ -366,7 +360,7 @@ let window ?(ctx = Runtime.default) fabric policy ~step requests =
   { Types.all = requests; accepted = List.rev !accepted; rejected = List.rev !rejected }
 
 let book_ahead ?(ctx = Runtime.default) fabric policy ~announce requests =
-  let obs = Runtime.observed ctx in
+  let obs = ctx.Runtime.obs in
   check_routing fabric requests;
   Policy.validate policy;
   let ledger = Ledger.create fabric in
@@ -387,20 +381,7 @@ let book_ahead ?(ctx = Runtime.default) fabric policy ~announce requests =
       (fun (announce_at, (r : Request.t)) ->
         (* Trace stamp is the announce instant — the moment the decision is
            actually taken under book-ahead. *)
-        if Obs.tracing obs then
-          Obs.event obs (fun () ->
-              Event.Arrival
-                {
-                  time = announce_at;
-                  seq = (match Hashtbl.find_opt seqs r.id with Some s -> s | None -> -1);
-                  id = r.id;
-                  ingress = r.ingress;
-                  egress = r.egress;
-                  volume = r.volume;
-                  ts = r.ts;
-                  tf = r.tf;
-                  max_rate = r.max_rate;
-                });
+        Emit.emit_arrival obs seqs ~time:announce_at r;
         let d, blocked =
           match Policy.assign policy r ~now:r.ts with
           | None -> (Types.Rejected Types.Deadline_unreachable, None)
@@ -419,8 +400,7 @@ let book_ahead ?(ctx = Runtime.default) fabric policy ~announce requests =
   collect requests decisions
 
 let window_deferred ?(ctx = Runtime.default) fabric policy ~step requests =
-  let obs = Runtime.observed ctx in
-  let ictx = Runtime.make ~obs () in
+  let obs = ctx.Runtime.obs in
   if step <= 0. || not (Float.is_finite step) then
     invalid_arg "Flexible.window_deferred: step must be positive and finite";
   check_routing fabric requests;
@@ -485,7 +465,7 @@ let window_deferred ?(ctx = Runtime.default) fabric policy ~step requests =
               live := 0
             end
             else begin
-              let d = Online.try_admit ~ctx:ictx ctl policy best_r ~at:decision_time in
+              let d = Online.try_admit ~ctx ctl policy best_r ~at:decision_time in
               decide best_r d;
               Array.iter (fun (r, _, alive) -> if !alive && Request.equal r best_r then alive := false) candidates;
               decr live;

@@ -12,14 +12,15 @@
     cannot start before its batch is decided; see DESIGN.md (ablation A1).
 
     Every entry point takes the runtime context as [?ctx]
-    ({!Runtime.ctx}: telemetry + durable store + span + shard); a store
-    in the context journals every arrival and decision.  The packing
-    kernel {!pack_batch} is the one exception — it takes the already
-    merged telemetry context directly, as the fault injector drives it
+    ({!Runtime.ctx}: telemetry + span); a journal attached to [ctx.obs]
+    ({!Gridbw_store.Store.attach}) records every arrival and decision.
+    The packing kernel {!pack_batch} is the one exception — it takes the
+    telemetry context directly, as the fault injector drives it
     mid-revision. *)
 
 val greedy :
   ?ctx:Runtime.ctx ->
+  ?journal:Gridbw_obs.Event.t list ->
   Gridbw_topology.Fabric.t ->
   Policy.t ->
   Gridbw_request.Request.t list ->
@@ -27,32 +28,22 @@ val greedy :
 (** Algorithm 2.  Requests are processed in arrival order ([ts], ties by
     smaller [MinRate] then id, as in section 5.1); each is granted the
     policy rate at [sigma = ts] iff both its ports currently have room.
-    With a store in [ctx], every arrival and decision is journaled to
-    the durable store (in processing order — the property
-    {!greedy_resume} relies on). *)
+    A journal attached to [ctx.obs] records every arrival and decision in
+    processing order — the property a resume relies on.
 
-val greedy_resume :
-  ?ctx:Runtime.ctx ->
-  Gridbw_topology.Fabric.t ->
-  Policy.t ->
-  restored:(float * Gridbw_alloc.Allocation.t) list ->
-  decided:(int -> bool) ->
-  ?arrived:(int -> bool) ->
-  Gridbw_request.Request.t list ->
-  Types.result
-(** Continue a GREEDY run recovered from a durable store
-    ({!Gridbw_store.Store.recover}).  [restored] re-books the journaled
-    accepted allocations with their decision times, in decision order —
-    rebuilding the controller's float accumulators bit-for-bit — then the
-    requests without a journaled decision are processed exactly as
-    {!greedy} would have.  Because GREEDY journals in processing order,
-    the journal's surviving prefix is the same run stopped early, so the
-    combined result's [accepted] (restored ++ resumed, decision order)
-    and its summary are bit-identical to the uninterrupted run's.
-    [arrived] suppresses duplicate [Arrival] events for requests whose
-    arrival survived but whose decision did not.  [rejected] only covers
-    post-crash decisions.  Passing the recovering [store] journals the
-    resumed decisions into the same log. *)
+    With [journal], the run resumes an interrupted one: [journal] is the
+    surviving event history of the same workload
+    ({!Gridbw_store.Store.recovered}[.events], audited first), and
+    [fabric] the fabric it was journaled against.  Its events are
+    replayed into the controller with {!Online.replay}, rebuilding the
+    float counters bit-for-bit, then the requests without a journaled
+    decision are processed exactly as the uninterrupted run would have.
+    Because the journal's surviving prefix is the same run stopped
+    early, the result's [accepted] (journaled ++ resumed, decision order)
+    and its summary are bit-identical to the uninterrupted run's;
+    [rejected] only covers the resumed decisions.  A request whose
+    arrival was journaled but whose decision was lost is not announced
+    twice. *)
 
 val window :
   ?ctx:Runtime.ctx ->

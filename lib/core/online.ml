@@ -73,7 +73,7 @@ let blocking_port t (r : Request.t) =
   else ((Event.Egress, r.egress), head_out)
 
 let try_admit ?(ctx = Runtime.default) t policy (r : Request.t) ~at =
-  let obs = Runtime.observed ctx in
+  let obs = ctx.Runtime.obs in
   let at = clamp_past t at in
   advance_to t at;
   let blocked = ref None in
@@ -115,29 +115,8 @@ let peek_cost t policy (r : Request.t) ~at =
   | None -> None
   | Some bw -> Some (bw, Live.saturation t.live ~ingress:r.ingress ~egress:r.egress ~bw)
 
-(* Rebuild the controller state of a recovered run.  Allocations must be
-   fed in their original decision order: the counters are float
-   accumulators, so bit-identical resumed decisions require replaying the
-   exact grab/release sequence of the original run — including
-   allocations that already finished (their grab and release both
-   happened, in order, and [(u +. a) -. a] is not always [u] if the
-   surrounding operations reorder). *)
-let restore t (a : Allocation.t) ~at =
-  let at = clamp_past t at in
-  advance_to t at;
-  if
-    not
-      (Live.try_grab t.live ~ingress:a.Allocation.request.Request.ingress
-         ~egress:a.Allocation.request.Request.egress ~bw:a.Allocation.bw)
-  then
-    invalid_arg
-      (Printf.sprintf "Online.restore: recovered allocation %d does not fit"
-         a.Allocation.request.Request.id);
-  Event_queue.push t.releases ~time:a.Allocation.tau a;
-  t.active <- a :: t.active
-
 let preempt ?(ctx = Runtime.default) t (a : Allocation.t) =
-  let obs = Runtime.observed ctx in
+  let obs = ctx.Runtime.obs in
   if take_active t a then begin
     Live.release t.live ~ingress:a.Allocation.request.Request.ingress
       ~egress:a.Allocation.request.Request.egress ~bw:a.Allocation.bw;
@@ -155,6 +134,36 @@ let preempt ?(ctx = Runtime.default) t (a : Allocation.t) =
     true
   end
   else false
+
+(* Rebuild the controller state of a journaled run, one event at a time
+   in journal order.  The counters are float accumulators, so
+   bit-identical resumed decisions need the original grab/release
+   sequence replayed in order — including allocations that already
+   finished (their grab and release both happened, in order, and
+   [(u +. a) -. a] is not always [u] if the surrounding operations
+   reorder).  Draining releases at a reject instant pops the same
+   releases in the same order the next grab's drain would have. *)
+let replay t ev =
+  match ev with
+  | Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; _ } ->
+      let request = Request.make ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate in
+      let a = Allocation.make ~request ~bw ~sigma in
+      advance_to t time;
+      if not (Live.try_grab t.live ~ingress ~egress ~bw) then
+        invalid_arg (Printf.sprintf "Online.replay: journaled allocation %d does not fit" id);
+      Event_queue.push t.releases ~time:a.Allocation.tau a;
+      t.active <- a :: t.active;
+      Some a
+  | Event.Reject { time; _ } ->
+      advance_to t time;
+      None
+  | Event.Preempt { time; id; _ } ->
+      advance_to t time;
+      (match List.find_opt (fun b -> b.Allocation.request.Request.id = id) t.active with
+      | Some a -> ignore (preempt t a)
+      | None -> ());
+      None
+  | Event.Arrival _ | Event.Reshape _ | Event.Capacity _ | Event.Shed _ | Event.Dispatch _ -> None
 
 let set_fabric t fabric = Live.set_fabric t.live fabric
 let active_allocations t = t.active

@@ -40,22 +40,10 @@ val try_admit :
     emits an [Accept] or [Reject] event — saturated rejects carry the
     tighter port and its headroom at decision time.
 
-    With [ctx.store], the decision is also journaled to the durable
-    store (the store's sink is merged into the telemetry context).  With
-    [ctx.span], the decision search and the journaling append are
+    A journal attached to [ctx.obs] ({!Gridbw_store.Store.attach})
+    records the decision like any other trace sink.  With [ctx.span], the decision search and the journaling append are
     accumulated onto the request's trace span as the [Admit_search] and
     [Wal_append] stages. *)
-
-val restore : t -> Gridbw_alloc.Allocation.t -> at:float -> unit
-(** Re-book a recovered allocation exactly as {!try_admit} booked it at
-    decision time [at]: advance to [at], grab its bandwidth, queue its
-    release at [tau].  Call once per recovered allocation {e in original
-    decision order} — the port counters are float accumulators, so
-    bit-identical resumed decisions need the original grab/release
-    sequence replayed in order (finished allocations included: their
-    release is drained by the interleaved {!advance_to} calls just as it
-    was live).  Raises [Invalid_argument] if the allocation does not fit,
-    which on a faithfully recovered journal cannot happen. *)
 
 val peek_cost : t -> Policy.t -> Gridbw_request.Request.t -> at:float -> (float * float) option
 (** [(bw, cost)] the request would get if admitted now, where [cost] is the
@@ -70,6 +58,22 @@ val preempt : ?ctx:Runtime.ctx -> t -> Gridbw_alloc.Allocation.t -> bool
     fault subsystem's capacity-revision path uses this to shed load after
     a port degradation.  With [ctx.obs], a successful preemption bumps
     [preempted_total] and emits a [Preempt] event. *)
+
+val replay : t -> Gridbw_obs.Event.t -> Gridbw_alloc.Allocation.t option
+(** Apply one journaled event to the controller — the one way a journal
+    (a resumed GREEDY run's or the daemon's) rebuilds it.  Feed the
+    events in journal order:
+    - an [Accept] re-books the allocation rebuilt from the event's own
+      fields at the event's time (advance, grab, queue its release) and
+      returns it;
+    - a [Reject] advances the clock to its time;
+    - a [Preempt] advances the clock and releases the still-held
+      allocation of that id, if any;
+    - every other event is ignored.
+    Nothing is emitted.  Replaying the events a run journaled leaves the
+    port counters, the held allocations and the clock bit-identical to
+    the live controller's.  Raises [Invalid_argument] if an [Accept] does
+    not fit, which on an audited journal cannot happen. *)
 
 val set_fabric : t -> Gridbw_topology.Fabric.t -> unit
 (** Revise port capacities mid-flight (same port counts).  Counters are

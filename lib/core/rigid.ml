@@ -35,7 +35,7 @@ let arrival_compare (a : Request.t) (b : Request.t) =
   | c -> c
 
 let fcfs ?(ctx = Runtime.default) fabric requests =
-  let obs = Runtime.observed ctx in
+  let obs = ctx.Runtime.obs in
   check_routing fabric requests;
   let ledger = Ledger.create fabric in
   let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
@@ -62,7 +62,7 @@ let fcfs ?(ctx = Runtime.default) fabric requests =
 type state = Alive of { held_before : bool } | Dead of Types.reason
 
 let slots ?(ctx = Runtime.default) ~cost fabric requests =
-  let obs = Runtime.observed ctx in
+  let obs = ctx.Runtime.obs in
   check_routing fabric requests;
   let arr = Array.of_list requests in
   let n = Array.length arr in
@@ -151,7 +151,7 @@ let slots ?(ctx = Runtime.default) ~cost fabric requests =
    scheduler busy until the bandwidth it wanted frees up (earliest instant
    both ports could have carried it), and only then is it dropped. *)
 let fifo_blocking ?(ctx = Runtime.default) fabric requests =
-  let obs = Runtime.observed ctx in
+  let obs = ctx.Runtime.obs in
   check_routing fabric requests;
   let ledger = Ledger.create fabric in
   let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in

@@ -22,8 +22,8 @@ module type S = sig
       but only [spec.fabric] (and, for batch heuristics, timing derived
       from the requests themselves) is consulted.  [ctx] is the runtime
       context ({!Runtime.ctx}): decisions feed its telemetry counters
-      and, when a trace sink is attached, its event stream; a store in
-      the context journals them durably. *)
+      and, when a trace sink is attached, its event stream; a journal attached to [ctx.obs]
+      ({!Gridbw_store.Store.attach}) records them durably. *)
 end
 
 type t = (module S)

@@ -389,9 +389,11 @@ let play t m events =
   in
   let restore side port =
     set_capacity side port ~factor:1.;
-    let ws = List.sort (fun a b -> Int.compare a.req.Request.id b.req.Request.id) t.waiting in
+    (* Only live waiters re-signal: an aborted or given-up one has no
+       residual left to re-admit. *)
+    let ws = List.filter alive t.waiting in
     t.waiting <- [];
-    List.iter m.readmit ws
+    List.iter m.readmit (List.sort (fun a b -> Int.compare a.req.Request.id b.req.Request.id) ws)
   in
   (* An end host dies ([abort]) or an operator revokes a transfer. *)
   let strike request_id ~abort =
@@ -423,8 +425,8 @@ let play t m events =
    decision stream — and therefore every summary metric — is bit-identical.
    The shed round sees the port's instantaneous excess; a residual retries
    after the renegotiation delay. *)
-let greedy ~obs fabric cfg requests =
-  let ictx = Gridbw_core.Runtime.make ~obs () in
+let greedy ~ctx fabric cfg requests =
+  let obs = ctx.Gridbw_core.Runtime.obs in
   let ctl = Online.create fabric in
   let t =
     create ~obs fabric cfg
@@ -435,7 +437,7 @@ let greedy ~obs fabric cfg requests =
       }
       requests
   in
-  let admit r = Online.try_admit ~ctx:ictx ctl cfg.policy r ~at:(now t) in
+  let admit r = Online.try_admit ~ctx ctl cfg.policy r ~at:(now t) in
   let overload side port ~now ~until:_ =
     Online.advance_to ctl now;
     let cap = (current t.caps side).(port) in
@@ -518,12 +520,11 @@ let window ~obs fabric cfg ~step requests =
   (t, { overload; readmit })
 
 let run ?(ctx = Gridbw_core.Runtime.default) fabric cfg events requests =
-  let obs = Gridbw_core.Runtime.observed ctx in
   validate_inputs fabric cfg events requests;
   let t, mode =
     match cfg.admission with
-    | Greedy -> greedy ~obs fabric cfg requests
-    | Window step -> window ~obs fabric cfg ~step requests
+    | Greedy -> greedy ~ctx fabric cfg requests
+    | Window step -> window ~obs:ctx.Gridbw_core.Runtime.obs fabric cfg ~step requests
   in
   play t mode events;
   let result = Flexible.collect requests (List.rev t.decisions) in

@@ -80,8 +80,8 @@ val run :
     emit [Preempt] events stamped at the fault's time.  Residual
     re-admissions re-use the original request id, so a fault-run trace
     can contain several Accept records for one id — [gridbw replay-trace]
-    therefore targets plain-run traces only.  A store in [ctx] journals
-    the same event stream; {!Gridbw_check.Reference.audit_recovered}
+    therefore targets plain-run traces only.  A journal attached to
+    [ctx.obs] records the same event stream; {!Gridbw_check.Reference.audit_recovered}
     skips such journals, since their capacity revisions leave no single
     fabric to audit against. *)
 

@@ -362,8 +362,7 @@ let blocked_port obs ledger (r : Request.t) ~start =
    stream is bit-identical to GREEDY (property-gated in the harness,
    PR 1 style). *)
 let run_constant ctx fabric requests =
-  let obs = Runtime.observed ctx in
-  let ictx = Runtime.make ~obs () in
+  let obs = ctx.Runtime.obs in
   check_routing fabric requests;
   let ctl = Online.create fabric in
   let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
@@ -371,7 +370,7 @@ let run_constant ctx fabric requests =
     List.map
       (fun (r : Request.t) ->
         if Obs.tracing obs then Emit.emit_arrival obs seqs r;
-        (r, Online.try_admit ~ctx:ictx ctl Policy.Min_rate r ~at:r.ts))
+        (r, Online.try_admit ~ctx ctl Policy.Min_rate r ~at:r.ts))
       (Flexible.arrival_order requests)
   in
   Flexible.collect requests decisions
@@ -380,7 +379,7 @@ let run config ?(ctx = Runtime.default) fabric requests =
   validate config;
   if config.constant_step then run_constant ctx fabric requests
   else begin
-    let obs = Runtime.observed ctx in
+    let obs = ctx.Runtime.obs in
     check_routing fabric requests;
     let ledger = ref (Ledger.create fabric) in
     let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in

@@ -91,8 +91,8 @@ val run :
   Gridbw_request.Request.t list ->
   Gridbw_core.Types.result
 (** Run the engine over a full workload.  Accepted allocations carry
-    their final (post-reshape) profiles in decision order.  With
-    [ctx.store] attached, profiled accepts journal one
+    their final (post-reshape) profiles in decision order.  With a
+    journal attached to [ctx.obs], profiled accepts journal one
     {!Gridbw_obs.Event.Reshape} record each (instead of Accept);
     rejects journal Reject as usual. *)
 

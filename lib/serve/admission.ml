@@ -95,11 +95,8 @@ let admit ?span t ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate =
                   Event.Arrival
                     { time = at; seq = t.seq; id; ingress; egress; volume; ts; tf; max_rate });
               t.seq <- t.seq + 1;
-              (* [t.obs] already carries the store's journaling sink
-                 (pre-attached in [make]) — build the ctx without the
-                 store so the decision is not journaled twice.  The span
-                 rides the ctx: [try_admit] records the search timing and
-                 the live-counter probe delta onto it. *)
+              (* The span rides the ctx: [try_admit] records the search
+                 timing and the live-counter probe delta onto it. *)
               let decision =
                 Online.try_admit ~ctx:(Runtime.make ~obs:t.obs ?span ()) t.ctl t.policy r ~at
               in
@@ -165,35 +162,26 @@ let of_recovered ?obs ~policy (r : Store.recovered) =
       let t =
         make ?obs ~store:r.Store.store ~policy (Online.create r.Store.initial_fabric)
       in
-      let by_id = Hashtbl.create 256 in
-      List.iter
-        (fun (_, a) -> Hashtbl.replace by_id a.Allocation.request.Request.id a)
-        r.Store.accepted;
       (* Replay the journal through the controller in event order —
          the same grab/release sequence the live daemon performed, so
-         the float accumulators come back bit-identical.  No [~obs]
-         here: replay must not re-journal. *)
+         the float accumulators come back bit-identical.  Nothing is
+         emitted: replay must not re-journal. *)
       List.iter
         (fun ev ->
-          match ev with
-          | Event.Arrival _ -> t.seq <- t.seq + 1
-          | Event.Accept { time; id; _ } ->
-              let a = Hashtbl.find by_id id in
-              Online.restore t.ctl a ~at:time;
+          match (ev, Online.replay t.ctl ev) with
+          | Event.Arrival _, _ -> t.seq <- t.seq + 1
+          | Event.Accept { id; _ }, Some a ->
               Hashtbl.replace t.entries id (Booked a);
               t.accepted <- t.accepted + 1
-          | Event.Reject { id; reason; _ } ->
+          | Event.Reject { id; reason; _ }, _ ->
               Hashtbl.replace t.entries id (Refused reason);
               t.rejected <- t.rejected + 1
-          | Event.Preempt { time; id; _ } -> (
-              Online.advance_to t.ctl time;
+          | Event.Preempt { id; _ }, _ -> (
               match Hashtbl.find_opt t.entries id with
-              | Some (Booked a) ->
-                  ignore (Online.preempt t.ctl a);
-                  Hashtbl.replace t.entries id (Cancelled a)
+              | Some (Booked a) -> Hashtbl.replace t.entries id (Cancelled a)
               | _ -> ())
           (* the serving plane journals constant-rate admissions
              only, so a malleable Reshape never appears here *)
-          | Event.Reshape _ | Event.Capacity _ | Event.Shed _ | Event.Dispatch _ -> ())
+          | _ -> ())
         r.Store.events;
       Ok t

@@ -28,6 +28,7 @@ val create :
   t
 (** Fresh state.  [obs] supplies the metrics registry the [stats] verb
     dumps (a fresh enabled one is created when omitted); with [store],
+    the store is attached to it once ({!Gridbw_store.Store.attach}),
     decisions are journaled and {!flush} becomes meaningful. *)
 
 val of_recovered :
@@ -36,10 +37,10 @@ val of_recovered :
   Gridbw_store.Store.recovered ->
   (t, string) result
 (** Resume from a recovered store: audit it with
-    {!Gridbw_check.Reference.audit_recovered}, then re-book every
-    surviving admission in decision order (bit-identical controller
-    state) and rebuild the decision table (accepted / rejected /
-    cancelled) for [query].  [Error] names every violation when the
+    {!Gridbw_check.Reference.audit_recovered}, then replay the journal
+    into the controller with {!Gridbw_core.Online.replay} (bit-identical
+    counters, held allocations and clock) and rebuild the decision table
+    (accepted / rejected / cancelled) for [query].  [Error] names every violation when the
     audit fails, and refuses a journal the audit skips (a fault-injector
     run). *)
 

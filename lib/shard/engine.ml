@@ -325,10 +325,6 @@ let stop t =
    per-accumulator operation sequence identical to the live run for any
    shard count — including re-partitioning N -> N'. *)
 
-let rec past_prefix = function
-  | Event.Capacity _ :: rest -> past_prefix rest
-  | rest -> rest
-
 let start_domains t =
   let boxes = Array.map (fun _ -> Mailbox.create ()) t.cores in
   let t = { t with boxes = Some boxes } in
@@ -355,123 +351,122 @@ type port_state = {
 }
 
 let of_events ?journal ?(spawn = true) ~shards ~policy ~fabric events =
-  let body = past_prefix events in
-  if List.exists (function Event.Capacity _ | Event.Shed _ -> true | _ -> false) body then
-    Error "store journal carries capacity revisions (fault-injector run); not a daemon journal"
-  else begin
-    let t = create ?journal ~spawn:false ~shards policy fabric in
-    let part = t.part in
-    let ing = Array.init (Fabric.ingress_count fabric) (fun _ -> { pclock = neg_infinity; pq = Queue.create () }) in
-    let egr = Array.init (Fabric.egress_count fabric) (fun _ -> { pclock = neg_infinity; pq = Queue.create () }) in
-    let routes = Hashtbl.create 256 in  (* arrival id -> (ingress, egress) *)
-    let live = Hashtbl.create 256 in  (* id -> alloc still booked *)
-    let horizon = ref neg_infinity in
-    let advance_port ps side_of time =
-      if time > ps.pclock then ps.pclock <- time;
-      let rec drain () =
-        match Queue.peek_opt ps.pq with
-        | Some (tau, a) when tau <= ps.pclock ->
-            ignore (Queue.pop ps.pq);
-            if Hashtbl.mem live a.Allocation.request.Request.id then side_of a;
-            drain ()
-        | _ -> ()
-      in
-      drain ()
+  let t = create ?journal ~spawn:false ~shards policy fabric in
+  let part = t.part in
+  let ing = Array.init (Fabric.ingress_count fabric) (fun _ -> { pclock = neg_infinity; pq = Queue.create () }) in
+  let egr = Array.init (Fabric.egress_count fabric) (fun _ -> { pclock = neg_infinity; pq = Queue.create () }) in
+  let routes = Hashtbl.create 256 in  (* arrival id -> (ingress, egress) *)
+  let live = Hashtbl.create 256 in  (* id -> alloc still booked *)
+  let horizon = ref neg_infinity in
+  let advance_port ps side_of time =
+    if time > ps.pclock then ps.pclock <- time;
+    let rec drain () =
+      match Queue.peek_opt ps.pq with
+      | Some (tau, a) when tau <= ps.pclock ->
+          ignore (Queue.pop ps.pq);
+          if Hashtbl.mem live a.Allocation.request.Request.id then side_of a;
+          drain ()
+      | _ -> ()
     in
-    let advance_ing i time =
-      advance_port ing.(i)
-        (fun a ->
-          Core.restore_release t.cores.(Partition.of_ingress part i) Core.Ing
-            a.Allocation.request.Request.id)
-        time
-    in
-    let advance_egr e time =
-      advance_port egr.(e)
-        (fun a ->
-          Core.restore_release t.cores.(Partition.of_egress part e) Core.Egr
-            a.Allocation.request.Request.id)
-        time
-    in
-    let apply ev =
-      (match ev with
-      | Event.Arrival { id; ingress; egress; _ } ->
-          Hashtbl.replace routes id (ingress, egress);
-          t.jseq <- t.jseq + 1
-      | Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; _ } ->
-          let request = Request.make ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate in
-          let a = Allocation.make ~request ~bw ~sigma in
-          advance_ing ingress time;
-          advance_egr egress time;
-          Core.restore_grab t.cores.(Partition.of_ingress part ingress) Core.Ing a;
-          Core.restore_grab t.cores.(Partition.of_egress part egress) Core.Egr a;
-          Hashtbl.replace live id a;
-          Queue.push (a.Allocation.tau, a) ing.(ingress).pq;
-          Queue.push (a.Allocation.tau, a) egr.(egress).pq
-      | Event.Reject { time; id; _ } -> (
-          match Hashtbl.find_opt routes id with
-          | Some (i, e) ->
-              advance_ing i time;
-              advance_egr e time
-          | None -> ())
-      | Event.Preempt { time; id; _ } -> (
-          match Hashtbl.find_opt live id with
-          | Some a ->
-              let i = a.Allocation.request.Request.ingress
-              and e = a.Allocation.request.Request.egress in
-              advance_ing i time;
-              advance_egr e time;
-              if Hashtbl.mem live id then begin
-                (* tau > time: still active — release both sides now *)
-                Core.restore_release t.cores.(Partition.of_ingress part i) Core.Ing id;
-                Core.restore_release t.cores.(Partition.of_egress part e) Core.Egr id;
-                Hashtbl.remove live id
-              end
-          | None -> ())
-      (* Reshape is journaled only by the single-process malleable
-         engine; a sharded journal never carries one. *)
-      | Event.Reshape _ | Event.Capacity _ | Event.Shed _ | Event.Dispatch _ -> ());
-      let time = Event.time ev in
-      if time > !horizon then horizon := time
-    in
-    match List.iter apply body with
-    | exception Invalid_argument msg -> Error ("sharded recovery replay failed: " ^ msg)
-    | () ->
-        (* a drained release must drop the booking on both sides: drain
-           bookkeeping happens through [live] membership, so sweep ports
-           one final time at their own clocks (queues keep only
-           still-pending releases), then hand the leftovers to the
-           cores in original ticket order. *)
-        Array.iteri (fun i ps -> advance_ing i ps.pclock) ing;
-        Array.iteri (fun e ps -> advance_egr e ps.pclock) egr;
-        Array.iteri
-          (fun i ps ->
-            let entries =
-              Queue.fold
-                (fun acc (_, a) ->
-                  if Hashtbl.mem live a.Allocation.request.Request.id then (a, Core.Ing) :: acc
-                  else acc)
-                [] ps.pq
-              |> List.rev
-            in
-            Core.restore_queue t.cores.(Partition.of_ingress part i) entries)
-          ing;
-        Array.iteri
-          (fun e ps ->
-            let entries =
-              Queue.fold
-                (fun acc (_, a) ->
-                  if Hashtbl.mem live a.Allocation.request.Request.id then (a, Core.Egr) :: acc
-                  else acc)
-                [] ps.pq
-              |> List.rev
-            in
-            Core.restore_queue t.cores.(Partition.of_egress part e) entries)
-          egr;
-        Array.iter (fun c -> Core.restore_clock c !horizon) t.cores;
-        Sequencer.restore_clock t.seq !horizon;
-        if spawn then
-          (* the inline cores are fully rebuilt; attach mailboxes and
-             domains by rebuilding the dispatch layer *)
-          Ok (start_domains t)
-        else Ok t
-  end
+    drain ()
+  in
+  let advance_ing i time =
+    advance_port ing.(i)
+      (fun a ->
+        Core.restore_release t.cores.(Partition.of_ingress part i) Core.Ing
+          a.Allocation.request.Request.id)
+      time
+  in
+  let advance_egr e time =
+    advance_port egr.(e)
+      (fun a ->
+        Core.restore_release t.cores.(Partition.of_egress part e) Core.Egr
+          a.Allocation.request.Request.id)
+      time
+  in
+  let apply ev =
+    (match ev with
+    | Event.Arrival { id; ingress; egress; _ } ->
+        Hashtbl.replace routes id (ingress, egress);
+        t.jseq <- t.jseq + 1
+    | Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; _ } ->
+        let request = Request.make ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate in
+        let a = Allocation.make ~request ~bw ~sigma in
+        advance_ing ingress time;
+        advance_egr egress time;
+        Core.restore_grab t.cores.(Partition.of_ingress part ingress) Core.Ing a;
+        Core.restore_grab t.cores.(Partition.of_egress part egress) Core.Egr a;
+        Hashtbl.replace live id a;
+        Queue.push (a.Allocation.tau, a) ing.(ingress).pq;
+        Queue.push (a.Allocation.tau, a) egr.(egress).pq
+    | Event.Reject { time; id; _ } -> (
+        match Hashtbl.find_opt routes id with
+        | Some (i, e) ->
+            advance_ing i time;
+            advance_egr e time
+        | None -> ())
+    | Event.Preempt { time; id; _ } -> (
+        match Hashtbl.find_opt live id with
+        | Some a ->
+            let i = a.Allocation.request.Request.ingress
+            and e = a.Allocation.request.Request.egress in
+            advance_ing i time;
+            advance_egr e time;
+            if Hashtbl.mem live id then begin
+              (* tau > time: still active — release both sides now *)
+              Core.restore_release t.cores.(Partition.of_ingress part i) Core.Ing id;
+              Core.restore_release t.cores.(Partition.of_egress part e) Core.Egr id;
+              Hashtbl.remove live id
+            end
+        | None -> ())
+    (* Reshape is journaled only by the single-process malleable
+       engine; a sharded journal never carries one. *)
+    | Event.Reshape _ | Event.Capacity _ | Event.Shed _ | Event.Dispatch _ -> ());
+    let time = Event.time ev in
+    if time > !horizon then horizon := time
+  in
+  (* Capacity records describe [fabric]; they are no decisions and move
+     no clock.  A journal revising capacities never gets here: the
+     recovery audit refuses it first. *)
+  let decisions = List.filter (function Event.Capacity _ -> false | _ -> true) events in
+  match List.iter apply decisions with
+  | exception Invalid_argument msg -> Error ("sharded recovery replay failed: " ^ msg)
+  | () ->
+      (* a drained release must drop the booking on both sides: drain
+         bookkeeping happens through [live] membership, so sweep ports
+         one final time at their own clocks (queues keep only
+         still-pending releases), then hand the leftovers to the
+         cores in original ticket order. *)
+      Array.iteri (fun i ps -> advance_ing i ps.pclock) ing;
+      Array.iteri (fun e ps -> advance_egr e ps.pclock) egr;
+      Array.iteri
+        (fun i ps ->
+          let entries =
+            Queue.fold
+              (fun acc (_, a) ->
+                if Hashtbl.mem live a.Allocation.request.Request.id then (a, Core.Ing) :: acc
+                else acc)
+              [] ps.pq
+            |> List.rev
+          in
+          Core.restore_queue t.cores.(Partition.of_ingress part i) entries)
+        ing;
+      Array.iteri
+        (fun e ps ->
+          let entries =
+            Queue.fold
+              (fun acc (_, a) ->
+                if Hashtbl.mem live a.Allocation.request.Request.id then (a, Core.Egr) :: acc
+                else acc)
+              [] ps.pq
+            |> List.rev
+          in
+          Core.restore_queue t.cores.(Partition.of_egress part e) entries)
+        egr;
+      Array.iter (fun c -> Core.restore_clock c !horizon) t.cores;
+      Sequencer.restore_clock t.seq !horizon;
+      if spawn then
+        (* the inline cores are fully rebuilt; attach mailboxes and
+           domains by rebuilding the dispatch layer *)
+        Ok (start_domains t)
+      else Ok t

@@ -97,5 +97,7 @@ val of_events :
   (t, string) result
 (** Rebuild from a recovered journal's event list (per-port replay:
     exact for any shard count, including re-partitioning a journal
-    written under a different [shards]).  Fails on fault-injector
-    journals (capacity revisions / sheds). *)
+    written under a different [shards]).  The journal must have passed
+    {!Gridbw_check.Reference.audit_recovered}, which refuses
+    fault-injector journals (capacity revisions / sheds); [Error] only
+    when the replay itself fails. *)

@@ -312,7 +312,6 @@ type recovered = {
   events : Event.t list;
   accepted : (float * Allocation.t) list;
   decided : int -> bool;
-  arrived : int -> bool;
   snapshot_cursor : int;
   replayed : int;
   truncated_bytes : int;
@@ -355,7 +354,6 @@ let fabric_of_prefix ~n_in ~n_out events =
    [Reshape] revision can rewrite every booking of the revised id. *)
 type index = {
   decided : (int, unit) Hashtbl.t;
-  arrived : (int, unit) Hashtbl.t;
   mutable rev_booked : (float * Allocation.t ref) list;
   cells : (int, Allocation.t ref) Hashtbl.t;  (* every booking of an id *)
 }
@@ -363,7 +361,6 @@ type index = {
 let index () =
   {
     decided = Hashtbl.create 1024;
-    arrived = Hashtbl.create 1024;
     rev_booked = [];
     cells = Hashtbl.create 1024;
   }
@@ -378,7 +375,6 @@ let note idx t ev =
     idx.rev_booked <- (time, cell) :: idx.rev_booked
   in
   match ev with
-  | Event.Arrival { id; _ } -> Hashtbl.replace idx.arrived id ()
   | Event.Reject { id; _ } -> Hashtbl.replace idx.decided id ()
   | Event.Accept { time; id; _ } -> book time id
   | Event.Reshape { time; id; revised; _ } ->
@@ -389,7 +385,7 @@ let note idx t ev =
             (Hashtbl.find_all idx.cells rid))
         revised;
       book time id
-  | Event.Preempt _ | Event.Shed _ | Event.Capacity _ | Event.Dispatch _ -> ()
+  | Event.Arrival _ | Event.Preempt _ | Event.Shed _ | Event.Capacity _ | Event.Dispatch _ -> ()
 
 let accepted_of idx = List.rev_map (fun (time, cell) -> (time, !cell)) idx.rev_booked
 
@@ -463,7 +459,6 @@ let recover ?(config = default_config) ?obs ~dir () =
               events = wal_events;
               accepted = accepted_of idx;
               decided = Hashtbl.mem idx.decided;
-              arrived = Hashtbl.mem idx.arrived;
               snapshot_cursor;
               replayed;
               truncated_bytes = s.Wal.disk_bytes - kept_bytes;

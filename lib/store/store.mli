@@ -30,8 +30,8 @@
     truncates at the first torn/CRC-failing record, rebuilds state from
     the surviving WAL (taking the ledger image for the records before the
     newest usable snapshot's cursor from that snapshot), and a resumed run
-    ({!Gridbw_core.Flexible.greedy_resume}) re-decides the lost suffix
-    bit-identically — the recovered-plus-resumed summary equals the
+    ({!Gridbw_core.Flexible.greedy} given the recovered [events] as its
+    journal) re-decides the lost suffix bit-identically — the recovered-plus-resumed summary equals the
     uninterrupted run's, byte for byte. *)
 
 type config = {
@@ -62,7 +62,10 @@ val exists : dir:string -> bool
 val attach : t -> Gridbw_obs.Obs.ctx -> Gridbw_obs.Obs.ctx
 (** A context that journals every emitted event into the store and tees
     to [ctx]'s sink when one is attached.  Always enabled and tracing.
-    Flushing the returned context {!sync}s the store. *)
+    Flushing the returned context {!sync}s the store.  This is the one
+    way a journal joins an admission path: its owner attaches it once
+    and hands the result to the engine (as [Runtime.ctx.obs]); a context
+    attached twice journals every event twice. *)
 
 val log : t -> Gridbw_obs.Event.t -> unit
 (** Journal one event directly (what {!attach}'s sink does), in two
@@ -122,8 +125,6 @@ type recovered = {
   decided : int -> bool;
       (** request id has a decision in the journal {e as recovered};
           records [store] appends afterwards do not show here *)
-  arrived : int -> bool;
-      (** request id has an arrival in the journal as recovered *)
   snapshot_cursor : int;
       (** WAL records (not events) whose ledger effects came from a
           snapshot image; 0 = full WAL replay *)

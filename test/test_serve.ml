@@ -783,6 +783,42 @@ let admission_recovery_round_trip () =
                 to_cancel;
               Admission.close t2))
 
+(* A journal that ends in a reject: the live clock stands at the reject,
+   so the recovered daemon must decide the next late admit there too —
+   the decision an uninterrupted daemon gives. *)
+let recovery_keeps_a_trailing_reject_clock () =
+  with_tmpdir (fun dir ->
+      let fabric = fabric2 () in
+      let history =
+        [
+          admit ~id:1 ~ts:0. ~tf:10. ~max_rate:100. ();
+          (* the port still carries request 1 at t = 1: saturated *)
+          admit ~id:2 ~ts:1. ~tf:11. ~max_rate:100. ();
+        ]
+      in
+      let late = admit ~id:3 ~ingress:1 ~egress:1 ~ts:0.5 ~tf:10.5 ~max_rate:100. () in
+      let store = Store.create ~config:(store_config ()) ~dir fabric in
+      let t = Admission.create ~store ~policy fabric in
+      (match List.map (Admission.handle t) history with
+      | [ Protocol.Admitted _; Protocol.Rejected _ ] -> ()
+      | _ -> Alcotest.fail "expected an admit, then a reject");
+      Admission.flush t;
+      Admission.close t;
+      let uninterrupted = Admission.create ~policy fabric in
+      List.iter (fun req -> ignore (Admission.handle uninterrupted req)) history;
+      let expected = Admission.handle uninterrupted late in
+      match Store.recover ~config:(store_config ()) ~dir () with
+      | Error e -> Alcotest.fail e
+      | Ok r -> (
+          match Admission.of_recovered ~policy r with
+          | Error e -> Alcotest.fail e
+          | Ok t2 ->
+              let got = Admission.handle t2 late in
+              Admission.close t2;
+              if got <> expected then
+                Alcotest.failf "recovered %a, uninterrupted %a" Protocol.pp_response got
+                  Protocol.pp_response expected))
+
 (* --- metric series --- *)
 
 (* [# TYPE] lines of a Prometheus dump, as "name kind". *)
@@ -1345,6 +1381,7 @@ let suites =
         case "ids beyond 2^53 are bad requests" admission_refuses_out_of_range_ids;
         case "journal, recover, bit-identical decisions" admission_recovery_round_trip;
         case "journaled ids beyond 2^53 recover" recovery_reads_ids_beyond_2p53;
+        case "recovery keeps the clock of a trailing reject" recovery_keeps_a_trailing_reject_clock;
         case "engine-driven journals refused" of_recovered_refuses_engine_journals;
         case "metric series of a journaled run, pinned" admission_metric_series;
       ] );

@@ -131,13 +131,16 @@ let baseline requests =
   let result = Flexible.greedy (fabric2 ()) policy requests in
   Summary.compute (fabric2 ()) ~all:requests ~accepted:result.Types.accepted
 
+(* A run context whose only sink is [store]'s journal. *)
+let journaled store = Gridbw_core.Runtime.make ~obs:(Store.attach store Obs.disabled) ()
+
 let journal_run ?batch ?segment_bytes ?snapshot_bytes ~dir requests =
   let t0 = List.fold_left (fun t (r : Request.t) -> Float.min t r.Request.ts) 0.0 requests in
   let store =
     Store.create ~config:(store_config ?batch ?segment_bytes ?snapshot_bytes ())
       ~time:t0 ~dir (fabric2 ())
   in
-  let result = Flexible.greedy ~ctx:(Gridbw_core.Runtime.make ~store ()) (fabric2 ()) policy requests in
+  let result = Flexible.greedy ~ctx:(journaled store) (fabric2 ()) policy requests in
   Store.close store;
   result
 
@@ -149,22 +152,24 @@ let expect_clean ~label r =
   | Reference.Failed failures ->
       Alcotest.failf "%s: recovery audit failed: %s" label (String.concat "; " failures)
 
+(* Resume GREEDY on a recovered journal the way [gridbw run --store-dir]
+   does: the audit, then the one driver. *)
+let resume ~label (r : Store.recovered) requests =
+  expect_clean ~label r;
+  Flexible.greedy ~ctx:(journaled r.Store.store) ~journal:r.Store.events r.Store.initial_fabric
+    policy requests
+
 let resume_and_check ~label ~expected ~dir requests =
   match Store.recover ~config:(store_config ()) ~dir () with
   | Error msg -> Alcotest.failf "%s: recovery failed: %s" label msg
   | Ok r ->
-      let result =
-        Flexible.greedy_resume
-          ~ctx:(Gridbw_core.Runtime.make ~store:r.Store.store ())
-          r.Store.initial_fabric policy
-          ~restored:r.Store.accepted ~decided:r.Store.decided ~arrived:r.Store.arrived requests
-      in
+      let result = resume ~label r requests in
       Store.close r.Store.store;
       let got = Summary.compute (fabric2 ()) ~all:requests ~accepted:result.Types.accepted in
       if got <> expected then
         Alcotest.failf "%s: resumed summary differs:@.baseline %a@.resumed %a" label Summary.pp
           expected Summary.pp got;
-      (* The recovered bookings themselves must be a feasible schedule. *)
+      (* The resumed bookings keep the journal's ledger within capacity. *)
       expect_clean ~label r
 
 let expect_prefix_error ~label ~dir =
@@ -314,8 +319,8 @@ let check_same_recovery ~label ~ids (a : Store.recovered) (b : Store.recovered) 
           x.Allocation.request.Request.id)
     a.Store.accepted b.Store.accepted;
   for id = 0 to ids - 1 do
-    if a.Store.decided id <> b.Store.decided id || a.Store.arrived id <> b.Store.arrived id then
-      Alcotest.failf "%s: decided/arrived differ on request %d" label id
+    if a.Store.decided id <> b.Store.decided id then
+      Alcotest.failf "%s: decided differs on request %d" label id
   done;
   ledgers_agree ~label (Store.ledger a.Store.store) (Store.ledger b.Store.store);
   List.iter (expect_clean ~label) [ a; b ]
@@ -687,7 +692,7 @@ let malleable_journal_run ?obs ?snapshot_bytes ~dir requests =
   let result =
     Malleable.run
       { Malleable.default with Malleable.book_ahead = 10. }
-      ~ctx:(Gridbw_core.Runtime.make ?obs ~store ())
+      ~ctx:(Gridbw_core.Runtime.make ~obs:(Store.attach store (Option.value obs ~default:Obs.disabled)) ())
       (fabric2 ()) requests
   in
   Store.close store;
@@ -964,25 +969,28 @@ let arrival_of ~time ~seq (r : Request.t) =
       volume = r.Request.volume; ts = r.Request.ts; tf = r.Request.tf;
       max_rate = r.Request.max_rate }
 
-(* every third admit is cancelled right after it is granted *)
-let greedy_cancels_run ~snapshot_bytes ~dir =
+(* Every third admit is cancelled right after it is granted.  Returns the
+   events logged and the live controller. *)
+let greedy_with_cancels ~snapshot_bytes ~dir =
   let store = journal_store ~snapshot_bytes ~dir in
   let obs, seen = recording () in
-  let ctx = Runtime.make ~obs ~store () in
+  let ctx = Runtime.make ~obs:(Store.attach store obs) () in
   let ctl = Online.create (fabric2 ()) in
   let requests =
     List.filter (fun (r : Request.t) -> r.Request.ts >= 0.) (workload_of_seed ~n:60 7)
   in
   List.iteri
     (fun seq (r : Request.t) ->
-      Obs.event (Runtime.observed ctx) (fun () -> arrival_of ~time:r.Request.ts ~seq r);
+      Obs.event ctx.Runtime.obs (fun () -> arrival_of ~time:r.Request.ts ~seq r);
       match Online.try_admit ~ctx ctl policy r ~at:r.Request.ts with
       | Types.Accepted a when seq mod 3 = 0 ->
           if not (Online.preempt ~ctx ctl a) then Alcotest.fail "cancel of a fresh grant failed"
       | _ -> ())
     (Flexible.arrival_order requests);
   Store.close store;
-  seen ()
+  (seen (), ctl)
+
+let greedy_cancels_run ~snapshot_bytes ~dir = fst (greedy_with_cancels ~snapshot_bytes ~dir)
 
 let daemon_cancels_run ~snapshot_bytes ~dir =
   let fabric = fabric2 () in
@@ -1015,7 +1023,7 @@ let window_run ~snapshot_bytes ~dir =
   let store = journal_store ~snapshot_bytes ~dir in
   let obs, seen = recording () in
   ignore
-    (Flexible.window ~ctx:(Runtime.make ~obs ~store ()) (fabric2 ()) policy ~step:10.
+    (Flexible.window ~ctx:(Runtime.make ~obs:(Store.attach store obs) ()) (fabric2 ()) policy ~step:10.
        (workload_of_seed ~n:60 11));
   Store.close store;
   seen ()
@@ -1188,12 +1196,11 @@ let test_recovered_events_are_logged_events () =
 (* The views straight from the event list, the way the store kept them
    live before: a Reshape revision rewrites every booking of its id. *)
 let views_of_events events =
-  let decided = Hashtbl.create 64 and arrived = Hashtbl.create 64 in
+  let decided = Hashtbl.create 64 in
   let booked = ref [] in
   let id_of (a : Allocation.t) = a.Allocation.request.Request.id in
   List.iter
     (function
-      | Event.Arrival { id; _ } -> Hashtbl.replace arrived id ()
       | Event.Reject { id; _ } -> Hashtbl.replace decided id ()
       | Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; _ } ->
           Hashtbl.replace decided id ();
@@ -1218,7 +1225,7 @@ let views_of_events events =
             (time, Allocation.of_profile ~request (Rate_profile.of_triples profile)) :: !booked
       | _ -> ())
     events;
-  (List.rev !booked, Hashtbl.mem decided, Hashtbl.mem arrived)
+  (List.rev !booked, Hashtbl.mem decided)
 
 let booking_row (time, (a : Allocation.t)) =
   let bits = Int64.bits_of_float in
@@ -1243,7 +1250,7 @@ let test_recovered_views_match_events () =
               let r = recover_exn ~label dir in
               Alcotest.(check bool) (label ^ ": recovery used a snapshot") from_snapshot
                 (r.Store.snapshot_cursor > 0);
-              let accepted, decided, arrived = views_of_events r.Store.events in
+              let accepted, decided = views_of_events r.Store.events in
               if List.map booking_row r.Store.accepted <> List.map booking_row accepted then
                 Alcotest.failf "%s: recovered bookings differ from the event history" label;
               let ids =
@@ -1256,11 +1263,39 @@ let test_recovered_views_match_events () =
               in
               let top = List.fold_left Int.max 0 ids + 3 in
               for id = -1 to top do
-                if r.Store.decided id <> decided id || r.Store.arrived id <> arrived id then
-                  Alcotest.failf "%s: decided/arrived differ on request %d" label id
+                if r.Store.decided id <> decided id then
+                  Alcotest.failf "%s: decided differs on request %d" label id
               done)
             [ ("with snapshots", src, true); ("without snapshots", bare, false) ]))
     journals
+
+(* The one replay: feeding a recovered journal through [Online.replay]
+   rebuilds the live controller bit for bit, cancels included — the
+   counters of every port, the held allocations and the clock. *)
+let test_replay_matches_live () =
+  with_tmpdir (fun dir ->
+      let events, live = greedy_with_cancels ~snapshot_bytes:512 ~dir in
+      Alcotest.(check bool) "the run cancelled bookings" true
+        (List.exists (function Event.Preempt _ -> true | _ -> false) events);
+      let r = recover_exn ~label:"greedy with cancels" dir in
+      Store.close r.Store.store;
+      let replayed = Online.create r.Store.initial_fabric in
+      List.iter (fun ev -> ignore (Online.replay replayed ev)) r.Store.events;
+      let fabric = fabric2 () in
+      let ports =
+        List.init (Gridbw_topology.Fabric.ingress_count fabric) (fun i -> Port.Ingress i)
+        @ List.init (Gridbw_topology.Fabric.egress_count fabric) (fun e -> Port.Egress e)
+      in
+      let bits = Int64.bits_of_float in
+      List.iter
+        (fun p ->
+          if bits (Online.used live p) <> bits (Online.used replayed p) then
+            Alcotest.failf "%a: live %h, replayed %h" Port.pp p (Online.used live p)
+              (Online.used replayed p))
+        ports;
+      Alcotest.(check int) "held allocations" (Online.active_count live)
+        (Online.active_count replayed);
+      Alcotest.(check int64) "clock" (bits (Online.now live)) (bits (Online.now replayed)))
 
 (* --- the recovery audit ---
 
@@ -1368,7 +1403,7 @@ let test_store_metrics () =
       let store =
         Store.create ~config:(store_config ~batch:4 ()) ~obs ~time:t0 ~dir (fabric2 ())
       in
-      ignore (Flexible.greedy ~ctx:(Gridbw_core.Runtime.make ~store ()) (fabric2 ()) policy requests);
+      ignore (Flexible.greedy ~ctx:(journaled store) (fabric2 ()) policy requests);
       Store.close store;
       let m = Obs.metrics obs in
       Alcotest.(check int) "wal_records_total counts every record" (Store.records store)
@@ -1427,13 +1462,7 @@ let prop_random_offset_recovers =
               let kept = (Wal.scan ~dir).Wal.valid in
               kept < n_prefix
           | Ok r ->
-              let result =
-                Flexible.greedy_resume
-          ~ctx:(Gridbw_core.Runtime.make ~store:r.Store.store ())
-          r.Store.initial_fabric policy
-                  ~restored:r.Store.accepted ~decided:r.Store.decided ~arrived:r.Store.arrived
-                  requests
-              in
+              let result = resume ~label:"random offset" r requests in
               Store.close r.Store.store;
               Summary.compute (fabric2 ()) ~all:requests ~accepted:result.Types.accepted
               = expected))
@@ -1485,39 +1514,6 @@ let test_flush_forces_group_commit () =
             (Store.records r.Store.store);
           Store.close r.Store.store)
 
-(* The new Runtime.ctx plumbing and the deprecated ?store argument must
-   journal byte-identically: same WAL payload stream, same decisions. *)
-let test_ctx_journal_matches_legacy () =
-  let requests = random_requests ~seed:21L ~n:40 (fabric2 ()) in
-  let journal run =
-    with_tmpdir (fun dir ->
-        let store = Store.create ~config:(store_config ()) ~time:0.0 ~dir (fabric2 ()) in
-        let result = run store in
-        Store.close store;
-        let s = Wal.scan ~dir in
-        ( List.length result.Types.accepted,
-          List.map (fun (r : Wal.record) -> r.Wal.payload) s.Wal.records ))
-  in
-  let legacy = journal (fun store -> Flexible.greedy ~ctx:(Gridbw_core.Runtime.make ~store ()) (fabric2 ()) policy requests) in
-  let ctxed =
-    journal (fun store ->
-        Flexible.greedy
-          ~ctx:(Gridbw_core.Runtime.make ~store ())
-          (fabric2 ()) policy requests)
-  in
-  Alcotest.(check int) "same accept count" (fst legacy) (fst ctxed);
-  Alcotest.(check bool) "identical journal payloads" true (snd legacy = snd ctxed)
-
-let test_observed_tees_store () =
-  let module Runtime = Gridbw_core.Runtime in
-  Alcotest.(check bool) "default ctx stays disabled" false
-    (Runtime.observed Runtime.default).Obs.enabled;
-  with_tmpdir (fun dir ->
-      let store = Store.create ~config:(store_config ()) ~time:0.0 ~dir (fabric2 ()) in
-      let obs = Runtime.observed (Runtime.make ~store ()) in
-      Alcotest.(check bool) "store-only ctx journals" true obs.Obs.enabled;
-      Store.close store)
-
 let suites =
   [
     ( "store",
@@ -1549,7 +1545,7 @@ let suites =
         case "journal: the WAL is the pair-rule records, byte for byte" test_wal_is_pair_records;
         case "journal: recovered events are the logged events, with or without a snapshot"
           test_recovered_events_are_logged_events;
-        case "recovery: bookings, decided, arrived match the event history"
+        case "recovery: bookings, decided ids match the event history"
           test_recovered_views_match_events;
         case "recovery audit: a cancel keeps the rate check, and serving refuses"
           test_audit_cancel_keeps_rate_check;
@@ -1559,8 +1555,7 @@ let suites =
         case "recovery audit: a capacity-revision journal is skipped"
           test_audit_capacity_revision_skipped;
         case "metrics: store counters land in the registry" test_store_metrics;
-        case "ctx: Runtime.ctx journals identically to ?store" test_ctx_journal_matches_legacy;
-        case "ctx: observed tees the store sink" test_observed_tees_store;
+        case "replay: the replayed controller equals the live one" test_replay_matches_live;
         prop_random_offset_recovers;
       ] );
   ]

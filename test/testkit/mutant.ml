@@ -29,7 +29,7 @@ let peak intervals ~from_ ~until =
 
 let greedy : Scheduler.t =
   Scheduler.make ~name:"mutant-greedy" (fun ?(ctx = Gridbw_core.Runtime.default) spec requests ->
-      let obs = Gridbw_core.Runtime.observed ctx in
+      let obs = ctx.Gridbw_core.Runtime.obs in
       let fabric = spec.Gridbw_workload.Spec.fabric in
       let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
       let booked_in = Hashtbl.create 8 and booked_out = Hashtbl.create 8 in
