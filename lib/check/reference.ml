@@ -223,41 +223,25 @@ let describe v = Format.asprintf "%a" pp_violation v
 (* --- recovered journals --- *)
 
 module Store = Gridbw_store.Store
-module Event = Gridbw_obs.Event
+module Replay = Gridbw_metrics.Replay
 module Ledger = Gridbw_alloc.Ledger
 
 type verdict = Clean of int | Skipped of string | Failed of string list
 
-let survivors (r : Store.recovered) =
-  let cancelled = Hashtbl.create 16 in
-  List.iter
-    (function Event.Preempt { id; _ } -> Hashtbl.replace cancelled id () | _ -> ())
-    r.Store.events;
-  List.filter_map
-    (fun (_, (a : Allocation.t)) ->
-      if Hashtbl.mem cancelled a.Allocation.request.Request.id then None else Some a)
-    r.Store.accepted
-
-let rec past_prefix = function Event.Capacity _ :: rest -> past_prefix rest | rest -> rest
-
 let audit_recovered (r : Store.recovered) =
-  if
-    List.exists
-      (function Event.Capacity _ | Event.Shed _ -> true | _ -> false)
-      (past_prefix r.Store.events)
-  then
+  let j = r.Store.journal in
+  if j.Replay.revised then
     Skipped
       "store journal carries capacity revisions or sheds (fault-injector run); not a daemon \
        journal"
   else begin
-    let allocs = survivors r in
     let failures =
-      List.map describe (audit_allocations r.Store.initial_fabric allocs)
+      List.map describe (audit_allocations j.Replay.fabric j.Replay.survivors)
       @
       if Ledger.within_capacity (Store.ledger r.Store.store) then []
       else [ "recovered ledger exceeds capacity" ]
     in
-    if failures = [] then Clean (List.length allocs) else Failed failures
+    if failures = [] then Clean (List.length j.Replay.survivors) else Failed failures
   end
 
 let refusal = function

@@ -103,17 +103,16 @@ type verdict =
   | Skipped of string  (** the journal is not one the audit applies to; why *)
   | Failed of string list  (** one line per violation *)
 
-val survivors : Gridbw_store.Store.recovered -> Gridbw_alloc.Allocation.t list
-(** The recovered bookings no [Preempt] cancelled: [accepted] minus every
-    id a [Preempt] in [events] names, in decision order. *)
-
 val audit_recovered : Gridbw_store.Store.recovered -> verdict
 (** The one audit a recovered journal passes before anything serves from
-    it: [Skipped] for a fault-injector journal ([Capacity] or [Shed]
-    events past the capacity prefix); otherwise {!audit_allocations} on
-    the {!survivors} against the initial fabric, and
+    it: [Skipped] for a fault-injector journal ([journal.revised]:
+    [Capacity] or [Shed] events past the capacity prefix); otherwise
+    {!audit_allocations} on the journal's [survivors] (the bookings no
+    [Preempt] cancelled) against its prefix fabric, and
     {!Gridbw_alloc.Ledger.within_capacity} on the recovered mirror
-    ledger.  DESIGN §9 item 3 gives the rule and why it is sound. *)
+    ledger.  Both views come from the one journal reader,
+    {!Gridbw_metrics.Replay.of_events}.  DESIGN §9 item 3 gives the rule
+    and why it is sound. *)
 
 val refusal : verdict -> string option
 (** Why a server must not resume from a journal with this verdict: [None]

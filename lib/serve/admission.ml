@@ -5,6 +5,7 @@ module Event = Gridbw_obs.Event
 module Metrics = Gridbw_obs.Metrics
 module Span = Gridbw_obs.Span
 module Store = Gridbw_store.Store
+module Replay = Gridbw_metrics.Replay
 module Runtime = Gridbw_core.Runtime
 module Online = Gridbw_core.Online
 module Policy = Gridbw_core.Policy
@@ -160,7 +161,8 @@ let of_recovered ?obs ~policy (r : Store.recovered) =
   | Some why -> Error why
   | None ->
       let t =
-        make ?obs ~store:r.Store.store ~policy (Online.create r.Store.initial_fabric)
+        make ?obs ~store:r.Store.store ~policy
+          (Online.create r.Store.journal.Replay.fabric)
       in
       (* Replay the journal through the controller in event order —
          the same grab/release sequence the live daemon performed, so
@@ -183,5 +185,5 @@ let of_recovered ?obs ~policy (r : Store.recovered) =
           (* the serving plane journals constant-rate admissions
              only, so a malleable Reshape never appears here *)
           | _ -> ())
-        r.Store.events;
+        r.Store.journal.Replay.events;
       Ok t

@@ -5,6 +5,7 @@ module Obs = Gridbw_obs.Obs
 module Event = Gridbw_obs.Event
 module Span = Gridbw_obs.Span
 module Store = Gridbw_store.Store
+module Replay = Gridbw_metrics.Replay
 module Policy = Gridbw_core.Policy
 module Types = Gridbw_core.Types
 module Fabric = Gridbw_topology.Fabric
@@ -172,7 +173,8 @@ let of_recovered ~shards ~policy (r : Store.recovered) =
   | None -> (
       match
         Engine.of_events ~journal:r.Store.store ~shards ~policy
-          ~fabric:r.Store.initial_fabric r.Store.events
+          ~fabric:r.Store.journal.Replay.fabric
+          r.Store.journal.Replay.events
       with
       | Error e -> Error e
       | Ok engine ->
@@ -195,5 +197,5 @@ let of_recovered ~shards ~policy (r : Store.recovered) =
                   | _ -> ())
               | Event.Arrival _ | Event.Reshape _ | Event.Capacity _ | Event.Shed _
               | Event.Dispatch _ -> ())
-            r.Store.events;
+            r.Store.journal.Replay.events;
           Ok t)

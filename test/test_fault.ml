@@ -277,13 +277,13 @@ let test_preempt_traced_at_fault_time () =
       ignore
         (Injector.run ~ctx:(Gridbw_core.Runtime.make ~obs ()) fabric
            (zero_latency_config ~admission ()) script [ r0; r1 ]);
-      match Gridbw_metrics.Replay.of_string (Buffer.contents buf) with
+      match Gridbw_metrics.Replay.decode (Buffer.contents buf) with
       | Error msg -> Alcotest.failf "%s: trace did not decode: %s" name msg
-      | Ok r ->
+      | Ok events ->
           let stamps =
             List.filter_map
               (function Gridbw_obs.Event.Preempt { time; id; _ } -> Some (id, time) | _ -> None)
-              r.Gridbw_metrics.Replay.events
+              events
           in
           Alcotest.(check (list (pair int (float 0.))))
             (name ^ ": preempt r0 at 5.0") [ (0, 5.0) ] stamps)

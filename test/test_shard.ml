@@ -32,6 +32,7 @@ module Types = Gridbw_core.Types
 module Online = Gridbw_core.Online
 module Scenario = Gridbw_check.Scenario
 module Store = Gridbw_store.Store
+module Replay = Gridbw_metrics.Replay
 module Partition = Gridbw_shard.Partition
 module Mailbox = Gridbw_shard.Mailbox
 module Sequencer = Gridbw_shard.Sequencer
@@ -470,8 +471,8 @@ let recovery_repartitions () =
      owner bit-identically in both *)
   let rebuild shards =
     match
-      Engine.of_events ~spawn:false ~shards ~policy ~fabric:recovered.Store.initial_fabric
-        recovered.Store.events
+      Engine.of_events ~spawn:false ~shards ~policy
+        ~fabric:recovered.Store.journal.Replay.fabric recovered.Store.journal.Replay.events
     with
     | Ok e -> e
     | Error e -> Alcotest.failf "of_events shards=%d: %s" shards e
