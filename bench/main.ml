@@ -303,9 +303,7 @@ let store_tests =
   let store_at ~batch name =
     Store.create
       ~config:
-        { Store.default_config with
-          wal = { Wal.default_config with Wal.batch };
-          snapshot_bytes = max_int }
+        { Store.default_config with wal = { Wal.default_config with Wal.batch } }
       ~dir:(Filename.concat root name) fabric
   in
   let journal s = Runtime.make ~obs:(Store.attach s Obs.disabled) () in

@@ -356,7 +356,7 @@ let run_cmd =
   let store_dir_t =
     Arg.(value & opt (some string) None
          & info [ "store-dir" ] ~docv:"DIR"
-             ~doc:"Journal the run durably into $(docv) (WAL + snapshots).  If $(docv) already \
+             ~doc:"Journal the run durably into $(docv) (a write-ahead log).  If $(docv) already \
                    holds a store, recover it and resume the interrupted run (greedy only); the \
                    resumed stdout is byte-identical to an uninterrupted run.")
   in
@@ -416,12 +416,8 @@ let run_cmd =
               Printf.eprintf "error: cannot recover %s: %s\n" dir msg;
               exit 1
           | Ok r ->
-              Printf.eprintf
-                "recovered %s: %d records (%d from snapshot, %d replayed), %d torn bytes \
-                 discarded\n\
-                 %!"
-                dir (Store.records r.Store.store) r.Store.snapshot_cursor r.Store.replayed
-                r.Store.truncated_bytes;
+              Printf.eprintf "recovered %s: %d records, %d torn bytes discarded\n%!" dir
+                (Store.records r.Store.store) r.Store.truncated_bytes;
               (* Resume only from a journal the audit passes, as every
                  other recovery path does. *)
               let verdict = Reference.audit_recovered r in
@@ -574,10 +570,8 @@ let recover_cmd =
      the flight tail on stderr. *)
   let render_text dir (r : Store.recovered) verdict flight =
     Provenance.print ~cmd:"recover" [ ("dir", dir) ];
-    Printf.eprintf
-      "recovered %d records (%d from snapshot, %d replayed), %d torn bytes discarded\n%!"
-      (Store.records r.Store.store) r.Store.snapshot_cursor r.Store.replayed
-      r.Store.truncated_bytes;
+    Printf.eprintf "recovered %d records, %d torn bytes discarded\n%!"
+      (Store.records r.Store.store) r.Store.truncated_bytes;
     (* The surviving journal is a self-contained trace: its leading
        Capacity prefix names the fabric, so the journaled run's summary
        is rebuilt from the log alone. *)
@@ -643,8 +637,6 @@ let recover_cmd =
             ([
               ("ok", Json.Bool (violations = []));
               ("records", Json.Num (float_of_int (Store.records r.Store.store)));
-              ("snapshot_cursor", Json.Num (float_of_int r.Store.snapshot_cursor));
-              ("replayed", Json.Num (float_of_int r.Store.replayed));
               ("truncated_bytes", Json.Num (float_of_int r.Store.truncated_bytes));
               ("audit", Json.Str audit);
               ("violations", Json.List (List.map (fun v -> Json.Str v) violations));

@@ -8,7 +8,8 @@
     {!Rate_profile.t}; [bw] then holds the mean rate over the profile
     span and [sigma]/[tau] bracket it, so constant-rate consumers keep a
     meaningful summary while profile-aware ones ({!Gridbw_metrics},
-    the store mirror, the reference model) use the exact steps. *)
+    the recovered capacity ledger, the reference model) use the exact
+    steps. *)
 
 type t = private {
   request : Gridbw_request.Request.t;

@@ -121,7 +121,7 @@ let within_capacity t =
 
 let reserved_volume t = Array.fold_left (fun acc p -> acc +. Timeline.integral p) 0.0 t.ingress
 
-(* --- snapshot serialization support (the durable store's Ledger image) --- *)
+(* --- dump and restore (a ledger copy) --- *)
 
 type segment = { seg_from : float; seg_until : float; seg_level : float }
 type dump = { dump_ingress : segment list array; dump_egress : segment list array }

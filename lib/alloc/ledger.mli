@@ -81,11 +81,12 @@ val reserved_volume : t -> float
 (** Σ over ingress ports of ∫ usage dt — total MB of reserved ingress
     capacity (each request counted once). *)
 
-(** {2 Snapshot serialization}
+(** {2 Dump and restore}
 
-    The durable store ({!Gridbw_store.Store}) snapshots the ledger as the
-    per-port list of maximal constant non-zero segments read off
-    {!Timeline.fold_segments}.  The pair is a semantic round-trip:
+    A ledger reads out as the per-port list of maximal constant non-zero
+    segments read off {!Timeline.fold_segments}, and {!restore} rebuilds
+    one from that list: {!Gridbw_malleable.Malleable} copies a ledger as
+    [restore fabric (dump t)].  The pair is a semantic round-trip:
     [restore fabric (dump t)] answers every query with the same levels as
     [t], up to the {!Timeline} caveat that subtree sums are associated by
     tree shape (exact on exactly-representable levels, last-ulp otherwise

@@ -109,10 +109,11 @@ val audit_recovered : Gridbw_store.Store.recovered -> verdict
     [Capacity] or [Shed] events past the capacity prefix); otherwise
     {!audit_allocations} on the journal's [survivors] (the bookings no
     [Preempt] cancelled) against its prefix fabric, and
-    {!Gridbw_alloc.Ledger.within_capacity} on the recovered mirror
-    ledger.  Both views come from the one journal reader,
-    {!Gridbw_metrics.Replay.of_events}.  DESIGN §9 item 3 gives the rule
-    and why it is sound. *)
+    {!Gridbw_alloc.Ledger.within_capacity} on the capacity ledger
+    recovery built from the whole journal ({!Gridbw_store.Store.ledger}),
+    where a cancelled booking still counts before its cancel.  Both views
+    come from the one journal read, {!Gridbw_metrics.Replay.of_events}.
+    DESIGN §9 item 3 gives the rule and why it is sound. *)
 
 val refusal : verdict -> string option
 (** Why a server must not resume from a journal with this verdict: [None]

@@ -58,7 +58,6 @@ let flush t =
   Option.iter Store.flush t.store;
   t.dirty <- false
 
-let snapshot t = Option.iter Store.snapshot_now t.store
 let close t = Option.iter Store.close t.store
 let records t = match t.store with Some s -> Store.records s | None -> 0
 let accepted_count t = t.accepted

@@ -52,8 +52,8 @@ val handle : ?span:Gridbw_obs.Span.t -> t -> Protocol.request -> Protocol.respon
 
     With [span] and an [admit] verb: the request id is recorded on the
     span, the decision accumulates its [Admit_search] / [Wal_append]
-    stage durations, and the store mirror-ledger probes performed while
-    journaling land in the span's probe count. *)
+    stage durations, and the controller's probes of its live counters
+    land in the span's probe count. *)
 
 val dirty : t -> bool
 (** Unflushed journal records exist: the responses of this round must not
@@ -61,10 +61,6 @@ val dirty : t -> bool
 
 val flush : t -> unit
 (** {!Gridbw_store.Store.flush} + clear {!dirty}.  No-op without a
-    store. *)
-
-val snapshot : t -> unit
-(** Snapshot the store now (graceful-shutdown path).  No-op without a
     store. *)
 
 val close : t -> unit

@@ -156,10 +156,8 @@ let make_admission ~obs ~log cfg =
       | Error e -> Error (Printf.sprintf "cannot recover store %s: %s" dir e)
       | Ok r -> (
           log
-            (Printf.sprintf
-               "recovered store %s: %d records (%d from snapshot, %d replayed, %d torn bytes dropped)"
-               dir (Store.records r.Store.store) r.Store.snapshot_cursor
-               r.Store.replayed r.Store.truncated_bytes);
+            (Printf.sprintf "recovered store %s: %d records, %d torn bytes dropped" dir
+               (Store.records r.Store.store) r.Store.truncated_bytes);
           match Admission.of_recovered ~obs ~policy:cfg.policy r with
           | Error e -> Error e
           | Ok adm ->
@@ -496,7 +494,7 @@ let serve_ready t ready =
 
 (* Serve until [stop]; then the same loop drains: the listeners close,
    reads stop, and rounds go on while output is pending, for at most
-   2 s.  Then flush + snapshot + close the store. *)
+   2 s.  Then flush and close the store. *)
 let run t =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let rec loop deadline =
@@ -537,7 +535,6 @@ let run t =
   | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Tcp _ -> ());
   Admission.flush t.adm;
-  Admission.snapshot t.adm;
   let records = Admission.records t.adm
   and accepted = Admission.accepted_count t.adm
   and rejected = Admission.rejected_count t.adm in

@@ -28,8 +28,8 @@
     {!stop} (wired to SIGTERM/SIGINT by {!install_signal_handlers}, and
     to the protocol's [shutdown] verb)
     drains pending output (the same loop, listeners closed and reads
-    off, for at most 2 s), flushes the WAL, writes a final snapshot and
-    closes the store. *)
+    off, for at most 2 s), flushes the WAL and closes the store.  The
+    next startup recovers from the WAL alone. *)
 
 type transport = Unix_socket of string | Tcp of string * int
 
@@ -82,7 +82,7 @@ val admission : t -> Admission.t
 (** The daemon's admission state (tests poke it directly). *)
 
 val run : t -> unit
-(** Serve until {!stop}; then drain, flush, snapshot, close.  Ignores
+(** Serve until {!stop}; then drain, flush, close.  Ignores
     SIGPIPE for the whole process. *)
 
 val stop : t -> unit

@@ -1,42 +1,42 @@
 (** Durable admission journal with crash recovery.
 
     A store directory holds a header ([store.json], written and fsynced at
-    creation), a CRC-framed binary {!Wal} of admission-relevant events
+    creation) and a CRC-framed binary {!Wal} of admission-relevant events
     (arrival/accept/reject/reshape/preempt/shed/capacity-revision, in the
-    {!Gridbw_obs.Event_codec.Binary} body form), and atomic binary
-    {!Snapshot}s of the mirror ledger triggered by accumulated log size
-    (the newest two are kept).
+    {!Gridbw_obs.Event_codec.Binary} body form).  Nothing else: the log
+    is the whole durable state.  [snap-*] files and [.snap-*.tmp] temps
+    that older versions wrote beside it are ignored.
 
     One record usually holds one decision: an arrival is held back, and
     the decision right after it with the same id and time (and, for an
     [Accept] or [Reshape], bit-equal request fields) is written together
-    with it as one pair record.  Any other event, and {!sync},
-    {!snapshot_now} and {!close}, first writes the held arrival as a
-    record of its own, so records keep the order of the events.
-    Recovery expands each pair back into its two events.
+    with it as one pair record.  Any other event, and {!sync} and
+    {!close}, first writes the held arrival as a record of its own, so
+    records keep the order of the events.  Recovery expands each pair
+    back into its two events.
 
     The store plugs into the telemetry plane: {!attach} wraps an
     {!Gridbw_obs.Obs.ctx} so every event the instrumented admission path
-    emits is also applied to the store's in-memory state and appended to
-    the WAL (tee'd with any existing trace sink).  The store's own
+    emits is also appended to the WAL (tee'd with any existing trace
+    sink).  The live store keeps nothing per booking: admission state
+    lives in the engine that decides, and the journal's history views
+    and capacity ledger are rebuilt by {!recover} alone.  The store's own
     counters — [store_wal_records_total], [store_fsync_total], the
-    [store_fsync_batch_size] histogram, [store_snapshots_total],
-    [store_recovery_records] — land in the registry the store was created
-    with, so a run's [--metrics-out] Prometheus dump includes them.
+    [store_fsync_batch_size] histogram, [store_recovery_records] — land
+    in the registry the store was created with, so a run's
+    [--metrics-out] Prometheus dump includes them.
 
     Recovery invariant: a plain GREEDY run journals its decisions in
     processing order, so {e any} valid WAL prefix is the journal of the
     same run stopped after its first [k] records.  Recovery therefore
     truncates at the first torn/CRC-failing record, rebuilds state from
-    the surviving WAL (taking the ledger image for the records before the
-    newest usable snapshot's cursor from that snapshot), and a resumed run
-    ({!Gridbw_core.Flexible.greedy} given the recovered [journal.events]
-    as its journal) re-decides the lost suffix bit-identically — the recovered-plus-resumed summary equals the
-    uninterrupted run's, byte for byte. *)
+    the surviving WAL, and a resumed run ({!Gridbw_core.Flexible.greedy}
+    given the recovered [journal.events] as its journal) re-decides the
+    lost suffix bit-identically — the recovered-plus-resumed summary
+    equals the uninterrupted run's, byte for byte. *)
 
 type config = {
   wal : Wal.config;
-  snapshot_bytes : int;  (** write a snapshot after this many WAL bytes since the last one *)
   kill_after : int option;  (** crash-drill hook, see {!Wal.create} *)
 }
 
@@ -68,13 +68,11 @@ val attach : t -> Gridbw_obs.Obs.ctx -> Gridbw_obs.Obs.ctx
     attached twice journals every event twice. *)
 
 val log : t -> Gridbw_obs.Event.t -> unit
-(** Journal one event directly (what {!attach}'s sink does), in two
-    steps: its ledger effects (the mirror ledger and the booking table
-    that later [Preempt]/[Reshape] records and {!snapshot_now} read),
-    then the WAL append, under the pair rule above: an [Arrival] is only
-    held until the next event.  Nothing else is kept per event: the history
-    views of {!recovered} are built by {!recover} alone.  [Dispatch]
-    events are not admission state and are skipped. *)
+(** Journal one event directly (what {!attach}'s sink does): encode it
+    and append it to the WAL under the pair rule above (an [Arrival] is
+    only held until the next event).  A [Capacity] event also revises
+    {!fabric}.  Nothing else is kept per event.  [Dispatch] events are
+    not admission state and are skipped. *)
 
 val sync : t -> unit
 (** Force the group commit: write any held arrival, then flush and fsync
@@ -90,12 +88,8 @@ val flush : t -> unit
     WAL's group-commit batch. *)
 
 val snapshot_now : t -> unit
-(** Write a snapshot of the mirror ledger immediately (syncing the WAL
-    tail first), regardless of the [snapshot_bytes] cadence, and delete
-    all but the newest two snapshots.  The daemon snapshots on graceful
-    shutdown, so the next startup restores the ledger from the image
-    instead of re-booking every accept; it still parses the whole WAL
-    for the history. *)
+(** Alias of {!sync}.  The store writes no snapshot image: the WAL alone
+    is recovered. *)
 
 val close : t -> unit
 (** {!sync} and close the WAL. *)
@@ -110,8 +104,13 @@ val fabric : t -> Gridbw_topology.Fabric.t
 (** Current fabric, after any journaled capacity revisions. *)
 
 val ledger : t -> Gridbw_alloc.Ledger.t
-(** The mirror ledger tracking every journaled booking — the recovered
-    state that is audited before serving. *)
+(** The capacity ledger {!recover} built in one fold over the journal:
+    every booking it ever made, a cancelled one until its cancel, on the
+    fabric after every journaled capacity revision.
+    {!Gridbw_check.Reference.audit_recovered} checks it with
+    {!Gridbw_alloc.Ledger.within_capacity}.  A live store does not extend
+    it: events logged after recovery do not show here, and a store made
+    by {!create} holds an empty ledger. *)
 
 (** {2 Recovery} *)
 
@@ -124,26 +123,20 @@ type recovered = {
   decided : int -> bool;
       (** [journal.decided], the journal {e as recovered}; records [store]
           appends afterwards do not show here *)
-  snapshot_cursor : int;
-      (** WAL records (not events) whose ledger effects came from a
-          snapshot image; 0 = full WAL replay *)
-  replayed : int;  (** WAL records replayed into the ledger beyond the snapshot *)
   truncated_bytes : int;  (** torn/corrupt tail bytes discarded *)
 }
 
 val recover :
   ?config:config -> ?obs:Gridbw_obs.Obs.ctx -> dir:string -> unit -> (recovered, string) result
 (** Scan the WAL, truncate at the first torn/CRC-failing record (later
-    segments included), restore the ledger from the newest usable
-    snapshot the surviving log reaches, replay the log (the tail beyond
-    the snapshot with its ledger effects), and reopen the log for
-    append.  Leftover snapshot temp files and snapshots beyond the
-    truncated log are deleted.  The surviving events are read first,
-    through {!Gridbw_metrics.Replay.of_events} with the header's port
-    counts.  [Error] when [dir] is not a store, when the log is cut
-    inside the capacity prefix (no fabric to recover against), or when a
-    record names a port the fabric lacks or invalid request fields: the
-    error names the record, and the log is left as it is (not torn).
-    Nothing is audited here: {!Gridbw_check.Reference.audit_recovered}
-    decides whether the result may be served from, and every server and
-    both forms of [gridbw recover] call it. *)
+    segments included), build the capacity ledger ({!ledger}) from the
+    surviving journal, and reopen the log for append.  The surviving
+    events are read first, through {!Gridbw_metrics.Replay.of_events}
+    with the header's port counts.  [Error] when [dir] is not a store,
+    when the log is cut inside the capacity prefix (no fabric to recover
+    against), or when a record names a port the fabric lacks or invalid
+    request fields: the error names the record, and the log is left as
+    it is (not torn).  Nothing is audited here:
+    {!Gridbw_check.Reference.audit_recovered} decides whether the result
+    may be served from, and every server and both forms of
+    [gridbw recover] call it. *)

@@ -34,9 +34,7 @@ let with_tmpdir f =
 (* Deterministic store config: huge batch, sync delay out of reach, so
    only explicit flushes commit. *)
 let store_config () =
-  { Store.default_config with
-    wal = { Wal.default_config with Wal.batch = 1000; delay = 3600. };
-    snapshot_bytes = max_int }
+  { Store.default_config with wal = { Wal.default_config with Wal.batch = 1000; delay = 3600. } }
 
 (* --- frame codec --- *)
 
@@ -1006,7 +1004,7 @@ let daemon_metric_series () =
                   "serve_flushes_total counter"; "serve_requests_total counter";
                   "span_admit_ns histogram"; "span_serve_flush_ns histogram";
                   "span_serve_handle_ns histogram"; "store_fsync_batch_size histogram";
-                  "store_fsync_total counter"; "store_snapshots_total counter";
+                  "store_fsync_total counter";
                   "store_wal_records_total counter" ]
                 (series (Metrics.to_prometheus (Obs.metrics obs)));
               let requests = 60 + report.Loadgen.cancelled in
