@@ -209,8 +209,8 @@ let probe_count_tracks_range_queries () =
   ignore (Ledger.breakpoints l (Port.Ingress 0));
   Alcotest.(check int) "usage_at/breakpoints do not probe" 5 (Ledger.probe_count l)
 
-(* --- Ledger.dump / restore: the durable-snapshot codec's round trip,
-   checked against the Profile_ref oracle and independent of lib/store --- *)
+(* --- Ledger.dump / restore: the ledger copy's round trip, checked
+   against the Profile_ref oracle --- *)
 
 let check_dump_roundtrip ~exact ops =
   let fabric = fabric2 () in
