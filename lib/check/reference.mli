@@ -6,19 +6,19 @@
     explains violations, but it shares the {!Gridbw_alloc.Profile_ref}
     machinery with the production ledger.  This module re-states
     Definition 1 from scratch — per-request window containment, rate caps,
-    route validity, and a brute-force per-port capacity sweep over
-    elementary intervals — so a schedule is judged by two {e independent}
-    formulations.  The audits never read the ledger, the profile trees or
-    the timeline; everything is O(n²) list walking on purpose.  Only
-    {!audit_recovered} also runs the recovered ledger's own capacity
-    check, as a second opinion.
+    route validity, and a per-port capacity check — so a schedule is
+    judged by two {e independent} formulations.  The audits never read
+    the ledger, the profile trees or the timeline.  The capacity check is
+    one sort-and-sweep per port ({!port_sweep}, O(n log n)); its naive
+    O(n²) statement ({!port_overloads}) is kept as the oracle the tests
+    hold it to.
 
     Three entry points: {!audit} scores a [(trace, decisions)] pair against
     a static fabric (the plain engines), {!audit_services} scores the
     fault injector's delivered service intervals against the
     {e time-varying} capacities induced by a fault script, and
     {!audit_recovered} decides whether a recovered journal may be served
-    from. *)
+    from.  All three run the one sweep. *)
 
 type side = Gridbw_metrics.Hotspot.side
 
@@ -41,6 +41,30 @@ type violation =
   | Volume_mismatch of { id : int; integral : float; volume : float }
       (** a profiled (malleable) allocation whose Kahan integral differs
           from the request volume — checked bit-for-bit *)
+
+val port_sweep :
+  slack:float ->
+  ?probes:float list ->
+  capacity:(float -> float) ->
+  (float * float * float) list ->
+  (float * float) option
+(** The one capacity check, on the [(from, until, bw)] intervals one port
+    carries over [\[from, until)]: [Some (at, usage)] at the instant of
+    worst usage among those where usage exceeds [capacity at] (relative
+    [slack], as the ledger), the earliest on a tie; [None] when it fits.
+    Every start and end at an instant counts there, usage is a
+    compensated sum, and [probes] are the instants where [capacity]
+    changes.  Starts in time order and a heap of ends: O(n log n). *)
+
+val port_overloads :
+  slack:float ->
+  ?probes:float list ->
+  capacity:(float -> float) ->
+  (float * float * float) list ->
+  (float * float) option
+(** {!port_sweep} stated naively: at every endpoint and probe, a plain
+    sum over every interval covering the instant.  O(n²); the tests'
+    oracle, nothing else calls it. *)
 
 val audit_allocations :
   ?slack:float ->
@@ -79,8 +103,9 @@ val audit_services :
   Gridbw_fault.Fault.event list ->
   Gridbw_fault.Injector.service list ->
   violation list
-(** Sweep every service / degradation endpoint: at each instant the sum of
-    delivered rates through a port must fit the {e revised} capacity.
+(** {!port_sweep} per port over the delivered service intervals, probed
+    at the port's degrade endpoints: at each instant the sum of delivered
+    rates through a port must fit the {e revised} capacity.
     This is the fault-run analogue of the port rows of {!audit} — initial
     admissions are not statically checkable once preemption has recycled
     their reservations. *)
@@ -107,11 +132,11 @@ val audit_recovered : Gridbw_store.Store.recovered -> verdict
 (** The one audit a recovered journal passes before anything serves from
     it: [Skipped] for a fault-injector journal ([journal.revised]:
     [Capacity] or [Shed] events past the capacity prefix); otherwise
-    {!audit_allocations} on the journal's [survivors] (the bookings no
-    [Preempt] cancelled) against its prefix fabric, and
-    {!Gridbw_alloc.Ledger.within_capacity} on the capacity ledger
-    recovery built from the whole journal ({!Gridbw_store.Store.ledger}),
-    where a cancelled booking still counts before its cancel.  Both views
+    {!audit_allocations}' per-request rows on the journal's [survivors]
+    (the bookings no [Preempt] cancelled), and {!port_sweep} on every
+    port of the prefix fabric over the journal's
+    {!Gridbw_metrics.Replay.iter_commitments}: every booking it made, a
+    cancelled one until its cancel, so the survivors whole.  Both views
     come from the one journal read, {!Gridbw_metrics.Replay.of_events}.
     DESIGN §9 item 3 gives the rule and why it is sound. *)
 

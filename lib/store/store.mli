@@ -20,7 +20,7 @@
     emits is also appended to the WAL (tee'd with any existing trace
     sink).  The live store keeps nothing per booking: admission state
     lives in the engine that decides, and the journal's history views
-    and capacity ledger are rebuilt by {!recover} alone.  The store's own
+    are rebuilt by {!recover} alone.  The store's own
     counters — [store_wal_records_total], [store_fsync_total], the
     [store_fsync_batch_size] histogram, [store_recovery_records] — land
     in the registry the store was created with, so a run's
@@ -70,9 +70,8 @@ val attach : t -> Gridbw_obs.Obs.ctx -> Gridbw_obs.Obs.ctx
 val log : t -> Gridbw_obs.Event.t -> unit
 (** Journal one event directly (what {!attach}'s sink does): encode it
     and append it to the WAL under the pair rule above (an [Arrival] is
-    only held until the next event).  A [Capacity] event also revises
-    {!fabric}.  Nothing else is kept per event.  [Dispatch] events are
-    not admission state and are skipped. *)
+    only held until the next event).  Nothing is kept per event.
+    [Dispatch] events are not admission state and are skipped. *)
 
 val sync : t -> unit
 (** Force the group commit: write any held arrival, then flush and fsync
@@ -100,17 +99,12 @@ val records : t -> int
 (** WAL records appended so far (global index).  A held arrival is not
     a record yet; a pair record counts once. *)
 
-val fabric : t -> Gridbw_topology.Fabric.t
-(** Current fabric, after any journaled capacity revisions. *)
-
 val ledger : t -> Gridbw_alloc.Ledger.t
-(** The capacity ledger {!recover} built in one fold over the journal:
-    every booking it ever made, a cancelled one until its cancel, on the
-    fabric after every journaled capacity revision.
-    {!Gridbw_check.Reference.audit_recovered} checks it with
-    {!Gridbw_alloc.Ledger.within_capacity}.  A live store does not extend
-    it: events logged after recovery do not show here, and a store made
-    by {!create} holds an empty ledger. *)
+(** The journal's {!Gridbw_metrics.Replay.iter_commitments} as {!recover}
+    found them, booked on the prefix fabric, built on the first call:
+    neither {!recover} nor the recovery audit asks for it; only the
+    benchmark's gate does.  Events logged later do not show here, and a
+    store made by {!create} holds an empty ledger. *)
 
 (** {2 Recovery} *)
 
@@ -129,10 +123,10 @@ type recovered = {
 val recover :
   ?config:config -> ?obs:Gridbw_obs.Obs.ctx -> dir:string -> unit -> (recovered, string) result
 (** Scan the WAL, truncate at the first torn/CRC-failing record (later
-    segments included), build the capacity ledger ({!ledger}) from the
-    surviving journal, and reopen the log for append.  The surviving
-    events are read first, through {!Gridbw_metrics.Replay.of_events}
-    with the header's port counts.  [Error] when [dir] is not a store,
+    segments included), and reopen the log for append.  The surviving
+    events are read first, once, through
+    {!Gridbw_metrics.Replay.of_events} with the header's port counts;
+    the store has no fold of its own.  [Error] when [dir] is not a store,
     when the log is cut inside the capacity prefix (no fabric to recover
     against), or when a record names a port the fabric lacks or invalid
     request fields: the error names the record, and the log is left as

@@ -21,6 +21,10 @@ module Harness = Gridbw_check.Harness
 module Shrink = Gridbw_check.Shrink
 module Fuzz = Gridbw_check.Fuzz
 module Mutant = Gridbw_testkit.Mutant
+module Hotspot = Gridbw_metrics.Hotspot
+module Fault = Gridbw_fault.Fault
+module Injector = Gridbw_fault.Injector
+module Gen = QCheck2.Gen
 
 let alloc ?(id = 0) ?(ingress = 0) ?(egress = 0) ~bw ~sigma ~tau ?tf ?max_rate () =
   let tf = Option.value tf ~default:tau in
@@ -366,6 +370,172 @@ let prop_harness_clean_on_random_scenarios =
     (Gridbw_testkit.Arbitrary.scenario ~max_size:20 ())
     (fun sc -> Harness.check sc = [])
 
+(* --- the capacity sweep against its naive statement ---
+
+   [Reference.port_sweep] is the one capacity check; [port_overloads]
+   states it naively and is kept as its oracle.  Where every sum of the
+   rates is exact whatever its order, the two must return the same
+   instant and the same usage, bit for bit. *)
+
+let slack = 1e-9
+
+(* Up to a dozen intervals on a grid of eight instants, so endpoints tie
+   and some intervals are empty or inverted, at multiples of 1/8. *)
+let grid_intervals =
+  Gen.(
+    list_size (int_range 0 12)
+      (triple
+         (map float_of_int (int_range 0 7))
+         (map float_of_int (int_range 0 7))
+         (map (fun k -> float_of_int k /. 8.) (int_range 1 400))))
+
+let prop_sweep_matches_naive =
+  qcase ~count:500 "reference: the sweep matches the naive check on grid intervals"
+    Gen.(pair grid_intervals (oneofl [ 25.; 50.; 100. ]))
+    (fun (intervals, cap) ->
+      let capacity _ = cap in
+      Reference.port_sweep ~slack ~capacity intervals
+      = Reference.port_overloads ~slack ~capacity intervals)
+
+(* [target] is one ulp below, at or one ulp above the bound [cap] allows,
+   the float [Reference.within] compares with.  [target] is cut into
+   pieces that are whole multiples of that ulp, so their sums are exact. *)
+let at_bound ~cap ~off ~cuts =
+  let bound = (cap *. (1. +. slack)) +. (slack *. 1e-3) in
+  let target = match off with -1 -> Float.pred bound | 0 -> bound | _ -> Float.succ bound in
+  let ulp = bound -. Float.pred bound in
+  let n = Float.to_int (target /. ulp) in
+  let points =
+    List.sort compare (0 :: n :: List.map (fun c -> Float.to_int (c *. float_of_int n)) cuts)
+  in
+  let rec pieces = function
+    | a :: (b :: _ as rest) when b > a -> (float_of_int (b - a) *. ulp) :: pieces rest
+    | _ :: rest -> pieces rest
+    | [] -> []
+  in
+  (target, pieces points)
+
+let prop_sweep_at_bound =
+  qcase ~count:300 "reference: the sweep matches the naive check within one ulp of the bound"
+    Gen.(
+      quad (float_range 1. 1000.) (int_range (-1) 1)
+        (list_size (int_range 0 5) (float_range 0. 1.))
+        (list_repeat 8 (pair (int_range 0 2) (int_range 3 5))))
+    (fun (cap, off, cuts, spans) ->
+      let target, pieces = at_bound ~cap ~off ~cuts in
+      (* every piece covers [2, 3); empty intervals beside them add nothing *)
+      let intervals =
+        List.mapi
+          (fun i bw ->
+            let s, e = List.nth spans i in
+            (float_of_int s, float_of_int e, bw))
+          pieces
+        @ [ (2., 2., cap); (3., 1., cap) ]
+      in
+      let capacity _ = cap in
+      let worst = Reference.port_sweep ~slack ~capacity intervals in
+      List.fold_left ( +. ) 0. pieces = target
+      && worst = Reference.port_overloads ~slack ~capacity intervals
+      && (worst <> None) = (off = 1))
+
+(* Rates that are not multiples of anything come and go first, then one
+   interval at the bound runs alone: a running sum that kept their
+   rounding error would misread it. *)
+let prop_sweep_no_drift =
+  qcase ~count:300 "reference: the sweep's running sum does not drift"
+    Gen.(
+      triple (float_range 10. 1000.) (int_range (-1) 1)
+        (list_size (int_range 2 8)
+           (triple (float_range 0. 5.) (float_range 5. 10.) (float_range 0. 1.))))
+    (fun (cap, off, group) ->
+      let target, _ = at_bound ~cap ~off ~cuts:[] in
+      let k = float_of_int (List.length group) in
+      let intervals =
+        List.map (fun (f, u, x) -> (f, u, x *. 0.99 *. cap /. k)) group @ [ (20., 30., target) ]
+      in
+      let capacity _ = cap in
+      let worst = Reference.port_sweep ~slack ~capacity intervals in
+      worst = Reference.port_overloads ~slack ~capacity intervals
+      && worst = if off = 1 then Some (20., target) else None)
+
+(* Up to a dozen (ingress, egress, interval) on a 2x2 fabric of 100 MB/s
+   ports, instants and rates as in [grid_intervals]. *)
+let grid_routed =
+  Gen.(
+    list_size (int_range 0 12)
+      (map
+         (fun (ingress, egress, (f, d, k)) ->
+           (ingress, egress, (float_of_int f, float_of_int (f + d), float_of_int k /. 8.)))
+         (triple (int_range 0 1) (int_range 0 1)
+            (triple (int_range 0 6) (int_range 1 4) (int_range 1 400)))))
+
+let fabric_2x2 () = Fabric.uniform ~ingress_count:2 ~egress_count:2 ~capacity:100.
+
+(* The port rows of the naive check, as the audits report them: each
+   port probed at every endpoint on the fabric and at [probes]. *)
+let naive_rows ~probes ~capacity routed =
+  let all = probes @ List.concat_map (fun (_, _, (f, u, _)) -> [ f; u ]) routed in
+  let side side port_of =
+    List.concat
+      (List.init 2 (fun port ->
+           let capacity = capacity side port in
+           let mine =
+             List.filter_map
+               (fun ((_, _, iv) as r) -> if port_of r = port then Some iv else None)
+               routed
+           in
+           match Reference.port_overloads ~slack ~probes:all ~capacity mine with
+           | Some (at, usage) ->
+               [ Reference.Port_overload { side; port; at; usage; capacity = capacity at } ]
+           | None -> []))
+  in
+  side Hotspot.Ingress (fun (i, _, _) -> i) @ side Hotspot.Egress (fun (_, e, _) -> e)
+
+let prop_allocations_match_naive =
+  qcase ~count:300 "reference: audit_allocations' port rows match the naive check" grid_routed
+    (fun routed ->
+      let allocations =
+        List.mapi
+          (fun id (ingress, egress, (sigma, tau, bw)) ->
+            alloc ~id ~ingress ~egress ~bw ~sigma ~tau ~max_rate:1e6 ~tf:100. ())
+          routed
+      in
+      List.filter
+        (function Reference.Port_overload _ -> true | _ -> false)
+        (Reference.audit_allocations (fabric_2x2 ()) allocations)
+      = naive_rows ~probes:[] ~capacity:(fun _ _ _ -> 100.) routed)
+
+let prop_services_match_naive =
+  qcase ~count:300 "reference: audit_services matches the naive check under degrade windows"
+    Gen.(
+      pair grid_routed
+        (list_size (int_range 0 4)
+           (quad bool (int_range 0 1) (oneofl [ 0.; 0.25; 0.5; 0.75; 1. ])
+              (pair (int_range 0 6) (int_range 0 3)))))
+    (fun (routed, windows) ->
+      let fabric = fabric_2x2 () in
+      let services =
+        List.map
+          (fun (s_ingress, s_egress, (s_from, s_until, s_bw)) ->
+            { Injector.s_ingress; s_egress; s_bw; s_from; s_until })
+          routed
+      in
+      let script =
+        List.map
+          (fun (ingress, port, factor, (f, d)) ->
+            let side = if ingress then Fault.Ingress else Fault.Egress in
+            Fault.Degrade
+              { side; port; factor; from_ = float_of_int f; until = float_of_int (f + d) })
+          windows
+      in
+      let probes =
+        List.concat_map
+          (function Fault.Degrade { from_; until; _ } -> [ from_; until ] | _ -> [])
+          script
+      in
+      Reference.audit_services ~slack fabric script services
+      = naive_rows ~probes ~capacity:(Reference.capacity_at fabric script) routed)
+
 let suites =
   [
     ( "conformance",
@@ -394,5 +564,10 @@ let suites =
         slow_case "fuzz: off-by-one mutant caught and shrunk" test_mutant_caught;
         slow_case "fuzz: mutant bundle replays bit-identically" test_mutant_bundle_replays;
         prop_harness_clean_on_random_scenarios;
+        prop_sweep_matches_naive;
+        prop_sweep_at_bound;
+        prop_sweep_no_drift;
+        prop_allocations_match_naive;
+        prop_services_match_naive;
       ] );
   ]
