@@ -3,7 +3,6 @@ type t = Ingress of int | Egress of int
 let ingress i = Ingress i
 let egress e = Egress e
 let index = function Ingress i | Egress i -> i
-let is_ingress = function Ingress _ -> true | Egress _ -> false
 
 let equal a b =
   match (a, b) with

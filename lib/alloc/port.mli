@@ -14,7 +14,6 @@ val egress : int -> t
 val index : t -> int
 (** The port's index within its side's capacity vector. *)
 
-val is_ingress : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

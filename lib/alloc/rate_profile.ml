@@ -28,15 +28,6 @@ let start (t : t) = t.(0).from_
 let finish (t : t) = t.(Array.length t - 1).until
 let peak (t : t) = Array.fold_left (fun m s -> Float.max m s.rate) 0. t
 
-let rate_at (t : t) time =
-  let n = Array.length t in
-  let rec go i =
-    if i >= n || t.(i).from_ > time then 0.
-    else if time < t.(i).until then t.(i).rate
-    else go (i + 1)
-  in
-  go 0
-
 let integral (t : t) =
   (* Kahan: the bitwise volume contract depends on this exact summation
      order, so the engine's closing step and every checker share it. *)
@@ -49,8 +40,6 @@ let integral (t : t) =
       sum := t')
     t;
   !sum
-
-let is_constant (t : t) = Array.length t = 1
 
 let equal (a : t) (b : t) =
   Array.length a = Array.length b

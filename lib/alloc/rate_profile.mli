@@ -45,17 +45,11 @@ val finish : t -> float
 val peak : t -> float
 (** Maximum segment rate. *)
 
-val rate_at : t -> float -> float
-(** Rate at a given time; 0 outside every segment (left-closed). *)
-
 val integral : t -> float
 (** Kahan-compensated sum of [rate * (until - from_)] over the segments,
     in segment order.  The MALLEABLE engine constructs profiles so this
     equals the request volume exactly (bitwise); {!Gridbw_metrics} and
     the reference model check that contract. *)
-
-val is_constant : t -> bool
-(** True when the profile is a single segment. *)
 
 val equal : t -> t -> bool
 (** Structural (bitwise per field) equality. *)

@@ -166,7 +166,6 @@ let replay t ev =
   | Event.Arrival _ | Event.Reshape _ | Event.Capacity _ | Event.Shed _ | Event.Dispatch _ -> None
 
 let set_fabric t fabric = Live.set_fabric t.live fabric
-let active_allocations t = t.active
 let active_count t = List.length t.active
 
 let used t port =

@@ -78,10 +78,7 @@ val replay : t -> Gridbw_obs.Event.t -> Gridbw_alloc.Allocation.t option
 val set_fabric : t -> Gridbw_topology.Fabric.t -> unit
 (** Revise port capacities mid-flight (same port counts).  Counters are
     kept: a shrunk port may be left over-committed until the caller
-    preempts enough allocations ({!active_allocations} + {!preempt}). *)
-
-val active_allocations : t -> Gridbw_alloc.Allocation.t list
-(** Allocations whose bandwidth is still held, most recent first. *)
+    preempts enough allocations ({!preempt}). *)
 
 val active_count : t -> int
 (** Accepted transfers whose bandwidth is still held. *)

@@ -23,13 +23,6 @@ let compare_events a b =
 
 let sort = List.sort compare_events
 
-let pp_event ppf = function
-  | Degrade { side; port; factor; from_; until } ->
-      Format.fprintf ppf "degrade %s %d to %.0f%% on [%.2f,%.2f)" (side_name side) port
-        (100. *. factor) from_ until
-  | Abort { request_id; at } -> Format.fprintf ppf "abort r%d @@ %.2f" request_id at
-  | Preempt { request_id; at } -> Format.fprintf ppf "preempt r%d @@ %.2f" request_id at
-
 let validate fabric events =
   let fail fmt = Printf.ksprintf invalid_arg fmt in
   List.iter

@@ -25,7 +25,6 @@ type event =
 val time_of : event -> float
 val sort : event list -> event list
 val side_name : side -> string
-val pp_event : Format.formatter -> event -> unit
 
 val validate : Gridbw_topology.Fabric.t -> event list -> unit
 (** Check ports, factors, windows and times; degradation windows of one

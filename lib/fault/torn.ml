@@ -38,15 +38,6 @@ let copy_store ~src ~dst =
       if not (Sys.is_directory p) then
         write_file (Filename.concat dst name) (read_file p))
 
-let wal_length ~dir =
-  List.fold_left
-    (fun acc name ->
-      let ic = open_in_bin (Filename.concat dir name) in
-      let n = in_channel_length ic in
-      close_in_noerr ic;
-      acc + n)
-    0 (segments dir)
-
 let record_boundaries ~dir =
   let off = ref 0 and bounds = ref [] in
   List.iter

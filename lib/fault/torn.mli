@@ -16,9 +16,6 @@ val copy_store : src:string -> dst:string -> unit
 (** Copy every regular file of store directory [src] into [dst]
     (created if missing).  The copy is a valid store directory. *)
 
-val wal_length : dir:string -> int
-(** Total bytes across the store's WAL segments. *)
-
 val record_boundaries : dir:string -> int list * int
 (** [(boundaries, total)]: the global byte offsets at which a WAL record
     starts (sorted, starting with [0] when the log is non-empty and

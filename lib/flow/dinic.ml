@@ -123,5 +123,3 @@ let flow_on t id =
   if id < 0 || id >= t.edges || id land 1 = 1 then invalid_arg "Dinic.flow_on: bad edge id";
   if t.adj_frozen = None then 0 else t.original_cap.(id) - t.cap.(id)
 
-let vertex_count t = t.vertices
-let edge_count t = t.edges / 2

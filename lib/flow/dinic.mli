@@ -24,6 +24,3 @@ val max_flow : t -> source:int -> sink:int -> int
 val flow_on : t -> int -> int
 (** Flow routed on the given edge id after {!max_flow}. *)
 
-val vertex_count : t -> int
-val edge_count : t -> int
-(** Number of {!add_edge} calls (not counting residual twins). *)

@@ -46,6 +46,3 @@ let aggregate samples =
 
 let mean samples = (aggregate samples).mean
 
-let pp_aggregate ppf a =
-  Format.fprintf ppf "%.4f ±%.4f (n=%d, σ=%.4f, [%.4f,%.4f])" a.mean a.ci95 a.n a.stddev a.min
-    a.max

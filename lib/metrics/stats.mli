@@ -33,4 +33,3 @@ val aggregate : float list -> aggregate
 (** Summary of replication results; zeros for the empty list. *)
 
 val mean : float list -> float
-val pp_aggregate : Format.formatter -> aggregate -> unit

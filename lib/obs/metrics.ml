@@ -222,30 +222,3 @@ let to_prometheus t =
     (sorted t);
   Buffer.contents buf
 
-let to_json t =
-  let open Json in
-  let int i = Num (float_of_int i) in
-  let fields =
-    List.map
-      (fun (name, inst) ->
-        let body =
-          match inst with
-          | Counter c -> Obj [ ("type", Str "counter"); ("value", int c.count) ]
-          | Gauge g -> Obj [ ("type", Str "gauge"); ("value", Num g.level) ]
-          | Histogram h ->
-              Obj
-                [
-                  ("type", Str "histogram");
-                  ("count", int h.total);
-                  ("sum", Num h.sum);
-                  ( "buckets",
-                    List
-                      (List.map
-                         (fun (ub, n) -> Obj [ ("le", Num ub); ("count", int n) ])
-                         (hist_buckets h)) );
-                ]
-        in
-        (name, body))
-      (sorted t)
-  in
-  Json.to_string (Obj fields)

@@ -75,11 +75,9 @@ val histogram_of : t -> histogram key -> histogram
 
 (** {2 Dumps}
 
-    Both renderings list instruments in name order, so output is
+    The rendering lists instruments in name order, so output is
     deterministic for a given set of observations. *)
 
 val to_prometheus : t -> string
 (** Prometheus text exposition: [# TYPE] lines, cumulative
     [name_bucket{le="..."}] series plus [_sum]/[_count] for histograms. *)
-
-val to_json : t -> string

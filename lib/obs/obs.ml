@@ -29,9 +29,6 @@ let count ctx name = if ctx.enabled then Metrics.incr (Metrics.counter ctx.metri
 let count_n ctx name n =
   if ctx.enabled then Metrics.add (Metrics.counter ctx.metrics name) n
 
-let set_gauge ctx name v =
-  if ctx.enabled then Metrics.set (Metrics.gauge ctx.metrics name) v
-
 let observe ctx name v =
   if ctx.enabled then Metrics.observe (Metrics.histogram ctx.metrics name) v
 

@@ -46,7 +46,6 @@ val flush : ctx -> unit
 
 val count : ctx -> string -> unit
 val count_n : ctx -> string -> int -> unit
-val set_gauge : ctx -> string -> float -> unit
 val observe : ctx -> string -> float -> unit
 
 val incr : ctx -> Metrics.counter Metrics.key -> unit

@@ -43,8 +43,6 @@ let discrete rng weighted =
   in
   scan 0 0.0
 
-let empirical rng values = Rng.choose rng values
-
 let arrival_times rng ~rate ~horizon =
   if rate <= 0. then invalid_arg "Dist.arrival_times: rate must be positive";
   let mean = 1.0 /. rate in

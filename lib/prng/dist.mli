@@ -20,9 +20,6 @@ val pareto : Rng.t -> scale:float -> shape:float -> float
 val discrete : Rng.t -> ('a * float) array -> 'a
 (** Weighted choice; weights must be non-negative with a positive sum. *)
 
-val empirical : Rng.t -> float array -> float
-(** Uniform choice among the given sample values (non-empty). *)
-
 val arrival_times : Rng.t -> rate:float -> horizon:float -> float list
 (** Event times of a Poisson process of intensity [rate] on
     [\[0, horizon)], in increasing order. *)

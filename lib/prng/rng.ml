@@ -38,8 +38,6 @@ let int64 t =
 
 let split t = of_seed (int64 t)
 
-let bits32 t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
-
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   if n = 1 then 0

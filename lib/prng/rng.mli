@@ -24,9 +24,6 @@ val split : t -> t
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val bits32 : t -> int
-(** 30-bit non-negative integer (compatible with [Random.bits]). *)
-
 val int : t -> int -> int
 (** [int t n] is uniform on [\[0, n)]. Requires [n > 0]. *)
 

@@ -36,8 +36,6 @@ let min_rate_at r ~now =
     let start = Float.max now r.ts in
     if start >= r.tf then None else Some (r.volume /. (r.tf -. start))
 
-let window_length r = r.tf -. r.ts
-
 let duration_at r ~bw =
   if bw <= 0. then invalid_arg "Request.duration_at: bandwidth must be positive";
   r.volume /. bw

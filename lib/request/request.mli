@@ -38,9 +38,6 @@ val min_rate_at : t -> now:float -> float option
     of [ts]: [volume / (tf - now)].  [None] if [now >= tf] (window already
     closed). *)
 
-val window_length : t -> float
-(** [tf - ts]. *)
-
 val duration_at : t -> bw:float -> float
 (** Transmission time [volume / bw] at rate [bw > 0]. *)
 

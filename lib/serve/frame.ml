@@ -43,7 +43,6 @@ let encode_as fmt payload =
   Buffer.contents b
 
 let encode = encode_as Text
-let encode_binary = encode_as Binary
 
 (* Unconsumed input lives in [buf.[start, stop)].  [feed] appends in
    place and [next] advances [start], so n bytes fed in any number of

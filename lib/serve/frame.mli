@@ -44,9 +44,6 @@ val max_frame_default : int
 val encode : string -> string
 (** The [Text]-framed bytes for one payload. *)
 
-val encode_binary : string -> string
-(** The [Binary]-framed bytes for one payload. *)
-
 val encode_as : format -> string -> string
 
 val add_as : format -> Buffer.t -> string -> unit
