@@ -9,4 +9,4 @@ let () =
    @ Test_extras.suites @ Test_transport.suites @ Test_validate.suites
    @ Test_edges.suites @ Test_fault.suites @ Test_obs.suites @ Test_conformance.suites
    @ Test_store.suites @ Test_serve.suites @ Test_wire.suites @ Test_shard.suites
-   @ Test_malleable.suites)
+   @ Test_malleable.suites @ Test_kernels.suites)
