@@ -20,14 +20,26 @@
    timeline ([probe]), reused across queries, rather than building a
    (value, witness) tuple at every level of the descent.
 
-   Float discipline matches [Profile_ref] exactly: keys are compared with
-   [Float.compare] (the ordering of [Map.Make (Float)]), deltas cancel on
-   [= 0.], and aggregate sums are accumulated left-to-right in key order so
-   every level equals the same rounding-order prefix sum the reference
-   computes.  In-place rebalancing performs the same rotations on the same
-   shapes as the previous persistent version, so cached aggregates associate
-   identically and decision streams are bit-identical.  The differential
-   qcheck suite in test/test_timeline.ml pins this equivalence down. *)
+   Float discipline matches [Profile_ref] exactly: keys are ordered as
+   [Map.Make (Float)] orders them, deltas cancel on [= 0.], and aggregate
+   sums are accumulated left-to-right in key order so every level equals
+   the same rounding-order prefix sum the reference computes.  In-place
+   rebalancing performs the same rotations on the same shapes as the
+   previous persistent version, so cached aggregates associate identically
+   and decision streams are bit-identical.  The differential qcheck suite
+   in test/test_timeline.ml pins this equivalence down, and the kernel pins
+   in test/test_kernels.ml pin every answer's bits.
+
+   The hot paths stay free of hidden calls and allocation: keys and bounds
+   are compared with the float operators, not [Float.compare] — the two
+   orders agree on every finite key and on every bound the queries accept
+   (NaN bounds are refused), and [-0.] and [0.] are one key under both;
+   heights take an int maximum, not the polymorphic [max]; a descent
+   rewrites a child pointer only when the subtree's root changed, so an
+   unchanged path pays no write barrier; and the point query keeps the
+   terms of its prefix sum in a float stack owned by the timeline and adds
+   them innermost first, the order the recursive form returned them in,
+   instead of boxing a float at every level. *)
 
 (* All-float payload: flat unboxed float block, mutated in place. *)
 type fl = {
@@ -40,10 +52,13 @@ type fl = {
 
 type tree = Leaf | Node of { mutable l : tree; mutable r : tree; mutable h : int; f : fl }
 
-(* Reusable probe cursor for range-max descents. *)
-type probe = { mutable pbest : float; mutable pbest_at : float }
+(* Reusable probe cursor for range-max descents; [pacc] carries the
+   descent's running offset so no float is passed (boxed) per level. *)
+type probe = { mutable pbest : float; mutable pbest_at : float; mutable pacc : float }
 
-type t = { mutable root : tree; probe : probe }
+(* [stack] holds a point query's prefix-sum terms, one per right turn;
+   it is kept at least as long as the tree is high. *)
+type t = { mutable root : tree; probe : probe; mutable stack : float array }
 
 let height = function Leaf -> 0 | Node n -> n.h
 let sum = function Leaf -> 0. | Node n -> n.f.sum
@@ -59,7 +74,8 @@ let update t =
   | Node n ->
       let f = n.f in
       let here = sum n.l +. f.delta in
-      n.h <- 1 + max (height n.l) (height n.r);
+      let hl = height n.l and hr = height n.r in
+      n.h <- 1 + if hl >= hr then hl else hr;
       f.sum <- here +. sum n.r;
       (match n.l with
       | Leaf ->
@@ -188,8 +204,7 @@ let rec add_delta t key delta =
       if delta = 0. then Leaf
       else Node { l = Leaf; r = Leaf; h = 1; f = { key; delta; sum = delta; best = delta; best_at = key } }
   | Node n ->
-      let c = Float.compare key n.f.key in
-      if c = 0 then begin
+      if key = n.f.key then begin
         let d = n.f.delta +. delta in
         if d = 0. then merge n.l n.r
         else begin
@@ -198,38 +213,62 @@ let rec add_delta t key delta =
           t
         end
       end
-      else if c < 0 then begin
-        n.l <- add_delta n.l key delta;
+      else if key < n.f.key then begin
+        let l = add_delta n.l key delta in
+        if l != n.l then n.l <- l;
         balance t
       end
       else begin
-        n.r <- add_delta n.r key delta;
+        let r = add_delta n.r key delta in
+        if r != n.r then n.r <- r;
         balance t
       end
 
-(* Sum of deltas with key <= time. *)
-let rec prefix_sum tree time =
+(* The terms of the sum of deltas with key <= time, one per node where
+   the descent turns right ([sum l +. delta] there), stored from the root
+   down; returns how many. *)
+let rec prefix_terms tree time stack k =
   match tree with
-  | Leaf -> 0.
+  | Leaf -> k
   | Node n ->
-      if Float.compare n.f.key time <= 0 then sum n.l +. n.f.delta +. prefix_sum n.r time
-      else prefix_sum n.l time
+      if n.f.key <= time then begin
+        stack.(k) <- sum n.l +. n.f.delta;
+        prefix_terms n.r time stack (k + 1)
+      end
+      else prefix_terms n.l time stack k
+
+(* Sum of deltas with key <= time: each right turn's term plus everything
+   below it, [0.] at the leaf — the right-nested order of the recursive
+   [sum l +. delta +. prefix_sum r]. *)
+let prefix_sum t time =
+  let h = height t.root in
+  if Array.length t.stack < h then t.stack <- Array.make (2 * h) 0.;
+  let stack = t.stack in
+  let acc = ref 0. in
+  for i = prefix_terms t.root time stack 0 - 1 downto 0 do
+    acc := stack.(i) +. !acc
+  done;
+  !acc
 
 (* Max (and leftmost witness) of the level after each breakpoint with
-   key > lo, offset by [acc], the sum of all deltas left of this subtree.
-   Subtrees entirely above the bound are answered from their cached
-   aggregates, so the descent visits O(log n) nodes.  Candidates are folded
-   into the probe cursor strictly in key order with strictly-greater
-   replacement — the same (value, leftmost witness) the persistent
-   tuple-returning version computed, without the per-level allocation. *)
-let rec best_above tree lo acc p =
+   key > lo, offset by [p.pacc], the sum of all deltas left of this
+   subtree (the descent may overwrite it).  Subtrees entirely above the
+   bound are answered from their cached aggregates, so the descent visits
+   O(log n) nodes.  Candidates are folded into the probe cursor strictly
+   in key order with strictly-greater replacement — the same (value,
+   leftmost witness) the persistent tuple-returning version computed,
+   without the per-level allocation. *)
+let rec best_above tree lo p =
   match tree with
   | Leaf -> ()
   | Node n ->
-      let here = acc +. sum n.l +. n.f.delta in
-      if Float.compare n.f.key lo <= 0 then best_above n.r lo here p
+      let here = p.pacc +. sum n.l +. n.f.delta in
+      if n.f.key <= lo then begin
+        p.pacc <- here;
+        best_above n.r lo p
+      end
       else begin
-        best_above n.l lo acc p;
+        best_above n.l lo p;
         if here > p.pbest then begin
           p.pbest <- here;
           p.pbest_at <- n.f.key
@@ -245,12 +284,13 @@ let rec best_above tree lo acc p =
       end
 
 (* Symmetric: keys < hi. *)
-let rec best_below tree hi acc p =
+let rec best_below tree hi p =
   match tree with
   | Leaf -> ()
   | Node n ->
-      if Float.compare n.f.key hi >= 0 then best_below n.l hi acc p
+      if n.f.key >= hi then best_below n.l hi p
       else begin
+        let acc = p.pacc in
         let here = acc +. sum n.l +. n.f.delta in
         (match n.l with
         | Leaf -> ()
@@ -264,30 +304,36 @@ let rec best_below tree hi acc p =
           p.pbest <- here;
           p.pbest_at <- n.f.key
         end;
-        best_below n.r hi here p
+        p.pacc <- here;
+        best_below n.r hi p
       end
 
 (* Keys strictly inside (lo, hi): descend to the split node, then the two
    one-sided searches above. *)
-let rec best_between tree ~lo ~hi acc p =
+let rec best_between tree ~lo ~hi p =
   match tree with
   | Leaf -> ()
   | Node n ->
-      if Float.compare n.f.key lo <= 0 then best_between n.r ~lo ~hi (acc +. sum n.l +. n.f.delta) p
-      else if Float.compare n.f.key hi >= 0 then best_between n.l ~lo ~hi acc p
+      if n.f.key <= lo then begin
+        p.pacc <- p.pacc +. sum n.l +. n.f.delta;
+        best_between n.r ~lo ~hi p
+      end
+      else if n.f.key >= hi then best_between n.l ~lo ~hi p
       else begin
-        let here = acc +. sum n.l +. n.f.delta in
-        best_above n.l lo acc p;
+        let here = p.pacc +. sum n.l +. n.f.delta in
+        best_above n.l lo p;
         if here > p.pbest then begin
           p.pbest <- here;
           p.pbest_at <- n.f.key
         end;
-        best_below n.r hi here p
+        p.pacc <- here;
+        best_below n.r hi p
       end
 
 (* --- public interface --- *)
 
-let create () = { root = Leaf; probe = { pbest = neg_infinity; pbest_at = Float.nan } }
+let fresh_probe () = { pbest = neg_infinity; pbest_at = Float.nan; pacc = 0. }
+let create () = { root = Leaf; probe = fresh_probe (); stack = [||] }
 
 let rec copy_tree = function
   | Leaf -> Leaf
@@ -307,7 +353,7 @@ let rec copy_tree = function
             };
         }
 
-let copy t = { root = copy_tree t.root; probe = { pbest = neg_infinity; pbest_at = Float.nan } }
+let copy t = { root = copy_tree t.root; probe = fresh_probe (); stack = [||] }
 let clear t = t.root <- Leaf
 let is_empty t = t.root = Leaf
 
@@ -318,24 +364,30 @@ let add t ~from_ ~until bw =
   t.root <- add_delta (add_delta t.root from_ bw) until (-.bw)
 
 let remove t ~from_ ~until bw = add t ~from_ ~until (-.bw)
-let usage_at t time = prefix_sum t.root time
+let usage_at t time = prefix_sum t time
 
-let max_over t ~from_ ~until =
-  if from_ >= until then invalid_arg "Timeline.max_over: empty interval";
-  let start_level = prefix_sum t.root from_ in
+(* The best level over the breakpoints inside (from_, until), into the
+   probe.  [not (from_ < until)] also refuses a NaN bound, which the float
+   operators and [Float.compare] would order differently. *)
+let probe_range t what ~from_ ~until =
+  if not (from_ < until) then invalid_arg ("Timeline." ^ what ^ ": empty or NaN interval");
   let p = t.probe in
   p.pbest <- neg_infinity;
   p.pbest_at <- Float.nan;
-  best_between t.root ~lo:from_ ~hi:until 0. p;
-  Float.max start_level p.pbest
+  p.pacc <- 0.;
+  best_between t.root ~lo:from_ ~hi:until p
+
+(* The level {!argmax_over} reports. *)
+let max_over t ~from_ ~until =
+  probe_range t "max_over" ~from_ ~until;
+  let start_level = prefix_sum t from_ in
+  let best = t.probe.pbest in
+  if best > start_level then best else start_level
 
 let argmax_over t ~from_ ~until =
-  if from_ >= until then invalid_arg "Timeline.argmax_over: empty interval";
-  let start_level = prefix_sum t.root from_ in
+  probe_range t "argmax_over" ~from_ ~until;
+  let start_level = prefix_sum t from_ in
   let p = t.probe in
-  p.pbest <- neg_infinity;
-  p.pbest_at <- Float.nan;
-  best_between t.root ~lo:from_ ~hi:until 0. p;
   if p.pbest > start_level then (p.pbest_at, p.pbest) else (from_, start_level)
 
 let peak t = match t.root with Leaf -> 0.0 | Node n -> Float.max 0.0 n.f.best
