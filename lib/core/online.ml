@@ -9,18 +9,22 @@ module Span = Gridbw_obs.Span
 
 let admit_span = Obs.span_key "admit"
 
+(* A booking on the release queue.  [held] goes false when its bandwidth
+   goes back, at its [tau] or at a preemption, whichever comes first; a
+   preempted booking stays queued and is skipped when its [tau] is
+   drained.  [seq] numbers the bookings in the order they were made. *)
+type booking = { a : Allocation.t; seq : int; mutable held : bool }
+
 type t = {
   live : Live.t;
-  releases : Allocation.t Event_queue.t;
+  releases : booking Event_queue.t;
   mutable clock : float;
-  (* Physical identities of the allocations whose bandwidth is still held.
-     Preemption removes an entry without touching [releases]; the stale
-     queue entry is skipped when its release time is drained. *)
-  mutable active : Allocation.t list;
+  mutable active : int;  (** bookings still held *)
+  mutable booked : int;  (** bookings made *)
 }
 
 let create fabric =
-  { live = Live.create fabric; releases = Event_queue.create (); clock = neg_infinity; active = [] }
+  { live = Live.create fabric; releases = Event_queue.create (); clock = neg_infinity; active = 0; booked = 0 }
 
 let fabric t = Live.fabric t.live
 let now t = t.clock
@@ -33,34 +37,26 @@ let clamp_past t time =
   else if t.clock -. time <= 1e-9 *. Float.max 1.0 (Float.abs t.clock) then t.clock
   else invalid_arg "Online.advance_to: time moves backwards"
 
-(* Drop the first cell physically equal to [a] in one walk, sharing the
-   tail after it so the list keeps its order; [false] when [a] is not
-   held.  The fault injector picks victims by that order. *)
-let take_active t a =
-  let rec drop = function
-    | [] -> raise_notrace Not_found
-    | b :: rest -> if b == a then rest else b :: drop rest
-  in
-  match drop t.active with
-  | rest ->
-      t.active <- rest;
-      true
-  | exception Not_found -> false
+let book t a =
+  Event_queue.push t.releases ~time:a.Allocation.tau { a; seq = t.booked; held = true };
+  t.booked <- t.booked + 1;
+  t.active <- t.active + 1
+
+let release t b =
+  b.held <- false;
+  t.active <- t.active - 1;
+  let a = b.a in
+  Live.release t.live ~ingress:a.Allocation.request.Request.ingress
+    ~egress:a.Allocation.request.Request.egress ~bw:a.Allocation.bw
 
 let advance_to t time =
   let time = clamp_past t time in
   t.clock <- time;
-  let rec drain () =
-    match Event_queue.peek t.releases with
-    | Some (tau, a) when tau <= time ->
-        ignore (Event_queue.pop t.releases);
-        if take_active t a then
-          Live.release t.live ~ingress:a.Allocation.request.Request.ingress
-            ~egress:a.Allocation.request.Request.egress ~bw:a.Allocation.bw;
-        drain ()
-    | _ -> ()
-  in
-  drain ()
+  let q = t.releases in
+  while (not (Event_queue.is_empty q)) && Event_queue.next_time q <= time do
+    let b = Event_queue.take q in
+    if b.held then release t b
+  done
 
 (* The port that could not fit the request, with its spare bandwidth at
    decision time — the "why" recorded on a Port_saturated trace event.
@@ -72,39 +68,40 @@ let blocking_port t (r : Request.t) =
   if head_in <= head_out then ((Event.Ingress, r.ingress), head_in)
   else ((Event.Egress, r.egress), head_out)
 
+let decide t policy (r : Request.t) ~at =
+  match Policy.assign policy r ~now:at with
+  | None -> Types.Rejected Types.Deadline_unreachable
+  | Some bw ->
+      if Live.try_grab t.live ~ingress:r.ingress ~egress:r.egress ~bw then begin
+        let a = Allocation.make ~request:r ~bw ~sigma:(Float.max at r.ts) in
+        book t a;
+        Types.Accepted a
+      end
+      else Types.Rejected Types.Port_saturated
+
 let try_admit ?(ctx = Runtime.default) t policy (r : Request.t) ~at =
   let obs = ctx.Runtime.obs in
   let at = clamp_past t at in
   advance_to t at;
-  let blocked = ref None in
-  let decide () =
-    match Policy.assign policy r ~now:at with
-    | None -> Types.Rejected Types.Deadline_unreachable
-    | Some bw ->
-        if Live.try_grab t.live ~ingress:r.ingress ~egress:r.egress ~bw then begin
-          let a = Allocation.make ~request:r ~bw ~sigma:(Float.max at r.ts) in
-          Event_queue.push t.releases ~time:a.Allocation.tau a;
-          t.active <- a :: t.active;
-          Types.Accepted a
-        end
-        else begin
-          if obs.Obs.enabled then blocked := Some (blocking_port t r);
-          Types.Rejected Types.Port_saturated
-        end
-  in
-  if not obs.Obs.enabled then decide ()
+  if not obs.Obs.enabled then decide t policy r ~at
   else begin
     let span = ctx.Runtime.span in
     let t0 = match span with Some _ -> Span.now_ns () | None -> 0. in
     let p0 = match span with Some _ -> Live.probe_count t.live | None -> 0 in
-    let decision = Obs.span obs admit_span decide in
+    let decision = Obs.span obs admit_span (fun () -> decide t policy r ~at) in
+    (* A reject changes no counter, so the port is the one that blocked. *)
+    let blocked =
+      match decision with
+      | Types.Rejected Types.Port_saturated -> Some (blocking_port t r)
+      | Types.Accepted _ | Types.Rejected _ -> None
+    in
     (match span with
-    | None -> Emit.emit_decision obs ~time:at ?blocked:!blocked r decision
+    | None -> Emit.emit_decision obs ~time:at ?blocked r decision
     | Some sp ->
         Span.record sp Span.Admit_search (Span.now_ns () -. t0);
         Span.add_probes sp (Live.probe_count t.live - p0);
         Span.timed span Span.Wal_append (fun () ->
-            Emit.emit_decision obs ~time:at ?blocked:!blocked r decision));
+            Emit.emit_decision obs ~time:at ?blocked r decision));
     decision
   end
 
@@ -115,25 +112,37 @@ let peek_cost t policy (r : Request.t) ~at =
   | None -> None
   | Some bw -> Some (bw, Live.saturation t.live ~ingress:r.ingress ~egress:r.egress ~bw)
 
+(* The held booking of [a] (by physical identity), if any. *)
+let held_booking t (a : Allocation.t) =
+  Event_queue.fold (fun found b -> if b.held && b.a == a then Some b else found) None t.releases
+
+(* The newest held booking of request [id], if any. *)
+let newest_held t id =
+  Event_queue.fold
+    (fun found b ->
+      if b.held && b.a.Allocation.request.Request.id = id then
+        match found with Some f when f.seq > b.seq -> found | _ -> Some b
+      else found)
+    None t.releases
+
 let preempt ?(ctx = Runtime.default) t (a : Allocation.t) =
   let obs = ctx.Runtime.obs in
-  if take_active t a then begin
-    Live.release t.live ~ingress:a.Allocation.request.Request.ingress
-      ~egress:a.Allocation.request.Request.egress ~bw:a.Allocation.bw;
-    if obs.Obs.enabled then begin
-      Obs.count obs "preempted_total";
-      Obs.event obs (fun () ->
-          Event.Preempt
-            {
-              time = t.clock;
-              id = a.Allocation.request.Request.id;
-              bw = a.Allocation.bw;
-              shard = None;
-            })
-    end;
-    true
-  end
-  else false
+  match held_booking t a with
+  | None -> false
+  | Some b ->
+      release t b;
+      if obs.Obs.enabled then begin
+        Obs.count obs "preempted_total";
+        Obs.event obs (fun () ->
+            Event.Preempt
+              {
+                time = t.clock;
+                id = a.Allocation.request.Request.id;
+                bw = a.Allocation.bw;
+                shard = None;
+              })
+      end;
+      true
 
 (* Rebuild the controller state of a journaled run, one event at a time
    in journal order.  The counters are float accumulators, so
@@ -151,22 +160,19 @@ let replay t ev =
       advance_to t time;
       if not (Live.try_grab t.live ~ingress ~egress ~bw) then
         invalid_arg (Printf.sprintf "Online.replay: journaled allocation %d does not fit" id);
-      Event_queue.push t.releases ~time:a.Allocation.tau a;
-      t.active <- a :: t.active;
+      book t a;
       Some a
   | Event.Reject { time; _ } ->
       advance_to t time;
       None
   | Event.Preempt { time; id; _ } ->
       advance_to t time;
-      (match List.find_opt (fun b -> b.Allocation.request.Request.id = id) t.active with
-      | Some a -> ignore (preempt t a)
-      | None -> ());
+      Option.iter (release t) (newest_held t id);
       None
   | Event.Arrival _ | Event.Reshape _ | Event.Capacity _ | Event.Shed _ | Event.Dispatch _ -> None
 
 let set_fabric t fabric = Live.set_fabric t.live fabric
-let active_count t = List.length t.active
+let active_count t = t.active
 
 let used t port =
   match (port : Gridbw_alloc.Port.t) with

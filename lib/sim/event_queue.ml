@@ -56,17 +56,30 @@ let push t ~time payload =
 
 let peek t = if t.size = 0 then None else Some (t.heap.(0).time, t.heap.(0).payload)
 
+let next_time t = if t.size = 0 then infinity else t.heap.(0).time
+
+let take t =
+  if t.size = 0 then invalid_arg "Event_queue.take: empty queue";
+  let top = t.heap.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.heap.(0) <- t.heap.(t.size);
+    sift_down t 0
+  end;
+  top.payload
+
 let pop t =
   if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      sift_down t 0
-    end;
-    Some (top.time, top.payload)
-  end
+  else
+    let time = t.heap.(0).time in
+    Some (time, take t)
+
+let fold f init t =
+  let acc = ref init in
+  for i = 0 to t.size - 1 do
+    acc := f !acc t.heap.(i).payload
+  done;
+  !acc
 
 let is_empty t = t.size = 0
 let length t = t.size

@@ -17,6 +17,18 @@ val pop : 'a t -> (float * 'a) option
 val peek : 'a t -> (float * 'a) option
 (** Earliest event without removing it. *)
 
+val next_time : 'a t -> float
+(** Time of the earliest event; [infinity] when the queue is empty.
+    Allocates nothing. *)
+
+val take : 'a t -> 'a
+(** Remove the earliest event, FIFO among equal times, and return its
+    payload without allocating.  Raises [Invalid_argument] on an empty
+    queue. *)
+
+val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
+(** Fold over the queued payloads in no particular order. *)
+
 val is_empty : 'a t -> bool
 val length : 'a t -> int
 val clear : 'a t -> unit
