@@ -327,6 +327,108 @@ let online_peek_does_not_mutate () =
   check_approx "nothing grabbed" 0.0 (Online.used ctl (Port.Ingress 0));
   Alcotest.(check int) "nothing active" 0 (Online.active_count ctl)
 
+(* The controller against a counted model, on random sequences of
+   admissions, clock advances and preemptions.  Ids are drawn from a small
+   range, so one id is often booked twice; a preemption may name an
+   allocation that was already preempted or has passed its [tau].  After
+   every step, [active_count] must equal the model's held bookings, and a
+   preemption must answer [true] exactly when its allocation is held.  At
+   the end the journaled events, replayed into a fresh controller advanced
+   to the same clock, must rebuild every port counter bit for bit.  A
+   [Preempt] event names only the id, and replay releases the id's newest
+   held booking, so that last check applies to runs whose every
+   preemption took its id's newest held booking. *)
+type online_op =
+  | Admit of { id : int; ingress : int; egress : int; delay : float; span : float; load : float; headroom : float }
+  | Advance of float
+  | Preempt of int
+
+let online_op_gen =
+  let open QCheck2.Gen in
+  frequency
+    [
+      ( 5,
+        map
+          (fun (id, ingress, egress, (delay, span, load, headroom)) ->
+            Admit { id; ingress; egress; delay; span; load; headroom })
+          (quad (int_range 0 3) (int_range 0 1) (int_range 0 1)
+             (quad (float_range 0. 3.) (float_range 0.5 20.) (float_range 0.05 1.) (float_range 1. 4.))) );
+      (2, map (fun dt -> Advance dt) (float_range 0. 8.));
+      (3, map (fun k -> Preempt k) (int_range 0 1000));
+    ]
+
+let online_matches_model (policy, ops) =
+  let fabric = fabric2 () in
+  let events = ref [] in
+  let sink = { Gridbw_obs.Sink.emit = (fun ev -> events := ev :: !events); flush = ignore } in
+  let ctx = Gridbw_core.Runtime.make ~obs:(Gridbw_obs.Obs.create ~sink ()) () in
+  let ctl = Online.create fabric in
+  (* (allocation, held), newest first *)
+  let booked = ref [] in
+  let unambiguous = ref true in
+  let settle () =
+    let now = Online.now ctl in
+    List.iter (fun ((a : Allocation.t), held) -> if a.Allocation.tau <= now then held := false) !booked
+  in
+  let step op =
+    match op with
+    | Admit { id; ingress; egress; delay; span; load; headroom } -> (
+        let ts = Float.max 0. (Online.now ctl) +. delay in
+        let volume = load *. 100. *. span in
+        let r = req ~id ~ingress ~egress ~volume ~ts ~tf:(ts +. span) ~max_rate:(headroom *. volume /. span) () in
+        let d = Online.try_admit ~ctx ctl policy r ~at:(Float.max (Online.now ctl) ts) in
+        settle ();
+        match d with Types.Accepted a -> booked := (a, ref true) :: !booked | Types.Rejected _ -> ())
+    | Advance dt ->
+        Online.advance_to ctl (Float.max 0. (Online.now ctl) +. dt);
+        settle ()
+    | Preempt k -> (
+        match !booked with
+        | [] -> ()
+        | _ ->
+            let a, held = List.nth !booked (k mod List.length !booked) in
+            let expected = !held in
+            if Online.preempt ~ctx ctl a <> expected then
+              Alcotest.failf "preempt of request %d answered %b" a.Allocation.request.Request.id (not expected);
+            if expected then begin
+              let rec newer = function
+                | [] -> false
+                | (b, hb) :: rest ->
+                    if b == a then false
+                    else (!hb && b.Allocation.request.Request.id = a.Allocation.request.Request.id) || newer rest
+              in
+              if newer !booked then unambiguous := false;
+              held := false
+            end)
+  in
+  List.iter
+    (fun op ->
+      step op;
+      let held = List.length (List.filter (fun (_, h) -> !h) !booked) in
+      if Online.active_count ctl <> held then
+        Alcotest.failf "active_count %d, model %d" (Online.active_count ctl) held)
+    ops;
+  if !unambiguous then begin
+    let replayed = Online.create fabric in
+    List.iter (fun ev -> ignore (Online.replay replayed ev)) (List.rev !events);
+    if Online.now ctl > neg_infinity then Online.advance_to replayed (Online.now ctl);
+    let same port =
+      Int64.equal (Int64.bits_of_float (Online.used ctl port)) (Int64.bits_of_float (Online.used replayed port))
+    in
+    List.iter
+      (fun port -> if not (same port) then Alcotest.failf "replayed %a differs" Port.pp port)
+      [ Port.Ingress 0; Port.Ingress 1; Port.Egress 0; Port.Egress 1 ];
+    if Online.active_count replayed <> Online.active_count ctl then
+      Alcotest.failf "replayed active_count %d, live %d" (Online.active_count replayed) (Online.active_count ctl)
+  end;
+  true
+
+let online_model_gen =
+  QCheck2.Gen.(
+    pair
+      (oneofl [ Policy.Min_rate; Policy.Fraction_of_max 0.8; Policy.Fraction_of_max 1.0 ])
+      (list_size (int_range 1 60) online_op_gen))
+
 let suites =
   [
     ( "flexible-greedy",
@@ -372,5 +474,7 @@ let suites =
         case "rounding dust is clamped" online_clamps_rounding_dust;
         case "active count follows releases" online_active_count;
         case "peek_cost does not mutate" online_peek_does_not_mutate;
+        qcase ~count:300 "preempt, active_count and replay match a counted model" online_model_gen
+          online_matches_model;
       ] );
   ]

@@ -150,6 +150,54 @@ let rejects_bad_interval () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty query interval accepted"
 
+(* A NaN bound is refused like an empty interval: every comparison with
+   it is false, so a descent would otherwise answer from an arbitrary
+   path. *)
+let rejects_nan_bounds () =
+  let tl = Timeline.create () in
+  Timeline.add tl ~from_:1. ~until:4. 10.;
+  let refused name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: NaN bound accepted" name
+  in
+  refused "max_over from_" (fun () -> Timeline.max_over tl ~from_:Float.nan ~until:5.);
+  refused "max_over until" (fun () -> Timeline.max_over tl ~from_:0. ~until:Float.nan);
+  refused "argmax_over from_" (fun () -> fst (Timeline.argmax_over tl ~from_:Float.nan ~until:5.));
+  refused "argmax_over until" (fun () -> fst (Timeline.argmax_over tl ~from_:0. ~until:Float.nan))
+
+(* -0. and 0. are one key: they merge into one breakpoint and cancel
+   exactly, as in the reference map. *)
+let signed_zero_is_one_key () =
+  let tl = Timeline.create () in
+  Timeline.add tl ~from_:(-0.) ~until:5. 10.;
+  Timeline.add tl ~from_:0. ~until:3. 5.;
+  Alcotest.(check int) "one breakpoint at zero" 3 (List.length (Timeline.breakpoints tl));
+  Alcotest.(check (float 0.)) "level at 0." 15. (Timeline.usage_at tl 0.);
+  Alcotest.(check (float 0.)) "level at -0." 15. (Timeline.usage_at tl (-0.));
+  Alcotest.(check (float 0.)) "max from -0." 15. (Timeline.max_over tl ~from_:(-0.) ~until:4.);
+  Timeline.remove tl ~from_:0. ~until:5. 10.;
+  Timeline.remove tl ~from_:(-0.) ~until:3. 5.;
+  Alcotest.(check bool) "cancels to empty" true (Timeline.is_empty tl)
+
+(* Infinite bounds are answered as before: the whole axis, or one side
+   of it, with [from_] the witness when nothing inside beats its level. *)
+let infinite_bounds () =
+  let tl = Timeline.create () in
+  Timeline.add tl ~from_:1. ~until:4. 10.;
+  Timeline.add tl ~from_:2. ~until:6. 20.;
+  let pair = Alcotest.(pair (float 0.) (float 0.)) in
+  Alcotest.(check (float 0.)) "max whole axis" 30. (Timeline.max_over tl ~from_:neg_infinity ~until:infinity);
+  Alcotest.check pair "argmax whole axis" (2., 30.) (Timeline.argmax_over tl ~from_:neg_infinity ~until:infinity);
+  Alcotest.(check (float 0.)) "max left ray" 10. (Timeline.max_over tl ~from_:neg_infinity ~until:1.5);
+  Alcotest.check pair "argmax left ray" (1., 10.) (Timeline.argmax_over tl ~from_:neg_infinity ~until:1.5);
+  Alcotest.check pair "argmax empty left ray" (neg_infinity, 0.)
+    (Timeline.argmax_over tl ~from_:neg_infinity ~until:0.5);
+  Alcotest.(check (float 0.)) "max right ray" 20. (Timeline.max_over tl ~from_:5. ~until:infinity);
+  Alcotest.check pair "argmax right ray" (5., 20.) (Timeline.argmax_over tl ~from_:5. ~until:infinity);
+  Alcotest.(check (float 0.)) "level at -inf" 0. (Timeline.usage_at tl neg_infinity);
+  Alcotest.(check (float 0.)) "level at +inf" 0. (Timeline.usage_at tl infinity)
+
 let argmax_prefers_earliest () =
   let tl = Timeline.create () in
   (* Two disjoint plateaus at the same level: the earlier one wins. *)
@@ -290,6 +338,9 @@ let suites =
         case "copy is an O(1) snapshot" copy_is_snapshot;
         case "rejects bad intervals" rejects_bad_interval;
         case "argmax prefers the earliest witness" argmax_prefers_earliest;
+        case "NaN bounds are refused" rejects_nan_bounds;
+        case "-0. and 0. are one key" signed_zero_is_one_key;
+        case "infinite bounds answer as before" infinite_bounds;
       ] );
     ( "ledger-port",
       [
