@@ -12,7 +12,9 @@
     the last ulp when deltas are not exactly representable sums.  The
     admission slack in {!Ledger} (1e-9 relative) dwarfs this.  The
     differential suite in test/test_timeline.ml checks exact equality on an
-    exactly-representable grid and tolerance equality on arbitrary floats. *)
+    exactly-representable grid and tolerance equality on arbitrary floats;
+    test/test_kernels.ml pins the bits of every answer on arbitrary
+    floats, so the association itself cannot change unnoticed. *)
 
 type t
 
@@ -39,14 +41,17 @@ val usage_at : t -> float -> float
     O(log n). *)
 
 val max_over : t -> from_:float -> until:float -> float
-(** Maximum allocated bandwidth over [\[from_, until)].  0 on an empty
-    timeline.  Requires [from_ < until].  O(log n). *)
+(** Maximum allocated bandwidth over [\[from_, until)]: the level
+    {!argmax_over} reports.  0 on an empty timeline.  Raises
+    [Invalid_argument] unless [from_ < until], so also on a NaN bound;
+    infinite bounds are answered.  O(log n). *)
 
 val argmax_over : t -> from_:float -> until:float -> float * float
 (** [(time, level)] of the maximum over [\[from_, until)]: the earliest
     time in the interval at which {!max_over}'s value is reached ([from_]
     itself when no interior breakpoint exceeds the start level, matching a
-    left-to-right scan with strictly-greater replacement).  O(log n). *)
+    left-to-right scan with strictly-greater replacement).  Bounds as
+    for {!max_over}.  O(log n). *)
 
 val peak : t -> float
 (** Maximum usage over the whole time axis. *)

@@ -67,8 +67,8 @@ val replay : t -> Gridbw_obs.Event.t -> Gridbw_alloc.Allocation.t option
       fields at the event's time (advance, grab, queue its release) and
       returns it;
     - a [Reject] advances the clock to its time;
-    - a [Preempt] advances the clock and releases the still-held
-      allocation of that id, if any;
+    - a [Preempt] advances the clock and releases the newest still-held
+      booking of that id, if any;
     - every other event is ignored.
     Nothing is emitted.  Replaying the events a run journaled leaves the
     port counters, the held allocations and the clock bit-identical to
