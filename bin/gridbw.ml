@@ -451,13 +451,11 @@ let run_cmd =
     | _ -> ());
     let summary = Summary.compute fabric ~all:requests ~accepted:result.Types.accepted in
     Format.printf "%a@." Summary.pp summary;
-    (match Gridbw_metrics.Validate.check fabric result.Types.accepted with
-    | [] -> ()
-    | violations ->
-        prerr_endline "internal error: infeasible schedule";
-        prerr_endline (Gridbw_metrics.Validate.report fabric result.Types.accepted);
-        ignore violations;
-        exit 1)
+    if not (Gridbw_metrics.Validate.is_valid fabric result.Types.accepted) then begin
+      prerr_endline "internal error: infeasible schedule";
+      prerr_endline (Gridbw_metrics.Validate.report fabric result.Types.accepted);
+      exit 1
+    end
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one heuristic on a workload trace and print its summary.")

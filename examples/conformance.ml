@@ -1,6 +1,7 @@
 (* Conformance: generate an adversarial scenario from the fuzzer's
    generator, sweep every shipped scheduler over it, and score each run
-   with the executable reference model (Definition 1 restated naively).
+   with the reference audit: decision-stream bookkeeping plus the one
+   check of Definition 1's constraint set (1), [Validate.check].
 
      dune exec examples/conformance.exe *)
 

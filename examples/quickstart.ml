@@ -47,4 +47,4 @@ let () =
 
   let summary = Summary.compute fabric ~all:requests ~accepted:result.Types.accepted in
   Format.printf "@.%a@." Summary.pp summary;
-  assert (Summary.all_feasible fabric result.Types.accepted)
+  assert (Gridbw_metrics.Validate.is_valid fabric result.Types.accepted)

@@ -51,7 +51,7 @@ let () =
       (fun (name, kind) ->
         let result = Rigid.run kind fabric requests in
         let s = Summary.compute fabric ~all:requests ~accepted:result.Types.accepted in
-        assert (Summary.all_feasible fabric result.Types.accepted);
+        assert (Gridbw_metrics.Validate.is_valid fabric result.Types.accepted);
         [
           name;
           string_of_int s.Summary.accepted;

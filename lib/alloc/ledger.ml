@@ -50,19 +50,25 @@ let capacity t port =
 (* Relative slack absorbing float accumulation in capacity comparisons. *)
 let le_cap used cap = used <= cap *. (1. +. 1e-9)
 
+(* A zero-length interval ([from_ = until]) holds nothing, as in the
+   feasibility sweep: it always fits, and booking or releasing it is a
+   no-op.  Inverted and NaN bounds still raise. *)
 let fits_interval t ~ingress ~egress ~bw ~from_ ~until =
   if not (Fabric.valid_ingress t.fabric ingress) then
     invalid_arg "Ledger.fits_interval: bad ingress port";
   if not (Fabric.valid_egress t.fabric egress) then
     invalid_arg "Ledger.fits_interval: bad egress port";
-  if from_ >= until then invalid_arg "Ledger.fits_interval: empty interval";
-  t.probes <- t.probes + 2;
-  le_cap
-    (Timeline.max_over t.ingress.(ingress) ~from_ ~until +. bw)
-    (Fabric.ingress_capacity t.fabric ingress)
-  && le_cap
-       (Timeline.max_over t.egress.(egress) ~from_ ~until +. bw)
-       (Fabric.egress_capacity t.fabric egress)
+  if from_ = until then true
+  else begin
+    if from_ > until then invalid_arg "Ledger.fits_interval: inverted interval";
+    t.probes <- t.probes + 2;
+    le_cap
+      (Timeline.max_over t.ingress.(ingress) ~from_ ~until +. bw)
+      (Fabric.ingress_capacity t.fabric ingress)
+    && le_cap
+         (Timeline.max_over t.egress.(egress) ~from_ ~until +. bw)
+         (Fabric.egress_capacity t.fabric egress)
+  end
 
 let ports (a : Allocation.t) =
   (a.Allocation.request.Request.ingress, a.Allocation.request.Request.egress)
@@ -73,12 +79,16 @@ let fits t a =
     ~until:a.Allocation.tau
 
 let reserve_interval t ~ingress ~egress ~bw ~from_ ~until =
-  Timeline.add t.ingress.(ingress) ~from_ ~until bw;
-  Timeline.add t.egress.(egress) ~from_ ~until bw
+  if from_ <> until then begin
+    Timeline.add t.ingress.(ingress) ~from_ ~until bw;
+    Timeline.add t.egress.(egress) ~from_ ~until bw
+  end
 
 let release_interval t ~ingress ~egress ~bw ~from_ ~until =
-  Timeline.remove t.ingress.(ingress) ~from_ ~until bw;
-  Timeline.remove t.egress.(egress) ~from_ ~until bw
+  if from_ <> until then begin
+    Timeline.remove t.ingress.(ingress) ~from_ ~until bw;
+    Timeline.remove t.egress.(egress) ~from_ ~until bw
+  end
 
 let reserve t a =
   if not (fits t a) then invalid_arg "Ledger.reserve: allocation exceeds port capacity";

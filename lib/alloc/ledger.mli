@@ -26,7 +26,9 @@ val fits : t -> Allocation.t -> bool
     over [\[sigma, tau)]? *)
 
 val fits_interval : t -> ingress:int -> egress:int -> bw:float -> from_:float -> until:float -> bool
-(** Same check for an explicit port pair / rate / interval. *)
+(** Same check for an explicit port pair / rate / interval.  A
+    zero-length interval ([from_ = until]) holds nothing and always fits;
+    an inverted or NaN one raises [Invalid_argument]. *)
 
 val reserve : t -> Allocation.t -> unit
 (** Record the allocation.  Raises [Invalid_argument] if it does not fit —
@@ -38,7 +40,8 @@ val release : t -> Allocation.t -> unit
 val reserve_interval : t -> ingress:int -> egress:int -> bw:float -> from_:float -> until:float -> unit
 (** Unchecked low-level reservation on an explicit interval (used by the
     slot heuristics that reserve window slices rather than whole
-    allocations). *)
+    allocations).  A zero-length interval is a no-op, as in
+    {!release_interval}. *)
 
 val release_interval : t -> ingress:int -> egress:int -> bw:float -> from_:float -> until:float -> unit
 

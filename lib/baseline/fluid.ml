@@ -20,11 +20,7 @@ type result = {
 type active = { req : Request.t; mutable remaining : float }
 
 let simulate fabric requests =
-  List.iter
-    (fun (r : Request.t) ->
-      if not (Request.routed_on r fabric) then
-        invalid_arg (Printf.sprintf "Fluid: request %d routed on unknown port" r.id))
-    requests;
+  Request.check_routes "Fluid" fabric requests;
   let caps_in = Array.init (Fabric.ingress_count fabric) (Fabric.ingress_capacity fabric) in
   let caps_out = Array.init (Fabric.egress_count fabric) (Fabric.egress_capacity fabric) in
   let pending =

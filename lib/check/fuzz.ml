@@ -72,8 +72,7 @@ let replay_hint name =
       Some (String.sub p 2 (String.length p - 2))
     else None
   in
-  (* "malleable(ba=7,no-reshape)" → the flag spelling of each option;
-     "malleable-constant" is a parity fixture with no CLI spelling. *)
+  (* "malleable(ba=7,no-reshape)" → the flag spelling of each option. *)
   let malleable_args inner =
     List.fold_left
       (fun acc opt ->

@@ -1,10 +1,10 @@
 (** Differential conformance harness.
 
     Drives every {!Gridbw_core.Scheduler.S} implementation over a
-    {!Scenario}, cross-checks each run against the {!Reference} model
-    {e and} {!Gridbw_metrics.Validate} (two independent oracles that must
-    agree), and applies metamorphic properties that hold for the shipped
-    engines by construction:
+    {!Scenario}, checks each run with {!Reference.audit} (decision-stream
+    bookkeeping plus {!Gridbw_metrics.Validate}, the one check of
+    constraint set (1)), and applies metamorphic properties that hold for
+    the shipped engines by construction:
 
     - {b M1 determinism} — two runs on identical input take identical
       decisions (all engines; catches hidden state).

@@ -17,11 +17,7 @@ type release = { ingress : int; egress : int; bw : float }
 let run fabric policy ~gossip_interval requests =
   if gossip_interval < 0. then invalid_arg "Distributed.run: negative gossip interval";
   Policy.validate policy;
-  List.iter
-    (fun (r : Request.t) ->
-      if not (Request.routed_on r fabric) then
-        invalid_arg (Printf.sprintf "Distributed: request %d routed on unknown port" r.id))
-    requests;
+  Request.check_routes "Distributed" fabric requests;
   let m = Fabric.ingress_count fabric and n = Fabric.egress_count fabric in
   (* Ground truth (what the network actually carries). *)
   let true_in = Array.make m 0.0 and true_out = Array.make n 0.0 in

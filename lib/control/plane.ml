@@ -38,11 +38,7 @@ let run fabric config requests =
   if config.hop_latency < 0. || config.decision_latency < 0. then
     invalid_arg "Plane.run: latencies must be non-negative";
   Policy.validate config.policy;
-  List.iter
-    (fun (r : Request.t) ->
-      if not (Request.routed_on r fabric) then
-        invalid_arg (Printf.sprintf "Plane: request %d routed on unknown port" r.id))
-    requests;
+  Request.check_routes "Plane" fabric requests;
   let engine = Engine.create () in
   let ctl = Online.create fabric in
   let transcripts = ref [] in

@@ -15,11 +15,7 @@ type solution = { count : int; accepted_ids : int list; optimal : bool; nodes : 
    Past [node_budget] explored nodes the incumbent is returned with
    [optimal = false]. *)
 let search ~node_budget fabric requests branch =
-  List.iter
-    (fun (r : Request.t) ->
-      if not (Request.routed_on r fabric) then
-        invalid_arg (Printf.sprintf "Exact: request %d routed on unknown port" r.id))
-    requests;
+  Request.check_routes "Exact" fabric requests;
   let arr =
     Array.of_list
       (List.sort

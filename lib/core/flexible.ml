@@ -8,13 +8,6 @@ module Event = Gridbw_obs.Event
 
 let pack_span = Obs.span_key "pack_batch"
 
-let check_routing fabric requests =
-  List.iter
-    (fun (r : Request.t) ->
-      if not (Request.routed_on r fabric) then
-        invalid_arg (Printf.sprintf "Flexible: request %d routed on unknown port" r.id))
-    requests
-
 let arrival_compare (a : Request.t) (b : Request.t) =
   match Float.compare a.ts b.ts with
   | 0 -> (
@@ -55,7 +48,7 @@ let collect all decisions =
    decision was lost must not arrive twice in the journal. *)
 let greedy ?(ctx = Runtime.default) ?journal fabric policy requests =
   let obs = ctx.Runtime.obs in
-  check_routing fabric requests;
+  Request.check_routes "Flexible" fabric requests;
   Policy.validate policy;
   let ctl = Online.create fabric in
   let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
@@ -344,7 +337,7 @@ let window ?(ctx = Runtime.default) fabric policy ~step requests =
   let obs = ctx.Runtime.obs in
   if step <= 0. || not (Float.is_finite step) then
     invalid_arg "Flexible.window: step must be positive and finite";
-  check_routing fabric requests;
+  Request.check_routes "Flexible" fabric requests;
   Policy.validate policy;
   let ledger = Ledger.create fabric in
   let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
@@ -363,7 +356,7 @@ let window ?(ctx = Runtime.default) fabric policy ~step requests =
 
 let book_ahead ?(ctx = Runtime.default) fabric policy ~announce requests =
   let obs = ctx.Runtime.obs in
-  check_routing fabric requests;
+  Request.check_routes "Flexible" fabric requests;
   Policy.validate policy;
   let ledger = Ledger.create fabric in
   let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
@@ -405,7 +398,7 @@ let window_deferred ?(ctx = Runtime.default) fabric policy ~step requests =
   let obs = ctx.Runtime.obs in
   if step <= 0. || not (Float.is_finite step) then
     invalid_arg "Flexible.window_deferred: step must be positive and finite";
-  check_routing fabric requests;
+  Request.check_routes "Flexible" fabric requests;
   Policy.validate policy;
   let ctl = Online.create fabric in
   let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in

@@ -16,8 +16,8 @@ let accepted_ids r = List.map (fun q -> q.id) r.accepted |> List.sort Int.compar
 let check_routing fabric requests =
   List.iter
     (fun r ->
-      if not (Fabric.valid_ingress fabric r.ingress && Fabric.valid_egress fabric r.egress) then
-        invalid_arg (Printf.sprintf "Long_lived: request %d routed on unknown port" r.id))
+      Gridbw_request.Request.check_route "Long_lived" fabric ~id:r.id ~ingress:r.ingress
+        ~egress:r.egress)
     requests
 
 let feasible fabric requests =

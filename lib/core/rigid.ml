@@ -15,31 +15,14 @@ let cost_name = function
   | Min_bw -> "minbw-slots"
   | Min_vol -> "minvol-slots"
 
-let check_routing fabric requests =
-  List.iter
-    (fun (r : Request.t) ->
-      if not (Request.routed_on r fabric) then
-        invalid_arg (Printf.sprintf "Rigid: request %d routed on unknown port" r.id))
-    requests
-
 let alloc_of (r : Request.t) = Allocation.make ~request:r ~bw:(Request.min_rate r) ~sigma:r.ts
-
-(* Arrival order: by start time, ties by smaller rate then id — the same
-   order fcfs and fifo_blocking serve the queue in. *)
-let arrival_compare (a : Request.t) (b : Request.t) =
-  match Float.compare a.ts b.ts with
-  | 0 -> (
-      match Float.compare (Request.min_rate a) (Request.min_rate b) with
-      | 0 -> Int.compare a.id b.id
-      | c -> c)
-  | c -> c
 
 let fcfs ?(ctx = Runtime.default) fabric requests =
   let obs = ctx.Runtime.obs in
-  check_routing fabric requests;
+  Request.check_routes "Rigid" fabric requests;
   let ledger = Ledger.create fabric in
   let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
-  let order = List.sort arrival_compare requests in
+  let order = Flexible.arrival_order requests in
   let accepted = ref [] and rejected = ref [] in
   List.iter
     (fun (r : Request.t) ->
@@ -63,7 +46,7 @@ type state = Alive of { held_before : bool } | Dead of Types.reason
 
 let slots ?(ctx = Runtime.default) ~cost fabric requests =
   let obs = ctx.Runtime.obs in
-  check_routing fabric requests;
+  Request.check_routes "Rigid" fabric requests;
   let arr = Array.of_list requests in
   let n = Array.length arr in
   let state = Array.make n (Alive { held_before = false }) in
@@ -128,7 +111,7 @@ let slots ?(ctx = Runtime.default) ~cost fabric requests =
      are stamped at the last slice boundary, after the batch arrivals. *)
   (if Obs.tracing obs then begin
      let seqs = Emit.seq_table requests in
-     List.iter (fun r -> Emit.emit_arrival obs seqs r) (List.sort arrival_compare requests)
+     List.iter (fun r -> Emit.emit_arrival obs seqs r) (Flexible.arrival_order requests)
    end);
   let sweep_end = List.fold_left (fun acc t -> Float.max acc t) 0.0 breakpoints in
   let accepted = ref [] and rejected = ref [] in
@@ -152,10 +135,10 @@ let slots ?(ctx = Runtime.default) ~cost fabric requests =
    both ports could have carried it), and only then is it dropped. *)
 let fifo_blocking ?(ctx = Runtime.default) fabric requests =
   let obs = ctx.Runtime.obs in
-  check_routing fabric requests;
+  Request.check_routes "Rigid" fabric requests;
   let ledger = Ledger.create fabric in
   let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
-  let order = List.sort arrival_compare requests in
+  let order = Flexible.arrival_order requests in
   (* Earliest instant >= from_ at which both ports have room for [bw]:
      usage is piecewise constant, so only [from_] and later breakpoints
      need checking.  [None] if the request could never fit (bw above a

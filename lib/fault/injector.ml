@@ -178,11 +178,7 @@ let validate_inputs fabric cfg events requests =
   if Plane.renegotiation_delay cfg.control < 0. then
     invalid_arg "Injector.run: negative renegotiation delay";
   Fault.validate fabric events;
-  List.iter
-    (fun (r : Request.t) ->
-      if not (Request.routed_on r fabric) then
-        invalid_arg (Printf.sprintf "Injector.run: request %d routed on unknown port" r.Request.id))
-    requests
+  Request.check_routes "Injector.run" fabric requests
 
 (* ---------- the replay both modes share ---------- *)
 

@@ -9,11 +9,8 @@ module Event = Gridbw_obs.Event
 module Span = Gridbw_obs.Span
 module Spec = Gridbw_workload.Spec
 module Types = Gridbw_core.Types
-module Policy = Gridbw_core.Policy
 module Runtime = Gridbw_core.Runtime
-module Online = Gridbw_core.Online
 module Emit = Gridbw_core.Emit
-module Flexible = Gridbw_core.Flexible
 module Scheduler = Gridbw_core.Scheduler
 
 let admit_span = Obs.span_key "admit"
@@ -24,33 +21,21 @@ type config = {
   kappa : float;
       (** compensation limit: profile steps stay within [kappa * min_rate]
           (and [max_rate]); [infinity] removes the bound *)
-  constant_step : bool;
-      (** parity mode: a single constant MinRate step through the shared
-          online controller — bit-identical to GREEDY by construction *)
 }
 
-let default = { book_ahead = 0.; reshape = true; kappa = infinity; constant_step = false }
+let default = { book_ahead = 0.; reshape = true; kappa = infinity }
 
 let name config =
-  if config.constant_step then "malleable-constant"
-  else
-    match (config.book_ahead > 0., config.reshape) with
-    | false, true -> "malleable"
-    | false, false -> "malleable(no-reshape)"
-    | true, true -> Printf.sprintf "malleable(ba=%g)" config.book_ahead
-    | true, false -> Printf.sprintf "malleable(ba=%g,no-reshape)" config.book_ahead
+  match (config.book_ahead > 0., config.reshape) with
+  | false, true -> "malleable"
+  | false, false -> "malleable(no-reshape)"
+  | true, true -> Printf.sprintf "malleable(ba=%g)" config.book_ahead
+  | true, false -> Printf.sprintf "malleable(ba=%g,no-reshape)" config.book_ahead
 
 let validate config =
   if config.book_ahead < 0. || not (Float.is_finite config.book_ahead) then
     invalid_arg "Malleable: book_ahead must be non-negative and finite";
   if not (config.kappa >= 1.) then invalid_arg "Malleable: kappa must be >= 1"
-
-let check_routing fabric requests =
-  List.iter
-    (fun (r : Request.t) ->
-      if not (Request.routed_on r fabric) then
-        invalid_arg (Printf.sprintf "Malleable: request %d routed on unknown port" r.id))
-    requests
 
 (* --- the step-profile solver --- *)
 
@@ -356,91 +341,69 @@ let blocked_port obs ledger (r : Request.t) ~start =
 
 (* --- the engine --- *)
 
-(* Parity mode: the malleable loop degenerated to one constant MinRate
-   step per request, decided through the shared online controller in
-   arrival order — the same body as {!Flexible.greedy}, so the decision
-   stream is bit-identical to GREEDY (property-gated in the harness,
-   PR 1 style). *)
-let run_constant ctx fabric requests =
-  let obs = ctx.Runtime.obs in
-  check_routing fabric requests;
-  let ctl = Online.create fabric in
-  let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
-  let decisions =
-    List.map
-      (fun (r : Request.t) ->
-        if Obs.tracing obs then Emit.emit_arrival obs seqs r;
-        (r, Online.try_admit ~ctx ctl Policy.Min_rate r ~at:r.ts))
-      (Flexible.arrival_order requests)
-  in
-  Flexible.collect requests decisions
-
 let run config ?(ctx = Runtime.default) fabric requests =
   validate config;
-  if config.constant_step then run_constant ctx fabric requests
-  else begin
-    let obs = ctx.Runtime.obs in
-    check_routing fabric requests;
-    let ledger = ref (Ledger.create fabric) in
-    let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
-    let admitted : (int, Allocation.t) Hashtbl.t = Hashtbl.create 64 in
-    let rev_order = ref [] in
-    let rev_rejected = ref [] in
-    let order =
-      List.map (fun (r : Request.t) -> (r.ts -. config.book_ahead, r)) requests
-      |> List.sort (fun (ta, (a : Request.t)) (tb, (b : Request.t)) ->
-             match Float.compare ta tb with 0 -> Int.compare a.id b.id | c -> c)
-    in
-    let admit now (r : Request.t) profile revised =
-      Array.iter
-        (fun (rid, p) ->
-          let old = Hashtbl.find admitted rid in
-          Hashtbl.replace admitted rid
-            (Allocation.of_profile ~request:old.Allocation.request p))
-        revised;
-      Hashtbl.replace admitted r.id (Allocation.of_profile ~request:r profile);
-      rev_order := r.id :: !rev_order;
-      emit_reshape obs ~time:now r profile revised
-    in
-    let decide now (r : Request.t) =
-      let start = Float.max now r.ts in
-      match solve ~peak_bound:(config.kappa *. Request.min_rate r) !ledger r ~start with
-      | Some profile ->
-          reserve_profile !ledger r profile;
-          admit now r profile [||]
-      | None -> (
-          let reshaped =
-            if config.reshape then
-              try_reshape ~kappa:config.kappa ledger admitted !rev_order r ~now
-            else None
-          in
-          match reshaped with
-          | Some (profile, revised) -> admit now r profile revised
-          | None ->
-              let blocked = blocked_port obs !ledger r ~start in
-              rev_rejected := (r, Types.Port_saturated) :: !rev_rejected;
-              Emit.emit_decision obs ~time:now ?blocked r
-                (Types.Rejected Types.Port_saturated))
-    in
-    List.iter
-      (fun (now, (r : Request.t)) ->
-        if Obs.tracing obs then Emit.emit_arrival obs seqs ~time:now r;
-        let span = ctx.Runtime.span in
-        let t0 = match span with Some _ -> Span.now_ns () | None -> 0. in
-        let p0 = match span with Some _ -> Ledger.probe_count !ledger | None -> 0 in
-        Obs.span obs admit_span (fun () -> decide now r);
-        match span with
-        | None -> ()
-        | Some sp ->
-            Span.record sp Span.Admit_search (Span.now_ns () -. t0);
-            Span.add_probes sp (Ledger.probe_count !ledger - p0))
-      order;
-    {
-      Types.all = requests;
-      accepted = List.rev_map (fun id -> Hashtbl.find admitted id) !rev_order |> List.rev;
-      rejected = List.rev !rev_rejected;
-    }
-  end
+  let obs = ctx.Runtime.obs in
+  Request.check_routes "Malleable" fabric requests;
+  let ledger = ref (Ledger.create fabric) in
+  let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
+  let admitted : (int, Allocation.t) Hashtbl.t = Hashtbl.create 64 in
+  let rev_order = ref [] in
+  let rev_rejected = ref [] in
+  let order =
+    List.map (fun (r : Request.t) -> (r.ts -. config.book_ahead, r)) requests
+    |> List.sort (fun (ta, (a : Request.t)) (tb, (b : Request.t)) ->
+           match Float.compare ta tb with 0 -> Int.compare a.id b.id | c -> c)
+  in
+  let admit now (r : Request.t) profile revised =
+    Array.iter
+      (fun (rid, p) ->
+        let old = Hashtbl.find admitted rid in
+        Hashtbl.replace admitted rid
+          (Allocation.of_profile ~request:old.Allocation.request p))
+      revised;
+    Hashtbl.replace admitted r.id (Allocation.of_profile ~request:r profile);
+    rev_order := r.id :: !rev_order;
+    emit_reshape obs ~time:now r profile revised
+  in
+  let decide now (r : Request.t) =
+    let start = Float.max now r.ts in
+    match solve ~peak_bound:(config.kappa *. Request.min_rate r) !ledger r ~start with
+    | Some profile ->
+        reserve_profile !ledger r profile;
+        admit now r profile [||]
+    | None -> (
+        let reshaped =
+          if config.reshape then
+            try_reshape ~kappa:config.kappa ledger admitted !rev_order r ~now
+          else None
+        in
+        match reshaped with
+        | Some (profile, revised) -> admit now r profile revised
+        | None ->
+            let blocked = blocked_port obs !ledger r ~start in
+            rev_rejected := (r, Types.Port_saturated) :: !rev_rejected;
+            Emit.emit_decision obs ~time:now ?blocked r
+              (Types.Rejected Types.Port_saturated))
+  in
+  List.iter
+    (fun (now, (r : Request.t)) ->
+      if Obs.tracing obs then Emit.emit_arrival obs seqs ~time:now r;
+      let span = ctx.Runtime.span in
+      let t0 = match span with Some _ -> Span.now_ns () | None -> 0. in
+      let p0 = match span with Some _ -> Ledger.probe_count !ledger | None -> 0 in
+      Obs.span obs admit_span (fun () -> decide now r);
+      match span with
+      | None -> ()
+      | Some sp ->
+          Span.record sp Span.Admit_search (Span.now_ns () -. t0);
+          Span.add_probes sp (Ledger.probe_count !ledger - p0))
+    order;
+  {
+    Types.all = requests;
+    accepted = List.rev_map (fun id -> Hashtbl.find admitted id) !rev_order |> List.rev;
+    rejected = List.rev !rev_rejected;
+  }
 
 let scheduler config =
   Scheduler.make ~name:(name config) (fun ?ctx spec requests ->

@@ -49,18 +49,14 @@ type config = {
           while squeezing past a busy stretch — unbounded compensation
           admits volume hogs whose capacity cost shows up as later
           rejects.  [infinity] removes the bound. *)
-  constant_step : bool;
-      (** parity mode: one constant MinRate step per request, decided
-          through the shared online controller in arrival order —
-          bit-identical to the GREEDY engine (property-gated) *)
 }
 
 val default : config
-(** [{ book_ahead = 0.; reshape = true; kappa = infinity; constant_step = false }]. *)
+(** [{ book_ahead = 0.; reshape = true; kappa = infinity }]. *)
 
 val name : config -> string
-(** "malleable", "malleable(ba=7)", "malleable(no-reshape)",
-    "malleable(ba=7,no-reshape)" or "malleable-constant". *)
+(** "malleable", "malleable(ba=7)", "malleable(no-reshape)" or
+    "malleable(ba=7,no-reshape)". *)
 
 val deadline_limit : Gridbw_request.Request.t -> float
 (** Latest admissible end of a profile's last step: [tf] plus a relative

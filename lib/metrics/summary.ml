@@ -1,7 +1,6 @@
 module Fabric = Gridbw_topology.Fabric
 module Request = Gridbw_request.Request
 module Allocation = Gridbw_alloc.Allocation
-module Ledger = Gridbw_alloc.Ledger
 
 type t = {
   total : int;
@@ -100,21 +99,6 @@ let guaranteed_count ~f accepted =
       let target = Float.max (f *. a.request.Request.max_rate) (Request.min_rate a.request) in
       if a.bw >= target *. (1. -. 1e-9) then acc + 1 else acc)
     0 accepted
-
-let all_feasible fabric accepted =
-  let ledger = Ledger.create fabric in
-  let ok =
-    List.for_all
-      (fun (a : Allocation.t) ->
-        Allocation.meets_deadline a && Allocation.within_rate_bounds a
-        && Request.routed_on a.request fabric
-        &&
-        (Ledger.reserve_interval ledger ~ingress:a.request.Request.ingress
-           ~egress:a.request.Request.egress ~bw:a.bw ~from_:a.sigma ~until:a.tau;
-         true))
-      accepted
-  in
-  ok && Ledger.within_capacity ledger
 
 let pp ppf t =
   Format.fprintf ppf

@@ -32,10 +32,4 @@ val guaranteed_count : f:float -> Gridbw_alloc.Allocation.t list -> int
 (** The §2.3 [#guaranteed] count: accepted allocations whose bandwidth is
     at least [max (f × MaxRate, MinRate)] (relative [1e-9] slack). *)
 
-val all_feasible :
-  Gridbw_topology.Fabric.t -> Gridbw_alloc.Allocation.t list -> bool
-(** Replays the allocations into a fresh ledger and checks the paper's
-    constraint set (1) plus per-request deadline and rate bounds.  Intended
-    for tests and harness self-checks. *)
-
 val pp : Format.formatter -> t -> unit

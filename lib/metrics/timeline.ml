@@ -12,8 +12,8 @@ let build fabric allocations =
     List.fold_left
       (fun span (a : Allocation.t) ->
         let r = a.Allocation.request in
-        if not (Request.routed_on r fabric) then
-          invalid_arg (Printf.sprintf "Timeline.build: request %d routed on unknown port" r.Request.id);
+        Request.check_route "Timeline.build" fabric ~id:r.Request.id ~ingress:r.Request.ingress
+          ~egress:r.Request.egress;
         Ledger.reserve_interval ledger ~ingress:r.Request.ingress ~egress:r.Request.egress
           ~bw:a.Allocation.bw ~from_:a.Allocation.sigma ~until:a.Allocation.tau;
         match span with

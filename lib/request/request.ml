@@ -43,6 +43,15 @@ let duration_at r ~bw =
 let is_rigid r = r.max_rate <= min_rate r *. (1. +. 1e-9)
 let slack r = r.max_rate /. min_rate r
 let routed_on r fabric = Fabric.valid_ingress fabric r.ingress && Fabric.valid_egress fabric r.egress
+
+let check_route label fabric ~id ~ingress ~egress =
+  if not (Fabric.valid_ingress fabric ingress && Fabric.valid_egress fabric egress) then
+    invalid_arg (Printf.sprintf "%s: request %d routed on unknown port" label id)
+
+let check_routes label fabric requests =
+  List.iter
+    (fun r -> check_route label fabric ~id:r.id ~ingress:r.ingress ~egress:r.egress)
+    requests
 let compare a b = Int.compare a.id b.id
 let equal a b = a.id = b.id
 

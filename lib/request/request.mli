@@ -51,6 +51,16 @@ val slack : t -> float
 val routed_on : t -> Gridbw_topology.Fabric.t -> bool
 (** Both endpoints are valid ports of the fabric. *)
 
+val check_routes : string -> Gridbw_topology.Fabric.t -> t list -> unit
+(** Raises [Invalid_argument "<label>: request <id> routed on unknown
+    port"] for the first request not {!routed_on} the fabric; [label]
+    names the caller. *)
+
+val check_route :
+  string -> Gridbw_topology.Fabric.t -> id:int -> ingress:int -> egress:int -> unit
+(** {!check_routes} on one route, for callers with their own request
+    type. *)
+
 val compare : t -> t -> int
 (** Total order by [id]. *)
 

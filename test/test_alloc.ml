@@ -181,6 +181,25 @@ let ledger_release_restores () =
   Alcotest.(check bool) "free again" true (Ledger.fits l (alloc r2 90. 0.));
   check_approx "no reserved volume" 0.0 (Ledger.reserved_volume l)
 
+(* A zero-length interval holds nothing: it fits a full port, and
+   booking or releasing it leaves the ledger as it was.  Inverted and NaN
+   bounds still raise. *)
+let ledger_zero_length () =
+  let l = Ledger.create (fabric2 ()) in
+  Ledger.reserve_interval l ~ingress:0 ~egress:0 ~bw:100. ~from_:0. ~until:10.;
+  Alcotest.(check bool) "fits a full port" true
+    (Ledger.fits_interval l ~ingress:0 ~egress:0 ~bw:50. ~from_:5. ~until:5.);
+  Ledger.reserve_interval l ~ingress:0 ~egress:0 ~bw:50. ~from_:5. ~until:5.;
+  Ledger.release_interval l ~ingress:0 ~egress:0 ~bw:50. ~from_:20. ~until:20.;
+  Alcotest.(check (list (float 0.))) "no breakpoint added" [ 0.; 10. ]
+    (Ledger.breakpoints l (Port.Ingress 0));
+  List.iter
+    (fun (label, from_, until) ->
+      match Ledger.fits_interval l ~ingress:0 ~egress:0 ~bw:1. ~from_ ~until with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s interval accepted" label)
+    [ ("inverted", 6., 5.); ("NaN", Float.nan, 5.); ("NaN end", 5., Float.nan) ]
+
 let ledger_reserved_volume () =
   let f = fabric2 () in
   let l = Ledger.create f in
@@ -271,6 +290,7 @@ let suites =
         case "reserve checks capacity" ledger_reserve_checks;
         case "release restores" ledger_release_restores;
         case "reserved volume" ledger_reserved_volume;
+        case "zero-length interval holds nothing" ledger_zero_length;
         prop_random_reservations_within_capacity;
       ] );
     ( "live",

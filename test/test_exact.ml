@@ -6,6 +6,7 @@ module Exact = Gridbw_core.Exact
 module Unit_exact = Gridbw_core.Unit_exact
 module Types = Gridbw_core.Types
 module Summary = Gridbw_metrics.Summary
+module Validate = Gridbw_metrics.Validate
 module Rng = Gridbw_prng.Rng
 
 let fabric1 () = Fabric.uniform ~ingress_count:1 ~egress_count:1 ~capacity:100.0
@@ -48,7 +49,7 @@ let result_of_is_feasible () =
   let sol = Exact.max_requests fabric rigidified in
   let result = Exact.result_of fabric rigidified sol in
   Alcotest.(check bool) "consistent" true (Types.is_consistent result);
-  Alcotest.(check bool) "feasible" true (Summary.all_feasible fabric result.Types.accepted);
+  Alcotest.(check bool) "feasible" true (Validate.is_valid fabric result.Types.accepted);
   Alcotest.(check int) "count matches" sol.Exact.count (List.length result.Types.accepted)
 
 let dominates_heuristics () =

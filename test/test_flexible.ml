@@ -8,6 +8,7 @@ module Online = Gridbw_core.Online
 module Policy = Gridbw_core.Policy
 module Types = Gridbw_core.Types
 module Summary = Gridbw_metrics.Summary
+module Validate = Gridbw_metrics.Validate
 module Spec = Gridbw_workload.Spec
 module Gen = Gridbw_workload.Gen
 module Rng = Gridbw_prng.Rng
@@ -231,7 +232,7 @@ let book_ahead_feasible () =
       reqs
   in
   Alcotest.(check bool) "consistent" true (Types.is_consistent result);
-  Alcotest.(check bool) "feasible" true (Summary.all_feasible (fabric2 ()) result.Types.accepted)
+  Alcotest.(check bool) "feasible" true (Validate.is_valid (fabric2 ()) result.Types.accepted)
 
 let book_ahead_negative_lead_rejected () =
   let reqs = [ flex ~id:0 ~volume:10. ~ts:0. ~tf:10. ~max_rate:10. ] in
@@ -254,7 +255,7 @@ let feasible_and_consistent () =
               let name = Flexible.heuristic_name kind ^ "/" ^ Policy.name policy in
               Alcotest.(check bool) (name ^ " consistent") true (Types.is_consistent result);
               Alcotest.(check bool) (name ^ " feasible") true
-                (Summary.all_feasible fabric result.Types.accepted))
+                (Validate.is_valid fabric result.Types.accepted))
             [ `Greedy; `Window 5.0; `Window 40.0; `Window_deferred 5.0; `Window_deferred 40.0 ])
         policies)
     [ 11L; 12L; 13L ]

@@ -1,7 +1,7 @@
 (* The MALLEABLE engine (lib/malleable): bitwise profile closure on
-   random workloads, the compensation limit, constant-step parity with
-   GREEDY, reshape opening capacity, overload dominance over GREEDY, and
-   the exact-optimum upper bound on small instances. *)
+   random workloads, the compensation limit, reshape opening capacity,
+   overload dominance over GREEDY, and the exact-optimum upper bound on
+   small instances. *)
 
 open Helpers
 module Malleable = Gridbw_malleable.Malleable
@@ -9,11 +9,8 @@ module Fabric = Gridbw_topology.Fabric
 module Request = Gridbw_request.Request
 module Allocation = Gridbw_alloc.Allocation
 module Rate_profile = Gridbw_alloc.Rate_profile
-module Flexible = Gridbw_core.Flexible
-module Policy = Gridbw_core.Policy
 module Types = Gridbw_core.Types
 module Exact = Gridbw_core.Exact
-module Reference = Gridbw_check.Reference
 module Rng = Gridbw_prng.Rng
 module ME = Gridbw_experiments.Malleable_exp
 module Runner = Gridbw_experiments.Runner
@@ -39,7 +36,7 @@ let closes config seed =
           && Rate_profile.start p >= r.Request.ts
           && Rate_profile.finish p <= Malleable.deadline_limit r)
     result.Types.accepted
-  && Reference.audit_allocations (fabric2 ()) result.Types.accepted = []
+  && Gridbw_metrics.Validate.is_valid (fabric2 ()) result.Types.accepted
 
 let prop_profiles_close =
   qcase ~count:60 "malleable: every profile closes bitwise, in rate and window" seed_gen
@@ -64,27 +61,6 @@ let prop_kappa_bounds_peak =
           | Some p -> Rate_profile.peak p <= limit)
         result.Types.accepted)
 
-(* --- constant-step parity: the property-gated degenerate mode ---
-
-   With reshaping off and one constant step per request the engine must
-   reproduce GREEDY/MinRate decision for decision, bit for bit. *)
-
-let decisions (res : Types.result) =
-  ( List.map
-      (fun (a : Allocation.t) ->
-        (a.Allocation.request.Request.id, a.Allocation.bw, a.Allocation.sigma, a.Allocation.tau))
-      res.Types.accepted,
-    List.map (fun ((r : Request.t), reason) -> (r.Request.id, reason)) res.Types.rejected )
-
-let prop_constant_step_parity =
-  qcase ~count:60 "malleable-constant: bit-identical to greedy/minrate" seed_gen (fun seed ->
-      let reqs = workload_of_seed ~n:40 seed in
-      let m =
-        Malleable.run { Malleable.default with Malleable.constant_step = true } (fabric2 ()) reqs
-      in
-      let g = Flexible.greedy (fabric2 ()) Policy.Min_rate reqs in
-      decisions m = decisions g)
-
 (* --- reshaping opens capacity ---
 
    On a 10 MB/s 1x1 fabric, A (100 MB over [0,20]) level-fills at rate 5
@@ -101,7 +77,7 @@ let test_reshape_opens_capacity () =
   let config = { Malleable.default with Malleable.book_ahead = 100. } in
   let reshaped = Malleable.run config fabric [ a; b ] in
   Alcotest.(check int) "reshape admits both" 2 (List.length reshaped.Types.accepted);
-  (match Reference.audit_allocations fabric reshaped.Types.accepted with
+  (match Gridbw_metrics.Validate.check fabric reshaped.Types.accepted with
   | [] -> ()
   | vs -> Alcotest.failf "reshaped schedule fails the audit (%d violations)" (List.length vs));
   let frozen =
@@ -173,7 +149,6 @@ let suites =
         prop_profiles_close;
         prop_profiles_close_booked;
         prop_kappa_bounds_peak;
-        prop_constant_step_parity;
         case "reshape opens capacity a frozen schedule wastes" test_reshape_opens_capacity;
         slow_case "accept rate dominates GREEDY at the overload points" test_overload_dominance;
         slow_case "never above the exact optimum (seeded gap sweep)" test_exact_bound;

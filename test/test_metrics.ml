@@ -1,6 +1,7 @@
 open Helpers
 module Stats = Gridbw_metrics.Stats
 module Summary = Gridbw_metrics.Summary
+module Validate = Gridbw_metrics.Validate
 module Resilience = Gridbw_metrics.Resilience
 module Allocation = Gridbw_alloc.Allocation
 module Fabric = Gridbw_topology.Fabric
@@ -93,20 +94,20 @@ let feasibility_detects_overload () =
   let f = fabric2 () in
   let mk id = req ~id ~ingress:0 ~egress:0 ~volume:600. ~ts:0. ~tf:10. ~max_rate:60. () in
   let a id = Allocation.make ~request:(mk id) ~bw:60. ~sigma:0. in
-  Alcotest.(check bool) "one fits" true (Summary.all_feasible f [ a 1 ]);
-  Alcotest.(check bool) "two overload the port" false (Summary.all_feasible f [ a 1; a 2 ])
+  Alcotest.(check bool) "one fits" true (Validate.is_valid f [ a 1 ]);
+  Alcotest.(check bool) "two overload the port" false (Validate.is_valid f [ a 1; a 2 ])
 
 let feasibility_detects_deadline_miss () =
   let f = fabric2 () in
   let r = req ~id:1 ~volume:100. ~ts:0. ~tf:10. ~max_rate:50. () in
   let late = Allocation.make ~request:r ~bw:10. ~sigma:5. in
-  Alcotest.(check bool) "late allocation flagged" false (Summary.all_feasible f [ late ])
+  Alcotest.(check bool) "late allocation flagged" false (Validate.is_valid f [ late ])
 
 let feasibility_detects_rate_violation () =
   let f = fabric2 () in
   let r = req ~id:1 ~volume:100. ~ts:0. ~tf:10. ~max_rate:20. () in
   let fast = Allocation.make ~request:r ~bw:40. ~sigma:0. in
-  Alcotest.(check bool) "over-max-rate flagged" false (Summary.all_feasible f [ fast ])
+  Alcotest.(check bool) "over-max-rate flagged" false (Validate.is_valid f [ fast ])
 
 (* --- Resilience edge cases --- *)
 

@@ -10,6 +10,7 @@ module Trace = Gridbw_workload.Trace
 module Spec = Gridbw_workload.Spec
 module Gen = Gridbw_workload.Gen
 module Summary = Gridbw_metrics.Summary
+module Validate = Gridbw_metrics.Validate
 module Rigid = Gridbw_core.Rigid
 module Flexible = Gridbw_core.Flexible
 module Policy = Gridbw_core.Policy
@@ -81,7 +82,7 @@ let all_kinds_feasible name run =
   qcase ~count:25 name seed_gen (fun seed ->
       let reqs = workload_of_seed seed in
       let result = run reqs in
-      Types.is_consistent result && Summary.all_feasible (fabric2 ()) result.Types.accepted)
+      Types.is_consistent result && Validate.is_valid (fabric2 ()) result.Types.accepted)
 
 let prop_greedy_feasible =
   all_kinds_feasible "greedy: consistent and feasible on random workloads" (fun reqs ->
@@ -109,7 +110,7 @@ let prop_slots_feasible =
       List.for_all
         (fun cost ->
           let result = Rigid.slots ~cost (fabric2 ()) reqs in
-          Types.is_consistent result && Summary.all_feasible (fabric2 ()) result.Types.accepted)
+          Types.is_consistent result && Validate.is_valid (fabric2 ()) result.Types.accepted)
         [ Rigid.Cumulated; Rigid.Min_bw; Rigid.Min_vol ])
 
 let prop_accepted_meet_deadlines =

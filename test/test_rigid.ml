@@ -4,6 +4,7 @@ module Request = Gridbw_request.Request
 module Rigid = Gridbw_core.Rigid
 module Types = Gridbw_core.Types
 module Summary = Gridbw_metrics.Summary
+module Validate = Gridbw_metrics.Validate
 module Rng = Gridbw_prng.Rng
 
 let fabric1 () = Fabric.uniform ~ingress_count:1 ~egress_count:1 ~capacity:100.0
@@ -133,7 +134,7 @@ let fifo_blocking_cascade () =
   Alcotest.(check (list int)) "hog + late request" [ 0; 3 ] (ids blocking);
   Alcotest.(check bool) "consistent" true (Types.is_consistent blocking);
   Alcotest.(check bool) "feasible" true
-    (Summary.all_feasible (fabric1 ()) blocking.Types.accepted)
+    (Validate.is_valid (fabric1 ()) blocking.Types.accepted)
 
 let fifo_blocking_loses_to_fcfs () =
   (* A workload where FCFS recovers capacity that the blocking queue
@@ -177,7 +178,7 @@ let feasible_and_consistent () =
           Alcotest.(check bool) (name ^ " consistent") true (Types.is_consistent result);
           Alcotest.(check bool)
             (name ^ " feasible") true
-            (Summary.all_feasible fabric result.Types.accepted))
+            (Validate.is_valid fabric result.Types.accepted))
         all_heuristics)
     [ 1L; 2L; 3L; 4L; 5L ]
 

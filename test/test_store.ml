@@ -1008,24 +1008,6 @@ let test_replay_matches_live () =
    which names the directory) and in [--json] form, exit status
    included.  A change to how a journal is read moves them. *)
 
-let gridbw_exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/gridbw.exe"
-
-(* Run the gridbw binary: its exit status and stdout; stderr is dropped. *)
-let gridbw args =
-  let rd, wr = Unix.pipe ~cloexec:true () in
-  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
-  let pid =
-    Unix.create_process gridbw_exe (Array.of_list (gridbw_exe :: args)) Unix.stdin wr null
-  in
-  Unix.close wr;
-  Unix.close null;
-  let ic = Unix.in_channel_of_descr rd in
-  let out = In_channel.input_all ic in
-  close_in ic;
-  match snd (Unix.waitpid [] pid) with
-  | Unix.WEXITED code -> (code, out)
-  | _ -> Alcotest.failf "gridbw %s: killed by a signal" (String.concat " " args)
-
 let alloc_row (a : Allocation.t) =
   let q = a.Allocation.request in
   Printf.sprintf "%d %d>%d %h %h %h %h | %h %h %h%s" q.Request.id q.Request.ingress
@@ -1609,7 +1591,7 @@ let test_audit_capacity_revision_skipped () =
       (commitments r.Store.journal)
   in
   Alcotest.(check bool) "the port check misreads the revised journal" true
-    (Reference.port_sweep ~slack:1e-9 ~capacity:(fun _ -> 50.) ingress0 <> None);
+    (Gridbw_metrics.Validate.port_sweep ~slack:1e-9 ~capacity:(fun _ -> 50.) ingress0 <> None);
   match Reference.audit_recovered r with
   | Reference.Skipped _ -> ()
   | Reference.Clean _ | Reference.Failed _ -> Alcotest.fail "capacity revision must be skipped"

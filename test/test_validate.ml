@@ -77,18 +77,36 @@ let heuristic_output_always_clean () =
       | vs ->
           Alcotest.failf "%s produced %d violations, first: %s"
             (Flexible.heuristic_name kind) (List.length vs)
-            (Format.asprintf "%a" Validate.pp_violation (List.hd vs)))
+            (Validate.describe (List.hd vs)))
     [ `Greedy; `Window 11.0; `Window_deferred 11.0 ]
 
-let agrees_with_summary_all_feasible () =
-  let good = [ alloc () ] in
-  let bad = [ alloc ~id:1 ~bw:60. (); alloc ~id:2 ~bw:60. () ] in
-  Alcotest.(check bool) "good agrees" true
-    (Validate.is_valid (fabric2 ()) good
-    = Gridbw_metrics.Summary.all_feasible (fabric2 ()) good);
-  Alcotest.(check bool) "bad agrees" true
-    (Validate.is_valid (fabric2 ()) bad
-    = Gridbw_metrics.Summary.all_feasible (fabric2 ()) bad)
+(* A transfer that rounds to zero length (1e-9 MB at 1 MB/s from
+   t = 1e9, where the duration is below the ulp) holds its ports for no
+   instant: the schedule is feasible, as the sweep counts it. *)
+let zero_length_is_valid () =
+  let r = req ~id:1 ~volume:1e-9 ~ts:1e9 ~tf:1000000001. ~max_rate:1. () in
+  let a = Allocation.make ~request:r ~bw:1. ~sigma:1e9 in
+  Alcotest.(check bool) "zero length" true (a.Allocation.tau = a.Allocation.sigma);
+  Alcotest.(check string) "feasible" "schedule is feasible" (Validate.report (fabric2 ()) [ a ])
+
+(* The same transfer as a one-request trace: every heuristic of
+   [gridbw run] decides it and its self-check finds the schedule
+   feasible (exit 0; an infeasible one exits 1, a crash 125). *)
+let zero_length_cli () =
+  let trace = Filename.temp_file "gridbw-zero" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove trace)
+    (fun () ->
+      Out_channel.with_open_text trace (fun oc ->
+          output_string oc "1,0,0,1e-09,1e9,1000000001,1.0\n");
+      List.iter
+        (fun h ->
+          let code, out = gridbw [ "run"; "--trace"; trace; "--heuristic"; h; "--policy"; "1" ] in
+          Alcotest.(check int) (h ^ ": exit status") 0 code;
+          if not (contains ~affix:"requests: 1," out) then
+            Alcotest.failf "%s: no summary in %S" h out)
+        [ "fifo"; "fcfs"; "cumulated"; "minbw"; "minvol"; "greedy"; "window"; "window-deferred";
+          "malleable" ])
 
 let suites =
   [
@@ -103,6 +121,7 @@ let suites =
         case "duplicates" detects_duplicates;
         case "report text" report_lists_violations;
         case "heuristic output always clean" heuristic_output_always_clean;
-        case "agrees with Summary.all_feasible" agrees_with_summary_all_feasible;
+        case "zero-length allocation" zero_length_is_valid;
+        case "gridbw run: every heuristic on a zero-length transfer" zero_length_cli;
       ] );
   ]

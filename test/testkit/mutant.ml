@@ -1,9 +1,9 @@
 (* A deliberately broken scheduler: GREEDY at minimum rate that admits
    whenever the port's peak usage plus the new rate fits within capacity
    *plus one MB/s* — the classic off-by-one headroom slip.  The
-   conformance harness must flag it (both oracles report the overload)
-   and shrink the evidence to a small replayable bundle; the fuzz-smoke
-   tests assert exactly that. *)
+   conformance harness must flag it (the reference audit reports the
+   overload) and shrink the evidence to a small replayable bundle; the
+   fuzz-smoke tests assert exactly that. *)
 
 module Request = Gridbw_request.Request
 module Allocation = Gridbw_alloc.Allocation
