@@ -117,6 +117,10 @@ let headroom_over t port ~from_ ~until =
 
 let breakpoints t port = Timeline.breakpoints (timeline t "breakpoints" port)
 
+let retire_before t h =
+  Array.iter (fun tl -> Timeline.retire_before tl h) t.ingress;
+  Array.iter (fun tl -> Timeline.retire_before tl h) t.egress
+
 let within_capacity t =
   let ok = ref true in
   Array.iteri

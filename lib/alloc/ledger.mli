@@ -68,7 +68,18 @@ val headroom_over : t -> Port.t -> from_:float -> until:float -> float
     [headroom_over] is a measurement, not an admission predicate. *)
 
 val breakpoints : t -> Port.t -> float list
-(** Sorted times where the port's reserved bandwidth changes. *)
+(** Sorted times where the port's reserved bandwidth changes.  Raises
+    [Invalid_argument] after {!retire_before}. *)
+
+val retire_before : t -> float -> unit
+(** [retire_before t h] applies {!Timeline.retire_before} to every port:
+    the breakpoints behind [h] fold into each port's base level, so the
+    ledger keeps only what a query at or after [h] can see.  Afterwards
+    every query must start at or after [h] (earlier ones raise
+    [Invalid_argument]); bookings at any time stay valid.  Levels may
+    differ from a never-retired ledger's in the last ulps, well inside
+    the [1e-9] admission slack.  {!breakpoints}, {!reserved_volume} and
+    {!dump} need the whole history and raise on a retired ledger. *)
 
 val probe_count : t -> int
 (** Running count of timeline range probes ({!max_over}, {!argmax_over},
@@ -77,12 +88,13 @@ val probe_count : t -> int
     histogram [ledger_probes_per_decision]. *)
 
 val within_capacity : t -> bool
-(** Global invariant check: every port's peak usage is within its
-    capacity (with the [1e-9] slack).  Intended for tests. *)
+(** Global invariant check: every port's peak usage (from the horizon
+    on, once retired) is within its capacity (with the [1e-9] slack).
+    Intended for tests. *)
 
 val reserved_volume : t -> float
 (** Σ over ingress ports of ∫ usage dt — total MB of reserved ingress
-    capacity (each request counted once). *)
+    capacity (each request counted once).  Raises on a retired ledger. *)
 
 (** {2 Dump and restore}
 
@@ -102,7 +114,7 @@ type dump = { dump_ingress : segment list array; dump_egress : segment list arra
 val dump : t -> dump
 (** Per-port non-zero constant segments, in increasing time order.
     Segments are disjoint, finite, and carry the port's exact usage level
-    over their span. *)
+    over their span.  Raises [Invalid_argument] on a retired ledger. *)
 
 val restore : Gridbw_topology.Fabric.t -> dump -> t
 (** Rebuild a ledger from a dump.  The fabric supplies port counts and

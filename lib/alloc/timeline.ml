@@ -39,7 +39,16 @@
    unchanged path pays no write barrier; and the point query keeps the
    terms of its prefix sum in a float stack owned by the timeline and adds
    them innermost first, the order the recursive form returned them in,
-   instead of boxing a float at every level. *)
+   instead of boxing a float at every level.
+
+   A horizon bounds the history the tree keeps: [retire_before] detaches
+   every breakpoint keyed below it, in key order, and adds its delta into
+   a [base] level.  Point queries and range descents start their
+   accumulator at [base] where the whole-history tree starts at [0.], so
+   a timeline that is never retired answers with the same bits as
+   before.  A retired tree holds fewer nodes, so its sums associate
+   differently and its levels may differ from the whole-history tree's
+   in the last ulps. *)
 
 (* All-float payload: flat unboxed float block, mutated in place. *)
 type fl = {
@@ -57,8 +66,16 @@ type tree = Leaf | Node of { mutable l : tree; mutable r : tree; mutable h : int
 type probe = { mutable pbest : float; mutable pbest_at : float; mutable pacc : float }
 
 (* [stack] holds a point query's prefix-sum terms, one per right turn;
-   it is kept at least as long as the tree is high. *)
-type t = { mutable root : tree; probe : probe; mutable stack : float array }
+   it is kept at least as long as the tree is high.  [base] is the sum,
+   in key order, of the deltas retired from keys below [horizon]
+   ([neg_infinity] until the first {!retire_before}). *)
+type t = {
+  mutable root : tree;
+  probe : probe;
+  mutable stack : float array;
+  mutable base : float;
+  mutable horizon : float;
+}
 
 let height = function Leaf -> 0 | Node n -> n.h
 let sum = function Leaf -> 0. | Node n -> n.f.sum
@@ -238,13 +255,13 @@ let rec prefix_terms tree time stack k =
       else prefix_terms n.l time stack k
 
 (* Sum of deltas with key <= time: each right turn's term plus everything
-   below it, [0.] at the leaf — the right-nested order of the recursive
+   below it, [base] at the leaf — the right-nested order of the recursive
    [sum l +. delta +. prefix_sum r]. *)
 let prefix_sum t time =
   let h = height t.root in
   if Array.length t.stack < h then t.stack <- Array.make (2 * h) 0.;
   let stack = t.stack in
-  let acc = ref 0. in
+  let acc = ref t.base in
   for i = prefix_terms t.root time stack 0 - 1 downto 0 do
     acc := stack.(i) +. !acc
   done;
@@ -333,7 +350,9 @@ let rec best_between tree ~lo ~hi p =
 (* --- public interface --- *)
 
 let fresh_probe () = { pbest = neg_infinity; pbest_at = Float.nan; pacc = 0. }
-let create () = { root = Leaf; probe = fresh_probe (); stack = [||] }
+
+let create () =
+  { root = Leaf; probe = fresh_probe (); stack = [||]; base = 0.; horizon = neg_infinity }
 
 let rec copy_tree = function
   | Leaf -> Leaf
@@ -353,28 +372,61 @@ let rec copy_tree = function
             };
         }
 
-let copy t = { root = copy_tree t.root; probe = fresh_probe (); stack = [||] }
-let clear t = t.root <- Leaf
-let is_empty t = t.root = Leaf
+let copy t =
+  { root = copy_tree t.root; probe = fresh_probe (); stack = [||]; base = t.base; horizon = t.horizon }
 
+let is_empty t = t.root = Leaf && t.base = 0.
+
+(* A delta keyed behind the horizon counts from the horizon on, so it
+   goes into [base]; an interval wholly behind it changes no level the
+   timeline still answers for.  Before the first retirement both tests
+   are false for every finite bound, and the tree sees the same two
+   insertions as ever. *)
 let add t ~from_ ~until bw =
   if not (Float.is_finite from_ && Float.is_finite until) then
     invalid_arg "Timeline.add: non-finite interval";
   if from_ >= until then invalid_arg "Timeline.add: empty interval";
-  t.root <- add_delta (add_delta t.root from_ bw) until (-.bw)
+  if until >= t.horizon then begin
+    if from_ < t.horizon then t.base <- t.base +. bw else t.root <- add_delta t.root from_ bw;
+    t.root <- add_delta t.root until (-.bw)
+  end
 
 let remove t ~from_ ~until bw = add t ~from_ ~until (-.bw)
-let usage_at t time = prefix_sum t time
+
+(* Detach the minimum breakpoint while it lies below [h], folding each
+   delta into [base] in key order. *)
+let retire_before t h =
+  if not (Float.is_finite h) then invalid_arg "Timeline.retire_before: non-finite horizon";
+  if h > t.horizon then begin
+    t.horizon <- h;
+    let rec retire () =
+      match t.root with
+      | Leaf -> ()
+      | root -> (
+          match min_node root with
+          | Node m when m.f.key < h ->
+              t.base <- t.base +. m.f.delta;
+              t.root <- remove_min root;
+              retire ()
+          | _ -> ())
+    in
+    retire ()
+  end
+
+let usage_at t time =
+  if time < t.horizon then invalid_arg "Timeline.usage_at: time before the horizon";
+  prefix_sum t time
 
 (* The best level over the breakpoints inside (from_, until), into the
    probe.  [not (from_ < until)] also refuses a NaN bound, which the float
    operators and [Float.compare] would order differently. *)
 let probe_range t what ~from_ ~until =
   if not (from_ < until) then invalid_arg ("Timeline." ^ what ^ ": empty or NaN interval");
+  if from_ < t.horizon then invalid_arg ("Timeline." ^ what ^ ": interval starts before the horizon");
   let p = t.probe in
   p.pbest <- neg_infinity;
   p.pbest_at <- Float.nan;
-  p.pacc <- 0.;
+  p.pacc <- t.base;
   best_between t.root ~lo:from_ ~hi:until p
 
 (* The level {!argmax_over} reports. *)
@@ -390,15 +442,22 @@ let argmax_over t ~from_ ~until =
   let p = t.probe in
   if p.pbest > start_level then (p.pbest_at, p.pbest) else (from_, start_level)
 
-let peak t = match t.root with Leaf -> 0.0 | Node n -> Float.max 0.0 n.f.best
+let peak t = Float.max 0.0 (max_over t ~from_:t.horizon ~until:infinity)
+
+(* The readers below walk the whole history from level 0; a retired
+   timeline no longer has it. *)
+let whole_history t what =
+  if t.horizon > neg_infinity then invalid_arg ("Timeline." ^ what ^ ": retired timeline")
 
 let breakpoints t =
+  whole_history t "breakpoints";
   let rec walk tree acc =
     match tree with Leaf -> acc | Node n -> walk n.l (n.f.key :: walk n.r acc)
   in
   walk t.root []
 
 let fold_segments t ~init ~f =
+  whole_history t "fold_segments";
   let rec walk tree (acc, level, prev) =
     match tree with
     | Leaf -> (acc, level, prev)
@@ -415,4 +474,5 @@ let fold_segments t ~init ~f =
   acc
 
 let integral t =
+  whole_history t "integral";
   fold_segments t ~init:0.0 ~f:(fun acc ~from_ ~until level -> acc +. (level *. (until -. from_)))

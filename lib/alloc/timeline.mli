@@ -14,7 +14,18 @@
     differential suite in test/test_timeline.ml checks exact equality on an
     exactly-representable grid and tolerance equality on arbitrary floats;
     test/test_kernels.ml pins the bits of every answer on arbitrary
-    floats, so the association itself cannot change unnoticed. *)
+    floats, so the association itself cannot change unnoticed.
+
+    {b Horizon.}  {!retire_before} forgets the history behind a time: it
+    folds every breakpoint keyed below it into a base level, so the tree
+    holds only what a later query can still see.  Queries then start from
+    the base where a whole-history tree starts from 0, and a timeline that
+    is never retired answers with exactly the bits it always did.  A
+    retired tree is a different shape, so its levels may differ from the
+    whole-history tree's in the last ulps (exact on the representable
+    grid); the [1e-9] admission slack dwarfs that.  Queries below the
+    horizon raise, and the whole-history readers ({!breakpoints},
+    {!fold_segments}, {!integral}) refuse a retired timeline. *)
 
 type t
 
@@ -24,27 +35,38 @@ val create : unit -> t
 val copy : t -> t
 (** Independent deep copy, O(n): nodes are mutated in place by
     [add]/[remove], so a snapshot duplicates the tree.  Later
-    [add]/[remove] on either copy do not affect the other. *)
-
-val clear : t -> unit
+    [add]/[remove] on either copy do not affect the other.  The copy keeps
+    the horizon and its base level. *)
 
 val add : t -> from_:float -> until:float -> float -> unit
 (** [add t ~from_ ~until bw] reserves [bw] on the half-open interval
     [\[from_, until)].  Requires [from_ < until] and finite bounds.
-    Negative [bw] releases (used by {!remove}).  O(log n). *)
+    Negative [bw] releases (used by {!remove}).  Valid at any bounds
+    after {!retire_before}: the part of the interval behind the horizon
+    counts from the horizon on, and an interval that ends before it
+    changes nothing.  O(log n). *)
 
 val remove : t -> from_:float -> until:float -> float -> unit
 (** Inverse of {!add} with the same arguments. *)
 
+val retire_before : t -> float -> unit
+(** [retire_before t h] moves the horizon to [h]: every breakpoint keyed
+    below [h] leaves the tree, in key order, and its delta is added into
+    the base level every later query starts from.  Each breakpoint is
+    inserted once and retired once, so the cost is O(log n) amortized per
+    breakpoint.  A horizon at or below the current one is a no-op; a
+    non-finite [h] raises [Invalid_argument]. *)
+
 val usage_at : t -> float -> float
 (** Allocated bandwidth at time [t] (intervals are closed on the left).
-    O(log n). *)
+    Raises [Invalid_argument] when [t] is below the horizon.  O(log n). *)
 
 val max_over : t -> from_:float -> until:float -> float
 (** Maximum allocated bandwidth over [\[from_, until)]: the level
     {!argmax_over} reports.  0 on an empty timeline.  Raises
-    [Invalid_argument] unless [from_ < until], so also on a NaN bound;
-    infinite bounds are answered.  O(log n). *)
+    [Invalid_argument] unless [from_ < until], so also on a NaN bound, and
+    when [from_] is below the horizon; infinite bounds are answered.
+    O(log n). *)
 
 val argmax_over : t -> from_:float -> until:float -> float * float
 (** [(time, level)] of the maximum over [\[from_, until)]: the earliest
@@ -54,18 +76,23 @@ val argmax_over : t -> from_:float -> until:float -> float * float
     for {!max_over}.  O(log n). *)
 
 val peak : t -> float
-(** Maximum usage over the whole time axis. *)
+(** Maximum usage over [\[horizon, ∞)] — the whole time axis until the
+    first {!retire_before} — and at least 0. *)
 
 val breakpoints : t -> float list
 (** Sorted times where the usage changes (deltas that cancelled out
-    exactly are dropped).  O(n). *)
+    exactly are dropped).  O(n).  Raises [Invalid_argument] on a retired
+    timeline. *)
 
 val fold_segments : t -> init:'a -> f:('a -> from_:float -> until:float -> float -> 'a) -> 'a
 (** Fold over the maximal constant segments with non-zero span between the
     first and last breakpoint.  The level before the first breakpoint and
-    after the last is 0 and is not visited. *)
+    after the last is 0 and is not visited.  Raises [Invalid_argument] on
+    a retired timeline. *)
 
 val integral : t -> float
-(** Total reserved volume: ∫ usage dt (MB when usage is MB/s). *)
+(** Total reserved volume: ∫ usage dt (MB when usage is MB/s).  Raises
+    [Invalid_argument] on a retired timeline. *)
 
 val is_empty : t -> bool
+(** No breakpoint and a zero base level. *)

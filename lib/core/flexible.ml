@@ -347,9 +347,17 @@ let window ?(ctx = Runtime.default) fabric policy ~step requests =
     | Types.Accepted a -> accepted := a :: !accepted
     | Types.Rejected reason -> rejected := (r, reason) :: !rejected
   in
+  (* Every candidate books from its own arrival, so no query of a batch
+     reaches behind its earliest arrival and the breakpoints there can be
+     folded away.  The horizon is that arrival, not [k·step]:
+     [floor (ts /. step)] can put a [ts] one ulp below [k·step] into
+     batch [k]. *)
   List.iter
     (fun (k, batch) ->
       Emit.emit_arrivals obs seqs batch;
+      (match batch with
+      | (first : Request.t) :: _ -> Ledger.retire_before ledger first.ts
+      | [] -> ());
       pack_batch ~obs ~now:(float_of_int (k + 1) *. step) policy ledger ~decide batch)
     (batches ~step requests);
   { Types.all = requests; accepted = List.rev !accepted; rejected = List.rev !rejected }

@@ -14,6 +14,7 @@ module Fabric = Gridbw_topology.Fabric
 module Request = Gridbw_request.Request
 module Allocation = Gridbw_alloc.Allocation
 module Timeline = Gridbw_alloc.Timeline
+module Ledger = Gridbw_alloc.Ledger
 module Spec = Gridbw_workload.Spec
 module Gen = Gridbw_workload.Gen
 module Rng = Gridbw_prng.Rng
@@ -121,6 +122,53 @@ let timeline_digest () =
 let timeline_pinned () =
   Alcotest.(check string) "timeline answers digest" "b3c60bc2bb6b093b5d8fff305147d37e" (timeline_digest ())
 
+(* WINDOW folds the ledger's history behind each batch into a base level
+   (Ledger.retire_before), which re-associates the usage sums.  Its
+   decision streams must stay those of a ledger that keeps every
+   breakpoint: the reference below packs the same batches with the same
+   kernel and never retires.  Three heavy-load settings, each spanning at
+   least twenty batches of the longest interval, at three interval
+   lengths and two seeds. *)
+let window_whole_history fabric policy ~step reqs =
+  let ledger = Ledger.create fabric in
+  let decisions = ref [] in
+  List.iter
+    (fun (_, batch) ->
+      Flexible.pack_batch policy ledger ~decide:(fun r d -> decisions := (r, d) :: !decisions) batch)
+    (Flexible.batches ~step reqs);
+  Flexible.collect reqs (List.rev !decisions)
+
+let window_retirement_keeps_decisions () =
+  let fabric = Fabric.paper_default () in
+  List.iter
+    (fun (interarrival, policy, count) ->
+      List.iter
+        (fun seed ->
+          let reqs =
+            Gen.generate
+              (Rng.create ~seed ())
+              (Spec.paper_flexible ~count ~mean_interarrival:interarrival ())
+          in
+          List.iter
+            (fun step ->
+              let pin res =
+                let b = Buffer.create (1 lsl 16) in
+                pin_result b res;
+                digest b
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "interarrival %g, %s, step %g, seed %Ld" interarrival
+                   (Policy.name policy) step seed)
+                (pin (window_whole_history fabric policy ~step reqs))
+                (pin (Flexible.window fabric policy ~step reqs)))
+            [ 100.; 200.; 400. ])
+        [ 1L; 2L ])
+    [
+      (0.5, Policy.Fraction_of_max 1.0, 16_000);
+      (2.0, Policy.Min_rate, 4_000);
+      (5.0, Policy.Fraction_of_max 0.5, 4_000);
+    ]
+
 let suites =
   [
     ( "kernel-pins",
@@ -132,5 +180,6 @@ let suites =
         case "seed 21: greedy, online and window(400) streams"
           (kernels_pinned 21L ("b832fddef7c3a2fe8b4a526fe62eda0e", "9550aaccc5fafae24d296322b06de747",
              "a7770eb2b72ac5dca719eb1a3d39212e"));
+        case "window decides as on a never-retired ledger" window_retirement_keeps_decisions;
       ] );
   ]

@@ -150,17 +150,17 @@ let rejects_bad_interval () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty query interval accepted"
 
+let refused name f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s: accepted" name
+
 (* A NaN bound is refused like an empty interval: every comparison with
    it is false, so a descent would otherwise answer from an arbitrary
    path. *)
 let rejects_nan_bounds () =
   let tl = Timeline.create () in
   Timeline.add tl ~from_:1. ~until:4. 10.;
-  let refused name f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s: NaN bound accepted" name
-  in
   refused "max_over from_" (fun () -> Timeline.max_over tl ~from_:Float.nan ~until:5.);
   refused "max_over until" (fun () -> Timeline.max_over tl ~from_:0. ~until:Float.nan);
   refused "argmax_over from_" (fun () -> fst (Timeline.argmax_over tl ~from_:Float.nan ~until:5.));
@@ -210,6 +210,153 @@ let argmax_prefers_earliest () =
   let t0, u0 = Timeline.argmax_over tl ~from_:2.5 ~until:3.5 in
   check_approx "start level" 50. u0;
   check_approx "start witness" 2.5 t0
+
+(* --- the horizon: a retired timeline against a never-retired twin --- *)
+
+type step = Op of op | Retire of float
+
+(* [ops] with retirements at random positions: removals that cancel an
+   earlier add may land after the horizon passed it, and some horizons are
+   lower than the current one. *)
+let with_retires time ops =
+  let open QCheck2.Gen in
+  let n = List.length ops in
+  list_size (int_range 0 6) (pair (int_range 0 n) time) >|= fun rs ->
+  let retires_at i = List.filter_map (fun (p, h) -> if p = i then Some (Retire h) else None) rs in
+  List.concat (List.mapi (fun i op -> retires_at i @ [ Op op ]) ops) @ retires_at n
+
+let grid_steps = QCheck2.Gen.(grid_ops >>= with_retires grid_time)
+let float_steps = QCheck2.Gen.(float_ops >>= with_retires float_time)
+
+(* After every step, every answer at or after the horizon must match the
+   twin that keeps the whole history: exactly on the grid, within the
+   suite's tolerance on arbitrary floats, where an argmax witness must
+   still reach the twin's level. *)
+let check_retired ~exact steps =
+  let plain = Timeline.create () and retired = Timeline.create () in
+  let horizon = ref neg_infinity in
+  let points =
+    List.concat_map
+      (function Op (Add (f, u, _)) -> [ f; u; f -. 0.1; u +. 0.1; 0.5 *. (f +. u) ] | Retire h -> [ h; h +. 0.1 ])
+      steps
+  in
+  let ranges = List.filter_map (function Op (Add (f, u, _)) -> Some (f, u) | Retire _ -> None) steps in
+  let check name a b =
+    if exact then eq_exact name a b
+    else if not (approx a b) then Alcotest.failf "%s: whole history %.17g vs retired %.17g" name a b
+  in
+  List.iter
+    (fun step ->
+      (match step with
+      | Op op ->
+          apply_tl plain op;
+          apply_tl retired op
+      | Retire h ->
+          Timeline.retire_before retired h;
+          horizon := Float.max !horizon h);
+      let h = !horizon in
+      List.iter
+        (fun x ->
+          if x >= h then check (Printf.sprintf "usage_at %g" x) (Timeline.usage_at plain x) (Timeline.usage_at retired x))
+        points;
+      List.iter
+        (fun (f, u) ->
+          let f = Float.max f h in
+          if f < u then begin
+            let name = Printf.sprintf "[%g,%g) behind %g" f u h in
+            check ("max_over " ^ name) (Timeline.max_over plain ~from_:f ~until:u) (Timeline.max_over retired ~from_:f ~until:u);
+            let pt, pl = Timeline.argmax_over plain ~from_:f ~until:u in
+            let rt, rl = Timeline.argmax_over retired ~from_:f ~until:u in
+            check ("argmax_over level " ^ name) pl rl;
+            if exact then eq_exact ("argmax_over witness " ^ name) pt rt
+            else check ("argmax_over witness level " ^ name) pl (Timeline.usage_at plain rt)
+          end)
+        ((h, infinity) :: ranges);
+      check "peak" (Float.max 0. (Timeline.max_over plain ~from_:h ~until:infinity)) (Timeline.peak retired))
+    steps;
+  true
+
+let retired_fixture () =
+  let plain = Timeline.create () in
+  Timeline.add plain ~from_:1. ~until:4. 10.;
+  Timeline.add plain ~from_:2. ~until:9. 20.;
+  Timeline.add plain ~from_:6. ~until:8. 5.;
+  let retired = Timeline.copy plain in
+  Timeline.retire_before retired 5.;
+  (plain, retired)
+
+let below_horizon_raises () =
+  let _, tl = retired_fixture () in
+  refused "usage_at" (fun () -> Timeline.usage_at tl 4.9);
+  refused "usage_at -inf" (fun () -> Timeline.usage_at tl neg_infinity);
+  refused "max_over" (fun () -> Timeline.max_over tl ~from_:4. ~until:7.);
+  refused "argmax_over" (fun () -> fst (Timeline.argmax_over tl ~from_:neg_infinity ~until:7.));
+  refused "retire_before NaN" (fun () -> Timeline.retire_before tl Float.nan);
+  refused "retire_before +inf" (fun () -> Timeline.retire_before tl infinity);
+  Alcotest.(check (float 0.)) "at the horizon" 20. (Timeline.usage_at tl 5.);
+  Alcotest.(check (float 0.)) "from the horizon" 25. (Timeline.max_over tl ~from_:5. ~until:infinity)
+
+(* A delta behind the horizon counts from the horizon on; an interval
+   that ends at or before it leaves every answer unchanged. *)
+let adds_behind_horizon () =
+  let plain, retired = retired_fixture () in
+  let both f = f plain; f retired in
+  both (fun tl -> Timeline.add tl ~from_:3. ~until:7. 4.);
+  both (fun tl -> Timeline.add tl ~from_:0. ~until:2. 50.);
+  both (fun tl -> Timeline.add tl ~from_:4.5 ~until:5. 50.);
+  both (fun tl -> Timeline.remove tl ~from_:2. ~until:9. 20.);
+  List.iter
+    (fun x ->
+      Alcotest.(check (float 0.)) (Printf.sprintf "usage_at %g" x) (Timeline.usage_at plain x)
+        (Timeline.usage_at retired x))
+    [ 5.; 6.; 6.5; 7.; 8.; 9.; 100. ];
+  Alcotest.(check (float 0.)) "straddling add counted" 4. (Timeline.usage_at retired 5.);
+  Alcotest.(check (float 0.)) "released across the horizon" 0. (Timeline.usage_at retired 8.)
+
+let lower_horizon_is_noop () =
+  let plain, tl = retired_fixture () in
+  Timeline.retire_before tl 3.;
+  Timeline.retire_before tl 5.;
+  refused "usage_at behind the first horizon" (fun () -> Timeline.usage_at tl 4.);
+  List.iter
+    (fun x ->
+      Alcotest.(check (float 0.)) (Printf.sprintf "usage_at %g" x) (Timeline.usage_at plain x)
+        (Timeline.usage_at tl x))
+    [ 5.; 6.; 8.; 9. ]
+
+(* The copy keeps the horizon and the base level. *)
+let copy_keeps_base () =
+  let _, tl = retired_fixture () in
+  let c = Timeline.copy tl in
+  Timeline.add tl ~from_:5. ~until:6. 1.;
+  Alcotest.(check (float 0.)) "copy keeps the base" 20. (Timeline.usage_at c 5.);
+  refused "copy keeps the horizon" (fun () -> Timeline.usage_at c 4.)
+
+(* [peak] and [within_capacity] look at [horizon, ∞) only: an overload
+   behind the horizon no longer counts. *)
+let peak_from_horizon () =
+  let plain, tl = retired_fixture () in
+  Alcotest.(check (float 0.)) "whole-history peak" 30. (Timeline.peak plain);
+  Alcotest.(check (float 0.)) "peak from the horizon" 25. (Timeline.peak tl);
+  let l = Ledger.create (fabric2 ()) in
+  Ledger.reserve_interval l ~ingress:0 ~egress:1 ~bw:150. ~from_:0. ~until:10.;
+  Ledger.reserve_interval l ~ingress:0 ~egress:1 ~bw:60. ~from_:10. ~until:20.;
+  Alcotest.(check bool) "overloaded before" false (Ledger.within_capacity l);
+  Ledger.retire_before l 10.;
+  Alcotest.(check bool) "within capacity from the horizon" true (Ledger.within_capacity l);
+  check_approx "level at the horizon" 60. (Ledger.usage_at l (Port.Ingress 0) 10.)
+
+let whole_history_readers_refuse () =
+  let _, tl = retired_fixture () in
+  refused "breakpoints" (fun () -> Timeline.breakpoints tl);
+  refused "fold_segments" (fun () -> Timeline.fold_segments tl ~init:() ~f:(fun () ~from_:_ ~until:_ _ -> ()));
+  refused "integral" (fun () -> Timeline.integral tl);
+  let l = Ledger.create (fabric2 ()) in
+  Ledger.reserve_interval l ~ingress:0 ~egress:1 ~bw:10. ~from_:0. ~until:10.;
+  Ledger.retire_before l 5.;
+  refused "Ledger.breakpoints" (fun () -> Ledger.breakpoints l (Port.Ingress 0));
+  refused "Ledger.dump" (fun () -> Ledger.dump l);
+  refused "Ledger.reserved_volume" (fun () -> Ledger.reserved_volume l)
 
 (* --- ledger invariants on the new substrate --- *)
 
@@ -341,6 +488,18 @@ let suites =
         case "NaN bounds are refused" rejects_nan_bounds;
         case "-0. and 0. are one key" signed_zero_is_one_key;
         case "infinite bounds answer as before" infinite_bounds;
+      ] );
+    ( "alloc-horizon",
+      [
+        qcase ~count:100 "retired vs whole history: exact on grid ops" grid_steps (check_retired ~exact:true);
+        qcase ~count:100 "retired vs whole history: tolerant on float ops" float_steps
+          (check_retired ~exact:false);
+        case "queries below the horizon raise" below_horizon_raises;
+        case "adds behind or across the horizon count from it on" adds_behind_horizon;
+        case "a lower horizon is a no-op" lower_horizon_is_noop;
+        case "copy keeps the horizon and base" copy_keeps_base;
+        case "peak and within_capacity answer from the horizon" peak_from_horizon;
+        case "whole-history readers refuse a retired timeline" whole_history_readers_refuse;
       ] );
     ( "ledger-port",
       [
