@@ -16,6 +16,11 @@ let create fabric =
     probes = 0;
   }
 
+(* The fabric and the probe counter carry over; every timeline is
+   duplicated node for node, so the copy answers with the same bits. *)
+let copy t =
+  { t with ingress = Array.map Timeline.copy t.ingress; egress = Array.map Timeline.copy t.egress }
+
 let probe_count t = t.probes
 
 let fabric t = t.fabric
@@ -115,7 +120,8 @@ let headroom_over t port ~from_ ~until =
   t.probes <- t.probes + 1;
   capacity t port -. Timeline.max_over (timeline t "headroom_over" port) ~from_ ~until
 
-let breakpoints t port = Timeline.breakpoints (timeline t "breakpoints" port)
+let breakpoints_over t port ~from_ ~until =
+  Timeline.breakpoints_over (timeline t "breakpoints_over" port) ~from_ ~until
 
 let retire_before t h =
   Array.iter (fun tl -> Timeline.retire_before tl h) t.ingress;
@@ -132,47 +138,3 @@ let within_capacity t =
       if not (le_cap (Timeline.peak p) (Fabric.egress_capacity t.fabric e)) then ok := false)
     t.egress;
   !ok
-
-let reserved_volume t = Array.fold_left (fun acc p -> acc +. Timeline.integral p) 0.0 t.ingress
-
-(* --- dump and restore (a ledger copy) --- *)
-
-type segment = { seg_from : float; seg_until : float; seg_level : float }
-type dump = { dump_ingress : segment list array; dump_egress : segment list array }
-
-let dump_timeline tl =
-  Timeline.fold_segments tl ~init: []
-    ~f:(fun acc ~from_ ~until level ->
-      if level = 0.0 then acc else { seg_from = from_; seg_until = until; seg_level = level } :: acc)
-  |> List.rev
-
-let dump t =
-  {
-    dump_ingress = Array.map dump_timeline t.ingress;
-    dump_egress = Array.map dump_timeline t.egress;
-  }
-
-let restore_timeline what segs =
-  let tl = Timeline.create () in
-  List.iter
-    (fun { seg_from; seg_until; seg_level } ->
-      if
-        not
-          (Float.is_finite seg_from && Float.is_finite seg_until && Float.is_finite seg_level
-         && seg_from < seg_until)
-      then invalid_arg (Printf.sprintf "Ledger.restore: malformed %s segment" what);
-      if seg_level <> 0.0 then Timeline.add tl ~from_:seg_from ~until:seg_until seg_level)
-    segs;
-  tl
-
-let restore fabric d =
-  if
-    Array.length d.dump_ingress <> Fabric.ingress_count fabric
-    || Array.length d.dump_egress <> Fabric.egress_count fabric
-  then invalid_arg "Ledger.restore: dump port counts do not match the fabric";
-  {
-    fabric;
-    ingress = Array.map (restore_timeline "ingress") d.dump_ingress;
-    egress = Array.map (restore_timeline "egress") d.dump_egress;
-    probes = 0;
-  }

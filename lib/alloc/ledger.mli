@@ -7,12 +7,22 @@
     capacity.  Capacity checks allow a relative [1e-9] slack to absorb
     float accumulation.
 
-    Ports are addressed with {!Port.t}. *)
+    A ledger has no serialised form: {!copy} duplicates it bit for bit,
+    and the readers answer for one port over one range at a time.  Ports
+    are addressed with {!Port.t}. *)
 
 type t
 
 val create : Gridbw_topology.Fabric.t -> t
 val fabric : t -> Gridbw_topology.Fabric.t
+
+val copy : t -> t
+(** An independent copy, O(n) in the breakpoints held: same fabric, same
+    probe count, and every port's timeline duplicated node for node
+    ({!Timeline.copy}), so the copy answers every query with the
+    original's bits.  Later bookings, releases or {!set_fabric} on either
+    side leave the other unchanged.  {!Gridbw_malleable.Malleable} tries
+    a reshape on a copy and adopts it only when every profile closes. *)
 
 val set_fabric : t -> Gridbw_topology.Fabric.t -> unit
 (** Swap in a revised fabric (same port counts, possibly different
@@ -67,9 +77,12 @@ val headroom_over : t -> Port.t -> from_:float -> until:float -> float
     using {!fits_interval}'s comparison, which has the [1e-9] slack;
     [headroom_over] is a measurement, not an admission predicate. *)
 
-val breakpoints : t -> Port.t -> float list
-(** Sorted times where the port's reserved bandwidth changes.  Raises
-    [Invalid_argument] after {!retire_before}. *)
+val breakpoints_over : t -> Port.t -> from_:float -> until:float -> float list
+(** The port's breakpoints strictly inside [(from_, until)], ascending
+    ({!Timeline.breakpoints_over}): the only times inside the range where
+    its reserved bandwidth changes.  Not a range probe: {!probe_count}
+    does not move.  Raises [Invalid_argument] on a NaN bound and when
+    [from_] is below the horizon. *)
 
 val retire_before : t -> float -> unit
 (** [retire_before t h] applies {!Timeline.retire_before} to every port:
@@ -78,8 +91,7 @@ val retire_before : t -> float -> unit
     every query must start at or after [h] (earlier ones raise
     [Invalid_argument]); bookings at any time stay valid.  Levels may
     differ from a never-retired ledger's in the last ulps, well inside
-    the [1e-9] admission slack.  {!breakpoints}, {!reserved_volume} and
-    {!dump} need the whole history and raise on a retired ledger. *)
+    the [1e-9] admission slack. *)
 
 val probe_count : t -> int
 (** Running count of timeline range probes ({!max_over}, {!argmax_over},
@@ -91,33 +103,3 @@ val within_capacity : t -> bool
 (** Global invariant check: every port's peak usage (from the horizon
     on, once retired) is within its capacity (with the [1e-9] slack).
     Intended for tests. *)
-
-val reserved_volume : t -> float
-(** Σ over ingress ports of ∫ usage dt — total MB of reserved ingress
-    capacity (each request counted once).  Raises on a retired ledger. *)
-
-(** {2 Dump and restore}
-
-    A ledger reads out as the per-port list of maximal constant non-zero
-    segments read off {!Timeline.fold_segments}, and {!restore} rebuilds
-    one from that list: {!Gridbw_malleable.Malleable} copies a ledger as
-    [restore fabric (dump t)].  The pair is a semantic round-trip:
-    [restore fabric (dump t)] answers every query with the same levels as
-    [t], up to the {!Timeline} caveat that subtree sums are associated by
-    tree shape (exact on exactly-representable levels, last-ulp otherwise
-    — well inside the ledger's [1e-9] admission slack). *)
-
-type segment = { seg_from : float; seg_until : float; seg_level : float }
-
-type dump = { dump_ingress : segment list array; dump_egress : segment list array }
-
-val dump : t -> dump
-(** Per-port non-zero constant segments, in increasing time order.
-    Segments are disjoint, finite, and carry the port's exact usage level
-    over their span.  Raises [Invalid_argument] on a retired ledger. *)
-
-val restore : Gridbw_topology.Fabric.t -> dump -> t
-(** Rebuild a ledger from a dump.  The fabric supplies port counts and
-    capacities; raises [Invalid_argument] when the dump's port counts do
-    not match or a segment is malformed (non-finite or empty span).  The
-    probe counter restarts at 0. *)

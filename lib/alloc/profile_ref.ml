@@ -59,19 +59,4 @@ let peak t =
 
 let breakpoints t = Fmap.fold (fun bp _ acc -> bp :: acc) t [] |> List.rev
 
-let fold_segments t ~init ~f =
-  let acc = ref init and level = ref 0.0 and prev = ref None in
-  Fmap.iter
-    (fun bp delta ->
-      (match !prev with
-      | Some p when p < bp -> acc := f !acc ~from_:p ~until:bp !level
-      | _ -> ());
-      level := !level +. delta;
-      prev := Some bp)
-    t;
-  !acc
-
-let integral t =
-  fold_segments t ~init:0.0 ~f:(fun acc ~from_ ~until level -> acc +. (level *. (until -. from_)))
-
 let is_empty t = Fmap.is_empty t

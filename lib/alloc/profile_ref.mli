@@ -8,7 +8,10 @@
     release.
 
     This is the oracle the O(log n) {!Timeline} structure is differentially
-    tested against; the ledger's admission hot path uses {!Timeline}. *)
+    tested against, query for query: {!usage_at}, {!max_over}, {!peak},
+    and {!breakpoints} filtered to a range for
+    {!Timeline.breakpoints_over}.  The ledger's admission hot path uses
+    {!Timeline}. *)
 
 type t
 
@@ -35,13 +38,5 @@ val peak : t -> float
 val breakpoints : t -> float list
 (** Sorted times where the usage changes (deltas that cancelled out
     exactly are dropped). *)
-
-val fold_segments : t -> init:'a -> f:('a -> from_:float -> until:float -> float -> 'a) -> 'a
-(** Fold over the maximal constant segments with non-zero span between the
-    first and last breakpoint.  The level before the first breakpoint and
-    after the last is 0 and is not visited. *)
-
-val integral : t -> float
-(** Total reserved volume: ∫ usage dt (MB when usage is MB/s). *)
 
 val is_empty : t -> bool

@@ -214,7 +214,8 @@ let merge l r =
 
 (* Add [delta] to the entry at [key], dropping the node when the deltas
    cancel exactly — the same invariant as the reference map, so
-   [breakpoints] never reports a time where the level does not change. *)
+   [breakpoints_over] never reports a time where the level does not
+   change. *)
 let rec add_delta t key delta =
   match t with
   | Leaf ->
@@ -444,35 +445,19 @@ let argmax_over t ~from_ ~until =
 
 let peak t = Float.max 0.0 (max_over t ~from_:t.horizon ~until:infinity)
 
-(* The readers below walk the whole history from level 0; a retired
-   timeline no longer has it. *)
-let whole_history t what =
-  if t.horizon > neg_infinity then invalid_arg ("Timeline." ^ what ^ ": retired timeline")
-
-let breakpoints t =
-  whole_history t "breakpoints";
+(* Keys in (from_, until), ascending: the walk builds the list from the
+   right and skips every subtree wholly outside the range, so it visits
+   O(log n + k) nodes. *)
+let breakpoints_over t ~from_ ~until =
+  if Float.is_nan from_ || Float.is_nan until then
+    invalid_arg "Timeline.breakpoints_over: NaN bound";
+  if from_ < t.horizon then invalid_arg "Timeline.breakpoints_over: range starts before the horizon";
   let rec walk tree acc =
-    match tree with Leaf -> acc | Node n -> walk n.l (n.f.key :: walk n.r acc)
+    match tree with
+    | Leaf -> acc
+    | Node n ->
+        let k = n.f.key in
+        let acc = if k < until then walk n.r acc else acc in
+        if from_ < k then walk n.l (if k < until then k :: acc else acc) else acc
   in
   walk t.root []
-
-let fold_segments t ~init ~f =
-  whole_history t "fold_segments";
-  let rec walk tree (acc, level, prev) =
-    match tree with
-    | Leaf -> (acc, level, prev)
-    | Node n ->
-        let acc, level, prev = walk n.l (acc, level, prev) in
-        let acc =
-          match prev with
-          | Some p when p < n.f.key -> f acc ~from_:p ~until:n.f.key level
-          | _ -> acc
-        in
-        walk n.r (acc, level +. n.f.delta, Some n.f.key)
-  in
-  let acc, _, _ = walk t.root (init, 0.0, None) in
-  acc
-
-let integral t =
-  whole_history t "integral";
-  fold_segments t ~init:0.0 ~f:(fun acc ~from_ ~until level -> acc +. (level *. (until -. from_)))

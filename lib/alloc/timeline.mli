@@ -14,7 +14,10 @@
     differential suite in test/test_timeline.ml checks exact equality on an
     exactly-representable grid and tolerance equality on arbitrary floats;
     test/test_kernels.ml pins the bits of every answer on arbitrary
-    floats, so the association itself cannot change unnoticed.
+    floats, so the association itself cannot change unnoticed.  For
+    the same reason {!copy} duplicates the tree node for node: a copy
+    answers with the original's bits, where a tree rebuilt from the
+    original's segments would associate its sums by its own shape.
 
     {b Horizon.}  {!retire_before} forgets the history behind a time: it
     folds every breakpoint keyed below it into a base level, so the tree
@@ -24,8 +27,8 @@
     retired tree is a different shape, so its levels may differ from the
     whole-history tree's in the last ulps (exact on the representable
     grid); the [1e-9] admission slack dwarfs that.  Queries below the
-    horizon raise, and the whole-history readers ({!breakpoints},
-    {!fold_segments}, {!integral}) refuse a retired timeline. *)
+    horizon raise; no reader walks the whole history, so none needs
+    what a retired tree has forgotten. *)
 
 type t
 
@@ -79,20 +82,13 @@ val peak : t -> float
 (** Maximum usage over [\[horizon, ∞)] — the whole time axis until the
     first {!retire_before} — and at least 0. *)
 
-val breakpoints : t -> float list
-(** Sorted times where the usage changes (deltas that cancelled out
-    exactly are dropped).  O(n).  Raises [Invalid_argument] on a retired
-    timeline. *)
-
-val fold_segments : t -> init:'a -> f:('a -> from_:float -> until:float -> float -> 'a) -> 'a
-(** Fold over the maximal constant segments with non-zero span between the
-    first and last breakpoint.  The level before the first breakpoint and
-    after the last is 0 and is not visited.  Raises [Invalid_argument] on
-    a retired timeline. *)
-
-val integral : t -> float
-(** Total reserved volume: ∫ usage dt (MB when usage is MB/s).  Raises
-    [Invalid_argument] on a retired timeline. *)
+val breakpoints_over : t -> from_:float -> until:float -> float list
+(** The breakpoints [k] with [from_ < k < until], ascending: the times
+    inside the range where the usage changes (deltas that cancelled out
+    exactly are dropped).  Empty unless [from_ < until]; infinite bounds
+    are answered.  Raises [Invalid_argument] on a NaN bound and when
+    [from_] is below the horizon.  One pruned in-order descent,
+    O(log n + k) for [k] keys returned. *)
 
 val is_empty : t -> bool
 (** No breakpoint and a zero base level. *)

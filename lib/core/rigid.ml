@@ -156,12 +156,11 @@ let fifo_blocking ?(ctx = Runtime.default) fabric requests =
         && Ledger.usage_at ledger (Port.Egress r.egress) t +. bw
            <= Fabric.egress_capacity fabric r.egress *. (1. +. 1e-9)
       in
+      let later port = Ledger.breakpoints_over ledger port ~from_ ~until:infinity in
       let candidates =
         from_
-        :: (List.filter (fun t -> t > from_)
-              (Ledger.breakpoints ledger (Port.Ingress r.ingress)
-              @ Ledger.breakpoints ledger (Port.Egress r.egress))
-           |> List.sort_uniq Float.compare)
+        :: List.sort_uniq Float.compare
+             (later (Port.Ingress r.ingress) @ later (Port.Egress r.egress))
       in
       List.find_opt fits_at candidates
   in

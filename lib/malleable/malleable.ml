@@ -6,7 +6,6 @@ module Ledger = Gridbw_alloc.Ledger
 module Port = Gridbw_alloc.Port
 module Obs = Gridbw_obs.Obs
 module Event = Gridbw_obs.Event
-module Span = Gridbw_obs.Span
 module Spec = Gridbw_workload.Spec
 module Types = Gridbw_core.Types
 module Runtime = Gridbw_core.Runtime
@@ -70,11 +69,9 @@ let solve ?(peak_bound = infinity) ledger (r : Request.t) ~start =
   if not (start < r.tf) then None
   else begin
     let in_port = Port.Ingress r.ingress and out_port = Port.Egress r.egress in
-    let inside = List.filter (fun t -> t > start && t < r.tf) in
+    let inside port = Ledger.breakpoints_over ledger port ~from_:start ~until:r.tf in
     let bounds =
-      List.sort_uniq Float.compare
-        ((start :: r.tf :: inside (Ledger.breakpoints ledger in_port))
-        @ inside (Ledger.breakpoints ledger out_port))
+      List.sort_uniq Float.compare ((start :: r.tf :: inside in_port) @ inside out_port)
       |> Array.of_list
     in
     let n = Array.length bounds - 1 in
@@ -263,7 +260,7 @@ let try_reshape ~kappa ledger admitted rev_order (r : Request.t) ~now =
   in
   if pending = [] then None
   else begin
-    let scratch = Ledger.restore (Ledger.fabric !ledger) (Ledger.dump !ledger) in
+    let scratch = Ledger.copy !ledger in
     List.iter (fun (q, p) -> release_profile scratch q p) pending;
     let items = List.sort edf_compare (r :: List.map fst pending) in
     let solved =
@@ -389,15 +386,7 @@ let run config ?(ctx = Runtime.default) fabric requests =
   List.iter
     (fun (now, (r : Request.t)) ->
       if Obs.tracing obs then Emit.emit_arrival obs seqs ~time:now r;
-      let span = ctx.Runtime.span in
-      let t0 = match span with Some _ -> Span.now_ns () | None -> 0. in
-      let p0 = match span with Some _ -> Ledger.probe_count !ledger | None -> 0 in
-      Obs.span obs admit_span (fun () -> decide now r);
-      match span with
-      | None -> ()
-      | Some sp ->
-          Span.record sp Span.Admit_search (Span.now_ns () -. t0);
-          Span.add_probes sp (Ledger.probe_count !ledger - p0))
+      Obs.span obs admit_span (fun () -> decide now r))
     order;
   {
     Types.all = requests;

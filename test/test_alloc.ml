@@ -49,14 +49,6 @@ let add_remove_identity () =
   in
   Alcotest.(check bool) "back to empty" true (Profile_ref.is_empty p)
 
-let integral_value () =
-  let p =
-    Profile_ref.empty
-    |> fun p -> Profile_ref.add p ~from_:0. ~until:10. 5.
-    |> fun p -> Profile_ref.add p ~from_:5. ~until:10. 5.
-  in
-  check_approx "50 + 25" 75.0 (Profile_ref.integral p)
-
 let breakpoints_sorted () =
   let p =
     Profile_ref.empty
@@ -64,25 +56,6 @@ let breakpoints_sorted () =
     |> fun p -> Profile_ref.add p ~from_:1. ~until:3. 1.
   in
   Alcotest.(check (list (float 0.))) "sorted" [ 1.; 3.; 5.; 9. ] (Profile_ref.breakpoints p)
-
-let fold_segments_levels () =
-  let p =
-    Profile_ref.empty
-    |> fun p -> Profile_ref.add p ~from_:0. ~until:4. 2.
-    |> fun p -> Profile_ref.add p ~from_:2. ~until:6. 3.
-  in
-  let segs =
-    Profile_ref.fold_segments p ~init:[] ~f:(fun acc ~from_ ~until level ->
-        (from_, until, level) :: acc)
-    |> List.rev
-  in
-  Alcotest.(check int) "three segments" 3 (List.length segs);
-  let f0, u0, l0 = List.nth segs 0 in
-  check_approx "seg0 from" 0. f0; check_approx "seg0 until" 2. u0; check_approx "seg0 level" 2. l0;
-  let _, _, l1 = List.nth segs 1 in
-  check_approx "seg1 level" 5. l1;
-  let _, _, l2 = List.nth segs 2 in
-  check_approx "seg2 level" 3. l2
 
 let rejects_bad_interval () =
   (match Profile_ref.add Profile_ref.empty ~from_:3. ~until:3. 1. with
@@ -179,7 +152,8 @@ let ledger_release_restores () =
   Alcotest.(check bool) "blocked" false (Ledger.fits l (alloc r2 90. 0.));
   Ledger.release l a1;
   Alcotest.(check bool) "free again" true (Ledger.fits l (alloc r2 90. 0.));
-  check_approx "no reserved volume" 0.0 (Ledger.reserved_volume l)
+  Alcotest.(check (list (float 0.))) "no breakpoint left" []
+    (Ledger.breakpoints_over l (Port.Ingress 0) ~from_:neg_infinity ~until:infinity)
 
 (* A zero-length interval holds nothing: it fits a full port, and
    booking or releasing it leaves the ledger as it was.  Inverted and NaN
@@ -192,20 +166,13 @@ let ledger_zero_length () =
   Ledger.reserve_interval l ~ingress:0 ~egress:0 ~bw:50. ~from_:5. ~until:5.;
   Ledger.release_interval l ~ingress:0 ~egress:0 ~bw:50. ~from_:20. ~until:20.;
   Alcotest.(check (list (float 0.))) "no breakpoint added" [ 0.; 10. ]
-    (Ledger.breakpoints l (Port.Ingress 0));
+    (Ledger.breakpoints_over l (Port.Ingress 0) ~from_:neg_infinity ~until:infinity);
   List.iter
     (fun (label, from_, until) ->
       match Ledger.fits_interval l ~ingress:0 ~egress:0 ~bw:1. ~from_ ~until with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.failf "%s interval accepted" label)
     [ ("inverted", 6., 5.); ("NaN", Float.nan, 5.); ("NaN end", 5., Float.nan) ]
-
-let ledger_reserved_volume () =
-  let f = fabric2 () in
-  let l = Ledger.create f in
-  let r = req ~id:1 ~volume:500. ~ts:0. ~tf:10. ~max_rate:50. () in
-  Ledger.reserve l (alloc r 50. 0.);
-  check_approx "500 MB reserved" 500.0 (Ledger.reserved_volume l)
 
 let prop_random_reservations_within_capacity =
   qcase ~count:60 "qcheck: fits-guarded reservations never violate capacity"
@@ -274,9 +241,7 @@ let suites =
         case "overlapping adds sum" overlapping_adds_sum;
         case "max_over sees interior spike" max_over_sees_interior_spike;
         case "add/remove identity" add_remove_identity;
-        case "integral" integral_value;
         case "breakpoints sorted" breakpoints_sorted;
-        case "fold_segments levels" fold_segments_levels;
         case "rejects bad intervals" rejects_bad_interval;
         prop_add_remove_cancels;
       ] );
@@ -289,7 +254,6 @@ let suites =
         case "egress constraint" ledger_egress_constraint;
         case "reserve checks capacity" ledger_reserve_checks;
         case "release restores" ledger_release_restores;
-        case "reserved volume" ledger_reserved_volume;
         case "zero-length interval holds nothing" ledger_zero_length;
         prop_random_reservations_within_capacity;
       ] );

@@ -14,7 +14,7 @@ module Policy = Gridbw_core.Policy
 module Types = Gridbw_core.Types
 module Summary = Gridbw_metrics.Summary
 module Reference = Gridbw_check.Reference
-module Ledger = Gridbw_alloc.Ledger
+module Profile_ref = Gridbw_alloc.Profile_ref
 module Allocation = Gridbw_alloc.Allocation
 module Port = Gridbw_alloc.Port
 module Request = Gridbw_request.Request
@@ -1088,11 +1088,11 @@ let journal_pins =
       ] );
     ( "malleable reshapes",
       [
-        ("accepted", "d374b7eb91382632e0d3c6aeffc94a20");
+        ("accepted", "d8b30489b7c009ab87e793c8d29b829e");
         ("decided", "6dc2fa98b4c4c83c0432aaad25b7ad76");
-        ("survivors", "a4eb2dfbb0fa5209115b94a2e5abb248");
-        ("recover", "d8c66bf0039e3599a5c985afef63306f");
-        ("recover --json", "01945006090ba8e43b99b06902a46bb7");
+        ("survivors", "00647e7a8d65abffa781d7addf7febb9");
+        ("recover", "6ee68ef5ae99ebdb0aa261197a02b611");
+        ("recover --json", "c8721cc1208b0a6048f53c933076960a");
       ] );
     ( "sharded engine",
       [
@@ -1167,26 +1167,32 @@ let test_live_store_keeps_no_history () =
 
 (* An image in the older format: a frame tagged 0x05 holding the cursor,
    then per side its port count and per port its (from, until, level)
-   segments, floats as IEEE bits. *)
-let legacy_image ~cursor ledger =
-  let d = Ledger.dump ledger in
+   segments, floats as IEEE bits.  A port's segments run between its
+   consecutive breakpoints at the level the first one opens, zero levels
+   left out, as the older versions read them off their mirror ledger. *)
+let legacy_image ~cursor (ingress, egress) =
   let p = Buffer.create 256 in
   let side ports =
     Buffer.add_int32_le p (Int32.of_int (Array.length ports));
     Array.iter
-      (fun segs ->
+      (fun prof ->
+        let rec segments acc = function
+          | from_ :: (until :: _ as rest) ->
+              let level = Profile_ref.usage_at prof from_ in
+              segments (if level = 0.0 then acc else (from_, until, level) :: acc) rest
+          | _ -> List.rev acc
+        in
+        let segs = segments [] (Profile_ref.breakpoints prof) in
         Buffer.add_int32_le p (Int32.of_int (List.length segs));
         List.iter
-          (fun (s : Ledger.segment) ->
-            List.iter
-              (fun f -> Buffer.add_int64_le p (Int64.bits_of_float f))
-              [ s.Ledger.seg_from; s.Ledger.seg_until; s.Ledger.seg_level ])
+          (fun (from_, until, level) ->
+            List.iter (fun f -> Buffer.add_int64_le p (Int64.bits_of_float f)) [ from_; until; level ])
           segs)
       ports
   in
   Buffer.add_int64_le p (Int64.of_int cursor);
-  side d.Ledger.dump_ingress;
-  side d.Ledger.dump_egress;
+  side ingress;
+  side egress;
   let b = Buffer.create 256 in
   Gridbw_wire.Frame.add b ~tag:0x05 (Buffer.contents p);
   Buffer.contents b
@@ -1194,15 +1200,15 @@ let legacy_image ~cursor ledger =
 (* What an older store could hold beside its WAL: images at and beyond
    the log's end, a damaged one, one of the JSONL format before that,
    and the temps of interrupted writes. *)
-let plant_legacy_files ~dir ~ledger ~records =
+let plant_legacy_files ~dir ~ports ~records =
   let write f data =
     Out_channel.with_open_bin (Filename.concat dir f) (fun oc -> output_string oc data)
   in
-  let image = legacy_image ~cursor:records ledger in
+  let image = legacy_image ~cursor:records ports in
   write (Printf.sprintf "snap-%010d.bin" records) image;
   write
     (Printf.sprintf "snap-%010d.bin" (records + 50))
-    (legacy_image ~cursor:(records + 50) ledger);
+    (legacy_image ~cursor:(records + 50) ports);
   write (Printf.sprintf "snap-%010d.bin" (records / 2)) (String.sub image 0 (String.length image / 2));
   write (Printf.sprintf "snap-%010d.json" (records + 60)) {|{"snap":1,"cursor":0,"events":0}|};
   write (Printf.sprintf ".snap-%010d.bin.tmp" (records + 1)) "half a snapshot";
@@ -1227,16 +1233,22 @@ let commitment_rows (r : Store.recovered) =
       (q.Request.id, List.map Int64.bits_of_float [ f; u; bw ]))
     (commitments r.Store.journal)
 
-(* The mirror ledger an older version imaged: every commitment of the
-   journal, booked. *)
-let image_ledger (r : Store.recovered) =
-  let l = Ledger.create r.Store.journal.Replay.fabric in
+(* The per-port usage of the mirror ledger an older version imaged:
+   every commitment of the journal, booked. *)
+let image_ports (r : Store.recovered) =
+  let fabric = r.Store.journal.Replay.fabric in
+  let side n = Array.make n Profile_ref.empty in
+  let ingress = side (Gridbw_topology.Fabric.ingress_count fabric)
+  and egress = side (Gridbw_topology.Fabric.egress_count fabric) in
   List.iter
     (fun ((q : Request.t), (from_, until, bw)) ->
-      Ledger.reserve_interval l ~ingress:q.Request.ingress ~egress:q.Request.egress ~bw ~from_
-        ~until)
+      if from_ <> until then begin
+        let book ports i = ports.(i) <- Profile_ref.add ports.(i) ~from_ ~until bw in
+        book ingress q.Request.ingress;
+        book egress q.Request.egress
+      end)
     (commitments r.Store.journal);
-  l
+  (ingress, egress)
 
 (* A store written by [journal], its last record torn in half as a kill
    mid-append leaves it, beside a copy that also holds the older files
@@ -1253,7 +1265,7 @@ let recover_beside_legacy ~label ~tmp ~journal ~plant =
   let last = List.nth boundaries (List.length boundaries - 1) in
   Torn.truncate_at ~dir:bare (last + ((total - last) / 2));
   Torn.copy_store ~src:bare ~dst:legacy;
-  plant ~dir:legacy ~ledger:(image_ledger whole) ~records;
+  plant ~dir:legacy ~ports:(image_ports whole) ~records;
   let planted = legacy_files legacy in
   Alcotest.(check bool) (label ^ ": older files planted") true (planted <> []);
   let a = recover_exn ~label bare and b = recover_exn ~label:(label ^ ", legacy") legacy in
@@ -1289,10 +1301,10 @@ let test_snapshot_recovery () =
       ignore (journal_run ~batch:4 ~dir:src requests);
       let whole = recover_exn ~label:"written" src in
       let records = Store.records whole.Store.store in
-      let ledger = image_ledger whole in
+      let ports = image_ports whole in
       let cursors = [ records / 3; 2 * records / 3 ] in
       List.iter
-        (fun c -> write_in src (Printf.sprintf "snap-%010d.bin" c) (legacy_image ~cursor:c ledger))
+        (fun c -> write_in src (Printf.sprintf "snap-%010d.bin" c) (legacy_image ~cursor:c ports))
         cursors;
       let _, total = Torn.record_boundaries ~dir:src in
       let dir = carve ~src ~scratch (total - 7) in
@@ -1327,7 +1339,7 @@ let test_stale_temp_ignored () =
   with_tmpdir (fun tmp ->
       ignore
         (recover_beside_legacy ~label:"stale temps" ~tmp ~journal:(greedy_journal 17)
-           ~plant:(fun ~dir ~ledger:_ ~records ->
+           ~plant:(fun ~dir ~ports:_ ~records ->
              write_in dir (Printf.sprintf ".snap-%010d.bin.tmp" (records / 2)) "half a snapshot";
              write_in dir ".snap-0000000009.json.tmp" "half a snapshot")))
 
@@ -1339,10 +1351,10 @@ let test_outran_snapshot_ignored () =
   with_tmpdir (fun tmp ->
       let bare, legacy, records =
         recover_beside_legacy ~label:"outrun images" ~tmp ~journal:(greedy_journal 17)
-          ~plant:(fun ~dir ~ledger ~records ->
+          ~plant:(fun ~dir ~ports ~records ->
             List.iter
               (fun c ->
-                write_in dir (Printf.sprintf "snap-%010d.bin" c) (legacy_image ~cursor:c ledger))
+                write_in dir (Printf.sprintf "snap-%010d.bin" c) (legacy_image ~cursor:c ports))
               [ records; records + 50 ])
       in
       let rewrite dir =
@@ -1377,8 +1389,8 @@ let test_snapshot_decoder_total () =
   with_tmpdir (fun tmp ->
       ignore
         (recover_beside_legacy ~label:"damaged images" ~tmp ~journal:(greedy_journal 17)
-           ~plant:(fun ~dir ~ledger ~records ->
-             let image = legacy_image ~cursor:(records / 2) ledger in
+           ~plant:(fun ~dir ~ports ~records ->
+             let image = legacy_image ~cursor:(records / 2) ports in
              let n = String.length image in
              let flip i =
                String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 0x5a) else c) image
