@@ -6,6 +6,8 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+module Binio = Gridbw_wire.Binio
+
 (* The C primitive behind [Printf]'s %g: calling it directly skips the
    format interpreter. *)
 external format_float : string -> float -> string = "caml_format_float"
@@ -13,115 +15,132 @@ external format_float : string -> float -> string = "caml_format_float"
 (* 10^k for k <= 22, each exact: 5^22 < 2^53. *)
 let pow10 = Array.init 23 (fun k -> float_of_string ("1e" ^ string_of_int k))
 
-(* The 17 significant digits of "%.17g" for a finite [a] > 0, and its
-   decimal exponent, when 1e-6 <= a < 1e17; (0, _) otherwise.  They are
-   N = a·10^k rounded half to even, with k = 16 - e for the decimal
-   exponent e, and 10^k is exact because k <= 22.  The product a·10^k is
-   exactly hi + lo ([Float.fma] gives the rounding error), and once
-   10^16 <= N < 10^17, hi >= 2^53 is an integer and |lo| <= 8: N's
-   integer part and its fraction are both exact, so the rounding is.
-   [e] starts from log10 and moves by one until N is in range. *)
-let rec g17_digits a e =
+(* The decimal exponent e of "%.17g" for a finite [a] > 0 with
+   1e-6 <= a < 1e17: the one for which N = a·10^k, k = 16 - e, rounded
+   half to even, lies in [10^16, 10^17).  10^k is exact because
+   k <= 22, and the product a·10^k is exactly hi + lo ([Float.fma]
+   gives the rounding error), so the range test is exact.  [e] starts
+   from log10 and moves by one until N is in range; a [k] outside
+   [0, 22] ends the search and is the caller's to refuse. *)
+let rec g17_exp a e =
   let k = 16 - e in
-  if k < 0 || k > 22 then (0, e)
+  if k < 0 || k > 22 then e
   else begin
     let p = Array.unsafe_get pow10 k in
     let hi = a *. p in
     let lo = Float.fma a p (-.hi) in
-    if hi < 1e16 || (hi = 1e16 && lo < 0.) then g17_digits a (e - 1)
-    else if hi > 1e17 || (hi = 1e17 && lo >= 0.) then g17_digits a (e + 1)
-    else begin
-      let fl = Float.floor lo in
-      let fr = lo -. fl in
-      let d = int_of_float hi + int_of_float fl in
-      let d = if fr > 0.5 || (fr = 0.5 && d land 1 = 1) then d + 1 else d in
-      if d = 100_000_000_000_000_000 then (10_000_000_000_000_000, e + 1) else (d, e)
-    end
+    if hi < 1e16 || (hi = 1e16 && lo < 0.) then g17_exp a (e - 1)
+    else if hi > 1e17 || (hi = 1e17 && lo >= 0.) then g17_exp a (e + 1)
+    else e
   end
 
-(* What "%.17g" prints for a finite [f] with 1e-6 <= |f| < 1e17, without
-   the C printf; "" outside that range.  %g takes style f when
-   -4 <= e < 17 and style e otherwise; either way the fraction loses its
-   trailing zeros, and the point goes too when nothing is left. *)
-let g17 f =
+(* N itself, for the [e] of [g17_exp].  Once 10^16 <= N < 10^17, hi >= 2^53
+   is an integer and |lo| <= 8: N's integer part and its fraction are
+   both exact, so the rounding is.  It may round up to 10^17. *)
+let g17_mantissa a e =
+  let p = Array.unsafe_get pow10 (16 - e) in
+  let hi = a *. p in
+  let lo = Float.fma a p (-.hi) in
+  let fl = Float.floor lo in
+  let fr = lo -. fl in
+  let d = int_of_float hi + int_of_float fl in
+  if fr > 0.5 || (fr = 0.5 && d land 1 = 1) then d + 1 else d
+
+let zeros = "0000000000000000"
+
+(* Append what "%.17g" prints for a finite [f] <> 0, without the C
+   printf when 1e-6 <= |f| < 1e17.  %g takes style f when -4 <= e < 17
+   and style e otherwise; either way the fraction loses its trailing
+   zeros, and the point goes too when nothing is left.  The 17 digits go
+   to a small scratch, and from there to [b] in at most three pieces. *)
+let add_g17 b f =
   let a = Float.abs f in
-  let d, e =
-    if a >= 1e-6 && a < 1e17 then g17_digits a (int_of_float (Float.floor (Float.log10 a)))
-    else (0, 0)
+  let e =
+    if a >= 1e-6 && a < 1e17 then g17_exp a (int_of_float (Float.floor (Float.log10 a))) else 99
   in
-  if d = 0 || e >= 17 then ""
+  let d = if e >= -6 && e <= 16 then g17_mantissa a e else 0 in
+  (* a mantissa that rounded up to 10^17 is 10^16 at the next exponent *)
+  let carry = d = 100_000_000_000_000_000 in
+  let e = if carry then e + 1 else e in
+  if d = 0 || e >= 17 then Buffer.add_string b (format_float "%.17g" f)
   else begin
     let ds = Bytes.create 17 in
-    let v = ref d in
-    for i = 16 downto 0 do
-      Bytes.unsafe_set ds i (Char.unsafe_chr (48 + (!v mod 10)));
-      v := !v / 10
+    ignore (Binio.put_digits ds 17 (if carry then 10_000_000_000_000_000 else d));
+    (* ds.[m - 1] is the last significant digit; ds.[0] is not '0' *)
+    let m = ref 17 in
+    while Bytes.unsafe_get ds (!m - 1) = '0' do
+      decr m
     done;
-    (* ds.[last] is the last significant digit; ds.[0] is not '0' *)
-    let last = ref 16 in
-    while Bytes.unsafe_get ds !last = '0' do
-      decr last
-    done;
-    let last = !last and sign = if f < 0. then 1 else 0 in
-    if e >= 0 then begin
-      let frac = if last > e then last - e else 0 in
-      let b = Bytes.make (sign + e + 1 + (if frac > 0 then frac + 1 else 0)) '-' in
-      Bytes.blit ds 0 b sign (e + 1);
-      if frac > 0 then begin
-        Bytes.unsafe_set b (sign + e + 1) '.';
-        Bytes.blit ds (e + 1) b (sign + e + 2) frac
-      end;
-      Bytes.unsafe_to_string b
-    end
+    let m = !m in
+    if f < 0. then Buffer.add_char b '-';
+    if e >= 0 then
+      if m <= e + 1 then begin
+        Buffer.add_subbytes b ds 0 m;
+        Buffer.add_substring b zeros 0 (e + 1 - m)
+      end
+      else begin
+        Buffer.add_subbytes b ds 0 (e + 1);
+        Buffer.add_char b '.';
+        Buffer.add_subbytes b ds (e + 1) (m - e - 1)
+      end
     else if e >= -4 then begin
       (* 0.<-e-1 zeros><digits> *)
-      let b = Bytes.make (sign + 1 - e + last + 1) '0' in
-      if sign = 1 then Bytes.unsafe_set b 0 '-';
-      Bytes.unsafe_set b (sign + 1) '.';
-      Bytes.blit ds 0 b (sign + 1 - e) (last + 1);
-      Bytes.unsafe_to_string b
+      Buffer.add_string b "0.";
+      Buffer.add_substring b zeros 0 (-e - 1);
+      Buffer.add_subbytes b ds 0 m
     end
     else begin
       (* <d>[.<digits>]e-0<-e>, e being -5 or -6 here *)
-      let frac = if last > 0 then last + 1 else 0 in
-      let b = Bytes.make (sign + 1 + frac + 4) '-' in
-      Bytes.unsafe_set b sign (Bytes.unsafe_get ds 0);
-      if frac > 0 then begin
-        Bytes.unsafe_set b (sign + 1) '.';
-        Bytes.blit ds 1 b (sign + 2) last
+      Buffer.add_char b (Bytes.unsafe_get ds 0);
+      if m > 1 then begin
+        Buffer.add_char b '.';
+        Buffer.add_subbytes b ds 1 (m - 1)
       end;
-      Bytes.blit_string "e-0" 0 b (sign + 1 + frac) 3;
-      Bytes.unsafe_set b (sign + frac + 4) (Char.unsafe_chr (48 - e));
-      Bytes.unsafe_to_string b
+      Buffer.add_string b "e-0";
+      Buffer.add_char b (Char.unsafe_chr (48 - e))
     end
   end
 
 (* %.17g is the shortest format that round-trips every double; integral
    values still print without an exponent ("42" stays "42").  Below 1e15
-   an integral double is an exact [int], so [string_of_int] prints what
-   "%.0f" would, except that "%.0f" keeps the sign of -0.  Other values
-   in [g17]'s range skip the C printf: ≈0.13 against ≈0.5 µs a value on
-   a 2-vCPU x86-64 host. *)
-let num_to_string f =
+   an integral double is an exact [int], so its decimal digits are what
+   "%.0f" would print, except that "%.0f" keeps the sign of -0.  Other
+   values in [add_g17]'s range skip the C printf. *)
+let add_num b f =
   if not (Float.is_finite f) then invalid_arg "Json: non-finite number";
   if Float.is_integer f && Float.abs f < 1e15 then
-    if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f)
-  else
-    match g17 f with "" -> format_float "%.17g" f | s -> s
+    if f = 0. && Float.sign_bit f then Buffer.add_string b "-0"
+    else Binio.add_decimal b (int_of_float f)
+  else add_g17 b f
+
+let num_to_string f =
+  let b = Buffer.create 24 in
+  add_num b f;
+  Buffer.contents b
+
+(* The first byte of [s] from [i] on that needs an escape, or its length. *)
+let rec plain_until s i =
+  if i < String.length s then
+    match String.unsafe_get s i with
+    | '"' | '\\' -> i
+    | c when Char.code c < 0x20 -> i
+    | _ -> plain_until s (i + 1)
+  else i
 
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let plain = plain_until s 0 in
+  Buffer.add_substring buf s 0 plain;
+  for i = plain to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    | c -> Buffer.add_char buf c
+  done;
   Buffer.add_char buf '"'
 
 let to_string v =
@@ -129,7 +148,7 @@ let to_string v =
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num f -> Buffer.add_string buf (num_to_string f)
+    | Num f -> add_num buf f
     | Str s -> escape buf s
     | List xs ->
         Buffer.add_char buf '[';
@@ -155,7 +174,7 @@ let to_string v =
 
 exception Bad of string
 
-let is_num_char = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+let[@inline] is_num_char = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
 
 (* The parser's cursor.  Error messages name the byte offset where
    parsing stopped; they reach serve clients inside [bad-json] replies,
@@ -258,31 +277,144 @@ let parse_string c =
   in
   scan start
 
-(* A plain integer literal of at most 15 digits is below 2^53, so it
-   converts exactly; [float_of_string]'s correctly rounded result is the
-   same double ("-0" included).  Everything else, and every error, goes
-   through [float_of_string] as before. *)
-let parse_number c =
+(* --- numbers --- *)
+
+(* The generic reader: the longest run of number characters at the
+   cursor, converted by [float_of_string].  It defines what a number is
+   and where a malformed one is reported; [parse_number_into] hands it
+   every literal it does not convert itself. *)
+let parse_number_generic c =
   let start = c.pos in
-  if cur c = '-' then c.pos <- c.pos + 1;
-  let digits_from = c.pos in
-  let acc = ref 0 in
-  while match cur c with '0' .. '9' -> true | _ -> false do
-    acc := (!acc * 10) + (Char.code (String.unsafe_get c.s c.pos) - Char.code '0');
+  while is_num_char (cur c) do
     c.pos <- c.pos + 1
   done;
-  let digits = c.pos - digits_from in
-  if digits > 0 && digits <= 15 && not (is_num_char (cur c)) then
-    if digits_from > start then -.float_of_int !acc else float_of_int !acc
-  else begin
-    while is_num_char (cur c) do
-      c.pos <- c.pos + 1
-    done;
-    if c.pos = start then fail c "expected number";
-    match float_of_string_opt (String.sub c.s start (c.pos - start)) with
-    | Some f -> f
-    | None -> fail c "malformed number"
+  if c.pos = start then fail c "expected number";
+  match float_of_string_opt (String.sub c.s start (c.pos - start)) with
+  | Some f -> f
+  | None -> fail c "malformed number"
+
+(* [w]·10^-k for an integer 2^53 <= w < 10^18 and 1 <= k <= 22,
+   correctly rounded, or nan when that cannot be certified cheaply.
+   The candidate r is the double-double quotient (wh + wl)/10^k, with
+   w = wh + wl exactly.  It is the correct rounding when
+   |w - r·10^k| < g/2·10^k, g being the smaller of the gaps to r's
+   neighbours.  r·10^k = hi + lo exactly ([Float.fma]), hi is an integer
+   (it is near w >= 2^53), so w - hi is exact in [int] and the residual
+   d = (w - hi) - lo carries one rounding, a relative 2^-53: a margin of
+   2^-50 makes the test exact.  A residual inside the margin is near a
+   halfway point, and such a literal goes to [float_of_string]. *)
+let[@inline] div_pow10 w k =
+  let p = Array.unsafe_get pow10 k in
+  let wh = float_of_int w in
+  let wl = float_of_int (w - int_of_float wh) in
+  let q = wh /. p in
+  let r = q +. ((Float.fma (-.q) p wh +. wl) /. p) in
+  let hi = r *. p in
+  let lo = Float.fma r p (-.hi) in
+  let d = float_of_int (w - int_of_float hi) -. lo in
+  (* r is a positive normal double: its gap above is 2^(exponent - 52),
+     the one below half that when r is a power of two *)
+  let bits = Int64.bits_of_float r in
+  let up = Int64.float_of_bits (Int64.logand bits 0x7FF0000000000000L) *. 0x1p-52 in
+  let g = if Int64.logand bits 0xFFFFFFFFFFFFFL = 0L then 0.5 *. up else up in
+  if Float.abs d < 0.5 *. g *. p *. (1. -. 0x1p-50) then r else Float.nan
+
+let[@inline] is_digit = function '0' .. '9' -> true | _ -> false
+
+(* The number literal at the cursor, as [float_of_string] reads it, with
+   the common spellings converted in place.  One pass reads
+   -?digits[.digits][(e|E)[+-]digits] into a significand [w] and a
+   decimal exponent [e10]: digits go into [w] while it is below 10^17,
+   so it holds up to 18 of them, and a later integer digit adds one to
+   [e10] instead (a nonzero one, lost, makes the literal inexact).
+   Then, for an exact literal,
+   - a plain integer of at most 15 digits is [w], exactly;
+   - [w] = 0 is a zero of the literal's sign;
+   - [w] < 2^53 and |e10| <= 22 is Clinger's fast path: [w] and 10^|e10|
+     are exact doubles, so one multiplication or division rounds once,
+     correctly;
+   - [e10] = 0 is one exact integer conversion;
+   - 2^53 <= [w] and -22 <= [e10] < 0 (16 to 18 digits with a
+     fraction, what "%.17g" prints) is [div_pow10]'s certified quotient.
+   Anything else (an inexact literal, a far exponent, a positive exponent
+   on a long significand, an uncertified quotient, a leading '+', a
+   missing digit, a number character right after the literal) goes to
+   [parse_number_generic], which also reports every malformed literal,
+   so error messages and offsets do not depend on this reader.  The
+   double goes to [dst.(k)], unboxed. *)
+let parse_number_into c (dst : float array) k =
+  let s = c.s and n = c.n in
+  let i = ref c.pos in
+  let neg = !i < n && String.unsafe_get s !i = '-' in
+  if neg then incr i;
+  let w = ref 0 and e10 = ref 0 and exact = ref true in
+  let first = !i in
+  while !i < n && is_digit (String.unsafe_get s !i) do
+    let v = Char.code (String.unsafe_get s !i) - 48 in
+    if !w < 100_000_000_000_000_000 then w := (!w * 10) + v
+    else begin
+      incr e10;
+      if v <> 0 then exact := false
+    end;
+    incr i
+  done;
+  let digits = ref (!i - first) in
+  if !digits > 0 && !digits <= 15 && not (!i < n && is_num_char (String.unsafe_get s !i)) then begin
+    (* a plain integer below 10^15: exact *)
+    c.pos <- !i;
+    dst.(k) <- (if neg then -.float_of_int !w else float_of_int !w)
   end
+  else begin
+    if !i < n && String.unsafe_get s !i = '.' then begin
+      incr i;
+      let from = !i in
+      while !i < n && is_digit (String.unsafe_get s !i) do
+        let v = Char.code (String.unsafe_get s !i) - 48 in
+        if !w < 100_000_000_000_000_000 then begin
+          w := (!w * 10) + v;
+          decr e10
+        end
+        else if v <> 0 then exact := false;
+        incr i
+      done;
+      digits := !digits + (!i - from)
+    end;
+    let ok = ref (!digits > 0) in
+    if !ok && !i < n && (String.unsafe_get s !i = 'e' || String.unsafe_get s !i = 'E') then begin
+      incr i;
+      let eneg = !i < n && String.unsafe_get s !i = '-' in
+      if !i < n && (eneg || String.unsafe_get s !i = '+') then incr i;
+      let from = !i and ex = ref 0 in
+      while !i < n && is_digit (String.unsafe_get s !i) do
+        if !ex < 100_000 then ex := (!ex * 10) + (Char.code (String.unsafe_get s !i) - 48);
+        incr i
+      done;
+      if !i = from then ok := false;
+      e10 := if eneg then !e10 - !ex else !e10 + !ex
+    end;
+    let w = !w and e10 = !e10 in
+    let v =
+      if (not !ok) || (!i < n && is_num_char (String.unsafe_get s !i)) then Float.nan
+      else if w = 0 then 0.
+      else if (not !exact) || e10 < -22 || e10 > 22 then Float.nan
+      else if w < 0x20000000000000 then
+        if e10 >= 0 then float_of_int w *. Array.unsafe_get pow10 e10
+        else float_of_int w /. Array.unsafe_get pow10 (-e10)
+      else if e10 = 0 then float_of_int w
+      else if e10 < 0 then div_pow10 w (-e10)
+      else Float.nan
+    in
+    if Float.is_nan v then dst.(k) <- parse_number_generic c
+    else begin
+      c.pos <- !i;
+      dst.(k) <- (if neg then -.v else v)
+    end
+  end
+
+let parse_number c =
+  let dst = [| 0. |] in
+  parse_number_into c dst 0;
+  dst.(0)
 
 let rec parse_value c =
   skip_ws c;

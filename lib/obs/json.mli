@@ -16,10 +16,14 @@ type t =
 val to_string : t -> string
 (** Compact single-line rendering (no whitespace). *)
 
+val add_num : Buffer.t -> float -> unit
+(** Append the number rendering [to_string] uses: what ["%.0f"] prints
+    for an integral value below 1e15 (["-0"] included), what ["%.17g"]
+    prints for any other; raises on non-finite input.  The digits are
+    written straight into the buffer. *)
+
 val num_to_string : float -> string
-(** The number rendering [to_string] uses: what ["%.0f"] prints for an
-    integral value below 1e15 (["-0"] included), what ["%.17g"] prints
-    for any other; raises on non-finite input. *)
+(** {!add_num}'s bytes as a string. *)
 
 val escape : Buffer.t -> string -> unit
 (** Append [s] as the quoted, escaped string literal [to_string] writes
@@ -41,14 +45,20 @@ type cursor = { s : string; n : int; mutable pos : int }
 exception Bad of string
 (** A scanning error, with the message {!parse} would report. *)
 
-val skip_ws : cursor -> unit
-(** Advance past JSON whitespace. *)
-
 val parse_number : cursor -> float
 (** Scan the number literal at the cursor, as {!parse} reads a value
-    that is not an object, array, string or keyword: an integer literal
-    of at most 15 digits converts exactly, anything else goes through
-    [float_of_string].  Raises {!Bad} on a malformed literal. *)
+    that is not an object, array, string or keyword.  The double is the
+    one [float_of_string] returns for the literal, bit for bit: plain
+    spellings with at most 18 significant digits and a decimal exponent
+    within 22 are converted in place, exactly (Clinger's fast path
+    below 2^53, a certified double-double quotient above), and any
+    other literal, or one whose rounding the quotient cannot certify,
+    goes to [float_of_string].  Raises {!Bad} on a malformed literal,
+    with the message and offset [float_of_string]'s reader reports. *)
+
+val parse_number_into : cursor -> float array -> int -> unit
+(** [parse_number_into c dst k] stores {!parse_number}'s double in
+    [dst.(k)] without boxing it (float arrays are flat). *)
 
 val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] on other constructors. *)

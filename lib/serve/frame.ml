@@ -35,6 +35,11 @@ let add_as fmt b payload =
   | Text -> Wire_frame.Line.encode b payload
   | Binary -> Wire_frame.add b ~tag:binary_tag payload
 
+let add_buffer_as fmt b payload =
+  match fmt with
+  | Text -> Wire_frame.Line.add_buffer b payload
+  | Binary -> Wire_frame.add b ~tag:binary_tag (Buffer.contents payload)
+
 (* 16 bytes cover either form's overhead: at most 10 length digits, a
    space and a newline, or the binary frame's 10. *)
 let encode_as fmt payload =

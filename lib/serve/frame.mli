@@ -49,6 +49,11 @@ val encode_as : format -> string -> string
 val add_as : format -> Buffer.t -> string -> unit
 (** Append the framed bytes {!encode_as} would return. *)
 
+val add_buffer_as : format -> Buffer.t -> Buffer.t -> unit
+(** [add_buffer_as fmt b payload]: {!add_as} of the payload held in a
+    buffer.  A [Text] frame copies it once, buffer to buffer; a [Binary]
+    one takes its contents for the CRC. *)
+
 (** {2 Incremental decoding} *)
 
 type decoder

@@ -110,7 +110,7 @@ let h_error = head "error"
 
 let add_num b key f =
   Buffer.add_string b key;
-  Buffer.add_string b (Json.num_to_string f)
+  Json.add_num b f
 
 let add_int b key i = add_num b key (float_of_int i)
 
@@ -123,8 +123,7 @@ let add_window b bw sigma tau =
   add_num b ",\"sigma\":" sigma;
   add_num b ",\"tau\":" tau
 
-let encode_response r =
-  let b = Buffer.create 128 in
+let add_response b r =
   (match r with
   | Admitted { id; bw; sigma; tau } ->
       Buffer.add_string b h_admitted;
@@ -166,7 +165,11 @@ let encode_response r =
       Buffer.add_string b h_error;
       add_str b ",\"code\":" (code_name code);
       add_str b ",\"message\":" message);
-  Buffer.add_char b '}';
+  Buffer.add_char b '}'
+
+let encode_response r =
+  let b = Buffer.create 128 in
+  add_response b r;
   Buffer.contents b
 
 (* --- decoding --- *)
@@ -235,11 +238,13 @@ let decode_request_tree payload =
    an unknown or repeated key, a string for a number, an escape in a
    key, trailing bytes, any error) is [None]: the tree decoder then
    answers, so every error reply comes from one place.  Numbers go
-   through [Json.parse_number], the tree parser's own scanner, so both
-   paths read the same doubles. *)
+   through [Json.parse_number_into], the tree parser's own reader, so
+   both paths read the same doubles; they land unboxed in one float
+   array, a slot per key. *)
 
-(* Bit of each admit key in the [seen] mask, -1 for any other key:
-   v op id in out vol ts tf max. *)
+(* Bit of each admit key in the [seen] mask, and its slot in the number
+   array; -1 for any other key: v op id in out vol ts tf max.  Slot 1
+   ("op") holds no number. *)
 let key_bit s i len =
   let c0 = String.unsafe_get s i in
   match len with
@@ -262,101 +267,98 @@ let key_bit s i len =
 
 let all_keys = (1 lsl 9) - 1
 
-(* The byte under the cursor, '\000' at the end of input (as in [Json]). *)
-let cur (c : Json.cursor) = if c.pos < c.n then String.unsafe_get c.s c.pos else '\000'
+(* The first non-whitespace position at or after [i]. *)
+let rec skip_ws s n i =
+  if i < n then
+    match String.unsafe_get s i with ' ' | '\t' | '\n' | '\r' -> skip_ws s n (i + 1) | _ -> i
+  else i
 
-(* Step over the literal [word] if the input holds it at the cursor. *)
-let skip_word (c : Json.cursor) word =
-  let m = String.length word in
-  let rec same k = k = m || (String.unsafe_get c.s (c.pos + k) = String.unsafe_get word k && same (k + 1)) in
-  if c.pos + m <= c.n && same 0 then begin
-    c.pos <- c.pos + m;
-    true
-  end
-  else false
+(* Whether [s] holds [word] from [i] on, from its [k]th byte. *)
+let rec same s i word k =
+  k = String.length word
+  || (String.unsafe_get s (i + k) = String.unsafe_get word k && same s i word (k + 1))
+
+let has_word s n i word = i + String.length word <= n && same s i word 0
+
+(* Slot [k] holds an exact integer: the tree decoder's [exact_int]. *)
+let exact_at (nums : float array) k =
+  let f = Array.unsafe_get nums k in
+  Float.abs f < 0x1p53 && Float.is_integer f
+
+let int_at (nums : float array) k = int_of_float (Array.unsafe_get nums k)
 
 let scan_admit payload =
-  let c = { Json.s = payload; n = String.length payload; pos = 0 } in
-  let ok = ref true and closed = ref false and seen = ref 0 in
-  let id = ref 0 and ingress = ref 0 and egress = ref 0 in
-  let volume = ref 0. and ts = ref 0. and tf = ref 0. and max_rate = ref 0. in
-  Json.skip_ws c;
-  if cur c = '{' then c.pos <- c.pos + 1 else ok := false;
+  let s = payload and n = String.length payload in
+  let c = { Json.s; n; pos = 0 } in
+  let nums = [| 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0. |] in
+  let i = ref (skip_ws s n 0) and ok = ref true and closed = ref false and seen = ref 0 in
+  if !i < n && String.unsafe_get s !i = '{' then incr i else ok := false;
   while !ok && not !closed do
-    Json.skip_ws c;
+    i := skip_ws s n !i;
     (* the key: a plain quoted string naming an admit key not yet seen *)
     let bit =
-      if cur c <> '"' then -1
+      if !i >= n || String.unsafe_get s !i <> '"' then -1
       else begin
-        let start = c.pos + 1 in
-        let i = ref start in
-        while !i < c.n && String.unsafe_get payload !i <> '"' && String.unsafe_get payload !i <> '\\' do
-          incr i
+        let start = !i + 1 in
+        let j = ref start in
+        while !j < n && String.unsafe_get s !j <> '"' && String.unsafe_get s !j <> '\\' do
+          incr j
         done;
-        if !i >= c.n || String.unsafe_get payload !i <> '"' then -1
+        if !j >= n || String.unsafe_get s !j <> '"' then -1
         else begin
-          c.pos <- !i + 1;
-          key_bit payload start (!i - start)
+          i := !j + 1;
+          key_bit s start (!j - start)
         end
       end
     in
     if bit < 0 || !seen land (1 lsl bit) <> 0 then ok := false
     else begin
       seen := !seen lor (1 lsl bit);
-      Json.skip_ws c;
-      if cur c <> ':' then ok := false
+      i := skip_ws s n !i;
+      if !i >= n || String.unsafe_get s !i <> ':' then ok := false
       else begin
-        c.pos <- c.pos + 1;
-        Json.skip_ws c;
-        if bit = 1 then (if not (skip_word c "\"admit\"") then ok := false)
+        i := skip_ws s n (!i + 1);
+        if bit = 1 then
+          if has_word s n !i "\"admit\"" then i := !i + 7 else ok := false
+        else if !i >= n then ok := false
         else
-          match cur c with
+          match String.unsafe_get s !i with
           | '{' | '[' | '"' | 't' | 'f' | 'n' -> ok := false
-          | _ when c.pos >= c.n -> ok := false
           | _ -> (
-              match Json.parse_number c with
+              c.pos <- !i;
+              match Json.parse_number_into c nums bit with
               | exception Json.Bad _ -> ok := false
-              | f ->
-                  if bit = 0 || bit = 2 || bit = 3 || bit = 4 then begin
-                    (* an exact integer: the tree decoder's [exact_int] *)
-                    if not (Float.abs f < 0x1p53 && Float.is_integer f) then ok := false
-                    else
-                      let k = int_of_float f in
-                      if bit = 0 then (if k <> version then ok := false)
-                      else if bit = 2 then id := k
-                      else if bit = 3 then ingress := k
-                      else egress := k
-                  end
-                  else if bit = 5 then volume := f
-                  else if bit = 6 then ts := f
-                  else if bit = 7 then tf := f
-                  else max_rate := f)
+              | () -> i := c.pos)
       end;
-      Json.skip_ws c;
-      match cur c with
-      | ',' -> c.pos <- c.pos + 1
-      | '}' ->
-          c.pos <- c.pos + 1;
+      if !ok then begin
+        i := skip_ws s n !i;
+        if !i < n && String.unsafe_get s !i = ',' then incr i
+        else if !i < n && String.unsafe_get s !i = '}' then begin
+          incr i;
           closed := true
-      | _ -> ok := false
+        end
+        else ok := false
+      end
     end
   done;
-  if !ok && !seen = all_keys then begin
-    Json.skip_ws c;
-    if c.pos = c.n then
-      Some
-        (Admit
-           {
-             id = !id;
-             ingress = !ingress;
-             egress = !egress;
-             volume = !volume;
-             ts = !ts;
-             tf = !tf;
-             max_rate = !max_rate;
-           })
-    else None
-  end
+  if
+    !ok && !seen = all_keys
+    && skip_ws s n !i = n
+    && exact_at nums 0
+    && int_at nums 0 = version
+    && exact_at nums 2 && exact_at nums 3 && exact_at nums 4
+  then
+    Some
+      (Admit
+         {
+           id = int_at nums 2;
+           ingress = int_at nums 3;
+           egress = int_at nums 4;
+           volume = Array.unsafe_get nums 5;
+           ts = Array.unsafe_get nums 6;
+           tf = Array.unsafe_get nums 7;
+           max_rate = Array.unsafe_get nums 8;
+         })
   else None
 
 let decode_request payload =

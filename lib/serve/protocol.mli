@@ -83,6 +83,9 @@ val encode_response : response -> string
     of the response's object form (keys ["v"], ["re"], then the fields
     in constructor order). *)
 
+val add_response : Buffer.t -> response -> unit
+(** Append {!encode_response}'s bytes to a buffer. *)
+
 val decode_response : string -> (response, decode_error) result
 
 val pp_request : Format.formatter -> request -> unit

@@ -9,6 +9,8 @@ type t = {
   timed : bool;
   (* Encoded replies; the first [written] bytes are already on the wire. *)
   out : Buffer.t;
+  (* One reply's payload, rendered here and then framed into [out]. *)
+  reply : Buffer.t;
   mutable written : int;
   mutable closing : bool;
   mutable frames_in : int;
@@ -18,6 +20,10 @@ type t = {
   mutable parse_ns : float;
 }
 
+(* A reply buffer that grew past this (a large stats dump) goes back to
+   this size after use. *)
+let reply_capacity = 512
+
 let create ?max_frame ?(timed = false) ~id ~peer () =
   {
     id;
@@ -25,6 +31,7 @@ let create ?max_frame ?(timed = false) ~id ~peer () =
     decoder = Frame.decoder ?max_frame ();
     timed;
     out = Buffer.create 4096;
+    reply = Buffer.create reply_capacity;
     written = 0;
     closing = false;
     frames_in = 0;
@@ -65,10 +72,15 @@ let next t =
           (Broken
              (Protocol.Error { code = Protocol.Bad_frame; message = Frame.describe e }))
 
+(* The reply is rendered into [t.reply] and framed from there into
+   [t.out]: no payload string, no framed copy.  It goes in the form the
+   client last spoke: sending one binary frame switches the response
+   stream to binary, no handshake needed. *)
 let queue t resp =
-  (* Reply in the form the client last spoke: sending one binary frame
-     switches the response stream to binary, no handshake needed. *)
-  Frame.add_as (Frame.last_format t.decoder) t.out (Protocol.encode_response resp)
+  Buffer.clear t.reply;
+  Protocol.add_response t.reply resp;
+  Frame.add_buffer_as (Frame.last_format t.decoder) t.out t.reply;
+  if Buffer.length t.reply > reply_capacity then Buffer.reset t.reply
 
 let unwritten t = Buffer.length t.out - t.written
 let pending t = unwritten t > 0

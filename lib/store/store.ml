@@ -40,7 +40,7 @@ let wal_records_total = Metrics.counter_key "store_wal_records_total"
 
 (* One record holding [t.body]. *)
 let write t =
-  Wal.append t.writer (Buffer.contents t.body);
+  Wal.append_buffer t.writer t.body;
   Obs.incr t.obs wal_records_total
 
 let write_event t ev =

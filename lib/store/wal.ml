@@ -43,7 +43,7 @@ type writer = {
   mutable unsynced : int;
   mutable oldest_unsynced : float;
   mutable dirs : string list;  (* directories to fsync at the next sync *)
-  frame : Buffer.t;  (* the record being appended, reused *)
+  mutable frame : Bytes.t;  (* the record being appended, reused *)
 }
 
 let seg_name idx = Printf.sprintf "wal-%010d.log" idx
@@ -86,7 +86,7 @@ let make_writer ?(config = default_config) ?kill_after
     unsynced = 0;
     oldest_unsynced = 0.;
     dirs;
-    frame = Buffer.create 256;
+    frame = Bytes.create 256;
   }
 
 let create ?config ?kill_after ?on_sync ?parents ~dir () =
@@ -127,30 +127,48 @@ let rotate w =
   w.seg_path <- path;
   w.seg_bytes <- 0
 
-let append w payload =
-  let b = w.frame in
-  Buffer.clear b;
-  Frame.add b ~tag:record_tag payload;
-  let len = Buffer.length b in
+(* Make room in [w.frame] for a frame of [len] payload bytes. *)
+let reserve w len =
+  let total = Frame.overhead + len in
+  if Bytes.length w.frame < total then
+    w.frame <- Bytes.create (Int.max total (2 * Bytes.length w.frame))
+
+(* Frame and write the [len] payload bytes already at
+   [w.frame.[Frame.header_bytes]]: the record is framed in place, so a
+   body goes from its buffer to the channel with one copy. *)
+let commit w len =
+  let b = w.frame and total = Frame.overhead + len in
+  Frame.seal b ~pos:0 ~tag:record_tag ~len;
   (match w.kill_after with
   | Some n when w.appended + 1 >= n ->
       (* Crash drill: leave a genuinely torn record on disk and die the
          way a SIGKILLed writer does — no flush, no close. *)
-      Buffer.truncate b (len / 2);
-      Buffer.output_buffer w.oc b;
+      output w.oc b 0 (total / 2);
       flush w.oc;
       Unix.kill (Unix.getpid ()) Sys.sigkill
   | _ -> ());
-  Buffer.output_buffer w.oc b;
+  output w.oc b 0 total;
   w.records <- w.records + 1;
   w.appended <- w.appended + 1;
-  w.seg_bytes <- w.seg_bytes + len;
-  w.total_bytes <- w.total_bytes + len;
+  w.seg_bytes <- w.seg_bytes + total;
+  w.total_bytes <- w.total_bytes + total;
   w.unsynced <- w.unsynced + 1;
   if w.unsynced = 1 then w.oldest_unsynced <- Unix.gettimeofday ();
   if w.unsynced >= w.config.batch || Unix.gettimeofday () -. w.oldest_unsynced >= w.config.delay
   then sync w;
   if w.seg_bytes >= w.config.segment_bytes then rotate w
+
+let append w payload =
+  let len = String.length payload in
+  reserve w len;
+  Bytes.blit_string payload 0 w.frame Frame.header_bytes len;
+  commit w len
+
+let append_buffer w body =
+  let len = Buffer.length body in
+  reserve w len;
+  Buffer.blit body 0 w.frame Frame.header_bytes len;
+  commit w len
 
 let close w =
   sync w;

@@ -50,9 +50,9 @@ type writer = {
   mutable dirs : string list;
       (** directories whose entries changed since the last sync (a new
           segment's, say); the next {!sync} fsyncs them *)
-  frame : Buffer.t;
+  mutable frame : Bytes.t;
       (** the record being appended, framed in place and reused by every
-          append of this writer *)
+          append of this writer (grown when a record does not fit) *)
 }
 
 val create :
@@ -71,6 +71,10 @@ val append : writer -> string -> unit
 (** Frame one payload into the writer's reusable {!writer.frame} buffer,
     hand it to the segment channel, then group-commit per the config.
     Payloads are arbitrary bytes. *)
+
+val append_buffer : writer -> Buffer.t -> unit
+(** {!append} of the buffer's contents, copied straight into the frame
+    without a string in between. *)
 
 val sync : writer -> unit
 (** Flush and fsync any unsynced records now, then any directory in

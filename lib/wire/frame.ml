@@ -27,19 +27,17 @@ let add b ~tag payload =
   Buffer.add_string b payload;
   Buffer.add_int32_le b (Crc32.digest payload)
 
-(* One frame of a [len]-byte payload that [fill b pos] writes in place
-   at [b.[pos]], so a payload of megabytes is never copied. *)
-let make ~tag ~len fill =
-  if tag < 0 || tag > 0xff then invalid_arg "Frame.make: tag must fit one byte";
-  let b = Bytes.create (header_bytes + len + trailer_bytes) in
-  Bytes.set b 0 magic;
-  Bytes.set_uint8 b 1 tag;
-  Bytes.set_int32_le b 2 (Int32.of_int len);
-  fill b header_bytes;
+(* Write the header and the CRC trailer of a frame around the [len]
+   payload bytes already at [b.[pos + header_bytes]]: a record body put
+   in place once is framed without another copy. *)
+let seal b ~pos ~tag ~len =
+  if tag < 0 || tag > 0xff then invalid_arg "Frame.seal: tag must fit one byte";
+  Bytes.set b pos magic;
+  Bytes.set_uint8 b (pos + 1) tag;
+  Bytes.set_int32_le b (pos + 2) (Int32.of_int len);
   (* read-only view: the CRC is computed before the trailer is written *)
-  let crc = Crc32.sub (Bytes.unsafe_to_string b) ~pos:header_bytes ~len in
-  Bytes.set_int32_le b (header_bytes + len) crc;
-  b
+  let crc = Crc32.sub (Bytes.unsafe_to_string b) ~pos:(pos + header_bytes) ~len in
+  Bytes.set_int32_le b (pos + header_bytes + len) crc
 
 (* Decode one binary frame at [pos] into (tag, payload).  [max] bounds
    the accepted payload length so a corrupted length field on a live
@@ -73,9 +71,16 @@ module Line = struct
   let max_digits = 10
 
   let encode b payload =
-    Buffer.add_string b (string_of_int (String.length payload));
+    Binio.add_decimal b (String.length payload);
     Buffer.add_char b ' ';
     Buffer.add_string b payload;
+    Buffer.add_char b '\n'
+
+  (* [encode] of the payload held in [payload], copied once. *)
+  let add_buffer b payload =
+    Binio.add_decimal b (Buffer.length payload);
+    Buffer.add_char b ' ';
+    Buffer.add_buffer b payload;
     Buffer.add_char b '\n'
 
   let decode s ~pos : t Codec.decoded =

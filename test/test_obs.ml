@@ -575,6 +575,121 @@ let json_large_ints_read_back () =
     ];
   Alcotest.(check (option int)) "1.5" None (int_of "1.5")
 
+(* --- the number reader against float_of_string --- *)
+
+(* [Json.parse] of a number literal, modelled on the reader that took
+   the longest run of number characters to [float_of_string]: that
+   reader's doubles, messages and offsets are the protocol's. *)
+let reference_parse lit =
+  let is_num = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false in
+  let n = String.length lit in
+  let run = ref 0 in
+  while !run < n && is_num lit.[!run] do
+    incr run
+  done;
+  if n = 0 then Error "unexpected end of input at 0"
+  else if !run = 0 then Error "expected number at 0"
+  else
+    match float_of_string_opt (String.sub lit 0 !run) with
+    | None -> Error (Printf.sprintf "malformed number at %d" !run)
+    | Some f -> if !run < n then Error (Printf.sprintf "trailing garbage at %d" !run) else Ok f
+
+let same_as_reference lit =
+  match (Json.parse lit, reference_parse lit) with
+  | Ok (Json.Num f), Ok g ->
+      if not (Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)) then
+        Alcotest.failf "%s: read %h, float_of_string %h" lit f g
+  | Error m, Error m' -> Alcotest.(check string) lit m' m
+  | Ok _, Error m -> Alcotest.failf "%s: parsed, expected %s" lit m
+  | Error m, Ok g -> Alcotest.failf "%s: %s, expected %h" lit m g
+  | Ok _, Ok _ -> Alcotest.failf "%s: parsed to a non-number" lit
+
+let json_number_edges () =
+  List.iter same_as_reference
+    [ "0"; "-0"; "0e5"; "-0e5"; "0.0"; "-0.000e-99999999999"; "00012.50"; "-0007"; "000.5";
+      "1e400"; "-1e400"; "1e-400"; "-1e-400"; "4.9e-324"; "2.4703282292062328e-324";
+      "1.7976931348623157e308"; "1.7976931348623159e308"; "9007199254740993";
+      "9007199254740993.0"; "90071992547409930e-1"; "4503599627370496.5"; "4503599627370497.5";
+      "2251799813685248.25"; "2251799813685248.75"; "0.1"; "0.30000000000000004";
+      "123456789012345678"; "1234567890123456789"; "12345678901234567.8e-5"; "1e22"; "1e23";
+      "1e-22"; "1e-23"; "5."; ".5"; "-.5"; "+1"; "+.5e1"; "1E+2"; "1e+"; "1e-"; "."; "-"; "+";
+      "e"; "1..2"; "1.2e3.4"; "1e5e5"; "1-2"; "0x10"; "12a"; "";
+      "3976.9331205423796"; "6039.5359458385774"; "537.80683302365048" ]
+
+(* %.17g prints of any double (random bit patterns: subnormals, huge
+   values and every exponent), and %.15g to %.18g prints of the
+   magnitudes a request carries. *)
+let prop_json_printed_doubles =
+  qcase ~count:3000 "json: printed doubles read back as float_of_string reads them"
+    QCheck2.Gen.(pair int64 (pair (float_range 0. 1.) (int_range (-8) 12)))
+    (fun (bits, (m, e)) ->
+      let f = Int64.float_of_bits bits in
+      if Float.is_finite f then same_as_reference (Printf.sprintf "%.17g" f);
+      let x = m *. Float.pow 10. (float_of_int e) in
+      List.iter
+        (fun p -> same_as_reference (Printf.sprintf "%.*g" p x))
+        [ 15; 16; 17; 18 ];
+      true)
+
+(* Random significands of 1 to 25 digits, leading zeros included, with a
+   random point and a random exponent, near and far. *)
+let literal_gen =
+  QCheck2.Gen.(
+    let* neg = bool in
+    let* digits = string_size ~gen:(char_range '0' '9') (int_range 1 25) in
+    let* point = int_range 0 (String.length digits + 3) in
+    let* exp =
+      oneof
+        [ return None; map Option.some (int_range (-25) 25); map Option.some (int_range (-400) 400) ]
+    in
+    let* e = oneofl [ "e"; "E"; "e+" ] in
+    let mantissa =
+      if point > String.length digits then digits
+      else String.sub digits 0 point ^ "." ^ String.sub digits point (String.length digits - point)
+    in
+    let exp =
+      match exp with
+      | None -> ""
+      | Some x when x >= 0 -> e ^ string_of_int x
+      | Some x -> "e" ^ string_of_int x
+    in
+    return ((if neg then "-" else "") ^ mantissa ^ exp))
+
+let prop_json_literals =
+  qcase ~count:5000 "json: decimal literals read as float_of_string reads them" literal_gen
+    (fun lit ->
+      same_as_reference lit;
+      true)
+
+(* Exact halfway points between adjacent doubles that fit 18 digits: odd
+   multiples of half an ulp in [2^51, 2^53) (".25", ".5", ".75") and in
+   [2^53, 2^57) (odd integers and x + 2, x + 4, x + 8).  Ties go to even. *)
+let prop_json_halfway =
+  qcase ~count:2000 "json: halfway literals round to even as float_of_string does"
+    QCheck2.Gen.(pair (int_range 51 56) (int_range 0 ((1 lsl 52) - 1)))
+    (fun (e, r) ->
+      let x = Float.ldexp (1. +. Float.ldexp (float_of_int r) (-52)) e in
+      let half_ulp = (Float.succ x -. x) /. 2. in
+      let lit =
+        if half_ulp >= 1. then string_of_int (Float.to_int x + Float.to_int half_ulp)
+        else
+          let q = Float.to_int x and f = x -. Float.trunc x +. half_ulp in
+          Printf.sprintf "%d.%s" q (String.sub (Printf.sprintf "%.2f" f) 2 2)
+      in
+      same_as_reference lit;
+      same_as_reference ("-" ^ lit);
+      true)
+
+(* Strings over the number characters: every malformed spelling must get
+   the message and offset of the reader it replaces. *)
+let prop_json_number_noise =
+  qcase ~count:5000 "json: malformed numbers keep their messages and offsets"
+    QCheck2.Gen.(
+      string_size ~gen:(oneofl [ '0'; '1'; '9'; '.'; 'e'; 'E'; '+'; '-'; 'x' ]) (int_range 1 10))
+    (fun lit ->
+      same_as_reference lit;
+      true)
+
 (* --- span codecs --- *)
 
 module Span = Gridbw_obs.Span
@@ -693,6 +808,11 @@ let suites =
         prop_json_integer_literals;
         case "parse error messages are stable" json_error_messages_stable;
         case "integers beyond 2^53 still read back" json_large_ints_read_back;
+        case "number reader: edge literals" json_number_edges;
+        prop_json_printed_doubles;
+        prop_json_literals;
+        prop_json_halfway;
+        prop_json_number_noise;
       ] );
     ( "obs.ctx",
       [

@@ -345,6 +345,56 @@ let test_wal_non_magic_cuts () =
           Alcotest.(check string) "payload survives" (Printf.sprintf "record-%d" i) r.Wal.payload)
         s.Wal.records)
 
+(* --- CRC32 --- *)
+
+(* The byte-at-a-time CRC32 the sliced one must equal: reflected
+   polynomial 0xEDB88320, register preset and final XOR 0xFFFFFFFF. *)
+let reference_crc s ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let crc32_check_value () =
+  Alcotest.(check int32) "the CRC-32 check value" 0xCBF43926l (Crc32.digest "123456789");
+  Alcotest.(check int32) "empty input" 0l (Crc32.digest "");
+  Alcotest.(check int32) "a range inside a string" 0xCBF43926l
+    (Crc32.sub "xx123456789yyy" ~pos:2 ~len:9);
+  Alcotest.check_raises "a range past the end" (Invalid_argument "Crc32.sub") (fun () ->
+      ignore (Crc32.sub "abc" ~pos:2 ~len:2))
+
+(* Every length from 0 to 300 at unaligned offsets: the eight-byte steps,
+   the byte-at-a-time tail, and every split between them. *)
+let prop_crc32_matches_reference =
+  qcase ~count:1000 "crc32: sliced digest equals the byte-at-a-time one"
+    QCheck2.Gen.(
+      let* len = int_range 0 300 in
+      let* pre = int_range 0 9 and* post = int_range 0 9 in
+      let* s = string_size ~gen:(map Char.chr (int_range 0 255)) (return (pre + len + post)) in
+      return (s, pre, len))
+    (fun (s, pos, len) ->
+      Int32.equal (Crc32.sub s ~pos ~len) (reference_crc s ~pos ~len)
+      && Int32.equal (Crc32.digest (String.sub s pos len)) (reference_crc s ~pos ~len))
+
+(* The text frames' length prefix and every integral JSON number. *)
+let prop_add_decimal =
+  qcase ~count:2000 "binio: add_decimal prints what string_of_int prints"
+    QCheck2.Gen.(
+      oneof
+        [ int; int_range (-1000) 1000; map (fun k -> (1 lsl k) - 1) (int_range 0 62);
+          oneofl
+            [ min_int; max_int; min_int + 1; -10; -9; 9; 10; 99; 100; 999_999_999_999_999_999 ];
+        ])
+    (fun v ->
+      let b = Buffer.create 8 in
+      Buffer.add_string b "x";
+      Gridbw_wire.Binio.add_decimal b v;
+      Buffer.contents b = "x" ^ string_of_int v)
+
 let suites =
   [
     ( "wire",
@@ -359,5 +409,8 @@ let suites =
         prop_pair_refused;
         case "wal pair: the three layouts, byte for byte" test_pair_layout;
         case "wal: a record without the magic byte cuts the log" test_wal_non_magic_cuts;
+        case "crc32: check value and ranges" crc32_check_value;
+        prop_crc32_matches_reference;
+        prop_add_decimal;
       ] );
   ]
