@@ -125,24 +125,34 @@ let newest_held t id =
       else found)
     None t.releases
 
-let preempt ?(ctx = Runtime.default) t (a : Allocation.t) =
+(* Release held booking [b] now, as a preemption. *)
+let preempt_held ctx t b =
   let obs = ctx.Runtime.obs in
-  match held_booking t a with
+  release t b;
+  if obs.Obs.enabled then begin
+    Obs.count obs "preempted_total";
+    Obs.event obs (fun () ->
+        Event.Preempt
+          {
+            time = t.clock;
+            id = b.a.Allocation.request.Request.id;
+            bw = b.a.Allocation.bw;
+            shard = None;
+          })
+  end;
+  true
+
+let preempt ?(ctx = Runtime.default) t (a : Allocation.t) =
+  match held_booking t a with None -> false | Some b -> preempt_held ctx t b
+
+let preempt_booking ?(ctx = Runtime.default) t n =
+  match
+    Event_queue.fold (fun found b -> if b.held && b.seq = n then Some b else found) None t.releases
+  with
   | None -> false
-  | Some b ->
-      release t b;
-      if obs.Obs.enabled then begin
-        Obs.count obs "preempted_total";
-        Obs.event obs (fun () ->
-            Event.Preempt
-              {
-                time = t.clock;
-                id = a.Allocation.request.Request.id;
-                bw = a.Allocation.bw;
-                shard = None;
-              })
-      end;
-      true
+  | Some b -> preempt_held ctx t b
+
+let last_booking t = t.booked - 1
 
 (* Rebuild the controller state of a journaled run, one event at a time
    in journal order.  The counters are float accumulators, so

@@ -59,6 +59,18 @@ val preempt : ?ctx:Runtime.ctx -> t -> Gridbw_alloc.Allocation.t -> bool
     a port degradation.  With [ctx.obs], a successful preemption bumps
     [preempted_total] and emits a [Preempt] event. *)
 
+val last_booking : t -> int
+(** The number of the latest booking made by {!try_admit} or {!replay}:
+    bookings are numbered from 0 in the order they are made; [-1] when
+    none has been made. *)
+
+val preempt_booking : ?ctx:Runtime.ctx -> t -> int -> bool
+(** {!preempt} the booking with this number ({!last_booking} right
+    after it was made).  Returns [false] if it already finished or was
+    already preempted.  A caller that records the number need not keep
+    the {!Gridbw_alloc.Allocation.t}: the daemon's decision table cancels
+    this way. *)
+
 val replay : t -> Gridbw_obs.Event.t -> Gridbw_alloc.Allocation.t option
 (** Apply one journaled event to the controller — the one way a journal
     (a resumed GREEDY run's or the daemon's) rebuilds it.  Feed the

@@ -6,10 +6,14 @@ type gauge = { mutable level : float }
    is 2^i.  63 exponent buckets plus a catch-all keeps the array tiny. *)
 let nbuckets = 64
 
+(* The running sum sits in an all-float record, stored flat, so adding
+   a sample writes the double in place instead of boxing a new one. *)
+type sum = { mutable sum : float }
+
 type histogram = {
   buckets : int array;  (* length nbuckets *)
   mutable total : int;
-  mutable sum : float;
+  acc : sum;
 }
 
 type instrument =
@@ -28,7 +32,7 @@ type t = {
 
 let no_counter = { count = 0 }
 let no_gauge = { level = 0.0 }
-let no_histogram = { buckets = [||]; total = 0; sum = 0.0 }
+let no_histogram = { buckets = [||]; total = 0; acc = { sum = 0.0 } }
 
 let create () =
   { instruments = Hashtbl.create 32; counters = [||]; gauges = [||]; histograms = [||] }
@@ -70,7 +74,7 @@ let gauge_value g = g.level
 
 let histogram t name =
   find_or_create t name
-    (fun () -> Histogram { buckets = Array.make nbuckets 0; total = 0; sum = 0.0 })
+    (fun () -> Histogram { buckets = Array.make nbuckets 0; total = 0; acc = { sum = 0.0 } })
     (function Histogram h -> Some h | _ -> None)
 
 (* --- keys --- *)
@@ -128,22 +132,27 @@ let histogram_of t k =
     h
   end
 
+(* For a finite v > 1, the biased exponent E of its IEEE 754 bits gives
+   v = 1.m * 2^(E-1023), so 2^(e-1) <= v < 2^e with e = E - 1022 (the
+   exponent [Float.frexp] returns): v belongs in the bucket with upper
+   bound 2^e.  Read from the bits, it costs no tuple and no boxed
+   float. *)
 let bucket_of v =
   if not (Float.is_finite v) || v <= 1.0 then 0
   else
-    (* frexp v = (m, e) with v = m * 2^e, 0.5 <= m < 1, so 2^(e-1) <= v < 2^e:
-       v belongs in the bucket with upper bound 2^e. *)
-    let _, e = Float.frexp v in
+    let e =
+      Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 52) - 1022
+    in
     if e >= nbuckets then nbuckets - 1 else e
 
 let observe h v =
   let i = bucket_of v in
   h.buckets.(i) <- h.buckets.(i) + 1;
   h.total <- h.total + 1;
-  if Float.is_finite v then h.sum <- h.sum +. v
+  if Float.is_finite v then h.acc.sum <- h.acc.sum +. v
 
 let hist_count h = h.total
-let hist_sum h = h.sum
+let hist_sum h = h.acc.sum
 
 let bound i = Float.ldexp 1.0 i  (* 2^i *)
 
@@ -217,7 +226,7 @@ let to_prometheus t =
             (hist_buckets h);
           Buffer.add_string buf
             (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" name h.total);
-          Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" name (num h.sum));
+          Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" name (num h.acc.sum));
           Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name h.total))
     (sorted t);
   Buffer.contents buf

@@ -37,7 +37,13 @@ type histogram
 val histogram : t -> string -> histogram
 
 val observe : histogram -> float -> unit
-(** Negative and non-finite samples are counted in the lowest bucket. *)
+(** Negative and non-finite samples are counted in the lowest bucket.
+    Allocates nothing. *)
+
+val bucket_of : float -> int
+(** The bucket a sample lands in: 0 for samples [<= 1] and non-finite
+    ones, else the [e] of [Float.frexp v] ([2^(e-1) <= v < 2^e]), capped
+    at 63.  Read from the float's bits; allocates nothing. *)
 
 val hist_count : histogram -> int
 val hist_sum : histogram -> float

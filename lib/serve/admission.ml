@@ -15,17 +15,12 @@ module Request = Gridbw_request.Request
 module Allocation = Gridbw_alloc.Allocation
 module Reference = Gridbw_check.Reference
 
-type entry =
-  | Booked of Allocation.t
-  | Refused of string
-  | Cancelled of Allocation.t  (** was booked, then preempted by a cancel *)
-
 type t = {
   ctl : Online.t;
   policy : Policy.t;
   obs : Obs.ctx;  (** merged with the store's journaling sink when one is attached *)
   store : Store.t option;
-  entries : (int, entry) Hashtbl.t;
+  decisions : Decisions.t;
   mutable seq : int;  (** Arrival events emitted so far (journal replay order) *)
   mutable dirty : bool;
   mutable accepted : int;
@@ -40,7 +35,7 @@ let make ?obs ?store ~policy ctl =
     policy;
     obs;
     store;
-    entries = Hashtbl.create 256;
+    decisions = Decisions.create ();
     seq = 0;
     dirty = false;
     accepted = 0;
@@ -68,77 +63,89 @@ let active_count t = Online.active_count t.ctl
 
 let bad_request message = Protocol.Error { code = Protocol.Bad_request; message }
 
-let prior_decision id = function
-  | Booked a | Cancelled a ->
+let prior_decision d id row =
+  match Decisions.state d row with
+  | Decisions.Granted | Decisions.Cancelled ->
       Protocol.Admitted
-        { id; bw = a.Allocation.bw; sigma = a.Allocation.sigma; tau = a.Allocation.tau }
-  | Refused reason -> Protocol.Rejected { id; reason }
+        { id; bw = Decisions.bw d row; sigma = Decisions.sigma d row; tau = Decisions.tau d row }
+  | Decisions.Refused -> Protocol.Rejected { id; reason = Decisions.reason d row }
+
+(* Record a grant with the number of the booking the controller just
+   made for it. *)
+let record_grant t id (a : Allocation.t) =
+  Decisions.grant t.decisions id ~bw:a.Allocation.bw ~sigma:a.Allocation.sigma
+    ~tau:a.Allocation.tau ~booking:(Online.last_booking t.ctl)
 
 let admit ?span t ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate =
-  match Hashtbl.find_opt t.entries id with
+  let row = Decisions.find t.decisions id in
   (* At-least-once retries: a duplicate admit returns the journaled
      decision without re-deciding (or re-journaling). *)
-  | Some e -> prior_decision id e
-  | None -> (
-      if ts < 0. then bad_request "ts must be >= 0"
-      else
-        match Request.make ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate with
-        | exception Invalid_argument msg -> bad_request msg
-        | r ->
-            if not (Request.routed_on r (Online.fabric t.ctl)) then
-              bad_request
-                (Printf.sprintf "no such route: ingress %d -> egress %d" ingress egress)
-            else begin
-              let at = Float.max (Online.now t.ctl) r.Request.ts in
-              Option.iter (fun sp -> Span.set_req sp id) span;
-              Obs.event t.obs (fun () ->
-                  Event.Arrival
-                    { time = at; seq = t.seq; id; ingress; egress; volume; ts; tf; max_rate });
-              t.seq <- t.seq + 1;
-              (* The span rides the ctx: [try_admit] records the search
-                 timing and the live-counter probe delta onto it. *)
-              let decision =
-                Online.try_admit ~ctx:(Runtime.make ~obs:t.obs ?span ()) t.ctl t.policy r ~at
-              in
-              if t.store <> None then t.dirty <- true;
-              match decision with
-              | Types.Accepted a ->
-                  Hashtbl.replace t.entries id (Booked a);
-                  t.accepted <- t.accepted + 1;
-                  Protocol.Admitted
-                    { id; bw = a.Allocation.bw; sigma = a.Allocation.sigma; tau = a.Allocation.tau }
-              | Types.Rejected reason ->
-                  let reason = Types.reason_name reason in
-                  Hashtbl.replace t.entries id (Refused reason);
-                  t.rejected <- t.rejected + 1;
-                  Protocol.Rejected { id; reason }
-            end)
+  if row >= 0 then prior_decision t.decisions id row
+  else if ts < 0. then bad_request "ts must be >= 0"
+  else
+    match Request.make ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate with
+    | exception Invalid_argument msg -> bad_request msg
+    | r ->
+        if not (Request.routed_on r (Online.fabric t.ctl)) then
+          bad_request (Printf.sprintf "no such route: ingress %d -> egress %d" ingress egress)
+        else begin
+          let at = Float.max (Online.now t.ctl) r.Request.ts in
+          Option.iter (fun sp -> Span.set_req sp id) span;
+          Obs.event t.obs (fun () ->
+              Event.Arrival { time = at; seq = t.seq; id; ingress; egress; volume; ts; tf; max_rate });
+          t.seq <- t.seq + 1;
+          (* The span rides the ctx: [try_admit] records the search
+             timing and the live-counter probe delta onto it. *)
+          let decision =
+            Online.try_admit ~ctx:(Runtime.make ~obs:t.obs ?span ()) t.ctl t.policy r ~at
+          in
+          if t.store <> None then t.dirty <- true;
+          match decision with
+          | Types.Accepted a ->
+              record_grant t id a;
+              t.accepted <- t.accepted + 1;
+              Protocol.Admitted
+                { id; bw = a.Allocation.bw; sigma = a.Allocation.sigma; tau = a.Allocation.tau }
+          | Types.Rejected reason ->
+              let reason = Types.reason_name reason in
+              Decisions.refuse t.decisions id reason;
+              t.rejected <- t.rejected + 1;
+              Protocol.Rejected { id; reason }
+        end
 
 let query t id =
+  let d = t.decisions in
+  let row = Decisions.find d id in
   let disposition =
-    match Hashtbl.find_opt t.entries id with
-    | None -> Protocol.Unknown
-    | Some (Refused reason) -> Protocol.Refused { reason }
-    | Some (Cancelled _) -> Protocol.Cancelled
-    | Some (Booked a) ->
-        let bw = a.Allocation.bw and sigma = a.Allocation.sigma and tau = a.Allocation.tau in
-        if tau <= Online.now t.ctl then Protocol.Done { bw; sigma; tau }
-        else Protocol.Active { bw; sigma; tau }
+    if row < 0 then Protocol.Unknown
+    else
+      match Decisions.state d row with
+      | Decisions.Refused -> Protocol.Refused { reason = Decisions.reason d row }
+      | Decisions.Cancelled -> Protocol.Cancelled
+      | Decisions.Granted ->
+          let bw = Decisions.bw d row and sigma = Decisions.sigma d row in
+          let tau = Decisions.tau d row in
+          if tau <= Online.now t.ctl then Protocol.Done { bw; sigma; tau }
+          else Protocol.Active { bw; sigma; tau }
   in
   Protocol.Status { id; disposition }
 
 let cancel t id =
-  match Hashtbl.find_opt t.entries id with
-  | None -> Protocol.Cancel_failed { id; reason = "unknown id" }
-  | Some (Refused _) -> Protocol.Cancel_failed { id; reason = "was rejected" }
-  | Some (Cancelled _) -> Protocol.Cancel_ok { id } (* idempotent retry *)
-  | Some (Booked a) ->
-      if Online.preempt ~ctx:(Runtime.make ~obs:t.obs ()) t.ctl a then begin
-        Hashtbl.replace t.entries id (Cancelled a);
-        if t.store <> None then t.dirty <- true;
-        Protocol.Cancel_ok { id }
-      end
-      else Protocol.Cancel_failed { id; reason = "transfer already finished" }
+  let d = t.decisions in
+  let row = Decisions.find d id in
+  if row < 0 then Protocol.Cancel_failed { id; reason = "unknown id" }
+  else
+    match Decisions.state d row with
+    | Decisions.Refused -> Protocol.Cancel_failed { id; reason = "was rejected" }
+    | Decisions.Cancelled -> Protocol.Cancel_ok { id } (* idempotent retry *)
+    | Decisions.Granted ->
+        let ctx = Runtime.make ~obs:t.obs () in
+        if Online.preempt_booking ~ctx t.ctl (Decisions.booking d row) then begin
+          Decisions.cancel d row;
+          if t.store <> None then t.dirty <- true;
+          Protocol.Cancel_ok { id }
+        end
+        else Protocol.Cancel_failed { id; reason = "transfer already finished" }
 
 let handle ?span t = function
   | Protocol.Admit { id; ingress; egress; volume; ts; tf; max_rate } ->
@@ -172,15 +179,14 @@ let of_recovered ?obs ~policy (r : Store.recovered) =
           match (ev, Online.replay t.ctl ev) with
           | Event.Arrival _, _ -> t.seq <- t.seq + 1
           | Event.Accept { id; _ }, Some a ->
-              Hashtbl.replace t.entries id (Booked a);
+              record_grant t id a;
               t.accepted <- t.accepted + 1
           | Event.Reject { id; reason; _ }, _ ->
-              Hashtbl.replace t.entries id (Refused reason);
+              Decisions.refuse t.decisions id reason;
               t.rejected <- t.rejected + 1
-          | Event.Preempt { id; _ }, _ -> (
-              match Hashtbl.find_opt t.entries id with
-              | Some (Booked a) -> Hashtbl.replace t.entries id (Cancelled a)
-              | _ -> ())
+          | Event.Preempt { id; _ }, _ ->
+              let row = Decisions.find t.decisions id in
+              if row >= 0 then Decisions.cancel t.decisions row
           (* the serving plane journals constant-rate admissions
              only, so a malleable Reshape never appears here *)
           | _ -> ())

@@ -16,7 +16,15 @@
     far; an admit for a request whose [ts] is already past decides at the
     clock ([sigma >= ts] still holds, the policy recomputes the rate
     against the residual window).  Request [ts] must be [>= 0] so the
-    journal stays monotone past its capacity prefix. *)
+    journal stays monotone past its capacity prefix.
+
+    Decisions: every id ever decided stays in a {!Decisions} table, a
+    row of unboxed ints and floats, so recording a decision leaves no
+    heap block behind.  A granted row keeps the number of the controller
+    booking that holds its bandwidth, and [cancel] preempts that booking
+    by number ({!Gridbw_core.Online.preempt_booking}); no
+    {!Gridbw_alloc.Allocation.t} is kept once the controller releases
+    it. *)
 
 type t
 
@@ -40,7 +48,8 @@ val of_recovered :
     {!Gridbw_check.Reference.audit_recovered}, then replay the journal
     into the controller with {!Gridbw_core.Online.replay} (bit-identical
     counters, held allocations and clock) and rebuild the decision table
-    (accepted / rejected / cancelled) for [query].  [Error] names every violation when the
+    (granted / refused / cancelled) for [query]; for an id the journal
+    decides more than once, its last event wins.  [Error] names every violation when the
     audit fails, and refuses a journal the audit skips (a fault-injector
     run). *)
 
@@ -48,7 +57,10 @@ val handle : ?span:Gridbw_obs.Span.t -> t -> Protocol.request -> Protocol.respon
 (** Decide one request.  Total: validation failures come back as typed
     [Error] responses.  Duplicate [admit] ids return the recorded
     decision again without re-deciding (at-least-once retries are safe);
-    [cancel] of an already-cancelled id is likewise idempotent.
+    [cancel] of an already-cancelled id is likewise idempotent; [cancel]
+    of a refused id answers "was rejected", of a finished transfer
+    "transfer already finished".  [query] answers [Done] once the
+    clock has reached the transfer's [tau], [Active] before.
 
     With [span] and an [admit] verb: the request id is recorded on the
     span, the decision accumulates its [Admit_search] / [Wal_append]

@@ -153,9 +153,9 @@ let commit w len =
   w.seg_bytes <- w.seg_bytes + total;
   w.total_bytes <- w.total_bytes + total;
   w.unsynced <- w.unsynced + 1;
-  if w.unsynced = 1 then w.oldest_unsynced <- Unix.gettimeofday ();
-  if w.unsynced >= w.config.batch || Unix.gettimeofday () -. w.oldest_unsynced >= w.config.delay
-  then sync w;
+  let now = Unix.gettimeofday () in
+  if w.unsynced = 1 then w.oldest_unsynced <- now;
+  if w.unsynced >= w.config.batch || now -. w.oldest_unsynced >= w.config.delay then sync w;
   if w.seg_bytes >= w.config.segment_bytes then rotate w
 
 let append w payload =

@@ -38,6 +38,69 @@ let histogram_buckets () =
   Alcotest.(check (list (pair (float 0.) int)))
     "buckets" [ (1.0, 2); (4.0, 1) ] (Metrics.hist_buckets h)
 
+(* The bucket as [Float.frexp] gives it: 0 for samples <= 1 and for
+   non-finite ones, else frexp's exponent e (2^(e-1) <= v < 2^e), capped
+   at the last bucket. *)
+let frexp_bucket v =
+  if not (Float.is_finite v) || v <= 1.0 then 0 else Int.min 63 (snd (Float.frexp v))
+
+(* [v] moved [k] ulps up (k > 0) or down. *)
+let rec ulps v k =
+  if k > 0 then ulps (Float.succ v) (k - 1) else if k < 0 then ulps (Float.pred v) (k + 1) else v
+
+let bucket_sample_gen =
+  QCheck2.Gen.(
+    let sign = map (fun neg -> if neg then Float.neg else Fun.id) bool in
+    let* flip = sign in
+    map flip
+      (oneof
+         [
+           (* any bit pattern: NaNs, infinities and subnormals included *)
+           map Int64.float_of_bits int64;
+           (* powers of two and their neighbours, across the whole range *)
+           map2 (fun e k -> ulps (Float.ldexp 1. e) k) (int_range (-1074) 1023) (int_range (-3) 3);
+           (* subnormals *)
+           map (fun m -> Int64.float_of_bits (Int64.of_int m)) (int_range 1 0xF_FFFF_FFFF_FFFF);
+           (* past the last bucket: 2^63 and above *)
+           map2 (fun m e -> Float.ldexp (1. +. m) e) (float_range 0. 1.) (int_range 62 1023);
+           oneofl [ Float.infinity; Float.nan; 0.; 1.; Float.max_float; Float.min_float ];
+         ]))
+
+let prop_bucket_is_frexp =
+  qcase ~count:5000 "histogram bucket equals the frexp formula" bucket_sample_gen (fun v ->
+      Metrics.bucket_of v = frexp_bucket v)
+
+(* Every boundary, one by one: each power of two and its neighbours. *)
+let bucket_boundaries () =
+  for e = -1074 to 1023 do
+    for k = -2 to 2 do
+      let v = ulps (Float.ldexp 1. e) k in
+      if Metrics.bucket_of v <> frexp_bucket v then
+        Alcotest.failf "bucket of %h: %d, frexp says %d" v (Metrics.bucket_of v) (frexp_bucket v)
+    done
+  done;
+  List.iter
+    (fun v ->
+      Alcotest.(check int) (Printf.sprintf "bucket of %h" v) (frexp_bucket v) (Metrics.bucket_of v))
+    [ Float.infinity; Float.neg_infinity; Float.nan; -0.; Float.ldexp 1. 63; Float.pred (Float.ldexp 1. 63) ]
+
+(* Observing a sample, the serving path's per-request cost, allocates
+   nothing: the samples are boxed before the count starts. *)
+let observe_allocates_nothing () =
+  let h = Metrics.histogram (Metrics.create ()) "h" in
+  let observe = Metrics.observe h in
+  let samples = [ 0.5; 3.0; 1e300; Float.nan; Float.infinity; 1024.; 7e-310 ] in
+  List.iter observe samples;
+  let rounds = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    List.iter observe samples
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "samples counted" ((rounds + 1) * List.length samples) (Metrics.hist_count h);
+  if words > 64. then
+    Alcotest.failf "%.0f words for %d samples" words (rounds * List.length samples)
+
 let kind_mismatch_raises () =
   let m = Metrics.create () in
   ignore (Metrics.counter m "x");
@@ -778,6 +841,9 @@ let suites =
       [
         case "counters and gauges" counters_and_gauges;
         case "histogram log2 buckets" histogram_buckets;
+        prop_bucket_is_frexp;
+        case "histogram bucket boundaries" bucket_boundaries;
+        case "observe allocates nothing" observe_allocates_nothing;
         case "kind mismatch raises" kind_mismatch_raises;
         case "prometheus dump" prometheus_dump;
         case "percentile edges and monotonicity" percentile_edges;

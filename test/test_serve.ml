@@ -17,6 +17,11 @@ module Json = Gridbw_obs.Json
 module Metrics = Gridbw_obs.Metrics
 module Policy = Gridbw_core.Policy
 module Request = Gridbw_request.Request
+module Decisions = Gridbw_serve.Decisions
+module Online = Gridbw_core.Online
+module Types = Gridbw_core.Types
+module Allocation = Gridbw_alloc.Allocation
+module Event = Gridbw_obs.Event
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -1522,6 +1527,392 @@ let admit_words_per_op () =
       if per_op > float_of_int admit_word_budget then
         Alcotest.failf "%.1f words per admit, budget %d" per_op admit_word_budget)
 
+(* Words that outlive the minor heap, per admit: 3,000 admits of the
+   seed-7 stream through [Session.next], [Admission.handle] with a store
+   and [Session.queue], flushed and drained every 64 as the daemon does
+   once per round.  The count is [Gc.counters]' promoted words around a
+   full major collection on each side, so it includes every word the
+   run leaves live.  The decision table keeps its rows in preallocated
+   unboxed pages, so a decision leaves no block behind: 1.9-2.4 words
+   per admit survive (the booking on the controller's release queue,
+   when a minor collection falls inside its transfer, and the journal
+   channel's state), where a table of per-id heap blocks kept 14-15. *)
+let admit_promoted_budget = 5.
+
+let admit_promoted_words () =
+  with_tmpdir (fun dir ->
+      let fabric = Gridbw_topology.Fabric.paper_default () in
+      let store = Store.create ~config:(store_config ()) ~dir fabric in
+      let adm = Admission.create ~store ~policy fabric in
+      let n = 3000 in
+      let spec =
+        Gridbw_workload.Spec.make ~fabric ~count:n
+          ~flexibility:(Gridbw_workload.Spec.Flexible { max_slack = 4. })
+          ~mean_interarrival:14. ()
+      in
+      let frames =
+        Array.of_list
+          (List.map
+             (fun (r : Request.t) ->
+               Frame.encode
+                 (Protocol.encode_request
+                    (admit ~id:r.Request.id ~ingress:r.Request.ingress ~egress:r.Request.egress
+                       ~volume:r.Request.volume ~ts:r.Request.ts ~tf:r.Request.tf
+                       ~max_rate:r.Request.max_rate ())))
+             (Gridbw_workload.Gen.generate (Gridbw_prng.Rng.create ~seed:7L ()) spec))
+      in
+      let s = Session.create ~id:0 ~peer:"promoted" () in
+      let dst = Bytes.create 65536 in
+      let served = ref 0 in
+      Gc.full_major ();
+      let _, promoted0, _ = Gc.counters () in
+      let k = ref 0 in
+      while !k < n do
+        let m = Int.min 64 (n - !k) in
+        for i = !k to !k + m - 1 do
+          Session.feed s frames.(i)
+        done;
+        let rec go () =
+          match Session.next s with
+          | Some (Session.Request req) ->
+              Session.queue s (Admission.handle adm req);
+              incr served;
+              go ()
+          | Some _ -> Alcotest.fail "an admit did not decode"
+          | None -> ()
+        in
+        go ();
+        if Admission.dirty adm then Admission.flush adm;
+        while Session.pending s do
+          Session.wrote s (Session.blit_out s dst)
+        done;
+        k := !k + m
+      done;
+      Gc.full_major ();
+      let _, promoted1, _ = Gc.counters () in
+      Admission.close adm;
+      Alcotest.(check int) "admits served" n !served;
+      let per_admit = (promoted1 -. promoted0) /. float_of_int n in
+      Printf.printf "%.2f promoted words per admit\n" per_admit;
+      if per_admit > admit_promoted_budget then
+        Alcotest.failf "%.2f promoted words per admit, budget %.0f" per_admit
+          admit_promoted_budget)
+
+(* --- the decision table --- *)
+
+(* Ids that share the home slot of [base] in a fresh table. *)
+let home_mates base count =
+  let d = Decisions.create () in
+  let home = Decisions.home d base in
+  let rec scan id acc n =
+    if n = count then List.rev acc
+    else if id <> base && Decisions.home d id = home then scan (id + 1) (id :: acc) (n + 1)
+    else scan (id + 1) acc n
+  in
+  scan 1 [] 0
+
+let max_id = (1 lsl 53) - 1
+
+(* Ids worth reusing: small, negative, the ends of the protocol's range
+   and ids that collide on their home slot. *)
+let id_pool =
+  Array.of_list
+    ([ 0; 1; 2; 3; -1; -2; -77; max_id; -max_id; max_id - 1 ] @ home_mates 0 6
+    @ List.map Int.neg (home_mates 5 3))
+
+(* The design the decision table replaced, kept as its model: one
+   [Hashtbl] entry per id holding the allocation itself, and a cancel
+   preempting that allocation by physical identity. *)
+type model_entry = M_booked of Allocation.t | M_refused of string | M_cancelled of Allocation.t
+
+let model_handle ctl entries = function
+  | Protocol.Admit { id; ingress; egress; volume; ts; tf; max_rate } -> (
+      match Hashtbl.find_opt entries id with
+      | Some (M_booked a | M_cancelled a) ->
+          Protocol.Admitted
+            { id; bw = a.Allocation.bw; sigma = a.Allocation.sigma; tau = a.Allocation.tau }
+      | Some (M_refused reason) -> Protocol.Rejected { id; reason }
+      | None -> (
+          let r = Request.make ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate in
+          match Online.try_admit ctl policy r ~at:(Float.max (Online.now ctl) ts) with
+          | Types.Accepted a ->
+              Hashtbl.replace entries id (M_booked a);
+              Protocol.Admitted
+                { id; bw = a.Allocation.bw; sigma = a.Allocation.sigma; tau = a.Allocation.tau }
+          | Types.Rejected reason ->
+              let reason = Types.reason_name reason in
+              Hashtbl.replace entries id (M_refused reason);
+              Protocol.Rejected { id; reason }))
+  | Protocol.Query { id } ->
+      let disposition =
+        match Hashtbl.find_opt entries id with
+        | None -> Protocol.Unknown
+        | Some (M_refused reason) -> Protocol.Refused { reason }
+        | Some (M_cancelled _) -> Protocol.Cancelled
+        | Some (M_booked a) ->
+            let bw = a.Allocation.bw and sigma = a.Allocation.sigma and tau = a.Allocation.tau in
+            if tau <= Online.now ctl then Protocol.Done { bw; sigma; tau }
+            else Protocol.Active { bw; sigma; tau }
+      in
+      Protocol.Status { id; disposition }
+  | Protocol.Cancel { id } -> (
+      match Hashtbl.find_opt entries id with
+      | None -> Protocol.Cancel_failed { id; reason = "unknown id" }
+      | Some (M_refused _) -> Protocol.Cancel_failed { id; reason = "was rejected" }
+      | Some (M_cancelled _) -> Protocol.Cancel_ok { id }
+      | Some (M_booked a) ->
+          if Online.preempt ctl a then begin
+            Hashtbl.replace entries id (M_cancelled a);
+            Protocol.Cancel_ok { id }
+          end
+          else Protocol.Cancel_failed { id; reason = "transfer already finished" })
+  | _ -> invalid_arg "model_handle: admit, query and cancel only"
+
+(* One step of a generated session: a verb, an id (a fresh one, or one
+   from the pool or from the ids already used) and an admit's shape. *)
+type step = {
+  verb : int;  (* 0-5 admit, 6-7 query, 8-9 cancel *)
+  pick : int;  (* 0-5 a fresh id, 6-7 the pool, 8 an id used before, 9 a recent one *)
+  which : int;
+  gap : float;
+  volume : float;
+  rate : float;
+  slack : float;
+  ports : int;
+}
+
+let step_gen =
+  QCheck2.Gen.(
+    let* verb = int_range 0 9 and* pick = int_range 0 9 and* which = int_range 0 1_000_000 in
+    let* gap = float_range 0. 2. and* volume = float_range 5. 400. in
+    let* rate = float_range 5. 80. and* slack = float_range 1. 4. and* ports = int_range 0 3 in
+    return { verb; pick; which; gap; volume; rate; slack; ports })
+
+(* Run [steps] through a fresh [Admission] and the model, reply for
+   reply; [None] when they agree throughout. *)
+let table_against_model steps =
+  let fabric = fabric2 () in
+  let adm = Admission.create ~policy fabric in
+  let ctl = Online.create fabric and entries = Hashtbl.create 64 in
+  let used = ref [||] and nused = ref 0 and fresh = ref 1_000 and now = ref 0. in
+  let use id =
+    if !nused = Array.length !used then begin
+      let a = Array.make (Int.max 16 (2 * !nused)) 0 in
+      Array.blit !used 0 a 0 !nused;
+      used := a
+    end;
+    !used.(!nused) <- id;
+    incr nused
+  in
+  let id_of st =
+    if st.pick = 8 && !nused > 0 then !used.(st.which mod !nused)
+    else if st.pick = 9 && !nused > 0 then !used.(!nused - 1 - (st.which mod Int.min 8 !nused))
+    else if st.pick >= 6 then id_pool.(st.which mod Array.length id_pool)
+    else begin
+      (* fresh ids alternate in sign *)
+      incr fresh;
+      if !fresh land 1 = 0 then !fresh else - !fresh
+    end
+  in
+  let request st =
+    let id = id_of st in
+    match st.verb with
+    | v when v <= 5 ->
+        now := !now +. st.gap;
+        use id;
+        let ts = !now in
+        admit ~id ~ingress:(st.ports land 1) ~egress:(st.ports lsr 1) ~volume:st.volume ~ts
+          ~tf:(ts +. (st.slack *. st.volume /. st.rate)) ~max_rate:st.rate ()
+    | 6 | 7 -> Protocol.Query { id }
+    | _ -> Protocol.Cancel { id }
+  in
+  let rec go i = function
+    | [] ->
+        if
+          Admission.accepted_count adm
+          = Hashtbl.fold (fun _ e n -> match e with M_refused _ -> n | _ -> n + 1) entries 0
+          && Admission.active_count adm = Online.active_count ctl
+        then None
+        else Some (Printf.sprintf "counts differ after %d steps" i)
+    | st :: rest ->
+        let req = request st in
+        let got = Admission.handle adm req and want = model_handle ctl entries req in
+        if got = want then go (i + 1) rest
+        else
+          Some
+            (Format.asprintf "step %d, %a: table %a, model %a" i Protocol.pp_request req
+               Protocol.pp_response got Protocol.pp_response want)
+  in
+  go 0 steps
+
+let prop_table_against_model =
+  qcase ~count:25 "decision table: replies equal the Hashtbl model's"
+    QCheck2.Gen.(list_size (int_range 1 1500) step_gen)
+    (fun steps ->
+      match table_against_model steps with
+      | None -> true
+      | Some why -> QCheck2.Test.fail_report why)
+
+(* Long enough (≈1,480 rows) for the index to double six times and the
+   rows to fill three pages. *)
+let table_against_model_long () =
+  let steps =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 33 |]) ~n:4000 step_gen
+  in
+  match table_against_model steps with None -> () | Some why -> Alcotest.fail why
+
+(* The table alone against a [Hashtbl], under the recovery's
+   last-event-wins writes: regrants, refusals after grants, grants after
+   refusals, cancels of any row.  Reasons arrive as fresh strings and
+   come back interned. *)
+type table_op = Grant of int * float * int | Refuse of int * int | Cancel_row of int
+
+let table_op_gen =
+  QCheck2.Gen.(
+    let id =
+      oneof
+        [
+          int_range (-40) 40;
+          map (fun i -> id_pool.(i)) (int_range 0 (Array.length id_pool - 1));
+          int_range (-max_id) max_id;
+          map (fun b -> if b then max_int else min_int) bool;
+        ]
+    in
+    frequency
+      [
+        (4, map3 (fun id x b -> Grant (id, x, b)) id (float_range 0. 1e6) (int_range 0 1_000_000));
+        (3, map2 (fun id r -> Refuse (id, r)) id (int_range 0 3));
+        (2, map (fun id -> Cancel_row id) id);
+      ])
+
+let reasons = [| "port-saturated"; "deadline-unreachable"; "revoked"; "gone" |]
+
+let prop_table_last_write_wins =
+  qcase ~count:60 "decision table: last write wins, as a Hashtbl's replace"
+    QCheck2.Gen.(list_size (int_range 0 1500) table_op_gen)
+    (fun ops ->
+      let d = Decisions.create () and m = Hashtbl.create 16 in
+      List.iter
+        (function
+          | Grant (id, x, b) ->
+              Decisions.grant d id ~bw:x ~sigma:(x +. 1.) ~tau:(x +. 2.) ~booking:b;
+              Hashtbl.replace m id (`Granted (x, b))
+          | Refuse (id, r) ->
+              (* a copy: equal to the interned reason, not the same string *)
+              Decisions.refuse d id (String.init (String.length reasons.(r)) (String.get reasons.(r)));
+              Hashtbl.replace m id (`Refused r)
+          | Cancel_row id -> (
+              let row = Decisions.find d id in
+              if row >= 0 then Decisions.cancel d row;
+              match Hashtbl.find_opt m id with
+              | Some (`Granted g) -> Hashtbl.replace m id (`Cancelled g)
+              | _ -> ()))
+        ops;
+      let agree id =
+        let row = Decisions.find d id in
+        match (Hashtbl.find_opt m id, row) with
+        | None, -1 -> true
+        | None, _ | Some _, -1 -> false
+        | Some (`Granted (x, b)), _ | Some (`Cancelled (x, b)), _ ->
+            Decisions.state d row
+            = (match Hashtbl.find m id with `Granted _ -> Decisions.Granted | _ -> Decisions.Cancelled)
+            && Decisions.bw d row = x
+            && Decisions.sigma d row = x +. 1.
+            && Decisions.tau d row = x +. 2.
+            && Decisions.booking d row = b
+        | Some (`Refused r), _ ->
+            Decisions.state d row = Decisions.Refused
+            && String.equal (Decisions.reason d row) reasons.(r)
+      in
+      Decisions.length d = Hashtbl.length m
+      && Decisions.slots d >= 2 * Decisions.length d
+      && Hashtbl.fold (fun id _ ok -> ok && agree id) m true
+      && List.for_all
+           (fun id -> Hashtbl.mem m id || Decisions.find d id = -1)
+           (Array.to_list id_pool))
+
+(* Refusals share one copy of each reason, and a refused row holds no
+   float: [n] refusals and [n] refusals plus [g] grants differ by the
+   grants' 32 bytes each (three doubles and a booking number), up to
+   one page of slack. *)
+let table_layout () =
+  let bytes d = 8 * Obj.reachable_words (Obj.repr d) in
+  let n = 20_000 and g = 6_000 in
+  let refusals = Decisions.create () and mixed = Decisions.create () in
+  for id = 0 to n - 1 do
+    Decisions.refuse refusals id (Printf.sprintf "reason %d" (id mod 3));
+    if id mod 10 < 3 then
+      Decisions.grant mixed id ~bw:1. ~sigma:2. ~tau:3. ~booking:(id / 10 * 3 + (id mod 10))
+    else Decisions.refuse mixed id (Printf.sprintf "reason %d" (id mod 3))
+  done;
+  let r0 = Decisions.find refusals 0 and r3 = Decisions.find refusals 3 in
+  Alcotest.(check bool) "one copy per reason" true
+    (Decisions.reason refusals r0 == Decisions.reason refusals r3);
+  let page = 32 * Decisions.page_rows in
+  let extra = bytes mixed - bytes refusals in
+  if extra < 32 * g || extra > (32 * g) + page then
+    Alcotest.failf "%d grants took %d bytes beside the refusals" g extra;
+  Printf.printf "%.1f bytes per refusal, %.1f per decision with 30%% grants\n"
+    (float_of_int (bytes refusals) /. float_of_int n)
+    (float_of_int (bytes mixed) /. float_of_int n)
+
+(* A journal that books id 7 twice: the first booking still held, the
+   second finished by the time of the cancel.  The table cancels the
+   booking its row records, the second, as the design it replaced did
+   (by the allocation's identity); a "newest held booking of the id"
+   rule would cancel the first instead. *)
+let recovered_cancel_targets_the_recorded_booking () =
+  with_tmpdir (fun dir ->
+      let fabric = fabric2 () in
+      let config = store_config () in
+      let store = Store.create ~config ~dir fabric in
+      let accept ~time ~port ~volume ~ts ~tf ~bw =
+        Event.Accept
+          {
+            time;
+            id = 7;
+            ingress = port;
+            egress = port;
+            volume;
+            ts;
+            tf;
+            max_rate = bw;
+            bw;
+            sigma = ts;
+            shard = None;
+          }
+      in
+      List.iter (Store.log store)
+        [
+          (* an early cancel of the id keeps its two bookings out of the
+             audit's duplicate check *)
+          Event.Preempt { time = 0.; id = 7; bw = 1.; shard = None };
+          accept ~time:0. ~port:0 ~volume:1000. ~ts:0. ~tf:100. ~bw:10.;
+          accept ~time:1. ~port:1 ~volume:10. ~ts:1. ~tf:5. ~bw:10.;
+          Event.Reject
+            { time = 3.; id = 8; reason = "port-saturated"; port = None; headroom = None; shard = None };
+        ];
+      Store.close store;
+      match Store.recover ~config ~dir () with
+      | Error e -> Alcotest.fail e
+      | Ok r -> (
+          match Admission.of_recovered ~policy r with
+          | Error e -> Alcotest.fail e
+          | Ok t ->
+              Alcotest.(check int) "the first booking is held" 1 (Admission.active_count t);
+              (match Admission.handle t (Protocol.Query { id = 7 }) with
+              | Protocol.Status { disposition = Protocol.Done { tau = 2.; _ }; _ } -> ()
+              | resp -> Alcotest.failf "query: %a" Protocol.pp_response resp);
+              (match Admission.handle t (Protocol.Cancel { id = 7 }) with
+              | Protocol.Cancel_failed { id = 7; reason = "transfer already finished" } -> ()
+              | resp -> Alcotest.failf "cancel: %a" Protocol.pp_response resp);
+              Alcotest.(check int) "still held" 1 (Admission.active_count t);
+              (match Admission.handle t (Protocol.Query { id = 8 }) with
+              | Protocol.Status { disposition = Protocol.Refused { reason = "port-saturated" }; _ }
+                -> ()
+              | resp -> Alcotest.failf "query 8: %a" Protocol.pp_response resp);
+              Admission.close t))
+
 let suites =
   [
     ( "serve.frame",
@@ -1553,6 +1944,16 @@ let suites =
         case "queueing without draining costs linear memory" session_queue_is_linear;
         case "blit_out copies one buffer's worth, allocating nothing" session_blit_out_is_bounded;
         case "one admit's words on the serving path, budgeted" admit_words_per_op;
+        case "words promoted per admit, budgeted" admit_promoted_words;
+      ] );
+    ( "serve.decisions",
+      [
+        prop_table_against_model;
+        case "against the model, across index growths and pages" table_against_model_long;
+        prop_table_last_write_wins;
+        case "interned reasons; a refusal holds no float" table_layout;
+        case "a recovered cancel targets the recorded booking"
+          recovered_cancel_targets_the_recorded_booking;
       ] );
     ( "serve.admission",
       [
