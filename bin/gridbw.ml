@@ -965,16 +965,6 @@ let loadgen_cmd =
          & info [ "tolerate-disconnect" ]
              ~doc:"A dropped connection stops that client quietly instead of failing the run.")
   in
-  let binary_t =
-    Arg.(value & flag
-         & info [ "binary" ]
-             ~doc:"Speak the binary frame form; the daemon notices from the first frame \
-                   and replies in kind.")
-  in
-  let bench_out_t =
-    Arg.(value & opt (some string) None
-         & info [ "bench-out" ] ~docv:"FILE" ~doc:"Write the report as a JSON object to $(docv).")
-  in
   let shutdown_t =
     Arg.(value & flag
          & info [ "shutdown" ] ~doc:"Send the shutdown verb once the run completes.")
@@ -982,17 +972,17 @@ let loadgen_cmd =
   let json_t =
     Arg.(value & flag
          & info [ "json" ]
-             ~doc:"Machine-readable output: stdout is exactly one JSON object (the same \
-                   shape --bench-out writes, p50/p95/p99 latencies included); the human \
-                   report and provenance move to stderr.")
+             ~doc:"Machine-readable output: stdout is exactly one JSON object \
+                   (p50/p95/p99 latencies included); the human report and provenance move \
+                   to stderr.")
   in
   let run socket tcp conns requests seed mean_ia slack cancel_every acks_path tolerate
-      binary bench_out shutdown json =
+      shutdown json =
     let transport = transport_of "loadgen" socket tcp in
     let acks = Option.map open_out acks_path in
     let cfg =
       Loadgen.default_config ~connections:conns ~requests ~seed ~mean_interarrival:mean_ia
-        ~max_slack:slack ~cancel_every ?acks ~binary ~tolerate_disconnect:tolerate transport
+        ~max_slack:slack ~cancel_every ?acks ~tolerate_disconnect:tolerate transport
     in
     let provenance =
       [ Provenance.seed seed; Provenance.int "requests" requests;
@@ -1013,14 +1003,6 @@ let loadgen_cmd =
           print_endline (Loadgen.report_to_json report)
         end
         else Format.printf "%a@." Loadgen.pp_report report;
-        Option.iter
-          (fun path ->
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () -> output_string oc (Loadgen.report_to_json report ^ "\n"));
-            Printf.eprintf "wrote %s\n%!" path)
-          bench_out;
         if shutdown then
           match Loadgen.shutdown transport with
           | Ok records -> Printf.eprintf "daemon stopped (%d journal records)\n%!" records
@@ -1033,8 +1015,7 @@ let loadgen_cmd =
        ~doc:"Drive a running admission daemon with a seeded closed-loop workload and \
              report throughput and latency percentiles.")
     Term.(const run $ socket_t $ tcp_t $ conns_t $ requests_t $ lg_seed_t $ mean_ia_t
-          $ slack_t $ cancel_t $ acks_t $ tolerate_t $ binary_t $ bench_out_t $ shutdown_t
-          $ json_t)
+          $ slack_t $ cancel_t $ acks_t $ tolerate_t $ shutdown_t $ json_t)
 
 let main_cmd =
   Cmd.group

@@ -1,7 +1,6 @@
 (* Length-prefixed framing.  See frame.mli for the two wire forms. *)
 
 module Wire_frame = Gridbw_wire.Frame
-module Binio = Gridbw_wire.Binio
 
 type format = Text | Binary
 
@@ -160,11 +159,12 @@ let next d =
       else if Wire_frame.is_binary (Bytes.get d.buf d.start) then next_binary d
       else next_text d
 
-(* --- blocking channel helpers (the loadgen / test client side) --- *)
+(* --- blocking channel helpers (the loadgen / test client side): text
+   frames only --- *)
 
-let input_text ?(max_frame = max_frame_default) first ic =
+let input ?(max_frame = max_frame_default) ic =
   let rec read_len acc digits =
-    match if digits = 0 then first else input_char ic with
+    match input_char ic with
     | exception End_of_file -> Error `Eof
     | ' ' when digits > 0 -> Ok acc
     | c when is_digit c ->
@@ -186,34 +186,6 @@ let input_text ?(max_frame = max_frame_default) first ic =
             | _ -> Error (`Frame Missing_terminator))
       end
 
-let input_binary ?(max_frame = max_frame_default) ic =
-  (* The magic byte was already consumed; read the rest of the frame. *)
-  match really_input_string ic (Wire_frame.header_bytes - 1) with
-  | exception End_of_file -> Error `Eof
-  | rest -> (
-      let header = String.make 1 Wire_frame.magic ^ rest in
-      let plen = Binio.get_u32 header 2 in
-      if plen > max_frame then Error (`Frame (Oversized plen))
-      else
-        match really_input_string ic (plen + Wire_frame.trailer_bytes) with
-        | exception End_of_file -> Error `Eof
-        | tail -> (
-            match Wire_frame.decode (header ^ tail) ~pos:0 with
-            | Value ((tag, payload), _) ->
-                if tag <> binary_tag then
-                  Error (`Frame (Corrupt_frame (Printf.sprintf "unexpected frame tag %d" tag)))
-                else Ok payload
-            | Corrupt msg -> Error (`Frame (Corrupt_frame msg))
-            | Incomplete -> Error `Eof))
-
-let input ?max_frame ic =
-  match input_char ic with
-  | exception End_of_file -> Error `Eof
-  | c when Wire_frame.is_binary c -> input_binary ?max_frame ic
-  | c -> input_text ?max_frame c ic
-
-let output_as fmt oc payload =
-  output_string oc (encode_as fmt payload);
+let output oc payload =
+  output_string oc (encode payload);
   flush oc
-
-let output oc payload = output_as Text oc payload

@@ -14,7 +14,8 @@
     The binary magic byte is not printable ASCII, so the first byte of a
     frame selects its form — clients opt into binary simply by sending
     binary frames, no handshake, and the session replies in whatever
-    form the client last spoke ({!last_format}).
+    form the client last spoke ({!last_format}).  The blocking client
+    helpers ({!input}, {!output}) speak [Text] only.
 
     Decoding is incremental and total: {!feed} bytes as they arrive,
     {!next} yields complete payloads or a typed {!error} — malformed
@@ -84,11 +85,9 @@ val last_format : decoder -> format
 (** {2 Blocking helpers (client side)} *)
 
 val input : ?max_frame:int -> in_channel -> (string, [ `Frame of error | `Eof ]) result
-(** Read exactly one frame from a blocking channel, sniffing its form
-    from the first byte. *)
+(** Read exactly one [Text] frame from a blocking channel.  The client
+    side speaks text only: a frame in any other form, a [Binary] one
+    included, is [`Frame (Malformed_length _)]. *)
 
 val output : out_channel -> string -> unit
 (** Write one [Text]-framed payload and flush the channel. *)
-
-val output_as : format -> out_channel -> string -> unit
-(** Write one framed payload in the given form and flush the channel. *)

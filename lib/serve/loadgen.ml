@@ -18,14 +18,13 @@ type config = {
   fabric : Fabric.t;
   cancel_every : int;
   acks : out_channel option;
-  binary : bool;
   tolerate_disconnect : bool;
 }
 
 let default_config ?(connections = 4) ?(requests = 10_000) ?(seed = 1L)
     ?(mean_interarrival = 0.25) ?(max_slack = 4.0)
     ?(fabric = Fabric.paper_default ()) ?(cancel_every = 0) ?acks
-    ?(binary = false) ?(tolerate_disconnect = false) target =
+    ?(tolerate_disconnect = false) target =
   {
     target;
     connections;
@@ -36,7 +35,6 @@ let default_config ?(connections = 4) ?(requests = 10_000) ?(seed = 1L)
     fabric;
     cancel_every;
     acks;
-    binary;
     tolerate_disconnect;
   }
 
@@ -125,9 +123,8 @@ let record_ack sh payload =
    the ack journal carries the exact wire bytes. *)
 let exchange sh st ic oc req =
   st.sent <- st.sent + 1;
-  let fmt = if sh.cfg.binary then Frame.Binary else Frame.Text in
   let t0 = Unix.gettimeofday () in
-  match Frame.output_as fmt oc (Protocol.encode_request req) with
+  match Frame.output oc (Protocol.encode_request req) with
   | exception (Sys_error _ | Unix.Unix_error _) ->
       st.disconnects <- st.disconnects + 1;
       Error `Disconnect

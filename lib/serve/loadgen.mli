@@ -3,10 +3,10 @@
     Draws a seeded workload from {!Gridbw_workload} (the §5.3 flexible
     family by default), stride-partitions it over a configurable number of
     client connections, and drives the daemon closed-loop: each connection
-    sends one request, waits for the response, records the wall-clock
-    latency, then sends its next.  Latencies aggregate into the telemetry
-    plane's log₂ histogram; percentiles come from
-    {!Gridbw_obs.Metrics.percentile}.
+    sends one text frame ({!Frame.output}), waits for the response,
+    records the wall-clock latency, then sends its next.  Latencies
+    aggregate into the telemetry plane's log₂ histogram; percentiles come
+    from {!Gridbw_obs.Metrics.percentile}.
 
     The generator can journal every response it {e receives} to an acks
     file (one JSON payload per line, verbatim wire bytes).  A kill-drill
@@ -24,9 +24,6 @@ type config = {
   fabric : Gridbw_topology.Fabric.t;  (** must match the daemon's *)
   cancel_every : int;  (** cancel every Nth admitted transfer; 0 = never *)
   acks : out_channel option;  (** record every received response payload *)
-  binary : bool;
-      (** speak the binary frame form ({!Frame.Binary}); the daemon
-          notices from the first frame and replies in kind *)
   tolerate_disconnect : bool;
       (** a dropped connection stops that client quietly instead of
           failing the run — for kill drills where the daemon dies on
@@ -42,12 +39,11 @@ val default_config :
   ?fabric:Gridbw_topology.Fabric.t ->
   ?cancel_every:int ->
   ?acks:out_channel ->
-  ?binary:bool ->
   ?tolerate_disconnect:bool ->
   Daemon.transport ->
   config
 (** 4 connections, 10k requests, seed 1, paper fabric, §5.3 arrivals at
-    0.25 s mean, slack 4, no cancels, text frames. *)
+    0.25 s mean, slack 4, no cancels. *)
 
 type report = {
   sent : int;
@@ -72,8 +68,8 @@ val run : ?log:(string -> unit) -> config -> (report, string) result
     error from the daemon. *)
 
 val report_to_json : report -> string
-(** The [BENCH_serve.json] object (single line, deterministic field
-    order). *)
+(** The report as one JSON object on a single line, fields in a fixed
+    order: what [gridbw loadgen --json] prints. *)
 
 val shutdown : Daemon.transport -> (int, string) result
 (** Connect, send the [shutdown] verb, wait for the [goodbye].  [Ok n]

@@ -1,8 +1,8 @@
-(* The one wire-codec interface every record family implements twice:
-   once as JSONL (debug/interop) and once as the length-prefixed binary
-   form.  Encoders append to a caller-owned [Buffer.t]; decoders read
-   from a substring and report how far they got, so the same codec
-   drives files, sockets, and incremental feeds without copying. *)
+(* The one wire-codec interface a record family implements over the
+   length-prefixed binary form ({!Frame}).  Encoders append to a
+   caller-owned [Buffer.t]; decoders read from a substring and report
+   how far they got, so the same codec drives files, sockets, and
+   incremental feeds without copying. *)
 
 type 'a decoded =
   | Value of 'a * int  (* decoded value and the position just past it *)

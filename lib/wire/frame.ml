@@ -5,11 +5,12 @@
      newline-safe, torn-tail detectable.  WAL records, binary traces and
      binary serve frames all use it.
    - [Line]: the serve plane's "%d %s\n" length-prefixed text frame.
+     This module only writes it; the serve decoder reads it.
 
    The magic byte 0xB1 is not printable ASCII, so a record's first byte
-   tells binary from text: serve streams sniff it against [Line] frames,
-   traces against JSONL lines.  The WAL is binary only and treats any
-   other first byte as corruption. *)
+   tells binary from text: the serve decoder sniffs it against [Line]
+   frames.  The WAL and traces are binary only and treat any other first
+   byte as corruption. *)
 
 let magic = '\xB1'
 let is_binary c = Char.equal c magic
@@ -65,11 +66,6 @@ let decode ?(max = Stdlib.max_int) s ~pos : (int * string) Codec.decoded =
 
 (* "%d %s\n": decimal payload length, space, payload, newline. *)
 module Line = struct
-  type t = string
-
-  let name = "line"
-  let max_digits = 10
-
   let encode b payload =
     Binio.add_decimal b (String.length payload);
     Buffer.add_char b ' ';
@@ -82,29 +78,4 @@ module Line = struct
     Buffer.add_char b ' ';
     Buffer.add_buffer b payload;
     Buffer.add_char b '\n'
-
-  let decode s ~pos : t Codec.decoded =
-    let len = String.length s in
-    let rec digits i =
-      if i >= len then `Incomplete
-      else
-        match s.[i] with
-        | '0' .. '9' when i - pos < max_digits -> digits (i + 1)
-        | '0' .. '9' -> `Too_long
-        | ' ' when i > pos -> `Sep i
-        | _ -> `Bad i
-    in
-    match digits pos with
-    | `Incomplete -> Incomplete
-    | `Too_long -> Corrupt "length prefix too long"
-    | `Bad i ->
-        if i = pos then Corrupt "missing length prefix" else Corrupt "malformed length prefix"
-    | `Sep i -> (
-        match int_of_string_opt (String.sub s pos (i - pos)) with
-        | None -> Corrupt "malformed length prefix"
-        | Some plen ->
-            let start = i + 1 in
-            if start + plen + 1 > len then Incomplete
-            else if s.[start + plen] <> '\n' then Corrupt "missing frame terminator"
-            else Value (String.sub s start plen, start + plen + 1))
 end

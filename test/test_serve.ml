@@ -146,7 +146,19 @@ let frame_blocking_io () =
         (fun () ->
           Alcotest.(check bool) "first frame" true (Frame.input ic = Ok "hello");
           Alcotest.(check bool) "second frame" true (Frame.input ic = Ok "");
-          Alcotest.(check bool) "eof" true (Frame.input ic = Error `Eof)))
+          Alcotest.(check bool) "eof" true (Frame.input ic = Error `Eof));
+      (* the client side reads text only: a binary frame is a typed error *)
+      let oc = open_out_bin path in
+      output_string oc (Frame.encode_as Frame.Binary "hello");
+      close_out oc;
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          Alcotest.(check bool) "binary frame: Malformed_length" true
+            (match Frame.input ic with
+            | Error (`Frame (Frame.Malformed_length _)) -> true
+            | _ -> false)))
 
 (* Words allocated by [f ()], minor and major, less what measuring
    costs (the same probe around an empty function).  The minor count
@@ -1349,6 +1361,61 @@ let daemon_drains_replies_on_shutdown () =
           Unix.close fd;
           Thread.join th)
 
+(* Group commit on the serving path: one client pipelines K admits in a
+   single send, and the daemon makes them durable in a few fsyncs, not
+   one per admit.  The store runs the default WAL config, as [serve]
+   does, so both the per-round flush and the WAL's batch bound the
+   count; every reply still arrives, in request order. *)
+let daemon_group_commits_a_pipelined_burst () =
+  with_tmpdir (fun dir ->
+      let sock = Filename.concat dir "d.sock" in
+      let cfg =
+        { (Daemon.default_config ~policy ~fabric:(fabric2 ())
+             ~store_dir:(Filename.concat dir "store") (Daemon.Unix_socket sock))
+          with
+          Daemon.tick = 0.02 }
+      in
+      let obs = Obs.create () in
+      match Daemon.create ~obs cfg with
+      | Error e -> Alcotest.fail e
+      | Ok d ->
+          let th = Thread.create Daemon.run d in
+          Fun.protect
+            ~finally:(fun () ->
+              Daemon.stop d;
+              Thread.join th)
+            (fun () ->
+              let k = 512 in
+              let burst = Buffer.create (k * 128) in
+              for id = 0 to k - 1 do
+                Frame.add_as Frame.Text burst
+                  (Protocol.encode_request
+                     (Protocol.Admit
+                        { id; ingress = id mod 2; egress = id / 2 mod 2; volume = 10.; ts = 0.;
+                          tf = 100.; max_rate = 1. }))
+              done;
+              let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+              Unix.connect fd (Unix.ADDR_UNIX sock);
+              let ic = Unix.in_channel_of_descr fd in
+              let before = counter obs "store_fsync_total" in
+              send_all fd (Buffer.contents burst) 0;
+              let reply_id () =
+                match Frame.input ic with
+                | Error _ -> None
+                | Ok payload -> (
+                    match Protocol.decode_response payload with
+                    | Ok (Protocol.Admitted { id; _ } | Protocol.Rejected { id; _ }) -> Some id
+                    | _ -> None)
+              in
+              let ids = List.init k (fun _ -> reply_id ()) in
+              let fsyncs = counter obs "store_fsync_total" - before in
+              Unix.close fd;
+              Alcotest.(check (list (option int))) "every reply, in request order"
+                (List.init k Option.some) ids;
+              if fsyncs < 1 || fsyncs > k / 16 then
+                Alcotest.failf "%d pipelined admits took %d fsyncs (want 1..%d)" k fsyncs
+                  (k / 16)))
+
 (* --- byte pins of the serving path --- *)
 
 (* Malformed or unusual payloads mixed into the pinned stream: their
@@ -1976,6 +2043,7 @@ let suites =
         slow_case "end to end: loadgen, shutdown, restart" end_to_end_live_daemon;
         case "malformed clients get typed errors" daemon_survives_malformed_clients;
         case "per-request series count once per request" daemon_metric_series;
+        case "a pipelined burst is group-committed" daemon_group_commits_a_pipelined_burst;
         case "/metrics: 200, 404, over-long lines, never a connection" daemon_serves_metrics;
         case "shutdown drains every pending reply in order" daemon_drains_replies_on_shutdown;
         case "seed 7: reply and journal bytes, pinned" serving_path_bytes_pinned;

@@ -153,16 +153,6 @@ let test_frame_tag_validation () =
   | Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "wrong-tag frame accepted as an event"
 
-let test_line_roundtrip () =
-  List.iter
-    (fun payload ->
-      let b = Buffer.create 32 in
-      Frame.Line.encode b payload;
-      match Frame.Line.decode (Buffer.contents b) ~pos:0 with
-      | Codec.Value (p, _) -> Alcotest.(check string) "line payload" payload p
-      | _ -> Alcotest.fail "line frame does not decode")
-    [ ""; "x"; {|{"ev":"accept","id":7}|}; String.make 300 'z' ]
-
 (* --- WAL pair records --- *)
 
 let gen_triples =
@@ -404,7 +394,6 @@ let suites =
         prop_bitflip_never_passes;
         prop_truncation_is_incomplete;
         case "frame: tag byte validated by record codecs" test_frame_tag_validation;
-        case "frame: Line round-trip" test_line_roundtrip;
         prop_pair_roundtrip;
         prop_pair_refused;
         case "wal pair: the three layouts, byte for byte" test_pair_layout;
