@@ -105,6 +105,24 @@ let diurnal_generate_valid_requests () =
       Alcotest.(check bool) "within horizon" true (r.ts < 2_000.0))
     reqs
 
+(* Every field's IEEE bits of two seeded draws, flexible and rigid: the
+   per-request draw and its RNG call order are fixed. *)
+let diurnal_generate_pinned () =
+  let intensity = Diurnal.day_night ~base:0.05 ~peak:0.5 ~period:500.0 in
+  let b = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun (r : Request.t) ->
+          Printf.bprintf b "%d %d %d" r.id r.ingress r.egress;
+          List.iter
+            (fun x -> Printf.bprintf b " %Lx" (Int64.bits_of_float x))
+            [ r.volume; r.ts; r.tf; r.max_rate ];
+          Buffer.add_char b '\n')
+        (Diurnal.generate (Rng.create ~seed:7L ()) spec intensity ~peak:0.5 ~horizon:4_000.0))
+    [ Spec.paper_flexible ~count:1 ~mean_interarrival:1. (); Spec.paper_rigid ~count:1 ~load:0.5 () ];
+  Alcotest.(check string) "digest" "5c0da48901b2b3f5571e3f43f0f433e0" (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* --- timeline --- *)
 
 let timeline_usage () =
@@ -172,6 +190,7 @@ let suites =
         case "arrivals concentrate at the crest" thinning_concentrates_at_peak;
         case "underestimated peak rejected" thinning_rejects_underestimated_peak;
         case "generated requests valid" diurnal_generate_valid_requests;
+        case "generate is bit-pinned" diurnal_generate_pinned;
       ] );
     ( "timeline",
       [

@@ -1,8 +1,8 @@
 (* Bit pins of the paper's kernels.
 
    The decision streams of GREEDY (Algorithm 2), the daemon's kernel
-   ([Online.try_admit] in arrival order) and WINDOW(400) (Algorithm 3) on
-   the section 5.3 flexible workload, MALLEABLE's step profiles and
+   ([Online.try_admit] in arrival order), WINDOW(400) (Algorithm 3) and
+   its deferred variant on the section 5.3 flexible workload, MALLEABLE's step profiles and
    reshape revisions, the head-of-line-blocking FIFO baseline, and the
    answers of the breakpoint tree behind them on arbitrary floats, are
    folded into digests of their IEEE bits.  The differential timeline
@@ -71,6 +71,30 @@ let kernel_digests seed =
   let window = Buffer.create (1 lsl 20) in
   pin_result window (Flexible.window fabric policy ~step:400. reqs);
   (digest greedy, digest online, digest window)
+
+(* WINDOW-DEFERRED (ablation A1) on the same stream at f = 0.8, step 400,
+   and under MinRate on a twenty-times denser stream (interarrival 1) at
+   steps 100 and 1000, where batches reach hundreds of candidates. *)
+let deferred_digests seed =
+  let fabric = Fabric.paper_default () in
+  let stream mean_interarrival =
+    Gen.generate (Rng.create ~seed ()) (Spec.paper_flexible ~count:20_000 ~mean_interarrival ())
+  in
+  let pin policy ~step reqs =
+    let b = Buffer.create (1 lsl 20) in
+    pin_result b (Flexible.window_deferred fabric policy ~step reqs);
+    digest b
+  in
+  let dense = stream 1.0 in
+  ( pin (Policy.Fraction_of_max 0.8) ~step:400. (stream 14.0),
+    pin Policy.Min_rate ~step:100. dense,
+    pin Policy.Min_rate ~step:1000. dense )
+
+let deferred_pinned seed (f08, min100, min1000) () =
+  let a, b, c = deferred_digests seed in
+  Alcotest.(check string) "f=0.8, step 400 digest" f08 a;
+  Alcotest.(check string) "minrate, interarrival 1, step 100 digest" min100 b;
+  Alcotest.(check string) "minrate, interarrival 1, step 1000 digest" min1000 c
 
 let kernels_pinned seed (greedy, online, window) () =
   let g, o, w = kernel_digests seed in
@@ -141,8 +165,10 @@ let window_whole_history fabric policy ~step reqs =
   let ledger = Ledger.create fabric in
   let decisions = ref [] in
   List.iter
-    (fun (_, batch) ->
-      Flexible.pack_batch policy ledger ~decide:(fun r d -> decisions := (r, d) :: !decisions) batch)
+    (fun (k, batch) ->
+      Flexible.pack_batch ~now:(float_of_int (k + 1) *. step) policy ledger
+        ~decide:(fun r d -> decisions := (r, d) :: !decisions)
+        batch)
     (Flexible.batches ~step reqs);
   Flexible.collect reqs (List.rev !decisions)
 
@@ -257,6 +283,10 @@ let suites =
         case "seed 21: greedy, online and window(400) streams"
           (kernels_pinned 21L ("b832fddef7c3a2fe8b4a526fe62eda0e", "9550aaccc5fafae24d296322b06de747",
              "a7770eb2b72ac5dca719eb1a3d39212e"));
+        case "seed 7: window-deferred streams" (deferred_pinned 7L ("25efe10d037ddb55299c204afeee52e1", "474a33545e2a21d17039faf83577aecb",
+             "e2dcf929e1b8473bd32e2ed9e4785db0"));
+        case "seed 21: window-deferred streams" (deferred_pinned 21L ("554b9ca4757d89a11c2242e34d4e83fd", "89b8792b7a6157b1b959103a1348562a",
+             "dc0cc69caa243b27b270a7de864a7b2d"));
         case "window decides as on a never-retired ledger" window_retirement_keeps_decisions;
         case "seed 7: malleable streams, profiles and reshape revisions" malleable_pinned;
         case "seed 7: blocking FIFO streams" fifo_pinned;
