@@ -67,12 +67,6 @@ let try_grab t ~ingress ~egress ~bw =
   if ok then grab t ~ingress ~egress ~bw;
   ok
 
-let saturation t ~ingress ~egress ~bw =
-  t.probes <- t.probes + 2;
-  Float.max
-    ((t.ali.(ingress) +. bw) /. Fabric.ingress_capacity t.fabric ingress)
-    ((t.ale.(egress) +. bw) /. Fabric.egress_capacity t.fabric egress)
-
 let reset t =
   Array.fill t.ali 0 (Array.length t.ali) 0.0;
   Array.fill t.ale 0 (Array.length t.ale) 0.0

@@ -19,8 +19,8 @@ val set_fabric : t -> Gridbw_topology.Fabric.t -> unit
 
 val probe_count : t -> int
 (** Port-counter probes performed so far: each {!fits} (and so each
-    {!try_grab}) and each {!saturation} compares the two counters of a
-    route against their capacities and counts 2.  The on-line analogue of
+    {!try_grab}) compares the two counters of a route against their
+    capacities and counts 2.  The on-line analogue of
     {!Gridbw_alloc.Ledger.probe_count} — admission spans record the delta
     across a decision as the search's work. *)
 
@@ -57,9 +57,5 @@ val grab_ingress : t -> ingress:int -> bw:float -> unit
 val grab_egress : t -> egress:int -> bw:float -> unit
 val release_ingress : t -> ingress:int -> bw:float -> unit
 val release_egress : t -> egress:int -> bw:float -> unit
-
-val saturation : t -> ingress:int -> egress:int -> bw:float -> float
-(** The WINDOW heuristic's cost (section 5.2):
-    [max((ali+bw)/B_in, (ale+bw)/B_out)]. *)
 
 val reset : t -> unit

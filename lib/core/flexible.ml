@@ -107,20 +107,19 @@ let batches ~step requests =
   done;
   !res
 
-(* One WINDOW batch against a shared ledger — Algorithm 3's inner loop.
-   Exposed so the fault subsystem can re-pack residual requests with the
-   exact same kernel; capacities are read from the ledger's current
-   fabric, which may have been revised mid-run.
+(* Algorithm 3's inner loop: one batch against a shared ledger, read at
+   the ledger's current fabric (the fault subsystem revises it mid-run).
+   Trace events are stamped at [now], the batch's decision instant.
 
-   [now] stamps the batch's trace events (the batch-boundary decision
-   instant); it defaults to the latest arrival in the batch. *)
-let pack_batch ?(obs = Obs.disabled) ?now policy ledger ~decide batch =
+   Under WINDOW a candidate starts at its own arrival, so its policy rate
+   is the one of section 5.1 (MinRate or f x MaxRate at ts).  Under
+   WINDOW-DEFERRED ([deferred]) it starts at [now], the interval end
+   [(k+1)·step], and the rate, sigma and the ledger usage are all read
+   there.  No arrival of batch [k] lies past it: a [ts] above the
+   rounded product lies above the exact one, so [ts /. step] rounds to
+   at least [k+1]. *)
+let pack ~obs ~now ~deferred policy ledger ~decide batch =
   let fabric = Ledger.fabric ledger in
-  let now =
-    match now with
-    | Some t -> t
-    | None -> List.fold_left (fun acc (r : Request.t) -> Float.max acc r.ts) neg_infinity batch
-  in
   let last_probes = ref (Ledger.probe_count ledger) in
   let record ?blocked r d =
     (if obs.Obs.enabled then begin
@@ -139,17 +138,14 @@ let pack_batch ?(obs = Obs.disabled) ?now policy ledger ~decide batch =
      and liveness immediate — so the min-cost scan, the post-accept
      refresh, and the cut sweep plain array cells instead of chasing
      per-candidate records.  [use_in]/[use_out] cache the port usage at
-     the candidate's own start instant and are updated incrementally as
-     batch mates are accepted, so the scan does no ledger folds; the
-     cost only changes when an accepted mate lands on a shared port, and
-     the refresh reaches exactly those candidates through per-port index
-     lists instead of a full-batch walk.
-
-     Every candidate keeps its arrival start, so the policy rate is the
-     one of section 5.1 (MinRate or f x MaxRate at ts) and is always
-     defined. *)
+     the candidate's start and are updated incrementally as batch mates
+     are accepted, so the scan does no ledger folds; the cost only
+     changes when an accepted mate lands on a shared port, and the
+     refresh reaches exactly those candidates through per-port index
+     lists instead of a full-batch walk. *)
   let cap = List.length batch in
   let reqs = Array.make cap first in
+  let starts = Array.make cap 0. in
   let cbw = Array.make cap 0. in
   let cap_in = Array.make cap 0. in
   let cap_out = Array.make cap 0. in
@@ -161,15 +157,17 @@ let pack_batch ?(obs = Obs.disabled) ?now policy ledger ~decide batch =
   let n = ref 0 in
   List.iter
     (fun (r : Request.t) ->
-      match Policy.assign policy r ~now:r.ts with
+      let start = if deferred then now else r.ts in
+      match Policy.assign policy r ~now:start with
       | Some bw ->
           let i = !n in
           reqs.(i) <- r;
+          starts.(i) <- start;
           cbw.(i) <- bw;
           cap_in.(i) <- Fabric.ingress_capacity fabric r.ingress;
           cap_out.(i) <- Fabric.egress_capacity fabric r.egress;
-          use_in.(i) <- Ledger.usage_at ledger (Port.Ingress r.ingress) r.ts;
-          use_out.(i) <- Ledger.usage_at ledger (Port.Egress r.egress) r.ts;
+          use_in.(i) <- Ledger.usage_at ledger (Port.Ingress r.ingress) start;
+          use_out.(i) <- Ledger.usage_at ledger (Port.Egress r.egress) start;
           costs.(i) <-
             Float.max ((use_in.(i) +. bw) /. cap_in.(i)) ((use_out.(i) +. bw) /. cap_out.(i));
           ids.(i) <- r.Request.id;
@@ -190,9 +188,9 @@ let pack_batch ?(obs = Obs.disabled) ?now policy ledger ~decide batch =
     else Some ((Event.Egress, reqs.(i).Request.egress), cap_out.(i) -. use_out.(i))
   in
   (* Per-port candidate index arrays, ascending — candidate order is
-     arrival order, so each array is sorted by start instant and the
-     refresh after an accept binary-searches the [sigma, tau) window
-     instead of filtering the whole port list. *)
+     arrival order, so each array is sorted by start and the refresh
+     after an accept binary-searches the [sigma, tau) window instead of
+     filtering the whole port list. *)
   let port_index count port_of =
     let cnt = Array.make count 0 in
     for i = 0 to n - 1 do
@@ -215,7 +213,7 @@ let pack_batch ?(obs = Obs.disabled) ?now policy ledger ~decide batch =
     let lo = ref 0 and hi = ref (Array.length idxs) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if reqs.(idxs.(mid)).Request.ts < t then lo := mid + 1 else hi := mid
+      if starts.(idxs.(mid)) < t then lo := mid + 1 else hi := mid
     done;
     !lo
   in
@@ -301,7 +299,7 @@ let pack_batch ?(obs = Obs.disabled) ?now policy ledger ~decide batch =
     else begin
       let r = reqs.(bi) in
       let bw = cbw.(bi) in
-      let a = Allocation.make ~request:r ~bw ~sigma:r.Request.ts in
+      let a = Allocation.make ~request:r ~bw ~sigma:starts.(bi) in
       if Ledger.fits ledger a then begin
         (* [fits] just vouched for the whole interval; reserve without the
            redundant re-probe. *)
@@ -333,10 +331,19 @@ let pack_batch ?(obs = Obs.disabled) ?now policy ledger ~decide batch =
     end
   done
 
-let window ?(ctx = Runtime.default) fabric policy ~step requests =
+let pack_batch ?(obs = Obs.disabled) ~now policy ledger ~decide batch =
+  pack ~obs ~now ~deferred:false policy ledger ~decide batch
+
+(* WINDOW and WINDOW-DEFERRED: each [step]-interval's batch is packed at
+   the interval end [(k+1)·step].  No query of a batch reaches behind its
+   earliest start, so the breakpoints there are folded away first.  For
+   WINDOW that is the batch's first arrival, not [k·step]:
+   [floor (ts /. step)] can put a [ts] one ulp below [k·step] into batch
+   [k]. *)
+let windowed ~name ~deferred ?(ctx = Runtime.default) fabric policy ~step requests =
   let obs = ctx.Runtime.obs in
   if step <= 0. || not (Float.is_finite step) then
-    invalid_arg "Flexible.window: step must be positive and finite";
+    invalid_arg ("Flexible." ^ name ^ ": step must be positive and finite");
   Request.check_routes "Flexible" fabric requests;
   Policy.validate policy;
   let ledger = Ledger.create fabric in
@@ -347,20 +354,18 @@ let window ?(ctx = Runtime.default) fabric policy ~step requests =
     | Types.Accepted a -> accepted := a :: !accepted
     | Types.Rejected reason -> rejected := (r, reason) :: !rejected
   in
-  (* Every candidate books from its own arrival, so no query of a batch
-     reaches behind its earliest arrival and the breakpoints there can be
-     folded away.  The horizon is that arrival, not [k·step]:
-     [floor (ts /. step)] can put a [ts] one ulp below [k·step] into
-     batch [k]. *)
   List.iter
     (fun (k, batch) ->
+      let now = float_of_int (k + 1) *. step in
       Emit.emit_arrivals obs seqs batch;
       (match batch with
-      | (first : Request.t) :: _ -> Ledger.retire_before ledger first.ts
+      | (first : Request.t) :: _ -> Ledger.retire_before ledger (if deferred then now else first.ts)
       | [] -> ());
-      pack_batch ~obs ~now:(float_of_int (k + 1) *. step) policy ledger ~decide batch)
+      pack ~obs ~now ~deferred policy ledger ~decide batch)
     (batches ~step requests);
   { Types.all = requests; accepted = List.rev !accepted; rejected = List.rev !rejected }
+
+let window = windowed ~name:"window" ~deferred:false
 
 let book_ahead ?(ctx = Runtime.default) fabric policy ~announce requests =
   let obs = ctx.Runtime.obs in
@@ -402,95 +407,10 @@ let book_ahead ?(ctx = Runtime.default) fabric policy ~announce requests =
   in
   collect requests decisions
 
-let window_deferred ?(ctx = Runtime.default) fabric policy ~step requests =
-  let obs = ctx.Runtime.obs in
-  if step <= 0. || not (Float.is_finite step) then
-    invalid_arg "Flexible.window_deferred: step must be positive and finite";
-  Request.check_routes "Flexible" fabric requests;
-  Policy.validate policy;
-  let ctl = Online.create fabric in
-  let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
-  let decisions = ref [] in
-  let decide r d = decisions := (r, d) :: !decisions in
-  (* Rejections decided by the batch loop itself (the cut and the deadline
-     filter) are traced here; admissions go through [Online.try_admit],
-     which traces them itself. *)
-  let reject_at time r reason = Emit.emit_decision obs ~time r (Types.Rejected reason) in
-  List.iter
-    (fun (k, batch) ->
-      let decision_time = float_of_int (k + 1) *. step in
-      Emit.emit_arrivals obs seqs batch;
-      Online.advance_to ctl decision_time;
-      (* Candidates that can still meet their deadline after the delay,
-         with their saturation cost cached: within the batch the clock is
-         pinned at [decision_time], so a candidate's cost only changes
-         when an admission lands on one of its ports — recompute exactly
-         those instead of re-scoring the whole remainder every round. *)
-      let candidates =
-        List.filter_map
-          (fun (r : Request.t) ->
-            match Online.peek_cost ctl policy r ~at:decision_time with
-            | None ->
-                reject_at decision_time r Types.Deadline_unreachable;
-                decide r (Types.Rejected Types.Deadline_unreachable);
-                None
-            | Some (_, c) -> Some (r, ref c, ref true))
-          batch
-        |> Array.of_list
-      in
-      let live = ref (Array.length candidates) in
-      (* Admit in increasing saturation cost; stop as soon as the cheapest
-         candidate no longer fits (Algorithm 3's cut). *)
-      while !live > 0 do
-        let best = ref None in
-        Array.iter
-          (fun (r, c, alive) ->
-            if !alive then
-              match !best with
-              | None -> best := Some (r, c)
-              | Some ((b : Request.t), bc) ->
-                  if !c < !bc || (!c = !bc && r.Request.id < b.Request.id) then best := Some (r, c))
-          candidates;
-        match !best with
-        | None -> live := 0
-        | Some (best_r, best_cost) ->
-            if !best_cost > 1. +. 1e-9 then begin
-              (* The cut rejects the survivors in candidate order, as the
-                 per-round re-scoring walk did. *)
-              Array.iter
-                (fun (r, _, alive) ->
-                  if !alive then begin
-                    alive := false;
-                    reject_at decision_time r Types.Port_saturated;
-                    decide r (Types.Rejected Types.Port_saturated)
-                  end)
-                candidates;
-              live := 0
-            end
-            else begin
-              let d = Online.try_admit ~ctx ctl policy best_r ~at:decision_time in
-              decide best_r d;
-              Array.iter (fun (r, _, alive) -> if !alive && Request.equal r best_r then alive := false) candidates;
-              decr live;
-              match d with
-              | Types.Accepted _ ->
-                  (* Only shared-port candidates see different counters. *)
-                  Array.iter
-                    (fun (r, c, alive) ->
-                      if
-                        !alive
-                        && (r.Request.ingress = best_r.Request.ingress
-                           || r.Request.egress = best_r.Request.egress)
-                      then
-                        match Online.peek_cost ctl policy r ~at:decision_time with
-                        | Some (_, c') -> c := c'
-                        | None -> ())
-                    candidates
-              | Types.Rejected _ -> ()
-            end
-      done)
-    (batches ~step requests);
-  collect requests (List.rev !decisions)
+(* Every booking starts at an interval end no later than [now], so no
+   port's ledger usage rises after [now]: [Ledger.fits] over a candidate's
+   interval reads the instantaneous usage the paper's counters hold. *)
+let window_deferred = windowed ~name:"window_deferred" ~deferred:true
 
 let heuristic_name = function
   | `Greedy -> "greedy"

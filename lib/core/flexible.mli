@@ -76,7 +76,13 @@ val window_deferred :
     [Deadline_unreachable]; bandwidth of finished transfers is reclaimed
     at boundaries only.  This is what Algorithm 3 becomes without arrival
     lookahead; comparing it against {!window} quantifies how much of the
-    WINDOW gain is knowledge versus batching. *)
+    WINDOW gain is knowledge versus batching.
+
+    The batches pack with {!window}'s kernel ({!pack_batch}), every
+    candidate starting at the interval end.  Every booking then starts
+    no later than the decision instant, so no port's ledger usage rises
+    after it: the ledger's check over a transmission interval reads the
+    instantaneous counters of Algorithm 3. *)
 
 val book_ahead :
   ?ctx:Runtime.ctx ->
@@ -113,22 +119,22 @@ val batches :
 
 val pack_batch :
   ?obs:Gridbw_obs.Obs.ctx ->
-  ?now:float ->
+  now:float ->
   Policy.t ->
   Gridbw_alloc.Ledger.t ->
   decide:(Gridbw_request.Request.t -> Types.decision -> unit) ->
   Gridbw_request.Request.t list ->
   unit
 (** Pack one batch against the ledger (min-cost order, Algorithm 3's cut),
-    calling [decide] once per request.  Capacities are read from the
-    ledger's {e current} fabric.
+    calling [decide] once per request, each candidate starting at its own
+    arrival as in {!window}.  Capacities are read from the ledger's
+    {e current} fabric.
 
     With [obs], the pack runs under the ["pack_batch"] profiling span,
     every decision feeds the admission counters and the
     [ledger_probes_per_decision] histogram (the delta of
     {!Gridbw_alloc.Ledger.probe_count} since the previous decision), and
-    trace events are stamped at [now] — the batch's decision instant,
-    defaulting to the latest arrival in the batch. *)
+    trace events are stamped at [now] — the batch's decision instant. *)
 
 val collect :
   Gridbw_request.Request.t list ->

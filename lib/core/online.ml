@@ -105,13 +105,6 @@ let try_admit ?(ctx = Runtime.default) t policy (r : Request.t) ~at =
     decision
   end
 
-let peek_cost t policy (r : Request.t) ~at =
-  let at = clamp_past t at in
-  advance_to t at;
-  match Policy.assign policy r ~now:at with
-  | None -> None
-  | Some bw -> Some (bw, Live.saturation t.live ~ingress:r.ingress ~egress:r.egress ~bw)
-
 (* The held booking of [a] (by physical identity), if any. *)
 let held_booking t (a : Allocation.t) =
   Event_queue.fold (fun found b -> if b.held && b.a == a then Some b else found) None t.releases

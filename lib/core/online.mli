@@ -45,12 +45,6 @@ val try_admit :
     accumulated onto the request's trace span as the [Admit_search] and
     [Wal_append] stages. *)
 
-val peek_cost : t -> Policy.t -> Gridbw_request.Request.t -> at:float -> (float * float) option
-(** [(bw, cost)] the request would get if admitted now, where [cost] is the
-    WINDOW heuristic's saturation [max((ali+bw)/B_in, (ale+bw)/B_out)]
-    (section 5.2); [None] when the deadline is no longer reachable.  Does
-    not modify the controller (apart from an implicit {!advance_to}). *)
-
 val preempt : ?ctx:Runtime.ctx -> t -> Gridbw_alloc.Allocation.t -> bool
 (** Revoke a still-held allocation (matched by physical identity),
     returning its bandwidth to both ports immediately.  Returns [false]

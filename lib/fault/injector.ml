@@ -24,7 +24,7 @@ type config = {
   admission : admission;
   victim : Victim.t;
   recovery : recovery;
-  control : Plane.config;
+  renegotiation_delay : float;
   check_invariants : bool;
 }
 
@@ -34,7 +34,7 @@ let default_config ?(policy = Policy.Min_rate) ?(admission = Greedy) () =
     admission;
     victim = Victim.Smallest_residual;
     recovery = Resubmit;
-    control = Plane.default_config policy;
+    renegotiation_delay = Plane.renegotiation_delay (Plane.default_config policy);
     check_invariants = false;
   }
 
@@ -175,7 +175,7 @@ let validate_inputs fabric cfg events requests =
   | Window step ->
       if step <= 0. || not (Float.is_finite step) then
         invalid_arg "Injector.run: window step must be positive and finite");
-  if Plane.renegotiation_delay cfg.control < 0. then
+  if cfg.renegotiation_delay < 0. then
     invalid_arg "Injector.run: negative renegotiation delay";
   Fault.validate fabric events;
   Request.check_routes "Injector.run" fabric requests
@@ -225,7 +225,7 @@ let create ~obs fabric cfg sub requests =
     obs;
     engine = Engine.create ~obs ();
     caps = caps_of fabric;
-    reneg = Plane.renegotiation_delay cfg.control;
+    reneg = cfg.renegotiation_delay;
     sub;
     logs;
     seqs = (if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1);

@@ -28,7 +28,9 @@ type config = {
   admission : admission;
   victim : Victim.t;
   recovery : recovery;
-  control : Gridbw_control.Plane.config;  (** sets the renegotiation delay *)
+  renegotiation_delay : float;
+      (** seconds from a preemption to its residual's re-admission
+          decision; must be non-negative *)
   check_invariants : bool;
       (** assert after every event that no port exceeds its current
           capacity (testing aid; raises [Failure] on violation) *)
@@ -36,8 +38,10 @@ type config = {
 
 val default_config :
   ?policy:Gridbw_core.Policy.t -> ?admission:admission -> unit -> config
-(** Min-rate GREEDY, smallest-residual victims, resubmit recovery,
-    default control plane, invariant checks off. *)
+(** Min-rate GREEDY, smallest-residual victims, resubmit recovery, the
+    default control plane's renegotiation delay
+    ({!Gridbw_control.Plane.renegotiation_delay}, 11 ms), invariant checks
+    off. *)
 
 val admission_name : admission -> string
 

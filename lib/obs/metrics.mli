@@ -51,6 +51,11 @@ val hist_sum : histogram -> float
 val hist_buckets : histogram -> (float * int) list
 (** Non-empty buckets as [(upper_bound, count)], ascending. *)
 
+val rank_of : total:int -> float -> int
+(** The nearest rank [ceil (q·total)] of quantile [q], clamped to
+    [\[1, total\]]; a product [q·total] an ulp above an integer does not
+    overshoot it. *)
+
 val percentile : histogram -> float -> float
 (** [percentile h q] estimates the [q]-quantile ([q ∈ \[0,1\]],
     nearest-rank) of the observed samples: the estimate interpolates

@@ -4,13 +4,10 @@
    one pipeline and a flat layout keeps the binary form fixed-size and
    the flight-recorder scan trivial.
 
-   Timestamps come from {!now_ns}: [Unix.gettimeofday] clamped
-   non-decreasing.  A span's [time] is a wall-clock instant and its stage
-   durations share that base, so spans stay on the wall clock; the
-   monotonic clock ([bechamel.monotonic_clock]) times [Obs.span]
-   histograms, which carry no instant.  The clamp protects durations
-   against small NTP steps; a leap backwards larger than a span simply
-   truncates that span to zero. *)
+   Durations come from {!now_ns}, the monotonic nanosecond clock
+   ([bechamel.monotonic_clock]) that also times [Obs.span] histograms.
+   A span's [time] is one wall-clock read at open, which only orders
+   spans (the flight recorder's scan). *)
 
 module Codec = Gridbw_wire.Codec
 module Frame = Gridbw_wire.Frame
@@ -53,17 +50,12 @@ type t = {
   mutable total_ns : float;
   mutable probes : int;
   durs : float array;  (* ns per stage, indexed by stage_index *)
-  mutable open_ns : float;  (* now_ns at open; not serialized *)
+  mutable open_ns : float;  (* now_ns at open; not serialized, 0 on a rebuilt span *)
 }
 
 (* --- clock --- *)
 
-let last_ns = ref 0.
-
-let now_ns () =
-  let t = Unix.gettimeofday () *. 1e9 in
-  if t > !last_ns then last_ns := t;
-  !last_ns
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
 (* --- lifecycle --- *)
 
@@ -71,21 +63,20 @@ let next_id = ref 0
 
 let start ~conn () =
   incr next_id;
-  let n = now_ns () in
   {
     id = !next_id;
     conn;
     req = None;
-    time = n /. 1e9;
+    time = Unix.gettimeofday ();
     total_ns = 0.;
     probes = 0;
     durs = Array.make stage_count 0.;
-    open_ns = n;
+    open_ns = now_ns ();
   }
 
 let make ~id ~conn ~req ~time ~total_ns ~probes ~durs =
   if Array.length durs <> stage_count then invalid_arg "Span.make: need one duration per stage";
-  { id; conn; req; time; total_ns; probes; durs = Array.copy durs; open_ns = time *. 1e9 }
+  { id; conn; req; time; total_ns; probes; durs = Array.copy durs; open_ns = 0. }
 
 let record t stage ns = t.durs.(stage_index stage) <- t.durs.(stage_index stage) +. ns
 

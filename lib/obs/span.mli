@@ -6,11 +6,10 @@
     than a tree: the serve path has exactly one pipeline, and the flat
     layout keeps the binary form fixed-size for the flight recorder.
 
-    Clock: {!now_ns} is [Unix.gettimeofday] clamped non-decreasing.  A
-    span's [time] is a wall-clock instant and its durations share that
-    base, so they are wall-clock and can only be truncated (never
-    negative) by backwards clock steps.  ({!Obs.span} histograms carry
-    no instant and read the monotonic clock instead.) *)
+    Clock: durations are read on {!now_ns}, the monotonic clock that
+    {!Obs.span} histograms read too, so a wall-clock step cannot bend
+    them.  A span's [time] is one wall-clock read at open; it orders
+    spans and carries no duration. *)
 
 type stage =
   | Frame_decode  (** length-prefix / binary frame decoding *)
@@ -28,7 +27,8 @@ val stage_name : stage -> string
 type t
 
 val now_ns : unit -> float
-(** Wall clock in nanoseconds, clamped non-decreasing process-wide. *)
+(** Monotonic clock in nanoseconds, from an arbitrary origin: only
+    differences of two reads mean anything. *)
 
 val start : conn:int -> unit -> t
 (** Open a span with a fresh process-monotone trace id. *)

@@ -281,12 +281,13 @@ let run ?(log = fun _ -> ()) cfg =
     | Some e -> Error e
     | None ->
         let sum f = Array.fold_left (fun acc st -> acc + f st) 0 stats in
-        let samples = finite_samples [| sh.admit_lat; sh.cancel_lat |] in
-        let m = Metrics.create () in
-        let h = Metrics.histogram m "lat_us" in
-        List.iter (fun v -> Metrics.observe h (v *. 1e6)) samples;
-        let count = List.length samples in
-        let pct q = if count = 0 then 0. else Metrics.percentile h q in
+        let samples = Array.of_list (finite_samples [| sh.admit_lat; sh.cancel_lat |]) in
+        Array.sort Float.compare samples;
+        let count = Array.length samples in
+        (* Nearest rank over the sorted samples: exact, so p99 <= max. *)
+        let pct q =
+          if count = 0 then 0. else samples.(Metrics.rank_of ~total:count q - 1) *. 1e6
+        in
         let answered = sum (fun st -> st.answered) in
         Ok
           {
@@ -301,13 +302,11 @@ let run ?(log = fun _ -> ()) cfg =
             throughput = (if wall > 0. then float_of_int answered /. wall else 0.);
             lat_mean_us =
               (if count = 0 then 0.
-               else List.fold_left ( +. ) 0. samples *. 1e6 /. float_of_int count);
+               else Array.fold_left ( +. ) 0. samples *. 1e6 /. float_of_int count);
             lat_p50_us = pct 0.5;
             lat_p95_us = pct 0.95;
             lat_p99_us = pct 0.99;
-            lat_max_us =
-              (if count = 0 then 0.
-               else List.fold_left Float.max 0. samples *. 1e6);
+            lat_max_us = pct 1.;
             }
   end
 

@@ -4,9 +4,9 @@
     family by default), stride-partitions it over a configurable number of
     client connections, and drives the daemon closed-loop: each connection
     sends one text frame ({!Frame.output}), waits for the response,
-    records the wall-clock latency, then sends its next.  Latencies
-    aggregate into the telemetry plane's log₂ histogram; percentiles come
-    from {!Gridbw_obs.Metrics.percentile}.
+    records the wall-clock latency, then sends its next.  Every latency
+    sample is kept; the report's percentiles are exact nearest-rank
+    order statistics of the sorted samples.
 
     The generator can journal every response it {e receives} to an acks
     file (one JSON payload per line, verbatim wire bytes).  A kill-drill

@@ -1,7 +1,5 @@
 module Rng = Gridbw_prng.Rng
 module Dist = Gridbw_prng.Dist
-module Fabric = Gridbw_topology.Fabric
-module Request = Gridbw_request.Request
 
 type intensity = float -> float
 
@@ -30,27 +28,5 @@ let arrival_times rng intensity ~peak ~horizon =
   in
   loop 0.0 []
 
-let generate rng (spec : Spec.t) intensity ~peak ~horizon =
-  let fabric = spec.Spec.fabric in
-  let arrivals = arrival_times rng intensity ~peak ~horizon in
-  List.mapi
-    (fun id ts ->
-      let ingress = Rng.int rng (Fabric.ingress_count fabric) in
-      let egress = Rng.int rng (Fabric.egress_count fabric) in
-      let volume =
-        match spec.Spec.volumes with
-        | Spec.Paper_set -> Rng.choose rng Spec.paper_volume_set
-        | Spec.Uniform_volume { lo; hi } -> Rng.float_in rng lo hi
-        | Spec.Fixed_volume v -> v
-        | Spec.Choice a -> Rng.choose rng a
-      in
-      let rate = Rng.float_in rng spec.Spec.rate_lo spec.Spec.rate_hi in
-      let tf, max_rate =
-        match spec.Spec.flexibility with
-        | Spec.Rigid -> (ts +. (volume /. rate), rate)
-        | Spec.Flexible { max_slack } ->
-            let slack = Rng.float_in rng 1.0 max_slack in
-            (ts +. (slack *. volume /. rate), rate)
-      in
-      Request.make ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate)
-    arrivals
+let generate rng spec intensity ~peak ~horizon =
+  List.mapi (fun id ts -> Gen.draw rng spec ~id ~ts) (arrival_times rng intensity ~peak ~horizon)

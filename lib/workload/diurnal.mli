@@ -27,6 +27,7 @@ val generate :
   peak:float ->
   horizon:float ->
   Gridbw_request.Request.t list
-(** Like {!Gen.generate} but with thinned arrivals over [horizon]; the
-    spec's [mean_interarrival] and [count] are ignored (the process
+(** Like {!Gen.generate} but with thinned arrivals over [horizon]: all
+    arrival instants are drawn first, then one {!Gen.draw} per arrival.
+    The spec's [mean_interarrival] and [count] are ignored (the process
     determines how many requests arrive). *)

@@ -3,37 +3,36 @@ module Dist = Gridbw_prng.Dist
 module Fabric = Gridbw_topology.Fabric
 module Request = Gridbw_request.Request
 
-let draw_volume rng (spec : Spec.t) =
-  match spec.volumes with
-  | Spec.Paper_set -> Rng.choose rng Spec.paper_volume_set
-  | Spec.Uniform_volume { lo; hi } -> Rng.float_in rng lo hi
-  | Spec.Fixed_volume v -> v
-  | Spec.Choice a -> Rng.choose rng a
+let draw rng (spec : Spec.t) ~id ~ts =
+  let ingress = Rng.int rng (Fabric.ingress_count spec.fabric) in
+  let egress = Rng.int rng (Fabric.egress_count spec.fabric) in
+  let volume =
+    match spec.volumes with
+    | Spec.Paper_set -> Rng.choose rng Spec.paper_volume_set
+    | Spec.Uniform_volume { lo; hi } -> Rng.float_in rng lo hi
+    | Spec.Fixed_volume v -> v
+    | Spec.Choice a -> Rng.choose rng a
+  in
+  let requested_rate = Rng.float_in rng spec.rate_lo spec.rate_hi in
+  (* Rigid: the window is exactly the transmission time at the drawn
+     rate.  Flexible: the drawn rate is the host cap (MaxRate) and the
+     window allows u x the transmission time, u ~ U[1, max_slack]
+     (section 5.3's "bandwidth requests between 10MB/s and 1GB/s"). *)
+  let tf, max_rate =
+    match spec.flexibility with
+    | Spec.Rigid -> (ts +. (volume /. requested_rate), requested_rate)
+    | Spec.Flexible { max_slack } ->
+        let slack = Rng.float_in rng 1.0 max_slack in
+        (ts +. (slack *. volume /. requested_rate), requested_rate)
+  in
+  Request.make ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate
 
 let generate rng (spec : Spec.t) =
-  let fabric = spec.fabric in
-  let ingress_n = Fabric.ingress_count fabric and egress_n = Fabric.egress_count fabric in
   let rec build id clock acc =
     if id >= spec.count then List.rev acc
     else begin
       let ts = clock +. Dist.exponential rng ~mean:spec.mean_interarrival in
-      let ingress = Rng.int rng ingress_n in
-      let egress = Rng.int rng egress_n in
-      let volume = draw_volume rng spec in
-      let requested_rate = Rng.float_in rng spec.rate_lo spec.rate_hi in
-      (* Rigid: the window is exactly the transmission time at the drawn
-         rate.  Flexible: the drawn rate is the host cap (MaxRate) and the
-         window allows u x the transmission time, u ~ U[1, max_slack]
-         (section 5.3's "bandwidth requests between 10MB/s and 1GB/s"). *)
-      let tf, max_rate =
-        match spec.flexibility with
-        | Spec.Rigid -> (ts +. (volume /. requested_rate), requested_rate)
-        | Spec.Flexible { max_slack } ->
-            let slack = Rng.float_in rng 1.0 max_slack in
-            (ts +. (slack *. volume /. requested_rate), requested_rate)
-      in
-      let r = Request.make ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate in
-      build (id + 1) ts (r :: acc)
+      build (id + 1) ts (draw rng spec ~id ~ts :: acc)
     end
   in
   build 0 0.0 []

@@ -11,6 +11,12 @@ val generate : Gridbw_prng.Rng.t -> Spec.t -> Gridbw_request.Request.t list
     Ids are 0-based in arrival order; the returned list is sorted by
     arrival time. *)
 
+val draw : Gridbw_prng.Rng.t -> Spec.t -> id:int -> ts:float -> Gridbw_request.Request.t
+(** One request arriving at [ts]: the per-request draw of {!generate}
+    after its arrival time (ports, volume, rate, then the slack of a
+    flexible spec, in that RNG order).  {!Gridbw_workload.Diurnal}
+    shares it. *)
+
 val horizon : Gridbw_request.Request.t list -> float
 (** Latest deadline ([max tf]); 0 for the empty list. *)
 

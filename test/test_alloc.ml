@@ -210,13 +210,6 @@ let live_try_grab () =
   Alcotest.(check bool) "refuses" false (Live.try_grab v ~ingress:0 ~egress:1 ~bw:30.);
   check_approx "counters unchanged on refusal" 80.0 (Live.ingress_used v 0)
 
-let live_saturation () =
-  let f = fabric2 () in
-  let v = Live.create f in
-  Live.grab v ~ingress:0 ~egress:1 ~bw:50.;
-  check_approx "cost uses max of both sides" 0.9 (Live.saturation v ~ingress:0 ~egress:0 ~bw:40.);
-  check_approx "egress side dominates" 0.9 (Live.saturation v ~ingress:1 ~egress:1 ~bw:40.)
-
 let live_release_clamps () =
   let f = fabric2 () in
   let v = Live.create f in
@@ -261,7 +254,6 @@ let suites =
       [
         case "grab and release" live_grab_release;
         case "try_grab" live_try_grab;
-        case "saturation cost" live_saturation;
         case "release clamps residue" live_release_clamps;
         case "reset" live_reset;
       ] );

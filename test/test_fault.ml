@@ -13,7 +13,6 @@ module Resilience = Gridbw_metrics.Resilience
 module Flexible = Gridbw_core.Flexible
 module Policy = Gridbw_core.Policy
 module Types = Gridbw_core.Types
-module Plane = Gridbw_control.Plane
 module Rng = Gridbw_prng.Rng
 module Fault = Gridbw_fault.Fault
 module Victim = Gridbw_fault.Victim
@@ -24,7 +23,7 @@ module Injector = Gridbw_fault.Injector
 let zero_latency_config ?(admission = Injector.Greedy) ?(victim = Victim.Smallest_residual) () =
   {
     (Injector.default_config ~admission ()) with
-    Injector.control = { (Plane.default_config Policy.Min_rate) with hop_latency = 0.; decision_latency = 0. };
+    Injector.renegotiation_delay = 0.;
     victim;
     check_invariants = true;
   }
@@ -132,6 +131,13 @@ let prop_empty_script_window_parity =
       && summary_of fabric reference = summary_of fabric report.Injector.result)
 
 (* --- recovery identities --- *)
+
+let test_negative_delay_rejected () =
+  let cfg = { (zero_latency_config ()) with Injector.renegotiation_delay = -0.001 } in
+  let r = req ~id:0 ~volume:200. ~ts:0. ~tf:10. ~max_rate:50. () in
+  match Injector.run (fabric2 ()) cfg [] [ r ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a negative renegotiation delay was accepted"
 
 let test_scripted_preempt_recovers () =
   (* One transfer, preempted halfway, zero renegotiation latency: the
@@ -405,6 +411,7 @@ let suites =
         case "victim: proportional squeeze takes all" test_victim_squeeze_takes_all;
         case "fault: validate rejects bad scripts" test_validate_rejects;
         case "fault: generate is valid and deterministic" test_generate_is_valid_and_deterministic;
+        case "injector: negative renegotiation delay is refused" test_negative_delay_rejected;
         case "injector: scripted preempt recovers" test_scripted_preempt_recovers;
         case "injector: no-recovery loses the transfer" test_no_recovery_loses_transfer;
         case "injector: aborts excluded from ratios" test_abort_excluded_from_ratios;

@@ -317,17 +317,6 @@ let online_active_count () =
   Alcotest.(check int) "released" 0 (Online.active_count ctl);
   check_approx "port free" 0.0 (Online.used ctl (Port.Egress 0))
 
-let online_peek_does_not_mutate () =
-  let ctl = Online.create (fabric1 ()) in
-  let r = flex ~id:0 ~volume:100. ~ts:0. ~tf:10. ~max_rate:100. in
-  (match Online.peek_cost ctl Policy.Min_rate r ~at:0.0 with
-  | Some (bw, cost) ->
-      check_approx "peeked bw" 10.0 bw;
-      check_approx "peeked cost" 0.1 cost
-  | None -> Alcotest.fail "expected a cost");
-  check_approx "nothing grabbed" 0.0 (Online.used ctl (Port.Ingress 0));
-  Alcotest.(check int) "nothing active" 0 (Online.active_count ctl)
-
 (* The controller against a counted model, on random sequences of
    admissions, clock advances and preemptions.  Ids are drawn from a small
    range, so one id is often booked twice; a preemption may name an
@@ -474,7 +463,6 @@ let suites =
         case "time is monotone" online_time_monotone;
         case "rounding dust is clamped" online_clamps_rounding_dust;
         case "active count follows releases" online_active_count;
-        case "peek_cost does not mutate" online_peek_does_not_mutate;
         qcase ~count:300 "preempt, active_count and replay match a counted model" online_model_gen
           online_matches_model;
       ] );

@@ -783,6 +783,19 @@ let span_codec_round_trip () =
 
 let span_frame sp = Codec.to_string (module Span.Binary) sp
 
+(* Stage durations are differences of two [Span.now_ns] reads.  A clock
+   with microsecond ticks, or a double holding epoch nanoseconds (ulp
+   256 ns), never yields a delta strictly between 0 and 500 ns, so every
+   sub-microsecond stage would read 0 or about 1 us. *)
+let span_clock_has_sub_microsecond_deltas () =
+  let fine = ref false in
+  for _ = 1 to 10_000 do
+    let a = Span.now_ns () in
+    let d = Span.now_ns () -. a in
+    if d > 0. && d < 500. then fine := true
+  done;
+  Alcotest.(check bool) "some back-to-back delta in (0, 500) ns" true !fine
+
 let replay_skips_span_frames () =
   let trace =
     String.concat "" [ event_frame (mark 0); span_frame (sample_span ()); event_frame (mark 1) ]
@@ -859,6 +872,7 @@ let suites =
         case "binary codec round-trips" span_codec_round_trip;
         case "replay skips span frames in mixed traces" replay_skips_span_frames;
         case "trace-report keeps spans, skips events" trace_report_of_mixed_trace;
+        case "now_ns resolves below a microsecond" span_clock_has_sub_microsecond_deltas;
       ] );
     ( "obs.event",
       [ case "every variant round-trips" event_round_trip; float_fields_round_trip ] );

@@ -967,6 +967,10 @@ let end_to_end_live_daemon () =
               Alcotest.(check bool) "latencies measured" true
                 (report.Loadgen.lat_p50_us > 0.
                  && report.Loadgen.lat_p50_us <= report.Loadgen.lat_p99_us);
+              Alcotest.(check bool) "p50 <= p95 <= p99 <= max" true
+                (report.Loadgen.lat_p50_us <= report.Loadgen.lat_p95_us
+                 && report.Loadgen.lat_p95_us <= report.Loadgen.lat_p99_us
+                 && report.Loadgen.lat_p99_us <= report.Loadgen.lat_max_us);
               (* graceful shutdown through the protocol verb *)
               (match Loadgen.shutdown (Daemon.Unix_socket sock) with
               | Error e -> Alcotest.fail ("shutdown: " ^ e)
@@ -985,6 +989,33 @@ let end_to_end_live_daemon () =
                   Daemon.stop d2;
                   let th2 = Thread.create Daemon.run d2 in
                   Thread.join th2)))
+
+(* The report's percentiles are order statistics of the samples, not
+   bucket estimates: with one sample every percentile is that sample. *)
+let loadgen_single_request_percentiles () =
+  with_tmpdir (fun dir ->
+      let sock = Filename.concat dir "d.sock" in
+      match Daemon.create (daemon_config ~sock ~store_dir:(Filename.concat dir "store")) with
+      | Error e -> Alcotest.fail e
+      | Ok d -> (
+          let th = Thread.create Daemon.run d in
+          let lg =
+            Loadgen.default_config ~connections:1 ~requests:1 ~seed:5L ~fabric:(fabric2 ())
+              (Daemon.Unix_socket sock)
+          in
+          let result = Loadgen.run lg in
+          (match Loadgen.shutdown (Daemon.Unix_socket sock) with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail ("shutdown: " ^ e));
+          Thread.join th;
+          match result with
+          | Error e -> Alcotest.fail e
+          | Ok report ->
+              let max = report.Loadgen.lat_max_us in
+              Alcotest.(check bool) "latency measured" true (max > 0.);
+              Alcotest.(check (float 0.)) "p50 = max" max report.Loadgen.lat_p50_us;
+              Alcotest.(check (float 0.)) "p95 = max" max report.Loadgen.lat_p95_us;
+              Alcotest.(check (float 0.)) "p99 = max" max report.Loadgen.lat_p99_us))
 
 (* The daemon's per-request and per-round series, keyed: each request
    counts once and runs one [serve_handle] span (the shutdown verb
@@ -2041,6 +2072,7 @@ let suites =
     ( "serve.daemon",
       [
         slow_case "end to end: loadgen, shutdown, restart" end_to_end_live_daemon;
+        case "loadgen: one request's percentiles are its latency" loadgen_single_request_percentiles;
         case "malformed clients get typed errors" daemon_survives_malformed_clients;
         case "per-request series count once per request" daemon_metric_series;
         case "a pipelined burst is group-committed" daemon_group_commits_a_pipelined_burst;
