@@ -3,7 +3,8 @@
    The decision streams of GREEDY (Algorithm 2), the daemon's kernel
    ([Online.try_admit] in arrival order), WINDOW(400) (Algorithm 3) and
    its deferred variant on the section 5.3 flexible workload, MALLEABLE's step profiles and
-   reshape revisions, the head-of-line-blocking FIFO baseline, and the
+   reshape revisions, the section 4 rigid baselines (FCFS, the
+   head-of-line-blocking FIFO and Algorithm 1's three slot costs), and the
    answers of the breakpoint tree behind them on arbitrary floats, are
    folded into digests of their IEEE bits.  The differential timeline
    tests compare arbitrary floats only within a tolerance, so a change to
@@ -272,6 +273,32 @@ let fifo_pinned () =
       ("flexible, interarrival 14", Spec.paper_flexible ~count:2_000 ~mean_interarrival:14.0 (), "4f3a4a0179af46d2b9e3ca2c5e998da4");
     ]
 
+(* FCFS and Algorithm 1's three costs on a rigid section 4.3 stream at
+   load 1.0 and a flexible section 5.3 one, each run by its rigid reading
+   (bw = MinRate over the whole window). *)
+let rigid_pinned () =
+  let fabric = Fabric.paper_default () in
+  List.iter
+    (fun (stream, spec, wants) ->
+      let reqs = Gen.generate (Rng.create ~seed:7L ()) spec in
+      List.iter2
+        (fun kind want ->
+          let b = Buffer.create (1 lsl 16) in
+          pin_result b (Rigid.run kind fabric reqs);
+          Alcotest.(check string) (stream ^ ", " ^ Rigid.heuristic_name kind) want (digest b))
+        [ `Fcfs; `Slots Rigid.Cumulated; `Slots Rigid.Min_bw; `Slots Rigid.Min_vol ]
+        wants)
+    [
+      ( "rigid, load 1.0",
+        Spec.paper_rigid ~count:5_000 ~load:1.0 (),
+        [ "27883f3e3e26480649a18da18b7502b1"; "ca71ad07fca0d1bf48014c57fa8b0b96";
+          "2131b103732e10237cfcb397456763e7"; "3858c92701e150fe7f2a9aa8bf1181cb" ] );
+      ( "flexible, interarrival 14",
+        Spec.paper_flexible ~count:5_000 ~mean_interarrival:14.0 (),
+        [ "c1e0a26908adcc4b6fb655a23c93613b"; "a21916bf7b670028d9c9ba8cd2b6f6d2";
+          "f17c2b79aacd04a9e026048f9acaa108"; "b936b4558fab4da8fbd7c37979137e56" ] );
+    ]
+
 let suites =
   [
     ( "kernel-pins",
@@ -290,5 +317,6 @@ let suites =
         case "window decides as on a never-retired ledger" window_retirement_keeps_decisions;
         case "seed 7: malleable streams, profiles and reshape revisions" malleable_pinned;
         case "seed 7: blocking FIFO streams" fifo_pinned;
+        case "seed 7: FCFS and slot-heuristic streams" rigid_pinned;
       ] );
   ]
