@@ -17,44 +17,97 @@ let cost_name = function
 
 let alloc_of (r : Request.t) = Allocation.make ~request:r ~bw:(Request.min_rate r) ~sigma:r.ts
 
-let fcfs ?(ctx = Runtime.default) fabric requests =
+(* Earliest instant >= from_ at which both ports have room for [bw]:
+   usage is piecewise constant, so only [from_] and later breakpoints
+   need checking.  [None] if the request could never fit (bw above a
+   port capacity). *)
+let earliest_fit fabric ledger (r : Request.t) ~from_ =
+  let bw = Request.min_rate r in
+  if
+    bw > Fabric.ingress_capacity fabric r.ingress *. (1. +. 1e-9)
+    || bw > Fabric.egress_capacity fabric r.egress *. (1. +. 1e-9)
+  then None
+  else
+    let fits_at t =
+      Ledger.usage_at ledger (Port.Ingress r.ingress) t +. bw
+      <= Fabric.ingress_capacity fabric r.ingress *. (1. +. 1e-9)
+      && Ledger.usage_at ledger (Port.Egress r.egress) t +. bw
+         <= Fabric.egress_capacity fabric r.egress *. (1. +. 1e-9)
+    in
+    let later port = Ledger.breakpoints_over ledger port ~from_ ~until:infinity in
+    let candidates =
+      from_
+      :: List.sort_uniq Float.compare
+           (later (Port.Ingress r.ingress) @ later (Port.Egress r.egress))
+    in
+    List.find_opt fits_at candidates
+
+(* The arrival loop behind FCFS and the head-of-line-blocking FIFO: the
+   single scheduler thread serves requests strictly in arrival order.
+   [queue_time] is when the scheduler becomes free.  With [blocking], a
+   head request that does not fit at its start time keeps the scheduler
+   busy until the bandwidth it wanted frees up, and only then is it
+   dropped; without it [queue_time] never advances, so a rejection costs
+   the queue nothing (FCFS).  Trace decisions are stamped at the
+   request's arrival (its queue position), not at the instant the blocked
+   head finally drops it, so the event stream stays chronological. *)
+let arrivals ~blocking (ctx : Runtime.ctx) fabric requests =
   let obs = ctx.Runtime.obs in
   Request.check_routes "Rigid" fabric requests;
   let ledger = Ledger.create fabric in
   let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
-  let order = Flexible.arrival_order requests in
+  let queue_time = ref neg_infinity in
   let accepted = ref [] and rejected = ref [] in
   List.iter
     (fun (r : Request.t) ->
       if Obs.tracing obs then Emit.emit_arrival obs seqs r;
-      let a = alloc_of r in
-      if Ledger.fits ledger a then begin
-        Ledger.reserve ledger a;
-        Emit.emit_decision obs ~time:r.ts r (Types.Accepted a);
-        accepted := a :: !accepted
+      if !queue_time > r.ts then begin
+        (* The start passed while stuck behind the previous head. *)
+        Emit.emit_decision obs ~time:r.ts r (Types.Rejected Types.Port_saturated);
+        rejected := (r, Types.Port_saturated) :: !rejected
       end
       else begin
-        Emit.emit_decision obs ~time:r.ts ?blocked:(Emit.spike_port obs ledger a) r
-          (Types.Rejected Types.Port_saturated);
-        rejected := (r, Types.Port_saturated) :: !rejected
+        let a = alloc_of r in
+        if Ledger.fits ledger a then begin
+          Ledger.reserve ledger a;
+          Emit.emit_decision obs ~time:r.ts r (Types.Accepted a);
+          accepted := a :: !accepted
+        end
+        else begin
+          (* Head-of-line blocking: wait for the bandwidth, then drop. *)
+          (if blocking then
+             match earliest_fit fabric ledger r ~from_:r.ts with
+             | Some t -> queue_time := Float.max !queue_time t
+             | None -> ());
+          Emit.emit_decision obs ~time:r.ts ?blocked:(Emit.spike_port obs ledger a) r
+            (Types.Rejected Types.Port_saturated);
+          rejected := (r, Types.Port_saturated) :: !rejected
+        end
       end)
-    order;
+    (Flexible.arrival_order requests);
   { Types.all = requests; accepted = List.rev !accepted; rejected = List.rev !rejected }
+
+let fcfs ?(ctx = Runtime.default) fabric requests = arrivals ~blocking:false ctx fabric requests
+
+let fifo_blocking ?(ctx = Runtime.default) fabric requests =
+  arrivals ~blocking:true ctx fabric requests
 
 (* Per-request scheduling state during the slice sweep of Algorithm 1. *)
 type state = Alive of { held_before : bool } | Dead of Types.reason
 
+(* Algorithm 1 as one sweep over the slice boundaries.  Requests are
+   named by their position in the input, so two requests sharing an id
+   keep separate states.  The live set holds the positions active in the
+   current slice: a request joins once the slice start reaches its [ts]
+   and leaves for good once the slice end passes its [tf] or it dies. *)
 let slots ?(ctx = Runtime.default) ~cost fabric requests =
   let obs = ctx.Runtime.obs in
   Request.check_routes "Rigid" fabric requests;
   let arr = Array.of_list requests in
   let n = Array.length arr in
   let state = Array.make n (Alive { held_before = false }) in
-  let index_of_id = Hashtbl.create n in
-  Array.iteri (fun i (r : Request.t) -> Hashtbl.replace index_of_id r.id i) arr;
   let breakpoints =
-    Array.to_list arr
-    |> List.concat_map (fun (r : Request.t) -> [ r.ts; r.tf ])
+    List.concat_map (fun (r : Request.t) -> [ r.ts; r.tf ]) requests
     |> List.sort_uniq Float.compare
   in
   let cost_of (r : Request.t) ~t2 =
@@ -69,31 +122,47 @@ let slots ?(ctx = Runtime.default) ~cost fabric requests =
         in
         Request.min_rate r /. (b_min *. priority)
   in
-  let live = Live.create fabric in
+  let by_ts = Array.init n Fun.id in
+  Array.sort (fun i j -> Float.compare arr.(i).Request.ts arr.(j).Request.ts) by_ts;
+  let joined = ref 0 in
+  let live = Array.make n 0 and n_live = ref 0 in
+  let key = Array.make n 0. in
+  let by_key i j =
+    match Float.compare key.(i) key.(j) with
+    | 0 -> Int.compare arr.(i).Request.id arr.(j).Request.id
+    | c -> c
+  in
+  let counters = Live.create fabric in
   let rec sweep = function
     | t1 :: (t2 :: _ as rest) ->
-        let active =
-          Array.to_list arr
-          |> List.filter (fun (r : Request.t) ->
-                 r.ts <= t1 && r.tf >= t2
-                 &&
-                 match state.(Hashtbl.find index_of_id r.id) with
-                 | Alive _ -> true
-                 | Dead _ -> false)
+        (* Drop the finished and the dead, then admit the newly started. *)
+        let kept = ref 0 in
+        let keep i =
+          live.(!kept) <- i;
+          incr kept
         in
-        let order =
-          List.sort
-            (fun (a : Request.t) (b : Request.t) ->
-              match Float.compare (cost_of a ~t2) (cost_of b ~t2) with
-              | 0 -> Int.compare a.id b.id
-              | c -> c)
-            active
-        in
-        Live.reset live;
-        List.iter
-          (fun (r : Request.t) ->
-            let i = Hashtbl.find index_of_id r.id in
-            if Live.try_grab live ~ingress:r.ingress ~egress:r.egress ~bw:(Request.min_rate r)
+        for k = 0 to !n_live - 1 do
+          let i = live.(k) in
+          match state.(i) with
+          | Alive _ when arr.(i).Request.tf >= t2 -> keep i
+          | Alive _ | Dead _ -> ()
+        done;
+        while !joined < n && arr.(by_ts.(!joined)).Request.ts <= t1 do
+          let i = by_ts.(!joined) in
+          if arr.(i).Request.tf >= t2 then keep i;
+          incr joined
+        done;
+        n_live := !kept;
+        let order = Array.sub live 0 !n_live in
+        Array.iter (fun i -> key.(i) <- cost_of arr.(i) ~t2) order;
+        Array.stable_sort by_key order;
+        (* The next slice sorts nearly sorted input. *)
+        Array.blit order 0 live 0 !n_live;
+        Live.reset counters;
+        Array.iter
+          (fun i ->
+            let r = arr.(i) in
+            if Live.try_grab counters ~ingress:r.ingress ~egress:r.egress ~bw:(Request.min_rate r)
             then state.(i) <- Alive { held_before = true }
             else
               let reason =
@@ -126,76 +195,6 @@ let slots ?(ctx = Runtime.default) ~cost fabric requests =
           Emit.emit_decision obs ~time:sweep_end r (Types.Rejected reason);
           rejected := (r, reason) :: !rejected)
     arr;
-  { Types.all = requests; accepted = List.rev !accepted; rejected = List.rev !rejected }
-
-(* Head-of-line-blocking FIFO: the single scheduler thread serves requests
-   strictly in arrival order.  [queue_time] is when the scheduler becomes
-   free; a head request that does not fit at its start time keeps the
-   scheduler busy until the bandwidth it wanted frees up (earliest instant
-   both ports could have carried it), and only then is it dropped. *)
-let fifo_blocking ?(ctx = Runtime.default) fabric requests =
-  let obs = ctx.Runtime.obs in
-  Request.check_routes "Rigid" fabric requests;
-  let ledger = Ledger.create fabric in
-  let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
-  let order = Flexible.arrival_order requests in
-  (* Earliest instant >= from_ at which both ports have room for [bw]:
-     usage is piecewise constant, so only [from_] and later breakpoints
-     need checking.  [None] if the request could never fit (bw above a
-     port capacity). *)
-  let earliest_fit (r : Request.t) ~from_ =
-    let bw = Request.min_rate r in
-    if
-      bw > Fabric.ingress_capacity fabric r.ingress *. (1. +. 1e-9)
-      || bw > Fabric.egress_capacity fabric r.egress *. (1. +. 1e-9)
-    then None
-    else
-      let fits_at t =
-        Ledger.usage_at ledger (Port.Ingress r.ingress) t +. bw
-        <= Fabric.ingress_capacity fabric r.ingress *. (1. +. 1e-9)
-        && Ledger.usage_at ledger (Port.Egress r.egress) t +. bw
-           <= Fabric.egress_capacity fabric r.egress *. (1. +. 1e-9)
-      in
-      let later port = Ledger.breakpoints_over ledger port ~from_ ~until:infinity in
-      let candidates =
-        from_
-        :: List.sort_uniq Float.compare
-             (later (Port.Ingress r.ingress) @ later (Port.Egress r.egress))
-      in
-      List.find_opt fits_at candidates
-  in
-  let queue_time = ref neg_infinity in
-  let accepted = ref [] and rejected = ref [] in
-  (* Trace decisions are stamped at the request's arrival (its queue
-     position), not at the instant the blocked head finally drops it, so
-     the event stream stays chronological. *)
-  List.iter
-    (fun (r : Request.t) ->
-      if Obs.tracing obs then Emit.emit_arrival obs seqs r;
-      let service_time = Float.max !queue_time r.ts in
-      if service_time > r.ts then begin
-        (* The start passed while stuck behind the previous head. *)
-        Emit.emit_decision obs ~time:r.ts r (Types.Rejected Types.Port_saturated);
-        rejected := (r, Types.Port_saturated) :: !rejected
-      end
-      else begin
-        let a = alloc_of r in
-        if Ledger.fits ledger a then begin
-          Ledger.reserve ledger a;
-          Emit.emit_decision obs ~time:r.ts r (Types.Accepted a);
-          accepted := a :: !accepted
-        end
-        else begin
-          (* Head-of-line blocking: wait for the bandwidth, then drop. *)
-          (match earliest_fit r ~from_:r.ts with
-          | Some t -> queue_time := Float.max !queue_time t
-          | None -> ());
-          Emit.emit_decision obs ~time:r.ts ?blocked:(Emit.spike_port obs ledger a) r
-            (Types.Rejected Types.Port_saturated);
-          rejected := (r, Types.Port_saturated) :: !rejected
-        end
-      end)
-    order;
   { Types.all = requests; accepted = List.rev !accepted; rejected = List.rev !rejected }
 
 let run ?ctx kind fabric requests =

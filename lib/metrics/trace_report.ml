@@ -52,37 +52,32 @@ let pp_ns ns =
 
 type row = { label : string; count : int; sum : float; p50 : float; p95 : float; p99 : float }
 
-let row_of_hist label h =
+(* Exact nearest-rank percentiles of a non-empty sample list; the sum
+   adds the finite samples in file order. *)
+let row label samples =
+  let sorted = Array.of_list samples in
+  Array.sort Float.compare sorted;
+  let count = Array.length sorted in
+  let pct q = sorted.(Metrics.rank_of ~total:count q - 1) in
   {
     label;
-    count = Metrics.hist_count h;
-    sum = Metrics.hist_sum h;
-    p50 = Metrics.percentile h 0.5;
-    p95 = Metrics.percentile h 0.95;
-    p99 = Metrics.percentile h 0.99;
+    count;
+    sum = List.fold_left (fun acc v -> if Float.is_finite v then acc +. v else acc) 0. samples;
+    p50 = pct 0.5;
+    p95 = pct 0.95;
+    p99 = pct 0.99;
   }
 
+(* A stage's samples are the spans that spent time in it. *)
 let stage_rows spans =
-  let reg = Metrics.create () in
-  let hist name = Metrics.histogram reg name in
-  let stage_h = List.map (fun st -> (st, hist (Span.stage_name st))) Span.all_stages in
-  let sum_h = hist "stage-sum" and total_h = hist "end-to-end" in
-  List.iter
-    (fun sp ->
-      List.iter
-        (fun (st, h) ->
-          let d = Span.duration sp st in
-          if d > 0. then Metrics.observe h d)
-        stage_h;
-      Metrics.observe sum_h (Span.stage_sum sp);
-      Metrics.observe total_h (Span.total_ns sp))
-    spans;
   ( List.filter_map
-      (fun (st, h) ->
-        if Metrics.hist_count h = 0 then None else Some (row_of_hist (Span.stage_name st) h))
-      stage_h,
-    row_of_hist "stage sum" sum_h,
-    row_of_hist "end-to-end" total_h )
+      (fun st ->
+        match List.map (fun sp -> Span.duration sp st) spans |> List.filter (fun d -> d > 0.) with
+        | [] -> None
+        | ds -> Some (row (Span.stage_name st) ds))
+      Span.all_stages,
+    row "stage sum" (List.map Span.stage_sum spans),
+    row "end-to-end" (List.map Span.total_ns spans) )
 
 let slowest spans =
   List.stable_sort (fun a b -> compare (Span.total_ns b) (Span.total_ns a)) spans

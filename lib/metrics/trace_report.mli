@@ -2,9 +2,9 @@
 
     Reads any trace of binary frames, keeps the span records and skips
     everything else (events, WAL records), then
-    renders a per-stage latency breakdown (p50/p95/p99 through
-    {!Gridbw_obs.Metrics.percentile}'s log₂-bucket estimate) and the
-    top-K slowest requests. *)
+    renders a per-stage latency breakdown (exact nearest-rank
+    p50/p95/p99 of the sorted samples, {!Gridbw_obs.Metrics.rank_of})
+    and the top-K slowest requests. *)
 
 type t
 

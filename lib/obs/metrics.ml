@@ -156,41 +156,15 @@ let hist_sum h = h.acc.sum
 
 let bound i = Float.ldexp 1.0 i  (* 2^i *)
 
-(* Nearest-rank percentile with linear interpolation inside the log2
-   bucket holding the rank.  The k-th smallest sample (k = ceil(q*n))
-   lies in the first bucket whose cumulative count reaches k; its exact
-   position inside the bucket is unknown, so the estimate walks
-   (k - count_below) / bucket_count of the way across the bucket's
-   value range.  The error is therefore bounded by the bucket width: the
-   estimate always lies in the same power-of-two bucket as the exact
-   sample (the qcheck oracle in test_obs checks precisely this). *)
 (* Nearest rank k = ⌈q·n⌉, computed robustly: the float product q·n can
    land an ulp above the exact integer (0.3 · 10 = 3.0000000000000004),
-   and ceil would then overshoot by a whole rank, which can cross a
-   bucket boundary.  Shaving a relative epsilon before the ceil keeps
+   and ceil would then overshoot by a whole rank, reporting the next
+   sample.  Shaving a relative epsilon before the ceil keeps
    exact-integer products exact. *)
 let rank_of ~total q =
   let kf = q *. float_of_int total in
   let k = int_of_float (Float.ceil (kf -. (1e-9 *. Float.max kf 1.0))) in
   Int.max 1 (Int.min total k)
-
-let percentile h q =
-  if h.total = 0 then Float.nan
-  else begin
-    if not (Float.is_finite q) || q < 0. || q > 1. then
-      invalid_arg "Metrics.percentile: q must be in [0,1]";
-    let k = rank_of ~total:h.total q in
-    let i = ref 0 and below = ref 0 in
-    while !below + h.buckets.(!i) < k && !i < nbuckets - 1 do
-      below := !below + h.buckets.(!i);
-      i := !i + 1
-    done;
-    let lo = if !i = 0 then 0.0 else bound (!i - 1) in
-    let hi = bound !i in
-    let inside = h.buckets.(!i) in
-    if inside = 0 then hi
-    else lo +. ((hi -. lo) *. (float_of_int (k - !below) /. float_of_int inside))
-  end
 
 let hist_buckets h =
   let acc = ref [] in

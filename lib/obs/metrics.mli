@@ -56,15 +56,6 @@ val rank_of : total:int -> float -> int
     [\[1, total\]]; a product [q·total] an ulp above an integer does not
     overshoot it. *)
 
-val percentile : histogram -> float -> float
-(** [percentile h q] estimates the [q]-quantile ([q ∈ \[0,1\]],
-    nearest-rank) of the observed samples: the estimate interpolates
-    linearly inside the log₂ bucket holding rank [ceil (q·n)], so for
-    non-negative samples it is guaranteed to land in the same
-    power-of-two bucket as the exact order statistic (relative error
-    < 2×).  [nan] on an empty histogram; raises [Invalid_argument] when
-    [q] is outside [\[0,1\]]. *)
-
 (** {2 Keys}
 
     A key names one instrument and is declared once, at module level.

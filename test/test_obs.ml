@@ -362,11 +362,7 @@ let replay_summary_pin () =
       in
       Alcotest.(check string) "summary digest" "824b983220c1dc0932347794d99468e4" (Digest.to_hex (Digest.string row))
 
-(* --- percentile estimator --- *)
-
-(* The registry's power-of-two bucketing (bucket 0 = [0,1], bucket i =
-   [2^(i-1), 2^i) for i >= 1), re-derived independently of metrics.ml. *)
-let sample_bucket v = if v <= 1.0 then 0 else snd (Float.frexp v)
+(* --- nearest rank --- *)
 
 (* Exact nearest rank ⌈q·n⌉, in integer arithmetic: q = mi·2^(e-53)
    with a 53-bit integer mantissa, so ⌈q·n⌉ = ⌈mi·n / 2^(53-e)⌉ — no
@@ -388,80 +384,23 @@ let exact_rank q n =
     end
   end
 
+(* Ranks stay inside [1, n] and never fall as q grows. *)
 let percentile_edges () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m "p" in
-  Alcotest.(check bool) "empty histogram -> nan" true
-    (Float.is_nan (Metrics.percentile h 0.5));
-  Metrics.observe h 5.0;
-  Alcotest.check_raises "q > 1 raises"
-    (Invalid_argument "Metrics.percentile: q must be in [0,1]")
-    (fun () -> ignore (Metrics.percentile h 1.5));
-  Alcotest.check_raises "q < 0 raises"
-    (Invalid_argument "Metrics.percentile: q must be in [0,1]")
-    (fun () -> ignore (Metrics.percentile h (-0.1)));
-  (* one sample: every quantile is in its bucket [4, 8] *)
-  let p = Metrics.percentile h 0.5 in
-  Alcotest.(check bool) "single sample p50 in its bucket" true (4.0 <= p && p <= 8.0);
-  List.iter (Metrics.observe h) [ 100.; 200.; 400. ];
-  let p50 = Metrics.percentile h 0.5
-  and p95 = Metrics.percentile h 0.95
-  and p99 = Metrics.percentile h 0.99 in
-  Alcotest.(check bool) "quantiles are monotone" true (p50 <= p95 && p95 <= p99)
-
-(* Oracle property: against the exact sorted-sample order statistic
-   (nearest rank k = ceil(q*n)), the interpolated estimate must land in
-   the same power-of-two bucket — the accuracy the .mli promises. *)
-let percentile_sample_gen =
-  QCheck2.Gen.(
-    pair
-      (list_size (int_range 1 300)
-         (oneof [ float_range 0. 1.5; float_range 0. 1000.; float_range 0. 1e9 ]))
-      (float_range 0. 1.))
-
-let prop_percentile_oracle =
-  qcase ~count:300 "metrics: percentile lands in the exact order statistic's bucket"
-    percentile_sample_gen
-    (fun (samples, q) ->
-      let m = Metrics.create () in
-      let h = Metrics.histogram m "lat" in
-      List.iter (Metrics.observe h) samples;
-      let sorted = List.sort Float.compare samples in
-      let n = List.length samples in
-      let k = exact_rank q n in
-      let exact = List.nth sorted (k - 1) in
-      let est = Metrics.percentile h q in
-      let i = sample_bucket exact in
-      let lo = if i = 0 then 0.0 else Float.ldexp 1.0 (i - 1) in
-      let hi = Float.ldexp 1.0 i in
-      lo <= est && est <= hi)
+  Alcotest.(check int) "one sample: p50 is rank 1" 1 (Metrics.rank_of ~total:1 0.5);
+  Alcotest.(check int) "q = 0 clamps to rank 1" 1 (Metrics.rank_of ~total:40 0.);
+  Alcotest.(check int) "q = 1 is the maximum" 40 (Metrics.rank_of ~total:40 1.);
+  let ranks = List.map (Metrics.rank_of ~total:37) [ 0.01; 0.25; 0.5; 0.95; 0.99; 1. ] in
+  Alcotest.(check (list int)) "against the integer model"
+    (List.map (fun q -> exact_rank q 37) [ 0.01; 0.25; 0.5; 0.95; 0.99; 1. ])
+    ranks;
+  Alcotest.(check bool) "ranks are monotone" true (List.sort Int.compare ranks = ranks)
 
 (* The q·n rank bug: q·n computed in floats rounds an ulp high
-   (0.95 · 20 = 19.000000000000004), so ceil overshot by a whole rank.
-   These 20 samples put rank 19 and rank 20 in different power-of-two
-   buckets; the estimate must land in rank 19's bucket. *)
+   (0.95 · 20 = 19.000000000000004, 0.3 · 10 = 3.0000000000000004), so a
+   plain ceil overshot by a whole rank. *)
 let percentile_rank () =
-  let mk samples =
-    let m = Metrics.create () in
-    let h = Metrics.histogram m "serve_stage_admit_search_ns" in
-    List.iter (Metrics.observe h) samples;
-    h
-  in
-  let h = mk (List.init 18 (fun _ -> 100.) @ [ 300.; 600. ]) in
-  Alcotest.(check int) "20 samples" 20 (Metrics.hist_count h);
-  (* exact rank of p95 over n=20 is 19 -> the 300 sample, bucket (256,512] *)
-  let p95 = Metrics.percentile h 0.95 in
-  Alcotest.(check bool)
-    (Printf.sprintf "p95 lands in rank 19's bucket (got %g)" p95)
-    true
-    (256. <= p95 && p95 <= 512.);
-  (* same shape again: q=0.3, n=10 has exact rank 3 *)
-  let h = mk [ 3.; 5.; 12.; 24.; 48.; 96.; 192.; 384.; 768.; 1536. ] in
-  let p30 = Metrics.percentile h 0.3 in
-  Alcotest.(check bool)
-    (Printf.sprintf "p30 lands in rank 3's bucket (got %g)" p30)
-    true
-    (8. <= p30 && p30 <= 16.)
+  Alcotest.(check int) "p95 of 20 is rank 19" 19 (Metrics.rank_of ~total:20 0.95);
+  Alcotest.(check int) "p30 of 10 is rank 3" 3 (Metrics.rank_of ~total:10 0.3)
 
 (* --- json string escaping --- *)
 
@@ -848,6 +787,74 @@ let trace_report_of_mixed_trace () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a trace cut mid-frame must not decode"
 
+(* trace-report against a sorted-list model on random span sets: every
+   p50/p95/p99 cell and the coverage line must print the exact
+   nearest-rank sample, not an estimate inside its log2 bucket. *)
+let model_ns ns =
+  if ns < 1e3 then Printf.sprintf "%.0fns" ns
+  else if ns < 1e6 then Printf.sprintf "%.1fus" (ns /. 1e3)
+  else if ns < 1e9 then Printf.sprintf "%.2fms" (ns /. 1e6)
+  else Printf.sprintf "%.3fs" (ns /. 1e9)
+
+let model_pct samples q =
+  List.nth (List.sort Float.compare samples) (exact_rank q (List.length samples) - 1)
+
+let span_set_gen =
+  QCheck2.Gen.(
+    let dur = oneof [ return 0.; float_range 1. 5e3; float_range 5e3 5e7 ] in
+    list_size (int_range 1 120)
+      (pair (array_size (return (List.length Span.all_stages)) dur) (float_range 1. 1e8)))
+
+let prop_trace_report_exact =
+  qcase ~count:200 "trace-report percentiles are the sorted samples' nearest ranks" span_set_gen
+    (fun set ->
+      let spans =
+        List.mapi
+          (fun id (durs, total_ns) ->
+            Span.make ~id ~conn:0 ~req:None ~time:0. ~total_ns ~probes:0 ~durs)
+          set
+      in
+      let report =
+        match Trace_report.of_string (String.concat "" (List.map span_frame spans)) with
+        | Ok t -> Trace_report.render ~top:0 t
+        | Error msg -> QCheck2.Test.fail_reportf "span set did not decode: %s" msg
+      in
+      let lines = String.split_on_char '\n' report in
+      let row_matches label samples =
+        let prefix = Printf.sprintf "%-16s " label in
+        match List.find_opt (String.starts_with ~prefix) lines with
+        | None -> QCheck2.Test.fail_reportf "no %S row in\n%s" label report
+        | Some line -> (
+            let cells =
+              String.sub line 16 (String.length line - 16)
+              |> String.split_on_char ' '
+              |> List.filter (( <> ) "")
+            in
+            match cells with
+            | count :: p50 :: p95 :: p99 :: _ ->
+                let want = List.map (fun q -> model_ns (model_pct samples q)) [ 0.5; 0.95; 0.99 ] in
+                (int_of_string count = List.length samples && [ p50; p95; p99 ] = want)
+                || QCheck2.Test.fail_reportf "%s: got %s, want %s\n%s" label
+                     (String.concat " " [ count; p50; p95; p99 ])
+                     (String.concat " " (string_of_int (List.length samples) :: want))
+                     report
+            | _ -> QCheck2.Test.fail_reportf "short %S row" label)
+      in
+      let stage_ok st =
+        match List.filter (fun d -> d > 0.) (List.map (fun sp -> Span.duration sp st) spans) with
+        | [] -> true
+        | ds -> row_matches (Span.stage_name st) ds
+      in
+      let sums = List.map Span.stage_sum spans and totals = List.map Span.total_ns spans in
+      let coverage =
+        Printf.sprintf "stage-sum p50 coverage: %.1f%% of end-to-end p50"
+          (100. *. model_pct sums 0.5 /. model_pct totals 0.5)
+      in
+      List.for_all stage_ok Span.all_stages
+      && row_matches "stage sum" sums
+      && row_matches "end-to-end" totals
+      && (List.mem coverage lines || QCheck2.Test.fail_reportf "no %S in\n%s" coverage report))
+
 let suites =
   [
     ( "obs.metrics",
@@ -860,7 +867,6 @@ let suites =
         case "kind mismatch raises" kind_mismatch_raises;
         case "prometheus dump" prometheus_dump;
         case "percentile edges and monotonicity" percentile_edges;
-        prop_percentile_oracle;
         case "percentile rank (q*n)" percentile_rank;
       ] );
     ( "obs.sink",
@@ -872,6 +878,7 @@ let suites =
         case "binary codec round-trips" span_codec_round_trip;
         case "replay skips span frames in mixed traces" replay_skips_span_frames;
         case "trace-report keeps spans, skips events" trace_report_of_mixed_trace;
+        prop_trace_report_exact;
         case "now_ns resolves below a microsecond" span_clock_has_sub_microsecond_deltas;
       ] );
     ( "obs.event",

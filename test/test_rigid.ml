@@ -191,6 +191,30 @@ let deterministic () =
       Alcotest.(check (list int)) (Rigid.heuristic_name kind ^ " deterministic") (ids a) (ids b))
     all_heuristics
 
+(* Two requests may share an id; each keeps its own sweep state.  Under
+   every cost the 500 MB/s request takes ingress 0 first, so the first
+   id-5 request (600 MB/s on the same port) dies while the second (on
+   ports 1) lives.  A state table keyed by id would let the survivor
+   revive the loser: 1100 MB/s on a 1000 MB/s port. *)
+let slots_keep_repeated_ids_apart () =
+  let fabric = Fabric.paper_default () in
+  let req ~id ~port ~volume =
+    Request.make ~id ~ingress:port ~egress:port ~volume ~ts:0. ~tf:100. ~max_rate:(volume /. 100.)
+  in
+  let reqs =
+    [ req ~id:5 ~port:0 ~volume:60000.; req ~id:5 ~port:1 ~volume:70000.;
+      req ~id:1 ~port:0 ~volume:50000. ]
+  in
+  List.iter
+    (fun cost ->
+      let result = Rigid.slots ~cost fabric reqs in
+      let name = Rigid.cost_name cost in
+      Alcotest.(check int) (name ^ " violations") 0
+        (List.length (Validate.check fabric result.Types.accepted));
+      Alcotest.(check (list (float 0.))) (name ^ " accepted rates") [ 700.; 500. ]
+        (List.map (fun (a : Gridbw_alloc.Allocation.t) -> a.bw) result.Types.accepted))
+    [ Rigid.Cumulated; Rigid.Min_bw; Rigid.Min_vol ]
+
 let suites =
   [
     ( "rigid",
@@ -210,5 +234,6 @@ let suites =
         case "empty workload" empty_workload;
         case "random workloads: feasible and consistent" feasible_and_consistent;
         case "determinism" deterministic;
+        case "slot heuristics keep repeated ids apart" slots_keep_repeated_ids_apart;
       ] );
   ]
