@@ -122,42 +122,37 @@ let slots ?(ctx = Runtime.default) ~cost fabric requests =
         in
         Request.min_rate r /. (b_min *. priority)
   in
-  let by_ts = Array.init n Fun.id in
-  Array.sort (fun i j -> Float.compare arr.(i).Request.ts arr.(j).Request.ts) by_ts;
-  let joined = ref 0 in
-  let live = Array.make n 0 and n_live = ref 0 in
   let key = Array.make n 0. in
+  (* (cost, id), then input position: requests sharing an id and a cost
+     keep their input order, whatever slice they joined in. *)
   let by_key i j =
     match Float.compare key.(i) key.(j) with
-    | 0 -> Int.compare arr.(i).Request.id arr.(j).Request.id
+    | 0 -> (
+        match Int.compare arr.(i).Request.id arr.(j).Request.id with
+        | 0 -> Int.compare i j
+        | c -> c)
     | c -> c
   in
+  let by_ts i j = Float.compare arr.(i).Request.ts arr.(j).Request.ts in
+  let pending = ref (List.sort by_ts (List.init n Fun.id)) in
+  let live = ref [||] in
   let counters = Live.create fabric in
   let rec sweep = function
     | t1 :: (t2 :: _ as rest) ->
-        (* Drop the finished and the dead, then admit the newly started. *)
-        let kept = ref 0 in
-        let keep i =
-          live.(!kept) <- i;
-          incr kept
+        let rec join acc =
+          match !pending with
+          | i :: tl when arr.(i).Request.ts <= t1 ->
+              pending := tl;
+              join (i :: acc)
+          | _ -> acc
         in
-        for k = 0 to !n_live - 1 do
-          let i = live.(k) in
-          match state.(i) with
-          | Alive _ when arr.(i).Request.tf >= t2 -> keep i
-          | Alive _ | Dead _ -> ()
-        done;
-        while !joined < n && arr.(by_ts.(!joined)).Request.ts <= t1 do
-          let i = by_ts.(!joined) in
-          if arr.(i).Request.tf >= t2 then keep i;
-          incr joined
-        done;
-        n_live := !kept;
-        let order = Array.sub live 0 !n_live in
+        let lasts i =
+          arr.(i).Request.tf >= t2 && match state.(i) with Alive _ -> true | Dead _ -> false
+        in
+        let order = Array.of_list (List.filter lasts (join (Array.to_list !live))) in
         Array.iter (fun i -> key.(i) <- cost_of arr.(i) ~t2) order;
         Array.stable_sort by_key order;
-        (* The next slice sorts nearly sorted input. *)
-        Array.blit order 0 live 0 !n_live;
+        live := order;
         Live.reset counters;
         Array.iter
           (fun i ->

@@ -215,6 +215,29 @@ let slots_keep_repeated_ids_apart () =
         (List.map (fun (a : Gridbw_alloc.Allocation.t) -> a.bw) result.Types.accepted))
     [ Rigid.Cumulated; Rigid.Min_bw; Rigid.Min_vol ]
 
+(* Equal (cost, id) pairs are ordered by input position, whichever
+   request joined the sweep first: the later-starting request listed
+   first takes the shared ingress from the one already holding it. *)
+let slots_break_full_ties_by_input_order () =
+  let fabric = Fabric.uniform ~ingress_count:1 ~egress_count:2 ~capacity:1000. in
+  let req ~egress ~ts =
+    Request.make ~id:5 ~ingress:0 ~egress ~volume:60000. ~ts ~tf:(ts +. 100.) ~max_rate:600.
+  in
+  let late = req ~egress:0 ~ts:10. and early = req ~egress:1 ~ts:0. in
+  List.iter
+    (fun cost ->
+      List.iter
+        (fun (reqs, winner) ->
+          let result = Rigid.slots ~cost fabric reqs in
+          Alcotest.(check (list (float 0.)))
+            (Rigid.cost_name cost ^ " winner's start")
+            [ winner ]
+            (List.map
+               (fun (a : Gridbw_alloc.Allocation.t) -> a.request.Request.ts)
+               result.Types.accepted))
+        [ ([ late; early ], 10.); ([ early; late ], 0.) ])
+    [ Rigid.Min_bw; Rigid.Min_vol ]
+
 let suites =
   [
     ( "rigid",
@@ -235,5 +258,6 @@ let suites =
         case "random workloads: feasible and consistent" feasible_and_consistent;
         case "determinism" deterministic;
         case "slot heuristics keep repeated ids apart" slots_keep_repeated_ids_apart;
+        case "slot heuristics break full ties by input order" slots_break_full_ties_by_input_order;
       ] );
   ]
