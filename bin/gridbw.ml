@@ -247,6 +247,15 @@ let workload_cmd =
 
 (* --- run command --- *)
 
+(* A trace [Trace.of_file] refuses (a malformed line, a repeated id) is
+   an input error: its message and exit 2, not an uncaught exception. *)
+let read_trace path =
+  match Trace.of_file path with
+  | requests -> requests
+  | exception Failure msg ->
+      prerr_endline msg;
+      exit 2
+
 let pp_heuristic ppf = function
   | `Fcfs -> Format.pp_print_string ppf "fcfs"
   | `Fifo_blocking -> Format.pp_print_string ppf "fifo"
@@ -369,7 +378,7 @@ let run_cmd =
   let run trace heuristic policy step book_ahead no_reshape trace_out metrics_out
       store_dir store_kill =
     let reshape = not no_reshape in
-    let requests = Trace.of_file trace in
+    let requests = read_trace trace in
     let fabric = Gridbw_topology.Fabric.paper_default () in
     let sched = scheduler_of ~book_ahead ~reshape heuristic policy ~step in
     Provenance.print ~cmd:"run" (replay_fields ~book_ahead ~reshape trace heuristic policy step);
@@ -798,7 +807,7 @@ let hotspot_cmd =
     Arg.(value & opt float 400. & info [ "step" ] ~docv:"S" ~doc:"WINDOW interval length (s).")
   in
   let run trace heuristic policy step =
-    let requests = Trace.of_file trace in
+    let requests = read_trace trace in
     let fabric = Gridbw_topology.Fabric.paper_default () in
     let sched = scheduler_of heuristic policy ~step in
     Provenance.print ~cmd:"hotspot" (replay_fields trace heuristic policy step);
@@ -903,17 +912,12 @@ let serve_cmd =
                    $(docv) (one write per span, no fsync).  After a crash, \
                    'gridbw recover --flight $(docv)' dumps the last moments.")
   in
-  let flight_size_t =
-    Arg.(value & opt int Flight.default_size
-         & info [ "flight-size" ] ~docv:"BYTES" ~doc:"Flight-recorder ring size.")
-  in
-  let run socket tcp policy store_dir store_kill max_frame metrics_port span_out flight_recorder
-      flight_size =
+  let run socket tcp policy store_dir store_kill max_frame metrics_port span_out flight_recorder =
     let transport = transport_of "serve" socket tcp in
     let store_config = { Store.default_config with kill_after = store_kill } in
     let cfg =
       { (Daemon.default_config ~policy ?store_dir ?metrics_port ?span_out ?flight_recorder
-           ~flight_size transport)
+           transport)
         with
         Daemon.store_config; max_frame }
     in
@@ -930,7 +934,7 @@ let serve_cmd =
        ~doc:"Run the admission daemon: a durable, auditable admission service speaking \
              the versioned JSONL protocol over a Unix or TCP socket.")
     Term.(const run $ socket_t $ tcp_t $ policy_t $ store_dir_t $ store_kill_t $ max_frame_t
-          $ metrics_port_t $ span_out_t $ flight_t $ flight_size_t)
+          $ metrics_port_t $ span_out_t $ flight_t)
 
 let loadgen_cmd =
   let conns_t =
@@ -946,9 +950,6 @@ let loadgen_cmd =
   let mean_ia_t =
     Arg.(value & opt float 0.25
          & info [ "mean-interarrival" ] ~docv:"S" ~doc:"Mean arrival spacing of the drawn workload.")
-  in
-  let slack_t =
-    Arg.(value & opt float 4.0 & info [ "max-slack" ] ~docv:"U" ~doc:"Window slack bound (>= 1).")
   in
   let cancel_t =
     Arg.(value & opt int 0
@@ -976,13 +977,12 @@ let loadgen_cmd =
                    (p50/p95/p99 latencies included); the human report and provenance move \
                    to stderr.")
   in
-  let run socket tcp conns requests seed mean_ia slack cancel_every acks_path tolerate
-      shutdown json =
+  let run socket tcp conns requests seed mean_ia cancel_every acks_path tolerate shutdown json =
     let transport = transport_of "loadgen" socket tcp in
     let acks = Option.map open_out acks_path in
     let cfg =
       Loadgen.default_config ~connections:conns ~requests ~seed ~mean_interarrival:mean_ia
-        ~max_slack:slack ~cancel_every ?acks ~tolerate_disconnect:tolerate transport
+        ~cancel_every ?acks ~tolerate_disconnect:tolerate transport
     in
     let provenance =
       [ Provenance.seed seed; Provenance.int "requests" requests;
@@ -1015,7 +1015,7 @@ let loadgen_cmd =
        ~doc:"Drive a running admission daemon with a seeded closed-loop workload and \
              report throughput and latency percentiles.")
     Term.(const run $ socket_t $ tcp_t $ conns_t $ requests_t $ lg_seed_t $ mean_ia_t
-          $ slack_t $ cancel_t $ acks_t $ tolerate_t $ shutdown_t $ json_t)
+          $ cancel_t $ acks_t $ tolerate_t $ shutdown_t $ json_t)
 
 let main_cmd =
   Cmd.group

@@ -21,13 +21,3 @@ let of_profile ~request profile =
   { (make ~request ~bw ~sigma:start) with profile = Some profile }
 
 let meets_deadline t = t.tau <= t.request.Request.tf *. (1. +. 1e-9) +. 1e-9
-let within_rate_bounds t = t.bw <= t.request.Request.max_rate *. (1. +. 1e-9)
-let duration t = t.tau -. t.sigma
-let compare a b = Request.compare a.request b.request
-
-let pp ppf t =
-  match t.profile with
-  | None ->
-      Format.fprintf ppf "%a @@ %.2fMB/s on [%.2f,%.2f]" Request.pp t.request t.bw t.sigma
-        t.tau
-  | Some p -> Format.fprintf ppf "%a @@ profile %a" Request.pp t.request Rate_profile.pp p

@@ -36,14 +36,3 @@ val of_profile : request:Gridbw_request.Request.t -> Rate_profile.t -> t
 val meets_deadline : t -> bool
 (** [tau <= tf] up to a relative [1e-9] slack — the paper's hard
     requirement for accepted requests. *)
-
-val within_rate_bounds : t -> bool
-(** [bw <= max_rate] up to a relative [1e-9] slack.  (No lower-bound check:
-    [meets_deadline] already subsumes the [bw >= MinRate] constraint when
-    [sigma = ts].)  For profiled allocations this bounds the mean rate;
-    the per-step bound is the profile {!Rate_profile.peak}, checked by
-    the validators. *)
-
-val duration : t -> float
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

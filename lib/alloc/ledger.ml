@@ -108,10 +108,6 @@ let release t a =
 
 let usage_at t port time = Timeline.usage_at (timeline t "usage_at" port) time
 
-let max_over t port ~from_ ~until =
-  t.probes <- t.probes + 1;
-  Timeline.max_over (timeline t "max_over" port) ~from_ ~until
-
 let argmax_over t port ~from_ ~until =
   t.probes <- t.probes + 1;
   Timeline.argmax_over (timeline t "argmax_over" port) ~from_ ~until

@@ -1,7 +1,7 @@
 (** Time-indexed bandwidth accounting for a whole fabric.
 
     One {!Timeline.t} per ingress and egress port, so admission checks
-    ({!fits_interval}, {!max_over}) cost O(log n) in the number of live
+    ({!fits_interval}, {!headroom_over}) cost O(log n) in the number of live
     breakpoints.  The ledger enforces the paper's constraint set (1): at
     any instant, the bandwidth reserved through a port never exceeds its
     capacity.  Capacity checks allow a relative [1e-9] slack to absorb
@@ -62,17 +62,14 @@ val usage_at : t -> Port.t -> float -> float
 (** Reserved bandwidth through the port at a time (intervals are closed on
     the left). *)
 
-val max_over : t -> Port.t -> from_:float -> until:float -> float
-(** Maximum reserved bandwidth through the port over [\[from_, until)].
-    Requires [from_ < until]. *)
-
 val argmax_over : t -> Port.t -> from_:float -> until:float -> float * float
 (** [(time, level)] of the maximum over [\[from_, until)], earliest time
     winning ties — the revision point the fault subsystem preempts at. *)
 
 val headroom_over : t -> Port.t -> from_:float -> until:float -> float
-(** [capacity t port -. max_over t port ~from_ ~until]: the largest extra
-    rate the port can carry throughout the interval.  Negative when the
+(** Capacity minus the maximum reserved bandwidth over
+    [\[from_, until)]: the largest extra rate the port can carry
+    throughout the interval.  Negative when the
     port is oversubscribed (after a capacity cut).  Note admission keeps
     using {!fits_interval}'s comparison, which has the [1e-9] slack;
     [headroom_over] is a measurement, not an admission predicate. *)
@@ -94,7 +91,7 @@ val retire_before : t -> float -> unit
     the [1e-9] admission slack. *)
 
 val probe_count : t -> int
-(** Running count of timeline range probes ({!max_over}, {!argmax_over},
+(** Running count of timeline range probes ({!argmax_over},
     {!headroom_over}; two per {!fits_interval}) since creation.  The
     batch schedulers report the delta per decision through the telemetry
     histogram [ledger_probes_per_decision]. *)

@@ -11,9 +11,4 @@ type t = Ingress of int | Egress of int
 val ingress : int -> t
 val egress : int -> t
 
-val index : t -> int
-(** The port's index within its side's capacity vector. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

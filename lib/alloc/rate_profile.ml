@@ -17,7 +17,6 @@ let validate (segs : seg array) =
   segs
 
 let make segs = validate (Array.of_list segs)
-let constant ~from_ ~until ~rate = validate [| { from_; until; rate } |]
 
 let of_triples triples =
   validate (Array.map (fun (from_, until, rate) -> { from_; until; rate }) triples)
@@ -40,21 +39,3 @@ let integral (t : t) =
       sum := t')
     t;
   !sum
-
-let equal (a : t) (b : t) =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y ->
-         Int64.equal (Int64.bits_of_float x.from_) (Int64.bits_of_float y.from_)
-         && Int64.equal (Int64.bits_of_float x.until) (Int64.bits_of_float y.until)
-         && Int64.equal (Int64.bits_of_float x.rate) (Int64.bits_of_float y.rate))
-       a b
-
-let pp ppf (t : t) =
-  Format.fprintf ppf "@[<h>";
-  Array.iteri
-    (fun i s ->
-      if i > 0 then Format.fprintf ppf ";@ ";
-      Format.fprintf ppf "%.2f@@[%.2f,%.2f)" s.rate s.from_ s.until)
-    t;
-  Format.fprintf ppf "@]"

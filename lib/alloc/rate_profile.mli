@@ -25,10 +25,6 @@ val make : seg list -> t
     [seg.(i).until <= seg.(i+1).from_].  Raises [Invalid_argument]
     otherwise. *)
 
-val constant : from_:float -> until:float -> rate:float -> t
-(** Single-segment profile — the shape every rigid/constant engine
-    implicitly assigns. *)
-
 val of_triples : (float * float * float) array -> t
 (** [(from_, until, rate)] triples, validated like {!make}.  Inverse of
     {!to_triples}; this is the wire/journal representation. *)
@@ -50,8 +46,3 @@ val integral : t -> float
     in segment order.  The MALLEABLE engine constructs profiles so this
     equals the request volume exactly (bitwise); {!Gridbw_metrics} and
     the reference model check that contract. *)
-
-val equal : t -> t -> bool
-(** Structural (bitwise per field) equality. *)
-
-val pp : Format.formatter -> t -> unit

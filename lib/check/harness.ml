@@ -54,6 +54,8 @@ let permuted (sc : Scenario.t) =
   Rng.shuffle rng arr;
   Array.to_list arr
 
+(* Oracle checks and the engine-local metamorphic properties (M1–M4,
+   selected by engine) for one scheduler on one scenario. *)
 let check_scheduler (sc : Scenario.t) sched =
   let name = Scheduler.name sched in
   let findings = ref [] in
@@ -108,6 +110,8 @@ let check_scheduler (sc : Scenario.t) sched =
 
 let injector_cfg admission = Injector.default_config ~admission ()
 
+(* Service-level capacity audit under revisions, per-request window and
+   rate constraints on initial admissions, outcome bookkeeping. *)
 let check_faulted (sc : Scenario.t) =
   if sc.Scenario.faults = [] then []
   else
@@ -143,6 +147,7 @@ let check_faulted (sc : Scenario.t) =
         List.rev !findings)
       [ Injector.Greedy; Injector.Window default_step ]
 
+(* M5: empty-script injector runs against their fault-free twins. *)
 let check_parity (sc : Scenario.t) =
   List.concat_map
     (fun (admission, twin) ->
@@ -197,6 +202,10 @@ let same_decision a b =
   | Types.Rejected x, Types.Rejected y -> x = y
   | _ -> false
 
+(* Differential replay against the sharded engine ([spawn:false], 2 and
+   3 shards) and a single-shard [Online] ledger, op for op: every
+   decision, cancel outcome, settled port counter and the active-transfer
+   count must agree bit for bit. *)
 let check_sharded (sc : Scenario.t) =
   (* Degrades and injector aborts revise capacities mid-flight — the
      sharded engine has no such verb, so only preempt-only (or fault-free)
@@ -272,6 +281,8 @@ let check_sharded (sc : Scenario.t) =
 
 (* --- long-lived solvers --- *)
 
+(* Greedy feasibility, [optimal_uniform] dominance over greedy on uniform
+   instances, and branch-and-bound agreement on tiny instances. *)
 let check_long_lived ~seed ~size =
   let rng = Rng.create ~seed () in
   let fabric = Fabric.uniform ~ingress_count:2 ~egress_count:2 ~capacity:100.0 in

@@ -1,6 +1,6 @@
 (** Differential conformance harness.
 
-    Drives every {!Gridbw_core.Scheduler.S} implementation over a
+    Drives every {!Gridbw_core.Scheduler.t} over a
     {!Scenario}, checks each run with {!Reference.audit} (decision-stream
     bookkeeping plus {!Gridbw_metrics.Validate}, the one check of
     constraint set (1)), and applies metamorphic properties that hold for
@@ -52,35 +52,6 @@ val engines_for : Scenario.t -> Gridbw_core.Scheduler.t list
 (** {!Gridbw_core.Scheduler.shipped} with {!default_step}, plus the
     injector's GREEDY / WINDOW variants bound to the scenario's fault
     script when it has one. *)
-
-val check_scheduler : Scenario.t -> Gridbw_core.Scheduler.t -> finding list
-(** Oracle checks and the engine-local metamorphic properties (M1–M4,
-    selected by engine) for one scheduler on one scenario. *)
-
-val check_faulted : Scenario.t -> finding list
-(** Deep injector checks when the scenario carries a fault script:
-    service-level capacity audit under revisions, per-request window/rate
-    constraints on initial admissions, outcome bookkeeping. *)
-
-val check_parity : Scenario.t -> finding list
-(** M5: empty-script injector runs against their fault-free twins. *)
-
-val check_sharded : Scenario.t -> finding list
-(** Differential replay against the sharded multicore engine
-    ({!Gridbw_shard.Engine}, [spawn:false], 2 and 3 shards): arrivals and
-    preempts are merged into one time-ordered timeline and driven op for
-    op through the sharded engine and a single-shard [Online] ledger;
-    every decision, every cancel outcome, every settled port counter and
-    the active-transfer count must agree bit for bit.  The
-    [cross-shard-storm] family exists to feed this check shard-straddling
-    cancel-heavy load; applies to any scenario whose fault script is
-    preempt-only (degrades revise capacities, which the sharded engine
-    has no verb for). *)
-
-val check_long_lived : seed:int64 -> size:int -> finding list
-(** Differential checks for the long-lived solvers: greedy feasibility,
-    [optimal_uniform] dominance over greedy on uniform instances, and
-    branch-and-bound agreement on tiny instances. *)
 
 val check : ?engines:Gridbw_core.Scheduler.t list -> Scenario.t -> finding list
 (** Everything above for one scenario.  [engines] overrides

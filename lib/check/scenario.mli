@@ -21,8 +21,7 @@ type family =
   | Cross_shard_storm
       (** hotspot pairs pinned to ports 0/1 — distinct shard owners under
           every partitioning — plus a cancel-heavy preempt script; feeds
-          {!Harness.check_sharded}'s differential against the sharded
-          engine *)
+          {!Harness}' sharded differential *)
   | Reshape_storm
       (** arrivals in bursts whose transfer windows overlap, slack in
           [1.3, 1.5], ~50 % hotspot routing, no faults — a booking engine

@@ -12,17 +12,10 @@ let create ~rate ~burst =
     invalid_arg "Token_bucket.create: burst must be positive and finite";
   { rate; burst; level = burst; last = neg_infinity }
 
-let rate t = t.rate
-let burst t = t.burst
-
 let refill t ~at =
   if at < t.last then invalid_arg "Token_bucket: time moves backwards";
   if Float.is_finite t.last then t.level <- Float.min t.burst (t.level +. (t.rate *. (at -. t.last)));
   t.last <- at
-
-let tokens t ~at =
-  refill t ~at;
-  t.level
 
 let try_consume t ~at ~amount =
   if amount < 0. then invalid_arg "Token_bucket: negative amount";
@@ -34,10 +27,3 @@ let try_consume t ~at ~amount =
     true
   end
   else false
-
-let consume_up_to t ~at ~amount =
-  if amount < 0. then invalid_arg "Token_bucket: negative amount";
-  refill t ~at;
-  let granted = Float.min amount t.level in
-  t.level <- t.level -. granted;
-  granted

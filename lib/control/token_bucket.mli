@@ -12,17 +12,7 @@ val create : rate:float -> burst:float -> t
 (** [rate > 0] MB/s, [burst > 0] MB (the bucket starts full).
     Raises [Invalid_argument] otherwise. *)
 
-val rate : t -> float
-val burst : t -> float
-
-val tokens : t -> at:float -> float
-(** Token level at time [at], after refill (clamped to [burst]). *)
-
 val try_consume : t -> at:float -> amount:float -> bool
 (** Consume [amount] MB at time [at] if the bucket holds enough tokens;
     returns whether it conformed.  A non-conforming chunk consumes
     nothing (it is dropped whole, as in the paper's hardware policer). *)
-
-val consume_up_to : t -> at:float -> amount:float -> float
-(** Partial variant: consume as much of [amount] as the bucket allows and
-    return the conforming part. *)

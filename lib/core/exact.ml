@@ -185,17 +185,3 @@ let max_requests_malleable ?(node_budget = 100_000) fabric requests =
      pruning an infeasible prefix is sound. *)
   search ~node_budget fabric requests (fun chosen r descend ->
       if feasible (r :: chosen) then descend ())
-
-let result_of fabric requests solution =
-  let module Iset = Set.Make (Int) in
-  let chosen = Iset.of_list solution.accepted_ids in
-  let accepted, rejected =
-    List.partition_map
-      (fun (r : Request.t) ->
-        if Iset.mem r.id chosen then
-          Left (Allocation.make ~request:r ~bw:(Request.min_rate r) ~sigma:r.ts)
-        else Right (r, Types.Port_saturated))
-      requests
-  in
-  ignore fabric;
-  { Types.all = requests; accepted; rejected }

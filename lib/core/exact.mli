@@ -25,11 +25,6 @@ val max_requests :
     [5_000_000]) caps the explored nodes; when exhausted the incumbent is
     returned with [optimal = false]. *)
 
-val result_of :
-  Gridbw_topology.Fabric.t -> Gridbw_request.Request.t list -> solution -> Types.result
-(** Re-expresses a solution as a {!Types.result} (accepted requests get
-    [bw = MinRate], [sigma = ts]). *)
-
 val max_requests_flexible :
   ?node_budget:int ->
   ?levels:float list ->

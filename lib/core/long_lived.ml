@@ -11,8 +11,6 @@ let request ~id ~ingress ~egress ~bw =
 
 type result = { accepted : request list; rejected : request list }
 
-let accepted_ids r = List.map (fun q -> q.id) r.accepted |> List.sort Int.compare
-
 let check_routing fabric requests =
   List.iter
     (fun r ->

@@ -19,8 +19,6 @@ type result = {
   rejected : request list;
 }
 
-val accepted_ids : result -> int list
-
 val feasible : Gridbw_topology.Fabric.t -> request list -> bool
 (** Σ bw through each port within its capacity (relative [1e-9] slack). *)
 

@@ -2,21 +2,11 @@ module Spec = Gridbw_workload.Spec
 module Request = Gridbw_request.Request
 module Obs = Gridbw_obs.Obs
 
-module type S = sig
-  val name : string
-  val run : ?ctx:Runtime.ctx -> Spec.t -> Request.t list -> Types.result
-end
+type t = { name : string; run : ?ctx:Runtime.ctx -> Spec.t -> Request.t list -> Types.result }
 
-type t = (module S)
-
-let name (module M : S) = M.name
-let run ?ctx (module M : S) spec requests = M.run ?ctx spec requests
-
-let make ~name:n f : t =
-  (module struct
-    let name = n
-    let run = f
-  end)
+let name t = t.name
+let run ?ctx t spec requests = t.run ?ctx spec requests
+let make ~name run = { name; run }
 
 let of_rigid kind =
   make ~name:(Rigid.heuristic_name kind) (fun ?ctx spec requests ->

@@ -15,9 +15,6 @@ let accept_rate r =
   | [] -> 0.0
   | _ -> float_of_int (List.length r.accepted) /. float_of_int (List.length r.all)
 
-let accepted_ids r =
-  List.map (fun (a : Allocation.t) -> a.request.Request.id) r.accepted |> List.sort Int.compare
-
 let decision_of r id =
   match
     List.find_opt (fun (a : Allocation.t) -> a.Allocation.request.Request.id = id) r.accepted
@@ -45,7 +42,3 @@ let reason_name = function
   | Revoked -> "revoked"
 
 let pp_reason ppf r = Format.pp_print_string ppf (reason_name r)
-
-let pp ppf r =
-  Format.fprintf ppf "@[<v>%d requests, %d accepted, %d rejected@]" (List.length r.all)
-    (List.length r.accepted) (List.length r.rejected)

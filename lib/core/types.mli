@@ -20,9 +20,6 @@ type result = {
 val accept_rate : result -> float
 (** accepted / total; 0 for an empty result. *)
 
-val accepted_ids : result -> int list
-(** Sorted ids of accepted requests. *)
-
 val decision_of : result -> int -> decision option
 (** Decision for request id, if the request is part of the result. *)
 
@@ -33,4 +30,3 @@ val reason_name : reason -> string
 (** The wire and trace spelling, e.g. ["port-saturated"]. *)
 
 val pp_reason : Format.formatter -> reason -> unit
-val pp : Format.formatter -> result -> unit

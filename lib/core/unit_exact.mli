@@ -11,10 +11,6 @@ type ureq = { id : int; ingress : int; egress : int; ts : int; tf : int }
 
 type instance = { caps_in : int array; caps_out : int array; reqs : ureq array }
 
-val validate : instance -> unit
-(** Raises [Invalid_argument] on empty windows, bad ports, or non-positive
-    capacities. *)
-
 type solution = {
   count : int;
   placements : (int * int) list;  (** (request id, step) for accepted *)

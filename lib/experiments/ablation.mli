@@ -10,9 +10,6 @@
     improves monotonically with the interval, while the deferred variant
     degrades once the delay approaches typical transmission windows. *)
 
-val default_steps : float list
-(** 10, 25, 50, 100, 200, 400 s. *)
-
 val run :
   ?steps:float list -> ?mean_interarrival:float -> Runner.params -> Gridbw_report.Figure.t
 (** Accept rate vs interval length for WINDOW, WINDOW-DEFERRED and the

@@ -6,9 +6,6 @@
     under load); MINVOL-SLOTS below the other two slot heuristics;
     CUMULATED-SLOTS ≈ MINBW-SLOTS on top. *)
 
-val default_loads : float list
-(** 0.5, 1, 1.5, 2, 3, 4, 5. *)
-
 val run : ?loads:float list -> Runner.params -> Gridbw_report.Figure.t * Gridbw_report.Figure.t
 (** [(accept-rate figure, utilization figure)], one series per heuristic,
     x = offered load. *)

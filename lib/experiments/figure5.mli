@@ -6,13 +6,5 @@
     grows with the window length; GREEDY under ~20 % while large windows
     pass 50 %. *)
 
-val default_interarrivals : float list
-(** 0.1, 0.2, 0.5, 1, 2, 5 (seconds). *)
-
-val default_steps : float list
-(** Window lengths 100, 200, 400 s as in the paper (WINDOW keeps each
-    request's own start time, so the interval length is a pure lookahead
-    knob and does not need the time-scale compression). *)
-
 val run :
   ?interarrivals:float list -> ?steps:float list -> Runner.params -> Gridbw_report.Figure.t

@@ -8,12 +8,6 @@
     accepts more requests; under heavy load the ordering compresses and
     partially inverts because full-rate transfers free the ports sooner. *)
 
-val heavy_interarrivals : float list
-(** 0.1, 0.5, 1, 2, 5. *)
-
-val underloaded_interarrivals : float list
-(** 3, 5, 8, 12, 20. *)
-
 val run :
   ?heavy:float list ->
   ?underloaded:float list ->

@@ -26,9 +26,6 @@ type row = {
   malleable_ba : float;  (** MALLEABLE with in-advance booking (default 30 s) *)
 }
 
-val default_interarrivals : float list
-(** [{0.1; 0.125; 0.15; 0.2}] — the overload operating points. *)
-
 val run :
   ?interarrivals:float list ->
   ?step:float ->

@@ -5,7 +5,7 @@
     (section 4); paper-vs-measured numbers live in EXPERIMENTS.md.
 
     {b Time-scale compression.}  The experiment workloads shrink the §4.3
-    volumes by {!volume_scale} (10x): the paper's volumes give a mean
+    volumes tenfold: the paper's volumes give a mean
     transfer duration of ~24 minutes, so a tractable request count never
     leaves the empty-system transient.  Scaling volumes (and nothing else)
     keeps every dimensionless quantity — offered load, rate ratios, the
@@ -31,13 +31,6 @@ val with_params : ?count:int -> ?reps:int -> ?seed:int64 -> params -> params
 
 type rigid_kind = [ `Fcfs | `Fifo_blocking | `Slots of Gridbw_core.Rigid.cost_kind ]
 type flex_kind = [ `Greedy | `Window of float | `Window_deferred of float ]
-
-val volume_scale : float
-(** 0.1 — see the module comment. *)
-
-val scaled_volumes : Gridbw_workload.Spec.volume_dist
-val mean_duration : float
-(** Expected transfer duration at the requested rate, seconds (~146 s). *)
 
 val steady_count : ?cap:int -> int -> mean_interarrival:float -> int
 (** [max base (min cap' (8 * mean_duration / mean_interarrival))] with

@@ -8,9 +8,6 @@
     speedup grows with f — the knob trades admission for transfer time
     without changing the allocation algorithm. *)
 
-val default_fs : float list
-(** 0, 0.2, 0.4, 0.6, 0.8, 1.0. *)
-
 type row = {
   f : float;
   heuristic : string;

@@ -22,7 +22,6 @@ type event =
       (** operator-driven revocation at [at]; the transfer goes through
           normal recovery (residual re-admission) *)
 
-val time_of : event -> float
 val sort : event list -> event list
 val side_name : side -> string
 

@@ -10,8 +10,6 @@ let name = function
   | Latest_deadline -> "latest-deadline"
   | Proportional_squeeze -> "proportional-squeeze"
 
-let pp ppf t = Format.pp_print_string ppf (name t)
-
 let id_of (a : Allocation.t) = a.Allocation.request.Request.id
 let deadline_of (a : Allocation.t) = a.Allocation.request.Request.tf
 

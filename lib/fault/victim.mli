@@ -13,7 +13,6 @@ type t = Smallest_residual | Latest_deadline | Proportional_squeeze
 
 val all : t list
 val name : t -> string
-val pp : Format.formatter -> t -> unit
 
 val select :
   t -> need:float -> (Gridbw_alloc.Allocation.t * float) list -> Gridbw_alloc.Allocation.t list

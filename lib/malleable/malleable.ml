@@ -64,7 +64,15 @@ let deadline_limit (r : Request.t) = r.tf +. (1e-10 *. Float.max 1. (Float.abs r
    on the last segment only — past [tf] within the deadline slack,
    guarded by a fits-check over the unmeasured sliver), and as a final
    fallback fills a segment just *under* the target so a later segment
-   closes the few-ulp residue with a tiny step on a much finer grid. *)
+   closes the few-ulp residue with a tiny step on a much finer grid.
+
+   A [Some p] result has [Rate_profile.integral p] equal to the volume
+   bitwise, [peak p <= max_rate], every segment within both ports' free
+   capacity, and [finish p <= deadline_limit r]; the ledger is not
+   modified.  [peak_bound] additionally clamps every step to
+   [max min_rate peak_bound] — the compensation limit the engine sets
+   to [kappa * min_rate], so one flexible request cannot claim much more
+   than its fair constant share while squeezing past a busy stretch. *)
 let solve ?(peak_bound = infinity) ledger (r : Request.t) ~start =
   if not (start < r.tf) then None
   else begin

@@ -54,31 +54,10 @@ type config = {
 val default : config
 (** [{ book_ahead = 0.; reshape = true; kappa = infinity }]. *)
 
-val name : config -> string
-(** "malleable", "malleable(ba=7)", "malleable(no-reshape)" or
-    "malleable(ba=7,no-reshape)". *)
-
 val deadline_limit : Gridbw_request.Request.t -> float
 (** Latest admissible end of a profile's last step: [tf] plus a relative
     [1e-10] slack, strictly inside {!Gridbw_alloc.Allocation.meets_deadline}'s
     bound.  Exposed for the test suite. *)
-
-val solve :
-  ?peak_bound:float ->
-  Gridbw_alloc.Ledger.t ->
-  Gridbw_request.Request.t ->
-  start:float ->
-  Gridbw_alloc.Rate_profile.t option
-(** Water-fill the request's volume into the ledger's free capacity over
-    [\[start, tf)].  [Some p] satisfies: [Rate_profile.integral p] equals
-    the volume bitwise, [peak p <= max_rate], every segment fits the free
-    capacity of both ports, and [finish p <= deadline_limit r].  [None]
-    when no such profile closes.  The ledger is not modified.
-
-    [peak_bound] (default unbounded) additionally clamps every step to
-    [max min_rate peak_bound] — the compensation limit the engine sets
-    to [kappa * min_rate] so one flexible request cannot claim much more
-    than its fair constant share while squeezing past a busy stretch. *)
 
 val run :
   config ->

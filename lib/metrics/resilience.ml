@@ -82,15 +82,3 @@ let compute ~span outcomes =
         goodput = (if span > 0. then delivered /. span else 0.0);
         delivered_fraction = (if promised > 0. then delivered /. promised else 0.0);
       }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>admitted: %d/%d (aborted %d)@,\
-     preempted: %d, recovered: %d (%.1f%%)@,\
-     guarantee kept: %.1f%%, violation: %.2f min@,\
-     goodput: %.1f MB/s, delivered: %.1f%% of promised@]"
-    t.admitted t.total t.aborted t.preempted t.recovered
-    (100. *. t.recovered_fraction)
-    (100. *. t.guarantee_kept)
-    t.violation_minutes t.goodput
-    (100. *. t.delivered_fraction)

@@ -36,9 +36,5 @@ type t = {
   delivered_fraction : float;  (** delivered MB / promised (admitted) MB *)
 }
 
-val zero : t
-
 val compute : span:float -> outcome list -> t
 (** Aggregate; [span] is the workload's time span (for goodput). *)
-
-val pp : Format.formatter -> t -> unit

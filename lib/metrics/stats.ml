@@ -43,6 +43,3 @@ let aggregate samples =
         min = Welford.min w;
         max = Welford.max w;
       }
-
-let mean samples = (aggregate samples).mean
-

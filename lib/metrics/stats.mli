@@ -12,7 +12,6 @@ module Welford : sig
   val variance : t -> float
   (** Unbiased sample variance; 0 for fewer than two samples. *)
 
-  val stddev : t -> float
   val min : t -> float
   (** [+inf] when empty. *)
 
@@ -31,5 +30,3 @@ type aggregate = {
 
 val aggregate : float list -> aggregate
 (** Summary of replication results; zeros for the empty list. *)
-
-val mean : float list -> float

@@ -26,7 +26,6 @@ let build fabric allocations =
 
 let span t = t.span
 let ingress_usage t i ~at = Ledger.usage_at t.ledger (Port.Ingress i) at
-let egress_usage t e ~at = Ledger.usage_at t.ledger (Port.Egress e) at
 
 let total_rate t ~at =
   let acc = ref 0.0 in
@@ -46,22 +45,3 @@ let sample t ~points =
       List.init points (fun k ->
           let at = lo +. (float_of_int k *. step) in
           (at, utilization t ~at))
-
-let peak_port_usage t =
-  let ins =
-    List.init (Fabric.ingress_count t.fabric) (fun i ->
-        ( "ingress",
-          i,
-          Ledger.max_over t.ledger (Port.Ingress i)
-            ~from_:(match t.span with Some (lo, _) -> lo | None -> 0.)
-            ~until:(match t.span with Some (_, hi) -> hi +. 1. | None -> 1.) ))
-  in
-  let outs =
-    List.init (Fabric.egress_count t.fabric) (fun e ->
-        ( "egress",
-          e,
-          Ledger.max_over t.ledger (Port.Egress e)
-            ~from_:(match t.span with Some (lo, _) -> lo | None -> 0.)
-            ~until:(match t.span with Some (_, hi) -> hi +. 1. | None -> 1.) ))
-  in
-  ins @ outs

@@ -18,7 +18,6 @@ val span : t -> (float * float) option
 (** Earliest sigma and latest tau over the allocations; [None] if empty. *)
 
 val ingress_usage : t -> int -> at:float -> float
-val egress_usage : t -> int -> at:float -> float
 
 val total_rate : t -> at:float -> float
 (** Σ over ingress ports of the reserved bandwidth at [at] (each transfer
@@ -32,7 +31,3 @@ val sample :
   t -> points:int -> (float * float) list
 (** [points >= 2] uniform samples of {!utilization} over {!span} (empty
     list when the timeline is empty). *)
-
-val peak_port_usage : t -> (string * int * float) list
-(** Per port: ("ingress"/"egress", index, peak reserved bandwidth),
-    in fabric order. *)

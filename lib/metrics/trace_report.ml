@@ -8,7 +8,6 @@ module Frame = Gridbw_wire.Frame
 type t = { spans : Span.t list; skipped : int }
 
 let spans t = t.spans
-let skipped t = t.skipped
 
 (* Mixed traces interleave span records with event records (a serve
    trace, a WAL segment fed directly); any frame that is not a span is

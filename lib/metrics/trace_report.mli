@@ -16,9 +16,6 @@ val load : string -> (t, string) result
 val spans : t -> Gridbw_obs.Span.t list
 (** In file order. *)
 
-val skipped : t -> int
-(** Non-span records skipped. *)
-
 val render : ?top:int -> t -> string
 (** The report: per-stage table (count, p50/p95/p99, total, share of
     stage time), the stage-sum and end-to-end distributions with their

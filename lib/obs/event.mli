@@ -83,11 +83,5 @@ type t =
       (** sim-engine event dispatch; [pending] is the queue depth after the pop *)
 
 val time : t -> float
-val kind : t -> string
-(** "arrival", "accept", "reject", "preempt", "reshape", "shed",
-    "capacity", "dispatch". *)
 
 val side_name : side -> string
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable one-line rendering. *)

@@ -411,6 +411,8 @@ let parse_number_into c (dst : float array) k =
     end
   end
 
+(* The double [float_of_string] returns for the literal at the cursor,
+   bit for bit; raises [Bad] on a malformed literal. *)
 let parse_number c =
   let dst = [| 0. |] in
   parse_number_into c dst 0;

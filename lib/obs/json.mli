@@ -45,20 +45,18 @@ type cursor = { s : string; n : int; mutable pos : int }
 exception Bad of string
 (** A scanning error, with the message {!parse} would report. *)
 
-val parse_number : cursor -> float
-(** Scan the number literal at the cursor, as {!parse} reads a value
-    that is not an object, array, string or keyword.  The double is the
-    one [float_of_string] returns for the literal, bit for bit: plain
-    spellings with at most 18 significant digits and a decimal exponent
-    within 22 are converted in place, exactly (Clinger's fast path
-    below 2^53, a certified double-double quotient above), and any
-    other literal, or one whose rounding the quotient cannot certify,
-    goes to [float_of_string].  Raises {!Bad} on a malformed literal,
-    with the message and offset [float_of_string]'s reader reports. *)
-
 val parse_number_into : cursor -> float array -> int -> unit
-(** [parse_number_into c dst k] stores {!parse_number}'s double in
-    [dst.(k)] without boxing it (float arrays are flat). *)
+(** [parse_number_into c dst k] scans the number literal at the cursor,
+    as {!parse} reads a value that is not an object, array, string or
+    keyword, and stores its double in [dst.(k)] without boxing it (float
+    arrays are flat).  The double is the one [float_of_string] returns
+    for the literal, bit for bit: plain spellings with at most 18
+    significant digits and a decimal exponent within 22 are converted in
+    place, exactly (Clinger's fast path below 2^53, a certified
+    double-double quotient above), and any other literal, or one whose
+    rounding the quotient cannot certify, goes to [float_of_string].
+    Raises {!Bad} on a malformed literal, with the message and offset
+    [float_of_string]'s reader reports. *)
 
 val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] on other constructors. *)

@@ -70,7 +70,6 @@ let gauge t name =
     (function Gauge g -> Some g | _ -> None)
 
 let set g v = g.level <- v
-let gauge_value g = g.level
 
 let histogram t name =
   find_or_create t name

@@ -28,7 +28,6 @@ type gauge
 
 val gauge : t -> string -> gauge
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** {2 Histograms} *)
 

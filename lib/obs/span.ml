@@ -175,11 +175,6 @@ module Binary = struct
       else Ok (make ~id ~conn ~req ~time ~total_ns ~probes ~durs)
     with Short -> Error "span body too short"
 
-  let body_of t =
-    let b = Buffer.create 96 in
-    encode_body b t;
-    Buffer.contents b
-
   let of_body = decode_body
 
   let encode b t =

@@ -85,6 +85,5 @@ val frame_tag : int
 module Binary : sig
   include Gridbw_wire.Codec.S with type t = t
 
-  val body_of : t -> string
   val of_body : string -> (t, string) result
 end

@@ -1,5 +1,3 @@
-let uniform rng ~lo ~hi = Rng.float_in rng lo hi
-
 let exponential rng ~mean =
   if mean <= 0. then invalid_arg "Dist.exponential: mean must be positive";
   (* Inversion; 1 - u avoids log 0. *)

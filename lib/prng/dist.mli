@@ -1,8 +1,5 @@
 (** Random distributions on top of {!Rng}. *)
 
-val uniform : Rng.t -> lo:float -> hi:float -> float
-(** Uniform on [\[lo, hi)]. *)
-
 val exponential : Rng.t -> mean:float -> float
 (** Exponential with the given mean (inter-arrival times of a Poisson
     process of rate [1 /. mean]).  Requires [mean > 0]. *)

@@ -36,12 +36,6 @@ let min_rate_at r ~now =
     let start = Float.max now r.ts in
     if start >= r.tf then None else Some (r.volume /. (r.tf -. start))
 
-let duration_at r ~bw =
-  if bw <= 0. then invalid_arg "Request.duration_at: bandwidth must be positive";
-  r.volume /. bw
-
-let is_rigid r = r.max_rate <= min_rate r *. (1. +. 1e-9)
-let slack r = r.max_rate /. min_rate r
 let routed_on r fabric = Fabric.valid_ingress fabric r.ingress && Fabric.valid_egress fabric r.egress
 
 let check_route label fabric ~id ~ingress ~egress =
@@ -53,8 +47,3 @@ let check_routes label fabric requests =
     (fun r -> check_route label fabric ~id:r.id ~ingress:r.ingress ~egress:r.egress)
     requests
 let compare a b = Int.compare a.id b.id
-let equal a b = a.id = b.id
-
-let pp ppf r =
-  Format.fprintf ppf "r%d[%d->%d vol=%.1fMB win=[%.2f,%.2f] max=%.1fMB/s]" r.id r.ingress
-    r.egress r.volume r.ts r.tf r.max_rate

@@ -38,16 +38,6 @@ val min_rate_at : t -> now:float -> float option
     of [ts]: [volume / (tf - now)].  [None] if [now >= tf] (window already
     closed). *)
 
-val duration_at : t -> bw:float -> float
-(** Transmission time [volume / bw] at rate [bw > 0]. *)
-
-val is_rigid : t -> bool
-(** True when [min_rate] and [max_rate] coincide (relative tolerance
-    [1e-9]): the scheduler has no freedom on the assigned bandwidth. *)
-
-val slack : t -> float
-(** [max_rate /. min_rate >= 1]; 1 for rigid requests. *)
-
 val routed_on : t -> Gridbw_topology.Fabric.t -> bool
 (** Both endpoints are valid ports of the fabric. *)
 
@@ -63,6 +53,3 @@ val check_route :
 
 val compare : t -> t -> int
 (** Total order by [id]. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

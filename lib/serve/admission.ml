@@ -46,7 +46,6 @@ let create ?obs ?store ~policy fabric =
   Policy.validate policy;
   make ?obs ?store ~policy (Online.create fabric)
 
-let obs t = t.obs
 let dirty t = t.dirty
 
 let flush t =

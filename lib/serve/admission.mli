@@ -83,7 +83,3 @@ val records : t -> int
 val accepted_count : t -> int
 val rejected_count : t -> int
 val active_count : t -> int
-
-val obs : t -> Gridbw_obs.Obs.ctx
-(** The telemetry context (shared metrics registry) — the [stats] verb
-    dumps its registry. *)

@@ -37,12 +37,11 @@ type config = {
   metrics_port : int option;
   span_out : string option;
   flight_recorder : string option;
-  flight_size : int;
 }
 
 let default_config ?(policy = Policy.Fraction_of_max 0.8)
     ?(fabric = Fabric.paper_default ()) ?store_dir ?metrics_port ?span_out ?flight_recorder
-    ?(flight_size = Flight.default_size) transport =
+    transport =
   {
     transport;
     policy;
@@ -54,7 +53,6 @@ let default_config ?(policy = Policy.Fraction_of_max 0.8)
     metrics_port;
     span_out;
     flight_recorder;
-    flight_size;
   }
 
 (* Every socket the loop serves, listeners included, is one [conn] in
@@ -214,8 +212,8 @@ let create ?obs ?(log = fun _ -> ()) cfg =
           let flight =
             Option.map
               (fun path ->
-                let f = Flight.create ~size:cfg.flight_size path in
-                log (Printf.sprintf "flight recorder: %s (%d bytes)" path cfg.flight_size);
+                let f = Flight.create path in
+                log (Printf.sprintf "flight recorder: %s (%d bytes)" path Flight.default_size);
                 f)
               cfg.flight_recorder
           in

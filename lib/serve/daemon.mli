@@ -47,9 +47,8 @@ type config = {
           served from the same select loop *)
   span_out : string option;  (** trace-span sink file, binary frames; enables tracing *)
   flight_recorder : string option;
-      (** crash-surviving span ring file ({!Gridbw_obs.Flight});
-          enables tracing *)
-  flight_size : int;  (** flight-recorder file size, bytes *)
+      (** crash-surviving span ring file ({!Gridbw_obs.Flight}, of
+          {!Gridbw_obs.Flight.default_size} bytes); enables tracing *)
 }
 
 val default_config :
@@ -59,7 +58,6 @@ val default_config :
   ?metrics_port:int ->
   ?span_out:string ->
   ?flight_recorder:string ->
-  ?flight_size:int ->
   transport ->
   config
 (** Paper fabric, [Fraction_of_max 0.8] policy, default store config,

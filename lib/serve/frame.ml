@@ -4,8 +4,6 @@ module Wire_frame = Gridbw_wire.Frame
 
 type format = Text | Binary
 
-let format_name = function Text -> "text" | Binary -> "binary"
-
 type error =
   | Oversized of int
   | Malformed_length of string

@@ -23,8 +23,6 @@
 
 type format = Text | Binary
 
-val format_name : format -> string
-
 type error =
   | Oversized of int  (** declared payload length exceeds [max_frame] *)
   | Malformed_length of string

@@ -14,7 +14,6 @@ type config = {
   requests : int;
   seed : int64;
   mean_interarrival : float;
-  max_slack : float;
   fabric : Fabric.t;
   cancel_every : int;
   acks : out_channel option;
@@ -22,7 +21,7 @@ type config = {
 }
 
 let default_config ?(connections = 4) ?(requests = 10_000) ?(seed = 1L)
-    ?(mean_interarrival = 0.25) ?(max_slack = 4.0)
+    ?(mean_interarrival = 0.25)
     ?(fabric = Fabric.paper_default ()) ?(cancel_every = 0) ?acks
     ?(tolerate_disconnect = false) target =
   {
@@ -31,7 +30,6 @@ let default_config ?(connections = 4) ?(requests = 10_000) ?(seed = 1L)
     requests;
     seed;
     mean_interarrival;
-    max_slack;
     fabric;
     cancel_every;
     acks;
@@ -232,7 +230,7 @@ let run ?(log = fun _ -> ()) cfg =
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let spec =
       Spec.make ~fabric:cfg.fabric ~count:cfg.requests
-        ~flexibility:(Spec.Flexible { max_slack = cfg.max_slack })
+        ~flexibility:(Spec.Flexible { max_slack = 4.0 })
         ~mean_interarrival:cfg.mean_interarrival ()
     in
     let reqs = Array.of_list (Gen.generate (Rng.create ~seed:cfg.seed ()) spec) in

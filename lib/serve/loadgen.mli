@@ -20,7 +20,6 @@ type config = {
   requests : int;  (** total requests across all connections *)
   seed : int64;  (** workload PRNG seed — same seed, same byte stream *)
   mean_interarrival : float;  (** §5.3 arrival intensity of the drawn workload *)
-  max_slack : float;  (** §5.3 window slack bound, >= 1 *)
   fabric : Gridbw_topology.Fabric.t;  (** must match the daemon's *)
   cancel_every : int;  (** cancel every Nth admitted transfer; 0 = never *)
   acks : out_channel option;  (** record every received response payload *)
@@ -35,7 +34,6 @@ val default_config :
   ?requests:int ->
   ?seed:int64 ->
   ?mean_interarrival:float ->
-  ?max_slack:float ->
   ?fabric:Gridbw_topology.Fabric.t ->
   ?cancel_every:int ->
   ?acks:out_channel ->

@@ -424,15 +424,6 @@ let decode_response payload =
 
 (* --- printing --- *)
 
-let pp_request ppf = function
-  | Admit { id; ingress; egress; volume; ts; tf; max_rate } ->
-      Format.fprintf ppf "admit[%d %d->%d vol=%g ts=%g tf=%g max=%g]" id ingress egress volume ts
-        tf max_rate
-  | Query { id } -> Format.fprintf ppf "query[%d]" id
-  | Cancel { id } -> Format.fprintf ppf "cancel[%d]" id
-  | Stats -> Format.pp_print_string ppf "stats"
-  | Shutdown -> Format.pp_print_string ppf "shutdown"
-
 let pp_response ppf = function
   | Admitted { id; bw; sigma; tau } ->
       Format.fprintf ppf "admitted[%d bw=%g sigma=%g tau=%g]" id bw sigma tau

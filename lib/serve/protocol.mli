@@ -88,5 +88,4 @@ val add_response : Buffer.t -> response -> unit
 
 val decode_response : string -> (response, decode_error) result
 
-val pp_request : Format.formatter -> request -> unit
 val pp_response : Format.formatter -> response -> unit

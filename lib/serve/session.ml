@@ -13,7 +13,6 @@ type t = {
   reply : Buffer.t;
   mutable written : int;
   mutable closing : bool;
-  mutable frames_in : int;
   (* Stage durations of the most recent completed message (valid right
      after [next] returns [Some _] with [timed]). *)
   mutable decode_ns : float;
@@ -34,14 +33,11 @@ let create ?max_frame ?(timed = false) ~id ~peer () =
     reply = Buffer.create reply_capacity;
     written = 0;
     closing = false;
-    frames_in = 0;
     decode_ns = 0.;
     parse_ns = 0.;
   }
 
 let id t = t.id
-let peer t = t.peer
-let feed t s = Frame.feed t.decoder s
 let feed_sub t buf off len = Frame.feed_sub t.decoder buf off len
 
 type incoming =
@@ -58,7 +54,6 @@ let next t =
     | Ok (Some payload) -> (
         let t1 = if t.timed then Span.now_ns () else 0. in
         if t.timed then t.decode_ns <- t1 -. t0;
-        t.frames_in <- t.frames_in + 1;
         match Protocol.decode_request payload with
         | Ok r ->
             if t.timed then t.parse_ns <- Span.now_ns () -. t1;
@@ -112,4 +107,3 @@ let wrote t n =
 
 let stage_ns t = (t.decode_ns, t.parse_ns)
 let want_close t = t.closing
-let frames_in t = t.frames_in

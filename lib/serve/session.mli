@@ -16,16 +16,12 @@ val create : ?max_frame:int -> ?timed:bool -> id:int -> peer:string -> unit -> t
     protocol-parse phases for {!stage_ns}. *)
 
 val id : t -> int
-val peer : t -> string
 
 (** {2 Input} *)
 
-val feed : t -> string -> unit
-(** Raw bytes read from the wire. *)
-
 val feed_sub : t -> Bytes.t -> int -> int -> unit
-(** [feed_sub t buf off len]: {!feed} from a slice of a read buffer,
-    without copying it into a string first. *)
+(** [feed_sub t buf off len]: raw bytes read from the wire, taken from a
+    slice of a read buffer without copying them into a string first. *)
 
 type incoming =
   | Request of Protocol.request
@@ -38,7 +34,7 @@ type incoming =
 
 val next : t -> incoming option
 (** The next complete message, [None] when more bytes are needed.  Call
-    repeatedly after each {!feed} until [None]. *)
+    repeatedly after each {!feed_sub} until [None]. *)
 
 val stage_ns : t -> float * float
 (** [(decode_ns, parse_ns)] of the most recent completed message — the
@@ -69,6 +65,3 @@ val want_close : t -> bool
 (** Close once the pending output has drained. *)
 
 (** {2 Accounting} *)
-
-val frames_in : t -> int
-(** Complete frames decoded on this connection. *)

@@ -23,9 +23,6 @@ val after : t -> delay:float -> (t -> unit) -> unit
 val pending : t -> int
 (** Number of events not yet executed. *)
 
-val step : t -> bool
-(** Execute the earliest pending event.  [false] if none remained. *)
-
 val run : ?until:float -> t -> unit
 (** Execute events until the queue is exhausted, or until the next event is
     strictly past [until] (the clock is then advanced to [until]). *)

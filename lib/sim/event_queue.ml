@@ -83,8 +83,3 @@ let fold f init t =
 
 let is_empty t = t.size = 0
 let length t = t.size
-let clear t = t.size <- 0
-
-let drain t =
-  let rec loop acc = match pop t with None -> List.rev acc | Some e -> loop (e :: acc) in
-  loop []

@@ -31,7 +31,3 @@ val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
 val is_empty : 'a t -> bool
 val length : 'a t -> int
-val clear : 'a t -> unit
-
-val drain : 'a t -> (float * 'a) list
-(** Pop everything; returns events in chronological order. *)

@@ -30,7 +30,6 @@ type t = {
 
 let header_file dir = Filename.concat dir "store.json"
 let exists ~dir = Sys.file_exists (header_file dir)
-let dir t = t.dir
 let records t = t.writer.Wal.records
 let ledger t = Lazy.force t.ledger
 

@@ -10,7 +10,7 @@
     One record usually holds one decision: an arrival is held back, and
     the decision right after it with the same id and time (and, for an
     [Accept] or [Reshape], bit-equal request fields) is written together
-    with it as one pair record.  Any other event, and {!sync} and
+    with it as one pair record.  Any other event, and {!flush} and
     {!close}, first writes the held arrival as a record of its own, so
     records keep the order of the events.  Recovery expands each pair
     back into its two events.
@@ -62,7 +62,7 @@ val exists : dir:string -> bool
 val attach : t -> Gridbw_obs.Obs.ctx -> Gridbw_obs.Obs.ctx
 (** A context that journals every emitted event into the store and tees
     to [ctx]'s sink when one is attached.  Always enabled and tracing.
-    Flushing the returned context {!sync}s the store.  This is the one
+    Flushing the returned context {!flush}es the store.  This is the one
     way a journal joins an admission path: its owner attaches it once
     and hands the result to the engine (as [Runtime.ctx.obs]); a context
     attached twice journals every event twice. *)
@@ -73,27 +73,21 @@ val log : t -> Gridbw_obs.Event.t -> unit
     only held until the next event).  Nothing is kept per event.
     [Dispatch] events are not admission state and are skipped. *)
 
-val sync : t -> unit
-(** Force the group commit: write any held arrival, then flush and fsync
-    the WAL tail now.  Everything logged so far is durable after it. *)
-
 val flush : t -> unit
-(** Alias of {!sync}, under the name the serving layer uses: records
-    appended since the last commit are made durable {e now}, without
-    waiting for the group-commit batch to fill or its delay to elapse.
-    [gridbw serve] calls this once per event-loop round before
+(** Force the group commit: write any held arrival, then flush and fsync
+    the WAL tail now, without waiting for the group-commit batch to fill
+    or its delay to elapse.  Everything logged so far is durable after
+    it.  [gridbw serve] calls this once per event-loop round before
     acknowledging any admit/cancel decided in that round
     (write-ack-after-fsync): an acked decision is on disk, whatever the
     WAL's group-commit batch. *)
 
 val snapshot_now : t -> unit
-(** Alias of {!sync}.  The store writes no snapshot image: the WAL alone
+(** Alias of {!flush}.  The store writes no snapshot image: the WAL alone
     is recovered. *)
 
 val close : t -> unit
-(** {!sync} and close the WAL. *)
-
-val dir : t -> string
+(** {!flush} and close the WAL. *)
 
 val records : t -> int
 (** WAL records appended so far (global index).  A held arrival is not

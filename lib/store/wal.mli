@@ -29,11 +29,6 @@ val record_tag : int
 (** Frame tag of a record: a record is
     [Gridbw_wire.Frame.add ~tag:record_tag payload]. *)
 
-val fsync_dir : string -> unit
-(** fsync a directory, making the names created, renamed or removed in
-    it durable.  Best-effort: a filesystem that refuses fsync on a
-    directory is ignored. *)
-
 type writer = {
   dir : string;
   config : config;

@@ -24,26 +24,6 @@ let paper_default () = uniform ~ingress_count:10 ~egress_count:10 ~capacity:1000
 let ingress_count t = Array.length t.ingress
 let egress_count t = Array.length t.egress
 
-let check_capacity name c =
-  if not (Float.is_finite c) || c <= 0. then
-    invalid_arg (Printf.sprintf "Fabric.%s: capacity must be finite and positive" name)
-
-let with_ingress_capacity t i capacity =
-  if i < 0 || i >= Array.length t.ingress then
-    invalid_arg "Fabric.with_ingress_capacity: out of range";
-  check_capacity "with_ingress_capacity" capacity;
-  let ingress = Array.copy t.ingress in
-  ingress.(i) <- capacity;
-  { t with ingress }
-
-let with_egress_capacity t e capacity =
-  if e < 0 || e >= Array.length t.egress then
-    invalid_arg "Fabric.with_egress_capacity: out of range";
-  check_capacity "with_egress_capacity" capacity;
-  let egress = Array.copy t.egress in
-  egress.(e) <- capacity;
-  { t with egress }
-
 let same_shape a b =
   Array.length a.ingress = Array.length b.ingress
   && Array.length a.egress = Array.length b.egress

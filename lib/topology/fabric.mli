@@ -38,14 +38,6 @@ val half_total_capacity : t -> float
 (** [½ (Σ B_in + Σ B_out)] — the normalisation used by both the paper's
     load definition (section 4.3) and RESOURCE-UTIL (section 2.2). *)
 
-val with_ingress_capacity : t -> int -> float -> t
-(** Copy of the fabric with ingress port [i] set to the given capacity.
-    Used by the fault subsystem to model port degradation; the capacity
-    must still be finite and positive (a full outage is modeled by a tiny
-    residual capacity). *)
-
-val with_egress_capacity : t -> int -> float -> t
-
 val same_shape : t -> t -> bool
 (** Same number of ingress and egress ports (capacities may differ) —
     the precondition for revising a live controller's fabric in place. *)

@@ -37,9 +37,6 @@ let generate rng (spec : Spec.t) =
   in
   build 0 0.0 []
 
-let horizon requests =
-  List.fold_left (fun acc (r : Request.t) -> Float.max acc r.tf) 0.0 requests
-
 let arrival_span requests =
   match requests with
   | [] | [ _ ] -> 0.0

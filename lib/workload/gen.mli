@@ -17,9 +17,6 @@ val draw : Gridbw_prng.Rng.t -> Spec.t -> id:int -> ts:float -> Gridbw_request.R
     flexible spec, in that RNG order).  {!Gridbw_workload.Diurnal}
     shares it. *)
 
-val horizon : Gridbw_request.Request.t list -> float
-(** Latest deadline ([max tf]); 0 for the empty list. *)
-
 val arrival_span : Gridbw_request.Request.t list -> float
 (** [max ts -. min ts]; 0 for fewer than two requests. *)
 
@@ -28,5 +25,3 @@ val measured_load :
 (** Realised time-averaged offered load over the arrival span:
     [Σ volume / (arrival_span × ½ Σ capacities)] (paper §4.3 definition,
     time-averaged).  0 when the span is empty. *)
-
-val total_volume : Gridbw_request.Request.t list -> float

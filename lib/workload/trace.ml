@@ -6,25 +6,19 @@ let line_of (r : Request.t) =
   Printf.sprintf "%d,%d,%d,%.17g,%.17g,%.17g,%.17g" r.id r.ingress r.egress r.volume r.ts r.tf
     r.max_rate
 
-let buffer_add buf requests =
+let to_string requests =
+  let buf = Buffer.create 4096 in
   Buffer.add_string buf header;
   Buffer.add_char buf '\n';
   List.iter
     (fun r ->
       Buffer.add_string buf (line_of r);
       Buffer.add_char buf '\n')
-    requests
-
-let to_string requests =
-  let buf = Buffer.create 4096 in
-  buffer_add buf requests;
+    requests;
   Buffer.contents buf
 
-let to_channel oc requests = output_string oc (to_string requests)
-
 let to_file path requests =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> to_channel oc requests)
+  Out_channel.with_open_text path (fun oc -> output_string oc (to_string requests))
 
 let parse_line lineno line =
   match String.split_on_char ',' (String.trim line) with
@@ -37,25 +31,27 @@ let parse_line lineno line =
         failwith (Printf.sprintf "Trace: line %d: %s" lineno msg))
   | _ -> failwith (Printf.sprintf "Trace: line %d: expected 7 comma-separated fields" lineno)
 
-let of_lines lines =
-  match lines with
-  | [] -> []
-  | first :: rest ->
-      let body = if String.trim first = header then rest else lines in
-      let start = if body == rest then 2 else 1 in
-      List.filteri (fun _ l -> String.trim l <> "") body
-      |> List.mapi (fun i l -> parse_line (start + i) l)
-
-let of_string s = of_lines (String.split_on_char '\n' s)
-
-let of_channel ic =
-  let rec read acc =
-    match input_line ic with
-    | line -> read (line :: acc)
-    | exception End_of_file -> List.rev acc
+(* Every engine keys its decisions by id, so a repeated id is refused
+   here, naming both lines, rather than deep inside a run. *)
+let of_string s =
+  let lines = String.split_on_char '\n' s in
+  let body, start =
+    match lines with
+    | first :: rest when String.trim first = header -> (rest, 2)
+    | _ -> (lines, 1)
   in
-  of_lines (read [])
+  let seen = Hashtbl.create 64 in
+  List.mapi (fun i l -> (start + i, l)) body
+  |> List.filter_map (fun (lineno, l) ->
+         if String.trim l = "" then None
+         else begin
+           let r = parse_line lineno l in
+           (match Hashtbl.find_opt seen r.Request.id with
+           | Some first ->
+               failwith
+                 (Printf.sprintf "Trace: line %d: id %d repeats line %d" lineno r.Request.id first)
+           | None -> Hashtbl.add seen r.Request.id lineno);
+           Some r
+         end)
 
-let of_file path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> of_channel ic)
+let of_file path = of_string (In_channel.with_open_text path In_channel.input_all)

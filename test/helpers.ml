@@ -4,6 +4,11 @@
 
 include Gridbw_testkit.Testkit
 
+(* Sorted ids of a run's accepted requests. *)
+let accepted_ids (r : Gridbw_core.Types.result) =
+  List.map (fun (a : Gridbw_alloc.Allocation.t) -> a.request.Gridbw_request.Request.id) r.accepted
+  |> List.sort Int.compare
+
 let gridbw_exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/gridbw.exe"
 
 (* Run the gridbw binary: its exit status and stdout; stderr is dropped. *)

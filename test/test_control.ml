@@ -16,31 +16,31 @@ let invalid name f =
 
 (* --- Token bucket --- *)
 
-let bucket_starts_full () =
-  let b = Token_bucket.create ~rate:10. ~burst:50. in
-  check_approx "full burst" 50.0 (Token_bucket.tokens b ~at:0.0)
+(* The level is read through [try_consume]: a chunk of exactly the level
+   conforms, and then nothing more does at the same instant. *)
+let holds b ~at level =
+  Alcotest.(check bool) (Printf.sprintf "%g conforms at %g" level at) true
+    (Token_bucket.try_consume b ~at ~amount:level);
+  Alcotest.(check bool) (Printf.sprintf "then empty at %g" at) false
+    (Token_bucket.try_consume b ~at ~amount:0.5)
+
+let bucket_starts_full () = holds (Token_bucket.create ~rate:10. ~burst:50.) ~at:0.0 50.0
 
 let bucket_refills_at_rate () =
   let b = Token_bucket.create ~rate:10. ~burst:50. in
-  Alcotest.(check bool) "drain" true (Token_bucket.try_consume b ~at:0.0 ~amount:50.);
-  check_approx "empty" 0.0 (Token_bucket.tokens b ~at:0.0);
-  check_approx "refilled 2s" 20.0 (Token_bucket.tokens b ~at:2.0);
-  check_approx "capped at burst" 50.0 (Token_bucket.tokens b ~at:100.0)
+  holds b ~at:0.0 50.0;
+  holds b ~at:2.0 20.0;
+  holds b ~at:100.0 50.0
 
 let bucket_rejects_whole_chunk () =
   let b = Token_bucket.create ~rate:10. ~burst:20. in
   Alcotest.(check bool) "too big" false (Token_bucket.try_consume b ~at:0.0 ~amount:21.);
-  check_approx "nothing consumed" 20.0 (Token_bucket.tokens b ~at:0.0)
-
-let bucket_partial_consume () =
-  let b = Token_bucket.create ~rate:10. ~burst:20. in
-  check_approx "partial grant" 20.0 (Token_bucket.consume_up_to b ~at:0.0 ~amount:30.);
-  check_approx "drained" 0.0 (Token_bucket.tokens b ~at:0.0)
+  holds b ~at:0.0 20.0
 
 let bucket_time_monotone () =
   let b = Token_bucket.create ~rate:1. ~burst:1. in
-  ignore (Token_bucket.tokens b ~at:5.0);
-  invalid "backwards" (fun () -> Token_bucket.tokens b ~at:4.0)
+  ignore (Token_bucket.try_consume b ~at:5.0 ~amount:0.);
+  invalid "backwards" (fun () -> Token_bucket.try_consume b ~at:4.0 ~amount:0.)
 
 let bucket_validation () =
   invalid "zero rate" (fun () -> Token_bucket.create ~rate:0. ~burst:1.);
@@ -67,8 +67,7 @@ let bursty_overdrive_is_clipped () =
   Alcotest.(check bool) "some traffic dropped" true (report.Enforcer.dropped > 0.0);
   Alcotest.(check bool) "conformant bounded by grant" true
     (* bw * horizon + initial burst bounds what can pass *)
-    (report.Enforcer.conformant <= (20.0 *. 100.0) +. Token_bucket.burst
-       (Token_bucket.create ~rate:20. ~burst:20.) +. 1e-6)
+    (report.Enforcer.conformant <= (20.0 *. 100.0) +. 20.0 +. 1e-6)
 
 let bursty_mild_mostly_passes () =
   let a = allocation () in
@@ -131,7 +130,6 @@ let suites =
         case "starts full" bucket_starts_full;
         case "refills at rate, capped" bucket_refills_at_rate;
         case "rejects whole chunk" bucket_rejects_whole_chunk;
-        case "partial consume" bucket_partial_consume;
         case "time monotone" bucket_time_monotone;
         case "validation" bucket_validation;
       ] );

@@ -29,7 +29,7 @@ let flexible_slack_bounds () =
   let reqs = Gen.generate (rng ()) spec in
   List.iter
     (fun (r : Request.t) ->
-      let s = Request.slack r in
+      let s = r.max_rate /. Request.min_rate r in
       if s < 1.0 -. 1e-9 || s > 2.5 +. 1e-9 then Alcotest.failf "slack out of bounds: %f" s;
       check_approx "max rate is the drawn host cap within [10,50]" r.max_rate
         (Float.max 10. (Float.min 50. r.max_rate)))

@@ -36,22 +36,6 @@ let empty_instance () =
   let sol = Exact.max_requests (fabric1 ()) [] in
   Alcotest.(check int) "zero" 0 sol.Exact.count
 
-let result_of_is_feasible () =
-  let fabric = fabric2 () in
-  let reqs = random_requests ~seed:31L ~n:12 fabric in
-  let rigidified =
-    List.map
-      (fun (r : Request.t) ->
-        Request.make_rigid ~id:r.id ~ingress:r.ingress ~egress:r.egress
-          ~bw:(Request.min_rate r) ~ts:r.ts ~tf:r.tf)
-      reqs
-  in
-  let sol = Exact.max_requests fabric rigidified in
-  let result = Exact.result_of fabric rigidified sol in
-  Alcotest.(check bool) "consistent" true (Types.is_consistent result);
-  Alcotest.(check bool) "feasible" true (Validate.is_valid fabric result.Types.accepted);
-  Alcotest.(check int) "count matches" sol.Exact.count (List.length result.Types.accepted)
-
 let dominates_heuristics () =
   let fabric = fabric2 () in
   List.iter
@@ -244,7 +228,6 @@ let suites =
         case "simple optimum" simple_optimum;
         case "optimum rejects the hog fcfs keeps" exact_beats_fcfs;
         case "empty instance" empty_instance;
-        case "result_of is feasible" result_of_is_feasible;
         slow_case "never beaten by heuristics" dominates_heuristics;
         case "budget exhaustion reported" budget_exhaustion_reported;
         case "flexible optimum packs what greedy f=1 cannot" flexible_exact_beats_greedy;

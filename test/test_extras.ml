@@ -140,7 +140,6 @@ let timeline_usage () =
   | None -> Alcotest.fail "expected a span");
   check_approx "ingress 0 early" 60.0 (Timeline.ingress_usage tl 0 ~at:2.0);
   check_approx "ingress 0 overlapped" 80.0 (Timeline.ingress_usage tl 0 ~at:6.0);
-  check_approx "egress 1" 60.0 (Timeline.egress_usage tl 1 ~at:6.0);
   check_approx "total rate" 80.0 (Timeline.total_rate tl ~at:6.0);
   (* half capacity of fabric2 = 200 *)
   check_approx "utilization" 0.4 (Timeline.utilization tl ~at:6.0)
@@ -159,20 +158,6 @@ let timeline_empty () =
   let tl = Timeline.build (fabric2 ()) [] in
   Alcotest.(check bool) "no span" true (Timeline.span tl = None);
   Alcotest.(check int) "no samples" 0 (List.length (Timeline.sample tl ~points:3))
-
-let timeline_peaks () =
-  let f = fabric2 () in
-  let r = req ~id:1 ~ingress:1 ~egress:0 ~volume:500. ~ts:0. ~tf:10. ~max_rate:50. () in
-  let tl = Timeline.build f [ Allocation.make ~request:r ~bw:50. ~sigma:0. ] in
-  let peaks = Timeline.peak_port_usage tl in
-  Alcotest.(check int) "four ports" 4 (List.length peaks);
-  let peak_of side idx =
-    let _, _, v = List.find (fun (s, i, _) -> s = side && i = idx) peaks in
-    v
-  in
-  check_approx "ingress 1 peak" 50.0 (peak_of "ingress" 1);
-  check_approx "ingress 0 idle" 0.0 (peak_of "ingress" 0);
-  check_approx "egress 0 peak" 50.0 (peak_of "egress" 0)
 
 let suites =
   [
@@ -197,6 +182,5 @@ let suites =
         case "usage accounting" timeline_usage;
         case "uniform sampling" timeline_sampling;
         case "empty timeline" timeline_empty;
-        case "peak port usage" timeline_peaks;
       ] );
   ]

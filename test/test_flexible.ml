@@ -15,7 +15,7 @@ module Rng = Gridbw_prng.Rng
 
 let fabric1 () = Fabric.uniform ~ingress_count:1 ~egress_count:1 ~capacity:100.0
 let flex ~id ~volume ~ts ~tf ~max_rate = req ~id ~ingress:0 ~egress:0 ~volume ~ts ~tf ~max_rate ()
-let ids = Types.accepted_ids
+let ids = accepted_ids
 
 let alloc_of result id =
   match Types.decision_of result id with

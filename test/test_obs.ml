@@ -26,7 +26,8 @@ let counters_and_gauges () =
   let g = Metrics.gauge m "depth" in
   Metrics.set g 3.5;
   Metrics.set g 2.0;
-  check_approx "gauge keeps last value" 2.0 (Metrics.gauge_value (Metrics.gauge m "depth"))
+  Alcotest.(check bool) "gauge keeps last value" true
+    (contains ~affix:"\ndepth 2\n" (Metrics.to_prometheus m))
 
 let histogram_buckets () =
   let m = Metrics.create () in
@@ -166,12 +167,11 @@ let sample_events =
 let binary_round_trip e = Codec.of_string (module Event_codec.Binary) (event_frame e)
 
 let event_round_trip () =
-  List.iter
-    (fun e ->
+  List.iteri
+    (fun i e ->
       match binary_round_trip e with
-      | Ok e' ->
-          Alcotest.(check bool) ("round-trip " ^ Event.kind e) true (e = e')
-      | Error msg -> Alcotest.failf "%s failed to parse back: %s" (Event.kind e) msg)
+      | Ok e' -> Alcotest.(check bool) (Printf.sprintf "round-trip event %d" i) true (e = e')
+      | Error msg -> Alcotest.failf "event %d failed to parse back: %s" i msg)
     sample_events
 
 let finite f = if Float.is_finite f then f else 1.5
@@ -243,8 +243,8 @@ let keys_resolve_lazily_per_registry () =
   Obs.set a g 2.5;
   Alcotest.(check int) "key and name reach one counter" 3
     (Metrics.value (Metrics.counter (Obs.metrics a) "keyed_total"));
-  check_approx "gauge set through its key" 2.5
-    (Metrics.gauge_value (Metrics.gauge (Obs.metrics a) "keyed_level"));
+  Alcotest.(check bool) "gauge set through its key" true
+    (contains ~affix:"\nkeyed_level 2.5\n" (Metrics.to_prometheus (Obs.metrics a)));
   Alcotest.(check bool) "another registry is untouched" false
     (contains ~affix:"keyed" (Metrics.to_prometheus (Obs.metrics b)));
   Obs.incr b k;
@@ -782,7 +782,8 @@ let trace_report_of_mixed_trace () =
         (List.map Span.id (Trace_report.spans t));
       Alcotest.(check bool) "span fields survive" true
         (span_eq (sample_span ~id:2 ~req:None ()) (List.nth (Trace_report.spans t) 1));
-      Alcotest.(check int) "events skipped" 3 (Trace_report.skipped t));
+      Alcotest.(check bool) "events skipped" true
+        (contains ~affix:"(3 other records skipped)" (Trace_report.render t)));
   match Trace_report.of_string (String.sub trace 0 (String.length trace - 5)) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a trace cut mid-frame must not decode"

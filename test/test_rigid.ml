@@ -11,7 +11,7 @@ let fabric1 () = Fabric.uniform ~ingress_count:1 ~egress_count:1 ~capacity:100.0
 
 let rigid ~id ~bw ~ts ~tf = Request.make_rigid ~id ~ingress:0 ~egress:0 ~bw ~ts ~tf
 
-let ids result = Types.accepted_ids result
+let ids result = accepted_ids result
 
 let reason_of result id =
   match Types.decision_of result id with

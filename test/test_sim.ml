@@ -3,17 +3,22 @@ module Event_queue = Gridbw_sim.Event_queue
 module Engine = Gridbw_sim.Engine
 module Rng = Gridbw_prng.Rng
 
+(* Pop until empty. *)
+let drain q =
+  let rec loop acc = match Event_queue.pop q with None -> List.rev acc | Some e -> loop (e :: acc) in
+  loop []
+
 let pops_in_time_order () =
   let q = Event_queue.create () in
   List.iter (fun t -> Event_queue.push q ~time:t (int_of_float t)) [ 5.; 1.; 3.; 2.; 4. ];
-  let order = List.map fst (Event_queue.drain q) in
+  let order = List.map fst (drain q) in
   Alcotest.(check (list (float 0.))) "sorted" [ 1.; 2.; 3.; 4.; 5. ] order
 
 let fifo_on_ties () =
   let q = Event_queue.create () in
   List.iter (fun v -> Event_queue.push q ~time:1.0 v) [ "a"; "b"; "c" ];
   Event_queue.push q ~time:0.5 "first";
-  let payloads = List.map snd (Event_queue.drain q) in
+  let payloads = List.map snd (drain q) in
   Alcotest.(check (list string)) "stable ties" [ "first"; "a"; "b"; "c" ] payloads
 
 let peek_does_not_remove () =
@@ -32,14 +37,8 @@ let interleaved_operations () =
   | Some (_, 1) -> ()
   | _ -> Alcotest.fail "expected payload 1");
   Event_queue.push q ~time:2.0 2;
-  Alcotest.(check (list int)) "remaining order" [ 2; 3 ] (List.map snd (Event_queue.drain q));
+  Alcotest.(check (list int)) "remaining order" [ 2; 3 ] (List.map snd (drain q));
   Alcotest.(check bool) "empty at end" true (Event_queue.is_empty q)
-
-let clear_empties () =
-  let q = Event_queue.create () in
-  Event_queue.push q ~time:1.0 ();
-  Event_queue.clear q;
-  Alcotest.(check bool) "cleared" true (Event_queue.is_empty q)
 
 let rejects_nan () =
   let q = Event_queue.create () in
@@ -53,7 +52,7 @@ let grows_past_capacity () =
   done;
   Alcotest.(check int) "all stored" 1000 (Event_queue.length q);
   Alcotest.(check (list int)) "drains sorted" (List.init 1000 Fun.id)
-    (List.map snd (Event_queue.drain q))
+    (List.map snd (drain q))
 
 let prop_drain_sorted =
   qcase ~count:50 "qcheck: drain is sorted and stable"
@@ -61,7 +60,7 @@ let prop_drain_sorted =
     (fun times ->
       let q = Event_queue.create () in
       List.iteri (fun i t -> Event_queue.push q ~time:(float_of_int t) (t, i)) times;
-      let drained = List.map snd (Event_queue.drain q) in
+      let drained = List.map snd (drain q) in
       let expected = List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
           (List.mapi (fun i t -> (t, i)) times) in
       drained = expected)
@@ -126,7 +125,6 @@ let suites =
         case "FIFO on ties" fifo_on_ties;
         case "peek does not remove" peek_does_not_remove;
         case "interleaved push/pop" interleaved_operations;
-        case "clear" clear_empties;
         case "rejects NaN time" rejects_nan;
         case "grows past capacity" grows_past_capacity;
         prop_drain_sorted;

@@ -8,7 +8,7 @@ open Helpers
 module Wal = Gridbw_store.Wal
 module Store = Gridbw_store.Store
 module Replay = Gridbw_metrics.Replay
-module Torn = Gridbw_fault.Torn
+module Torn = Gridbw_testkit.Torn
 module Flexible = Gridbw_core.Flexible
 module Policy = Gridbw_core.Policy
 module Types = Gridbw_core.Types
@@ -639,7 +639,7 @@ let test_pair_rule_fallback () =
       let case label events ~records:n =
         let before = records () in
         List.iter (Store.log store) events;
-        Store.sync store;
+        Store.flush store;
         Alcotest.(check int) label n (records () - before)
       in
       case "same id and time: one record" [ arrival 1 1.; accept 1 1. ] ~records:1;
@@ -656,7 +656,7 @@ let test_pair_rule_fallback () =
       (* a sync writes the held arrival, durably *)
       Store.log store (arrival 9 9.);
       let held = records () in
-      Store.sync store;
+      Store.flush store;
       Alcotest.(check int) "sync writes the held arrival" (held + 1) (records ());
       Alcotest.(check int) "and it is on disk" (records ()) (Wal.scan ~dir).Wal.valid;
       Store.log store (reject 9 9.);
@@ -1146,7 +1146,7 @@ let test_live_store_keeps_no_history () =
         Alcotest.(check int) "admits decided" n (decisions_of evs);
         let store = Store.create ~config:(store_config ~batch:64 ()) ~dir (fabric2 ()) in
         List.iter (Store.log store) evs;
-        Store.sync store;
+        Store.flush store;
         let w = Obj.reachable_words (Obj.repr store) in
         Store.close store;
         (w, List.length (List.filter (function Event.Accept _ -> true | _ -> false) evs)))

@@ -431,10 +431,10 @@ let probe_count_tracks_range_queries () =
   Alcotest.(check int) "fresh ledger has no probes" 0 (Ledger.probe_count l);
   Ledger.reserve_interval l ~ingress:0 ~egress:1 ~bw:35. ~from_:1. ~until:7.;
   Alcotest.(check int) "unchecked reserve does not probe" 0 (Ledger.probe_count l);
-  ignore (Ledger.max_over l (Port.Ingress 0) ~from_:0. ~until:10.);
-  Alcotest.(check int) "max_over is one probe" 1 (Ledger.probe_count l);
   ignore (Ledger.argmax_over l (Port.Ingress 0) ~from_:0. ~until:10.);
+  Alcotest.(check int) "argmax_over is one probe" 1 (Ledger.probe_count l);
   ignore (Ledger.headroom_over l (Port.Egress 1) ~from_:0. ~until:10.);
+  ignore (Ledger.argmax_over l (Port.Egress 1) ~from_:0. ~until:10.);
   Alcotest.(check int) "argmax/headroom are one probe each" 3 (Ledger.probe_count l);
   ignore (Ledger.fits_interval l ~ingress:0 ~egress:1 ~bw:10. ~from_:0. ~until:10.);
   Alcotest.(check int) "fits_interval is two probes" 5 (Ledger.probe_count l);
@@ -468,7 +468,7 @@ let answers ops l =
       @ List.concat_map
           (fun (Add (from_, until, _)) ->
             let at, level = Ledger.argmax_over l port ~from_ ~until in
-            [ Ledger.max_over l port ~from_ ~until; at; level ])
+            [ at; level ])
           ops)
     ports
   |> List.map Int64.bits_of_float
@@ -510,12 +510,11 @@ let scheduler_matches_direct () =
   let direct = Flexible.run (`Window 5.) spec.Spec.fabric policy requests in
   let via = Scheduler.run (Scheduler.of_flexible (`Window 5.) policy) spec requests in
   Alcotest.(check (list int)) "same accepted ids"
-    (Gridbw_core.Types.accepted_ids direct)
-    (Gridbw_core.Types.accepted_ids via);
+    (accepted_ids direct) (accepted_ids via);
   Alcotest.(check string) "name" "window(5)/f=0.80"
     (Scheduler.name (Scheduler.of_flexible (`Window 5.) policy));
-  Alcotest.(check int) "all rigid schedulers" 5 (List.length Scheduler.rigid_all);
-  match Scheduler.find Scheduler.rigid_all "fcfs" with
+  Alcotest.(check int) "shipped schedulers" 11 (List.length (Scheduler.shipped ()));
+  match Scheduler.find (Scheduler.shipped ()) "fcfs" with
   | Some s ->
       let r = Scheduler.run s (Spec.for_replay (fabric2 ())) requests in
       Alcotest.(check bool) "fcfs runs" true

@@ -16,7 +16,8 @@ module Wal = Gridbw_store.Wal
    bit-equal events (-0. and 0. included). *)
 let body = Binary.body_of
 let event_eq a b = body a = body b
-let event_testable = Alcotest.testable Event.pp event_eq
+let event_testable =
+  Alcotest.testable (fun ppf e -> Format.pp_print_string ppf (String.escaped (body e))) event_eq
 
 (* --- generators --- *)
 

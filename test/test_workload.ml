@@ -45,7 +45,7 @@ let generate_shape () =
   List.iter
     (fun (r : Request.t) ->
       Alcotest.(check bool) "routed" true (Request.routed_on r spec.Spec.fabric);
-      Alcotest.(check bool) "rigid" true (Request.is_rigid r);
+      check_approx "rigid" (Request.min_rate r) r.max_rate;
       Alcotest.(check bool) "volume from set" true
         (Array.exists (fun v -> approx v r.volume) Spec.paper_volume_set);
       let mr = Request.min_rate r in
@@ -68,7 +68,7 @@ let generate_bounded_slack () =
   let reqs = Gen.generate (rng ()) spec in
   List.iter
     (fun (r : Request.t) ->
-      Alcotest.(check bool) "slack bounded" true (Request.slack r <= 2.0 +. 1e-6))
+      Alcotest.(check bool) "slack bounded" true (r.max_rate /. Request.min_rate r <= 2.0 +. 1e-6))
     reqs
 
 let generate_deterministic () =
@@ -90,9 +90,7 @@ let measured_load_close () =
 
 let horizon_and_span () =
   let r1 = req ~id:1 ~ts:1. ~tf:5. () and r2 = req ~id:2 ~ts:3. ~tf:20. () in
-  check_approx "horizon" 20.0 (Gen.horizon [ r1; r2 ]);
   check_approx "span" 2.0 (Gen.arrival_span [ r1; r2 ]);
-  check_approx "empty horizon" 0.0 (Gen.horizon []);
   check_approx "singleton span" 0.0 (Gen.arrival_span [ r1 ])
 
 let trace_roundtrip () =
@@ -125,6 +123,24 @@ let trace_malformed () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "bad float accepted"
 
+let trace_repeated_id () =
+  (match Trace.of_string "5,0,0,60000,0,100,1200\n5,1,1,70000,1,101,1400\n" with
+  | exception Failure msg -> Alcotest.(check string) "message" "Trace: line 2: id 5 repeats line 1" msg
+  | _ -> Alcotest.fail "repeated id accepted");
+  let path = Filename.temp_file "gridbw" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc ("id,ingress,egress,volume_mb,ts_s,tf_s,max_rate_mbps\n3,0,0,100,0,10,50\n\n3,1,1,100,0,10,50\n"));
+      (match Trace.of_file path with
+      | exception Failure msg ->
+          Alcotest.(check string) "file lines" "Trace: line 4: id 3 repeats line 2" msg
+      | _ -> Alcotest.fail "repeated id accepted from a file");
+      List.iter
+        (fun cmd -> Alcotest.(check int) (cmd ^ " exits 2") 2 (fst (gridbw [ cmd; "--trace"; path ])))
+        [ "run"; "hotspot" ])
+
 let trace_empty () = Alcotest.(check int) "empty" 0 (List.length (Trace.of_string ""))
 
 let suites =
@@ -146,6 +162,7 @@ let suites =
         case "string round-trip exact" trace_roundtrip;
         case "file round-trip" trace_file_roundtrip;
         case "malformed input rejected" trace_malformed;
+        case "repeated id refused" trace_repeated_id;
         case "empty input" trace_empty;
       ] );
   ]

@@ -1,5 +1,5 @@
 (** Crash-site carving over a durable store directory
-    ({!Gridbw_store.Store}).
+    ([Gridbw_store.Store]).
 
     A crash can cut the write-ahead log at any byte.  These helpers carve
     copies of a journaled run at chosen byte offsets — every record
