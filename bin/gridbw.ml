@@ -314,7 +314,7 @@ let scheduler_of ?(book_ahead = 0.) ?(reshape = true) heuristic policy ~step =
   | `Greedy -> Scheduler.of_flexible `Greedy policy
   | `Window -> Scheduler.of_flexible (`Window step) policy
   | `Window_deferred -> Scheduler.of_flexible (`Window_deferred step) policy
-  | `Malleable -> Malleable.scheduler { Malleable.default with Malleable.book_ahead; reshape }
+  | `Malleable -> Malleable.scheduler { Malleable.book_ahead; reshape }
 
 (* The audit verdict of a recovered journal, on stderr. *)
 let print_audit = function
@@ -398,7 +398,7 @@ let run_cmd =
       | None ->
           Scheduler.run
             ?ctx:(Option.map (fun o -> Runtime.make ~obs:o ()) obs)
-            sched (Spec.for_replay fabric) requests
+            sched fabric requests
       | Some dir when not (Store.exists ~dir) ->
           (* Fresh journal: stamp the capacity prefix at/before the first
              arrival so the event stream stays monotone. *)
@@ -409,7 +409,7 @@ let run_cmd =
           in
           let store = Store.create ~config:store_config ?obs ~time:t0 ~dir fabric in
           let result =
-            Scheduler.run ~ctx:(journaled store) sched (Spec.for_replay fabric) requests
+            Scheduler.run ~ctx:(journaled store) sched fabric requests
           in
           Store.close store;
           Printf.eprintf "journaled %d records to %s\n%!" (Store.records store) dir;
@@ -811,7 +811,7 @@ let hotspot_cmd =
     let fabric = Gridbw_topology.Fabric.paper_default () in
     let sched = scheduler_of heuristic policy ~step in
     Provenance.print ~cmd:"hotspot" (replay_fields trace heuristic policy step);
-    let result = Scheduler.run sched (Spec.for_replay fabric) requests in
+    let result = Scheduler.run sched fabric requests in
     let reports =
       Gridbw_metrics.Hotspot.analyze fabric ~all:requests ~accepted:result.Types.accepted
     in
@@ -888,10 +888,6 @@ let serve_cmd =
              ~doc:"Crash drill: SIGKILL the daemon mid-append of WAL record $(docv), \
                    leaving a torn record on disk (testing aid).")
   in
-  let max_frame_t =
-    Arg.(value & opt int Gridbw_serve.Frame.max_frame_default
-         & info [ "max-frame" ] ~docv:"BYTES" ~doc:"Largest accepted frame payload.")
-  in
   let metrics_port_t =
     Arg.(value & opt (some int) None
          & info [ "metrics-port" ] ~docv:"PORT"
@@ -912,14 +908,14 @@ let serve_cmd =
                    $(docv) (one write per span, no fsync).  After a crash, \
                    'gridbw recover --flight $(docv)' dumps the last moments.")
   in
-  let run socket tcp policy store_dir store_kill max_frame metrics_port span_out flight_recorder =
+  let run socket tcp policy store_dir store_kill metrics_port span_out flight_recorder =
     let transport = transport_of "serve" socket tcp in
     let store_config = { Store.default_config with kill_after = store_kill } in
     let cfg =
       { (Daemon.default_config ~policy ?store_dir ?metrics_port ?span_out ?flight_recorder
            transport)
         with
-        Daemon.store_config; max_frame }
+        Daemon.store_config }
     in
     match Daemon.create ~log:(fun s -> Printf.eprintf "serve: %s\n%!" s) cfg with
     | Error e ->
@@ -933,8 +929,8 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the admission daemon: a durable, auditable admission service speaking \
              the versioned JSONL protocol over a Unix or TCP socket.")
-    Term.(const run $ socket_t $ tcp_t $ policy_t $ store_dir_t $ store_kill_t $ max_frame_t
-          $ metrics_port_t $ span_out_t $ flight_t)
+    Term.(const run $ socket_t $ tcp_t $ policy_t $ store_dir_t $ store_kill_t $ metrics_port_t
+          $ span_out_t $ flight_t)
 
 let loadgen_cmd =
   let conns_t =

@@ -21,7 +21,7 @@ let () =
 
   List.iter
     (fun sched ->
-      let result = Scheduler.run sched (Spec.for_replay sc.Scenario.fabric) sc.Scenario.requests in
+      let result = Scheduler.run sched sc.Scenario.fabric sc.Scenario.requests in
       let verdict =
         match Reference.audit sc.Scenario.fabric ~trace:sc.Scenario.requests result with
         | [] -> "conforms"

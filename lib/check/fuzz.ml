@@ -136,7 +136,7 @@ let write_events path (sc : Scenario.t) sched =
              { time = t0; side = Event.Egress; port = e;
                capacity = Fabric.egress_capacity fabric e })
       done;
-      ignore (Scheduler.run ~ctx:(Gridbw_core.Runtime.make ~obs ()) sched (Spec.for_replay fabric) sc.Scenario.requests);
+      ignore (Scheduler.run ~ctx:(Gridbw_core.Runtime.make ~obs ()) sched fabric sc.Scenario.requests);
       Obs.flush obs)
 
 let write_file path contents =

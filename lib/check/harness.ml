@@ -20,8 +20,6 @@ type finding = { engine : string; check : string; detail : string }
 let pp_finding ppf f = Format.fprintf ppf "[%s] %s: %s" f.engine f.check f.detail
 let default_step = 11.0
 
-let run_on sched fabric requests = Scheduler.run sched (Spec.for_replay fabric) requests
-
 (* A run's decision stream, order-independent: accepted (id, bw, sigma,
    tau) and rejected (id, reason), both sorted.  Two conforming runs are
    compared on exact float equality — the metamorphic properties below
@@ -60,7 +58,7 @@ let check_scheduler (sc : Scenario.t) sched =
   let name = Scheduler.name sched in
   let findings = ref [] in
   let fail check detail = findings := { engine = name; check; detail } :: !findings in
-  let result = run_on sched sc.Scenario.fabric sc.Scenario.requests in
+  let result = Scheduler.run sched sc.Scenario.fabric sc.Scenario.requests in
   let base_sig = signature result in
   if not (Types.is_consistent result) then
     fail "consistent" "accepted/rejected do not partition the input";
@@ -73,16 +71,16 @@ let check_scheduler (sc : Scenario.t) sched =
     | vs -> fail "reference" (join_ref vs)
   end;
   (* M1: determinism. *)
-  if signature (run_on sched sc.Scenario.fabric sc.Scenario.requests) <> base_sig then
+  if signature (Scheduler.run sched sc.Scenario.fabric sc.Scenario.requests) <> base_sig then
     fail "deterministic" "two runs on identical input disagreed";
   (* M2: permutation invariance (every engine sorts into arrival order
      with total tie-breaking). *)
-  if signature (run_on sched sc.Scenario.fabric (permuted sc)) <> base_sig then
+  if signature (Scheduler.run sched sc.Scenario.fabric (permuted sc)) <> base_sig then
     fail "permutation-invariant" "decisions changed under an input shuffle";
   (* M3: exact ×2 scaling. *)
   if not (is_faulty name) then begin
     let scaled = Scenario.scale2 sc in
-    let scaled_sig = signature (run_on sched scaled.Scenario.fabric scaled.Scenario.requests) in
+    let scaled_sig = signature (Scheduler.run sched scaled.Scenario.fabric scaled.Scenario.requests) in
     let expected =
       (List.map (fun (id, bw, s, t) -> (id, 2. *. bw, s, t)) (fst base_sig), snd base_sig)
     in
@@ -99,7 +97,7 @@ let check_scheduler (sc : Scenario.t) sched =
     let subset =
       List.filter (fun (r : Request.t) -> List.mem r.Request.id accepted_ids) sc.Scenario.requests
     in
-    let again = run_on sched sc.Scenario.fabric subset in
+    let again = Scheduler.run sched sc.Scenario.fabric subset in
     if fst (signature again) <> fst base_sig || again.Types.rejected <> [] then
       fail "accepted-subset-stable"
         "re-running on only the accepted requests changed the allocations"
@@ -152,8 +150,8 @@ let check_parity (sc : Scenario.t) =
   List.concat_map
     (fun (admission, twin) ->
       let inj = Injector.scheduler (injector_cfg admission) [] in
-      let a = run_on inj sc.Scenario.fabric sc.Scenario.requests in
-      let b = run_on twin sc.Scenario.fabric sc.Scenario.requests in
+      let a = Scheduler.run inj sc.Scenario.fabric sc.Scenario.requests in
+      let b = Scheduler.run twin sc.Scenario.fabric sc.Scenario.requests in
       if signature a <> signature b then
         [ { engine = Scheduler.name inj;
             check = "empty-script-parity";

@@ -1,21 +1,20 @@
-module Spec = Gridbw_workload.Spec
+module Fabric = Gridbw_topology.Fabric
 module Request = Gridbw_request.Request
-module Obs = Gridbw_obs.Obs
 
-type t = { name : string; run : ?ctx:Runtime.ctx -> Spec.t -> Request.t list -> Types.result }
+type t = { name : string; run : ?ctx:Runtime.ctx -> Fabric.t -> Request.t list -> Types.result }
 
 let name t = t.name
-let run ?ctx t spec requests = t.run ?ctx spec requests
+let run ?ctx t fabric requests = t.run ?ctx fabric requests
 let make ~name run = { name; run }
 
 let of_rigid kind =
-  make ~name:(Rigid.heuristic_name kind) (fun ?ctx spec requests ->
-      Rigid.run ?ctx kind spec.Spec.fabric requests)
+  make ~name:(Rigid.heuristic_name kind) (fun ?ctx fabric requests ->
+      Rigid.run ?ctx kind fabric requests)
 
 let of_flexible kind policy =
   make
     ~name:(Printf.sprintf "%s/%s" (Flexible.heuristic_name kind) (Policy.name policy))
-    (fun ?ctx spec requests -> Flexible.run ?ctx kind spec.Spec.fabric policy requests)
+    (fun ?ctx fabric requests -> Flexible.run ?ctx kind fabric policy requests)
 
 let rigid_all = List.map of_rigid [ `Fcfs; `Fifo_blocking; `Slots Rigid.Cumulated; `Slots Rigid.Min_bw; `Slots Rigid.Min_vol ]
 

@@ -3,26 +3,23 @@
     Every admission strategy in the repo — the rigid heuristics of section
     4, the flexible GREEDY/WINDOW family of section 5, and the fault
     injector's degraded-fabric variants — answers the same question: given
-    a workload spec and the concrete request trace drawn from it, which
-    requests are accepted and at what allocation?  {!t} captures exactly
-    that, so drivers ({!Gridbw_experiments}, bin/gridbw) can iterate over a
-    list of schedulers instead of matching on per-heuristic constructors. *)
+    a fabric and a request trace, which requests are accepted and at what
+    allocation?  {!t} captures exactly that, so drivers
+    ({!Gridbw_experiments}, bin/gridbw) can iterate over a list of
+    schedulers instead of matching on per-heuristic constructors. *)
 
 type t = {
   name : string;  (** Stable label used in tables, CSV columns and the CLI. *)
   run :
     ?ctx:Runtime.ctx ->
-    Gridbw_workload.Spec.t ->
+    Gridbw_topology.Fabric.t ->
     Gridbw_request.Request.t list ->
     Types.result;
-      (** Decide every request of the trace against the spec's fabric.  The
-          trace is normally drawn from the same spec ({!Gridbw_workload.Gen}),
-          but only [spec.fabric] (and, for batch heuristics, timing derived
-          from the requests themselves) is consulted.  [ctx] is the runtime
-          context ({!Runtime.ctx}): decisions feed its telemetry counters
-          and, when a trace sink is attached, its event stream; a journal
-          attached to [ctx.obs] ({!Gridbw_store.Store.attach}) records them
-          durably. *)
+      (** Decide every request of the trace against the fabric.  [ctx] is
+          the runtime context ({!Runtime.ctx}): decisions feed its
+          telemetry counters and, when a trace sink is attached, its event
+          stream; a journal attached to [ctx.obs]
+          ({!Gridbw_store.Store.attach}) records them durably. *)
 }
 
 val name : t -> string
@@ -30,14 +27,14 @@ val name : t -> string
 val run :
   ?ctx:Runtime.ctx ->
   t ->
-  Gridbw_workload.Spec.t ->
+  Gridbw_topology.Fabric.t ->
   Gridbw_request.Request.t list ->
   Types.result
 
 val make :
   name:string ->
   (?ctx:Runtime.ctx ->
-  Gridbw_workload.Spec.t ->
+  Gridbw_topology.Fabric.t ->
   Gridbw_request.Request.t list ->
   Types.result) ->
   t

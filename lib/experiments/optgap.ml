@@ -27,7 +27,6 @@ let random_instance rng fabric n =
 let run ?(instances = 12) ?(requests_per_instance = 14) (params : Runner.params) =
   let fabric = Fabric.uniform ~ingress_count:2 ~egress_count:2 ~capacity:100.0 in
   let rng = Rng.create ~seed:params.Runner.seed () in
-  let spec = Spec.for_replay fabric in
   let ratios = Hashtbl.create 8 in
   List.iter (fun (name, _) -> Hashtbl.replace ratios name []) Runner.rigid_schedulers;
   for _ = 1 to instances do
@@ -36,7 +35,7 @@ let run ?(instances = 12) ?(requests_per_instance = 14) (params : Runner.params)
     if optimum > 0 then
       List.iter
         (fun (name, sched) ->
-          let got = List.length (Scheduler.run sched spec reqs).Types.accepted in
+          let got = List.length (Scheduler.run sched fabric reqs).Types.accepted in
           let ratio = float_of_int got /. float_of_int optimum in
           Hashtbl.replace ratios name (ratio :: Hashtbl.find ratios name))
         Runner.rigid_schedulers
@@ -78,7 +77,6 @@ let run_flexible ?(instances = 10) ?(requests_per_instance = 12) (params : Runne
       ("WINDOW(10) f=1", Scheduler.of_flexible (`Window 10.) (Policy.Fraction_of_max 1.0));
     ]
   in
-  let spec = Spec.for_replay fabric in
   let ratios = Hashtbl.create 8 in
   List.iter (fun (name, _) -> Hashtbl.replace ratios name []) contenders;
   for _ = 1 to instances do
@@ -87,7 +85,7 @@ let run_flexible ?(instances = 10) ?(requests_per_instance = 12) (params : Runne
     if optimum > 0 then
       List.iter
         (fun (name, sched) ->
-          let got = List.length (Scheduler.run sched spec reqs).Types.accepted in
+          let got = List.length (Scheduler.run sched fabric reqs).Types.accepted in
           let ratio = float_of_int got /. float_of_int optimum in
           Hashtbl.replace ratios name (ratio :: Hashtbl.find ratios name))
         contenders

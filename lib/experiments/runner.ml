@@ -74,7 +74,7 @@ let summary_of_result fabric (result : Types.result) =
 
 let scheduler_summary ?ctx p spec sched ~rep =
   let requests = Gen.generate (Rng.create ~seed:(seed_for p ~rep) ()) spec in
-  summary_of_result spec.Spec.fabric (Scheduler.run ?ctx sched spec requests)
+  summary_of_result spec.Spec.fabric (Scheduler.run ?ctx sched spec.Spec.fabric requests)
 
 let rigid_summary p ~load kind ~rep =
   scheduler_summary p (rigid_spec p ~load) (Scheduler.of_rigid kind) ~rep

@@ -539,5 +539,5 @@ let scheduler cfg events : Gridbw_core.Scheduler.t =
   let name =
     Printf.sprintf "faulty-%s[%d events]" (admission_name cfg.admission) (List.length events)
   in
-  Gridbw_core.Scheduler.make ~name (fun ?ctx spec requests ->
-      (run ?ctx spec.Gridbw_workload.Spec.fabric cfg events requests).result)
+  Gridbw_core.Scheduler.make ~name (fun ?ctx fabric requests ->
+      (run ?ctx fabric cfg events requests).result)

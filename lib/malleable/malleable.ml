@@ -6,7 +6,6 @@ module Ledger = Gridbw_alloc.Ledger
 module Port = Gridbw_alloc.Port
 module Obs = Gridbw_obs.Obs
 module Event = Gridbw_obs.Event
-module Spec = Gridbw_workload.Spec
 module Types = Gridbw_core.Types
 module Runtime = Gridbw_core.Runtime
 module Emit = Gridbw_core.Emit
@@ -17,12 +16,9 @@ let admit_span = Obs.span_key "admit"
 type config = {
   book_ahead : float;  (** announce (and decide) each request this long before its [ts] *)
   reshape : bool;  (** re-solve pending profiles when an admit would otherwise fail *)
-  kappa : float;
-      (** compensation limit: profile steps stay within [kappa * min_rate]
-          (and [max_rate]); [infinity] removes the bound *)
 }
 
-let default = { book_ahead = 0.; reshape = true; kappa = infinity }
+let default = { book_ahead = 0.; reshape = true }
 
 let name config =
   match (config.book_ahead > 0., config.reshape) with
@@ -33,8 +29,7 @@ let name config =
 
 let validate config =
   if config.book_ahead < 0. || not (Float.is_finite config.book_ahead) then
-    invalid_arg "Malleable: book_ahead must be non-negative and finite";
-  if not (config.kappa >= 1.) then invalid_arg "Malleable: kappa must be >= 1"
+    invalid_arg "Malleable: book_ahead must be non-negative and finite"
 
 (* --- the step-profile solver --- *)
 
@@ -69,11 +64,8 @@ let deadline_limit (r : Request.t) = r.tf +. (1e-10 *. Float.max 1. (Float.abs r
    A [Some p] result has [Rate_profile.integral p] equal to the volume
    bitwise, [peak p <= max_rate], every segment within both ports' free
    capacity, and [finish p <= deadline_limit r]; the ledger is not
-   modified.  [peak_bound] additionally clamps every step to
-   [max min_rate peak_bound] — the compensation limit the engine sets
-   to [kappa * min_rate], so one flexible request cannot claim much more
-   than its fair constant share while squeezing past a busy stretch. *)
-let solve ?(peak_bound = infinity) ledger (r : Request.t) ~start =
+   modified. *)
+let solve ledger (r : Request.t) ~start =
   if not (start < r.tf) then None
   else begin
     let in_port = Port.Ingress r.ingress and out_port = Port.Egress r.egress in
@@ -85,11 +77,10 @@ let solve ?(peak_bound = infinity) ledger (r : Request.t) ~start =
     let n = Array.length bounds - 1 in
     let volume = r.volume in
     let limit = deadline_limit r in
-    let rate_cap = Float.min r.max_rate (Float.max (Request.min_rate r) peak_bound) in
     let caps =
       Array.init n (fun i ->
           let from_ = bounds.(i) and until = bounds.(i + 1) in
-          Float.min rate_cap
+          Float.min r.max_rate
             (Float.min
                (Ledger.headroom_over ledger in_port ~from_ ~until)
                (Ledger.headroom_over ledger out_port ~from_ ~until)))
@@ -247,63 +238,56 @@ let release_profile ledger (q : Request.t) p =
 
 (* --- admission-time reshaping --- *)
 
+(* One admitted request and its current step profile; a committed
+   reshape revises [profile] in place. *)
+type booking = { request : Request.t; mutable profile : Rate_profile.t }
+
 let edf_compare (a : Request.t) (b : Request.t) =
   match Float.compare a.tf b.tf with 0 -> Int.compare a.id b.id | c -> c
 
-(* The admit of [r] failed: release every admitted-but-not-yet-started
-   profile on a scratch copy of the ledger and water-fill all of them
-   plus [r] back in EDF order.  All-or-nothing: only if every transfer
-   (including [r]) closes exactly does the scratch become the live
-   ledger; otherwise it is dropped and the original state is untouched —
-   the rollback is free because nothing was mutated in place. *)
-let try_reshape ~kappa ledger admitted rev_order (r : Request.t) ~now =
-  let pending =
-    List.filter_map
-      (fun id ->
-        let a = Hashtbl.find admitted id in
-        match a.Allocation.profile with
-        | Some p when Rate_profile.start p > now -> Some (a.Allocation.request, p)
-        | _ -> None)
-      (List.rev rev_order)
-  in
+(* The admit of [r] failed: release every pending (admitted, not yet
+   started) profile on a scratch copy of the ledger and water-fill all of
+   them plus [r] back in EDF order.  All-or-nothing: only if every
+   transfer (including [r]) closes exactly does the scratch become the
+   live ledger and each pending booking take its new profile; otherwise
+   the scratch is dropped and the original state is untouched — the
+   rollback is free because nothing was mutated in place.  Returns [r]'s
+   profile and the revisions in EDF order. *)
+let try_reshape ledger pending (r : Request.t) ~now =
   if pending = [] then None
   else begin
     let scratch = Ledger.copy !ledger in
-    List.iter (fun (q, p) -> release_profile scratch q p) pending;
-    let items = List.sort edf_compare (r :: List.map fst pending) in
-    let solved =
-      List.fold_left
-        (fun acc (q : Request.t) ->
-          match acc with
-          | None -> None
-          | Some pairs -> (
-              match
-                solve ~peak_bound:(kappa *. Request.min_rate q) scratch q
-                  ~start:(Float.max now q.ts)
-              with
-              | None -> None
-              | Some p ->
-                  reserve_profile scratch q p;
-                  Some ((q, p) :: pairs)))
-        (Some []) items
+    List.iter (fun b -> release_profile scratch b.request b.profile) pending;
+    let items =
+      List.sort
+        (fun (a, _) (b, _) -> edf_compare a b)
+        ((r, None) :: List.map (fun b -> (b.request, Some b)) pending)
     in
-    match solved with
+    let rec fill_all acc = function
+      | [] -> Some (List.rev acc)
+      | ((q : Request.t), b) :: rest -> (
+          match solve scratch q ~start:(Float.max now q.ts) with
+          | None -> None
+          | Some p ->
+              reserve_profile scratch q p;
+              fill_all ((b, p) :: acc) rest)
+    in
+    match fill_all [] items with
     | None -> None
-    | Some pairs ->
+    | Some solved ->
         ledger := scratch;
-        let pairs = List.rev pairs (* EDF order *) in
-        let new_profile = ref None in
+        let profile = List.assoc None solved in
         let revised =
           List.filter_map
-            (fun ((q : Request.t), p) ->
-              if q.id = r.id then begin
-                new_profile := Some p;
-                None
-              end
-              else Some (q.id, p))
-            pairs
+            (fun (b, p) ->
+              Option.map
+                (fun b ->
+                  b.profile <- p;
+                  (b.request.Request.id, p))
+                b)
+            solved
         in
-        Some (Option.get !new_profile, Array.of_list revised)
+        Some (profile, Array.of_list revised)
   end
 
 (* --- trace emission --- *)
@@ -352,8 +336,9 @@ let run config ?(ctx = Runtime.default) fabric requests =
   Request.check_routes "Malleable" fabric requests;
   let ledger = ref (Ledger.create fabric) in
   let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
-  let admitted : (int, Allocation.t) Hashtbl.t = Hashtbl.create 64 in
-  let rev_order = ref [] in
+  let rev_booked = ref [] in
+  (* the bookings whose profile has not started, in admission order *)
+  let pending = ref [] in
   let rev_rejected = ref [] in
   let order =
     List.map (fun (r : Request.t) -> (r.ts -. config.book_ahead, r)) requests
@@ -361,28 +346,20 @@ let run config ?(ctx = Runtime.default) fabric requests =
            match Float.compare ta tb with 0 -> Int.compare a.id b.id | c -> c)
   in
   let admit now (r : Request.t) profile revised =
-    Array.iter
-      (fun (rid, p) ->
-        let old = Hashtbl.find admitted rid in
-        Hashtbl.replace admitted rid
-          (Allocation.of_profile ~request:old.Allocation.request p))
-      revised;
-    Hashtbl.replace admitted r.id (Allocation.of_profile ~request:r profile);
-    rev_order := r.id :: !rev_order;
+    let b = { request = r; profile } in
+    rev_booked := b :: !rev_booked;
+    pending := !pending @ [ b ];
     emit_reshape obs ~time:now r profile revised
   in
   let decide now (r : Request.t) =
+    pending := List.filter (fun b -> Rate_profile.start b.profile > now) !pending;
     let start = Float.max now r.ts in
-    match solve ~peak_bound:(config.kappa *. Request.min_rate r) !ledger r ~start with
+    match solve !ledger r ~start with
     | Some profile ->
         reserve_profile !ledger r profile;
         admit now r profile [||]
     | None -> (
-        let reshaped =
-          if config.reshape then
-            try_reshape ~kappa:config.kappa ledger admitted !rev_order r ~now
-          else None
-        in
+        let reshaped = if config.reshape then try_reshape ledger !pending r ~now else None in
         match reshaped with
         | Some (profile, revised) -> admit now r profile revised
         | None ->
@@ -398,12 +375,11 @@ let run config ?(ctx = Runtime.default) fabric requests =
     order;
   {
     Types.all = requests;
-    accepted = List.rev_map (fun id -> Hashtbl.find admitted id) !rev_order |> List.rev;
+    accepted =
+      List.rev_map (fun b -> Allocation.of_profile ~request:b.request b.profile) !rev_booked;
     rejected = List.rev !rev_rejected;
   }
 
-let scheduler config =
-  Scheduler.make ~name:(name config) (fun ?ctx spec requests ->
-      run config ?ctx spec.Spec.fabric requests)
+let scheduler config = Scheduler.make ~name:(name config) (run config)
 
 let engines () = [ scheduler default; scheduler { default with book_ahead = 7. } ]

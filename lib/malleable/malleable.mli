@@ -27,9 +27,9 @@
       deferred variants, so future windows are visible at decision time.
 
     - {b Reshaping} ([reshape]): when a request does not fit the current
-      free capacity, the engine re-solves the profiles of every admitted
-      transfer that has not yet started, together with the new request,
-      in EDF order on a scratch ledger.  All-or-nothing: only if every
+      free capacity, the engine re-solves the profiles of the pending
+      bookings — the admitted transfers that have not yet started —
+      together with the new request, in EDF order on a scratch ledger.  All-or-nothing: only if every
       transfer closes exactly is the scratch adopted and one atomic
       {!Gridbw_obs.Event.Reshape} record journaled (carrying the new
       profile and every revision); otherwise the live ledger is
@@ -42,17 +42,10 @@ type config = {
   reshape : bool;
       (** when an admit fails, try re-solving pending profiles before
           rejecting *)
-  kappa : float;
-      (** compensation limit (>= 1): no profile step exceeds
-          [kappa * min_rate].  Bounding the peak keeps one flexible
-          request from claiming far more than its fair constant share
-          while squeezing past a busy stretch — unbounded compensation
-          admits volume hogs whose capacity cost shows up as later
-          rejects.  [infinity] removes the bound. *)
 }
 
 val default : config
-(** [{ book_ahead = 0.; reshape = true; kappa = infinity }]. *)
+(** [{ book_ahead = 0.; reshape = true }]. *)
 
 val deadline_limit : Gridbw_request.Request.t -> float
 (** Latest admissible end of a profile's last step: [tf] plus a relative
@@ -66,7 +59,8 @@ val run :
   Gridbw_request.Request.t list ->
   Gridbw_core.Types.result
 (** Run the engine over a full workload.  Accepted allocations carry
-    their final (post-reshape) profiles in decision order.  With a
+    their final (post-reshape) profiles in decision order, one per
+    admitted request (two requests sharing an id are two bookings).  With a
     journal attached to [ctx.obs], profiled accepts journal one
     {!Gridbw_obs.Event.Reshape} record each (instead of Accept);
     rejects journal Reject as usual. *)

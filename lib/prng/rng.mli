@@ -14,8 +14,6 @@ val create : ?seed:int64 -> unit -> t
 (** [create ~seed ()] builds a generator from [seed] (default
     [0x9E3779B97F4A7C15L]).  Equal seeds yield equal streams. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
 
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is

@@ -9,9 +9,6 @@ let make ~headers rows =
   in
   { headers; rows = List.map pad rows }
 
-let of_floats ~headers ?(precision = 4) rows =
-  make ~headers (List.map (List.map (Printf.sprintf "%.*f" precision)) rows)
-
 let column_widths t =
   let update widths row =
     List.map2 (fun w cell -> max w (String.length cell)) widths row

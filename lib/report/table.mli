@@ -6,9 +6,6 @@ val make : headers:string list -> string list list -> t
 (** Rows shorter than the header are padded with empty cells; longer rows
     raise [Invalid_argument]. *)
 
-val of_floats : headers:string list -> ?precision:int -> float list list -> t
-(** Convenience: format every cell with [%.*f] (default precision 4). *)
-
 val render : t -> string
 (** Aligned, boxed with [|] separators and a header rule. *)
 

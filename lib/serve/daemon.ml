@@ -32,7 +32,6 @@ type config = {
   fabric : Fabric.t;
   store_dir : string option;
   store_config : Store.config;
-  max_frame : int;
   tick : float;
   metrics_port : int option;
   span_out : string option;
@@ -48,7 +47,6 @@ let default_config ?(policy = Policy.Fraction_of_max 0.8)
     fabric;
     store_dir;
     store_config = Store.default_config;
-    max_frame = Frame.max_frame_default;
     tick = 0.1;
     metrics_port;
     span_out;
@@ -272,8 +270,7 @@ let rec accept_all t l ~scrape =
           t.clients <- t.clients + 1;
           Obs.count t.obs "serve_connections_total";
           Client
-            (Session.create ~max_frame:t.cfg.max_frame ~timed:t.tracing ~id
-               ~peer:(peer_name addr) ())
+            (Session.create ~timed:t.tracing ~id ~peer:(peer_name addr) ())
         end
       in
       add_conn t.conns fd role;

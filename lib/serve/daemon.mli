@@ -40,7 +40,6 @@ type config = {
       (** the served fabric; ignored (journal wins) when recovering *)
   store_dir : string option;  (** durable journal; [None] = ephemeral daemon *)
   store_config : Gridbw_store.Store.config;
-  max_frame : int;
   tick : float;  (** select timeout: latency of noticing {!stop}, seconds *)
   metrics_port : int option;
       (** loopback HTTP/1.0 [GET /metrics] Prometheus scrape endpoint,
@@ -61,7 +60,7 @@ val default_config :
   transport ->
   config
 (** Paper fabric, [Fraction_of_max 0.8] policy, default store config,
-    1 MiB frames, 100 ms tick; no metrics port, no tracing.  Tracing
+    100 ms tick; no metrics port, no tracing.  Tracing
     turns on when [span_out] or [flight_recorder] is set: each request
     then carries a {!Gridbw_obs.Span} through decode → parse → admit →
     WAL append → group-commit fsync → reply, feeding the

@@ -160,7 +160,7 @@ let next d =
 (* --- blocking channel helpers (the loadgen / test client side): text
    frames only --- *)
 
-let input ?(max_frame = max_frame_default) ic =
+let input ic =
   let rec read_len acc digits =
     match input_char ic with
     | exception End_of_file -> Error `Eof
@@ -173,7 +173,7 @@ let input ?(max_frame = max_frame_default) ic =
   match read_len 0 0 with
   | Error _ as e -> e
   | Ok len ->
-      if len > max_frame then Error (`Frame (Oversized len))
+      if len > max_frame_default then Error (`Frame (Oversized len))
       else begin
         match really_input_string ic len with
         | exception End_of_file -> Error `Eof

@@ -38,7 +38,8 @@ type error =
 val describe : error -> string
 
 val max_frame_default : int
-(** 1 MiB. *)
+(** 1 MiB: the largest payload the daemon's sessions and {!input}
+    accept. *)
 
 val encode : string -> string
 (** The [Text]-framed bytes for one payload. *)
@@ -58,6 +59,7 @@ val add_buffer_as : format -> Buffer.t -> Buffer.t -> unit
 type decoder
 
 val decoder : ?max_frame:int -> unit -> decoder
+(** [max_frame] defaults to {!max_frame_default}. *)
 
 val feed : decoder -> string -> unit
 (** Append raw bytes from the wire. *)
@@ -82,7 +84,7 @@ val last_format : decoder -> format
 
 (** {2 Blocking helpers (client side)} *)
 
-val input : ?max_frame:int -> in_channel -> (string, [ `Frame of error | `Eof ]) result
+val input : in_channel -> (string, [ `Frame of error | `Eof ]) result
 (** Read exactly one [Text] frame from a blocking channel.  The client
     side speaks text only: a frame in any other form, a [Binary] one
     included, is [`Frame (Malformed_length _)]. *)

@@ -23,11 +23,11 @@ type t = {
    this size after use. *)
 let reply_capacity = 512
 
-let create ?max_frame ?(timed = false) ~id ~peer () =
+let create ?(timed = false) ~id ~peer () =
   {
     id;
     peer;
-    decoder = Frame.decoder ?max_frame ();
+    decoder = Frame.decoder ();
     timed;
     out = Buffer.create 4096;
     reply = Buffer.create reply_capacity;

@@ -11,9 +11,10 @@
 
 type t
 
-val create : ?max_frame:int -> ?timed:bool -> id:int -> peer:string -> unit -> t
-(** With [timed] (default off), {!next} measures its frame-decode and
-    protocol-parse phases for {!stage_ns}. *)
+val create : ?timed:bool -> id:int -> peer:string -> unit -> t
+(** Frames cap at {!Frame.max_frame_default}.  With [timed] (default
+    off), {!next} measures its frame-decode and protocol-parse phases
+    for {!stage_ns}. *)
 
 val id : t -> int
 

@@ -50,11 +50,6 @@ let make ?fabric ?(volumes = Paper_set) ?(rate_lo = 10.) ?(rate_hi = 1000.)
   | _ -> ());
   { fabric; volumes; rate_lo; rate_hi; flexibility; mean_interarrival; count }
 
-(* Replaying an external trace needs a spec only for its fabric; the
-   generator parameters are placeholders and must not be used to draw
-   requests.  [count] stays positive to satisfy the invariants. *)
-let for_replay fabric = make ~fabric ~count:1 ~mean_interarrival:1.0 ()
-
 let paper_rigid ?count ~load () =
   if load <= 0. then invalid_arg "Spec.paper_rigid: load must be positive";
   let fabric = Fabric.paper_default () in

@@ -51,12 +51,6 @@ val make :
     10–1000 MB/s, [Flexible {max_slack = 4.0}], 1000 requests.
     Raises [Invalid_argument] on non-positive parameters. *)
 
-val for_replay : Gridbw_topology.Fabric.t -> t
-(** A spec that only carries the fabric, for running a scheduler on a
-    trace that was not drawn from a generator (CLI replay, fault drills).
-    The generator parameters are placeholders; do not {!Gen.generate}
-    from it. *)
-
 val paper_rigid : ?count:int -> load:float -> unit -> t
 (** §4.3 rigid workload calibrated so the time-averaged offered load
     (Σ demanded bandwidth / ½ Σ capacities) equals [load]: by Little's law

@@ -220,8 +220,7 @@ let test_mutant_bundle_replays () =
               Alcotest.(check bool) "fabric reconstructed from the trace" true
                 (Fabric.equal r.Replay.fabric sc.Scenario.fabric);
               let result =
-                Scheduler.run Mutant.greedy (Spec.for_replay sc.Scenario.fabric)
-                  sc.Scenario.requests
+                Scheduler.run Mutant.greedy sc.Scenario.fabric sc.Scenario.requests
               in
               let live =
                 Summary.compute sc.Scenario.fabric ~all:sc.Scenario.requests

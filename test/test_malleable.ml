@@ -1,5 +1,5 @@
 (* The MALLEABLE engine (lib/malleable): bitwise profile closure on
-   random workloads, the compensation limit, reshape opening capacity,
+   random workloads, per-booking decision order, reshape opening capacity,
    overload dominance over GREEDY, and the exact-optimum upper bound on
    small instances. *)
 
@@ -14,6 +14,12 @@ module Exact = Gridbw_core.Exact
 module Rng = Gridbw_prng.Rng
 module ME = Gridbw_experiments.Malleable_exp
 module Runner = Gridbw_experiments.Runner
+module Validate = Gridbw_metrics.Validate
+module Spec = Gridbw_workload.Spec
+module Gen = Gridbw_workload.Gen
+module Runtime = Gridbw_core.Runtime
+module Obs = Gridbw_obs.Obs
+module Event = Gridbw_obs.Event
 
 (* --- profile closure: the engine's core contract ---
 
@@ -46,20 +52,46 @@ let prop_profiles_close_booked =
   qcase ~count:40 "malleable(ba=7): booked profiles close too" seed_gen (fun seed ->
       closes { Malleable.default with Malleable.book_ahead = 7. } seed)
 
-let prop_kappa_bounds_peak =
-  qcase ~count:40 "malleable(kappa=2): no step exceeds the compensation limit" seed_gen
-    (fun seed ->
-      let config = { Malleable.default with Malleable.kappa = 2. } in
-      let reqs = workload_of_seed ~n:40 seed in
-      let result = Malleable.run config (fabric2 ()) reqs in
-      List.for_all
-        (fun (a : Allocation.t) ->
-          let r = a.Allocation.request in
-          let limit = Float.min r.Request.max_rate (2. *. Request.min_rate r) in
-          match a.Allocation.profile with
-          | None -> false
-          | Some p -> Rate_profile.peak p <= limit)
-        result.Types.accepted)
+(* --- one booking per admitted request, in decision order ---
+
+   State is kept per booking, not per id: two admitted requests that
+   share an id are two bookings, each reported once, and the audit names
+   only the repeated id — neither booking's load is lost from the
+   ports. *)
+
+let test_shared_id_bookings () =
+  let fabric = Fabric.paper_default () in
+  let r1 = Request.make ~id:5 ~ingress:0 ~egress:0 ~volume:60000. ~ts:0. ~tf:100. ~max_rate:1200. in
+  let r2 = Request.make ~id:5 ~ingress:1 ~egress:1 ~volume:70000. ~ts:1. ~tf:101. ~max_rate:1400. in
+  let res = Malleable.run Malleable.default fabric [ r1; r2 ] in
+  (match res.Types.accepted with
+  | [ a1; a2 ] ->
+      Alcotest.(check bool) "r1 first" true (a1.Allocation.request == r1);
+      Alcotest.(check bool) "r2 second" true (a2.Allocation.request == r2)
+  | l -> Alcotest.failf "expected two bookings, got %d" (List.length l));
+  match Validate.check fabric res.Types.accepted with
+  | [ Validate.Duplicate_request { request_id = 5 } ] -> ()
+  | vs -> Alcotest.failf "audit: %s" (String.concat "; " (List.map Validate.describe vs))
+
+(* Every accept journals one Reshape record at its decision, so the
+   records' ids, in trace order, are the ids of [accepted]. *)
+let test_accepted_in_trace_order () =
+  let reqs =
+    Gen.generate (Rng.create ~seed:7L ()) (Spec.paper_flexible ~count:400 ~mean_interarrival:14.0 ())
+  in
+  List.iter
+    (fun config ->
+      let seen = ref [] in
+      let sink = { Gridbw_obs.Sink.emit = (fun e -> seen := e :: !seen); flush = ignore } in
+      let ctx = Runtime.make ~obs:(Obs.create ~sink ()) () in
+      let res = Malleable.run config ~ctx (Fabric.paper_default ()) reqs in
+      let traced =
+        List.filter_map (function Event.Reshape { id; _ } -> Some id | _ -> None) (List.rev !seen)
+      in
+      Alcotest.(check bool) "several accepts" true (List.length traced > 1);
+      Alcotest.(check (list int)) "accepted ids in trace order" traced
+        (List.map (fun (a : Allocation.t) -> a.Allocation.request.Request.id) res.Types.accepted))
+    [ Malleable.default; { Malleable.default with Malleable.book_ahead = 7. } ]
 
 (* --- reshaping opens capacity ---
 
@@ -148,7 +180,8 @@ let suites =
       [
         prop_profiles_close;
         prop_profiles_close_booked;
-        prop_kappa_bounds_peak;
+        case "two bookings sharing an id are both kept, in decision order" test_shared_id_bookings;
+        case "accepted follows the trace's Reshape records" test_accepted_in_trace_order;
         case "reshape opens capacity a frozen schedule wastes" test_reshape_opens_capacity;
         slow_case "accept rate dominates GREEDY at the overload points" test_overload_dominance;
         slow_case "never above the exact optimum (seeded gap sweep)" test_exact_bound;

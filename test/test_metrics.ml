@@ -1,42 +1,10 @@
 open Helpers
-module Stats = Gridbw_metrics.Stats
 module Summary = Gridbw_metrics.Summary
 module Validate = Gridbw_metrics.Validate
 module Resilience = Gridbw_metrics.Resilience
 module Allocation = Gridbw_alloc.Allocation
 module Fabric = Gridbw_topology.Fabric
 module Request = Gridbw_request.Request
-
-let welford_known_values () =
-  let w = Stats.Welford.create () in
-  List.iter (Stats.Welford.add w) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
-  check_approx "mean" 5.0 (Stats.Welford.mean w);
-  check_approx "sample variance" (32.0 /. 7.0) (Stats.Welford.variance w);
-  check_approx "min" 2.0 (Stats.Welford.min w);
-  check_approx "max" 9.0 (Stats.Welford.max w);
-  Alcotest.(check int) "count" 8 (Stats.Welford.count w)
-
-let welford_empty () =
-  let w = Stats.Welford.create () in
-  check_approx "mean 0" 0.0 (Stats.Welford.mean w);
-  check_approx "variance 0" 0.0 (Stats.Welford.variance w)
-
-let welford_single () =
-  let w = Stats.Welford.create () in
-  Stats.Welford.add w 3.0;
-  check_approx "mean" 3.0 (Stats.Welford.mean w);
-  check_approx "variance needs two" 0.0 (Stats.Welford.variance w)
-
-let aggregate_ci () =
-  let a = Stats.aggregate [ 1.; 2.; 3.; 4.; 5. ] in
-  check_approx "mean" 3.0 a.Stats.mean;
-  check_approx "ci95" (1.96 *. a.Stats.stddev /. sqrt 5.0) a.Stats.ci95;
-  Alcotest.(check int) "n" 5 a.Stats.n
-
-let aggregate_empty () =
-  let a = Stats.aggregate [] in
-  Alcotest.(check int) "n" 0 a.Stats.n;
-  check_approx "mean" 0.0 a.Stats.mean
 
 (* --- Summary --- *)
 
@@ -175,14 +143,6 @@ let resilience_zero_span () =
 
 let suites =
   [
-    ( "stats",
-      [
-        case "welford known values" welford_known_values;
-        case "welford empty" welford_empty;
-        case "welford single" welford_single;
-        case "aggregate ci95" aggregate_ci;
-        case "aggregate empty" aggregate_empty;
-      ] );
     ( "summary",
       [
         case "empty run" summary_empty;

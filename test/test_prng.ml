@@ -12,11 +12,6 @@ let seeds_differ () =
   let a = Rng.create ~seed:1L () and b = Rng.create ~seed:2L () in
   if stream 16 a = stream 16 b then Alcotest.fail "different seeds produced identical streams"
 
-let copy_independent () =
-  let a = rng () in
-  let b = Rng.copy a in
-  Alcotest.(check (list int64)) "copy replays" (stream 8 a) (stream 8 b)
-
 let split_differs () =
   let a = rng () in
   let b = Rng.split a in
@@ -95,56 +90,9 @@ let exponential_bad_mean () =
   Alcotest.check_raises "mean 0" (Invalid_argument "Dist.exponential: mean must be positive")
     (fun () -> ignore (Dist.exponential (rng ()) ~mean:0.))
 
-let poisson_small_mean () =
-  let m = mean_of (fun r -> float_of_int (Dist.poisson r ~mean:3.0)) 40_000 in
-  if Float.abs (m -. 3.0) > 0.1 then Alcotest.failf "poisson(3) mean drifted: %f" m
-
-let poisson_large_mean () =
-  let m = mean_of (fun r -> float_of_int (Dist.poisson r ~mean:80.0)) 20_000 in
-  if Float.abs (m -. 80.0) > 1.0 then Alcotest.failf "poisson(80) mean drifted: %f" m
-
-let poisson_zero () = Alcotest.(check int) "poisson 0" 0 (Dist.poisson (rng ()) ~mean:0.)
-
 let normal_moments () =
   let m = mean_of (fun r -> Dist.normal r ~mu:5.0 ~sigma:2.0) 40_000 in
   if Float.abs (m -. 5.0) > 0.1 then Alcotest.failf "normal mean drifted: %f" m
-
-let pareto_bounds () =
-  let r = rng () in
-  for _ = 1 to 1000 do
-    let v = Dist.pareto r ~scale:2.0 ~shape:1.5 in
-    if v < 2.0 || not (Float.is_finite v) then Alcotest.failf "pareto out of range: %f" v
-  done
-
-let discrete_weighted () =
-  let r = rng () in
-  for _ = 1 to 2000 do
-    match Dist.discrete r [| ("never", 0.0); ("always", 1.0) |] with
-    | "always" -> ()
-    | other -> Alcotest.failf "picked zero-weight item %s" other
-  done
-
-let discrete_bad_weights () =
-  Alcotest.check_raises "all zero"
-    (Invalid_argument "Dist.discrete: weights must sum to a positive value") (fun () ->
-      ignore (Dist.discrete (rng ()) [| ((), 0.0) |]))
-
-let arrivals_sorted () =
-  let times = Dist.arrival_times (rng ()) ~rate:0.5 ~horizon:1000.0 in
-  let rec check = function
-    | a :: (b :: _ as rest) ->
-        if a > b then Alcotest.fail "arrivals not sorted";
-        check rest
-    | _ -> ()
-  in
-  check times;
-  List.iter (fun t -> if t < 0. || t >= 1000. then Alcotest.failf "arrival out of horizon: %f" t) times
-
-let arrivals_rate () =
-  let times = Dist.arrival_times (rng ~seed:5L ()) ~rate:2.0 ~horizon:20_000.0 in
-  let n = float_of_int (List.length times) in
-  let rate = n /. 20_000.0 in
-  if Float.abs (rate -. 2.0) > 0.05 then Alcotest.failf "arrival rate drifted: %f" rate
 
 let prop_int_in_range =
   qcase "qcheck: Rng.int stays in range"
@@ -169,7 +117,6 @@ let suites =
       [
         case "determinism" determinism;
         case "seeds differ" seeds_differ;
-        case "copy replays" copy_independent;
         case "split differs" split_differs;
         case "int bounds" int_bounds;
         case "int 1" int_one;
@@ -188,14 +135,6 @@ let suites =
         case "exponential mean" exponential_mean;
         case "exponential positive" exponential_positive;
         case "exponential bad mean" exponential_bad_mean;
-        case "poisson small mean" poisson_small_mean;
-        case "poisson large mean" poisson_large_mean;
-        case "poisson zero" poisson_zero;
         case "normal mean" normal_moments;
-        case "pareto bounds" pareto_bounds;
-        case "discrete weights" discrete_weighted;
-        case "discrete bad weights" discrete_bad_weights;
-        case "arrivals sorted and bounded" arrivals_sorted;
-        case "arrivals rate" arrivals_rate;
       ] );
   ]

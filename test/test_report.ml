@@ -22,10 +22,6 @@ let long_rows_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "over-long row accepted"
 
-let of_floats_precision () =
-  let t = Table.of_floats ~headers:[ "x" ] ~precision:2 [ [ 3.14159 ] ] in
-  Alcotest.(check bool) "rounded" true (contains ~needle:"3.14" (Table.render t))
-
 let csv_quoting () =
   let t = Table.make ~headers:[ "k" ] [ [ "a,b" ]; [ "say \"hi\"" ] ] in
   let csv = Table.to_csv t in
@@ -77,7 +73,6 @@ let suites =
         case "render aligns columns" render_aligns;
         case "short rows padded" short_rows_padded;
         case "long rows rejected" long_rows_rejected;
-        case "of_floats precision" of_floats_precision;
         case "csv quoting" csv_quoting;
         case "csv plain" csv_plain;
       ] );

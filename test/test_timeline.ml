@@ -508,7 +508,7 @@ let scheduler_matches_direct () =
   let requests = Gen.generate (Rng.create ~seed:5L ()) spec in
   let policy = Policy.Fraction_of_max 0.8 in
   let direct = Flexible.run (`Window 5.) spec.Spec.fabric policy requests in
-  let via = Scheduler.run (Scheduler.of_flexible (`Window 5.) policy) spec requests in
+  let via = Scheduler.run (Scheduler.of_flexible (`Window 5.) policy) spec.Spec.fabric requests in
   Alcotest.(check (list int)) "same accepted ids"
     (accepted_ids direct) (accepted_ids via);
   Alcotest.(check string) "name" "window(5)/f=0.80"
@@ -516,7 +516,7 @@ let scheduler_matches_direct () =
   Alcotest.(check int) "shipped schedulers" 11 (List.length (Scheduler.shipped ()));
   match Scheduler.find (Scheduler.shipped ()) "fcfs" with
   | Some s ->
-      let r = Scheduler.run s (Spec.for_replay (fabric2 ())) requests in
+      let r = Scheduler.run s (fabric2 ()) requests in
       Alcotest.(check bool) "fcfs runs" true
         (List.length r.Gridbw_core.Types.accepted + List.length r.Gridbw_core.Types.rejected
         = List.length requests)

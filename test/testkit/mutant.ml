@@ -28,9 +28,8 @@ let peak intervals ~from_ ~until =
     0.0 probes
 
 let greedy : Scheduler.t =
-  Scheduler.make ~name:"mutant-greedy" (fun ?(ctx = Gridbw_core.Runtime.default) spec requests ->
+  Scheduler.make ~name:"mutant-greedy" (fun ?(ctx = Gridbw_core.Runtime.default) fabric requests ->
       let obs = ctx.Gridbw_core.Runtime.obs in
-      let fabric = spec.Gridbw_workload.Spec.fabric in
       let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
       let booked_in = Hashtbl.create 8 and booked_out = Hashtbl.create 8 in
       let get tbl p = Option.value (Hashtbl.find_opt tbl p) ~default:[] in
