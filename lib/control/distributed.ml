@@ -1,5 +1,6 @@
 module Fabric = Gridbw_topology.Fabric
 module Request = Gridbw_request.Request
+module Live = Gridbw_alloc.Live
 module Policy = Gridbw_core.Policy
 module Event_queue = Gridbw_sim.Event_queue
 
@@ -20,7 +21,7 @@ let run fabric policy ~gossip_interval requests =
   Request.check_routes "Distributed" fabric requests;
   let m = Fabric.ingress_count fabric and n = Fabric.egress_count fabric in
   (* Ground truth (what the network actually carries). *)
-  let true_in = Array.make m 0.0 and true_out = Array.make n 0.0 in
+  let live = Live.create fabric in
   (* Per-router stale view of the egress counters plus own recent grants. *)
   let snapshot = Array.make_matrix m n 0.0 in
   let own_since_snapshot = Array.make_matrix m n 0.0 in
@@ -32,8 +33,7 @@ let run fabric policy ~gossip_interval requests =
       match Event_queue.peek releases with
       | Some (tau, rel) when tau <= now ->
           ignore (Event_queue.pop releases);
-          true_in.(rel.ingress) <- Float.max 0.0 (true_in.(rel.ingress) -. rel.bw);
-          true_out.(rel.egress) <- Float.max 0.0 (true_out.(rel.egress) -. rel.bw);
+          Live.release live ~ingress:rel.ingress ~egress:rel.egress ~bw:rel.bw;
           loop ()
       | _ -> ()
     in
@@ -45,7 +45,7 @@ let run fabric policy ~gossip_interval requests =
       incr gossip_rounds;
       for i = 0 to m - 1 do
         for e = 0 to n - 1 do
-          snapshot.(i).(e) <- true_out.(e);
+          snapshot.(i).(e) <- Live.egress_used live e;
           own_since_snapshot.(i).(e) <- 0.0
         done
       done
@@ -65,15 +65,14 @@ let run fabric policy ~gossip_interval requests =
       | None -> ()
       | Some bw ->
           let i = r.ingress and e = r.egress in
-          let local_ok = true_in.(i) +. bw <= Fabric.ingress_capacity fabric i *. (1. +. 1e-9) in
+          let local_ok = Live.fits_ingress live ~ingress:i ~bw in
           let believed_egress = snapshot.(i).(e) +. own_since_snapshot.(i).(e) in
           let egress_ok = believed_egress +. bw <= Fabric.egress_capacity fabric e *. (1. +. 1e-9) in
           if local_ok && egress_ok then begin
             incr accepted;
-            true_in.(i) <- true_in.(i) +. bw;
-            true_out.(e) <- true_out.(e) +. bw;
+            Live.grab live ~ingress:i ~egress:e ~bw;
             own_since_snapshot.(i).(e) <- own_since_snapshot.(i).(e) +. bw;
-            let over = true_out.(e) /. Fabric.egress_capacity fabric e in
+            let over = Live.egress_used live e /. Fabric.egress_capacity fabric e in
             if over > !peak then peak := over;
             if over > 1. +. 1e-9 then incr violations;
             Event_queue.push releases ~time:(r.ts +. (r.volume /. bw)) { ingress = i; egress = e; bw }

@@ -22,12 +22,29 @@ let seq_table requests =
   List.iteri (fun i (r : Request.t) -> Hashtbl.replace h r.id i) requests;
   h
 
-let emit_arrival obs seqs ?time (r : Request.t) =
-  Obs.event obs (fun () ->
-      Event.Arrival
+(* The one builder of each decision-path event. *)
+
+let arrival ~time ~seq (r : Request.t) =
+  Event.Arrival
+    {
+      time;
+      seq;
+      id = r.id;
+      ingress = r.ingress;
+      egress = r.egress;
+      volume = r.volume;
+      ts = r.ts;
+      tf = r.tf;
+      max_rate = r.max_rate;
+    }
+
+(* [blocked] is the saturated port and its headroom at decision time,
+   when the caller identified one. *)
+let decision ~time ?blocked (r : Request.t) = function
+  | Types.Accepted a ->
+      Event.Accept
         {
-          time = Option.value time ~default:r.ts;
-          seq = (match Hashtbl.find_opt seqs r.id with Some s -> s | None -> -1);
+          time;
           id = r.id;
           ingress = r.ingress;
           egress = r.egress;
@@ -35,45 +52,39 @@ let emit_arrival obs seqs ?time (r : Request.t) =
           ts = r.ts;
           tf = r.tf;
           max_rate = r.max_rate;
-        })
+          bw = a.Allocation.bw;
+          sigma = a.Allocation.sigma;
+        }
+  | Types.Rejected reason ->
+      let port, headroom =
+        match blocked with Some (p, h) -> (Some p, Some h) | None -> (None, None)
+      in
+      Event.Reject { time; id = r.id; reason = Types.reason_name reason; port; headroom }
+
+let preempt ~time (a : Allocation.t) =
+  Event.Preempt { time; id = a.Allocation.request.Request.id; bw = a.Allocation.bw }
+
+let emit_arrival obs seqs ?time (r : Request.t) =
+  Obs.event obs (fun () ->
+      let seq = match Hashtbl.find_opt seqs r.id with Some s -> s | None -> -1 in
+      arrival ~time:(Option.value time ~default:r.ts) ~seq r)
 
 let emit_arrivals obs seqs batch =
   if Obs.tracing obs then List.iter (fun r -> emit_arrival obs seqs r) batch
 
-(* Counters plus the Accept/Reject trace record for one decision.
-   [blocked] is the saturated port and its headroom at decision time,
-   when the caller identified one. *)
+(* Counters plus the Accept/Reject trace record for one decision. *)
 let emit_decision obs ~time ?blocked (r : Request.t) d =
   if obs.Obs.enabled then begin
     Obs.incr obs requests_total;
-    match d with
-    | Types.Accepted a ->
-        Obs.incr obs accepted_total;
-        Obs.event obs (fun () ->
-            Event.Accept
-              {
-                time;
-                id = r.id;
-                ingress = r.ingress;
-                egress = r.egress;
-                volume = r.volume;
-                ts = r.ts;
-                tf = r.tf;
-                max_rate = r.max_rate;
-                bw = a.Allocation.bw;
-                sigma = a.Allocation.sigma;
-                shard = None;
-              })
-    | Types.Rejected reason ->
-        Obs.incr obs rejected_total;
-        Obs.event obs (fun () ->
-            let port, headroom =
-              match blocked with
-              | Some (p, h) -> (Some p, Some h)
-              | None -> (None, None)
-            in
-            Event.Reject
-              { time; id = r.id; reason = Types.reason_name reason; port; headroom; shard = None })
+    Obs.incr obs (match d with Types.Accepted _ -> accepted_total | Types.Rejected _ -> rejected_total);
+    Obs.event obs (fun () -> decision ~time ?blocked r d)
+  end
+
+(* The counter plus the Preempt trace record for one preempted booking. *)
+let emit_preempt obs ~time a =
+  if obs.Obs.enabled then begin
+    Obs.count obs "preempted_total";
+    Obs.event obs (fun () -> preempt ~time a)
   end
 
 (* The tighter port over the allocation's own transmission interval —

@@ -122,17 +122,7 @@ let newest_held t id =
 let preempt_held ctx t b =
   let obs = ctx.Runtime.obs in
   release t b;
-  if obs.Obs.enabled then begin
-    Obs.count obs "preempted_total";
-    Obs.event obs (fun () ->
-        Event.Preempt
-          {
-            time = t.clock;
-            id = b.a.Allocation.request.Request.id;
-            bw = b.a.Allocation.bw;
-            shard = None;
-          })
-  end;
+  Emit.emit_preempt obs ~time:t.clock b.a;
   true
 
 let preempt ?(ctx = Runtime.default) t (a : Allocation.t) =
@@ -172,7 +162,7 @@ let replay t ev =
       advance_to t time;
       Option.iter (release t) (newest_held t id);
       None
-  | Event.Arrival _ | Event.Reshape _ | Event.Capacity _ | Event.Shed _ | Event.Dispatch _ -> None
+  | Event.Arrival _ | Event.Reshape _ | Event.Capacity _ | Event.Shed _ -> None
 
 let set_fabric t fabric = Live.set_fabric t.live fabric
 let active_count t = t.active

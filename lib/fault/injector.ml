@@ -335,17 +335,7 @@ let play t m events =
     unregister t a;
     lg.cur <- None;
     lg.preemptions <- lg.preemptions + 1;
-    if t.obs.Obs.enabled then begin
-      Obs.count t.obs "preempted_total";
-      Obs.event t.obs (fun () ->
-          Event.Preempt
-            {
-              time = now;
-              id = a.Allocation.request.Request.id;
-              bw = a.Allocation.bw;
-              shard = None;
-            })
-    end;
+    Emit.emit_preempt t.obs ~time:now a;
     credit lg a ~until:now;
     if lg.req.Request.volume -. lg.delivered <= tol *. lg.req.Request.volume then
       lg.finished_at <- Some now

@@ -78,10 +78,11 @@ val run :
     delay, or at the next batch boundary after it).
 
     With [ctx]: admissions trace and count as under the fault-free
-    heuristics, engine pops emit [Dispatch] events, capacity revisions
-    emit [Capacity] events, each effective shed round emits a [Shed]
-    event (and runs under the ["shed"] profiling span), and preemptions
-    emit [Preempt] events stamped at the fault's time.  Residual
+    heuristics, engine pops feed the engine's dispatch counter and
+    queue-depth histogram, capacity revisions emit [Capacity] events,
+    each effective shed round emits a [Shed] event (and runs under the
+    ["shed"] profiling span), and preemptions emit [Preempt] events
+    stamped at the fault's time.  Residual
     re-admissions re-use the original request id, so a fault-run trace
     can contain several Accept records for one id — [gridbw replay-trace]
     therefore targets plain-run traces only.  A journal attached to

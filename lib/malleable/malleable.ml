@@ -313,7 +313,6 @@ let emit_reshape obs ~time (r : Request.t) profile revised =
             max_rate = r.max_rate;
             profile = Rate_profile.to_triples profile;
             revised = Array.map (fun (id, p) -> (id, Rate_profile.to_triples p)) revised;
-            shard = None;
           })
   end
 

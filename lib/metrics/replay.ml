@@ -153,7 +153,6 @@ let of_events ?ports ?default events =
             bad "capacity revision of %s port %d to %g" (Event.side_name side) port capacity
         end
     | Event.Shed _ -> revisions := true
-    | Event.Dispatch _ -> ()
   in
   let at = ref 0 in
   match List.iteri (fun i ev -> at := i; step i ev) events with

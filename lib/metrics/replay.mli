@@ -17,8 +17,7 @@
     an out-of-bounds crash further on.
 
     Engine-driven traces (the fault injector) are out of scope for the
-    summary: residual re-admissions accept an id more than once, and
-    [Dispatch] interleaving breaks chronology — see
+    summary: residual re-admissions accept an id more than once — see
     {!Gridbw_fault.Injector.run}. *)
 
 type t = {

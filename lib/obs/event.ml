@@ -23,7 +23,6 @@ type t =
       max_rate : float;
       bw : float;
       sigma : float;
-      shard : int option;
     }
   | Reject of {
       time : float;
@@ -31,9 +30,8 @@ type t =
       reason : string;
       port : (side * int) option;
       headroom : float option;
-      shard : int option;
     }
-  | Preempt of { time : float; id : int; bw : float; shard : int option }
+  | Preempt of { time : float; id : int; bw : float }
   | Reshape of {
       time : float;
       id : int;
@@ -45,11 +43,9 @@ type t =
       max_rate : float;
       profile : (float * float * float) array;
       revised : (int * (float * float * float) array) array;
-      shard : int option;
     }
   | Shed of { time : float; side : side; port : int; excess : float; victims : int }
   | Capacity of { time : float; side : side; port : int; capacity : float }
-  | Dispatch of { time : float; pending : int }
 
 let time = function
   | Arrival { time; _ }
@@ -58,7 +54,6 @@ let time = function
   | Preempt { time; _ }
   | Reshape { time; _ }
   | Shed { time; _ }
-  | Capacity { time; _ }
-  | Dispatch { time; _ } -> time
+  | Capacity { time; _ } -> time
 
 let side_name = function Ingress -> "ingress" | Egress -> "egress"

@@ -2,9 +2,13 @@
 
     One constructor per decision kind the stack can take: request arrival,
     admission accept/reject (with the rejecting port and its headroom at
-    decision time), preemption, a fault-injector shed round, a capacity
-    revision, and a sim-engine dispatch.  Events carry primitive fields
-    only, so this library depends on nothing above the stdlib.
+    decision time), preemption, a MALLEABLE reshaping accept, a
+    fault-injector shed round and a capacity revision.  That is exactly
+    what replay and recovery read back: the port counters and the
+    allocations still held.  Events carry primitive fields only, so this
+    library depends on nothing above the stdlib.  Outside the codec,
+    [Arrival], [Accept]/[Reject] and [Preempt] are built only by
+    [Gridbw_core.Emit]'s [arrival], [decision] and [preempt].
 
     [Arrival] and [Accept] embed the full request (and allocation) fields:
     the trace of a plain run is self-contained, and
@@ -38,7 +42,6 @@ type t =
       max_rate : float;
       bw : float;  (** granted constant rate *)
       sigma : float;  (** transmission start *)
-      shard : int option;  (** deciding shard in a sharded run, [None] otherwise *)
     }
   | Reject of {
       time : float;
@@ -46,9 +49,8 @@ type t =
       reason : string;  (** Types.pp_reason rendering, e.g. "port-saturated" *)
       port : (side * int) option;  (** the rejecting port, when one exists *)
       headroom : float option;  (** that port's spare bandwidth at decision time *)
-      shard : int option;  (** deciding shard in a sharded run, [None] otherwise *)
     }
-  | Preempt of { time : float; id : int; bw : float; shard : int option }
+  | Preempt of { time : float; id : int; bw : float }
   | Reshape of {
       time : float;
       id : int;
@@ -65,7 +67,6 @@ type t =
               reshaped to open capacity for this admit, in commit (EDF)
               order.  The whole record applies atomically: the revisions
               and the admit are one journal entry. *)
-      shard : int option;
     }
       (** a MALLEABLE acceptance: like [Accept] but carrying the full
           step-function profile, plus any pending-transfer reshaping the
@@ -79,8 +80,6 @@ type t =
       victims : int;  (** transfers preempted this round *)
     }
   | Capacity of { time : float; side : side; port : int; capacity : float }
-  | Dispatch of { time : float; pending : int }
-      (** sim-engine event dispatch; [pending] is the queue depth after the pop *)
 
 val time : t -> float
 

@@ -18,16 +18,6 @@ module Binary = struct
 
   let add_side b side = Binio.add_u8 b (match side with Event.Ingress -> 0 | Event.Egress -> 1)
 
-  (* Optional shard-id trailer on decision events.  [None] writes no
-     bytes at all, so unsharded records stay byte-identical to the
-     pre-shard layout; readers treat end-of-body as [None] and accept
-     both old and new records. *)
-  let add_shard b = function
-    | None -> ()
-    | Some s ->
-        Binio.add_u8 b 1;
-        Binio.add_i64 b s
-
   (* The fields an arrival and its pair records share, after the code. *)
   let add_arrival b ~time ~seq ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate =
     Binio.add_f64 b time;
@@ -41,7 +31,7 @@ module Binary = struct
     Binio.add_f64 b max_rate
 
   (* What a Reject adds after its time and id. *)
-  let add_refusal b ~reason ~port ~headroom ~shard =
+  let add_refusal b ~reason ~port ~headroom =
     Binio.add_str b reason;
     (match port with
     | None -> Binio.add_u8 b 0
@@ -53,11 +43,10 @@ module Binary = struct
     | None -> Binio.add_u8 b 0
     | Some h ->
         Binio.add_u8 b 1;
-        Binio.add_f64 b h);
-    add_shard b shard
+        Binio.add_f64 b h)
 
   (* What a Reshape adds after its request fields. *)
-  let add_reshaping b ~profile ~revised ~shard =
+  let add_reshaping b ~profile ~revised =
     let triples segs =
       Binio.add_i64 b (Array.length segs);
       Array.iter
@@ -73,15 +62,14 @@ module Binary = struct
       (fun (rid, segs) ->
         Binio.add_i64 b rid;
         triples segs)
-      revised;
-    add_shard b shard
+      revised
 
   let encode_body b (ev : Event.t) =
     match ev with
     | Arrival { time; seq; id; ingress; egress; volume; ts; tf; max_rate } ->
         Binio.add_u8 b 1;
         add_arrival b ~time ~seq ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate
-    | Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard } ->
+    | Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma } ->
         Binio.add_u8 b 2;
         Binio.add_f64 b time;
         Binio.add_i64 b id;
@@ -92,21 +80,18 @@ module Binary = struct
         Binio.add_f64 b tf;
         Binio.add_f64 b max_rate;
         Binio.add_f64 b bw;
-        Binio.add_f64 b sigma;
-        add_shard b shard
-    | Reject { time; id; reason; port; headroom; shard } ->
+        Binio.add_f64 b sigma
+    | Reject { time; id; reason; port; headroom } ->
         Binio.add_u8 b 3;
         Binio.add_f64 b time;
         Binio.add_i64 b id;
-        add_refusal b ~reason ~port ~headroom ~shard
-    | Preempt { time; id; bw; shard } ->
+        add_refusal b ~reason ~port ~headroom
+    | Preempt { time; id; bw } ->
         Binio.add_u8 b 4;
         Binio.add_f64 b time;
         Binio.add_i64 b id;
-        Binio.add_f64 b bw;
-        add_shard b shard
-    | Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised; shard }
-      ->
+        Binio.add_f64 b bw
+    | Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised } ->
         Binio.add_u8 b 8;
         Binio.add_f64 b time;
         Binio.add_i64 b id;
@@ -116,7 +101,7 @@ module Binary = struct
         Binio.add_f64 b ts;
         Binio.add_f64 b tf;
         Binio.add_f64 b max_rate;
-        add_reshaping b ~profile ~revised ~shard
+        add_reshaping b ~profile ~revised
     | Shed { time; side; port; excess; victims } ->
         Binio.add_u8 b 5;
         Binio.add_f64 b time;
@@ -130,18 +115,14 @@ module Binary = struct
         add_side b side;
         Binio.add_i64 b port;
         Binio.add_f64 b capacity
-    | Dispatch { time; pending } ->
-        Binio.add_u8 b 7;
-        Binio.add_f64 b time;
-        Binio.add_i64 b pending
 
   (* --- pair records ---
 
      One WAL record may hold an arrival and the decision that follows it.
      The arrival's fields are stored once, then what the decision adds:
-     code 9 (admitted) [bw], [sigma] and the shard trailer; code 10
-     (refused) [reason], [port], [headroom] and the shard trailer; code 11
-     (reshaped) [profile], [revised] and the shard trailer.  Decoding
+     code 9 (admitted) [bw] and [sigma]; code 10 (refused) [reason],
+     [port] and [headroom]; code 11 (reshaped) [profile] and [revised].
+     Each body ends there: a byte after it fails decoding.  Decoding
      expands the record back into both events, so the decision must carry
      the arrival's time and id, and an Accept or Reshape its request
      fields, all bit for bit.  Trace sinks never write these codes. *)
@@ -160,25 +141,23 @@ module Binary = struct
           && same volume a.volume && same ts a.ts && same tf a.tf && same max_rate a.max_rate
         in
         match decision with
-        | Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard }
+        | Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma }
           when request ~time ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate ->
             Binio.add_u8 b 9;
             add_arrival ();
             Binio.add_f64 b bw;
             Binio.add_f64 b sigma;
-            add_shard b shard;
             true
-        | Reject { time; id; reason; port; headroom; shard } when same time a.time && id = a.id
-          ->
+        | Reject { time; id; reason; port; headroom } when same time a.time && id = a.id ->
             Binio.add_u8 b 10;
             add_arrival ();
-            add_refusal b ~reason ~port ~headroom ~shard;
+            add_refusal b ~reason ~port ~headroom;
             true
-        | Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised; shard }
+        | Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised }
           when request ~time ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate ->
             Binio.add_u8 b 11;
             add_arrival ();
-            add_reshaping b ~profile ~revised ~shard;
+            add_reshaping b ~profile ~revised;
             true
         | _ -> false)
     | _ -> false
@@ -226,14 +205,6 @@ module Binary = struct
       | 1 -> Event.Egress
       | n -> failwith (Printf.sprintf "unknown side code %d" n)
     in
-    (* End-of-body means the record predates shard ids. *)
-    let shard () =
-      if !pos = len then None
-      else
-        match u8 () with
-        | 1 -> Some (i64 ())
-        | n -> failwith (Printf.sprintf "unknown shard tag %d" n)
-    in
     let refusal ~time ~id =
       let reason = str () in
       let port =
@@ -245,8 +216,7 @@ module Binary = struct
             Some (s, p)
       in
       let headroom = match u8 () with 0 -> None | _ -> Some (f64 ()) in
-      let shard = shard () in
-      Event.Reject { time; id; reason; port; headroom; shard }
+      Event.Reject { time; id; reason; port; headroom }
     in
     let reshaping ~time ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate =
       let triples () =
@@ -267,8 +237,7 @@ module Binary = struct
             let segs = triples () in
             (rid, segs))
       in
-      let shard = shard () in
-      Event.Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised; shard }
+      Event.Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised }
     in
     let evs =
       match u8 () with
@@ -288,11 +257,9 @@ module Binary = struct
           | 9 ->
               let bw = f64 () in
               let sigma = f64 () in
-              let shard = shard () in
               ( arrival,
-                Some
-                  (Event.Accept
-                     { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard }) )
+                Some (Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma })
+              )
           | 10 -> (arrival, Some (refusal ~time ~id))
           | _ ->
               (arrival, Some (reshaping ~time ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate)))
@@ -307,8 +274,7 @@ module Binary = struct
           let max_rate = f64 () in
           let bw = f64 () in
           let sigma = f64 () in
-          let shard = shard () in
-          (Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard }, None)
+          (Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma }, None)
       | 3 ->
           let time = f64 () in
           let id = i64 () in
@@ -317,8 +283,7 @@ module Binary = struct
           let time = f64 () in
           let id = i64 () in
           let bw = f64 () in
-          let shard = shard () in
-          (Event.Preempt { time; id; bw; shard }, None)
+          (Event.Preempt { time; id; bw }, None)
       | 8 ->
           let time = f64 () in
           let id = i64 () in
@@ -342,10 +307,6 @@ module Binary = struct
           let port = i64 () in
           let capacity = f64 () in
           (Event.Capacity { time; side; port; capacity }, None)
-      | 7 ->
-          let time = f64 () in
-          let pending = i64 () in
-          (Event.Dispatch { time; pending }, None)
       | n -> failwith (Printf.sprintf "unknown event code %d" n)
     in
     if !pos <> len then failwith "trailing bytes in event body";

@@ -3,8 +3,3 @@ let exponential rng ~mean =
   (* Inversion; 1 - u avoids log 0. *)
   let u = Rng.float rng 1.0 in
   -.mean *. log (1.0 -. u)
-
-let normal rng ~mu ~sigma =
-  let u1 = 1.0 -. Rng.float rng 1.0 in
-  let u2 = Rng.float rng 1.0 in
-  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))

@@ -3,6 +3,3 @@
 val exponential : Rng.t -> mean:float -> float
 (** Exponential with the given mean (inter-arrival times of a Poisson
     process of rate [1 /. mean]).  Requires [mean > 0]. *)
-
-val normal : Rng.t -> mu:float -> sigma:float -> float
-(** Gaussian via Box-Muller. *)

@@ -10,6 +10,7 @@ module Runtime = Gridbw_core.Runtime
 module Online = Gridbw_core.Online
 module Policy = Gridbw_core.Policy
 module Types = Gridbw_core.Types
+module Emit = Gridbw_core.Emit
 module Fabric = Gridbw_topology.Fabric
 module Request = Gridbw_request.Request
 module Allocation = Gridbw_alloc.Allocation
@@ -90,8 +91,7 @@ let admit ?span t ~id ~ingress ~egress ~volume ~ts ~tf ~max_rate =
         else begin
           let at = Float.max (Online.now t.ctl) r.Request.ts in
           Option.iter (fun sp -> Span.set_req sp id) span;
-          Obs.event t.obs (fun () ->
-              Event.Arrival { time = at; seq = t.seq; id; ingress; egress; volume; ts; tf; max_rate });
+          Obs.event t.obs (fun () -> Emit.arrival ~time:at ~seq:t.seq r);
           t.seq <- t.seq + 1;
           (* The span rides the ctx: [try_admit] records the search
              timing and the live-counter probe delta onto it. *)

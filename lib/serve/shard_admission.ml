@@ -195,7 +195,6 @@ let of_recovered ~shards ~policy (r : Store.recovered) =
                   match Hashtbl.find_opt t.entries id with
                   | Some (Booked a) -> Hashtbl.replace t.entries id (Cancelled a)
                   | _ -> ())
-              | Event.Arrival _ | Event.Reshape _ | Event.Capacity _ | Event.Shed _
-              | Event.Dispatch _ -> ())
+              | Event.Arrival _ | Event.Reshape _ | Event.Capacity _ | Event.Shed _ -> ())
             r.Store.journal.Replay.events;
           Ok t)

@@ -5,6 +5,7 @@ module Live = Gridbw_alloc.Live
 module Event_queue = Gridbw_sim.Event_queue
 module Policy = Gridbw_core.Policy
 module Types = Gridbw_core.Types
+module Emit = Gridbw_core.Emit
 module Obs = Gridbw_obs.Obs
 module Event = Gridbw_obs.Event
 module Store = Gridbw_store.Store
@@ -121,19 +122,7 @@ let journal_arrival_and t ~at (r : Request.t) ev =
   | None -> ()
   | Some st ->
       with_jlock t (fun () ->
-          Store.log st
-            (Event.Arrival
-               {
-                 time = at;
-                 seq = t.jseq;
-                 id = r.Request.id;
-                 ingress = r.Request.ingress;
-                 egress = r.Request.egress;
-                 volume = r.Request.volume;
-                 ts = r.Request.ts;
-                 tf = r.Request.tf;
-                 max_rate = r.Request.max_rate;
-               });
+          Store.log st (Emit.arrival ~time:at ~seq:t.jseq r);
           t.jseq <- t.jseq + 1;
           Store.log st ev)
 
@@ -166,29 +155,6 @@ let expect_probed = function
   | Core.Probed { ing; egr; _ } -> (ing, egr)
   | _ -> invalid_arg "Shard.Engine: unexpected reply to probe"
 
-let decision_event ~at ~shard ?blocked (r : Request.t) = function
-  | Types.Accepted a ->
-      Event.Accept
-        {
-          time = at;
-          id = r.Request.id;
-          ingress = r.Request.ingress;
-          egress = r.Request.egress;
-          volume = r.Request.volume;
-          ts = r.Request.ts;
-          tf = r.Request.tf;
-          max_rate = r.Request.max_rate;
-          bw = a.Allocation.bw;
-          sigma = a.Allocation.sigma;
-          shard = Some shard;
-        }
-  | Types.Rejected reason ->
-      let port, headroom =
-        match blocked with Some (p, h) -> (Some p, Some h) | None -> (None, None)
-      in
-      Event.Reject
-        { time = at; id = r.Request.id; reason = Types.reason_name reason; port; headroom; shard = Some shard }
-
 let try_admit ?(obs = Obs.disabled) t (r : Request.t) =
   let s1, s2 = Partition.involved t.part ~ingress:r.Request.ingress ~egress:r.Request.egress in
   let op = Atomic.fetch_and_add t.next_op 1 in
@@ -217,8 +183,6 @@ let try_admit ?(obs = Obs.disabled) t (r : Request.t) =
           Types.Accepted (Allocation.make ~request:r ~bw ~sigma:(Float.max at r.Request.ts))
         else Types.Rejected Types.Port_saturated
   in
-  (* the deciding shard recorded on the journal is the ingress owner *)
-  let dshard = Partition.of_ingress t.part r.Request.ingress in
   let blocked =
     match decision with
     | Types.Rejected Types.Port_saturated ->
@@ -227,7 +191,7 @@ let try_admit ?(obs = Obs.disabled) t (r : Request.t) =
         else Some ((Event.Egress, r.Request.egress), head_out)
     | _ -> None
   in
-  let ev = decision_event ~at ~shard:dshard ?blocked r decision in
+  let ev = Emit.decision ~time:at ?blocked r decision in
   (* journal inside the freeze window: per-port record order = ticket order *)
   journal_arrival_and t ~at r ev;
   (* phase 2 *)
@@ -239,13 +203,7 @@ let try_admit ?(obs = Obs.disabled) t (r : Request.t) =
       post t s1 (Core.Abort { op; k = ignore });
       Option.iter (fun s -> post t s (Core.Abort { op; k = ignore })) s2);
   record t { ticket; at; op = H_admit r; ok = Some decision };
-  if obs.Obs.enabled then begin
-    Obs.count obs "admit_requests_total";
-    (match decision with
-    | Types.Accepted _ -> Obs.count obs "admit_accepted_total"
-    | Types.Rejected _ -> Obs.count obs "admit_rejected_total");
-    Obs.event obs (fun () -> ev)
-  end;
+  Emit.emit_decision obs ~time:at ?blocked r decision;
   decision
 
 let cancel ?(obs = Obs.disabled) t (a : Allocation.t) =
@@ -266,9 +224,7 @@ let cancel ?(obs = Obs.disabled) t (a : Allocation.t) =
   (* activeness is the global criterion tau > at: both shards agree *)
   let active = match a2 with None -> a1 | Some a2 -> assert (a1 = a2); a1 in
   if active then begin
-    let dshard = Partition.of_ingress t.part r.Request.ingress in
-    journal_event t
-      (Event.Preempt { time = at; id; bw = a.Allocation.bw; shard = Some dshard });
+    journal_event t (Emit.preempt ~time:at a);
     post t s1 (Core.Cancel_commit { op; id; k = ignore });
     Option.iter (fun s -> post t s (Core.Cancel_commit { op; id; k = ignore })) s2
   end
@@ -421,7 +377,7 @@ let of_events ?journal ?(spawn = true) ~shards ~policy ~fabric events =
         | None -> ())
     (* Reshape is journaled only by the single-process malleable
        engine; a sharded journal never carries one. *)
-    | Event.Reshape _ | Event.Capacity _ | Event.Shed _ | Event.Dispatch _ -> ());
+    | Event.Reshape _ | Event.Capacity _ | Event.Shed _ -> ());
     let time = Event.time ev in
     if time > !horizon then horizon := time
   in

@@ -1,5 +1,4 @@
 module Obs = Gridbw_obs.Obs
-module Event = Gridbw_obs.Event
 
 type t = { mutable clock : float; queue : (t -> unit) Event_queue.t; obs : Obs.ctx }
 
@@ -25,8 +24,7 @@ let step t =
       t.clock <- time;
       if t.obs.Obs.enabled then begin
         Obs.count t.obs "engine_dispatches";
-        Obs.observe t.obs "engine_queue_depth" (float_of_int (pending t));
-        Obs.event t.obs (fun () -> Event.Dispatch { time; pending = pending t })
+        Obs.observe t.obs "engine_queue_depth" (float_of_int (pending t))
       end;
       handler t;
       true

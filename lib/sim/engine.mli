@@ -8,8 +8,8 @@ type t
 
 val create : ?obs:Gridbw_obs.Obs.ctx -> ?start:float -> unit -> t
 (** Fresh engine with the clock at [start] (default 0).  With [obs], every
-    dispatch emits an [Event.Dispatch] trace record and feeds the
-    [engine_dispatches] counter and [engine_queue_depth] histogram. *)
+    dispatch feeds the [engine_dispatches] counter and
+    [engine_queue_depth] histogram; dispatches are not traced. *)
 
 val now : t -> float
 (** Current virtual time. *)

@@ -61,7 +61,6 @@ let release t =
    first, so records keep the order the events came in. *)
 let log t ev =
   match ev with
-  | Event.Dispatch _ -> ()
   | Event.Arrival _ ->
       release t;
       t.held <- Some ev

@@ -70,8 +70,7 @@ val attach : t -> Gridbw_obs.Obs.ctx -> Gridbw_obs.Obs.ctx
 val log : t -> Gridbw_obs.Event.t -> unit
 (** Journal one event directly (what {!attach}'s sink does): encode it
     and append it to the WAL under the pair rule above (an [Arrival] is
-    only held until the next event).  Nothing is kept per event.
-    [Dispatch] events are not admission state and are skipped. *)
+    only held until the next event).  Nothing is kept per event. *)
 
 val flush : t -> unit
 (** Force the group commit: write any held arrival, then flush and fsync

@@ -316,13 +316,12 @@ let test_replay_duplicate_id () =
   let accept ~time ~bw =
     Event.Accept
       { time; id = 3; ingress = 0; egress = 0; volume = 10.; ts = 0.; tf = 10.; max_rate = 10.;
-        bw; sigma = time; shard = None }
+        bw; sigma = time }
   in
   let reshape =
     Event.Reshape
       { time = 0.5; id = 4; ingress = 0; egress = 0; volume = 10.; ts = 0.; tf = 10.;
-        max_rate = 10.; profile = [| (0.5, 1.5, 10.) |]; revised = [| (3, [| (1., 3., 5.) |]) |];
-        shard = None }
+        max_rate = 10.; profile = [| (0.5, 1.5, 10.) |]; revised = [| (3, [| (1., 3., 5.) |]) |] }
   in
   let prefix = [ cap Event.Ingress 0 100.; cap Event.Egress 0 100. ] in
   let read events =
@@ -347,7 +346,7 @@ let test_replay_duplicate_id () =
       [
         accept ~time:0. ~bw:5.;
         accept ~time:0.25 ~bw:2.;
-        Event.Preempt { time = 1.; id = 3; bw = 2.; shard = None };
+        Event.Preempt { time = 1.; id = 3; bw = 2. };
       ]
   in
   Alcotest.(check int) "a cancel removes every booking of the id" 0

@@ -430,9 +430,9 @@ let suites =
           test_aborted_waiter_accrues_no_violation;
         case "injector: pinned greedy replay"
           (test_pinned_replay Injector.Greedy ~report:"54e98970b791e5ab002b58c92812bce6"
-             ~trace:"007199252546e620f284fc60cf097e68");
+             ~trace:"e0d939b7f7ff33df1289a7b0951a23b9");
         case "injector: pinned window replay"
           (test_pinned_replay (Injector.Window 10.) ~report:"b4490967e9781c566506e8debbd3cae8"
-             ~trace:"7e3406107d8f6772e3fd0bb47bf67005");
+             ~trace:"3cdc1b896fdbdab748a23b29a4406897");
       ] );
   ]

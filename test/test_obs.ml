@@ -124,7 +124,7 @@ let prometheus_dump () =
 
 (* --- sinks --- *)
 
-let mark i = Event.Dispatch { time = float_of_int i; pending = i }
+let mark i = Event.Capacity { time = float_of_int i; side = Event.Ingress; port = i; capacity = 1.0 }
 let event_frame ev = Codec.to_string (module Event_codec.Binary) ev
 
 (* Two buffers fed by one tee hold the same frames. *)
@@ -144,24 +144,22 @@ let sample_events =
         tf = 90.0; max_rate = 33.3 };
     Event.Accept
       { time = 2.0; id = 7; ingress = 1; egress = 2; volume = 100.5; ts = 1.25; tf = 90.0;
-        max_rate = 33.3; bw = 12.5; sigma = 2.0; shard = None };
+        max_rate = 33.3; bw = 12.5; sigma = 2.0 };
     Event.Accept
       { time = 2.5; id = 10; ingress = 1; egress = 2; volume = 10.0; ts = 1.25; tf = 90.0;
-        max_rate = 33.3; bw = 2.5; sigma = 2.5; shard = Some 3 };
+        max_rate = 33.3; bw = 2.5; sigma = 2.5 };
     Event.Reject
       { time = 3.0; id = 8; reason = "port-saturated"; port = Some (Event.Ingress, 4);
-        headroom = Some 0.125; shard = Some 0 };
+        headroom = Some 0.125 };
     Event.Reject
-      { time = 3.5; id = 9; reason = "deadline-unreachable"; port = None; headroom = None;
-        shard = None };
-    Event.Preempt { time = 4.0; id = 7; bw = 12.5; shard = Some 1 };
+      { time = 3.5; id = 9; reason = "deadline-unreachable"; port = None; headroom = None };
+    Event.Preempt { time = 4.0; id = 7; bw = 12.5 };
     Event.Reshape
       { time = 4.5; id = 11; ingress = 1; egress = 2; volume = 40.0; ts = 4.5; tf = 60.0;
         max_rate = 20.0; profile = [| (4.5, 6.5, 20.0) |];
-        revised = [| (7, [| (2.0, 9.0, 10.0) |]) |]; shard = None };
+        revised = [| (7, [| (2.0, 9.0, 10.0) |]) |] };
     Event.Shed { time = 5.0; side = Event.Egress; port = 2; excess = 7.5; victims = 3 };
     Event.Capacity { time = 6.0; side = Event.Ingress; port = 0; capacity = 50.0 };
-    Event.Dispatch { time = 7.0; pending = 4 };
   ]
 
 let binary_round_trip e = Codec.of_string (module Event_codec.Binary) (event_frame e)
@@ -184,7 +182,7 @@ let float_fields_round_trip =
       let e =
         Event.Accept
           { time = ts; id = 0; ingress = 0; egress = 0; volume; ts; tf = ts +. 1.0;
-            max_rate = bw; bw; sigma = ts; shard = None }
+            max_rate = bw; bw; sigma = ts }
       in
       binary_round_trip e = Ok e)
 
@@ -761,6 +759,24 @@ let replay_reports_bad_record () =
       ("cut", String.sub second 0 (String.length second - 3));
     ]
 
+(* Event code 7 (a sim-engine dispatch) is retired: a trace that still
+   holds one is refused with the record named, not raised on. *)
+let replay_refuses_retired_code () =
+  let body = Buffer.create 17 in
+  Gridbw_wire.Binio.add_u8 body 7;
+  Gridbw_wire.Binio.add_f64 body 1.;
+  Gridbw_wire.Binio.add_i64 body 4;
+  let dispatch = Buffer.create 32 in
+  Gridbw_wire.Frame.add dispatch ~tag:Event_codec.frame_tag (Buffer.contents body);
+  let trace =
+    String.concat "" [ event_frame (mark 0); Buffer.contents dispatch; event_frame (mark 1) ]
+  in
+  match Replay.decode trace with
+  | Ok _ -> Alcotest.fail "a code-7 frame decoded"
+  | Error msg ->
+      Alcotest.(check string) "the record and the code are named" "record 2: unknown event code 7"
+        msg
+
 (* trace-report keeps the span frames of a mixed trace in file order and
    counts every other frame as skipped; a trace cut mid-frame is an
    error, not a shorter report. *)
@@ -919,5 +935,6 @@ let suites =
         case "slots trace replays bit-identically" (rigid_replay 5L);
         case "pin: a traced greedy run's replayed summary" replay_summary_pin;
         case "decode errors name the record" replay_reports_bad_record;
+        case "a retired dispatch record is an error naming it" replay_refuses_retired_code;
       ] );
   ]

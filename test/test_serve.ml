@@ -1982,18 +1982,17 @@ let recovered_cancel_targets_the_recorded_booking () =
             max_rate = bw;
             bw;
             sigma = ts;
-            shard = None;
           }
       in
       List.iter (Store.log store)
         [
           (* an early cancel of the id keeps its two bookings out of the
              audit's duplicate check *)
-          Event.Preempt { time = 0.; id = 7; bw = 1.; shard = None };
+          Event.Preempt { time = 0.; id = 7; bw = 1. };
           accept ~time:0. ~port:0 ~volume:1000. ~ts:0. ~tf:100. ~bw:10.;
           accept ~time:1. ~port:1 ~volume:10. ~ts:1. ~tf:5. ~bw:10.;
           Event.Reject
-            { time = 3.; id = 8; reason = "port-saturated"; port = None; headroom = None; shard = None };
+            { time = 3.; id = 8; reason = "port-saturated"; port = None; headroom = None };
         ];
       Store.close store;
       match Store.recover ~config ~dir () with

@@ -12,6 +12,7 @@ module Torn = Gridbw_testkit.Torn
 module Flexible = Gridbw_core.Flexible
 module Policy = Gridbw_core.Policy
 module Types = Gridbw_core.Types
+module Emit = Gridbw_core.Emit
 module Summary = Gridbw_metrics.Summary
 module Reference = Gridbw_check.Reference
 module Profile_ref = Gridbw_alloc.Profile_ref
@@ -630,10 +631,10 @@ let test_pair_rule_fallback () =
       let accept ?(volume = 10.) id time =
         Event.Accept
           { time; id; ingress = 0; egress = 1; volume; ts = time; tf = time +. 10.; max_rate = 5.;
-            bw = 1.; sigma = time; shard = None }
+            bw = 1.; sigma = time }
       in
       let reject id time =
-        Event.Reject { time; id; reason = "port-saturated"; port = None; headroom = None; shard = None }
+        Event.Reject { time; id; reason = "port-saturated"; port = None; headroom = None }
       in
       let records () = Store.records store in
       let case label events ~records:n =
@@ -651,7 +652,7 @@ let test_pair_rule_fallback () =
       case "arrival after arrival: the first alone" [ arrival 6 6.; arrival 7 6.; accept 7 6. ]
         ~records:2;
       case "a preempt between: three records"
-        [ arrival 8 8.; Event.Preempt { time = 8.; id = 1; bw = 1.; shard = None }; reject 8 8. ]
+        [ arrival 8 8.; Event.Preempt { time = 8.; id = 1; bw = 1. }; reject 8 8. ]
         ~records:3;
       (* a sync writes the held arrival, durably *)
       Store.log store (arrival 9 9.);
@@ -668,7 +669,7 @@ let test_pair_rule_fallback () =
         [ arrival 1 1.; accept 1 1.; arrival 2 2.; reject 2 2.; arrival 3 3.; accept 3 3.5;
           arrival 4 4.; reject 40 4.; arrival 5 5.; accept ~volume:11. 5 5.; arrival 6 6.;
           arrival 7 6.; accept 7 6.; arrival 8 8.;
-          Event.Preempt { time = 8.; id = 1; bw = 1.; shard = None }; reject 8 8.;
+          Event.Preempt { time = 8.; id = 1; bw = 1. }; reject 8 8.;
           arrival 9 9.; reject 9 9.; arrival 10 10. ]
       in
       if logged <> expected then Alcotest.fail "recovered events differ from the logged ones";
@@ -700,12 +701,6 @@ let recording () =
 
 let journal_store ~dir = Store.create ~config:(store_config ~batch:4 ()) ~dir (fabric2 ())
 
-let arrival_of ~time ~seq (r : Request.t) =
-  Event.Arrival
-    { time; seq; id = r.Request.id; ingress = r.Request.ingress; egress = r.Request.egress;
-      volume = r.Request.volume; ts = r.Request.ts; tf = r.Request.tf;
-      max_rate = r.Request.max_rate }
-
 (* Every third admit is cancelled right after it is granted.  Returns the
    events logged and the live controller. *)
 let greedy_with_cancels ~dir =
@@ -718,7 +713,7 @@ let greedy_with_cancels ~dir =
   in
   List.iteri
     (fun seq (r : Request.t) ->
-      Obs.event ctx.Runtime.obs (fun () -> arrival_of ~time:r.Request.ts ~seq r);
+      Obs.event ctx.Runtime.obs (fun () -> Emit.arrival ~time:r.Request.ts ~seq r);
       match Online.try_admit ~ctx ctl policy r ~at:r.Request.ts with
       | Types.Accepted a when seq mod 3 = 0 ->
           if not (Online.preempt ~ctx ctl a) then Alcotest.fail "cancel of a fresh grant failed"
@@ -773,8 +768,7 @@ let malleable_reshape_run ~dir =
 (* The sharded engine logs straight into the store; what it logs is
    rebuilt from its decisions: the Arrival it stamps with the decision's
    time and its own sequence number, the decision itself, and a Preempt
-   per successful cancel, at the engine clock and on the deciding shard
-   of the booking. *)
+   per successful cancel, at the engine clock. *)
 let sharded_run ~dir =
   let store = journal_store ~dir in
   let engine = Shard_engine.create ~journal:store ~spawn:false ~shards:2 policy (fabric2 ()) in
@@ -784,19 +778,17 @@ let sharded_run ~dir =
     (fun i (r : Request.t) ->
       let decision = Shard_engine.try_admit ~obs engine r in
       let ev = List.hd (List.rev (decisions ())) in
-      logged := ev :: arrival_of ~time:(Event.time ev) ~seq:!seq r :: !logged;
+      logged := ev :: Emit.arrival ~time:(Event.time ev) ~seq:!seq r :: !logged;
       incr seq;
-      (match (decision, ev) with
-      | Types.Accepted a, Event.Accept { shard; _ } -> booked := (a, shard) :: !booked
-      | _ -> ());
+      (match decision with Types.Accepted a -> booked := a :: !booked | Types.Rejected _ -> ());
       if i mod 5 = 2 then
         match !booked with
-        | (a, shard) :: rest ->
+        | a :: rest ->
             if Shard_engine.cancel engine a then
               logged :=
                 Event.Preempt
                   { time = Shard_engine.now engine; id = a.Allocation.request.Request.id;
-                    bw = a.Allocation.bw; shard }
+                    bw = a.Allocation.bw }
                 :: !logged;
             booked := rest
         | [] -> ())
@@ -816,7 +808,7 @@ let journals =
 
 (* Run [journal] into [dir] and return the events [Store.log] was given:
    the capacity prefix [Store.create] logs itself, then every event the
-   journal logged that is admission state. *)
+   journal logged. *)
 let journaled_events ~journal ~dir =
   let given = journal ~dir in
   let prefix =
@@ -827,7 +819,7 @@ let journaled_events ~journal ~dir =
   List.iter
     (function Event.Capacity _ -> () | _ -> Alcotest.fail "prefix holds a non-capacity event")
     prefix;
-  prefix @ List.filter (function Event.Dispatch _ -> false | _ -> true) given
+  prefix @ given
 
 let wal_image dir =
   Sys.readdir dir |> Array.to_list
@@ -1368,7 +1360,7 @@ let test_outran_snapshot_ignored () =
                 (Event.Accept
                    { time = 1000. +. float_of_int i; id = 1000 + i; ingress = 0; egress = 1;
                      volume = 100.; ts = 1000.; tf = 2000.; max_rate = 1.; bw = 0.01;
-                     sigma = 1000.; shard = None })
+                     sigma = 1000. })
             done;
             Store.close r.Store.store
       in
@@ -1418,7 +1410,7 @@ let test_unknown_port_refused () =
       Gridbw_obs.Event_codec.Binary.encode_body body
         (Event.Accept
            { time = 1.; id = 7; ingress = 5; egress = 0; volume = 100.; ts = 1.; tf = 101.;
-             max_rate = 10.; bw = 5.; sigma = 1.; shard = None });
+             max_rate = 10.; bw = 5.; sigma = 1. });
       Wal.append w (Buffer.contents body);
       Wal.close w;
       let before = wal_image dir in
@@ -1450,6 +1442,60 @@ let test_unknown_port_refused () =
       | Error msg -> names "serve" msg
       | Ok _ -> Alcotest.fail "the daemon started on a journal naming an unknown port")
 
+(* A decision record that still carries the retired shard-id trailer
+   ([01] and an i64 after the body) is a CRC-valid record that does not
+   parse: recovery cuts the log there like any corrupt record, keeping
+   the capacity prefix and the decision before it, and [gridbw recover]
+   audits that prefix clean. *)
+let test_shard_trailer_cuts () =
+  let r1 = Request.make ~id:1 ~ingress:0 ~egress:1 ~volume:100. ~ts:1. ~tf:101. ~max_rate:10. in
+  let r2 = Request.make ~id:2 ~ingress:1 ~egress:1 ~volume:100. ~ts:2. ~tf:102. ~max_rate:10. in
+  let arrival1 = Emit.arrival ~time:1. ~seq:0 r1 in
+  let accept1 =
+    Emit.decision ~time:1. r1 (Types.Accepted (Allocation.make ~request:r1 ~bw:5. ~sigma:1.))
+  in
+  let wal_bytes dir = String.length (wal_image dir) in
+  (* The journal, and the size of its trailer-carrying record. *)
+  let build dir =
+    let store = Store.create ~config:(store_config ()) ~dir (fabric2 ()) in
+    Store.close store;
+    let w = Wal.reopen ~config:(wal_config ()) ~dir ~records:(Store.records store) () in
+    let pair arrival decision =
+      let b = Buffer.create 128 in
+      if not (Gridbw_obs.Event_codec.Binary.encode_pair b ~arrival decision) then
+        Alcotest.fail "not a pair";
+      b
+    in
+    Wal.append w (Buffer.contents (pair arrival1 accept1));
+    Wal.sync w;
+    let before = wal_bytes dir in
+    let refused =
+      pair (Emit.arrival ~time:2. ~seq:1 r2)
+        (Emit.decision ~time:2. ~blocked:((Event.Egress, 1), 2.5) r2
+           (Types.Rejected Types.Port_saturated))
+    in
+    Gridbw_wire.Binio.add_u8 refused 1;
+    Gridbw_wire.Binio.add_i64 refused 3;
+    Wal.append w (Buffer.contents refused);
+    Wal.close w;
+    wal_bytes dir - before
+  in
+  with_tmpdir (fun tmp ->
+      let dir = Filename.concat tmp "lib" and cli = Filename.concat tmp "cli" in
+      let cut = build dir in
+      ignore (build cli);
+      let r = recover_exn ~label:"trailer journal" dir in
+      let events = r.Store.journal.Replay.events in
+      Alcotest.(check int) "the capacity prefix and the first pair survive" (n_prefix + 2)
+        (List.length events);
+      Alcotest.(check bool) "the first pair reads back as logged" true
+        (List.filteri (fun i _ -> i >= n_prefix) events = [ arrival1; accept1 ]);
+      Alcotest.(check int) "the trailer record is cut" cut r.Store.truncated_bytes;
+      let code, json = gridbw [ "recover"; "--json"; cli ] in
+      Alcotest.(check int) "gridbw recover exits 0" 0 code;
+      Alcotest.(check bool) "the prefix audits clean" true
+        (contains ~affix:{|"audit":"clean"|} json))
+
 (* --- the recovery audit ---
 
    [Reference.audit_recovered] decides whether a recovered journal may be
@@ -1462,10 +1508,10 @@ let log_admit store ~seq ~id ?(ingress = 0) ?(egress = 0) ~time ~bw ~max_rate ()
   Store.log store (Event.Arrival { time; seq; id; ingress; egress; volume; ts; tf; max_rate });
   Store.log store
     (Event.Accept
-       { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma = time; shard = None })
+       { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma = time })
 
 let log_cancel store ~time ~id ~bw =
-  Store.log store (Event.Preempt { time; id; bw; shard = None })
+  Store.log store (Event.Preempt { time; id; bw })
 
 (* Journal [log] into a fresh store on [fabric2] and recover it. *)
 let recover_journal log =
@@ -1778,6 +1824,8 @@ let suites =
         case "store: the live store keeps nothing per booking" test_live_store_keeps_no_history;
         case "recovery: a record naming an unknown port is refused, the log kept"
           test_unknown_port_refused;
+        case "recovery: a record with a shard-id trailer is cut like a corrupt one"
+          test_shard_trailer_cuts;
         prop_random_offset_recovers;
       ] );
   ]

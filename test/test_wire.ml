@@ -38,7 +38,7 @@ let gen_reason =
 
 let gen_event =
   let open QCheck2.Gen in
-  let* k = int_range 1 7 in
+  let* k = int_range 1 6 in
   match k with
   | 1 ->
       let* time = gen_float and* seq = gen_id and* id = gen_id in
@@ -51,29 +51,23 @@ let gen_event =
       let* ingress = gen_id and* egress = gen_id in
       let* volume = gen_float and* ts = gen_float and* tf = gen_float in
       let* max_rate = gen_float and* bw = gen_float and* sigma = gen_float in
-      let* shard = option gen_id in
-      return (Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard })
+      return (Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma })
   | 3 ->
       let* time = gen_float and* id = gen_id and* reason = gen_reason in
       let* port = option (pair gen_side gen_id) in
       let* headroom = option gen_float in
-      let* shard = option gen_id in
-      return (Event.Reject { time; id; reason; port; headroom; shard })
+      return (Event.Reject { time; id; reason; port; headroom })
   | 4 ->
       let* time = gen_float and* id = gen_id and* bw = gen_float in
-      let* shard = option gen_id in
-      return (Event.Preempt { time; id; bw; shard })
+      return (Event.Preempt { time; id; bw })
   | 5 ->
       let* time = gen_float and* side = gen_side and* port = gen_id in
       let* excess = gen_float and* victims = gen_id in
       return (Event.Shed { time; side; port; excess; victims })
-  | 6 ->
+  | _ ->
       let* time = gen_float and* side = gen_side and* port = gen_id in
       let* capacity = gen_float in
       return (Event.Capacity { time; side; port; capacity })
-  | _ ->
-      let* time = gen_float and* pending = gen_id in
-      return (Event.Dispatch { time; pending })
 
 (* One fixed exemplar per constructor, so every constructor is pinned
    even if a qcheck run draws unevenly. *)
@@ -84,19 +78,18 @@ let exemplars =
         ts = 0.; tf = 10.; max_rate = 12.5 };
     Event.Accept
       { time = 2.; id = 7; ingress = 1; egress = 2; volume = 100.; ts = 0.;
-        tf = 10.; max_rate = 12.5; bw = 10.; sigma = 2.; shard = None };
+        tf = 10.; max_rate = 12.5; bw = 10.; sigma = 2. };
     Event.Accept
       { time = 2.5; id = 11; ingress = 1; egress = 2; volume = 10.; ts = 0.;
-        tf = 10.; max_rate = 12.5; bw = 2.; sigma = 2.5; shard = Some 2 };
+        tf = 10.; max_rate = 12.5; bw = 2.; sigma = 2.5 };
     Event.Reject
       { time = 3.; id = 8; reason = "spike"; port = Some (Event.Egress, 4);
-        headroom = Some 0.25; shard = Some 0 };
+        headroom = Some 0.25 };
     Event.Reject
-      { time = 3.5; id = 9; reason = "deadline"; port = None; headroom = None; shard = None };
-    Event.Preempt { time = 4.; id = 7; bw = 10.; shard = Some 1 };
+      { time = 3.5; id = 9; reason = "deadline"; port = None; headroom = None };
+    Event.Preempt { time = 4.; id = 7; bw = 10. };
     Event.Shed { time = 5.; side = Event.Ingress; port = 0; excess = 12.; victims = 2 };
     Event.Capacity { time = 0.; side = Event.Egress; port = 3; capacity = 100. };
-    Event.Dispatch { time = 6.; pending = 11 };
   ]
 
 (* --- codec round-trips --- *)
@@ -166,22 +159,20 @@ let gen_pair =
   let* time = gen_float and* seq = gen_id and* id = gen_id in
   let* ingress = gen_id and* egress = gen_id in
   let* volume = gen_float and* ts = gen_float and* tf = gen_float in
-  let* max_rate = gen_float and* shard = option gen_id in
+  let* max_rate = gen_float in
   let arrival = Event.Arrival { time; seq; id; ingress; egress; volume; ts; tf; max_rate } in
   let* decision =
     oneof
       [
         (let* bw = gen_float and* sigma = gen_float in
-         return
-           (Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma; shard }));
+         return (Event.Accept { time; id; ingress; egress; volume; ts; tf; max_rate; bw; sigma }));
         (let* reason = gen_reason and* port = option (pair gen_side gen_id) in
          let* headroom = option gen_float in
-         return (Event.Reject { time; id; reason; port; headroom; shard }));
+         return (Event.Reject { time; id; reason; port; headroom }));
         (let* profile = gen_triples
          and* revised = array_size (int_range 0 3) (pair gen_id gen_triples) in
          return
-           (Event.Reshape
-              { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised; shard }));
+           (Event.Reshape { time; id; ingress; egress; volume; ts; tf; max_rate; profile; revised }));
       ]
   in
   return (arrival, decision)
@@ -272,7 +263,7 @@ let test_pair_layout () =
   check "admitted"
     (Event.Accept
        { time = 2.; id = 7; ingress = 1; egress = 0; volume = 100.; ts = 2.; tf = 12.;
-         max_rate = 25.; bw = 20.; sigma = 2.; shard = None })
+         max_rate = 25.; bw = 20.; sigma = 2. })
     (layout 9 (fun b ->
          f64 b 20.;
          f64 b 2.))
@@ -280,22 +271,19 @@ let test_pair_layout () =
   check "refused"
     (Event.Reject
        { time = 2.; id = 7; reason = "port-saturated"; port = Some (Event.Egress, 0);
-         headroom = Some 5.; shard = Some 1 })
+         headroom = Some 5. })
     (layout 10 (fun b ->
          Gridbw_wire.Binio.add_str b "port-saturated";
          u8 b 1;
          u8 b 1;
          i64 b 0;
          u8 b 1;
-         f64 b 5.;
-         u8 b 1;
-         i64 b 1))
-    129;
+         f64 b 5.))
+    120;
   check "reshaped"
     (Event.Reshape
        { time = 2.; id = 7; ingress = 1; egress = 0; volume = 100.; ts = 2.; tf = 12.;
-         max_rate = 25.; profile = [| (2., 6., 25.) |]; revised = [| (4, [||]) |];
-         shard = None })
+         max_rate = 25.; profile = [| (2., 6., 25.) |]; revised = [| (4, [||]) |] })
     (layout 11 (fun b ->
          i64 b 1;
          f64 b 2.;
