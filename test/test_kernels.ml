@@ -73,6 +73,23 @@ let kernel_digests seed =
   pin_result window (Flexible.window fabric policy ~step:400. reqs);
   (digest greedy, digest online, digest window)
 
+(* WINDOW at a short and a long interval on the same stream: batches of a
+   few candidates at step 50 and of hundreds at step 5000, so the
+   packer's per-batch state is sized to both extremes within one run. *)
+let window_steps_pinned seed (w50, w5000) () =
+  let fabric = Fabric.paper_default () in
+  let policy = Policy.Fraction_of_max 0.8 in
+  let reqs =
+    Gen.generate (Rng.create ~seed ()) (Spec.paper_flexible ~count:20_000 ~mean_interarrival:14.0 ())
+  in
+  let pin step =
+    let b = Buffer.create (1 lsl 20) in
+    pin_result b (Flexible.window fabric policy ~step reqs);
+    digest b
+  in
+  Alcotest.(check string) "window(50) digest" w50 (pin 50.);
+  Alcotest.(check string) "window(5000) digest" w5000 (pin 5000.)
+
 (* WINDOW-DEFERRED (ablation A1) on the same stream at f = 0.8, step 400,
    and under MinRate on a twenty-times denser stream (interarrival 1) at
    steps 100 and 1000, where batches reach hundreds of candidates. *)
@@ -309,6 +326,7 @@ let suites =
         case "seed 21: greedy, online and window(400) streams"
           (kernels_pinned 21L ("b832fddef7c3a2fe8b4a526fe62eda0e", "9550aaccc5fafae24d296322b06de747",
              "a7770eb2b72ac5dca719eb1a3d39212e"));
+        case "seed 7: window(50) and window(5000) streams" (window_steps_pinned 7L ("4fb1c60875758135ec2574631d8d512d", "38ea11f695d06196ab0788603d326d8a"));
         case "seed 7: window-deferred streams" (deferred_pinned 7L ("25efe10d037ddb55299c204afeee52e1", "474a33545e2a21d17039faf83577aecb",
              "e2dcf929e1b8473bd32e2ed9e4785db0"));
         case "seed 21: window-deferred streams" (deferred_pinned 21L ("554b9ca4757d89a11c2242e34d4e83fd", "89b8792b7a6157b1b959103a1348562a",

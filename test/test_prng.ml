@@ -17,6 +17,30 @@ let split_differs () =
   let b = Rng.split a in
   if stream 16 a = stream 16 b then Alcotest.fail "split stream equals parent stream"
 
+(* Known answers: the MD5 of the first 10,000 [Rng.int64] outputs of four
+   seeds and of a [split] child, printed in hex one per line.  A change to
+   how the state is stored must leave every stream as it is. *)
+let known_answers () =
+  let digest rng =
+    let b = Buffer.create (10_000 * 17) in
+    for _ = 1 to 10_000 do
+      Printf.bprintf b "%Lx\n" (Rng.int64 rng)
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  List.iter
+    (fun (seed, want) ->
+      Alcotest.(check string) (Printf.sprintf "seed %Ld" seed) want (digest (Rng.create ~seed ())))
+    [
+      (0L, "30c67bf2fa5906676ea8d41de80547ea");
+      (1L, "df6b8f06a122a4ead2795901d6fee7f6");
+      (7L, "6c63b4d69477a850f6ecb8891eb23d17");
+      (2006L, "1cf7f82c6ed5b876630195196cc7f108");
+    ];
+  let parent = Rng.create ~seed:7L () in
+  ignore (Rng.int64 parent);
+  Alcotest.(check string) "split child of seed 7" "a8fbe62a63761e92596c4fad2d754da9" (digest (Rng.split parent))
+
 let int_bounds () =
   let r = rng () in
   for _ = 1 to 10_000 do
@@ -114,6 +138,7 @@ let suites =
         case "determinism" determinism;
         case "seeds differ" seeds_differ;
         case "split differs" split_differs;
+        case "known answers: seeds 0, 1, 7, 2006 and a split child" known_answers;
         case "int bounds" int_bounds;
         case "int 1" int_one;
         case "int rejects non-positive" int_rejects_nonpositive;
