@@ -16,8 +16,9 @@ let create fabric =
     probes = 0;
   }
 
-(* The fabric and the probe counter carry over; every timeline is
-   duplicated node for node, so the copy answers with the same bits. *)
+(* The fabric and the probe counter carry over; every timeline's node
+   pool is copied array for array, so the copy answers with the same
+   bits. *)
 let copy t =
   { t with ingress = Array.map Timeline.copy t.ingress; egress = Array.map Timeline.copy t.egress }
 

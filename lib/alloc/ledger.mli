@@ -17,9 +17,9 @@ val create : Gridbw_topology.Fabric.t -> t
 val fabric : t -> Gridbw_topology.Fabric.t
 
 val copy : t -> t
-(** An independent copy, O(n) in the breakpoints held: same fabric, same
-    probe count, and every port's timeline duplicated node for node
-    ({!Timeline.copy}), so the copy answers every query with the
+(** An independent copy, O(n) in the timelines' node pools: same
+    fabric, same probe count, and every port's timeline copied array for
+    array ({!Timeline.copy}), so the copy answers every query with the
     original's bits.  Later bookings, releases or {!set_fabric} on either
     side leave the other unchanged.  {!Gridbw_malleable.Malleable} tries
     a reshape on a copy and adopts it only when every profile closes. *)

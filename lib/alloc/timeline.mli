@@ -15,9 +15,15 @@
     exactly-representable grid and tolerance equality on arbitrary floats;
     test/test_kernels.ml pins the bits of every answer on arbitrary
     floats, so the association itself cannot change unnoticed.  For
-    the same reason {!copy} duplicates the tree node for node: a copy
+    the same reason {!copy} copies the tree's node pool as it is: a copy
     answers with the original's bits, where a tree rebuilt from the
     original's segments would associate its sums by its own shape.
+
+    {b Memory.}  A timeline keeps its nodes in one pool of flat arrays
+    that grows by doubling; a breakpoint dropped by an exact cancel or
+    by {!retire_before} frees its node for the next insertion, so a
+    timeline whose breakpoint count holds steady allocates nothing on
+    {!add}/{!remove}.
 
     {b Horizon.}  {!retire_before} forgets the history behind a time: it
     folds every breakpoint keyed below it into a base level, so the tree
@@ -36,10 +42,9 @@ val create : unit -> t
 (** A fresh, empty timeline. *)
 
 val copy : t -> t
-(** Independent deep copy, O(n): nodes are mutated in place by
-    [add]/[remove], so a snapshot duplicates the tree.  Later
-    [add]/[remove] on either copy do not affect the other.  The copy keeps
-    the horizon and its base level. *)
+(** Independent copy: the node pool's arrays are copied, O(n) in the
+    pool's size.  Later [add]/[remove] on either copy do not affect the
+    other.  The copy keeps the horizon and its base level. *)
 
 val add : t -> from_:float -> until:float -> float -> unit
 (** [add t ~from_ ~until bw] reserves [bw] on the half-open interval

@@ -57,21 +57,22 @@ let arrivals ~blocking (ctx : Runtime.ctx) fabric requests =
   let ledger = Ledger.create fabric in
   let seqs = if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1 in
   let queue_time = ref neg_infinity in
-  let accepted = ref [] and rejected = ref [] in
+  let log = Types.Log.create () in
   List.iter
     (fun (r : Request.t) ->
       if Obs.tracing obs then Emit.emit_arrival obs seqs r;
       if !queue_time > r.ts then begin
         (* The start passed while stuck behind the previous head. *)
         Emit.emit_decision obs ~time:r.ts r (Types.Rejected Types.Port_saturated);
-        rejected := (r, Types.Port_saturated) :: !rejected
+        Types.Log.add log r (Types.Rejected Types.Port_saturated)
       end
       else begin
         let a = alloc_of r in
         if Ledger.fits ledger a then begin
           Ledger.reserve ledger a;
-          Emit.emit_decision obs ~time:r.ts r (Types.Accepted a);
-          accepted := a :: !accepted
+          let d = Types.Accepted a in
+          Emit.emit_decision obs ~time:r.ts r d;
+          Types.Log.add log r d
         end
         else begin
           (* Head-of-line blocking: wait for the bandwidth, then drop. *)
@@ -81,11 +82,11 @@ let arrivals ~blocking (ctx : Runtime.ctx) fabric requests =
              | None -> ());
           Emit.emit_decision obs ~time:r.ts ?blocked:(Emit.spike_port obs ledger a) r
             (Types.Rejected Types.Port_saturated);
-          rejected := (r, Types.Port_saturated) :: !rejected
+          Types.Log.add log r (Types.Rejected Types.Port_saturated)
         end
       end)
     (Flexible.arrival_order requests);
-  { Types.all = requests; accepted = List.rev !accepted; rejected = List.rev !rejected }
+  Types.Log.result log requests
 
 let fcfs ?(ctx = Runtime.default) fabric requests = arrivals ~blocking:false ctx fabric requests
 
@@ -178,19 +179,16 @@ let slots ?(ctx = Runtime.default) ~cost fabric requests =
      List.iter (fun r -> Emit.emit_arrival obs seqs r) (Flexible.arrival_order requests)
    end);
   let sweep_end = List.fold_left (fun acc t -> Float.max acc t) 0.0 breakpoints in
-  let accepted = ref [] and rejected = ref [] in
+  let log = Types.Log.create () in
   Array.iteri
     (fun i r ->
-      match state.(i) with
-      | Alive _ ->
-          let a = alloc_of r in
-          Emit.emit_decision obs ~time:sweep_end r (Types.Accepted a);
-          accepted := a :: !accepted
-      | Dead reason ->
-          Emit.emit_decision obs ~time:sweep_end r (Types.Rejected reason);
-          rejected := (r, reason) :: !rejected)
+      let d =
+        match state.(i) with Alive _ -> Types.Accepted (alloc_of r) | Dead reason -> Types.Rejected reason
+      in
+      Emit.emit_decision obs ~time:sweep_end r d;
+      Types.Log.add log r d)
     arr;
-  { Types.all = requests; accepted = List.rev !accepted; rejected = List.rev !rejected }
+  Types.Log.result log requests
 
 let run ?ctx kind fabric requests =
   match kind with

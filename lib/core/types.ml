@@ -10,6 +10,53 @@ type result = {
   rejected : (Request.t * reason) list;
 }
 
+module Log = struct
+  (* A growable array in chunks of [chunk] cells, small enough to be
+     allocated in the minor heap: a store into the current chunk is a
+     store into a young block (no remembered-set entry), and growing
+     copies nothing.  [cur] is filled up to [n]; [full] holds the filled
+     chunks, newest first. *)
+  type 'a chunks = { mutable cur : 'a array; mutable n : int; mutable full : 'a array list }
+
+  let chunk = 256
+
+  let chunks () = { cur = [||]; n = 0; full = [] }
+
+  let push c x =
+    if c.n = Array.length c.cur then begin
+      if c.n > 0 then c.full <- c.cur :: c.full;
+      c.cur <- Array.make chunk x;
+      c.n <- 0
+    end;
+    Array.unsafe_set c.cur c.n x;
+    c.n <- c.n + 1
+
+  (* The cells in push order, consed from the back. *)
+  let to_list c =
+    let l = ref [] in
+    for i = c.n - 1 downto 0 do
+      l := Array.unsafe_get c.cur i :: !l
+    done;
+    List.iter
+      (fun a ->
+        for i = chunk - 1 downto 0 do
+          l := Array.unsafe_get a i :: !l
+        done)
+      c.full;
+    !l
+
+  type t = { accepted : Allocation.t chunks; rejected : (Request.t * reason) chunks }
+
+  let create () = { accepted = chunks (); rejected = chunks () }
+
+  let add t (r : Request.t) = function
+    | Accepted a -> push t.accepted a
+    | Rejected reason -> push t.rejected (r, reason)
+
+  let result ?(booked = []) t all =
+    { all; accepted = booked @ to_list t.accepted; rejected = to_list t.rejected }
+end
+
 let accept_rate r =
   match r.all with
   | [] -> 0.0

@@ -17,6 +17,21 @@ type result = {
   rejected : (Gridbw_request.Request.t * reason) list;
 }
 
+(** The decisions of one run, in decision order, as a {!result} is
+    built from them.  A batch kernel adds each decision as it is taken;
+    {!result} then builds [accepted] and [rejected] once, in that
+    order. *)
+module Log : sig
+  type t
+
+  val create : unit -> t
+  val add : t -> Gridbw_request.Request.t -> decision -> unit
+
+  val result : ?booked:Gridbw_alloc.Allocation.t list -> t -> Gridbw_request.Request.t list -> result
+  (** [result ?booked t all]: [all] as the submitted requests, [booked]
+      (default empty) ahead of the logged acceptances. *)
+end
+
 val accept_rate : result -> float
 (** accepted / total; 0 for an empty result. *)
 

@@ -214,7 +214,7 @@ type t = {
   mutable waiting : tlog list;
       (* residuals rejected while a port was degraded; they re-signal when
          a degraded port is restored *)
-  mutable decisions : (Request.t * Types.decision) list;
+  decisions : Types.Log.t;
 }
 
 let create ~obs fabric cfg sub requests =
@@ -231,7 +231,7 @@ let create ~obs fabric cfg sub requests =
     seqs = (if Obs.tracing obs then Emit.seq_table requests else Hashtbl.create 1);
     live = [];
     waiting = [];
-    decisions = [];
+    decisions = Types.Log.create ();
   }
 
 let now t = Engine.now t.engine
@@ -292,7 +292,7 @@ let register t lg (a : Allocation.t) =
 
 (* An arrival's admission decision. *)
 let decide t r d =
-  t.decisions <- (r, d) :: t.decisions;
+  Types.Log.add t.decisions r d;
   match d with Types.Accepted a -> register t (log_of t r) a | Types.Rejected _ -> ()
 
 (* Preempted, not aborted, and not yet re-admitted or given up. *)
@@ -513,7 +513,7 @@ let run ?(ctx = Gridbw_core.Runtime.default) fabric cfg events requests =
     | Window step -> window ~obs:ctx.Gridbw_core.Runtime.obs fabric cfg ~step requests
   in
   play t mode events;
-  let result = Flexible.collect requests (List.rev t.decisions) in
+  let result = Types.Log.result t.decisions requests in
   (* Residuals still waiting for a renegotiation that never came. *)
   Hashtbl.iter (fun _ lg -> if alive lg && lg.finished_at = None then give_up lg) t.logs;
   let outcomes = List.map (fun r -> outcome_of (log_of t r)) requests in

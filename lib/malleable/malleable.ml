@@ -292,14 +292,17 @@ let try_reshape ledger pending (r : Request.t) ~now =
 
 (* --- trace emission --- *)
 
+let reshape_commits_total = Gridbw_obs.Metrics.counter_key "reshape_commits_total"
+
 (* The profiled twin of {!Emit.emit_decision}'s accept arm: same
-   counters, but the trace record is a Reshape carrying the step
-   schedule (and any pending-profile revisions) instead of an Accept. *)
+   counters, through the same keys, but the trace record is a Reshape
+   carrying the step schedule (and any pending-profile revisions)
+   instead of an Accept. *)
 let emit_reshape obs ~time (r : Request.t) profile revised =
   if obs.Obs.enabled then begin
-    Obs.count obs "admit_requests_total";
-    Obs.count obs "admit_accepted_total";
-    if Array.length revised > 0 then Obs.count obs "reshape_commits_total";
+    Obs.incr obs Emit.requests_total;
+    Obs.incr obs Emit.accepted_total;
+    if Array.length revised > 0 then Obs.incr obs reshape_commits_total;
     Obs.event obs (fun () ->
         Event.Reshape
           {

@@ -26,3 +26,35 @@ let gridbw args =
   match snd (Unix.waitpid [] pid) with
   | Unix.WEXITED code -> (code, out)
   | _ -> Alcotest.failf "gridbw %s: killed by a signal" (String.concat " " args)
+
+(* Words allocated by [f ()], minor and major, less what measuring
+   costs (the same probe around an empty function).  The minor count
+   comes from [Gc.minor_words]: on OCaml 5.1 the minor part of
+   [Gc.counters] counts the words allocated since the last minor
+   collection at an eighth of their number. *)
+let words_allocated f =
+  let probe f =
+    Gc.full_major ();
+    let _, promoted0, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () in
+    let v = f () in
+    let minor1 = Gc.minor_words () in
+    let _, promoted1, major1 = Gc.counters () in
+    (v, minor1 +. major1 -. promoted1 -. (minor0 +. major0 -. promoted0))
+  in
+  let _, overhead = probe (fun () -> 0) in
+  let v, words = probe f in
+  (v, words -. overhead)
+
+(* Minor words allocated and words promoted per [n] units of work by
+   [f ()], run from an empty minor heap: the two figures a batch kernel's
+   allocation budget bounds.  Promotions depend on when minor
+   collections fall, so the caller fixes the input and the heap
+   settings it was measured with. *)
+let gc_words_per ~n f =
+  Gc.full_major ();
+  let minor0 = Gc.minor_words () and _, promoted0, _ = Gc.counters () in
+  let v = f () in
+  let minor1 = Gc.minor_words () and _, promoted1, _ = Gc.counters () in
+  let per x = x /. float_of_int n in
+  (v, per (minor1 -. minor0), per (promoted1 -. promoted0))

@@ -315,6 +315,64 @@ let rigid_pinned () =
           "f17c2b79aacd04a9e026048f9acaa108"; "b936b4558fab4da8fbd7c37979137e56" ] );
     ]
 
+(* --- allocation budgets ---
+
+   Each bound sits between two figures measured in this test binary
+   (OCaml 5.1.1, default minor heap): "before" is the code with a pointer
+   AVL for the timeline, a packer that allocated its arrays and closures
+   per batch, result lists consed and then reversed, and boxed xoshiro
+   state; "after" is the pooled timeline, the reused WINDOW workspace,
+   the decision log and the unboxed state.  Each figure repeats exactly
+   from run to run. *)
+
+let budget what ~bound got =
+  if got > bound then Alcotest.failf "%s: %.2f, budget %.2f" what got bound
+
+(* A warmed tree of 1,000 breakpoints: releasing and re-booking held
+   intervals, exact cancels included, reuses freed pool slots.  Before:
+   280,000 words over these 20,000 pairs; after: 0. *)
+let timeline_steady_state () =
+  let tl = Timeline.create () in
+  let held =
+    Array.init 500 (fun i -> (float_of_int i, float_of_int i +. 0.5, 1. +. float_of_int (i mod 7)))
+  in
+  Array.iter (fun (from_, until, bw) -> Timeline.add tl ~from_ ~until bw) held;
+  let churn () =
+    for round = 1 to 20 do
+      for i = 0 to Array.length held - 1 do
+        let from_, until, bw = held.(i * round mod Array.length held) in
+        Timeline.remove tl ~from_ ~until bw;
+        Timeline.add tl ~from_ ~until bw
+      done
+    done
+  in
+  churn ();
+  let (), words = words_allocated churn in
+  budget "timeline add/remove words" ~bound:0. words
+
+let seed7_stream count =
+  Gen.generate (Rng.create ~seed:7L ()) (Spec.paper_flexible ~count ~mean_interarrival:14.0 ())
+
+(* Per request of the 50k seed-7 stream at f = 0.8, before -> after:
+   WINDOW(400) 102.80 -> 64.35 minor and 12.90 -> 8.40 promoted words,
+   GREEDY 26.20 -> 24.23 minor and 7.31 -> 6.03 promoted words. *)
+let kernel_budgets () =
+  let fabric = Fabric.paper_default () in
+  let policy = Policy.Fraction_of_max 0.8 in
+  let reqs = seed7_stream 50_000 in
+  let n = List.length reqs in
+  let _, minor, promoted = gc_words_per ~n (fun () -> Flexible.window fabric policy ~step:400. reqs) in
+  budget "window(400) minor words per request" ~bound:80. minor;
+  budget "window(400) promoted words per request" ~bound:10.5 promoted;
+  let _, minor, promoted = gc_words_per ~n (fun () -> Flexible.greedy fabric policy reqs) in
+  budget "greedy minor words per request" ~bound:25.2 minor;
+  budget "greedy promoted words per request" ~bound:6.7 promoted
+
+(* Before: 186 words per request; after: 60. *)
+let generate_budget () =
+  let _, words = words_allocated (fun () -> seed7_stream 50_000) in
+  budget "Gen.generate words per request" ~bound:120. (words /. 50_000.)
+
 let suites =
   [
     ( "kernel-pins",
@@ -335,5 +393,11 @@ let suites =
         case "seed 7: malleable streams, profiles and reshape revisions" malleable_pinned;
         case "seed 7: blocking FIFO streams" fifo_pinned;
         case "seed 7: FCFS and slot-heuristic streams" rigid_pinned;
+      ] );
+    ( "kernel-alloc",
+      [
+        case "steady-state timeline add/remove allocates nothing" timeline_steady_state;
+        case "seed 7: window(400) and greedy words per request" kernel_budgets;
+        case "seed 7: Gen.generate words per request" generate_budget;
       ] );
   ]

@@ -162,25 +162,6 @@ let frame_blocking_io () =
             | Error (`Frame (Frame.Malformed_length _)) -> true
             | _ -> false)))
 
-(* Words allocated by [f ()], minor and major, less what measuring
-   costs (the same probe around an empty function).  The minor count
-   comes from [Gc.minor_words]: on OCaml 5.1 the minor part of
-   [Gc.counters] counts the words allocated since the last minor
-   collection at an eighth of their number. *)
-let words_allocated f =
-  let probe f =
-    Gc.full_major ();
-    let _, promoted0, major0 = Gc.counters () in
-    let minor0 = Gc.minor_words () in
-    let v = f () in
-    let minor1 = Gc.minor_words () in
-    let _, promoted1, major1 = Gc.counters () in
-    (v, minor1 +. major1 -. promoted1 -. (minor0 +. major0 -. promoted0))
-  in
-  let _, overhead = probe (fun () -> 0) in
-  let v, words = probe f in
-  (v, words -. overhead)
-
 (* Bytes allocated by [f ()]. *)
 let allocated f =
   let v, words = words_allocated f in

@@ -446,56 +446,68 @@ let probe_count_tracks_range_queries () =
 (* --- Ledger.copy: the same bits, and no sharing --- *)
 
 (* Ports derive from the op's interval, so a cancelling removal (same
-   interval, negated bw) lands on the same ports as its add. *)
-let ledger_of ops =
+   interval, negated bw) lands on the same ports as its add.  A
+   retirement moves every port's horizon. *)
+let ledger_of steps =
   let l = Ledger.create (fabric2 ()) in
   List.iter
-    (fun (Add (f, u, b)) ->
-      let i = abs (int_of_float (f *. 4.)) mod 2 and e = abs (int_of_float (u *. 4.)) mod 2 in
-      if b > 0. then Ledger.reserve_interval l ~ingress:i ~egress:e ~bw:b ~from_:f ~until:u
-      else Ledger.release_interval l ~ingress:i ~egress:e ~bw:(-.b) ~from_:f ~until:u)
-    ops;
+    (function
+      | Op (Add (f, u, b)) ->
+          let i = abs (int_of_float (f *. 4.)) mod 2 and e = abs (int_of_float (u *. 4.)) mod 2 in
+          if b > 0. then Ledger.reserve_interval l ~ingress:i ~egress:e ~bw:b ~from_:f ~until:u
+          else Ledger.release_interval l ~ingress:i ~egress:e ~bw:(-.b) ~from_:f ~until:u
+      | Retire h -> Ledger.retire_before l h)
+    steps;
   l
 
-(* Every answer a ledger gives over the ops' points and ranges, on every
-   port, as IEEE bits. *)
-let answers ops l =
+let ops_of steps = List.filter_map (function Op op -> Some op | Retire _ -> None) steps
+
+(* Every answer a ledger gives at or after the steps' horizon, over the
+   ops' points and ranges, on every port, as IEEE bits. *)
+let answers steps l =
+  let h = List.fold_left (fun h -> function Retire r -> Float.max h r | Op _ -> h) neg_infinity steps in
+  let ops = ops_of steps in
   let ports = [ Port.Ingress 0; Port.Ingress 1; Port.Egress 0; Port.Egress 1 ] in
   List.concat_map
     (fun port ->
       Ledger.capacity l port
-      :: List.map (Ledger.usage_at l port) (queries ops)
+      :: List.map (Ledger.usage_at l port) (List.filter (fun x -> x >= h) (queries ops))
       @ List.concat_map
           (fun (Add (from_, until, _)) ->
-            let at, level = Ledger.argmax_over l port ~from_ ~until in
-            [ at; level ])
+            let from_ = Float.max from_ h in
+            if from_ < until then begin
+              let at, level = Ledger.argmax_over l port ~from_ ~until in
+              [ at; level ]
+            end
+            else [])
           ops)
     ports
   |> List.map Int64.bits_of_float
 
 (* The copy answers with the original's bits, on grid ops (where exact
-   cancellations empty a port's tree) and on arbitrary floats; then a
-   booking, a release and a fabric swap on either side leave the other's
-   answers as they were. *)
-let check_ledger_copy ops =
-  let l = ledger_of ops in
-  let before = answers ops l in
+   cancellations empty a port's tree) and on arbitrary floats, with
+   retirements among them, so the copy is taken after nodes were freed;
+   then a booking, a release and a fabric swap on either side leave the
+   other's answers as they were. *)
+let check_ledger_copy steps =
+  let l = ledger_of steps in
+  let before = answers steps l in
   let c = Ledger.copy l in
   let same what want got = Alcotest.(check (list int64)) what want got in
   Alcotest.(check int) "probe count carried over" (Ledger.probe_count l) (Ledger.probe_count c);
-  same "the copy's bits" before (answers ops c);
+  same "the copy's bits" before (answers steps c);
   let halved = Fabric.uniform ~ingress_count:2 ~egress_count:2 ~capacity:50.0 in
-  let (Add (f, u, b)) = List.hd ops in
+  let (Add (f, u, b)) = List.hd (ops_of steps) in
   let touch l =
     Ledger.reserve_interval l ~ingress:0 ~egress:1 ~bw:7.5 ~from_:(f -. 1.) ~until:(u +. 1.);
     Ledger.release_interval l ~ingress:1 ~egress:0 ~bw:(Float.abs b) ~from_:f ~until:u;
     Ledger.set_fabric l halved
   in
   touch l;
-  same "the copy after the original changed" before (answers ops c);
-  let after = answers ops l in
+  same "the copy after the original changed" before (answers steps c);
+  let after = answers steps l in
   touch c;
-  same "the original after the copy changed" after (answers ops l);
+  same "the original after the copy changed" after (answers steps l);
   true
 
 (* --- scheduler interface vs direct heuristic calls --- *)
@@ -534,7 +546,7 @@ let suites =
         qcase ~count:200 "differential: breakpoints_over on float ops" (ops_and_ranges float_time float_bw)
           check_breakpoints_over;
         case "exact cancellation empties the tree" exact_cancel;
-        case "copy is an O(1) snapshot" copy_is_snapshot;
+        case "copy is an independent snapshot" copy_is_snapshot;
         case "rejects bad intervals" rejects_bad_interval;
         case "argmax prefers the earliest witness" argmax_prefers_earliest;
         case "NaN bounds are refused" rejects_nan_bounds;
@@ -556,8 +568,8 @@ let suites =
     ( "ledger-port",
       [
         case "within_capacity on random workload" ledger_within_capacity_random;
-        qcase ~count:200 "copy: same bits on grid ops, no sharing" grid_ops check_ledger_copy;
-        qcase ~count:200 "copy: same bits on float ops, no sharing" float_ops check_ledger_copy;
+        qcase ~count:200 "copy: same bits on grid ops, no sharing" grid_steps check_ledger_copy;
+        qcase ~count:200 "copy: same bits on float ops, no sharing" float_steps check_ledger_copy;
         case "headroom_over is capacity minus max" ledger_headroom_consistent;
         case "probe_count tracks range queries" probe_count_tracks_range_queries;
         case "scheduler dispatch matches direct call" scheduler_matches_direct;
