@@ -153,7 +153,6 @@ type workspace = {
   mutable out_at : int array;
   mutable n : int;  (** candidates in the batch *)
   mutable hsize : int;
-  mutable live : int;
   mutable probes : int;  (** the ledger's probe count at the last decision *)
 }
 
@@ -177,7 +176,6 @@ let workspace () =
     out_at = [||];
     n = 0;
     hsize = 0;
-    live = 0;
     probes = 0;
   }
 
@@ -375,8 +373,8 @@ let pack ws ~obs ~now ~deferred policy ledger ~decide batch =
       index_ports ws ~ingress:true ws.in_at ws.in_idx (Fabric.ingress_count fabric);
       index_ports ws ~ingress:false ws.out_at ws.out_idx (Fabric.egress_count fabric);
       heapify ws;
-      ws.live <- ws.n;
-      while ws.live > 0 do
+      let live = ref ws.n in
+      while !live > 0 do
         let bi = next_best ws in
         if ws.costs.(bi) > 1. +. 1e-9 then begin
           (* Algorithm 3's cut: the cheapest candidate saturates a port,
@@ -391,7 +389,7 @@ let pack ws ~obs ~now ~deferred policy ledger ~decide batch =
                 ws.reqs.(i) (Types.Rejected Types.Port_saturated)
             end
           done;
-          ws.live <- 0
+          live := 0
         end
         else begin
           let r = ws.reqs.(bi) in
@@ -412,7 +410,7 @@ let pack ws ~obs ~now ~deferred policy ledger ~decide batch =
             record ws ~obs ~now ledger decide ?blocked:(Emit.spike_port obs ledger a) r
               (Types.Rejected Types.Port_saturated);
           ws.alive.(bi) <- false;
-          ws.live <- ws.live - 1
+          decr live
         end
       done
 

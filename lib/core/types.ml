@@ -12,10 +12,11 @@ type result = {
 
 module Log = struct
   (* A growable array in chunks of [chunk] cells, small enough to be
-     allocated in the minor heap: a store into the current chunk is a
-     store into a young block (no remembered-set entry), and growing
-     copies nothing.  [cur] is filled up to [n]; [full] holds the filled
-     chunks, newest first. *)
+     allocated in the minor heap, so a chunk mostly fills while it is
+     young and its stores add no remembered-set entries; growing copies
+     nothing.  (One flat array, doubled in the major heap, made GREEDY
+     slower.)  [cur] is filled up to [n]; [full] holds the filled chunks,
+     newest first. *)
   type 'a chunks = { mutable cur : 'a array; mutable n : int; mutable full : 'a array list }
 
   let chunk = 256
