@@ -21,9 +21,9 @@
 
     {b Memory.}  A timeline keeps its nodes in one pool of flat arrays
     that grows by doubling; a breakpoint dropped by an exact cancel or
-    by {!retire_before} frees its node for the next insertion, so a
-    timeline whose breakpoint count holds steady allocates nothing on
-    {!add}/{!remove}.
+    by {!retire_before} frees its node for the next insertion, so once
+    the breakpoint count holds steady, an {!add} or {!remove} of an
+    interval starting at or after the horizon allocates nothing.
 
     {b Horizon.}  {!retire_before} forgets the history behind a time: it
     folds every breakpoint keyed below it into a base level, so the tree
