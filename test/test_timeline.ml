@@ -546,7 +546,7 @@ let suites =
         qcase ~count:200 "differential: breakpoints_over on float ops" (ops_and_ranges float_time float_bw)
           check_breakpoints_over;
         case "exact cancellation empties the tree" exact_cancel;
-        case "copy is an independent snapshot" copy_is_snapshot;
+        case "copy is a deep snapshot" copy_is_snapshot;
         case "rejects bad intervals" rejects_bad_interval;
         case "argmax prefers the earliest witness" argmax_prefers_earliest;
         case "NaN bounds are refused" rejects_nan_bounds;
